@@ -49,6 +49,11 @@ CLI_EIGEN_TOL_REL = 1e-6
 THEOREM_PARAMS = frozenset({"H", "k", "a", "r", "R", "r0", "alpha", "delta", "epsilon"})
 
 _EXCESS_POINTS = 200_000
+_GRID_INTERVALS = 100_000
+# Dense grids are evaluated in blocks of this many points, so the oracles'
+# temporaries stay well below the program's own arrays and do not set the
+# process's peak memory (rss_peak_mb).
+_BLOCK = 8192
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
@@ -85,6 +90,12 @@ class Space:
         return self.kind in ("sphere", "euclidean", "hyperbolic", "linear_drift") \
             or (self.kind == "perturbed_sphere" and p.get("eps") == 0.0) \
             or (self.kind == "poly" and list(p["w"]) == [0.0, 1.0] and len(p["f"]) <= 2)
+
+
+def _blocks(count: int):
+    """Index arrays 0..count-1 in consecutive blocks of at most _BLOCK."""
+    for start in range(0, count, _BLOCK):
+        yield np.arange(start, min(start + _BLOCK, count), dtype=float)
 
 
 def _sn(H: float, r):
@@ -141,10 +152,13 @@ def excess_integral(space: Space, H: float, upper: float,
     a dense grid (the positive part has kinks, so no high-order rule)."""
     upper = min(float(upper), space.r_max)
     h = upper / points
-    r = (np.arange(points) + 0.5) * h
-    w, _, w2, _, _, f2 = profile(space, r)
-    ric_f = -(space.n - 1.0) * w2 / w + f2
-    return float(np.maximum(0.0, (space.n - 1.0) * H - ric_f).sum() * h)
+    total = 0.0
+    for idx in _blocks(points):
+        r = (idx + 0.5) * h
+        w, _, w2, _, _, f2 = profile(space, r)
+        ric_f = -(space.n - 1.0) * w2 / w + f2
+        total += float(np.maximum(0.0, (space.n - 1.0) * H - ric_f).sum())
+    return total * h
 
 
 def potential_constants(space: Space) -> tuple[float, float]:
@@ -160,19 +174,24 @@ def potential_constants(space: Space) -> tuple[float, float]:
         return 0.0, 0.0
     P = np.polynomial.polynomial
     fc = np.asarray(p["f"], float)
-    grid = np.linspace(0.0, space.r_max, 100_001)
+    d1 = P.polyder(fc)
+    step = space.r_max / _GRID_INTERVALS
+    k, d1_min = 0.0, math.inf
+    for idx in _blocks(_GRID_INTERVALS + 1):
+        grid = idx * step
+        k = max(k, float(np.max(np.abs(P.polyval(grid, fc)))))
+        d1_min = min(d1_min, float(np.min(P.polyval(grid, d1))))
     crit = [x.real for x in P.polyroots(P.polyder(fc)) if len(fc) > 2
             and abs(x.imag) < 1e-14 and 0.0 <= x.real <= space.r_max] \
         if len(fc) > 2 else []
-    rs = np.concatenate([grid, np.asarray(crit, float)])
-    k = float(np.max(np.abs(P.polyval(rs, fc))))
-    d1 = P.polyder(fc)
+    if crit:
+        k = max(k, float(np.max(np.abs(P.polyval(np.asarray(crit), fc)))))
     crit1 = [x.real for x in P.polyroots(P.polyder(d1)) if len(d1) > 2
              and abs(x.imag) < 1e-14 and 0.0 <= x.real <= space.r_max] \
         if len(d1) > 2 else []
-    rs1 = np.concatenate([grid, np.asarray(crit1, float)])
-    a = max(0.0, -float(np.min(P.polyval(rs1, d1))))
-    return k, a
+    if crit1:
+        d1_min = min(d1_min, float(np.min(P.polyval(np.asarray(crit1), d1))))
+    return k, max(0.0, -d1_min)
 
 
 def eigen_closed_form(space: Space, R: float) -> float | None:

@@ -6,12 +6,14 @@ Run from the repository root.  One client, closed loop, one single-threaded
 process (BLAS pinned to one thread): each operation is an in-process
 ``smmskit.cli.main([...])`` call with ``--out`` into a scratch directory
 under ``bench/results``; its output is then checked against the
-independent computations in ``oracles.py``.  Untraced runs execute whole
-rounds for about ``--seconds`` and report the end-to-end metrics;
-``--trace 1`` executes a fixed number of rounds with every layer wrapped
-(see ``tracing.py``) and reports per-operation layer metrics.  The last
-line of standard output is one JSON object; a copy with per-slot detail is
-written to ``bench/results``.
+independent computations in ``oracles.py``.  A run executes a fixed
+number of whole rounds, set by ``--seconds`` and the workload's nominal
+round cost (``workloads.round_count``).  Untraced runs report the
+end-to-end metrics; ``--trace 1`` runs every operation twice, bare and
+with every layer wrapped (see ``tracing.py``), and reports per-operation
+layer metrics and the measured tracing overhead.  The last line of
+standard output is one JSON object; a copy with per-slot detail is written
+to ``bench/results``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import resource  # noqa: E402
@@ -50,17 +53,21 @@ import workloads  # noqa: E402
 # touches none of the program's caches.
 WARMUP = ["check", "--space", "sphere", "--n", "3", "--param", "H=1.0",
           "--theorem", "MC_DRIFT", "--a", "0.0"]
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 REQUESTED_GRID = 256  # the CLI's --grid default; ops never pass --grid
 
-# The host's speed drifts by 30-50% over minutes (other tenants share the
-# cores), which no amount of repetition inside one run averages away.  So
-# a fixed reference kernel, independent of smmskit, is timed between
-# operations (at most every KERNEL_EVERY_S seconds), and the end-to-end
-# times are scaled by REFERENCE_KERNEL_S / (the run's median kernel time):
-# they read as milliseconds on the reference machine at the kernel's
-# reference speed.  Raw wall times go to the detail file.
-REFERENCE_KERNEL_S = 0.020
+# The host's speed switches between states up to 1.6x apart within seconds
+# and drifts over minutes (other tenants share the cores), which no amount
+# of repetition inside one run averages away.  So a fixed reference kernel,
+# independent of smmskit, is timed between operations (before an operation
+# once KERNEL_EVERY_S seconds have passed since the last timing, and after
+# the last operation).  Each operation's wall time is scaled by
+# REFERENCE_KERNEL_S / (the median of the three kernel timings before it and
+# the three after it): it reads as milliseconds on the reference machine at
+# the kernel's reference speed.  The median follows the host's state but not
+# a single timing caught in a brief fast or slow spell.  Raw wall times go
+# to the detail file.
+REFERENCE_KERNEL_S = 0.016
 KERNEL_EVERY_S = 0.25
 _RK_A = ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
          (439 / 216, -8.0, 3680 / 513, -845 / 4104),
@@ -75,7 +82,8 @@ def _kernel_rhs(t, y):
 def reference_kernel() -> float:
     """Seconds for a fixed mix of the program's two kinds of work: scalar
     Runge-Kutta stages on small numpy arrays, and vectorized numpy
-    integrand evaluations at growing sizes."""
+    integrand evaluations at growing sizes, up to the program's largest
+    grids (so the kernel does not set the process's peak memory)."""
     t0 = time.perf_counter()
     y, t, h = np.array([1.0, 0.0]), 0.0, 1e-3
     for _ in range(100):
@@ -83,9 +91,9 @@ def reference_kernel() -> float:
         for i in range(1, 6):
             k.append(_kernel_rhs(t + h, y + h * sum(a * k[j] for j, a in enumerate(_RK_A[i]))))
         y, t = y + h * sum(0.1 * kk for kk in k), t + h
-    for n in (256, 2048, 16384, 131072):
+    for n, repeats in ((256, 2), (2048, 2), (16384, 18)):
         x = np.linspace(0.1, 1.0, n)
-        for _ in range(2):
+        for _ in range(repeats):
             v = np.maximum(0.0, 2.0 - np.sin(x) / x) ** 2.0 * np.exp(-x)
             float(v[1::2].sum() + v[::2].sum())
     return time.perf_counter() - t0
@@ -103,6 +111,16 @@ def import_cli():
         raise SystemExit(f"error: imported smmskit from {smmskit.__file__}, "
                          f"not from {SRC}")
     return cli
+
+
+def clear_program_caches(package) -> None:
+    """Empty every ``lru_cache`` of the program, as a fresh process has them."""
+    prefix = package.__name__ + "."
+    for name, module in list(sys.modules.items()):
+        if name.startswith(prefix):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 def set_up(workload: str, seed: int, workdir: Path):
@@ -167,12 +185,26 @@ class Run:
         self.kernel_s: list[float] = []
         self._kernel_at = -math.inf
 
+    def time_kernel(self) -> None:
+        self.kernel_s.append(reference_kernel())
+        self._kernel_at = time.perf_counter()
+
+    def _out(self, op, index: int) -> Path:
+        return self.workdir / f"op{index}.{'json' if op.command == 'check' else 'csv'}"
+
+    def bare_seconds(self, op, index: int) -> float:
+        """Wall seconds of one unchecked, unrecorded call."""
+        t0 = time.perf_counter()
+        try:
+            self.cli.main(op.argv + ["--out", str(self._out(op, index))])
+        except Exception:  # the checked call that follows records the failure
+            pass
+        return time.perf_counter() - t0
+
     def execute(self, op, index: int) -> None:
-        if time.perf_counter() - self._kernel_at >= KERNEL_EVERY_S:
-            self.kernel_s.append(reference_kernel())
-            self._kernel_at = time.perf_counter()
-        out = self.workdir / f"op{index}.{'json' if op.command == 'check' else 'csv'}"
-        record = {"slot": op.slot, "points": op.points, "ok": False}
+        out = self._out(op, index)
+        record = {"slot": op.slot, "points": op.points, "ok": False,
+                  "kernel": len(self.kernel_s) - 1}
         t0 = time.perf_counter()
         try:
             code = self.cli.main(op.argv + ["--out", str(out)])
@@ -200,23 +232,36 @@ class Run:
         record["ok"] = not problems
         self.records.append(record)
 
-    def loop(self, first, rounds, seconds: float, fixed_rounds: int | None) -> None:
-        """Run whole rounds: ``fixed_rounds`` of them, or, when None, as
-        long as at least half of the next round fits in ``seconds``."""
-        t0 = time.perf_counter()
-        rnd, done, index = first, 0, 0
-        while True:
+    def loop(self, first, rounds, count: int) -> None:
+        """Run ``count`` whole rounds, timing the reference kernel between
+        operations."""
+        index = 0
+        for rnd in itertools.chain([first], itertools.islice(rounds, count - 1)):
             for op in rnd:
+                if time.perf_counter() - self._kernel_at >= KERNEL_EVERY_S:
+                    self.time_kernel()
                 self.execute(op, index)
                 index += 1
-            done += 1
-            elapsed = time.perf_counter() - t0
-            if fixed_rounds is not None:
-                if done >= fixed_rounds:
-                    return
-            elif elapsed + 0.5 * elapsed / done >= seconds:
-                return
-            rnd = next(rounds)
+        self.time_kernel()
+
+    def traced_loop(self, first, rounds, count: int, tracer, package) -> None:
+        """Run ``count`` whole rounds; each operation runs bare, then traced,
+        both times with the program's caches emptied (as in a fresh
+        process), so the traced call costs what the bare one did plus the
+        tracing.  Only the traced call is checked and recorded."""
+        index = 0
+        for rnd in itertools.chain([first], itertools.islice(rounds, count - 1)):
+            for op in rnd:
+                clear_program_caches(package)
+                bare = self.bare_seconds(op, index)
+                clear_program_caches(package)
+                tracer.install(package)
+                try:
+                    self.execute(op, index)
+                finally:
+                    tracer.uninstall()
+                self.records[-1]["bare_s"] = bare
+                index += 1
 
 
 def summarize(op, output) -> dict:
@@ -235,29 +280,36 @@ def summarize(op, output) -> dict:
     return out
 
 
+def peak_rss_mb() -> float:
+    """Peak resident memory of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def nearest_rank(values, q: float) -> float:
     """The q-quantile as an observed value (nearest-rank method), so that it
     never interpolates into the gap between two cost clusters."""
     return sorted(values)[max(math.ceil(q * len(values)) - 1, 0)]
 
 
-def speed_scale(run: Run) -> float:
-    """Factor that turns this run's wall times into reference times."""
-    return REFERENCE_KERNEL_S / statistics.median(run.kernel_s)
+def reference_seconds(run: Run, record: dict) -> float:
+    """An operation's wall time at the kernel's reference speed, from the
+    median of the (up to) three kernel timings before it and three after."""
+    k = record["kernel"]
+    local = statistics.median(run.kernel_s[max(k - 2, 0):k + 4])
+    return record["s"] * REFERENCE_KERNEL_S / local
 
 
 def end_to_end(run: Run, setup_s: float) -> dict:
-    scale = speed_scale(run)
-    ms = [r["s"] * 1e3 * scale for r in run.records]
-    busy = sum(r["s"] for r in run.records) * scale
+    ref_s = [reference_seconds(run, r) for r in run.records]
+    ms = [s * 1e3 for s in ref_s]
+    busy = sum(ref_s)
     done = sum(r["points"] for r in run.records if r["ok"])
     return {
         "setup_s": {"value": setup_s, "unit": "s"},
         "op_ms.p50": {"value": statistics.median(ms), "unit": "ms"},
         "op_ms.p90": {"value": nearest_rank(ms, 0.9), "unit": "ms"},
         "checks_per_s": {"value": done / busy, "unit": "1/s"},
-        "rss_peak_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                        "unit": "MB"},
+        "rss_peak_mb": {"value": peak_rss_mb(), "unit": "MB"},
     }
 
 
@@ -288,17 +340,15 @@ def per_layer(run: Run, tracer) -> dict:
         counts["eigen.integrate_ode.calls"] / solves if solves else 0.0, "count")
     graded = [r["refined"] for r in run.records if "refined" in r]
     put("comparison.refine_share", sum(graded) / len(graded) if graded else 0.0, "ratio")
-    span_cost, count_cost = tracer.wrapper_cost()
-    wrapped = len(tracer.start)
-    evaluated = sum(v for k, v in counts.items()
-                    if k.endswith((".rhs_evals", ".evals")))
-    put("trace.overhead_ms", (wrapped * span_cost + evaluated * count_cost) * 1e3 / ops, "ms")
+    put("trace.overhead_ms",
+        sum(r["s"] - r["bare_s"] for r in run.records) * 1e3 / ops, "ms")
     return out
 
 
-def detail(run: Run) -> dict:
-    """Per-slot wall times (unscaled), the reference kernel's time, and the
-    input make-up, written next to the result."""
+def detail(run: Run, rss_mb: dict) -> dict:
+    """Per-slot wall times (unscaled), the reference kernel's time, peak
+    memory before the first check and after the run, and the input
+    make-up, written next to the result."""
     slots = defaultdict(list)
     for r in run.records:
         slots[r["slot"]].append(r["s"] * 1e3)
@@ -306,8 +356,8 @@ def detail(run: Run) -> dict:
     doubling = [r for r in run.records if "threshold_reuse" in r]
     return {
         "slot_ms_median": {k: statistics.median(v) for k, v in slots.items()},
-        "kernel_ms_median": statistics.median(run.kernel_s) * 1e3,
-        "speed_scale": speed_scale(run),
+        "kernel_ms_median": statistics.median(run.kernel_s) * 1e3 if run.kernel_s else None,
+        "rss_peak_mb": rss_mb,
         "ops": len(run.records),
         "share_l_positive": sum(with_l) / len(with_l) if with_l else None,
         "share_points_reusing_threshold":
@@ -327,22 +377,19 @@ def main(argv=None) -> int:
     import_cli()  # fail fast, before any probe, when the sources are missing
     RESULTS.mkdir(exist_ok=True)
     setup_s = probe_setup(args.workload, args.seed) if not args.trace else math.nan
+    count = workloads.round_count(args.workload, args.seconds)
     workdir = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=RESULTS))
+    tracer = tracing.Tracer() if args.trace else None
     try:
         cli, first, rounds = set_up(args.workload, args.seed, workdir)
+        rss_mb = {"before_checks": peak_rss_mb()}
         run = Run(cli, workdir)
-        tracer = None
-        fixed = None
-        if args.trace:
+        if tracer is None:
+            run.loop(first, rounds, count)
+        else:
             import smmskit
-            tracer = tracing.Tracer()
-            tracer.install(smmskit)
-            fixed = max(1, round(args.seconds / workloads.ROUND_SECONDS[args.workload]))
-        try:
-            run.loop(first, rounds, args.seconds, fixed)
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
+            run.traced_loop(first, rounds, count, tracer, smmskit)
+        rss_mb["after_run"] = peak_rss_mb()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -351,8 +398,8 @@ def main(argv=None) -> int:
     result = {"correct": run.violations == 0, "attempted": len(run.records),
               "failed": failed, "metrics": metrics}
     stem = f"{args.workload}-seed{args.seed}{'-trace' if args.trace else ''}"
-    (RESULTS / f"{stem}.json").write_text(json.dumps({**result, "detail": detail(run)},
-                                                     indent=2) + "\n")
+    (RESULTS / f"{stem}.json").write_text(
+        json.dumps({**result, "detail": detail(run, rss_mb)}, indent=2) + "\n")
     if tracer is not None:
         tracer.write(RESULTS / f"{stem}-spans.npz")
     print(json.dumps(result))

@@ -217,3 +217,36 @@ def test_rounds_are_seeded_and_never_repeat_inputs(tmp_path):
     assert first == argvs(7, 3)
     assert first != argvs(8, 3)
     assert len({tuple(a) for a in first}) == len(first)
+
+
+# ---------------------------------------------------------------------------
+# Runner mechanics the metrics rest on.
+# ---------------------------------------------------------------------------
+
+def test_run_length_depends_on_seconds_only():
+    assert [workloads.round_count(w, 25) for w in workloads.WORKLOADS] == [25, 2, 5]
+    assert workloads.round_count("eigen", 1) == 1
+
+
+def test_reference_seconds_use_the_nearby_kernel_timings():
+    import run
+
+    timed = run.Run(cli=None, workdir=BENCH)
+    ref = run.REFERENCE_KERNEL_S
+    # Three timings before the operation (indices 0-2), three after (3-5),
+    # and a far one that must not count.
+    timed.kernel_s = [ref, 2 * ref, 2 * ref, 2 * ref, 9 * ref, 2 * ref, 50 * ref]
+    assert run.reference_seconds(timed, {"s": 2.0, "kernel": 2}) == pytest.approx(1.0)
+    timed.kernel_s = [ref, 3 * ref]
+    assert run.reference_seconds(timed, {"s": 2.0, "kernel": 0}) == pytest.approx(1.0)
+
+
+def test_clearing_program_caches_empties_them():
+    smmskit = pytest.importorskip("smmskit")
+    import run
+    from smmskit import comparison
+
+    comparison.doubling_epsilon(3, 1.0, 0.5, 4.0, a=0.1)
+    assert comparison.doubling_epsilon.cache_info().currsize >= 1
+    run.clear_program_caches(smmskit)
+    assert comparison.doubling_epsilon.cache_info().currsize == 0

@@ -155,27 +155,3 @@ class Tracer:
             parent=np.frombuffer(self.parent, dtype=np.int32),
             start=np.frombuffer(self.start, dtype=np.float64),
             end=np.frombuffer(self.end, dtype=np.float64))
-
-    @staticmethod
-    def wrapper_cost(calls: int = 20_000) -> tuple[float, float]:
-        """Seconds a span adds to one call, and a counted callable adds to
-        one evaluation, beyond the bare call: median of five batches."""
-        noop = lambda x: x
-        passthrough = lambda f, x: f(x)
-        scratch = Tracer()
-        span = scratch._wrap(noop, "noop", None)
-        counting = scratch._wrap(passthrough, "noop", "evals")
-
-        def batch(fn, *args):
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                fn(*args)
-            return (time.perf_counter() - t0) / calls
-
-        spans, counts = [], []
-        for _ in range(5):
-            span_cost = batch(span, 0) - batch(noop, 0)
-            spans.append(span_cost)
-            counts.append(batch(counting, noop, 0) - batch(passthrough, noop, 0)
-                          - span_cost)
-        return max(sorted(spans)[2], 0.0), max(sorted(counts)[2], 0.0)

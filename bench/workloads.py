@@ -21,14 +21,19 @@ from pathlib import Path
 
 from oracles import THEOREM_PARAMS, Space
 
-__all__ = ["Op", "WORKLOADS", "ROUND_SECONDS", "rounds"]
+__all__ = ["Op", "WORKLOADS", "round_count", "rounds"]
 
 WORKLOADS = ("checks", "eigen", "sweep")
 
 # Nominal cost of one round on the reference machine (2-core KVM guest).
-# The traced run executes max(1, round(seconds / ROUND_SECONDS)) rounds, so
-# its counts do not depend on how fast the machine happens to be.
-ROUND_SECONDS = {"checks": 0.6, "eigen": 26.0, "sweep": 24.0}
+_ROUND_SECONDS = {"checks": 1.0, "eigen": 13.0, "sweep": 5.0}
+
+
+def round_count(workload: str, seconds: float) -> int:
+    """Rounds a run of nominally ``seconds`` executes.  The count depends on
+    the requested length only, never on how fast the machine happens to be,
+    so every run of a workload and length executes the same operations."""
+    return max(1, round(seconds / _ROUND_SECONDS[workload]))
 
 
 @dataclass
@@ -218,8 +223,8 @@ def _sweep_round(rng) -> list[Op]:
     for n in (2, 3):
         s = replace(_sphere_like(rng, "perturbed_sphere"), n=n)
         ops.append(Op(f"DOUBLING/eps/drift/n{n}", "sweep", "DOUBLING", s, s.H,
-                      {"alpha": rng.uniform(2.5, 6.0), "R": rng.uniform(1.0, 1.35),
-                       "a": rng.uniform(0.05, 0.3)},
+                      {"alpha": rng.uniform(3.5, 4.5), "R": rng.uniform(1.1, 1.25),
+                       "a": rng.uniform(0.1, 0.2)},
                       points=12, sweep_param="eps", sweep_start=5e-4,
                       sweep_stop=rng.uniform(0.015, 0.025)))
     for n in (2, 3):
@@ -236,26 +241,15 @@ def _sweep_round(rng) -> list[Op]:
                   sweep_stop=rng.uniform(0.85, 0.95) * half_pi(s.H)))
     s = _sphere_like(rng, "perturbed_sphere")
     ops.append(Op("DOUBLING/eps/bounded_f", "sweep", "DOUBLING", s, s.H,
-                  {"alpha": rng.uniform(2.5, 6.0),
-                   "R": rng.uniform(0.8, 0.95) * math.pi / (4.0 * math.sqrt(s.H)),
-                   "k": rng.uniform(0.05, 0.2)},
+                  {"alpha": rng.uniform(3.5, 4.5),
+                   "R": rng.uniform(0.85, 0.92) * math.pi / (4.0 * math.sqrt(s.H)),
+                   "k": rng.uniform(0.08, 0.14)},
                   points=10, sweep_param="eps", sweep_start=5e-4,
                   sweep_stop=rng.uniform(0.01, 0.02)))
-    s = _sphere_like(rng, "perturbed_sphere", eps=(5e-4, 1e-3))
-    lo = rng.uniform(2.2, 2.4)
-    ops.append(Op("DOUBLING/alpha", "sweep", "DOUBLING", s, s.H,
-                  {"R": rng.uniform(1.1, 1.2), "a": rng.uniform(0.1, 0.2)},
-                  points=8, sweep_param="alpha", sweep_start=lo,
-                  sweep_stop=lo + rng.uniform(3.4, 3.6)))
     return ops
 
 
-# (slot list, times it repeats per round).  An eigen or sweep round fills a
-# whole run, so every run of those workloads executes the same operations:
-# a run that stopped after one or two shorter rounds, depending on how busy
-# the machine is, would move the median and p90 to other ranks.
-_ROUND = {"checks": (_checks_round, 1), "eigen": (_eigen_round, 2),
-          "sweep": (_sweep_round, 2)}
+_ROUND = {"checks": _checks_round, "eigen": _eigen_round, "sweep": _sweep_round}
 
 
 def _cache_keys(op: Op):
@@ -278,11 +272,11 @@ def rounds(workload: str, seed: int, workdir: Path):
     if workload not in _ROUND:
         raise ValueError(f"unknown workload {workload!r}; known: {', '.join(WORKLOADS)}")
     rng = random.Random(f"{workload}:{seed}")
-    make, repeats = _ROUND[workload]
+    make = _ROUND[workload]
     seen: set = set()
     index = 0
     while True:
-        ops = [op for _ in range(repeats) for op in make(rng)]
+        ops = make(rng)
         for op in ops:
             keys = set(_cache_keys(op))
             if any(k in seen for k in keys):
