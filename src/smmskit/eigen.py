@@ -6,10 +6,19 @@ warped space with coefficient m_f.  The pole is a regular singular point,
 so integration starts at r0 = 1e-6 R from the series
 phi(r0) = 1 - lambda r0^2 / (2n), phi'(r0) = -lambda r0 / n.
 
-The first eigenvalue is bracketed by whether phi vanishes at or before R:
-lambda_lo = 0 keeps phi positive; lambda_hi doubles from pi^2/R^2 until a
-zero appears, then bisection converges.  An interior zero at a candidate
-lambda is bracket information (lambda too large), not an error.
+Shoots follow the Pruefer angle theta, phi = rho sin(theta) and
+phi' = rho cos(theta), which obeys the first-order equation
+theta' = cos^2 theta + m_f sin theta cos theta + lambda sin^2 theta.
+theta(R; lambda) is continuous and increasing in lambda and passes each
+multiple of pi only upward, at a zero of phi, so the first eigenvalue is the
+root of theta(R; lambda) = pi (Pryce, Numerical Solution of Sturm-Liouville
+Problems, 1993).  Secant steps safeguarded inside a kept bracket find it,
+until the bracket is narrower than rel_tol * lambda_hi; one (phi, phi')
+shoot at the root then gives the eigenfunction samples, r_half and the
+residual |phi(R)|.  The report passes only when the bracket meets that
+width, theta(R) at its upper end lies in [pi, 2 pi) (phi has exactly one
+zero, so the eigenvalue is the first) and the residual is within the bound
+the bracket and the shoot's error estimates allow.
 
 The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
@@ -57,18 +66,47 @@ class EigenResult:
     """Converged first Dirichlet eigenvalue of a radial ball.
 
     ``samples`` holds (r, phi) rows with phi(0) = 1; ``residual`` is
-    |phi(R)| at the converged eigenvalue, ``bracket`` the final bisection
-    interval and ``r_half`` the first radius with phi = 1/2.  The search is
-    restricted to radial eigenfunctions (the first eigenfunction is radial
-    for radial data).
+    |phi(R)| at the converged eigenvalue, ``bracket`` the final root
+    bracket, ``theta_hi`` the Pruefer angle theta(R) at its upper end and
+    ``r_half`` the first radius with phi = 1/2.  ``residual_bound`` is what
+    the bracket allows, rho(R) max |theta(R) - pi| over its ends, plus the
+    summed local error estimates of the shoot.  The search is restricted to
+    radial eigenfunctions (the first eigenfunction is radial for radial
+    data).
     """
 
     lam: float
     residual: float
+    residual_bound: float
     samples: np.ndarray
     bracket: tuple
+    theta_hi: float
     r_half: float
+    tol: Tolerance
     radial_only: bool = True
+
+    @property
+    def reason(self) -> str:
+        """Why the solve does not certify the eigenvalue; empty when it does."""
+        lo, hi = self.bracket
+        if not hi - lo <= self.tol.rel_tol * hi:
+            return (f"bracket width {hi - lo:.6g} exceeds rel_tol * lambda_hi"
+                    f" = {self.tol.rel_tol * hi:.6g}")
+        if not math.pi <= self.theta_hi < 2.0 * math.pi:
+            return (f"theta(R) = {self.theta_hi:.6g} at lambda_hi is outside"
+                    " [pi, 2 pi): the root is not the first eigenvalue")
+        if not self.residual <= self.residual_bound:
+            return (f"residual {self.residual:.6g} exceeds its bound"
+                    f" {self.residual_bound:.6g}")
+        return ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.reason
+
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
 
     def to_dict(self) -> dict:
         return {
@@ -76,11 +114,16 @@ class EigenResult:
             "params": {"lambda": float(self.lam), "r_half": float(self.r_half)},
             "units": {"lambda": "1/length^2", "r_half": "length"},
             "residual": float(self.residual),
+            "residual_bound": float(self.residual_bound),
             "bracket": [float(self.bracket[0]), float(self.bracket[1])],
+            "theta_hi": float(self.theta_hi),
             "radial_only": self.radial_only,
-            "pass": True,
-            "verdict": "PASS",
+            "pass": self.passed,
+            "verdict": self.verdict,
+            "reason": self.reason,
             "min_margin": float(self.residual),
+            "tol_abs": self.tol.abs_tol,
+            "tol_rel": self.tol.rel_tol,
         }
 
     def samples_csv(self) -> str:
@@ -90,56 +133,107 @@ class EigenResult:
         return "\n".join(lines) + "\n"
 
 
+def _pole_start(n: int, lam: float, R: float):
+    """Start radius and (phi, phi') there from the regular-singular pole series."""
+    r0 = 1e-6 * R
+    return r0, 1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 / n
+
+
 def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
     """Integrate the radial eigenfunction ODE at trial eigenvalue ``lam``."""
-    r0 = 1e-6 * R
-    phi0 = 1.0 - lam * r0 * r0 / (2.0 * n)
-    dphi0 = -lam * r0 / n
+    r0, phi0, dphi0 = _pole_start(n, lam, R)
 
     def rhs(t, y):
-        return np.array([y[1], -coeff(t) * y[1] - lam * y[0]])
+        return (y[1], -coeff(t) * y[1] - lam * y[0])
 
     return integrate_ode(rhs, r0, np.array([phi0, dphi0]), R, ode_tol,
                          max_step=R / 32.0)
 
 
+def _prufer_angle(coeff, n: int, lam: float, R: float) -> float:
+    """Pruefer angle theta(R; lam), with phi = rho sin(theta), phi' = rho cos(theta).
+
+    theta' = cos^2 + m_f sin cos + lam sin^2 starts near pi/2 and crosses
+    each multiple of pi upward exactly once, at a zero of phi.
+    """
+    r0, phi0, dphi0 = _pole_start(n, lam, R)
+
+    def rhs(t, y):
+        sin, cos = math.sin(y[0]), math.cos(y[0])
+        return (cos * cos + coeff(t) * sin * cos + lam * sin * sin,)
+
+    traj = integrate_ode(rhs, r0, (math.atan2(phi0, dphi0),), R, _ODE_TOL,
+                         max_step=R / 32.0)
+    return float(traj.terminal()[0])
+
+
 def _first_eigenvalue(coeff, n: int, R: float, tol: Tolerance):
-    """Bisection on 'phi has a zero at or before R' over trial lambdas."""
-    lam_lo = 0.0
-    lam_hi = math.pi ** 2 / R ** 2
-    cap = lam_hi * 2.0 ** 40
+    """Root of theta(R; lam) = pi, bracketed, then the shoot at the root.
 
-    def has_zero(lam: float) -> bool:
-        traj = _shoot(coeff, n, lam, R, _ODE_TOL)
-        return bool(np.any(traj.ys[:, 0] <= 0.0))
+    lam = 0 gives phi = 1 and theta = pi/2 with no shoot.  The upper end
+    starts at pi^2/R^2 and moves up by twice the secant extrapolation, and
+    by at least half of itself, until theta(R) >= pi.  Inside the bracket
+    each shoot is the secant point of the last two shoots, safeguarded as in
+    Brent's method: it becomes the midpoint when it leaves the bracket or
+    moves more than half the step before last, it is pushed a guard width
+    (a quarter of the tolerance) past the root estimate once it would move
+    less than that, so that the bracket closes, and it stays a guard width
+    inside the ends.  Returns lam, the bracket, theta(R) - pi at its ends
+    and the (phi, phi') trajectory at lam.
+    """
+    def g(lam: float) -> float:
+        return _prufer_angle(coeff, n, lam, R) - math.pi
 
-    while not has_zero(lam_hi):
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-        if lam_hi > cap:
+    lo, g_lo = 0.0, -0.5 * math.pi
+    hi = math.pi ** 2 / R ** 2
+    cap = hi * 2.0 ** 40
+    g_hi = g(hi)
+    while g_hi < 0.0:
+        reach = -g_hi * (hi - lo) / (g_hi - g_lo) if g_hi > g_lo else hi
+        lo, g_lo = hi, g_hi
+        hi += max(2.0 * reach, 0.5 * hi)
+        if hi > cap:
             raise EigenBracketError(
                 f"no Dirichlet zero below lambda cap {cap:.6g}")
+        g_hi = g(hi)
 
-    while lam_hi - lam_lo > tol.rel_tol * lam_hi:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if has_zero(mid):
-            lam_hi = mid
+    prev, last = (lo, g_lo), (hi, g_hi)
+    steps = [math.inf, math.inf]
+    while hi - lo > tol.rel_tol * hi:
+        guard = 0.25 * tol.rel_tol * hi
+        (x0, g0), (x1, g1) = prev, last
+        lam = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else lo
+        if not lo < lam < hi or abs(lam - x1) > 0.5 * steps[-2]:
+            lam = 0.5 * (lo + hi)
+        elif abs(lam - x1) < guard:
+            lam += guard if g1 < 0.0 else -guard
+        lam = min(max(lam, lo + guard), hi - guard)
+        g_lam = g(lam)
+        if g_lam >= 0.0:
+            hi, g_hi = lam, g_lam
         else:
-            lam_lo = mid
+            lo, g_lo = lam, g_lam
+        steps.append(abs(lam - x1))
+        prev, last = last, (lam, g_lam)
 
-    lam = 0.5 * (lam_lo + lam_hi)
+    lam = hi - g_hi * (hi - lo) / (g_hi - g_lo)
     traj = _shoot(coeff, n, lam, R, _ODE_TOL)
-    return lam, (lam_lo, lam_hi), traj
+    return lam, (lo, hi), (g_lo, g_hi), traj
 
 
-def _sample_result(lam, bracket, traj, R: float, n_samples: int = 129) -> EigenResult:
+def _sample_result(lam, bracket, g_ends, traj, R: float, tol: Tolerance,
+                   n_samples: int = 129) -> EigenResult:
     rs = np.linspace(0.0, R, n_samples)
     phis = np.empty(n_samples)
     phis[0] = 1.0
     t0 = traj.t0
     for i in range(1, n_samples):
         phis[i] = 1.0 if rs[i] <= t0 else float(traj.at(rs[i])[0])
-    residual = abs(float(traj.terminal()[0]))
+    phi_R, dphi_R = traj.terminal()
+    local_errors = traj.errors * (_ODE_TOL.abs_tol
+                                  + _ODE_TOL.rel_tol * np.abs(traj.ys).max(axis=1))
+    residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(g) for g in g_ends)
+                      + float(local_errors.sum()))
 
     # First radius with phi = 1/2 (phi decreases from 1 toward 0).
     below = phis <= 0.5
@@ -154,10 +248,12 @@ def _sample_result(lam, bracket, traj, R: float, n_samples: int = 129) -> EigenR
             hi = mid
     r_half = 0.5 * (lo + hi)
 
-    return EigenResult(lam=float(lam), residual=residual,
+    return EigenResult(lam=float(lam), residual=abs(float(phi_R)),
+                       residual_bound=residual_bound,
                        samples=np.column_stack([rs, phis]),
                        bracket=(float(bracket[0]), float(bracket[1])),
-                       r_half=float(r_half))
+                       theta_hi=float(g_ends[1]) + math.pi,
+                       r_half=float(r_half), tol=tol)
 
 
 # Pure and deterministic, so memoization only removes repeated solves
@@ -175,8 +271,8 @@ def model_eigenvalue(n: int, a: float, H: float, R: float,
     def coeff(t: float) -> float:
         return mean_curvature_model(float(n), H, t) + a
 
-    lam, bracket, traj = _first_eigenvalue(coeff, n, R, tol)
-    return _sample_result(lam, bracket, traj, R)
+    lam, bracket, g_ends, traj = _first_eigenvalue(coeff, n, R, tol)
+    return _sample_result(lam, bracket, g_ends, traj, R, tol)
 
 
 def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
@@ -190,8 +286,8 @@ def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
     def coeff(t: float) -> float:
         return float(mean_curvature_f(s, t))
 
-    lam, bracket, traj = _first_eigenvalue(coeff, s.n, R, tol)
-    return _sample_result(lam, bracket, traj, R)
+    lam, bracket, g_ends, traj = _first_eigenvalue(coeff, s.n, R, tol)
+    return _sample_result(lam, bracket, g_ends, traj, R, tol)
 
 
 def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
@@ -273,6 +369,7 @@ class ChengReport:
     not_applicable: bool = False
     reason: str = ""
     mode: str = "radial"
+    tol: Tolerance = EIGEN_TOL
 
     @property
     def verdict(self) -> str:
@@ -297,6 +394,8 @@ class ChengReport:
             "mode": self.mode,
             "reason": self.reason,
             "min_margin": float((1.0 + self.delta) - self.ratio),
+            "tol_abs": self.tol.abs_tol,
+            "tol_rel": self.tol.rel_tol,
         }
 
 
@@ -317,8 +416,9 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
     if l > eps + 1e-12:
         return ChengReport(lam_ball=lam_ball, lam_model=lam_model, delta=delta,
                            epsilon=eps, l=l, ratio=ratio, passed=False,
-                           not_applicable=True, mode=mode,
+                           not_applicable=True, mode=mode, tol=tol,
                            reason=f"excess integral l={l:.6g} exceeds epsilon={eps:.6g}")
     passed = ratio <= 1.0 + delta + 1e-8
     return ChengReport(lam_ball=lam_ball, lam_model=lam_model, delta=delta,
-                       epsilon=eps, l=l, ratio=ratio, passed=passed, mode=mode)
+                       epsilon=eps, l=l, ratio=ratio, passed=passed, mode=mode,
+                       tol=tol)

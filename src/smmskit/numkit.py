@@ -80,16 +80,17 @@ DEFAULT_TOL = Tolerance()
 # ---------------------------------------------------------------------------
 
 _RK_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RK_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_RK_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_RK_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 4, 0.0, 0.0, 0.0, 0.0],
+    [3 / 32, 9 / 32, 0.0, 0.0, 0.0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0],
+    [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0],
+    [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40],
+])
+_RK_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
+_RK_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+_RK_E = _RK_B5 - _RK_B4
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ class OdeTrajectory:
 
 def _eval_rhs(rhs, t: float, y: np.ndarray) -> np.ndarray:
     f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NonFiniteError(f"right-hand side is not finite at t={t}")
     return f
 
@@ -175,7 +176,7 @@ def integrate_ode(rhs, t0: float, y0, t1: float, tol: Tolerance = DEFAULT_TOL,
 
     t = t0
     nsteps = 0
-    k = [np.zeros_like(y) for _ in range(6)]
+    k = np.empty((6, len(y)))
     while t < t1 - 1e-14 * span:
         if nsteps >= tol.max_steps:
             raise StepLimitError(f"step budget {tol.max_steps} exhausted at t={t}")
@@ -184,11 +185,10 @@ def integrate_ode(rhs, t0: float, y0, t1: float, tol: Tolerance = DEFAULT_TOL,
 
         k[0] = fs[-1] if ts[-1] == t else _eval_rhs(rhs, t, y)
         for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_RK_A[i]))
-            k[i] = _eval_rhs(rhs, t + _RK_C[i] * h, yi)
+            k[i] = _eval_rhs(rhs, t + _RK_C[i] * h, y + h * (_RK_A[i, :i] @ k[:i]))
 
-        y5 = y + h * sum(b * k[i] for i, b in enumerate(_RK_B5))
-        ydiff = h * sum((b5 - b4) * k[i] for i, (b4, b5) in enumerate(zip(_RK_B4, _RK_B5)))
+        y5 = y + h * (_RK_B5 @ k)
+        ydiff = h * (_RK_E @ k)
         scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean((ydiff / scale) ** 2)))
 
@@ -196,7 +196,7 @@ def integrate_ode(rhs, t0: float, y0, t1: float, tol: Tolerance = DEFAULT_TOL,
             t = t + h
             y = y5
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             fs.append(_eval_rhs(rhs, t, y))
             errs.append(err)
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)

@@ -53,12 +53,22 @@ RHO_MODES = ("radial", "full")
 # Radial profiles.
 # ---------------------------------------------------------------------------
 
+def _apply(fn, r):
+    """``fn`` at ``r``: a float goes to ``fn`` as is and comes back a float
+    (the ODE hot loop), anything else as a float array."""
+    if isinstance(r, float):
+        return float(fn(r))
+    out = np.asarray(fn(np.asarray(r, dtype=float)), dtype=float)
+    return out if out.ndim else float(out)
+
+
 class RadialProfile:
     """Scalar function of arc length with first and second derivatives.
 
     Analytic derivatives may be supplied; otherwise central differences with
     step h = max(1e-6, 1e-4 r_max) and Richardson extrapolation are used
-    (one-sided stencils near the ends of [0, r_max]).
+    (one-sided stencils near the ends of [0, r_max]).  The callables must
+    accept a float as well as a float array.
     """
 
     def __init__(self, fn, d1=None, d2=None, *, r_max: float, name: str = ""):
@@ -73,19 +83,16 @@ class RadialProfile:
         return self.eval(r)
 
     def eval(self, r):
-        out = np.asarray(self._fn(np.asarray(r, dtype=float)), dtype=float)
-        return out if out.ndim else float(out)
+        return _apply(self._fn, r)
 
     def d1(self, r):
         if self._d1 is not None:
-            out = np.asarray(self._d1(np.asarray(r, dtype=float)), dtype=float)
-            return out if out.ndim else float(out)
+            return _apply(self._d1, r)
         return self._fd(r, order=1)
 
     def d2(self, r):
         if self._d2 is not None:
-            out = np.asarray(self._d2(np.asarray(r, dtype=float)), dtype=float)
-            return out if out.ndim else float(out)
+            return _apply(self._d2, r)
         return self._fd(r, order=2)
 
     def _fd(self, r, order: int):
@@ -107,10 +114,11 @@ class RadialProfile:
 
 
 def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
+    # value + 0 r keeps a float a float and an array an array of r's shape.
     return RadialProfile(
-        lambda r: np.full_like(np.asarray(r, dtype=float), value),
-        d1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        lambda r: value + 0.0 * r,
+        d1=lambda r: 0.0 * r,
+        d2=lambda r: 0.0 * r,
         r_max=r_max,
         name=name,
     )
@@ -244,14 +252,24 @@ def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
 
 
 def mean_curvature_f(s: WarpedSMMS, r):
-    """Weighted mean curvature m_f = (n-1) w'/w - f' (no pole clamp)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("mean_curvature_f requires r > 0")
+    """Weighted mean curvature m_f = (n-1) w'/w - f' (no pole clamp).
+
+    A float ``r`` takes a float-only path (the eigen shooting hot loop) with
+    the same domain checks as arrays."""
     hi = s.r_max if not s.closed else s.r_max * (1.0 - 1e-12)
-    if np.any(r > hi):
+    scalar = isinstance(r, (float, int))
+    if scalar:
+        r = float(r)
+        below, above = r <= 0.0, r > hi
+    else:
+        r = np.asarray(r, dtype=float)
+        below, above = np.any(r <= 0.0), np.any(r > hi)
+    if below:
+        raise ValueError("mean_curvature_f requires r > 0")
+    if above:
         raise ValueError(f"mean_curvature_f requires r < r_max={s.r_max}")
-    return _scalar((s.n - 1.0) * s.w.d1(r) / s.w.eval(r) - s.f.d1(r))
+    m_f = (s.n - 1.0) * s.w.d1(r) / s.w.eval(r) - s.f.d1(r)
+    return m_f if scalar else _scalar(m_f)
 
 
 def _rho_clamped(s: WarpedSMMS, H: float, r, mode: str):
@@ -392,10 +410,8 @@ def _sn_profile(H: float, r_max: float) -> RadialProfile:
 
 
 def _build_euclidean(n: int, r_max: float = 10.0, **params) -> WarpedSMMS:
-    w = RadialProfile(lambda r: np.asarray(r, dtype=float),
-                      d1=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                      d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                      r_max=r_max, name="r")
+    w = RadialProfile(lambda r: 1.0 * r, d1=lambda r: 1.0 + 0.0 * r,
+                      d2=lambda r: 0.0 * r, r_max=r_max, name="r")
     return WarpedSMMS(n=n, w=w, f=_const_profile(0.0, r_max), r_max=r_max,
                       closed=False, name="euclidean",
                       params={"n": n, "r_max": r_max})
@@ -439,9 +455,9 @@ def _build_linear_drift(n: int, a: float = 0.5, base: str = "euclidean",
         raise ValueError("linear_drift cannot stack on itself")
     b = make_space(base, n=n, **base_params)
     f0 = b.f
-    f = RadialProfile(lambda r: np.asarray(f0.eval(r)) - a * np.asarray(r, dtype=float),
-                      d1=lambda r: np.asarray(f0.d1(r)) - a,
-                      d2=lambda r: np.asarray(f0.d2(r)),
+    f = RadialProfile(lambda r: f0.eval(r) - a * r,
+                      d1=lambda r: f0.d1(r) - a,
+                      d2=f0.d2,
                       r_max=b.r_max, name=f"{f0.name}-{a}*r")
     return WarpedSMMS(n=n, w=b.w, f=f, r_max=b.r_max, closed=b.closed,
                       name="linear_drift",
@@ -455,19 +471,16 @@ def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
     r_max = math.pi / math.sqrt(H)
 
     def w_fn(r):
-        r = np.asarray(r, dtype=float)
         return _model.sn(H, r) * (1.0 + eps * np.sin(omega * r) ** 2)
 
     def w_d1(r):
-        r = np.asarray(r, dtype=float)
         p = 1.0 + eps * np.sin(omega * r) ** 2
         p1 = eps * omega * np.sin(2.0 * omega * r)
-        return _model.sn_prime(H, r) * p + np.asarray(_model.sn(H, r)) * p1
+        return _model.sn_prime(H, r) * p + _model.sn(H, r) * p1
 
     def w_d2(r):
-        r = np.asarray(r, dtype=float)
-        snv = np.asarray(_model.sn(H, r))
-        sn1 = np.asarray(_model.sn_prime(H, r))
+        snv = _model.sn(H, r)
+        sn1 = _model.sn_prime(H, r)
         p = 1.0 + eps * np.sin(omega * r) ** 2
         p1 = eps * omega * np.sin(2.0 * omega * r)
         p2 = 2.0 * eps * omega * omega * np.cos(2.0 * omega * r)

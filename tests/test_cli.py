@@ -1,9 +1,11 @@
 """CLI conformance: exit codes, report schema, CSV grids, sweeps."""
 
+import dataclasses
 import json
 
 import numpy as np
 
+from smmskit import eigen
 from smmskit.cli import main
 
 REQUIRED_TOP = {"tool_version", "spec", "checks", "verdict"}
@@ -257,3 +259,28 @@ class TestSweep:
         assert main(["sweep", "--space", "euclidean", "--n", "3",
                      "--theorem", "MC_DRIFT"]) == 2
         capsys.readouterr()
+
+
+class TestEigenReports:
+    def test_eigen_and_cheng_state_the_tolerances_used(self, capsys):
+        for argv in (["--theorem", "EIGEN", "--R", "1"],
+                     ["--theorem", "CHENG", "--R", "1", "--delta", "0.1"]):
+            code, report = run_json(["check", "--space", "euclidean", "--n", "3",
+                                     *argv], capsys)
+            assert code == 0
+            check = report["checks"][0]
+            assert (check["tol_abs"], check["tol_rel"]) == (1e-8, 1e-6)
+
+    def test_eigen_residual_beyond_its_bound_exits_one(self, capsys, monkeypatch):
+        solve = eigen.smms_radial_eigenvalue
+
+        def off_bound(space, R, tol):
+            res = solve(space, R, tol)
+            return dataclasses.replace(res, residual=2.0 * res.residual_bound)
+
+        monkeypatch.setattr(eigen, "smms_radial_eigenvalue", off_bound)
+        code, report = run_json(["check", "--space", "euclidean", "--n", "3",
+                                 "--theorem", "EIGEN", "--R", "1"], capsys)
+        assert code == 1 and report["verdict"] == "FAIL"
+        check = report["checks"][0]
+        assert check["pass"] is False and "residual" in check["reason"]

@@ -1,5 +1,6 @@
 """Shooting eigensolver oracles, Rayleigh transplants, Cheng threshold."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import perturbed_euclidean
+from smmskit import eigen
 from smmskit.comparison import doubling_F
 from smmskit.eigen import (EIGEN_TOL, _shoot, cheng_constants, cheng_epsilon,
                            check_cheng_estimate, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
 from smmskit.model import mean_curvature_model
-from smmskit.numkit import Tolerance, quad_adaptive
+from smmskit.numkit import Tolerance, integrate_ode, quad_adaptive
 from smmskit.smms import make_space, mean_curvature_f, weighted_area
 
 J01 = 2.404825557695773  # first zero of the Bessel function J_0
@@ -197,3 +199,99 @@ class TestCheng:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             cheng_epsilon(3, 0.0, 0.0, 1.0, 0.0)
+
+
+SHOOT_CASES = [
+    ("sphere", {"n": 3, "H": 1.0}, 1.0),
+    ("euclidean", {"n": 2}, 1.0),
+    ("hyperbolic", {"n": 3, "H": -0.7}, 1.3),
+    ("perturbed_sphere", {"n": 3}, 1.0),
+]
+CLI_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-6, max_steps=200_000)
+
+
+class TestPruferSolver:
+    def test_steep_hyperbolic_ball_gives_the_first_eigenvalue(self, monkeypatch):
+        # lambda_1 = pi^2 + 100 and lambda_2 = 4 pi^2 + 100; the bracket
+        # grows from pi^2 past lambda_2 before the root search starts.
+        want = math.pi ** 2 + 100.0
+        trials = []
+
+        def recording(coeff, n, lam, R):
+            trials.append(lam)
+            return prufer_angle(coeff, n, lam, R)
+
+        prufer_angle = eigen._prufer_angle
+        monkeypatch.setattr(eigen, "_prufer_angle", recording)
+        res = model_eigenvalue.__wrapped__(3, 0.0, -100.0, 1.0)
+        assert max(trials) > 4.0 * math.pi ** 2 + 100.0
+        assert abs(res.lam - want) <= 1e-8 * want
+        s = make_space("hyperbolic", n=3, H=-100.0, r_max=2.0)
+        res = smms_radial_eigenvalue(s, 1.0)
+        assert abs(res.lam - want) <= 1e-8 * want
+        assert res.verdict == "PASS"
+        assert math.pi <= res.theta_hi < 2.0 * math.pi
+
+    @pytest.mark.parametrize("tol", [CLI_TOL, EIGEN_TOL], ids=["rel1e-6", "EIGEN_TOL"])
+    @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
+                             ids=[c[0] for c in SHOOT_CASES])
+    def test_at_most_twelve_shoots(self, monkeypatch, name, params, R, tol):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return integrate_ode(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "integrate_ode", counting)
+        res = smms_radial_eigenvalue(make_space(name, **params), R, tol)
+        assert res.verdict == "PASS"
+        assert 2 <= len(calls) <= 12
+
+    @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
+                             ids=[c[0] for c in SHOOT_CASES])
+    def test_final_bracket_contains_lambda(self, name, params, R):
+        for tol in (CLI_TOL, EIGEN_TOL):
+            res = smms_radial_eigenvalue(make_space(name, **params), R, tol)
+            lo, hi = res.bracket
+            assert lo <= res.lam <= hi
+            assert hi - lo <= tol.rel_tol * hi
+
+    def test_closed_forms_far_inside_the_tolerance(self):
+        # The root of theta(R) = pi is interpolated, so even the CLI
+        # tolerance gives the closed forms to the ODE accuracy.
+        for (n, H, R), want in (((3, 0.0, 1.0), math.pi ** 2),
+                                ((2, 0.0, 1.0), J01 ** 2),
+                                ((3, -0.7, 1.3), math.pi ** 2 / 1.69 + 0.7)):
+            res = model_eigenvalue(n, 0.0, H, R, CLI_TOL)
+            assert abs(res.lam - want) <= 1e-9 * want
+
+
+class TestEigenVerdict:
+    def test_solve_passes_with_its_tolerances_stated(self):
+        res = model_eigenvalue(3, 0.0, 0.0, 1.0, CLI_TOL)
+        d = res.to_dict()
+        assert d["verdict"] == "PASS" and d["pass"] is True and d["reason"] == ""
+        assert d["residual"] <= d["residual_bound"]
+        assert d["tol_abs"] == 1e-8 and d["tol_rel"] == 1e-6
+
+    def test_residual_above_its_bound_fails(self):
+        res = model_eigenvalue(3, 0.0, 0.0, 1.0)
+        bad = dataclasses.replace(res, residual=2.0 * res.residual_bound)
+        d = bad.to_dict()
+        assert d["verdict"] == "FAIL" and d["pass"] is False
+        assert "residual" in d["reason"]
+
+    def test_wide_bracket_fails(self):
+        res = model_eigenvalue(3, 0.0, 0.0, 1.0)
+        bad = dataclasses.replace(res, bracket=(0.5 * res.lam, res.lam))
+        assert bad.verdict == "FAIL" and "bracket" in bad.reason
+
+    def test_second_zero_fails(self):
+        res = model_eigenvalue(3, 0.0, 0.0, 1.0)
+        bad = dataclasses.replace(res, theta_hi=2.0 * math.pi)
+        assert bad.verdict == "FAIL" and "first eigenvalue" in bad.reason
+
+    def test_cheng_report_states_tolerances(self):
+        s = make_space("euclidean", n=3)
+        d = check_cheng_estimate(s, 0.0, 0.0, 1.0, 0.1, tol=CLI_TOL).to_dict()
+        assert d["tol_abs"] == 1e-8 and d["tol_rel"] == 1e-6

@@ -287,3 +287,57 @@ class TestProfiles:
     def test_unknown_profile_type(self):
         with pytest.raises(ValueError):
             profile_from_spec({"type": "chebyshev", "coeffs": [1.0]}, 1.0)
+
+
+def _custom_spaces():
+    rs = np.linspace(0.0, 3.0, 12)
+    table = [v for pair in zip(rs, 0.1 * np.cos(rs)) for v in pair]
+    r_line = {"type": "poly", "coeffs": [0.0, 1.0]}
+    return {
+        "poly": make_space("custom", n=3, r_max=3.0,
+                           w={"type": "poly", "coeffs": [0.0, 1.0, 0.0, -0.02]},
+                           f={"type": "poly", "coeffs": [0.0, 0.1, 0.05]}),
+        "fourier": make_space("custom", n=4, r_max=3.0, w=r_line,
+                              f={"type": "fourier",
+                                 "coeffs": [0.1, 0.05, 0.02, -0.03, 0.01]}),
+        "table": make_space("custom", n=3, r_max=3.0, w=r_line,
+                            f={"type": "table", "nodes": table}),
+    }
+
+
+SCALAR_PATH_SPACES = {
+    "euclidean": make_space("euclidean", n=3),
+    "sphere": make_space("sphere", n=3, H=1.0),
+    "hyperbolic": make_space("hyperbolic", n=4, H=-0.7),
+    "gaussian_soliton": make_space("gaussian_soliton", n=3, c=0.25),
+    "linear_drift": make_space("linear_drift", n=3, a=0.5, base="sphere"),
+    "perturbed_sphere": make_space("perturbed_sphere", n=3, eps=0.05, omega=3.0),
+    **_custom_spaces(),
+}
+
+
+class TestScalarMeanCurvature:
+    """A float radius takes the float-only path of mean_curvature_f."""
+
+    def test_catalog_covered(self):
+        assert set(CATALOG) - {"custom"} <= set(SCALAR_PATH_SPACES)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_PATH_SPACES))
+    def test_matches_array_path(self, name):
+        s = SCALAR_PATH_SPACES[name]
+        rs = np.linspace(1e-6, 1.0 - 1e-6, 101) * s.r_max
+        array = mean_curvature_f(s, rs)
+        scalar = np.array([mean_curvature_f(s, float(r)) for r in rs])
+        assert all(type(mean_curvature_f(s, float(r))) is float for r in rs[:3])
+        np.testing.assert_allclose(scalar, array, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_PATH_SPACES))
+    def test_same_domain_errors(self, name):
+        s = SCALAR_PATH_SPACES[name]
+        outside = [0.0, -0.5, 1.5 * s.r_max] + ([s.r_max] if s.closed else [])
+        for r in outside:
+            with pytest.raises(ValueError) as scalar:
+                mean_curvature_f(s, r)
+            with pytest.raises(ValueError) as array:
+                mean_curvature_f(s, np.array([0.5 * s.r_max, r]))
+            assert str(scalar.value) == str(array.value)
