@@ -14,7 +14,7 @@ from .smms import (RadialProfile, WarpedSMMS, CurvatureSample, PotentialBounds,
                    bakry_emery_radial, ricci_f_smallest_eigenvalue,
                    mean_curvature_f, rho, integral_rho, potential_bounds,
                    weighted_area, weighted_volume, sample_curvature)
-from .comparison import (ComparisonReport, DoublingCertificate, THEOREM_IDS,
+from .comparison import (ComparisonReport, DoublingCertificate,
                          check_mc_rough, check_mc_bounded_f,
                          check_mc_bounded_f_inner, check_mc_bounded_f_pi2,
                          check_mc_drift, check_area_comparison,

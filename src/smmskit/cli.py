@@ -26,12 +26,21 @@ from . import diameter, eigen
 from .numkit import KernelError, Tolerance
 from .smms import CATALOG, WarpedSMMS, make_space
 
-__all__ = ["SpaceSpec", "RunReport", "main", "run", "CHECK_IDS"]
+__all__ = ["SpaceSpec", "main", "run", "CHECK_IDS"]
 
-CHECK_IDS = cmp.THEOREM_IDS + ("MYERS", "CHENG", "EIGEN")
-
-# Theorem-level flags; anything else in a sweep range targets the space.
-_THEOREM_PARAMS = {"H", "k", "a", "r", "R", "r0", "alpha", "delta", "epsilon"}
+# Theorem-level flags and their help; anything else in a sweep range
+# targets the space.
+_THEOREM_FLAGS = {
+    "H": "comparison curvature",
+    "k": "potential bound sup|f|",
+    "a": "drift bound",
+    "delta": "eigenvalue slack",
+    "alpha": "doubling factor",
+    "epsilon": "doubling threshold",
+    "r": "inner radius",
+    "R": "outer radius",
+    "r0": "base radius (MC_ROUGH)",
+}
 
 
 class InputError(Exception):
@@ -66,20 +75,6 @@ class SpaceSpec:
                    custom=d.get("custom"))
 
 
-@dataclass
-class RunReport:
-    """Top-level report: tool version, echoed spec, checks and verdict."""
-
-    tool_version: str
-    spec: dict
-    checks: list
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {"tool_version": self.tool_version, "spec": self.spec,
-                "checks": self.checks, "verdict": self.verdict}
-
-
 def _overall(verdicts: list[str]) -> tuple[str, int]:
     if any(v == "FAIL" for v in verdicts):
         return "FAIL", 1
@@ -96,128 +91,99 @@ def _resolve_H(args, spec: SpaceSpec) -> float:
     return 0.0
 
 
-def _validate_range_early(tid: str, H: float, args) -> None:
-    R = getattr(args, "R", None)
-    if R is not None and tid in cmp.THEOREM_IDS:
-        cmp.require_admissible(tid, H, float(R))
+def _eigen_tol(args) -> Tolerance:
+    return Tolerance(abs_tol=args.tol_abs, rel_tol=max(args.tol_rel, 1e-12),
+                     max_steps=200_000)
 
 
-def _require(args, name: str, tid: str):
-    val = getattr(args, name, None)
-    if val is None:
-        raise InputError(f"theorem {tid} requires --{name}")
-    return val
+# Theorem id -> (flags it requires, runner(space, H, args) -> report).
+_CHECKS = {
+    "MC_ROUGH": ((), lambda s, H, args: cmp.check_mc_rough(
+        s, H, s.r_interior_hi / 4.0 if args.r0 is None else args.r0,
+        mode=args.mode, n_grid=args.grid)),
+    "MC_BOUNDED_F_INNER": ((), lambda s, H, args: cmp.check_mc_bounded_f_inner(
+        s, H, args.k, mode=args.mode, n_grid=args.grid)),
+    "MC_BOUNDED_F_PI2": ((), lambda s, H, args: cmp.check_mc_bounded_f_pi2(
+        s, H, args.k, mode=args.mode, n_grid=args.grid)),
+    "MC_DRIFT": ((), lambda s, H, args: cmp.check_mc_drift(
+        s, H, args.a, mode=args.mode, n_grid=args.grid)),
+    "AREA_A": (("r", "R"), lambda s, H, args: cmp.check_area_comparison(
+        s, H, args.r, args.R, bound="k", const=args.k, mode=args.mode,
+        n_grid=args.grid)),
+    "AREA_B": (("r", "R"), lambda s, H, args: cmp.check_area_comparison(
+        s, H, args.r, args.R, bound="a", const=args.a, mode=args.mode,
+        n_grid=args.grid)),
+    "VOL_A": (("r", "R"), lambda s, H, args: cmp.check_volume_comparison(
+        s, H, args.r, args.R, bound="k", const=args.k, mode=args.mode,
+        n_grid=args.grid)),
+    "VOL_B": (("r", "R"), lambda s, H, args: cmp.check_volume_comparison(
+        s, H, args.r, args.R, bound="a", const=args.a, mode=args.mode,
+        n_grid=args.grid)),
+    "VOL_B_ABS": (("R",), lambda s, H, args: cmp.check_volume_absolute(
+        s, H, args.R, const=args.a, mode=args.mode, n_grid=args.grid)),
+    "VOL_ABS_NEGH": ((), lambda s, H, args: cmp.check_absolute_volume_negH(
+        s, H, k=args.k, mode=args.mode, R_grid=None if args.R is None
+        else np.linspace(args.R / args.grid, args.R, args.grid))),
+    # Bounded-potential form when --k is given, drift form otherwise.
+    "DOUBLING": (("alpha", "R"), lambda s, H, args: cmp.check_doubling(
+        s, H, args.alpha, args.R, epsilon=args.epsilon,
+        bound="a" if args.k is None else "k",
+        const=args.a if args.k is None else args.k, mode=args.mode,
+        n_grid=min(args.grid, 64))),
+    "VOL_R1": (("R",), lambda s, H, args: cmp.check_vol_r1(
+        s, H, args.R, const=args.k, mode=args.mode, n_grid=args.grid)),
+    "MYERS": ((), lambda s, H, args: diameter.check_myers(s, H, mode=args.mode)),
+    "CHENG": (("R", "delta"), lambda s, H, args: eigen.check_cheng_estimate(
+        s, H, args.a, args.R, args.delta, mode=args.mode, tol=_eigen_tol(args))),
+    "EIGEN": (("R",), lambda s, H, args: eigen.smms_radial_eigenvalue(
+        s, args.R, _eigen_tol(args))),
+}
+
+CHECK_IDS = tuple(_CHECKS)
 
 
-def _run_check(space: WarpedSMMS, tid: str, H: float, args):
-    mode = args.mode
-    grid_n = args.grid
-    if tid == "MC_ROUGH":
-        r0 = args.r0 if args.r0 is not None else space.r_interior_hi / 4.0
-        return cmp.check_mc_rough(space, H, r0, mode=mode, n_grid=grid_n)
-    if tid == "MC_BOUNDED_F_INNER":
-        return cmp.check_mc_bounded_f_inner(space, H, args.k, mode=mode, n_grid=grid_n)
-    if tid == "MC_BOUNDED_F_PI2":
-        return cmp.check_mc_bounded_f_pi2(space, H, args.k, mode=mode, n_grid=grid_n)
-    if tid == "MC_DRIFT":
-        return cmp.check_mc_drift(space, H, args.a, mode=mode, n_grid=grid_n)
-    if tid in ("AREA_A", "AREA_B"):
-        bound = "k" if tid == "AREA_A" else "a"
-        const = args.k if bound == "k" else args.a
-        r = float(_require(args, "r", tid))
-        R = float(_require(args, "R", tid))
-        return cmp.check_area_comparison(space, H, r, R, bound=bound, const=const,
-                                         mode=mode, n_grid=grid_n)
-    if tid in ("VOL_A", "VOL_B"):
-        bound = "k" if tid == "VOL_A" else "a"
-        const = args.k if bound == "k" else args.a
-        r = float(_require(args, "r", tid))
-        R = float(_require(args, "R", tid))
-        return cmp.check_volume_comparison(space, H, r, R, bound=bound, const=const,
-                                           mode=mode, n_grid=grid_n)
-    if tid == "VOL_B_ABS":
-        R = float(_require(args, "R", tid))
-        return cmp.check_volume_absolute(space, H, R, const=args.a,
-                                         mode=mode, n_grid=grid_n)
-    if tid == "VOL_R1":
-        R = float(_require(args, "R", tid))
-        return cmp.check_vol_r1(space, H, R, const=args.k, mode=mode, n_grid=grid_n)
-    if tid == "DOUBLING":
-        alpha = float(_require(args, "alpha", tid))
-        R = float(_require(args, "R", tid))
-        bound = "k" if args.k is not None else "a"
-        const = args.k if bound == "k" else args.a
-        return cmp.check_doubling(space, H, alpha, R, epsilon=args.epsilon,
-                                  bound=bound, const=const, mode=mode,
-                                  n_grid=min(grid_n, 64))
-    if tid == "VOL_ABS_NEGH":
-        R_grid = None
-        if args.R is not None:
-            R_grid = np.linspace(float(args.R) / grid_n, float(args.R), grid_n)
-        return cmp.check_absolute_volume_negH(space, H, k=args.k, R_grid=R_grid,
-                                              mode=mode)
-    if tid == "MYERS":
-        return diameter.check_myers(space, H, mode=mode)
-    if tid == "CHENG":
-        R = float(_require(args, "R", tid))
-        delta = float(_require(args, "delta", tid))
-        tol = Tolerance(abs_tol=args.tol_abs, rel_tol=max(args.tol_rel, 1e-12),
-                        max_steps=200_000)
-        return eigen.check_cheng_estimate(space, H, args.a, R, delta, mode=mode,
-                                          tol=tol)
-    if tid == "EIGEN":
-        R = float(_require(args, "R", tid))
-        tol = Tolerance(abs_tol=args.tol_abs, rel_tol=max(args.tol_rel, 1e-12),
-                        max_steps=200_000)
-        return eigen.smms_radial_eigenvalue(space, R, tol)
-    raise InputError(f"unknown theorem id {tid!r}; known: {', '.join(CHECK_IDS)}")
-
-
-def _emit(report: RunReport, args) -> None:
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+def _emit(report: dict, args) -> None:
+    payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out and args.format == "json":
         Path(args.out).write_text(payload + "\n")
     else:
         print(payload)
 
 
-def _export_grids(reports: list, checks: list[dict], args) -> None:
-    if args.format != "csv" or not args.out:
-        return
-    gridded = [(i, rep) for i, rep in enumerate(reports)
-               if hasattr(rep, "grid_csv") or hasattr(rep, "samples_csv")]
-    for j, (i, rep) in enumerate(gridded):
+def _export_grid(rep, check: dict, args) -> None:
+    export = getattr(rep, "grid_csv", None) or getattr(rep, "samples_csv", None)
+    if args.format == "csv" and args.out and export:
         path = Path(args.out)
-        if len(gridded) > 1:
-            path = path.with_name(f"{path.stem}_{j}{path.suffix or '.csv'}")
-        csv = rep.grid_csv() if hasattr(rep, "grid_csv") else rep.samples_csv()
-        path.write_text(csv)
-        checks[i]["grid_csv_path"] = str(path)
+        path.write_text(export())
+        check["grid_csv_path"] = str(path)
 
 
 def run_spec_check(spec: SpaceSpec, theorem: str, args):
-    """Validate, build the space, run one theorem check, assemble the report."""
+    """Validate, build the space, run one theorem check, assemble the report.
+
+    Returns the report dict, its exit code and the check's report object.
+    """
     tid = theorem.upper()
-    if tid not in CHECK_IDS:
+    if tid not in _CHECKS:
         raise InputError(f"unknown theorem id {tid!r}; known: {', '.join(CHECK_IDS)}")
+    required, runner = _CHECKS[tid]
     H = _resolve_H(args, spec)
-    _validate_range_early(tid, H, args)
+    if args.R is not None:
+        cmp.require_admissible(tid, H, args.R)
     space = spec.build()
+    for name in required:
+        if getattr(args, name) is None:
+            raise InputError(f"theorem {tid} requires --{name}")
 
     t_start = time.perf_counter()
-    rep = _run_check(space, tid, H, args)
+    rep = runner(space, H, args)
     wall_ms = (time.perf_counter() - t_start) * 1e3
 
-    reports = rep if isinstance(rep, list) else [rep]
-    checks = []
-    for r in reports:
-        d = r.to_dict()
-        d["wall_time_ms"] = wall_ms / len(reports)
-        checks.append(d)
-    verdict, code = _overall([c["verdict"] for c in checks])
-    report = RunReport(tool_version=__version__, spec=spec.to_dict(),
-                       checks=checks, verdict=verdict)
-    return report, code, reports
+    check = {**rep.to_dict(), "wall_time_ms": wall_ms}
+    verdict, code = _overall([check["verdict"]])
+    report = {"tool_version": __version__, "spec": spec.to_dict(),
+              "checks": [check], "verdict": verdict}
+    return report, code, rep
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -254,15 +220,8 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--custom", metavar="FILE.json",
                    help="custom space spec (profile blocks w/f, r_max, closed)")
     p.add_argument("--theorem", required=True, help="theorem id to check")
-    p.add_argument("--H", type=float, default=None, help="comparison curvature")
-    p.add_argument("--k", type=float, default=None, help="potential bound sup|f|")
-    p.add_argument("--a", type=float, default=None, help="drift bound")
-    p.add_argument("--delta", type=float, default=None, help="eigenvalue slack")
-    p.add_argument("--alpha", type=float, default=None, help="doubling factor")
-    p.add_argument("--epsilon", type=float, default=None, help="doubling threshold")
-    p.add_argument("--r", type=float, default=None, help="inner radius")
-    p.add_argument("--R", type=float, default=None, help="outer radius")
-    p.add_argument("--r0", type=float, default=None, help="base radius (MC_ROUGH)")
+    for name, help_text in _THEOREM_FLAGS.items():
+        p.add_argument(f"--{name}", type=float, default=None, help=help_text)
     p.add_argument("--grid", type=int, default=256, help="grid points")
     p.add_argument("--mode", choices=["radial", "full"], default="radial",
                    help="curvature excess mode")
@@ -287,8 +246,8 @@ def _cmd_list_spaces(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _space_spec_from_args(args)
-    report, code, reports = run_spec_check(spec, args.theorem, args)
-    _export_grids(reports, report.checks, args)
+    report, code, rep = run_spec_check(spec, args.theorem, args)
+    _export_grid(rep, report["checks"][0], args)
     _emit(report, args)
     return code
 
@@ -319,37 +278,27 @@ def _cmd_sweep(args) -> int:
     points = np.column_stack([m.ravel() for m in mesh])
 
     rows = []
-    verdicts = []
-    extra_cols: list[str] = []
     for point in points:
         base_spec = _space_spec_from_args(args)
         for name, val in zip(names, point):
-            if name in _THEOREM_PARAMS:
+            if name in _THEOREM_FLAGS:
                 setattr(args, name, float(val))
             else:
                 base_spec.params[name] = float(val)
         report, _, _ = run_spec_check(base_spec, args.theorem, args)
-        check = report.checks[0]
-        verdicts.append(report.verdict)
-        extras = {}
-        if "epsilon" in check.get("params", {}):
-            extras["epsilon"] = check["params"]["epsilon"]
-        for key in extras:
-            if key not in extra_cols:
-                extra_cols.append(key)
-        mm = check.get("min_margin")
-        rows.append((list(point), mm, report.verdict, extras))
+        check = report["checks"][0]
+        rows.append((point, check["min_margin"], report["verdict"],
+                     check["params"].get("epsilon")))
 
-    header = ",".join(names) + ",min_margin,verdict"
-    if extra_cols:
-        header += "," + ",".join(extra_cols)
-    lines = [header]
-    for point, mm, verdict, extras in rows:
+    # Gated theorems add the threshold each point was judged against.
+    with_eps = any(eps is not None for *_, eps in rows)
+    lines = [",".join(names) + ",min_margin,verdict" + (",epsilon" if with_eps else "")]
+    for point, mm, verdict, eps in rows:
         cells = [f"{v:.17g}" for v in point]
         cells.append("nan" if mm is None else f"{mm:.17g}")
         cells.append(verdict)
-        for key in extra_cols:
-            cells.append(f"{extras.get(key, float('nan')):.17g}")
+        if with_eps:
+            cells.append("nan" if eps is None else f"{eps:.17g}")
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -357,7 +306,7 @@ def _cmd_sweep(args) -> int:
     else:
         print(text, end="")
 
-    _, code = _overall(verdicts)
+    _, code = _overall([verdict for _, _, verdict, _ in rows])
     return code
 
 

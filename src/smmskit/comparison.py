@@ -35,7 +35,7 @@ from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
 __all__ = [
-    "THEOREM_IDS",
+    "Report",
     "ComparisonReport",
     "DoublingCertificate",
     "admissible_R",
@@ -54,21 +54,6 @@ __all__ = [
     "volume_ratio_profile",
 ]
 
-THEOREM_IDS = (
-    "MC_ROUGH",
-    "MC_BOUNDED_F_INNER",
-    "MC_BOUNDED_F_PI2",
-    "MC_DRIFT",
-    "AREA_A",
-    "AREA_B",
-    "VOL_A",
-    "VOL_B",
-    "VOL_B_ABS",
-    "VOL_ABS_NEGH",
-    "DOUBLING",
-    "VOL_R1",
-)
-
 _UNITS = {
     "n": "dimensionless",
     "d": "dimensionless",
@@ -81,20 +66,52 @@ _UNITS = {
     "R": "length",
     "alpha": "dimensionless",
     "epsilon": "1/length",
-    "sigma": "1/length",
     "delta": "dimensionless",
     "c": "dimensionless",
-    "F": "dimensionless",
     "lambda": "1/length^2",
-    "L": "length",
+    "lambda_ball": "1/length^2",
+    "lambda_model": "1/length^2",
+    "r_half": "length",
+    "bounds": "length",
+    "actual_diameter": "length",
 }
 
-def units_for(params: dict) -> dict:
-    return {key: _UNITS.get(key, "unknown") for key in params}
+
+class Report:
+    """Verdict and the keys every check report shares.
+
+    A report has ``theorem_id``, ``passed`` and ``min_margin`` (None or NaN
+    when nothing was compared), may set ``not_applicable``, and builds its
+    dict with ``_dict``.
+    """
+
+    not_applicable = False
+
+    @property
+    def verdict(self) -> str:
+        if self.not_applicable:
+            return "NOT-APPLICABLE"
+        return "PASS" if self.passed else "FAIL"
+
+    def _dict(self, params: dict, own: dict, unit_keys: tuple = ()) -> dict:
+        """The shared keys plus ``own``; units cover the params and ``unit_keys``."""
+        params = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+                  for k, v in params.items()}
+        units = {key: _UNITS.get(key, "unknown") for key in [*params, *unit_keys]}
+        margin = self.min_margin
+        return {
+            "theorem_id": self.theorem_id,
+            "params": params,
+            "units": units,
+            "pass": bool(self.passed),
+            "verdict": self.verdict,
+            "min_margin": None if margin is None or math.isnan(margin) else float(margin),
+            **own,
+        }
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport(Report):
     """Outcome of one inequality check on a radius grid.
 
     ``grid`` has columns (r, lhs, rhs, margin); ``passed`` is equivalent to
@@ -114,29 +131,15 @@ class ComparisonReport:
     not_applicable: bool = False
     reason: str = ""
 
-    @property
-    def verdict(self) -> str:
-        if self.not_applicable:
-            return "NOT-APPLICABLE"
-        return "PASS" if self.passed else "FAIL"
-
     def to_dict(self) -> dict:
-        params = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                  for k, v in self.params.items()}
-        return {
-            "theorem_id": self.theorem_id,
-            "params": params,
-            "units": units_for(params),
+        return self._dict(self.params, {
             "mode": self.mode,
-            "min_margin": None if math.isnan(self.min_margin) else float(self.min_margin),
             "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-            "verdict": self.verdict,
             "n_grid": int(self.grid.shape[0]),
             "n_equality": len(self.equality_radii),
             "equality_radii": [float(x) for x in self.equality_radii[:16]],
             "reason": self.reason,
-        }
+        })
 
     def grid_csv(self) -> str:
         lines = ["r,lhs,rhs,margin"]
@@ -184,32 +187,36 @@ class DoublingCertificate:
 # Range gates and shared grid machinery.
 # ---------------------------------------------------------------------------
 
+# Outer-radius cap pi/(q sqrt(H)) for H > 0, as q by theorem; other ids
+# have no cap.
+_RANGE_CAP = {
+    "MC_BOUNDED_F_INNER": 4,
+    "AREA_A": 4,
+    "VOL_A": 4,
+    "VOL_R1": 4,
+    "MC_BOUNDED_F_PI2": 2,
+    "MC_DRIFT": 2,
+    "AREA_B": 2,
+    "VOL_B": 2,
+    "VOL_B_ABS": 2,
+}
+
+
 def admissible_R(theorem_id: str, H: float) -> float:
     """Largest admissible outer radius for a theorem at curvature H."""
-    if H <= 0.0:
+    q = _RANGE_CAP.get(theorem_id)
+    if H <= 0.0 or q is None:
         return math.inf
-    quarter = math.pi / (4.0 * math.sqrt(H))
-    half = math.pi / (2.0 * math.sqrt(H))
-    caps = {
-        "MC_BOUNDED_F_INNER": quarter,
-        "AREA_A": quarter,
-        "VOL_A": quarter,
-        "VOL_R1": quarter,
-        "MC_BOUNDED_F_PI2": half,
-        "MC_DRIFT": half,
-        "AREA_B": half,
-        "VOL_B": half,
-        "VOL_B_ABS": half,
-    }
-    return caps.get(theorem_id, math.inf)
+    return math.pi / (q * math.sqrt(H))
+
+
+def _cap_text(theorem_id: str, H: float) -> str:
+    return f"pi/({_RANGE_CAP[theorem_id]} sqrt(H)) = {admissible_R(theorem_id, H):.12g}"
 
 
 def require_admissible(theorem_id: str, H: float, R: float) -> None:
-    cap = admissible_R(theorem_id, H)
-    if R > cap + 1e-12:
-        frac = "pi/(4 sqrt(H))" if abs(cap - math.pi / (4 * math.sqrt(H))) < 1e-12 \
-            else "pi/(2 sqrt(H))"
-        raise ValueError(f"R exceeds {frac} = {cap:.12g} for {theorem_id}")
+    if R > admissible_R(theorem_id, H) + 1e-12:
+        raise ValueError(f"R exceeds {_cap_text(theorem_id, H)} for {theorem_id}")
 
 
 def _cum_integral(fn, radii: np.ndarray, lo: float = 0.0) -> np.ndarray:
@@ -362,7 +369,7 @@ def check_mc_bounded_f_inner(s: WarpedSMMS, H: float, k: float | None = None,
     radii = np.asarray(grid, dtype=float) if grid is not None \
         else _mc_grid(s, cap, n_grid)
     if radii[-1] > cap + 1e-12:
-        raise ValueError(f"grid exceeds pi/(4 sqrt(H)) = {cap:.12g}")
+        raise ValueError(f"grid exceeds {_cap_text('MC_BOUNDED_F_INNER', H)}")
 
     def eval_on(rs):
         lhs = np.asarray(mean_curvature_f(s, rs))
@@ -425,7 +432,7 @@ def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None, grid=None,
     radii = np.asarray(grid, dtype=float) if grid is not None \
         else _mc_grid(s, cap, n_grid)
     if radii[-1] > cap + 1e-12:
-        raise ValueError(f"grid exceeds pi/(2 sqrt(H)) = {cap:.12g}")
+        raise ValueError(f"grid exceeds {_cap_text('MC_DRIFT', H)}")
 
     def eval_on(rs):
         lhs = np.asarray(mean_curvature_f(s, rs))

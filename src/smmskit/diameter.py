@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .comparison import Report
 from .numkit import Tolerance, quad_adaptive
-from .smms import WarpedSMMS, integral_rho, potential_bounds
+from .smms import WarpedSMMS, _ricci, integral_rho, potential_bounds
 
 __all__ = [
     "DiameterReport",
@@ -32,9 +33,17 @@ __all__ = [
 ]
 
 
+# Slack on the diameter when it is compared with each bound.
+_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
-class DiameterReport:
-    """Diameter bounds next to the actual diameter of a closed space."""
+class DiameterReport(Report):
+    """Diameter bounds next to the actual diameter of a closed space.
+
+    ``reason`` names the bounds the diameter exceeds by more than the slack;
+    it is empty on PASS.
+    """
 
     bounds: dict
     actual_diameter: float | None
@@ -43,30 +52,27 @@ class DiameterReport:
     mode: str = "radial"
     verification_scope: str = "pole"
     chord_caveat: bool = False
+    reason: str = ""
+
+    theorem_id = "MYERS"
 
     @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
+    def min_margin(self) -> float | None:
+        if self.actual_diameter is None:
+            return None
+        return min(b - self.actual_diameter for b in self.bounds.values())
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": "MYERS",
+        return self._dict(self.hypothesis, {
             "bounds": {k: float(v) for k, v in self.bounds.items()},
             "actual_diameter": None if self.actual_diameter is None
             else float(self.actual_diameter),
-            "params": {k: float(v) for k, v in self.hypothesis.items()},
-            "units": {"k": "dimensionless", "a": "1/length", "l": "1/length",
-                      "H": "1/length^2", "bounds": "length",
-                      "actual_diameter": "length"},
-            "pass": bool(self.passed),
-            "verdict": self.verdict,
             "mode": self.mode,
             "verification_scope": self.verification_scope,
             "chord_caveat": bool(self.chord_caveat),
-            "min_margin": None if self.actual_diameter is None else float(
-                min(b - self.actual_diameter for b in self.bounds.values())
-            ),
-        }
+            "tolerance": _SLACK,
+            "reason": self.reason,
+        }, unit_keys=("bounds", "actual_diameter"))
 
 
 def _require_positive_H(H: float) -> None:
@@ -131,8 +137,7 @@ def index_form_total(s: WarpedSMMS, L: float,
         phi = math.sin(w * t)
         dphi = w * math.cos(w * t)
         tc = min(max(t, s.r_interior_lo), s.r_interior_hi)
-        ric = float(-(s.n - 1.0) * s.w.d2(tc) / s.w.eval(tc))
-        return (s.n - 1.0) * dphi * dphi - phi * phi * ric
+        return (s.n - 1.0) * dphi * dphi - phi * phi * float(_ricci(s, tc))
 
     value, _ = quad_adaptive(integrand, 0.0, L, tol)
     return value
@@ -158,7 +163,8 @@ def check_myers(s: WarpedSMMS, H: float, mode: str = "radial") -> DiameterReport
         "MYERS_INDEX": myers_bound_indexform(s.n, H, pb.k, l),
     }
     actual = actual_diameter(s)
-    passed = all(actual <= b + 1e-9 for b in bounds.values())
+    failed = [f"{name} = {b:.12g}" for name, b in bounds.items()
+              if not actual <= b + _SLACK]
 
     rs = np.linspace(s.r_max / 128, s.r_max * 127 / 128, 127)
     refl = np.max(np.abs(np.asarray(s.w.eval(rs))
@@ -169,8 +175,10 @@ def check_myers(s: WarpedSMMS, H: float, mode: str = "radial") -> DiameterReport
         bounds=bounds,
         actual_diameter=actual,
         hypothesis={"k": pb.k, "a": pb.grad, "l": l, "H": H},
-        passed=passed,
+        passed=not failed,
         mode=mode,
         verification_scope=scope,
         chord_caveat=_chord_caveat(s),
+        reason=f"actual diameter {actual:.12g} exceeds {', '.join(failed)}"
+        if failed else "",
     )

@@ -13,9 +13,9 @@ theta(R; lambda) is continuous and increasing in lambda and passes each
 multiple of pi only upward, at a zero of phi, so the first eigenvalue is the
 root of theta(R; lambda) = pi (Pryce, Numerical Solution of Sturm-Liouville
 Problems, 1993).  Secant steps safeguarded inside a kept bracket find it,
-until the bracket is narrower than rel_tol * lambda_hi; one (phi, phi')
-shoot at the root then gives the eigenfunction samples, r_half and the
-residual |phi(R)|.  The report passes only when the bracket meets that
+until the bracket is narrower than max(abs_tol, rel_tol * lambda_hi); one
+(phi, phi') shoot at the root then gives the eigenfunction samples, r_half
+and the residual |phi(R)|.  The report passes only when the bracket meets that
 width, theta(R) at its upper end lies in [pi, 2 pi) (phi has exactly one
 zero, so the eigenvalue is the first) and the residual is within the bound
 the bracket and the shoot's error estimates allow.
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .comparison import doubling_epsilon, require_admissible
+from .comparison import Report, doubling_epsilon, require_admissible
 from .model import ModelSpace, mean_curvature_model, volume_model
 from .numkit import (KernelError, Tolerance, integrate_ode, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
@@ -62,7 +62,7 @@ class EigenBracketError(KernelError):
 
 
 @dataclass(frozen=True)
-class EigenResult:
+class EigenResult(Report):
     """Converged first Dirichlet eigenvalue of a radial ball.
 
     ``samples`` holds (r, phi) rows with phi(0) = 1; ``residual`` is
@@ -85,13 +85,16 @@ class EigenResult:
     tol: Tolerance
     radial_only: bool = True
 
+    theorem_id = "EIGEN"
+
     @property
     def reason(self) -> str:
         """Why the solve does not certify the eigenvalue; empty when it does."""
         lo, hi = self.bracket
-        if not hi - lo <= self.tol.rel_tol * hi:
-            return (f"bracket width {hi - lo:.6g} exceeds rel_tol * lambda_hi"
-                    f" = {self.tol.rel_tol * hi:.6g}")
+        width = _bracket_width(self.tol, hi)
+        if not hi - lo <= width:
+            return (f"bracket width {hi - lo:.6g} exceeds max(abs_tol, rel_tol *"
+                    f" lambda_hi) = {width:.6g}")
         if not math.pi <= self.theta_hi < 2.0 * math.pi:
             return (f"theta(R) = {self.theta_hi:.6g} at lambda_hi is outside"
                     " [pi, 2 pi): the root is not the first eigenvalue")
@@ -105,32 +108,31 @@ class EigenResult:
         return not self.reason
 
     @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
+    def min_margin(self) -> float:
+        return self.residual
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": "EIGEN",
-            "params": {"lambda": float(self.lam), "r_half": float(self.r_half)},
-            "units": {"lambda": "1/length^2", "r_half": "length"},
+        return self._dict({"lambda": self.lam, "r_half": self.r_half}, {
             "residual": float(self.residual),
             "residual_bound": float(self.residual_bound),
             "bracket": [float(self.bracket[0]), float(self.bracket[1])],
             "theta_hi": float(self.theta_hi),
             "radial_only": self.radial_only,
-            "pass": self.passed,
-            "verdict": self.verdict,
             "reason": self.reason,
-            "min_margin": float(self.residual),
             "tol_abs": self.tol.abs_tol,
             "tol_rel": self.tol.rel_tol,
-        }
+        })
 
     def samples_csv(self) -> str:
         lines = ["r,phi"]
         for r, phi in self.samples:
             lines.append(f"{r:.17g},{phi:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def _bracket_width(tol: Tolerance, lam_hi: float) -> float:
+    """Width at which the eigenvalue bracket is closed."""
+    return max(tol.abs_tol, tol.rel_tol * lam_hi)
 
 
 def _pole_start(n: int, lam: float, R: float):
@@ -199,8 +201,8 @@ def _first_eigenvalue(coeff, n: int, R: float, tol: Tolerance):
 
     prev, last = (lo, g_lo), (hi, g_hi)
     steps = [math.inf, math.inf]
-    while hi - lo > tol.rel_tol * hi:
-        guard = 0.25 * tol.rel_tol * hi
+    while hi - lo > _bracket_width(tol, hi):
+        guard = 0.25 * _bracket_width(tol, hi)
         (x0, g0), (x1, g1) = prev, last
         lam = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else lo
         if not lo < lam < hi or abs(lam - x1) > 0.5 * steps[-2]:
@@ -355,8 +357,12 @@ def cheng_epsilon(n: int, a: float, H: float, R: float, delta: float,
     return cheng_constants(n, a, H, R, delta, tol).epsilon
 
 
+# Slack on the ratio lambda_ball / lambda_model when it is compared with 1 + delta.
+_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
-class ChengReport:
+class ChengReport(Report):
     """Outcome of the eigenvalue closeness check."""
 
     lam_ball: float
@@ -371,38 +377,32 @@ class ChengReport:
     mode: str = "radial"
     tol: Tolerance = EIGEN_TOL
 
+    theorem_id = "CHENG"
+
     @property
-    def verdict(self) -> str:
-        if self.not_applicable:
-            return "NOT-APPLICABLE"
-        return "PASS" if self.passed else "FAIL"
+    def min_margin(self) -> float:
+        return (1.0 + self.delta) - self.ratio
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": "CHENG",
-            "params": {"lambda_ball": float(self.lam_ball),
-                       "lambda_model": float(self.lam_model),
-                       "delta": float(self.delta),
-                       "epsilon": float(self.epsilon),
-                       "l": float(self.l)},
-            "units": {"lambda_ball": "1/length^2", "lambda_model": "1/length^2",
-                      "delta": "dimensionless", "epsilon": "1/length",
-                      "l": "1/length"},
+        return self._dict({"lambda_ball": self.lam_ball, "lambda_model": self.lam_model,
+                           "delta": self.delta, "epsilon": self.epsilon, "l": self.l}, {
             "ratio": float(self.ratio),
-            "pass": bool(self.passed),
-            "verdict": self.verdict,
             "mode": self.mode,
             "reason": self.reason,
-            "min_margin": float((1.0 + self.delta) - self.ratio),
             "tol_abs": self.tol.abs_tol,
             "tol_rel": self.tol.rel_tol,
-        }
+            "tolerance": _SLACK,
+        })
 
 
 def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
                          delta: float, mode: str = "radial",
                          tol: Tolerance = EIGEN_TOL) -> ChengReport:
-    """lambda(B(pole, R)) <= (1 + delta) lambda_model, gated on l <= epsilon."""
+    """lambda(B(pole, R)) <= (1 + delta) lambda_model, gated on l <= epsilon.
+
+    Fails, gated or not, when either eigenvalue solve fails its own verdict:
+    epsilon is built from the model solve.
+    """
     pb = potential_bounds(s)
     if a is None:
         a = pb.a
@@ -410,15 +410,15 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
         raise ValueError(f"a={a} is below the space's drift bound {pb.a}")
     eps = cheng_epsilon(s.n, a, H, R, delta, tol)
     l = integral_rho(s, H, s.r_max, mode)
-    lam_model = model_eigenvalue(s.n, a, H, R, tol).lam
-    lam_ball = smms_radial_eigenvalue(s, R, tol).lam
-    ratio = lam_ball / lam_model
+    model = model_eigenvalue(s.n, a, H, R, tol)
+    ball = smms_radial_eigenvalue(s, R, tol)
+    ratio = ball.lam / model.lam
+    report = partial(ChengReport, lam_ball=ball.lam, lam_model=model.lam, delta=delta,
+                     epsilon=eps, l=l, ratio=ratio, mode=mode, tol=tol)
+    for name, res in (("model", model), ("ball", ball)):
+        if not res.passed:
+            return report(passed=False, reason=f"{name} eigenvalue solve: {res.reason}")
     if l > eps + 1e-12:
-        return ChengReport(lam_ball=lam_ball, lam_model=lam_model, delta=delta,
-                           epsilon=eps, l=l, ratio=ratio, passed=False,
-                           not_applicable=True, mode=mode, tol=tol,
-                           reason=f"excess integral l={l:.6g} exceeds epsilon={eps:.6g}")
-    passed = ratio <= 1.0 + delta + 1e-8
-    return ChengReport(lam_ball=lam_ball, lam_model=lam_model, delta=delta,
-                       epsilon=eps, l=l, ratio=ratio, passed=passed, mode=mode,
-                       tol=tol)
+        return report(passed=False, not_applicable=True,
+                      reason=f"excess integral l={l:.6g} exceeds epsilon={eps:.6g}")
+    return report(passed=ratio <= 1.0 + delta + _SLACK)

@@ -221,18 +221,22 @@ def _scalar(out):
     return out if out.ndim else float(out)
 
 
+def _ricci(s: WarpedSMMS, rc):
+    """Ric(d_r, d_r) = -(n-1) w''/w at clamped radii ``rc``."""
+    return -(s.n - 1.0) * s.w.d2(rc) / s.w.eval(rc)
+
+
 def ricci_radial(s: WarpedSMMS, r):
     """Ric(d_r, d_r) = -(n-1) w''/w."""
     _check_open_interval(s, r, "ricci_radial")
-    rc = _clamp_interior(s, r)
-    return _scalar(-(s.n - 1.0) * s.w.d2(rc) / s.w.eval(rc))
+    return _scalar(_ricci(s, _clamp_interior(s, r)))
 
 
 def bakry_emery_radial(s: WarpedSMMS, r):
     """Radial Bakry-Emery curvature Ric(d_r,d_r) + f''."""
     _check_open_interval(s, r, "bakry_emery_radial")
     rc = _clamp_interior(s, r)
-    return _scalar(-(s.n - 1.0) * s.w.d2(rc) / s.w.eval(rc) + s.f.d2(rc))
+    return _scalar(_ricci(s, rc) + s.f.d2(rc))
 
 
 def _tangential_f(s: WarpedSMMS, rc):
@@ -247,7 +251,7 @@ def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
     """Smallest eigenvalue of Ric_f: min of radial and tangential values."""
     _check_open_interval(s, r, "ricci_f_smallest_eigenvalue")
     rc = _clamp_interior(s, r)
-    radial = -(s.n - 1.0) * s.w.d2(rc) / s.w.eval(rc) + s.f.d2(rc)
+    radial = _ricci(s, rc) + s.f.d2(rc)
     return _scalar(np.minimum(radial, _tangential_f(s, rc)))
 
 
@@ -274,7 +278,7 @@ def mean_curvature_f(s: WarpedSMMS, r):
 
 def _rho_clamped(s: WarpedSMMS, H: float, r, mode: str):
     rc = _clamp_interior(s, r)
-    lam = -(s.n - 1.0) * s.w.d2(rc) / s.w.eval(rc) + s.f.d2(rc)
+    lam = _ricci(s, rc) + s.f.d2(rc)
     if mode == "full":
         lam = np.minimum(lam, _tangential_f(s, rc))
     return np.maximum(0.0, (s.n - 1.0) * H - lam)

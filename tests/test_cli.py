@@ -4,12 +4,37 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from smmskit import eigen
-from smmskit.cli import main
+from smmskit.cli import CHECK_IDS, main
 
 REQUIRED_TOP = {"tool_version", "spec", "checks", "verdict"}
 REQUIRED_CHECK = {"theorem_id", "params", "min_margin", "pass"}
+SHARED_CHECK = {"theorem_id", "params", "units", "pass", "verdict", "min_margin",
+                "wall_time_ms"}
+
+_FLAT = ["--space", "euclidean", "--n", "3"]
+_SPHERE = ["--space", "sphere", "--n", "3", "--param", "H=1"]
+# One cheap, valid invocation per theorem id.
+CHECK_ARGV = {
+    "MC_ROUGH": _FLAT + ["--grid", "32"],
+    "MC_BOUNDED_F_INNER": _FLAT + ["--grid", "32"],
+    "MC_BOUNDED_F_PI2": _SPHERE + ["--H", "1", "--grid", "32"],
+    "MC_DRIFT": _FLAT + ["--grid", "32"],
+    "AREA_A": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "AREA_B": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "VOL_A": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "VOL_B": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "VOL_B_ABS": _FLAT + ["--R", "0.5", "--grid", "32"],
+    "VOL_ABS_NEGH": ["--space", "hyperbolic", "--n", "3", "--param", "H=-1",
+                     "--H", "-1", "--grid", "24"],
+    "DOUBLING": _FLAT + ["--H", "1", "--alpha", "2", "--R", "0.7", "--grid", "16"],
+    "VOL_R1": _FLAT + ["--R", "1.5", "--grid", "32"],
+    "MYERS": _SPHERE,
+    "CHENG": _FLAT + ["--R", "1", "--delta", "0.1"],
+    "EIGEN": _FLAT + ["--R", "1"],
+}
 
 
 def run_json(argv, capsys):
@@ -85,6 +110,17 @@ class TestReportSchema:
             assert REQUIRED_CHECK <= set(check)
             assert "wall_time_ms" in check
             assert check["verdict"] in ("PASS", "FAIL", "NOT-APPLICABLE")
+
+    @pytest.mark.parametrize("tid", CHECK_IDS)
+    def test_every_theorem_shares_the_report_shape(self, capsys, tid):
+        code, report = run_json(["check", "--theorem", tid, *CHECK_ARGV[tid]], capsys)
+        assert code in (0, 3)
+        assert REQUIRED_TOP <= set(report)
+        [check] = report["checks"]
+        assert SHARED_CHECK <= set(check)
+        assert check["theorem_id"] == tid
+        assert "unknown" not in check["units"].values()
+        assert set(check["params"]) <= set(check["units"])
 
     def test_units_tagged(self, capsys):
         _, report = run_json(
@@ -284,3 +320,29 @@ class TestEigenReports:
         assert code == 1 and report["verdict"] == "FAIL"
         check = report["checks"][0]
         assert check["pass"] is False and "residual" in check["reason"]
+
+    def test_tol_abs_reaches_the_eigen_bracket(self, capsys):
+        widths = []
+        for tol_abs in ("1e-9", "1e-3"):
+            code, report = run_json(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1",
+                                     "--tol-abs", tol_abs], capsys)
+            assert code == 0
+            lo, hi = report["checks"][0]["bracket"]
+            widths.append(hi - lo)
+        assert widths[1] > widths[0]
+        assert widths[1] <= 1e-3
+
+    def test_cheng_fails_when_its_ball_solve_fails(self, capsys, monkeypatch):
+        solve = eigen.smms_radial_eigenvalue
+
+        def off_bound(space, R, tol):
+            res = solve(space, R, tol)
+            return dataclasses.replace(res, residual=2.0 * res.residual_bound)
+
+        monkeypatch.setattr(eigen, "smms_radial_eigenvalue", off_bound)
+        code, report = run_json(["check", *_FLAT, "--theorem", "CHENG", "--R", "1",
+                                 "--delta", "0.1"], capsys)
+        assert code == 1 and report["verdict"] == "FAIL"
+        check = report["checks"][0]
+        assert check["pass"] is False
+        assert check["reason"].startswith("ball eigenvalue solve: residual")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_suite
+from smmskit import diameter
 from smmskit.diameter import (actual_diameter, check_myers, index_form_total,
                               myers_bound_bounded_f, myers_bound_gradient,
                               myers_bound_indexform)
@@ -145,3 +146,15 @@ class TestCheckMyers:
         assert d["theorem_id"] == "MYERS"
         assert d["verdict"] == "PASS"
         assert set(d["bounds"]) == {"MYERS_F", "MYERS_GRAD", "MYERS_INDEX"}
+
+    def test_states_its_slack_and_the_bounds_exceeded(self, monkeypatch):
+        d = check_myers(make_space("sphere", n=3, H=1.0), 1.0).to_dict()
+        assert d["verdict"] == "PASS" and d["tolerance"] == 1e-9 and d["reason"] == ""
+        # pi/sqrt(H) is sharp on the round sphere, so a diameter 1e-6
+        # longer exceeds MYERS_F and MYERS_GRAD but not MYERS_INDEX.
+        monkeypatch.setattr(diameter, "actual_diameter",
+                            lambda s: s.r_max + 1e-6)
+        d = check_myers(make_space("sphere", n=3, H=1.0), 1.0).to_dict()
+        assert d["verdict"] == "FAIL" and d["pass"] is False
+        assert "MYERS_F" in d["reason"] and "MYERS_GRAD" in d["reason"]
+        assert "MYERS_INDEX" not in d["reason"]

@@ -291,6 +291,23 @@ class TestEigenVerdict:
         bad = dataclasses.replace(res, theta_hi=2.0 * math.pi)
         assert bad.verdict == "FAIL" and "first eigenvalue" in bad.reason
 
+    @pytest.mark.parametrize("which", ["model", "ball"])
+    def test_cheng_fails_on_a_failed_solve_even_when_gated(self, monkeypatch, which):
+        name = {"model": "model_eigenvalue", "ball": "smms_radial_eigenvalue"}[which]
+        solve = getattr(eigen, name)
+
+        def off_bound(*args):
+            res = solve(*args)
+            return dataclasses.replace(res, residual=2.0 * res.residual_bound)
+
+        monkeypatch.setattr(eigen, name, off_bound)
+        # H = 2 on the unit sphere: the excess integral is far above epsilon.
+        s = make_space("sphere", n=3, H=1.0)
+        rep = check_cheng_estimate(s, 2.0, 0.0, 1.0, 0.1, tol=CLI_TOL)
+        assert rep.verdict == "FAIL" and not rep.not_applicable
+        assert rep.reason.startswith(f"{which} eigenvalue solve: residual")
+        assert rep.to_dict()["tolerance"] == 1e-8
+
     def test_cheng_report_states_tolerances(self):
         s = make_space("euclidean", n=3)
         d = check_cheng_estimate(s, 0.0, 0.0, 1.0, 0.1, tol=CLI_TOL).to_dict()
