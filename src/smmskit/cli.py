@@ -6,7 +6,8 @@ parameter grid).  JSON is the canonical report format; grids export as CSV
 with header exactly ``r,lhs,rhs,margin``.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 malformed input
-(diagnostic names the offending field), 3 all checks gated NOT-APPLICABLE.
+(diagnostic names the offending field) or numerical failure, 3 all checks
+gated NOT-APPLICABLE.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +93,7 @@ def _resolve_H(args, spec: SpaceSpec) -> float:
 
 
 def _eigen_tol(args) -> Tolerance:
-    return Tolerance(abs_tol=args.tol_abs, rel_tol=max(args.tol_rel, 1e-12),
-                     max_steps=200_000)
+    return Tolerance(abs_tol=args.tol_abs, rel_tol=max(args.tol_rel, 1e-12))
 
 
 # Theorem id -> (flags it requires, runner(space, H, args) -> report).
@@ -151,11 +151,15 @@ def _emit(report: dict, args) -> None:
 
 
 def _export_grid(rep, check: dict, args) -> None:
+    if args.format != "csv" or not args.out:
+        return
     export = getattr(rep, "grid_csv", None) or getattr(rep, "samples_csv", None)
-    if args.format == "csv" and args.out and export:
-        path = Path(args.out)
-        path.write_text(export())
-        check["grid_csv_path"] = str(path)
+    if export is None:
+        raise InputError(f"--format csv: a {check['theorem_id']} report has no grid "
+                         "or samples to export; use --format json")
+    path = Path(args.out)
+    path.write_text(export())
+    check["grid_csv_path"] = str(path)
 
 
 def run_spec_check(spec: SpaceSpec, theorem: str, args):
@@ -201,6 +205,9 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _space_spec_from_args(args) -> SpaceSpec:
     if args.custom:
+        if args.param:
+            raise InputError("--param: a --custom space takes no space parameters; "
+                             "set them in the spec file")
         try:
             payload = json.loads(Path(args.custom).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -277,15 +284,21 @@ def _cmd_sweep(args) -> int:
     mesh = np.meshgrid(*[vals for _, vals in ranges], indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
 
+    spec = _space_spec_from_args(args)
+    for name in names:
+        if args.custom and name not in _THEOREM_FLAGS:
+            raise InputError(f"--range {name}: a --custom space takes no space "
+                             "parameters; set them in the spec file")
     rows = []
     for point in points:
-        base_spec = _space_spec_from_args(args)
+        overrides = {}
         for name, val in zip(names, point):
             if name in _THEOREM_FLAGS:
                 setattr(args, name, float(val))
             else:
-                base_spec.params[name] = float(val)
-        report, _, _ = run_spec_check(base_spec, args.theorem, args)
+                overrides[name] = float(val)
+        point_spec = replace(spec, params={**spec.params, **overrides})
+        report, _, _ = run_spec_check(point_spec, args.theorem, args)
         check = report["checks"][0]
         rows.append((point, check["min_margin"], report["verdict"],
                      check["params"].get("epsilon")))

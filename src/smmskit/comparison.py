@@ -14,8 +14,8 @@ n+4k and drifted models with the exp((e^{clt}-1) A/V) correction, the
 absolute-volume forms, doubling certificates e^{F(eps)} <= alpha, and the
 hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
-Hypothesis constants are computed from the space itself unless overridden:
-k and a from ``potential_bounds``, l from ``integral_rho`` up to the outer
+Hypothesis constants are computed from the space itself: k and a from
+``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
 radius of the check.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import (ModelSpace, area_model, c_const,
                     mean_curvature_model, sn, volume_model)
-from .numkit import (StepLimitError, Tolerance, find_root_bracketed,
+from .numkit import (KernelError, StepLimitError, Tolerance, find_root_bracketed,
                      integrate_ode, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
@@ -163,24 +163,10 @@ class DoublingCertificate:
 
     def __post_init__(self) -> None:
         if math.exp(self.F_at_epsilon) > self.alpha + 1e-10:
-            raise ValueError(
+            raise KernelError(
                 f"doubling certificate violated: exp(F)={math.exp(self.F_at_epsilon)}"
                 f" > alpha={self.alpha}"
             )
-
-    @property
-    def mode(self) -> str:
-        return "bounded_f" if self.k is not None else "drift"
-
-    def to_dict(self) -> dict:
-        out = {"n": self.n, "H": self.H, "R": self.R, "alpha": self.alpha,
-               "epsilon": self.epsilon, "F_at_epsilon": self.F_at_epsilon,
-               "mode": self.mode}
-        if self.k is not None:
-            out["k"] = self.k
-        if self.a is not None:
-            out["a"] = self.a
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +205,25 @@ def require_admissible(theorem_id: str, H: float, R: float) -> None:
         raise ValueError(f"R exceeds {_cap_text(theorem_id, H)} for {theorem_id}")
 
 
+def _require_outer(s: WarpedSMMS, theorem_id: str, H: float, R: float) -> None:
+    """Outer radius within the theorem's range cap and the space's interior."""
+    require_admissible(theorem_id, H, R)
+    if R > s.r_interior_hi:
+        raise ValueError(f"R={R} beyond the interior range {s.r_interior_hi}")
+
+
 def _cum_integral(fn, radii: np.ndarray, lo: float = 0.0) -> np.ndarray:
     """Cumulative integral of a vectorized integrand from ``lo`` to each
     grid radius."""
     edges = np.concatenate([[lo], np.asarray(radii, dtype=float)])
     segs, _ = quad_grid(fn, edges)
     return np.cumsum(segs)
+
+
+def _volumes(s: WarpedSMMS, mspace: ModelSpace, radii: np.ndarray):
+    """(V_f, V_model) at each grid radius."""
+    return (_cum_integral(lambda t: weighted_area(s, t), radii),
+            _cum_integral(lambda t: area_model(mspace, t), radii))
 
 
 def _exp_correction(mspace: ModelSpace, cl: float, radii: np.ndarray) -> np.ndarray:
@@ -299,22 +298,20 @@ def _not_applicable(theorem_id: str, params: dict, mode: str,
     )
 
 
-def _resolve_k(s: WarpedSMMS, k) -> float:
-    actual = potential_bounds(s).k
-    if k is None:
-        return actual
-    if k < actual - 1e-9:
-        raise ValueError(f"k={k} is below the space's sup|f|={actual}")
-    return float(k)
+# Hypothesis constant -> how the space's own bound reads in a diagnostic.
+_BOUND_TEXT = {"k": "sup|f|=", "a": "drift bound "}
 
 
-def _resolve_a(s: WarpedSMMS, a) -> float:
-    actual = potential_bounds(s).a
-    if a is None:
+def _resolve(s: WarpedSMMS, name: str, value) -> float:
+    """Constant ``name`` ('k' or 'a'): the space's own bound from
+    ``potential_bounds``, or ``value`` when given and not below it."""
+    actual = getattr(potential_bounds(s), name)
+    if value is None:
         return actual
-    if a < actual - 1e-9:
-        raise ValueError(f"a={a} is below the space's drift bound {actual}")
-    return float(a)
+    if value < actual - 1e-9:
+        raise ValueError(f"{name}={value} is below the space's "
+                         f"{_BOUND_TEXT[name]}{actual}")
+    return float(value)
 
 
 def _interior_cap(s: WarpedSMMS) -> float:
@@ -330,6 +327,30 @@ def _mc_grid(s: WarpedSMMS, hi_cap: float, n_grid: int, lo: float | None = None,
     if drop_right:
         return np.linspace(lo, hi, n_grid + 1)[:-1]
     return np.linspace(lo, hi, n_grid)
+
+
+def _mc_radii(s: WarpedSMMS, theorem_id: str, H: float, grid,
+              n_grid: int) -> np.ndarray:
+    """``grid``, or ``n_grid`` radii up to the theorem's range cap; either
+    must end within the cap."""
+    cap = admissible_R(theorem_id, H)
+    radii = np.asarray(grid, dtype=float) if grid is not None \
+        else _mc_grid(s, cap, n_grid)
+    if radii[-1] > cap + 1e-12:
+        raise ValueError(f"grid exceeds {_cap_text(theorem_id, H)}")
+    return radii
+
+
+def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
+              radii: np.ndarray, mode: str, refine: bool,
+              lo: float = 0.0) -> ComparisonReport:
+    """m_f(r) <= bound(r) + int_lo^r rho on ``radii``."""
+    def eval_on(rs):
+        lhs = np.asarray(mean_curvature_f(s, rs))
+        cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs, lo=lo)
+        return lhs, bound(rs) + cum
+
+    return _finalize(theorem_id, params, mode, radii, eval_on, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -348,37 +369,21 @@ def check_mc_rough(s: WarpedSMMS, H: float, r0: float, grid=None,
     if radii[0] < r0 or radii[-1] >= s.r_max:
         raise ValueError("grid must lie in [r0, r_max)")
     base = float(mean_curvature_f(s, r0))
-
-    def eval_on(rs):
-        lhs = np.asarray(mean_curvature_f(s, rs))
-        cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs, lo=r0)
-        rhs = base - (s.n - 1.0) * H * (rs - r0) + cum
-        return lhs, rhs
-
-    params = {"n": s.n, "H": H, "r0": r0}
-    return _finalize("MC_ROUGH", params, mode, radii, eval_on, refine)
+    return _check_mc("MC_ROUGH", s, H, {"n": s.n, "H": H, "r0": r0},
+                     lambda rs: base - (s.n - 1.0) * H * (rs - r0),
+                     radii, mode, refine, lo=r0)
 
 
 def check_mc_bounded_f_inner(s: WarpedSMMS, H: float, k: float | None = None,
                              grid=None, mode: str = "radial", n_grid: int = 256,
                              refine: bool = True) -> ComparisonReport:
     """m_f(r) <= m_H^{n+4k}(r) + int_0^r rho, r <= pi/(4 sqrt(H)) if H > 0."""
-    k = _resolve_k(s, k)
+    k = _resolve(s, "k", k)
     d = s.n + 4.0 * k
-    cap = admissible_R("MC_BOUNDED_F_INNER", H)
-    radii = np.asarray(grid, dtype=float) if grid is not None \
-        else _mc_grid(s, cap, n_grid)
-    if radii[-1] > cap + 1e-12:
-        raise ValueError(f"grid exceeds {_cap_text('MC_BOUNDED_F_INNER', H)}")
-
-    def eval_on(rs):
-        lhs = np.asarray(mean_curvature_f(s, rs))
-        cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs)
-        rhs = np.asarray(mean_curvature_model(d, H, rs)) + cum
-        return lhs, rhs
-
-    params = {"n": s.n, "H": H, "k": k, "d": d}
-    return _finalize("MC_BOUNDED_F_INNER", params, mode, radii, eval_on, refine)
+    radii = _mc_radii(s, "MC_BOUNDED_F_INNER", H, grid, n_grid)
+    return _check_mc("MC_BOUNDED_F_INNER", s, H, {"n": s.n, "H": H, "k": k, "d": d},
+                     lambda rs: np.asarray(mean_curvature_model(d, H, rs)),
+                     radii, mode, refine)
 
 
 def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
@@ -392,7 +397,7 @@ def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
     """
     if H <= 0.0:
         raise ValueError("the pi/2 range estimate requires H > 0")
-    k = _resolve_k(s, k)
+    k = _resolve(s, "k", k)
     lo = math.pi / (4.0 * math.sqrt(H))
     cap = admissible_R("MC_BOUNDED_F_PI2", H)
     radii = np.asarray(grid, dtype=float) if grid is not None \
@@ -400,15 +405,12 @@ def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
     if radii[0] < lo - 1e-12 or radii[-1] >= cap:
         raise ValueError(f"grid must lie in [{lo:.12g}, {cap:.12g})")
 
-    def eval_on(rs):
-        lhs = np.asarray(mean_curvature_f(s, rs))
-        cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs)
+    def bound(rs):
         coeff = 1.0 + 4.0 * k / ((s.n - 1.0) * np.sin(2.0 * math.sqrt(H) * rs))
-        rhs = coeff * np.asarray(mean_curvature_model(s.n, H, rs)) + cum
-        return lhs, rhs
+        return coeff * np.asarray(mean_curvature_model(s.n, H, rs))
 
-    params = {"n": s.n, "H": H, "k": k}
-    return _finalize("MC_BOUNDED_F_PI2", params, mode, radii, eval_on, refine)
+    return _check_mc("MC_BOUNDED_F_PI2", s, H, {"n": s.n, "H": H, "k": k}, bound,
+                     radii, mode, refine)
 
 
 def check_mc_bounded_f(s: WarpedSMMS, H: float, k: float | None = None,
@@ -427,52 +429,46 @@ def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None, grid=None,
                    mode: str = "radial", n_grid: int = 256,
                    refine: bool = True) -> ComparisonReport:
     """m_f(r) <= m_H^n(r) + a + int_0^r rho, r <= pi/(2 sqrt(H)) if H > 0."""
-    a = _resolve_a(s, a)
-    cap = admissible_R("MC_DRIFT", H)
-    radii = np.asarray(grid, dtype=float) if grid is not None \
-        else _mc_grid(s, cap, n_grid)
-    if radii[-1] > cap + 1e-12:
-        raise ValueError(f"grid exceeds {_cap_text('MC_DRIFT', H)}")
-
-    def eval_on(rs):
-        lhs = np.asarray(mean_curvature_f(s, rs))
-        cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs)
-        rhs = np.asarray(mean_curvature_model(s.n, H, rs)) + a + cum
-        return lhs, rhs
-
-    params = {"n": s.n, "H": H, "a": a}
-    return _finalize("MC_DRIFT", params, mode, radii, eval_on, refine)
+    a = _resolve(s, "a", a)
+    radii = _mc_radii(s, "MC_DRIFT", H, grid, n_grid)
+    return _check_mc("MC_DRIFT", s, H, {"n": s.n, "H": H, "a": a},
+                     lambda rs: np.asarray(mean_curvature_model(s.n, H, rs)) + a,
+                     radii, mode, refine)
 
 
 # ---------------------------------------------------------------------------
 # Area and volume comparisons.
 # ---------------------------------------------------------------------------
 
+def _model(n: int, H: float, k: float | None = None,
+           a: float | None = None) -> tuple[ModelSpace, float]:
+    """Model space and exp-rate multiplier c: the n+4k model with c(n, k, H)
+    when k is given, the drifted n-model with c = 1 otherwise."""
+    if k is not None:
+        return ModelSpace(dim=n + 4.0 * k, H=H, drift=0.0), c_const(n, k, H)
+    return ModelSpace(dim=float(n), H=H, drift=float(a)), 1.0
+
+
 def _bound_model(s: WarpedSMMS, H: float, bound: str, const: float | None):
-    """Model space and exp-rate multiplier for a bound mode ('k' or 'a')."""
-    if bound == "k":
-        k = _resolve_k(s, const)
-        return ModelSpace(dim=s.n + 4.0 * k, H=H, drift=0.0), c_const(s.n, k, H), {"k": k}
-    if bound == "a":
-        a = _resolve_a(s, const)
-        return ModelSpace(dim=float(s.n), H=H, drift=a), 1.0, {"a": a}
-    raise ValueError(f"bound must be 'k' or 'a', got {bound!r}")
+    """Model space, exp-rate multiplier and resolved constant for a bound
+    mode ('k' or 'a')."""
+    if bound not in _BOUND_TEXT:
+        raise ValueError(f"bound must be 'k' or 'a', got {bound!r}")
+    value = _resolve(s, bound, const)
+    return (*_model(s.n, H, **{bound: value}), {bound: value})
 
 
 def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                           bound: str = "a", const: float | None = None,
                           mode: str = "radial", n_grid: int = 256,
-                          refine: bool = True, l: float | None = None) -> ComparisonReport:
+                          refine: bool = True) -> ComparisonReport:
     """A_f(R')/A_model(R') <= e^{c R' l} A_f(r)/A_model(r) for r <= R' <= R."""
     tid = "AREA_A" if bound == "k" else "AREA_B"
     if not 0.0 < r <= R:
         raise ValueError(f"require 0 < r <= R, got r={r}, R={R}")
-    require_admissible(tid, H, R)
-    if R > s.r_interior_hi:
-        raise ValueError(f"R={R} beyond the interior range {s.r_interior_hi}")
+    _require_outer(s, tid, H, R)
     mspace, c, bparams = _bound_model(s, H, bound, const)
-    if l is None:
-        l = integral_rho(s, H, R, mode)
+    l = integral_rho(s, H, R, mode)
     base = float(weighted_area(s, r)) / area_model(mspace, r)
 
     def eval_on(rs):
@@ -489,7 +485,7 @@ def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
 def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                             bound: str = "a", const: float | None = None,
                             mode: str = "radial", n_grid: int = 256,
-                            refine: bool = True, l: float | None = None,
+                            refine: bool = True,
                             _tid: str | None = None) -> ComparisonReport:
     """V_f(R')/V_m(R') <= V_f(r)/V_m(r) exp{int_0^{R'} (e^{clt}-1) A_m/V_m}."""
     tid = _tid or ("VOL_A" if bound == "k" else "VOL_B")
@@ -498,19 +494,15 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
             raise ValueError("the n+4k volume ratio blows up as r -> 0; "
                              "use r > 0 (or the absolute drift form)")
         return check_volume_absolute(s, H, R, const=const, mode=mode,
-                                     n_grid=n_grid, refine=refine, l=l)
+                                     n_grid=n_grid, refine=refine)
     if not 0.0 < r <= R:
         raise ValueError(f"require 0 < r <= R, got r={r}, R={R}")
-    require_admissible(tid, H, R)
-    if R > s.r_interior_hi:
-        raise ValueError(f"R={R} beyond the interior range {s.r_interior_hi}")
+    _require_outer(s, tid, H, R)
     mspace, c, bparams = _bound_model(s, H, bound, const)
-    if l is None:
-        l = integral_rho(s, H, R, mode)
+    l = integral_rho(s, H, R, mode)
 
     def eval_on(rs):
-        vf = _cum_integral(lambda t: weighted_area(s, t), rs)
-        vm = _cum_integral(lambda t: area_model(mspace, t), rs)
+        vf, vm = _volumes(s, mspace, rs)
         ratio = vf / vm
         corr = _exp_correction(mspace, c * l, rs)
         with np.errstate(over="ignore"):
@@ -524,20 +516,17 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
 
 def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
                           const: float | None = None, mode: str = "radial",
-                          n_grid: int = 256, refine: bool = True,
-                          l: float | None = None) -> ComparisonReport:
+                          n_grid: int = 256, refine: bool = True) -> ComparisonReport:
     """Absolute drift form: V_f(R') <= V^a_H(R') exp{-f(0) + int (e^{lt}-1) A/V}."""
     require_admissible("VOL_B_ABS", H, R)
     if not 0.0 < R <= s.r_interior_hi:
         raise ValueError(f"require 0 < R <= {s.r_interior_hi}, got {R}")
     mspace, _, bparams = _bound_model(s, H, "a", const)
-    if l is None:
-        l = integral_rho(s, H, R, mode)
+    l = integral_rho(s, H, R, mode)
     f0 = float(s.f.eval(0.0))
 
     def eval_on(rs):
-        vf = _cum_integral(lambda t: weighted_area(s, t), rs)
-        vm = _cum_integral(lambda t: area_model(mspace, t), rs)
+        vf, vm = _volumes(s, mspace, rs)
         corr = _exp_correction(mspace, l, rs)
         with np.errstate(over="ignore"):
             rhs = vm * np.exp(-f0 + corr)
@@ -577,19 +566,18 @@ def doubling_F(n: int, H: float, R: float, sigma: float,
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return 0.0
-    if k is not None:
-        mspace = ModelSpace(dim=n + 4.0 * k, H=H, drift=0.0)
-        c = c_const(n, k, H)
-    else:
-        mspace = ModelSpace(dim=float(n), H=H, drift=float(a))
-        c = 1.0
+    mspace, c = _model(n, H, k, a)
     return float(_exp_correction(mspace, c * sigma, np.array([R]))[0])
+
+
+# Largest sigma the doubling threshold's bracket search tries.
+_SIGMA_CAP = 1e9
 
 
 @lru_cache(maxsize=256)
 def doubling_epsilon(n: int, H: float, R: float, alpha: float,
-                     k: float | None = None, a: float | None = None,
-                     sigma_cap: float = 1e9) -> DoublingCertificate:
+                     k: float | None = None,
+                     a: float | None = None) -> DoublingCertificate:
     """Threshold epsilon with e^{F(epsilon)} = alpha, by bracketed bisection."""
     if alpha <= 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
@@ -603,8 +591,8 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     hi = 1.0
     while g(hi) < 0.0:
         hi *= 2.0
-        if hi > sigma_cap:
-            raise StepLimitError(f"no doubling bracket below sigma_cap={sigma_cap}")
+        if hi > _SIGMA_CAP:
+            raise StepLimitError(f"no doubling bracket below sigma_cap={_SIGMA_CAP}")
     eps = find_root_bracketed(g, 0.0, hi,
                               Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_steps=300))
     return DoublingCertificate(n=n, H=H, R=R, alpha=alpha, epsilon=float(eps),
@@ -622,10 +610,7 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     yields a NOT-APPLICABLE report, not a failure.  Each grid row keys the
     outer radius r2 and stores the worst pair over r1 < r2.
     """
-    tid_range = "VOL_A" if bound == "k" else "VOL_B"
-    require_admissible(tid_range, H, R)
-    if R > s.r_interior_hi:
-        raise ValueError(f"R={R} beyond the interior range {s.r_interior_hi}")
+    _require_outer(s, "VOL_A" if bound == "k" else "VOL_B", H, R)
     mspace, _, bparams = _bound_model(s, H, bound, const)
     if epsilon is None:
         epsilon = doubling_epsilon(s.n, H, R, alpha,
@@ -640,12 +625,10 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     # Fixed inner grid of r1 candidates; each report row keys an outer r2
     # and stores the worst genuine pair r1 < r2.
     inner = np.linspace(R / n_grid, R, n_grid)
-    vf1 = _cum_integral(lambda t: weighted_area(s, t), inner)
-    vm1 = _cum_integral(lambda t: area_model(mspace, t), inner)
+    vf1, vm1 = _volumes(s, mspace, inner)
 
     def eval_on(rs):
-        vf2 = _cum_integral(lambda t: weighted_area(s, t), rs)
-        vm2 = _cum_integral(lambda t: area_model(mspace, t), rs)
+        vf2, vm2 = _volumes(s, mspace, rs)
         lhs = np.empty(len(rs))
         rhs = np.empty(len(rs))
         for j, r2 in enumerate(rs):
@@ -675,7 +658,7 @@ def check_absolute_volume_negH(s: WarpedSMMS, H: float, k: float | None = None,
     """
     if H >= 0.0:
         raise ValueError(f"this bound requires H < 0, got H={H}")
-    k = _resolve_k(s, k)
+    k = _resolve(s, "k", k)
     sqh = math.sqrt(-H)
     if R_grid is None:
         hi = min(s.r_interior_hi, 3.5 / sqh)
@@ -705,8 +688,8 @@ def check_absolute_volume_negH(s: WarpedSMMS, H: float, k: float | None = None,
 # ---------------------------------------------------------------------------
 
 def volume_ratio_profile(s: WarpedSMMS, H: float, radii, bound: str = "a",
-                         const: float | None = None, mode: str = "radial",
-                         l: float | None = None) -> np.ndarray:
+                         const: float | None = None,
+                         mode: str = "radial") -> np.ndarray:
     """D(r) = [V_f(r)/V_model(r)] exp{-int_0^r (e^{clt}-1) A_m/V_m dt}.
 
     Nonincreasing in r whenever the volume comparison holds; this is the
@@ -716,9 +699,7 @@ def volume_ratio_profile(s: WarpedSMMS, H: float, radii, bound: str = "a",
     if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be positive and strictly increasing")
     mspace, c, _ = _bound_model(s, H, bound, const)
-    if l is None:
-        l = integral_rho(s, H, float(radii[-1]), mode)
-    vf = _cum_integral(lambda t: weighted_area(s, t), radii)
-    vm = _cum_integral(lambda t: area_model(mspace, t), radii)
+    l = integral_rho(s, H, float(radii[-1]), mode)
+    vf, vm = _volumes(s, mspace, radii)
     corr = _exp_correction(mspace, c * l, radii)
     return vf / vm * np.exp(-corr)

@@ -100,14 +100,15 @@ def myers_bound_indexform(n: int, H: float, k: float, l: float) -> float:
     return 2.0 * math.pi / math.sqrt(H) * math.sqrt(inner) + 2.0 * l / ((n - 1) * H)
 
 
-def _chord_caveat(s: WarpedSMMS, n_grid: int = 256) -> bool:
+def _chord_caveat(s: WarpedSMMS) -> bool:
     """True when some sphere-fiber route bound exceeds the pole distance.
 
     For any pair of points one of the two pole routes has length at most
     r_max, so the flag is conservative; it marks strongly bumped profiles
-    for inspection rather than certifying a larger diameter.
+    for inspection rather than certifying a larger diameter.  Checked at 256
+    interior radii.
     """
-    rs = np.linspace(s.r_max / n_grid, s.r_max * (1 - 1.0 / n_grid), n_grid)
+    rs = np.linspace(s.r_max / 256, s.r_max * (1 - 1.0 / 256), 256)
     w = np.asarray(s.w.eval(rs))
     route = np.minimum(np.minimum(2 * rs, 2 * (s.r_max - rs)), math.pi * w)
     return bool(np.any(route > s.r_max + 1e-9))
@@ -120,8 +121,7 @@ def actual_diameter(s: WarpedSMMS) -> float:
     return s.r_max
 
 
-def index_form_total(s: WarpedSMMS, L: float,
-                     tol: Tolerance | None = None) -> float:
+def index_form_total(s: WarpedSMMS, L: float) -> float:
     """Second-variation index sum along a radial geodesic of length L.
 
     int_0^L [(n-1) phi'^2 - phi^2 Ric(d_r, d_r)] dt with phi = sin(pi t / L);
@@ -130,7 +130,6 @@ def index_form_total(s: WarpedSMMS, L: float,
     L = float(L)
     if not 0.0 < L <= s.r_max:
         raise ValueError(f"require 0 < L <= r_max={s.r_max}, got {L}")
-    tol = tol or Tolerance(abs_tol=1e-10, rel_tol=1e-10)
     w = math.pi / L
 
     def integrand(t: float) -> float:
@@ -139,7 +138,8 @@ def index_form_total(s: WarpedSMMS, L: float,
         tc = min(max(t, s.r_interior_lo), s.r_interior_hi)
         return (s.n - 1.0) * dphi * dphi - phi * phi * float(_ricci(s, tc))
 
-    value, _ = quad_adaptive(integrand, 0.0, L, tol)
+    value, _ = quad_adaptive(integrand, 0.0, L,
+                             Tolerance(abs_tol=1e-10, rel_tol=1e-10))
     return value
 
 

@@ -180,8 +180,7 @@ def _first_eigenvalue(coeff, n: int, R: float, tol: Tolerance):
     moves more than half the step before last, it is pushed a guard width
     (a quarter of the tolerance) past the root estimate once it would move
     less than that, so that the bracket closes, and it stays a guard width
-    inside the ends.  Returns lam, the bracket, theta(R) - pi at its ends
-    and the (phi, phi') trajectory at lam.
+    inside the ends.  Returns the result of the (phi, phi') shoot at lam.
     """
     def g(lam: float) -> float:
         return _prufer_angle(coeff, n, lam, R) - math.pi
@@ -220,16 +219,16 @@ def _first_eigenvalue(coeff, n: int, R: float, tol: Tolerance):
 
     lam = hi - g_hi * (hi - lo) / (g_hi - g_lo)
     traj = _shoot(coeff, n, lam, R, _ODE_TOL)
-    return lam, (lo, hi), (g_lo, g_hi), traj
+    return _sample_result(lam, (lo, hi), (g_lo, g_hi), traj, R, tol)
 
 
-def _sample_result(lam, bracket, g_ends, traj, R: float, tol: Tolerance,
-                   n_samples: int = 129) -> EigenResult:
-    rs = np.linspace(0.0, R, n_samples)
-    phis = np.empty(n_samples)
+def _sample_result(lam, bracket, g_ends, traj, R: float, tol: Tolerance) -> EigenResult:
+    """The eigenfunction at 129 radii, r_half and the residual bound."""
+    rs = np.linspace(0.0, R, 129)
+    phis = np.empty(len(rs))
     phis[0] = 1.0
     t0 = traj.t0
-    for i in range(1, n_samples):
+    for i in range(1, len(rs)):
         phis[i] = 1.0 if rs[i] <= t0 else float(traj.at(rs[i])[0])
     phi_R, dphi_R = traj.terminal()
     local_errors = traj.errors * (_ODE_TOL.abs_tol
@@ -239,7 +238,7 @@ def _sample_result(lam, bracket, g_ends, traj, R: float, tol: Tolerance,
 
     # First radius with phi = 1/2 (phi decreases from 1 toward 0).
     below = phis <= 0.5
-    idx = int(np.argmax(below)) if below.any() else n_samples - 1
+    idx = int(np.argmax(below)) if below.any() else len(rs) - 1
     idx = max(idx, 1)
     lo, hi = rs[idx - 1], rs[idx]
     for _ in range(80):
@@ -273,8 +272,7 @@ def model_eigenvalue(n: int, a: float, H: float, R: float,
     def coeff(t: float) -> float:
         return mean_curvature_model(float(n), H, t) + a
 
-    lam, bracket, g_ends, traj = _first_eigenvalue(coeff, n, R, tol)
-    return _sample_result(lam, bracket, g_ends, traj, R, tol)
+    return _first_eigenvalue(coeff, n, R, tol)
 
 
 def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
@@ -288,12 +286,11 @@ def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
     def coeff(t: float) -> float:
         return float(mean_curvature_f(s, t))
 
-    lam, bracket, g_ends, traj = _first_eigenvalue(coeff, s.n, R, tol)
-    return _sample_result(lam, bracket, g_ends, traj, R, tol)
+    return _first_eigenvalue(coeff, s.n, R, tol)
 
 
 def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
-                                 R: float, tol: Tolerance = EIGEN_TOL) -> float:
+                                 R: float) -> float:
     """Rayleigh quotient on ``s`` of the transplanted model eigenfunction.
 
     Q = int phi'^2 A_f dr / int phi^2 A_f dr with phi the model
@@ -302,7 +299,7 @@ def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
     """
     if R >= s.r_max:
         raise ValueError(f"require R < r_max={s.r_max}, got {R}")
-    res = model_eigenvalue(n, a, H, R, tol)
+    res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
     traj = _shoot(lambda t: mean_curvature_model(float(n), H, t) + a,
                   n, res.lam, R, _ODE_TOL)
     t0 = traj.t0

@@ -47,7 +47,7 @@ class SubdivisionLimitError(KernelError):
     """Adaptive quadrature hit its recursion cap with tolerance unmet."""
 
 
-class BracketError(ValueError):
+class BracketError(KernelError):
     """Root-finding endpoints do not enclose a sign change."""
 
 
@@ -291,8 +291,10 @@ def _composite_segments(f, a: np.ndarray, b: np.ndarray, panels: int) -> np.ndar
     return (b - a) / (6.0 * panels) * (y[:, 0] + y[:, -1] + 4.0 * odd + 2.0 * even)
 
 
-def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
-              max_doublings: int = 16):
+_MAX_GRID_DOUBLINGS = 16
+
+
+def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     """Per-segment integrals of a vectorized integrand over consecutive edges.
 
     Adaptive Simpson in breadth-first form: each segment doubles its panel
@@ -319,7 +321,7 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
     active = err > np.maximum(share, rel_tol * np.abs(cur))
 
     panels = 4
-    for _ in range(max_doublings):
+    for _ in range(_MAX_GRID_DOUBLINGS):
         if not active.any():
             return out, err
         panels *= 2
@@ -332,7 +334,7 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
         active[:] = False
         active[idx[err_idx > np.maximum(share[idx], rel_tol * np.abs(nxt))]] = True
     raise SubdivisionLimitError(
-        f"quad_grid: {max_doublings} panel doublings did not meet tolerance")
+        f"quad_grid: {_MAX_GRID_DOUBLINGS} panel doublings did not meet tolerance")
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,7 @@ def ricci_radial(s: WarpedSMMS, r):
 def bakry_emery_radial(s: WarpedSMMS, r):
     """Radial Bakry-Emery curvature Ric(d_r,d_r) + f''."""
     _check_open_interval(s, r, "bakry_emery_radial")
-    rc = _clamp_interior(s, r)
-    return _scalar(_ricci(s, rc) + s.f.d2(rc))
+    return _scalar(_ricci_f(s, _clamp_interior(s, r), "radial"))
 
 
 def _tangential_f(s: WarpedSMMS, rc):
@@ -247,12 +246,19 @@ def _tangential_f(s: WarpedSMMS, rc):
     return ric_tan + s.f.d1(rc) * w1 / w
 
 
+def _ricci_f(s: WarpedSMMS, rc, mode: str):
+    """Ric_f(d_r, d_r) = Ric + f'' at clamped radii ``rc``; in ``full`` mode
+    the smaller of it and the tangential value."""
+    lam = _ricci(s, rc) + s.f.d2(rc)
+    if mode == "full":
+        lam = np.minimum(lam, _tangential_f(s, rc))
+    return lam
+
+
 def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
     """Smallest eigenvalue of Ric_f: min of radial and tangential values."""
     _check_open_interval(s, r, "ricci_f_smallest_eigenvalue")
-    rc = _clamp_interior(s, r)
-    radial = _ricci(s, rc) + s.f.d2(rc)
-    return _scalar(np.minimum(radial, _tangential_f(s, rc)))
+    return _scalar(_ricci_f(s, _clamp_interior(s, r), "full"))
 
 
 def mean_curvature_f(s: WarpedSMMS, r):
@@ -277,11 +283,7 @@ def mean_curvature_f(s: WarpedSMMS, r):
 
 
 def _rho_clamped(s: WarpedSMMS, H: float, r, mode: str):
-    rc = _clamp_interior(s, r)
-    lam = _ricci(s, rc) + s.f.d2(rc)
-    if mode == "full":
-        lam = np.minimum(lam, _tangential_f(s, rc))
-    return np.maximum(0.0, (s.n - 1.0) * H - lam)
+    return np.maximum(0.0, (s.n - 1.0) * H - _ricci_f(s, _clamp_interior(s, r), mode))
 
 
 def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
@@ -297,8 +299,7 @@ def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
     return _scalar(_rho_clamped(s, H, r, mode))
 
 
-def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial",
-                 tol: Tolerance | None = None) -> float:
+def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
     """Excess integral along the radial segment, truncated at r_max."""
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
@@ -307,19 +308,19 @@ def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial",
     upper = min(float(r), s.r_max)
     if upper == 0.0:
         return 0.0
-    tol = tol or Tolerance(abs_tol=1e-10, rel_tol=1e-10)
     # Breadth-first adaptive Simpson; subdivided edges keep the panel
     # doubling shallow across the kinks of the positive part.
     edges = np.linspace(0.0, upper, 33)
-    segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode), edges,
-                        abs_tol=tol.abs_tol, rel_tol=tol.rel_tol)
+    segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode), edges)
     return float(segs.sum())
 
 
-def potential_bounds(s: WarpedSMMS, rel_change: float = 1e-9,
-                     n0: int = 257, max_rounds: int = 6) -> PotentialBounds:
-    """Sup-norms of f and f' over a refinement-controlled grid on [0, r_max]."""
-    n = n0
+def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
+    """Sup-norms of f and f' over a refinement-controlled grid on [0, r_max]:
+    257 points, doubled until k, a and grad change by at most 1e-9 relative,
+    at most six times."""
+    n = 257
+    max_rounds = 6
     prev = None
     while True:
         grid = np.linspace(0.0, s.r_max, n)
@@ -330,7 +331,7 @@ def potential_bounds(s: WarpedSMMS, rel_change: float = 1e-9,
         grad = float(np.max(np.abs(f1)))
         cur = (k, a, grad)
         if prev is not None:
-            if all(abs(c - p) <= rel_change * (1.0 + abs(c)) for c, p in zip(cur, prev)):
+            if all(abs(c - p) <= 1e-9 * (1.0 + abs(c)) for c, p in zip(cur, prev)):
                 break
             max_rounds -= 1
             if max_rounds <= 0:
@@ -348,15 +349,15 @@ def weighted_area(s: WarpedSMMS, r):
     return _scalar(sphere_area(s.n) * s.w.eval(r) ** (s.n - 1.0) * np.exp(-s.f.eval(r)))
 
 
-def weighted_volume(s: WarpedSMMS, R: float, tol: Tolerance | None = None) -> float:
+def weighted_volume(s: WarpedSMMS, R: float) -> float:
     """Weighted volume of the R-ball about the pole."""
     R = float(R)
     if R < 0.0 or R > s.r_max * (1 + 1e-12):
         raise ValueError(f"weighted_volume requires 0 <= R <= r_max={s.r_max}")
     if R == 0.0:
         return 0.0
-    tol = tol or Tolerance(abs_tol=1e-10, rel_tol=1e-10)
-    value, _ = quad_adaptive(lambda t: float(weighted_area(s, t)), 0.0, R, tol)
+    value, _ = quad_adaptive(lambda t: float(weighted_area(s, t)), 0.0, R,
+                             Tolerance(abs_tol=1e-10, rel_tol=1e-10))
     return value
 
 

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from smmskit import eigen
+from smmskit import comparison, eigen
 from smmskit.cli import CHECK_IDS, main
+from smmskit.numkit import BracketError
 
 REQUIRED_TOP = {"tool_version", "spec", "checks", "verdict"}
 REQUIRED_CHECK = {"theorem_id", "params", "min_margin", "pass"}
@@ -169,6 +170,17 @@ class TestCsvExport:
         assert all(len(row) == 4 for row in rows)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tid", ["MYERS", "CHENG"])
+    def test_report_without_grid_refuses_csv(self, capsys, tmp_path, tid):
+        out = tmp_path / "grid.csv"
+        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid],
+                     "--format", "csv", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--format" in captured.err and tid in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_json_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["check", "--space", "euclidean", "--n", "3", "--theorem",
@@ -179,14 +191,16 @@ class TestCsvExport:
         capsys.readouterr()
 
 
+CUSTOM_SPEC = {"n": 3,
+               "custom": {"w": {"type": "poly", "coeffs": [0.0, 1.0]},
+                          "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.05]},
+                          "r_max": 3.0, "closed": False}}
+
+
 class TestCustomSpace:
     def test_custom_profile_file(self, capsys, tmp_path):
-        spec = {"n": 3,
-                "custom": {"w": {"type": "poly", "coeffs": [0.0, 1.0]},
-                           "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.05]},
-                           "r_max": 3.0, "closed": False}}
         path = tmp_path / "space.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(CUSTOM_SPEC))
         code, report = run_json(
             ["check", "--custom", str(path), "--theorem", "MC_DRIFT",
              "--grid", "32"], capsys)
@@ -197,6 +211,38 @@ class TestCustomSpace:
         assert main(["check", "--custom", "/nonexistent.json",
                      "--theorem", "MC_DRIFT"]) == 2
         assert "custom" in capsys.readouterr().err
+
+    def test_space_parameter_rejected(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(CUSTOM_SPEC))
+        assert main(["check", "--custom", str(path), "--theorem", "MC_DRIFT",
+                     "--param", "r_max=2", "--grid", "32"]) == 2
+        captured = capsys.readouterr()
+        assert "--param" in captured.err and captured.out == ""
+
+    def test_space_parameter_range_rejected(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(CUSTOM_SPEC))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--custom", str(path), "--theorem", "MC_DRIFT",
+                     "--range", "r_max=2:3:3", "--grid", "32",
+                     "--out", str(out)]) == 2
+        assert "--range r_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_over_H_matches_single_checks(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(CUSTOM_SPEC))
+        common = ["--custom", str(path), "--theorem", "MC_DRIFT", "--grid", "32"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *common, "--range", "H=0:0.5:3", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "H,min_margin,verdict"
+        for line in lines[1:]:
+            H, margin, verdict = line.split(",")
+            _, report = run_json(["check", *common, "--H", H], capsys)
+            assert f"{report['checks'][0]['min_margin']:.17g}" == margin
+            assert report["verdict"] == verdict
 
 
 class TestOtherTheorems:
@@ -255,6 +301,19 @@ class TestBadInput:
     def test_no_command(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_numerical_failure_is_not_reported_as_malformed_input(self, capsys,
+                                                                  monkeypatch):
+        def no_bracket(*args, **kwargs):
+            raise BracketError("f(lo) and f(hi) have the same sign")
+
+        monkeypatch.setattr(comparison, "find_root_bracketed", no_bracket)
+        # An alpha no other test asks for: doubling_epsilon is memoized.
+        code = main(["check", *_FLAT, "--theorem", "DOUBLING", "--H", "1",
+                     "--alpha", "2.71828", "--R", "0.7", "--grid", "16"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numerical failure:") and "same sign" in err
 
 
 class TestSweep:

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import perturbed_euclidean, plateau_space
-from smmskit.comparison import (check_absolute_volume_negH, check_area_comparison,
-                                check_doubling, check_mc_bounded_f,
-                                check_mc_bounded_f_inner, check_mc_bounded_f_pi2,
-                                check_mc_drift, check_mc_rough, check_vol_r1,
-                                check_volume_absolute, check_volume_comparison,
-                                doubling_F, doubling_epsilon, volume_ratio_profile)
+from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
+                                check_area_comparison, check_doubling,
+                                check_mc_bounded_f, check_mc_bounded_f_inner,
+                                check_mc_bounded_f_pi2, check_mc_drift,
+                                check_mc_rough, check_vol_r1, check_volume_absolute,
+                                check_volume_comparison, doubling_F, doubling_epsilon,
+                                volume_ratio_profile)
 from smmskit.model import sn as model_sn, sn_prime as model_sn_prime
+from smmskit.numkit import KernelError
 from smmskit.smms import RadialProfile, WarpedSMMS, make_space
 
 
@@ -311,6 +313,13 @@ class TestDoubling:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError):
             doubling_epsilon(3, 0.0, 1.0, 1.0, k=0.0)
+
+    def test_violated_certificate_is_a_numerical_failure(self):
+        # exp(F) = e > alpha = 2: the root solve did not meet its target.
+        with pytest.raises(KernelError) as info:
+            DoublingCertificate(n=3, H=0.0, R=1.0, alpha=2.0, epsilon=1.0,
+                                F_at_epsilon=1.0)
+        assert not isinstance(info.value, ValueError)
 
 
 class TestAbsoluteVolumeNegH:

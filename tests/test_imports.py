@@ -1,0 +1,30 @@
+"""Every name a smmskit module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smmskit"
+_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Bound name -> line of each import, ``from __future__`` aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
