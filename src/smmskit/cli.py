@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -93,7 +94,9 @@ def _resolve_H(args, spec: SpaceSpec) -> float:
 
 
 def _eigen_tol(args) -> Tolerance:
-    return Tolerance(abs_tol=args.tol_abs, rel_tol=max(args.tol_rel, 1e-12))
+    """The eigen bracket tolerance; --tol-abs/--tol-rel reach CHENG and EIGEN only."""
+    return Tolerance(abs_tol=1e-8 if args.tol_abs is None else args.tol_abs,
+                     rel_tol=max(1e-6 if args.tol_rel is None else args.tol_rel, 1e-12))
 
 
 # Theorem id -> (flags it requires, runner(space, H, args) -> report).
@@ -142,24 +145,36 @@ _CHECKS = {
 CHECK_IDS = tuple(_CHECKS)
 
 
-def _emit(report: dict, args) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True)
+def _print(text: str) -> None:
+    """Write to stdout; a reader that closes the pipe early ends it quietly."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(report: dict, rep, args) -> None:
+    """The JSON report to --out or stdout.  With --format csv the grid or
+    samples CSV goes to --out, the report then to stdout, or to stdout alone."""
+    if args.format == "csv":
+        export = getattr(rep, "grid_csv", None) or getattr(rep, "samples_csv", None)
+        if export is None:
+            raise InputError(f"--format csv: a {rep.theorem_id} report has no grid "
+                             "or samples to export; use --format json")
+        if not args.out:
+            _print(export())
+            return
+        Path(args.out).write_text(export())
+        report["checks"][0]["grid_csv_path"] = str(Path(args.out))
+    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out and args.format == "json":
-        Path(args.out).write_text(payload + "\n")
+        Path(args.out).write_text(payload)
     else:
-        print(payload)
-
-
-def _export_grid(rep, check: dict, args) -> None:
-    if args.format != "csv" or not args.out:
-        return
-    export = getattr(rep, "grid_csv", None) or getattr(rep, "samples_csv", None)
-    if export is None:
-        raise InputError(f"--format csv: a {check['theorem_id']} report has no grid "
-                         "or samples to export; use --format json")
-    path = Path(args.out)
-    path.write_text(export())
-    check["grid_csv_path"] = str(path)
+        _print(payload)
 
 
 def run_spec_check(spec: SpaceSpec, theorem: str, args):
@@ -171,6 +186,10 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
     if tid not in _CHECKS:
         raise InputError(f"unknown theorem id {tid!r}; known: {', '.join(CHECK_IDS)}")
     required, runner = _CHECKS[tid]
+    for flag in ("tol_abs", "tol_rel"):
+        if getattr(args, flag) is not None and tid not in ("CHENG", "EIGEN"):
+            raise InputError(f"--{flag.replace('_', '-')}: theorem {tid} has no solver "
+                             "tolerance; only CHENG and EIGEN read it")
     H = _resolve_H(args, spec)
     if args.R is not None:
         cmp.require_admissible(tid, H, args.R)
@@ -232,8 +251,10 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=256, help="grid points")
     p.add_argument("--mode", choices=["radial", "full"], default="radial",
                    help="curvature excess mode")
-    p.add_argument("--tol-abs", dest="tol_abs", type=float, default=1e-8)
-    p.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-6)
+    p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None,
+                   help="eigenvalue bracket abs_tol (CHENG, EIGEN; default 1e-8)")
+    p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None,
+                   help="eigenvalue bracket rel_tol (CHENG, EIGEN; default 1e-6)")
     p.add_argument("--out", default=None, help="output file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -242,20 +263,20 @@ def _cmd_list_spaces(args) -> int:
     items = sorted(CATALOG.items())
     if args.json:
         payload = [{"name": name, **info} for name, info in items]
-        print(json.dumps(payload, indent=2))
+        _print(json.dumps(payload, indent=2) + "\n")
         return 0
+    lines = []
     for name, info in items:
-        print(f"{name}: {info['doc']}")
-        for pname, pdoc in info["params"].items():
-            print(f"    {pname}: {pdoc}")
+        lines.append(f"{name}: {info['doc']}")
+        lines.extend(f"    {pname}: {pdoc}" for pname, pdoc in info["params"].items())
+    _print("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_check(args) -> int:
     spec = _space_spec_from_args(args)
     report, code, rep = run_spec_check(spec, args.theorem, args)
-    _export_grid(rep, report["checks"][0], args)
-    _emit(report, args)
+    _emit(report, rep, args)
     return code
 
 
@@ -317,7 +338,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         Path(args.out).write_text(text)
     else:
-        print(text, end="")
+        _print(text)
 
     _, code = _overall([verdict for _, _, verdict, _ in rows])
     return code

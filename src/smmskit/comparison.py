@@ -29,8 +29,8 @@ import numpy as np
 
 from .model import (ModelSpace, area_model, c_const,
                     mean_curvature_model, sn, volume_model)
-from .numkit import (KernelError, StepLimitError, Tolerance, find_root_bracketed,
-                     integrate_ode, quad_grid, sphere_area)
+from .numkit import (KernelError, Tolerance, find_root_bracketed, integrate_ode,
+                     quad_grid, sphere_area)
 from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
@@ -442,10 +442,10 @@ def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None, grid=None,
 
 def _model(n: int, H: float, k: float | None = None,
            a: float | None = None) -> tuple[ModelSpace, float]:
-    """Model space and exp-rate multiplier c: the n+4k model with c(n, k, H)
+    """Model space and exp-rate multiplier c: the n+4k model with c(n, k)
     when k is given, the drifted n-model with c = 1 otherwise."""
     if k is not None:
-        return ModelSpace(dim=n + 4.0 * k, H=H, drift=0.0), c_const(n, k, H)
+        return ModelSpace(dim=n + 4.0 * k, H=H, drift=0.0), c_const(n, k)
     return ModelSpace(dim=float(n), H=H, drift=float(a)), 1.0
 
 
@@ -556,7 +556,7 @@ def doubling_F(n: int, H: float, R: float, sigma: float,
                k: float | None = None, a: float | None = None) -> float:
     """F(sigma) = int_0^R (e^{c sigma t} - 1) A_model/V_model dt.
 
-    Bounded-potential mode (k given) uses the n+4k model and c(n,k,H);
+    Bounded-potential mode (k given) uses the n+4k model and c(n,k);
     drift mode (a given) uses the drifted n-model and c = 1.  F(0) = 0
     exactly.
     """
@@ -578,7 +578,10 @@ _SIGMA_CAP = 1e9
 def doubling_epsilon(n: int, H: float, R: float, alpha: float,
                      k: float | None = None,
                      a: float | None = None) -> DoublingCertificate:
-    """Threshold epsilon with e^{F(epsilon)} = alpha, by bracketed bisection."""
+    """Threshold epsilon with e^{F(epsilon)} = alpha, by ``find_root_bracketed``.
+
+    epsilon is the lower end of the closed bracket, so F(epsilon) < log alpha.
+    """
     if alpha <= 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     tid = "VOL_A" if k is not None else "VOL_B"
@@ -588,16 +591,11 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     def g(sigma: float) -> float:
         return doubling_F(n, H, R, sigma, k=k, a=a) - target
 
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > _SIGMA_CAP:
-            raise StepLimitError(f"no doubling bracket below sigma_cap={_SIGMA_CAP}")
-    eps = find_root_bracketed(g, 0.0, hi,
-                              Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_steps=300))
-    return DoublingCertificate(n=n, H=H, R=R, alpha=alpha, epsilon=float(eps),
-                               F_at_epsilon=doubling_F(n, H, R, eps, k=k, a=a),
-                               k=k, a=a)
+    root = find_root_bracketed(g, 0.0, 1.0,
+                               Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_steps=300),
+                               f_lo=-target, cap=_SIGMA_CAP)
+    return DoublingCertificate(n=n, H=H, R=R, alpha=alpha, epsilon=root.lo,
+                               F_at_epsilon=root.f_lo + target, k=k, a=a)
 
 
 def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,

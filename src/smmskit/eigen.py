@@ -37,14 +37,14 @@ import numpy as np
 
 from .comparison import Report, doubling_epsilon, require_admissible
 from .model import ModelSpace, mean_curvature_model, volume_model
-from .numkit import (KernelError, Tolerance, integrate_ode, quad_adaptive)
+from .numkit import (RootBracket, Tolerance, bracket_width, find_root_bracketed,
+                     integrate_ode, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
 __all__ = [
     "EigenResult",
     "ChengReport",
-    "EigenBracketError",
     "model_eigenvalue",
     "smms_radial_eigenvalue",
     "rayleigh_quotient_transplant",
@@ -55,10 +55,6 @@ __all__ = [
 
 EIGEN_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_steps=100_000)
 _ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_steps=200_000)
-
-
-class EigenBracketError(KernelError):
-    """No sign change found below the eigenvalue search cap."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class EigenResult(Report):
     def reason(self) -> str:
         """Why the solve does not certify the eigenvalue; empty when it does."""
         lo, hi = self.bracket
-        width = _bracket_width(self.tol, hi)
+        width = bracket_width(self.tol, hi)
         if not hi - lo <= width:
             return (f"bracket width {hi - lo:.6g} exceeds max(abs_tol, rel_tol *"
                     f" lambda_hi) = {width:.6g}")
@@ -130,11 +126,6 @@ class EigenResult(Report):
         return "\n".join(lines) + "\n"
 
 
-def _bracket_width(tol: Tolerance, lam_hi: float) -> float:
-    """Width at which the eigenvalue bracket is closed."""
-    return max(tol.abs_tol, tol.rel_tol * lam_hi)
-
-
 def _pole_start(n: int, lam: float, R: float):
     """Start radius and (phi, phi') there from the regular-singular pole series."""
     r0 = 1e-6 * R
@@ -170,91 +161,49 @@ def _prufer_angle(coeff, n: int, lam: float, R: float) -> float:
 
 
 def _first_eigenvalue(coeff, n: int, R: float, tol: Tolerance):
-    """Root of theta(R; lam) = pi, bracketed, then the shoot at the root.
+    """Root of theta(R; lam) = pi by ``find_root_bracketed``, then one shoot.
 
     lam = 0 gives phi = 1 and theta = pi/2 with no shoot.  The upper end
-    starts at pi^2/R^2 and moves up by twice the secant extrapolation, and
-    by at least half of itself, until theta(R) >= pi.  Inside the bracket
-    each shoot is the secant point of the last two shoots, safeguarded as in
-    Brent's method: it becomes the midpoint when it leaves the bracket or
-    moves more than half the step before last, it is pushed a guard width
-    (a quarter of the tolerance) past the root estimate once it would move
-    less than that, so that the bracket closes, and it stays a guard width
-    inside the ends.  Returns the result of the (phi, phi') shoot at lam.
+    starts at pi^2/R^2 and may grow up to 2^40 times that.  Returns the
+    result of the (phi, phi') shoot at the secant point of the final bracket.
     """
     def g(lam: float) -> float:
         return _prufer_angle(coeff, n, lam, R) - math.pi
 
-    lo, g_lo = 0.0, -0.5 * math.pi
     hi = math.pi ** 2 / R ** 2
-    cap = hi * 2.0 ** 40
-    g_hi = g(hi)
-    while g_hi < 0.0:
-        reach = -g_hi * (hi - lo) / (g_hi - g_lo) if g_hi > g_lo else hi
-        lo, g_lo = hi, g_hi
-        hi += max(2.0 * reach, 0.5 * hi)
-        if hi > cap:
-            raise EigenBracketError(
-                f"no Dirichlet zero below lambda cap {cap:.6g}")
-        g_hi = g(hi)
-
-    prev, last = (lo, g_lo), (hi, g_hi)
-    steps = [math.inf, math.inf]
-    while hi - lo > _bracket_width(tol, hi):
-        guard = 0.25 * _bracket_width(tol, hi)
-        (x0, g0), (x1, g1) = prev, last
-        lam = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else lo
-        if not lo < lam < hi or abs(lam - x1) > 0.5 * steps[-2]:
-            lam = 0.5 * (lo + hi)
-        elif abs(lam - x1) < guard:
-            lam += guard if g1 < 0.0 else -guard
-        lam = min(max(lam, lo + guard), hi - guard)
-        g_lam = g(lam)
-        if g_lam >= 0.0:
-            hi, g_hi = lam, g_lam
-        else:
-            lo, g_lo = lam, g_lam
-        steps.append(abs(lam - x1))
-        prev, last = last, (lam, g_lam)
-
-    lam = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-    traj = _shoot(coeff, n, lam, R, _ODE_TOL)
-    return _sample_result(lam, (lo, hi), (g_lo, g_hi), traj, R, tol)
+    root = find_root_bracketed(g, 0.0, hi, tol, f_lo=-0.5 * math.pi,
+                               cap=hi * 2.0 ** 40)
+    traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
+    return _sample_result(root, traj, R, tol)
 
 
-def _sample_result(lam, bracket, g_ends, traj, R: float, tol: Tolerance) -> EigenResult:
+def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance) -> EigenResult:
     """The eigenfunction at 129 radii, r_half and the residual bound."""
+    def phi(r: float) -> float:
+        return 1.0 if r <= traj.t0 else float(traj.at(r)[0])
+
     rs = np.linspace(0.0, R, 129)
-    phis = np.empty(len(rs))
-    phis[0] = 1.0
-    t0 = traj.t0
-    for i in range(1, len(rs)):
-        phis[i] = 1.0 if rs[i] <= t0 else float(traj.at(rs[i])[0])
+    phis = np.array([phi(r) for r in rs])
     phi_R, dphi_R = traj.terminal()
     local_errors = traj.errors * (_ODE_TOL.abs_tol
                                   + _ODE_TOL.rel_tol * np.abs(traj.ys).max(axis=1))
-    residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(g) for g in g_ends)
+    residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(root.f_lo), abs(root.f_hi))
                       + float(local_errors.sum()))
 
     # First radius with phi = 1/2 (phi decreases from 1 toward 0).
-    below = phis <= 0.5
-    idx = int(np.argmax(below)) if below.any() else len(rs) - 1
-    idx = max(idx, 1)
-    lo, hi = rs[idx - 1], rs[idx]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(traj.at(mid)[0]) > 0.5:
-            lo = mid
-        else:
-            hi = mid
-    r_half = 0.5 * (lo + hi)
+    below = np.flatnonzero(phis <= 0.5)
+    r_half = R
+    if len(below):  # phis[0] = 1; closed near the resolution of doubles
+        i = below[0]
+        r_half = find_root_bracketed(lambda r: phi(r) - 0.5, rs[i - 1], rs[i],
+                                     Tolerance(1e-15, 1e-15), f_lo=phis[i - 1] - 0.5).root
 
-    return EigenResult(lam=float(lam), residual=abs(float(phi_R)),
+    return EigenResult(lam=root.root, residual=abs(float(phi_R)),
                        residual_bound=residual_bound,
                        samples=np.column_stack([rs, phis]),
-                       bracket=(float(bracket[0]), float(bracket[1])),
-                       theta_hi=float(g_ends[1]) + math.pi,
-                       r_half=float(r_half), tol=tol)
+                       bracket=(root.lo, root.hi),
+                       theta_hi=root.f_hi + math.pi,
+                       r_half=r_half, tol=tol)
 
 
 # Pure and deterministic, so memoization only removes repeated solves

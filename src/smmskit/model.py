@@ -174,7 +174,7 @@ def volume_model(m: ModelSpace, R: float, tol: Tolerance = DEFAULT_TOL) -> float
     return value
 
 
-def c_const(n: int, k: float, H: float | None = None) -> float:
+def c_const(n: int, k: float) -> float:
     """Sphere-area ratio area(S^{n+4k-1}) / area(S^{n-1}); 1 exactly at k=0."""
     if n < 2:
         raise ValueError(f"c_const requires n >= 2, got {n}")

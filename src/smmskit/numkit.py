@@ -1,15 +1,17 @@
 """Deterministic numerical kernels.
 
 Embedded Runge-Kutta 4(5) integration with dense output, adaptive Simpson
-quadrature, bracketed root finding, a real-argument Gamma function and
-unit-sphere areas.  Every routine is a pure function of its inputs, so
-results are reproducible and safe to evaluate concurrently.
+quadrature, safeguarded-secant root finding with bracket growth, a
+real-argument Gamma function and unit-sphere areas.  Every routine is a pure
+function of its inputs, so results are reproducible and safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,8 @@ __all__ = [
     "integrate_ode",
     "quad_adaptive",
     "quad_grid",
+    "RootBracket",
+    "bracket_width",
     "find_root_bracketed",
     "gamma_real",
     "sphere_area",
@@ -338,50 +342,77 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
 
 
 # ---------------------------------------------------------------------------
-# Bracketed root finding: bisection with a secant probe per iteration.
+# Bracketed root finding: safeguarded secant with bracket growth.
 # ---------------------------------------------------------------------------
 
-def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Root of ``f`` in [lo, hi] given ``f(lo) * f(hi) <= 0``.
+class RootBracket(NamedTuple):
+    """Closed bracket [lo, hi] with f at its ends and ``root``, its secant point."""
 
-    Bisection guarantees convergence; a secant candidate is probed each
-    iteration for early ``|f| <= abs_tol`` termination.  Returns ``x`` with
-    bracket width <= abs_tol or ``|f(x)| <= abs_tol``.
+    root: float
+    lo: float
+    hi: float
+    f_lo: float
+    f_hi: float
+
+
+def bracket_width(tol: Tolerance, hi: float) -> float:
+    """Width at which a root bracket with upper end ``hi`` is closed."""
+    return max(tol.abs_tol, tol.rel_tol * abs(hi))
+
+
+def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
+                        f_lo: float | None = None,
+                        cap: float | None = None) -> RootBracket:
+    """Root of ``f`` above ``lo``, closed to ``bracket_width(tol, hi)``.
+
+    ``f_lo`` may be passed when f(lo) is known; f may rise or fall.  While
+    f(hi) has the sign of f(lo), lo takes hi and hi grows by twice the secant
+    extrapolation, and by at least half of its distance from the first lo,
+    up to ``cap`` (default: no growth).  Inside the bracket each point is the
+    secant point of the last two, safeguarded as in Brent's method: it
+    becomes the midpoint when it leaves the bracket or moves more than half
+    the step before last, it is pushed a guard width (a quarter of the
+    closing width) past the root estimate once it would move less than that,
+    so that the bracket closes, and it stays a guard width inside the ends.
     """
     lo, hi = float(lo), float(hi)
-    if lo > hi:
-        raise ValueError(f"require lo <= hi, got [{lo}, {hi}]")
-    flo = float(f(lo))
-    if abs(flo) <= tol.abs_tol:
-        return lo
-    fhi = float(f(hi))
-    if abs(fhi) <= tol.abs_tol:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
+    if not lo < hi:
+        raise ValueError(f"require lo < hi, got [{lo}, {hi}]")
+    start, cap = lo, (hi if cap is None else float(cap))
+    f_lo = float(f(lo)) if f_lo is None else float(f_lo)
+    if f_lo == 0.0:
+        return RootBracket(lo, lo, lo, 0.0, 0.0)
+    sign = math.copysign(1.0, f_lo)  # sign * f > 0 on the lo side of the root
+    f_hi = float(f(hi))
+    while sign * f_hi > 0.0:
+        reach = (-f_hi * (hi - lo) / (f_hi - f_lo) if abs(f_hi) < abs(f_lo)
+                 else hi - start)
+        lo, f_lo = hi, f_hi
+        hi += max(2.0 * reach, 0.5 * (hi - start))
+        if hi > cap:
+            raise BracketError(f"no sign change of f up to {lo:.6g} (cap {cap:.6g})")
+        f_hi = float(f(hi))
 
+    x0, g0, x1, g1 = lo, f_lo, hi, f_hi
+    step_before = step_last = math.inf
     for _ in range(tol.max_steps):
-        if fhi != flo:
-            xs = hi - fhi * (hi - lo) / (fhi - flo)
-            if lo < xs < hi:
-                fxs = float(f(xs))
-                if abs(fxs) <= tol.abs_tol:
-                    return xs
-                if flo * fxs < 0.0:
-                    hi, fhi = xs, fxs
-                else:
-                    lo, flo = xs, fxs
-
-        mid = 0.5 * (lo + hi)
-        fmid = float(f(mid))
-        if abs(fmid) <= tol.abs_tol:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
+        width = bracket_width(tol, hi)
+        if hi - lo <= width:
+            return RootBracket(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo, hi, f_lo, f_hi)
+        guard = 0.25 * width
+        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else lo
+        if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
+            x = 0.5 * (lo + hi)
+        elif abs(x - x1) < guard:
+            x += guard if sign * g1 > 0.0 else -guard
+        x = min(max(x, lo + guard), hi - guard)
+        fx = float(f(x))
+        if sign * fx > 0.0:
+            lo, f_lo = x, fx
         else:
-            lo, flo = mid, fmid
-        if hi - lo <= tol.abs_tol:
-            return lo if abs(flo) < abs(fhi) else hi
+            hi, f_hi = x, fx
+        step_before, step_last = step_last, abs(x - x1)
+        x0, g0, x1, g1 = x1, g1, x, fx
     raise StepLimitError(f"root finder exceeded {tol.max_steps} iterations")
 
 

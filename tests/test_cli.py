@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smmskit
 from smmskit import comparison, eigen
 from smmskit.cli import CHECK_IDS, main
 from smmskit.numkit import BracketError
@@ -180,6 +185,43 @@ class TestCsvExport:
         assert "--format" in captured.err and tid in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("tid, header", [("MC_DRIFT", "r,lhs,rhs,margin"),
+                                             ("EIGEN", "r,phi")])
+    def test_csv_without_out_goes_to_stdout(self, capsys, tid, header):
+        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid], "--format", "csv"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == header
+        assert len(lines) > 2 and all(len(line.split(",")) == len(header.split(","))
+                                      for line in lines[1:])
+
+    @pytest.mark.parametrize("tid", ["MYERS", "CHENG"])
+    def test_report_without_grid_refuses_csv_to_stdout(self, capsys, tid):
+        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid], "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--format" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("read_bytes", [0, 16])
+    def test_closed_stdout_exits_quietly_with_the_check_code(self, read_bytes):
+        # Well over a pipe buffer of CSV, so the writer meets the closed pipe;
+        # read_bytes = 0 closes the pipe before the first write.
+        argv = [sys.executable, "-m", "smmskit", "check", "--theorem", "MC_DRIFT",
+                *_FLAT, "--grid", "4000", "--format", "csv"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(smmskit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        r, w = os.pipe()
+        if not read_bytes:
+            os.close(r)
+        proc = subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=env)
+        os.close(w)
+        if read_bytes:
+            assert os.read(r, read_bytes).startswith(b"r,lhs,rhs,margin")
+            os.close(r)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
     def test_json_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -379,6 +421,23 @@ class TestEigenReports:
         assert code == 1 and report["verdict"] == "FAIL"
         check = report["checks"][0]
         assert check["pass"] is False and "residual" in check["reason"]
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    @pytest.mark.parametrize("tid", ["MC_DRIFT", "DOUBLING", "MYERS"])
+    def test_tolerance_flags_rejected_where_nothing_reads_them(self, capsys, flag, tid):
+        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid], flag, "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {flag}:") and tid in captured.err
+        assert captured.out == ""
+
+    def test_tolerance_flags_accepted_by_eigen_and_cheng(self, capsys):
+        for tid in ("EIGEN", "CHENG"):
+            code, report = run_json(["check", "--theorem", tid, *CHECK_ARGV[tid],
+                                     "--tol-abs", "1e-7", "--tol-rel", "1e-5"], capsys)
+            assert code == 0
+            check = report["checks"][0]
+            assert (check["tol_abs"], check["tol_rel"]) == (1e-7, 1e-5)
 
     def test_tol_abs_reaches_the_eigen_bracket(self, capsys):
         widths = []

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean, plateau_space
+from smmskit import comparison
 from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 check_area_comparison, check_doubling,
                                 check_mc_bounded_f, check_mc_bounded_f_inner,
@@ -309,6 +311,25 @@ class TestDoubling:
         rep = check_doubling(s, 1.0, 2.0, R, n_grid=20)
         assert not rep.not_applicable
         assert rep.passed
+
+    def test_threshold_matches_brentq_in_few_evaluations(self, monkeypatch):
+        args = (3, 1.0, 0.5, 4.0)
+        target = math.log(4.0)
+        evals = []
+
+        def counted(*a, **k):
+            evals.append(a)
+            return doubling_F(*a, **k)
+
+        monkeypatch.setattr(comparison, "doubling_F", counted)
+        # The undecorated function: other tests may have cached this case.
+        cert = doubling_epsilon.__wrapped__(*args, a=0.1)
+        assert len(evals) <= 10
+        g_eps = doubling_F(3, 1.0, 0.5, cert.epsilon, a=0.1) - target
+        assert g_eps <= 0.0
+        oracle = brentq(lambda s: doubling_F(3, 1.0, 0.5, s, a=0.1) - target,
+                        0.0, 4.0, xtol=1e-15, rtol=1e-15)
+        assert abs(cert.epsilon - oracle) <= 1e-12
 
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError):

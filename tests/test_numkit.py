@@ -162,11 +162,11 @@ class TestQuadGrid:
 
 class TestFindRootBracketed:
     def test_cosine(self):
-        x = find_root_bracketed(math.cos, 0.0, 2.0, TIGHT)
+        x = find_root_bracketed(math.cos, 0.0, 2.0, TIGHT).root
         assert abs(x - math.pi / 2) < 1e-9
 
     def test_sqrt2(self):
-        x = find_root_bracketed(lambda t: t * t - 2.0, 0.0, 2.0, TIGHT)
+        x = find_root_bracketed(lambda t: t * t - 2.0, 0.0, 2.0, TIGHT).root
         assert abs(x - math.sqrt(2.0)) < 1e-9
 
     def test_invalid_bracket(self):
@@ -174,7 +174,58 @@ class TestFindRootBracketed:
             find_root_bracketed(lambda t: t * t + 1.0, -1.0, 1.0)
 
     def test_endpoint_root(self):
-        assert find_root_bracketed(lambda t: t, 0.0, 1.0) == 0.0
+        assert find_root_bracketed(lambda t: t, 0.0, 1.0).root == 0.0
+
+    def test_decreasing_function(self):
+        res = find_root_bracketed(lambda t: 2.0 - t * t, 0.0, 2.0, TIGHT)
+        assert abs(res.root - math.sqrt(2.0)) < 1e-9
+        assert res.lo <= math.sqrt(2.0) <= res.hi
+        assert res.f_lo > 0.0 >= res.f_hi
+
+    def test_known_f_lo_is_not_evaluated(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 0.3
+
+        res = find_root_bracketed(f, 0.0, 1.0, TIGHT, f_lo=-0.3)
+        assert 0.0 not in calls
+        assert abs(res.root - 0.3) < 1e-12
+
+    def test_growth_to_a_root_far_above_hi(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.log(t) - math.log(5e3)
+
+        res = find_root_bracketed(f, 1.0, 2.0, TIGHT, cap=1e6)
+        assert res.lo <= 5e3 <= res.hi
+        assert abs(res.root - 5e3) < 1e-9 * 5e3
+        assert res.f_lo < 0.0 <= res.f_hi
+        assert len(calls) < 40
+
+    def test_bracket_error_past_the_cap(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 100.0
+
+        with pytest.raises(BracketError):
+            find_root_bracketed(f, 0.0, 1.0, TIGHT, cap=50.0)
+        assert max(calls) <= 50.0
+
+    @pytest.mark.parametrize("root", [0.37, 370.0])
+    def test_closing_width(self, root):
+        tol = Tolerance(abs_tol=1e-6, rel_tol=1e-8)
+        res = find_root_bracketed(lambda t: math.expm1(t - root), 0.0, 1.0, tol,
+                                  cap=1e4)
+        assert res.lo <= root <= res.hi
+        assert res.hi - res.lo <= max(tol.abs_tol, tol.rel_tol * res.hi)
+        assert res.f_lo < 0.0 <= res.f_hi
+        assert res.lo <= res.root <= res.hi
 
 
 class TestGamma:
