@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -190,6 +191,8 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
         if getattr(args, flag) is not None and tid not in ("CHENG", "EIGEN"):
             raise InputError(f"--{flag.replace('_', '-')}: theorem {tid} has no solver "
                              "tolerance; only CHENG and EIGEN read it")
+    for name in _THEOREM_FLAGS:
+        _require_finite(f"--{name}", getattr(args, name))
     H = _resolve_H(args, spec)
     if args.R is not None:
         cmp.require_admissible(tid, H, args.R)
@@ -209,6 +212,12 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
     return report, code, rep
 
 
+def _require_finite(field: str, value) -> None:
+    """NaN and infinities are malformed input wherever a real is expected."""
+    if value is not None and not math.isfinite(value):
+        raise InputError(f"{field}: not a finite number: {value!r}")
+
+
 def _parse_params(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs or []:
@@ -219,6 +228,7 @@ def _parse_params(pairs: list[str]) -> dict:
             out[key] = float(val)
         except ValueError as exc:
             raise InputError(f"--param {key}: not a real number: {val!r}") from exc
+        _require_finite(f"--param {key}", out[key])
     return out
 
 
@@ -292,6 +302,8 @@ def _parse_range(text: str) -> tuple[str, np.ndarray]:
         count = int(parts[2])
     except ValueError as exc:
         raise InputError(f"--range {name}: malformed numbers in {body!r}") from exc
+    _require_finite(f"--range {name}", start)
+    _require_finite(f"--range {name}", stop)
     if count <= 0:
         raise InputError(f"--range {name}: count must be positive, got {count}")
     return name, np.linspace(start, stop, count)

@@ -14,6 +14,11 @@ n+4k and drifted models with the exp((e^{clt}-1) A/V) correction, the
 absolute-volume forms, doubling certificates e^{F(eps)} <= alpha, and the
 hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
+The correction E(r) = int_0^r (e^{clt}-1) A/V on the volume grids is one ODE
+solve per check; the doubling threshold's F(sigma) = E(R) at cl = c sigma is
+a dot product on the model's Gauss-Jacobi ``ratio_table``, certified at
+epsilon against a table with twice the nodes.
+
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
 radius of the check.
@@ -27,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import (ModelSpace, area_model, c_const,
-                    mean_curvature_model, sn, volume_model)
+from .model import (ModelSpace, area_model, c_const, mean_curvature_model,
+                    ratio_table, sn, volume_model)
 from .numkit import (KernelError, Tolerance, find_root_bracketed, integrate_ode,
                      quad_grid, sphere_area)
 from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
@@ -443,7 +448,9 @@ def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None, grid=None,
 def _model(n: int, H: float, k: float | None = None,
            a: float | None = None) -> tuple[ModelSpace, float]:
     """Model space and exp-rate multiplier c: the n+4k model with c(n, k)
-    when k is given, the drifted n-model with c = 1 otherwise."""
+    when k is given, the drifted n-model with c = 1 when a is."""
+    if (k is None) == (a is None):
+        raise ValueError("exactly one of k, a must be given")
     if k is not None:
         return ModelSpace(dim=n + 4.0 * k, H=H, drift=0.0), c_const(n, k)
     return ModelSpace(dim=float(n), H=H, drift=float(a)), 1.0
@@ -552,22 +559,46 @@ def check_vol_r1(s: WarpedSMMS, H: float, R: float, const: float | None = None,
 # Volume doubling.
 # ---------------------------------------------------------------------------
 
+# Legendre nodes of the threshold's A/V table; the certificate re-evaluates
+# F(epsilon) on a table with twice the nodes and accepts a relative
+# disagreement up to _TABLE_RTOL.
+_TABLE_NODES = 64
+_TABLE_RTOL = 1e-12
+
+
+def _doubling_table(n: int, H: float, R: float, k: float | None, a: float | None,
+                    nodes: int = _TABLE_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """(c t_i, W_i) with F(sigma) = sum_i W_i expm1(sigma c t_i)."""
+    mspace, c = _model(n, H, k, a)
+    t, W = ratio_table(mspace, R, nodes)
+    return c * t, W
+
+
+def _table_F(table: tuple[np.ndarray, np.ndarray], sigma: float) -> float:
+    ct, W = table
+    with np.errstate(over="ignore"):
+        return float(W @ np.expm1(sigma * ct))
+
+
+def _certify_table(table, fine, sigma: float) -> None:
+    """Raise unless F(sigma) on ``table`` agrees with the finer table ``fine``."""
+    F, F_fine = _table_F(table, sigma), _table_F(fine, sigma)
+    if not abs(F - F_fine) <= _TABLE_RTOL * abs(F_fine):
+        raise KernelError(f"doubling table unresolved at sigma={sigma:.17g}: "
+                          f"F={F!r} against {F_fine!r} on twice the nodes")
+
+
 def doubling_F(n: int, H: float, R: float, sigma: float,
                k: float | None = None, a: float | None = None) -> float:
     """F(sigma) = int_0^R (e^{c sigma t} - 1) A_model/V_model dt.
 
     Bounded-potential mode (k given) uses the n+4k model and c(n,k);
     drift mode (a given) uses the drifted n-model and c = 1.  F(0) = 0
-    exactly.
+    exactly.  A dot product on the model's ``ratio_table``.
     """
-    if (k is None) == (a is None):
-        raise ValueError("exactly one of k, a must be given")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
-        return 0.0
-    mspace, c = _model(n, H, k, a)
-    return float(_exp_correction(mspace, c * sigma, np.array([R]))[0])
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return _table_F(_doubling_table(n, H, R, k, a), sigma)
 
 
 # Largest sigma the doubling threshold's bracket search tries.
@@ -578,22 +609,22 @@ _SIGMA_CAP = 1e9
 def doubling_epsilon(n: int, H: float, R: float, alpha: float,
                      k: float | None = None,
                      a: float | None = None) -> DoublingCertificate:
-    """Threshold epsilon with e^{F(epsilon)} = alpha, by ``find_root_bracketed``.
+    """Threshold epsilon with e^{F(epsilon)} = alpha, by ``find_root_bracketed``
+    on one A/V table.
 
-    epsilon is the lower end of the closed bracket, so F(epsilon) < log alpha.
+    epsilon is the lower end of the closed bracket, so F(epsilon) < log alpha;
+    F(epsilon) is certified against a table with twice the nodes.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
     tid = "VOL_A" if k is not None else "VOL_B"
     require_admissible(tid, H, R)
     target = math.log(alpha)
-
-    def g(sigma: float) -> float:
-        return doubling_F(n, H, R, sigma, k=k, a=a) - target
-
-    root = find_root_bracketed(g, 0.0, 1.0,
+    table = _doubling_table(n, H, R, k, a)
+    root = find_root_bracketed(lambda sigma: _table_F(table, sigma) - target, 0.0, 1.0,
                                Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_steps=300),
                                f_lo=-target, cap=_SIGMA_CAP)
+    _certify_table(table, _doubling_table(n, H, R, k, a, 2 * _TABLE_NODES), root.lo)
     return DoublingCertificate(n=n, H=H, R=R, alpha=alpha, epsilon=root.lo,
                                F_at_epsilon=root.f_lo + target, k=k, a=a)
 

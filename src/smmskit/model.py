@@ -1,8 +1,9 @@
 """Constant-curvature model spaces and their drifted variants.
 
 All comparison checks are phrased against these closed forms: the
-generalized sine ``sn``, model mean curvature, and the (possibly drifted)
-areas and volumes of geodesic spheres and balls.  Curvature ``H`` is a raw
+generalized sine ``sn``, model mean curvature, the (possibly drifted)
+areas and volumes of geodesic spheres and balls, and a Gauss-Jacobi table
+of the area/volume ratio for integrals against A/V.  Curvature ``H`` is a raw
 real everywhere; the sign branch lives inside ``sn``.
 """
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, Tolerance, quad_adaptive, sphere_area
+from .numkit import (DEFAULT_TOL, NonFiniteError, Tolerance, gauss_jacobi,
+                     quad_adaptive, sphere_area)
 
 __all__ = [
     "ModelSpace",
@@ -23,6 +25,7 @@ __all__ = [
     "mean_curvature_model",
     "area_model",
     "volume_model",
+    "ratio_table",
     "c_const",
 ]
 
@@ -172,6 +175,37 @@ def volume_model(m: ModelSpace, R: float, tol: Tolerance = DEFAULT_TOL) -> float
         return 0.0
     value, _ = quad_adaptive(lambda t: area_model(m, t), 0.0, R, tol)
     return value
+
+
+def ratio_table(m: ModelSpace, R: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_i on (0, R) and weights W_i with
+
+        int_0^R g(t) A_m(t)/V_m(t) dt ~= sum_i W_i g(t_i)
+
+    for g(0) = 0 and g(t)/t smooth.  With psi(x) = e^{a x} (sn(x)/x)^{d-1}
+    and J(t) = int_0^1 psi(t v) v^{d-1} dv, A_m/V_m = q(t)/t for the
+    analytic q = psi/J, so the pole sits in g(t)/t, W_i = w_i q(t_i)/t_i
+    on ``nodes`` Gauss-Legendre points, and J is taken on 3/4 as many
+    Gauss-Jacobi points for v^{d-1} (any real d >= 1).  psi is used only
+    in ratios, in logarithms, so no factor overflows before sinh does.
+    """
+    R = float(R)
+    if not R > 0.0:
+        raise ValueError(f"ratio_table requires R > 0, got {R}")
+    _check_inside(m.H, R, "ratio_table")
+    x, w = gauss_jacobi(nodes, 0.0)
+    v, wv = gauss_jacobi(3 * nodes // 4, m.dim - 1.0)
+    t = R * x
+
+    def log_psi(r):
+        return m.drift * r + (m.dim - 1.0) * np.log(sn(m.H, r) / r)
+
+    # 1/q(t) = J(t)/psi(t) = sum_j wv_j psi(t v_j)/psi(t)
+    rel = np.exp(log_psi(np.outer(t, v)) - log_psi(t)[:, None])
+    W = w / x / (rel @ wv)
+    if not np.all(np.isfinite(W)):
+        raise NonFiniteError(f"area/volume table is not finite on (0, {R}]")
+    return t, W
 
 
 def c_const(n: int, k: float) -> float:

@@ -1,10 +1,10 @@
 """Deterministic numerical kernels.
 
 Embedded Runge-Kutta 4(5) integration with dense output, adaptive Simpson
-quadrature, safeguarded-secant root finding with bracket growth, a
-real-argument Gamma function and unit-sphere areas.  Every routine is a pure
-function of its inputs, so results are reproducible and safe to evaluate
-concurrently.
+quadrature, Gauss-Jacobi rules on (0, 1) by Golub-Welsch, safeguarded-secant
+root finding with bracket growth, a real-argument Gamma function and
+unit-sphere areas.  Every routine is a pure function of its inputs, so
+results are reproducible and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "integrate_ode",
     "quad_adaptive",
     "quad_grid",
+    "gauss_jacobi",
     "RootBracket",
     "bracket_width",
     "find_root_bracketed",
@@ -339,6 +340,40 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
         active[idx[err_idx > np.maximum(share[idx], rel_tol * np.abs(nxt))]] = True
     raise SubdivisionLimitError(
         f"quad_grid: {_MAX_GRID_DOUBLINGS} panel doublings did not meet tolerance")
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rules (Golub & Welsch, Math. Comp. 23, 1969).
+# ---------------------------------------------------------------------------
+
+def gauss_jacobi(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss rule for v^beta dv on (0, 1).
+
+    Exact for v^beta p(v) with deg p <= 2m - 1; beta = 0 is Gauss-Legendre.
+    The nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    polynomials (Golub-Welsch).  Each weight is 1/sum_k p_k(v)^2 over those
+    polynomials, evaluated by their recurrence at the node: the squared
+    first eigenvector components are accurate only relative to the largest
+    weight, which loses the small weights of large-beta rules.  Nodes come
+    sorted, inside (0, 1); weights are positive.
+    """
+    if m < 1:
+        raise ValueError(f"gauss_jacobi requires m >= 1, got {m}")
+    if not beta > -1.0:
+        raise ValueError(f"gauss_jacobi requires beta > -1, got {beta}")
+    beta = float(beta)
+    k = np.arange(1, m, dtype=float)
+    s = 2.0 * k + beta  # recurrence for (1+x)^beta on (-1, 1), halved onto (0, 1)
+    diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)],
+                                       beta * beta / (s * (s + 2.0))])
+    off = k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p = np.zeros(m), np.full(m, math.sqrt(beta + 1.0))
+    total = p * p
+    for j in range(m - 1):
+        p_prev, p = p, ((nodes - diag[j]) * p - (off[j - 1] * p_prev if j else 0.0)) / off[j]
+        total += p * p
+    return nodes, 1.0 / total
 
 
 # ---------------------------------------------------------------------------

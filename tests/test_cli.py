@@ -358,6 +358,39 @@ class TestBadInput:
         assert err.startswith("numerical failure:") and "same sign" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--theorem", "DOUBLING", "--alpha", "nan", "--R", "1"], "--alpha"),
+        (["--theorem", "DOUBLING", "--alpha", "inf", "--R", "1"], "--alpha"),
+        (["--theorem", "CHENG", "--delta", "nan", "--R", "1"], "--delta"),
+        (["--theorem", "MC_DRIFT", "--H=-inf"], "--H"),
+    ])
+    def test_theorem_flag(self, argv, flag, capsys):
+        assert main(["check", *_FLAT, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: not a finite number")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_param(self, value, capsys):
+        assert main(["check", "--space", "sphere", "--n", "3", "--param", f"H={value}",
+                     "--theorem", "MC_DRIFT"]) == 2
+        assert capsys.readouterr().err.startswith("error: --param H: not a finite number")
+
+    @pytest.mark.parametrize("body", ["2:nan:3", "inf:4:3"])
+    def test_range(self, body, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *_FLAT, "--theorem", "DOUBLING", "--R", "1",
+                     "--range", f"alpha={body}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --range alpha: not a finite number")
+        assert not out.exists()
+
+    def test_theorem_flag_in_sweep(self, capsys):
+        assert main(["sweep", *_FLAT, "--theorem", "DOUBLING", "--alpha", "nan",
+                     "--range", "R=0.5:1:2"]) == 2
+        assert capsys.readouterr().err.startswith("error: --alpha: not a finite number")
+
+
 class TestSweep:
     def test_doubling_sweep_monotone_margin(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"

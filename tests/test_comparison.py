@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean, plateau_space
@@ -15,7 +16,8 @@ from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 check_mc_rough, check_vol_r1, check_volume_absolute,
                                 check_volume_comparison, doubling_F, doubling_epsilon,
                                 volume_ratio_profile)
-from smmskit.model import sn as model_sn, sn_prime as model_sn_prime
+from smmskit.cli import main
+from smmskit.model import c_const, sn as model_sn, sn_prime as model_sn_prime
 from smmskit.numkit import KernelError
 from smmskit.smms import RadialProfile, WarpedSMMS, make_space
 
@@ -341,6 +343,104 @@ class TestDoubling:
             DoublingCertificate(n=3, H=0.0, R=1.0, alpha=2.0, epsilon=1.0,
                                 F_at_epsilon=1.0)
         assert not isinstance(info.value, ValueError)
+
+
+def F_nested_quad(n, H, R, sigma, k=None, a=None):
+    """F(sigma) from its definition: (e^{c sigma t} - 1) A/V, V by inner quad."""
+    d = n + 4.0 * k if k is not None else float(n)
+    drift = 0.0 if a is None else a
+    c = c_const(n, k) if k is not None else 1.0
+    area = lambda t: math.exp(drift * t) * model_sn(H, t) ** (d - 1.0)
+
+    def integrand(t):
+        vol, _ = quad(area, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
+        return math.expm1(c * sigma * t) * area(t) / vol
+
+    return quad(integrand, 0.0, R, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+# (n, H, R, mode): k mode with non-integer d = n + 4k, and drift mode.
+TABLE_CASES = [
+    (3, -4.0, 1.0, {"k": 0.3}),
+    (2, 1.0, 0.7, {"k": 0.45}),
+    (5, -1.0, 2.0, {"k": 0.15}),
+    (2, 0.0, 1.0, {"k": 0.2}),
+    (3, 0.0, 1.5, {"a": 1.0}),
+    (4, -1.0, 2.0, {"a": 0.5}),
+    (3, 1.0, 1.2, {"a": 0.0}),
+]
+
+
+class TestDoublingTable:
+    @pytest.mark.parametrize("n, H, R, mode", TABLE_CASES)
+    def test_matches_nested_quad(self, n, H, R, mode):
+        eps = doubling_epsilon(n, H, R, 4.0, **mode).epsilon
+        for sigma in (1e-4, 1e-2, 0.5 * eps, eps):
+            F = doubling_F(n, H, R, sigma, **mode)
+            oracle = F_nested_quad(n, H, R, sigma, **mode)
+            assert abs(F - oracle) <= 1e-10 * oracle
+
+    @pytest.mark.parametrize("n, H, R, mode", TABLE_CASES)
+    def test_matches_ode(self, n, H, R, mode):
+        # The ODE's own error grows as sigma falls: at sigma = 1e-4 it is up
+        # to 1.3e-8 relative against the nested quad (which the table meets
+        # to 5e-15), so this comparison starts at 1e-2.
+        mspace, c = comparison._model(n, H, **mode)
+        eps = doubling_epsilon(n, H, R, 4.0, **mode).epsilon
+        for sigma in (1e-2, 0.5 * eps, eps):
+            F = doubling_F(n, H, R, sigma, **mode)
+            ode = float(comparison._exp_correction(mspace, c * sigma, np.array([R]))[0])
+            assert abs(F - ode) <= 1e-8 * ode
+
+    def test_threshold_solves_no_ode(self, monkeypatch):
+        integrate_ode = comparison.integrate_ode
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_ode(*args, **kwargs)
+
+        monkeypatch.setattr(comparison, "integrate_ode", counted)
+        cert = doubling_epsilon.__wrapped__(3, 1.0, 0.5, 4.0, a=0.1)
+        assert calls == []
+        assert math.exp(cert.F_at_epsilon) <= 4.0
+        # The counter does see the ODE that E(r) still uses.
+        comparison._exp_correction(comparison._model(3, 1.0, a=0.1)[0], 0.5,
+                                   np.array([0.5]))
+        assert len(calls) == 1
+
+    def test_truncated_table_fails_the_certificate(self, monkeypatch, capsys):
+        ratio_table = comparison.ratio_table
+
+        def truncated(mspace, R, nodes):
+            return ratio_table(mspace, R, 4 if nodes == comparison._TABLE_NODES else nodes)
+
+        monkeypatch.setattr(comparison, "ratio_table", truncated)
+        with pytest.raises(KernelError, match="twice the nodes"):
+            doubling_epsilon.__wrapped__(3, 1.0, 0.5, 4.0, a=0.1)
+        # An alpha no other test asks for: doubling_epsilon is memoized.
+        code = main(["check", "--space", "euclidean", "--n", "3", "--theorem",
+                     "DOUBLING", "--H", "1", "--alpha", "3.14159", "--R", "0.7",
+                     "--grid", "16"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure: doubling table")
+
+    def test_full_table_passes_the_certificate(self):
+        table = comparison._doubling_table(5, -1.0, 2.0, 0.15, None)
+        fine = comparison._doubling_table(5, -1.0, 2.0, 0.15, None,
+                                          2 * comparison._TABLE_NODES)
+        for sigma in (1e-4, 0.1, 1.0):
+            comparison._certify_table(table, fine, sigma)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+    def test_threshold_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            doubling_epsilon.__wrapped__(3, 0.0, 1.0, alpha, a=0.5)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_F_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            doubling_F(3, 0.0, 1.0, sigma, a=0.5)
 
 
 class TestAbsoluteVolumeNegH:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import roots_jacobi
+
 from smmskit.numkit import (BracketError, NonFiniteError, SubdivisionLimitError,
                             Tolerance, find_root_bracketed, gamma_real,
-                            integrate_ode, quad_adaptive, quad_grid,
-                            sphere_area)
+                            gauss_jacobi, integrate_ode, quad_adaptive,
+                            quad_grid, sphere_area)
 
 TIGHT = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
 
@@ -158,6 +160,45 @@ class TestQuadGrid:
             whole, _ = quad_adaptive(f_sca, float(edges[0]), float(edges[-1]),
                                      TIGHT)
             assert abs(segs.sum() - whole) < 1e-9 * (1.0 + abs(whole))
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.4, 6.8])
+    @pytest.mark.parametrize("m", [1, 3, 8, 24])
+    def test_exact_to_degree_2m_minus_1(self, m, beta):
+        # int_0^1 v^beta v^p (1-v)^q dv = B(beta+p+1, q+1), p + q <= 2m - 1.
+        v, w = gauss_jacobi(m, beta)
+        for p in range(2 * m):
+            for q in (0, 2 * m - 1 - p):
+                exact = math.exp(math.lgamma(beta + p + 1) + math.lgamma(q + 1)
+                                 - math.lgamma(beta + p + q + 2))
+                rule = float(np.sum(w * v ** p * (1.0 - v) ** q))
+                assert abs(rule - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.4, 6.8])
+    @pytest.mark.parametrize("m", [1, 2, 48, 96])
+    def test_nodes_and_weights(self, m, beta):
+        v, w = gauss_jacobi(m, beta)
+        assert v.shape == w.shape == (m,)
+        assert np.all(np.diff(v) > 0.0) and 0.0 < v[0] and v[-1] < 1.0
+        assert np.all(w > 0.0)
+        assert abs(w.sum() - 1.0 / (beta + 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.4, 6.8])
+    @pytest.mark.parametrize("m", [5, 48, 128])
+    def test_matches_scipy(self, m, beta):
+        # scipy's rule is for (1-x)^0 (1+x)^beta on (-1, 1); v = (1+x)/2.
+        # Its smallest Legendre weights at m = 128 are ~5e-11 off (checked
+        # against 40-digit roots), which sets the weight tolerance.
+        x, wx = roots_jacobi(m, 0.0, beta)
+        v, w = gauss_jacobi(m, beta)
+        assert np.max(np.abs(v - 0.5 * (1.0 + x))) <= 1e-14
+        assert np.max(np.abs(w / (wx / 2.0 ** (beta + 1.0)) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("m, beta", [(0, 0.0), (4, -1.0), (4, math.nan)])
+    def test_rejects_bad_arguments(self, m, beta):
+        with pytest.raises(ValueError):
+            gauss_jacobi(m, beta)
 
 
 class TestFindRootBracketed:

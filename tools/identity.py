@@ -1,0 +1,286 @@
+"""CLI identity harness: run a fixed list of `smmskit` invocations on a base
+revision and on the working tree, and report every difference.
+
+    python3 tools/identity.py                # base: HEAD
+    python3 tools/identity.py --base HEAD~1
+
+The base revision's `src/` is exported with `git archive` into a temporary
+directory, so the repository's own `.git` is left as it is.  Each run gets a
+fresh working directory; the harness compares exit code, stdout, stderr and
+every file the run writes there.  `wall_time_ms` is the only value masked.
+
+Numbers are compared, not masked: every number that differs is printed with
+its absolute and relative size, keyed by JSON path, CSV column or line.  Any
+other difference (exit code, verdict, message text, structure) is printed as
+text.  The exit status is 0 when every run is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+_FLAT = ["--space", "euclidean", "--n", "3"]
+_SPHERE = ["--space", "sphere", "--n", "3", "--param", "H=1"]
+_PSPHERE = ["--space", "perturbed_sphere", "--n", "3", "--param", "H=1"]
+_HYP = ["--space", "hyperbolic", "--n", "3", "--param", "H=-1"]
+_SOLITON = ["--space", "gaussian_soliton", "--n", "3"]
+_DRIFT = ["--space", "linear_drift", "--n", "3"]
+_CUSTOM = ["--custom", "space.json"]
+CUSTOM_SPEC = {"n": 3,
+               "custom": {"w": {"type": "poly", "coeffs": [0.0, 1.0]},
+                          "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.05]},
+                          "r_max": 3.0, "closed": False}}
+
+# Per theorem id: flags for a cheap valid run.
+_IDS = {
+    "MC_ROUGH": _FLAT + ["--grid", "32"],
+    "MC_BOUNDED_F_INNER": _FLAT + ["--grid", "32"],
+    "MC_BOUNDED_F_PI2": _SPHERE + ["--H", "1", "--grid", "32"],
+    "MC_DRIFT": _FLAT + ["--grid", "32"],
+    "AREA_A": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "AREA_B": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "VOL_A": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "VOL_B": _FLAT + ["--H", "1", "--r", "0.25", "--R", "0.5", "--grid", "32"],
+    "VOL_B_ABS": _FLAT + ["--R", "0.5", "--grid", "32"],
+    "VOL_ABS_NEGH": _HYP + ["--H", "-1", "--grid", "24"],
+    "DOUBLING": _FLAT + ["--H", "1", "--alpha", "2", "--R", "0.7", "--grid", "16"],
+    "VOL_R1": _FLAT + ["--R", "1.5", "--grid", "32"],
+    "MYERS": _SPHERE,
+    "CHENG": _FLAT + ["--R", "1", "--delta", "0.1"],
+    "EIGEN": _FLAT + ["--R", "1"],
+}
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(name, argv) for every run; argv may name `space.json`, the custom spec."""
+    out = [(f"id/{tid}", ["check", *argv, "--theorem", tid]) for tid, argv in _IDS.items()]
+    spaces = {"psphere": _PSPHERE, "hyp": _HYP, "soliton": _SOLITON, "drift": _DRIFT}
+    for label, space in spaces.items():
+        H = "1" if label == "psphere" else "-1" if label == "hyp" else "0"
+        R = "1.2" if label == "psphere" else "1.5"
+        for tid, extra in (("MC_DRIFT", []), ("MC_BOUNDED_F_INNER", []),
+                           ("AREA_B", ["--r", "0.3", "--R", R]),
+                           ("VOL_B", ["--r", "0.3", "--R", R]),
+                           ("VOL_B_ABS", ["--R", R]),
+                           ("DOUBLING", ["--alpha", "4", "--R", R]),
+                           ("DOUBLING", ["--alpha", "3", "--R", "0.7", "--k", "0.3"]),
+                           ("CHENG", ["--R", R, "--delta", "0.4"]),
+                           ("EIGEN", ["--R", R])):
+            name = f"{label}/{tid}" + ("/k" if "--k" in extra else "")
+            out.append((name, ["check", *space, "--H", H, "--theorem", tid, *extra]))
+    out += [
+        ("hyp/VOL_ABS_NEGH", ["check", *_HYP, "--H", "-1", "--theorem", "VOL_ABS_NEGH"]),
+        ("psphere/MYERS", ["check", *_PSPHERE, "--H", "1", "--theorem", "MYERS"]),
+        ("psphere/MC_ROUGH", ["check", *_PSPHERE, "--H", "1", "--theorem", "MC_ROUGH"]),
+        ("psphere/DOUBLING/pi2", ["check", *_PSPHERE, "--H", "1", "--theorem", "DOUBLING",
+                                  "--alpha", "1.5", "--R", "1.5"]),
+        ("hyp/DOUBLING/H-4", ["check", *_HYP, "--H", "-4", "--theorem", "DOUBLING",
+                              "--alpha", "10", "--R", "2"]),
+        ("flat/DOUBLING/alpha1.01", ["check", *_FLAT, "--theorem", "DOUBLING",
+                                     "--alpha", "1.01", "--R", "1"]),
+        ("flat/DOUBLING/given-eps", ["check", *_FLAT, "--theorem", "DOUBLING",
+                                     "--alpha", "2", "--R", "1", "--epsilon", "0.1"]),
+        ("flat/CHENG/tight", ["check", *_FLAT, "--theorem", "CHENG", "--R", "2",
+                              "--delta", "0.05", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
+        ("custom/MC_DRIFT", ["check", *_CUSTOM, "--theorem", "MC_DRIFT", "--grid", "32"]),
+        ("custom/VOL_B", ["check", *_CUSTOM, "--theorem", "VOL_B", "--r", "0.3",
+                          "--R", "1.5", "--grid", "32"]),
+        ("custom/DOUBLING", ["check", *_CUSTOM, "--theorem", "DOUBLING", "--alpha", "4",
+                             "--R", "1.5", "--grid", "16"]),
+        ("custom/CHENG", ["check", *_CUSTOM, "--theorem", "CHENG", "--R", "1.5",
+                          "--delta", "0.5"]),
+        ("out/json", ["check", *_FLAT, "--theorem", "VOL_B", "--H", "0", "--r", "0.3",
+                      "--R", "1", "--grid", "24", "--out", "report.json"]),
+        ("out/csv", ["check", *_PSPHERE, "--theorem", "DOUBLING", "--H", "1", "--alpha", "4",
+                     "--R", "1.2", "--grid", "16", "--format", "csv", "--out", "grid.csv"]),
+        ("out/csv-stdout", ["check", *_FLAT, "--theorem", "EIGEN", "--R", "1",
+                            "--format", "csv"]),
+        ("out/csv-none", ["check", *_SPHERE, "--theorem", "MYERS", "--format", "csv",
+                          "--out", "grid.csv"]),
+        ("list", ["list-spaces"]),
+        ("list/json", ["list-spaces", "--json"]),
+        ("sweep/DOUBLING/eps", ["sweep", *_PSPHERE, "--param", "omega=1", "--theorem",
+                                "DOUBLING", "--alpha", "4", "--R", "1.5", "--grid", "16",
+                                "--range", "eps=0.001:0.02:4"]),
+        ("sweep/DOUBLING/R", ["sweep", *_FLAT, "--theorem", "DOUBLING", "--alpha", "2",
+                              "--grid", "16", "--range", "R=0.5:1.5:4", "--out", "sweep.csv"]),
+        ("sweep/DOUBLING/alpha", ["sweep", *_HYP, "--H", "-1", "--theorem", "DOUBLING",
+                                  "--R", "1.2", "--grid", "16", "--k", "0.1",
+                                  "--range", "alpha=1.5:6:4"]),
+        ("sweep/VOL_B/H", ["sweep", *_FLAT, "--theorem", "VOL_B", "--r", "0.3", "--R", "0.9",
+                           "--grid", "24", "--range", "H=-1:1:3"]),
+        ("sweep/CHENG/delta", ["sweep", *_FLAT, "--theorem", "CHENG", "--R", "1",
+                               "--range", "delta=0.1:0.5:3"]),
+        ("sweep/MC_DRIFT/a", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT", "--grid", "32",
+                              "--range", "a=0:1:3"]),
+    ]
+    bad = [
+        ["check", *_FLAT, "--theorem", "BROUWER"],
+        ["check", *_FLAT, "--param", "Hone", "--theorem", "MC_DRIFT"],
+        ["check", *_FLAT, "--theorem", "VOL_B", "--H", "0"],
+        ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "nan", "--R", "1"],
+        ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "inf", "--R", "1"],
+        ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "1", "--R", "1"],
+        ["check", *_FLAT, "--theorem", "CHENG", "--delta", "nan", "--R", "1"],
+        ["check", "--space", "sphere", "--n", "3", "--param", "H=inf", "--theorem", "MC_DRIFT"],
+        ["check", *_FLAT, "--theorem", "VOL_A", "--H", "1", "--r", "0.2", "--R", "2"],
+        ["check", *_FLAT, "--theorem", "MC_DRIFT", "--tol-abs", "0.1"],
+        ["check", *_CUSTOM, "--param", "H=1", "--theorem", "MC_DRIFT"],
+        ["sweep", *_FLAT, "--theorem", "DOUBLING", "--R", "1", "--range", "alpha=2:nan:3"],
+        ["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--range", "a=0:1"],
+        [],
+    ]
+    out += [(f"bad/{i}", argv) for i, argv in enumerate(bad)]
+    return out
+
+
+def run_case(src: Path, argv: list[str], workdir: Path) -> dict:
+    workdir.mkdir(parents=True)
+    (workdir / "space.json").write_text(json.dumps(CUSTOM_SPEC))
+    proc = subprocess.run([sys.executable, "-m", "smmskit", *argv], cwd=workdir,
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    files = {p.name: p.read_text() for p in sorted(workdir.iterdir())
+             if p.name != "space.json"}
+    return {"exit": str(proc.returncode), "stdout": proc.stdout,
+            "stderr": proc.stderr, **{f"file:{k}": v for k, v in files.items()}}
+
+
+# -- comparison ---------------------------------------------------------------
+
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])")
+
+
+def _number_diff(key: str, a: float, b: float, numeric: list) -> None:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return
+    diff = abs(a - b)
+    scale = max(abs(a), abs(b))
+    numeric.append((key, a, b, diff, diff / scale if scale else math.inf))
+
+
+def _json_diff(key: str, a, b, numeric: list, other: list) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k == "wall_time_ms":
+                continue
+            if k not in a or k not in b:
+                other.append(f"{key}.{k}: only in {'base' if k in a else 'work'}")
+            else:
+                _json_diff(f"{key}.{k}", a[k], b[k], numeric, other)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _json_diff(f"{key}[{i}]", x, y, numeric, other)
+    elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
+          and not isinstance(a, bool) and not isinstance(b, bool)):
+        _number_diff(key, float(a), float(b), numeric)
+    elif a != b:
+        other.append(f"{key}: {a!r} -> {b!r}")
+
+
+def _text_diff(key: str, a: str, b: str, numeric: list, other: list) -> None:
+    """Line by line; CSV cells by column name, other lines by number index."""
+    la, lb = a.splitlines(), b.splitlines()
+    if len(la) != len(lb):
+        other.append(f"{key}: {len(la)} lines -> {len(lb)} lines")
+        return
+    header = la[0].split(",") if la and "," in la[0] and " " not in la[0] else None
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x == y:
+            continue
+        if header and len(x.split(",")) == len(y.split(",")) == len(header):
+            pairs = [(f"{key} line {i + 1} {col}", p, q)
+                     for col, p, q in zip(header, x.split(","), y.split(","))]
+        elif _NUMBER.sub("#", x) == _NUMBER.sub("#", y):
+            pairs = [(f"{key} line {i + 1} #{j}", p, q) for j, (p, q)
+                     in enumerate(zip(_NUMBER.findall(x), _NUMBER.findall(y)))]
+        else:
+            other.append(f"{key} line {i + 1}: {x!r} -> {y!r}")
+            continue
+        for cell, p, q in pairs:
+            if _NUMBER.fullmatch(p) and _NUMBER.fullmatch(q):
+                _number_diff(cell, float(p), float(q), numeric)
+            elif p != q:
+                other.append(f"{cell}: {p!r} -> {q!r}")
+
+
+def compare(base: dict, work: dict) -> tuple[list, list]:
+    numeric, other = [], []
+    for key in sorted(set(base) | set(work)):
+        if key not in base or key not in work:
+            other.append(f"{key}: only in {'base' if key in base else 'work'}")
+            continue
+        a, b = base[key], work[key]
+        if key == "exit":
+            if a != b:
+                other.append(f"exit code: {a} -> {b}")
+            continue
+        try:
+            ja, jb = json.loads(a), json.loads(b)
+        except (json.JSONDecodeError, ValueError):
+            _text_diff(key, a, b, numeric, other)
+        else:
+            _json_diff(key, ja, jb, numeric, other)
+    return numeric, other
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    data = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=REPO,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args()
+
+    identical, numeric_only, changed = 0, 0, 0
+    sizes: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory(prefix="smmskit-identity-") as tmp:
+        tmp = Path(tmp)
+        base_src = export_src(args.base, tmp / "base")
+        todo = cases()
+        for i, (name, argv) in enumerate(todo):
+            base = run_case(base_src, argv, tmp / "runs" / f"{i}-base")
+            work = run_case(REPO / "src", argv, tmp / "runs" / f"{i}-work")
+            numeric, other = compare(base, work)
+            if not numeric and not other:
+                identical += 1
+                continue
+            if other:
+                changed += 1
+            else:
+                numeric_only += 1
+            print(f"{name}: smmskit {' '.join(argv)}")
+            for line in other:
+                print(f"  changed  {line}")
+            for key, a, b, diff, rel in numeric:
+                print(f"  number   {key}: {a!r} -> {b!r}  abs {diff:.3g}  rel {rel:.3g}")
+                field = re.sub(r"\[\d+\]|line \d+ ", "", key)
+                sizes.setdefault(field, []).append(rel)
+            sys.stdout.flush()
+    total = identical + numeric_only + changed
+    print(f"\n{total} runs against {args.base}: {identical} identical, "
+          f"{numeric_only} differ in numbers only, {changed} differ otherwise")
+    for field, rels in sorted(sizes.items()):
+        print(f"  {field}: {len(rels)} values, max rel {max(rels):.3g}")
+    return 0 if identical == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
