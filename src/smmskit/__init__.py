@@ -6,7 +6,7 @@ comparison inequality checkers, diameter bounds and Dirichlet eigenvalues.
 __version__ = "0.1.0"
 
 from .numkit import (Tolerance, DEFAULT_TOL, OdeTrajectory, integrate_ode,
-                     quad_adaptive, find_root_bracketed, gamma_real, sphere_area)
+                     quad_adaptive, find_root_bracketed, sphere_area)
 from .model import (ModelSpace, sn, sn_prime, conjugate_radius,
                     mean_curvature_model, area_model, volume_model, c_const)
 from .smms import (RadialProfile, WarpedSMMS, CurvatureSample, PotentialBounds,

@@ -193,6 +193,8 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
                              "tolerance; only CHENG and EIGEN read it")
     for name in _THEOREM_FLAGS:
         _require_finite(f"--{name}", getattr(args, name))
+    if args.grid < 2:
+        raise InputError(f"--grid: a check needs at least 2 grid points, got {args.grid}")
     H = _resolve_H(args, spec)
     if args.R is not None:
         cmp.require_admissible(tid, H, args.R)
@@ -218,6 +220,19 @@ def _require_finite(field: str, value) -> None:
         raise InputError(f"{field}: not a finite number: {value!r}")
 
 
+def _require_finite_json(value, path: str = "") -> None:
+    """``_require_finite`` on every number of a --custom spec (JSON admits
+    NaN and Infinity); the message names the field, e.g. custom.r_max."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite_json(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite_json(item, f"{path}[{i}]")
+    elif isinstance(value, float):
+        _require_finite(f"--custom: {path}", value)
+
+
 def _parse_params(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs or []:
@@ -241,6 +256,7 @@ def _space_spec_from_args(args) -> SpaceSpec:
             payload = json.loads(Path(args.custom).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"--custom: cannot read spec file: {exc}") from exc
+        _require_finite_json(payload)
         if "n" not in payload:
             payload["n"] = args.n
         return SpaceSpec.from_dict({"name": "custom", **payload})

@@ -15,9 +15,10 @@ absolute-volume forms, doubling certificates e^{F(eps)} <= alpha, and the
 hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
 The correction E(r) = int_0^r (e^{clt}-1) A/V on the volume grids is one ODE
-solve per check; the doubling threshold's F(sigma) = E(R) at cl = c sigma is
-a dot product on the model's Gauss-Jacobi ``ratio_table``, certified at
-epsilon against a table with twice the nodes.
+solve per check, built before the grid is evaluated; the refinement pass
+reads the same trajectory.  The doubling threshold's F(sigma) = E(R) at
+cl = c sigma is a dot product on the model's Gauss-Jacobi ``ratio_table``,
+certified at epsilon against a table with twice the nodes.
 
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
@@ -34,8 +35,8 @@ import numpy as np
 
 from .model import (ModelSpace, area_model, c_const, mean_curvature_model,
                     ratio_table, sn, volume_model)
-from .numkit import (KernelError, Tolerance, find_root_bracketed, integrate_ode,
-                     quad_grid, sphere_area)
+from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
+                     integrate_ode, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
@@ -231,56 +232,64 @@ def _volumes(s: WarpedSMMS, mspace: ModelSpace, radii: np.ndarray):
             _cum_integral(lambda t: area_model(mspace, t), radii))
 
 
-def _exp_correction(mspace: ModelSpace, cl: float, radii: np.ndarray) -> np.ndarray:
-    """E(r) = int_0^r (e^{cl t} - 1) A_model/V_model dt at each grid radius.
+def _exp_correction(mspace: ModelSpace, cl: float, R: float):
+    """E(r) = int_0^r (e^{cl t} - 1) A_model/V_model dt, as a function of an
+    array of radii in (0, R].
 
-    Computed as one joint ODE solve for (V_model, E); the integrand tends to
-    cl * dim at the pole, so the solve starts from a series value at a tiny
-    radius.
+    One joint ODE solve for (V_model, E) up to R, read by dense output; the
+    integrand tends to cl * dim at the pole, so the solve starts from a
+    series value at a tiny radius.
     """
     if cl == 0.0:
-        return np.zeros(len(radii))
-    R = float(radii[-1])
+        return lambda radii: np.zeros(len(radii))
+    R = float(R)
     t0 = 1e-8 * R
     v0 = volume_model(mspace, t0, Tolerance(abs_tol=1e-14, rel_tol=1e-12))
     e0 = cl * mspace.dim * t0
 
     omega_d = sphere_area(mspace.dim)
     H, a, dm1 = mspace.H, mspace.drift, mspace.dim - 1.0
-    if H > 0.0:
-        sq = math.sqrt(H)
-        sn_s = lambda t: math.sin(sq * t) / sq
-    elif H < 0.0:
-        sq = math.sqrt(-H)
-        sn_s = lambda t: math.sinh(sq * t) / sq
-    else:
-        sn_s = lambda t: t
 
     def rhs(t, y):
-        A = omega_d * math.exp(a * t) * sn_s(t) ** dm1
+        A = omega_d * math.exp(a * t) * sn(H, t) ** dm1
         return np.array([A, (math.exp(cl * t) - 1.0) * A / y[0]])
 
     traj = integrate_ode(rhs, t0, np.array([v0, e0]), R,
                          Tolerance(abs_tol=1e-14, rel_tol=1e-12),
                          max_step=R / 64.0)
-    out = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        out[i] = cl * mspace.dim * r if r <= t0 else traj.at(float(r))[1]
-    return out
+
+    def E(radii) -> np.ndarray:
+        radii = np.asarray(radii, dtype=float)
+        out = cl * mspace.dim * radii
+        inside = radii > t0
+        out[inside] = traj.at(radii[inside])[:, 1]
+        return out
+
+    return E
+
+
+def _compare(theorem_id: str, eval_on, radii: np.ndarray):
+    """(lhs, rhs, margin, argmin, tolerance) on ``radii``.
+
+    Raises ``NonFiniteError`` when an lhs is not finite or a margin is NaN;
+    an rhs of +inf (an overflowed exponential bound) holds trivially.
+    """
+    with np.errstate(all="ignore"):  # judged below, not warned about
+        lhs, rhs = eval_on(radii)
+        margin = rhs - lhs
+    if not np.all(np.isfinite(lhs)) or np.any(np.isnan(margin)):
+        raise NonFiniteError(f"{theorem_id}: a compared value is not finite on "
+                             f"[{radii[0]:.6g}, {radii[-1]:.6g}]")
+    imin = int(np.argmin(margin))
+    return lhs, rhs, margin, imin, max(1e-8, 1e-6 * abs(rhs[imin]))
 
 
 def _finalize(theorem_id: str, params: dict, mode: str, radii: np.ndarray,
               eval_on, refine: bool = True) -> ComparisonReport:
-    lhs, rhs = eval_on(radii)
-    margin = rhs - lhs
-    imin = int(np.argmin(margin))
-    tolv = max(1e-8, 1e-6 * abs(rhs[imin]))
+    lhs, rhs, margin, imin, tolv = _compare(theorem_id, eval_on, radii)
     if refine and abs(margin[imin]) < 10.0 * tolv and len(radii) >= 2:
         radii = np.linspace(radii[0], radii[-1], 4 * (len(radii) - 1) + 1)
-        lhs, rhs = eval_on(radii)
-        margin = rhs - lhs
-        imin = int(np.argmin(margin))
-        tolv = max(1e-8, 1e-6 * abs(rhs[imin]))
+        lhs, rhs, margin, imin, tolv = _compare(theorem_id, eval_on, radii)
     eq = radii[np.abs(margin) <= tolv]
     return ComparisonReport(
         theorem_id=theorem_id,
@@ -480,9 +489,7 @@ def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
 
     def eval_on(rs):
         lhs = np.asarray(weighted_area(s, rs)) / np.asarray(area_model(mspace, rs))
-        with np.errstate(over="ignore"):
-            rhs = np.exp(c * l * rs) * base
-        return lhs, rhs
+        return lhs, np.exp(c * l * rs) * base
 
     radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
@@ -507,14 +514,12 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
     _require_outer(s, tid, H, R)
     mspace, c, bparams = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, R, mode)
+    corr = _exp_correction(mspace, c * l, R)
 
     def eval_on(rs):
         vf, vm = _volumes(s, mspace, rs)
         ratio = vf / vm
-        corr = _exp_correction(mspace, c * l, rs)
-        with np.errstate(over="ignore"):
-            rhs = ratio[0] * np.exp(corr)
-        return ratio, rhs
+        return ratio, ratio[0] * np.exp(corr(rs))
 
     radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
@@ -531,13 +536,11 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
     mspace, _, bparams = _bound_model(s, H, "a", const)
     l = integral_rho(s, H, R, mode)
     f0 = float(s.f.eval(0.0))
+    corr = _exp_correction(mspace, l, R)
 
     def eval_on(rs):
         vf, vm = _volumes(s, mspace, rs)
-        corr = _exp_correction(mspace, l, rs)
-        with np.errstate(over="ignore"):
-            rhs = vm * np.exp(-f0 + corr)
-        return vf, rhs
+        return vf, vm * np.exp(-f0 + corr(rs))
 
     radii = np.linspace(R / n_grid, R, n_grid)
     params = {"n": s.n, "H": H, "R": R, "l": l, **bparams}
@@ -730,5 +733,5 @@ def volume_ratio_profile(s: WarpedSMMS, H: float, radii, bound: str = "a",
     mspace, c, _ = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, float(radii[-1]), mode)
     vf, vm = _volumes(s, mspace, radii)
-    corr = _exp_correction(mspace, c * l, radii)
+    corr = _exp_correction(mspace, c * l, radii[-1])(radii)
     return vf / vm * np.exp(-corr)

@@ -183,7 +183,9 @@ def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance) -> EigenRe
         return 1.0 if r <= traj.t0 else float(traj.at(r)[0])
 
     rs = np.linspace(0.0, R, 129)
-    phis = np.array([phi(r) for r in rs])
+    phis = np.ones(len(rs))
+    inside = rs > traj.t0
+    phis[inside] = traj.at(rs[inside])[:, 0]
     phi_R, dphi_R = traj.terminal()
     local_errors = traj.errors * (_ODE_TOL.abs_tol
                                   + _ODE_TOL.rel_tol * np.abs(traj.ys).max(axis=1))

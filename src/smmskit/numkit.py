@@ -2,9 +2,9 @@
 
 Embedded Runge-Kutta 4(5) integration with dense output, adaptive Simpson
 quadrature, Gauss-Jacobi rules on (0, 1) by Golub-Welsch, safeguarded-secant
-root finding with bracket growth, a real-argument Gamma function and
-unit-sphere areas.  Every routine is a pure function of its inputs, so
-results are reproducible and safe to evaluate concurrently.
+root finding with bracket growth, and unit-sphere areas.  Every routine is a
+pure function of its inputs, so results are reproducible and safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "RootBracket",
     "bracket_width",
     "find_root_bracketed",
-    "gamma_real",
     "sphere_area",
     "KernelError",
     "StepLimitError",
@@ -125,26 +124,30 @@ class OdeTrajectory:
     def t1(self) -> float:
         return float(self.ts[-1])
 
-    def at(self, t: float) -> np.ndarray:
-        """Dense state at ``t`` inside [t0, t1]."""
-        t = float(t)
-        if t < self.ts[0] - 1e-12 or t > self.ts[-1] + 1e-12:
-            raise ValueError(f"t={t} outside trajectory range [{self.t0}, {self.t1}]")
-        t = min(max(t, self.t0), self.t1)
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        h = self.ts[i + 1] - self.ts[i]
-        s = (t - self.ts[i]) / h
+    def at(self, t) -> np.ndarray:
+        """Dense state at ``t`` inside [t0, t1]: one row for a float, one row
+        per time for an array of times."""
+        times = np.asarray(t, dtype=float)
+        flat = np.atleast_1d(times)
+        outside = (flat < self.ts[0] - 1e-12) | (flat > self.ts[-1] + 1e-12)
+        if outside.any():
+            raise ValueError(f"t={float(flat[outside][0])} outside trajectory range "
+                             f"[{self.t0}, {self.t1}]")
+        flat = np.clip(flat, self.t0, self.t1)
+        i = np.clip(np.searchsorted(self.ts, flat, side="right") - 1, 0, len(self.ts) - 2)
+        h = (self.ts[i + 1] - self.ts[i])[:, None]
+        s = (flat - self.ts[i])[:, None] / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return (
+        rows = (
             h00 * self.ys[i]
             + h10 * h * self.derivs[i]
             + h01 * self.ys[i + 1]
             + h11 * h * self.derivs[i + 1]
         )
+        return rows if times.ndim else rows[0]
 
     def terminal(self) -> np.ndarray:
         return self.ys[-1]
@@ -452,42 +455,15 @@ def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Gamma and unit-sphere areas.
+# Unit-sphere areas.
 # ---------------------------------------------------------------------------
-
-# Lanczos approximation, g = 7, 9 coefficients; relative error below 1e-13
-# for positive arguments.  Reflection is not needed (x > 0 only).
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function for real ``x > 0`` (Lanczos approximation)."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"gamma_real requires x > 0, got {x}")
-    if x < 0.5:
-        return gamma_real(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
 
 def sphere_area(d: float) -> float:
     """Area of the unit (d-1)-sphere, 2 pi^(d/2) / Gamma(d/2), for real d >= 1."""
     d = float(d)
     if d < 1.0:
         raise ValueError(f"sphere_area requires d >= 1, got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / gamma_real(d / 2.0)
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError as exc:
+        raise NonFiniteError(f"sphere_area: Gamma(d/2) overflows at d={d:.6g}") from exc

@@ -358,6 +358,37 @@ class TestBadInput:
         assert err.startswith("numerical failure:") and "same sign" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["check", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "0"],
+        ["check", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "-5"],
+        ["check", *_FLAT, "--theorem", "VOL_B", "--r", "0.3", "--R", "1", "--grid", "1"],
+        ["check", "--space", "hyperbolic", "--n", "3", "--param", "H=-1",
+         "--theorem", "VOL_ABS_NEGH", "--H", "-1", "--R", "1", "--grid", "0"],
+        ["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "0", "--range", "H=0:1:2"],
+    ])
+    def test_grid_below_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --grid: ")
+        assert captured.out == ""
+
+    # Warnings become errors: the failure is the only thing reported.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, what", [
+        # A_model of dimension 203 underflows, so the area ratio overflows.
+        (["--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--k", "50", "--grid", "16"],
+         "AREA_A: a compared value is not finite"),
+        # Gamma(201.5) overflows in c(n, k).
+        (["--theorem", "DOUBLING", "--alpha", "2", "--R", "0.5", "--k", "100"],
+         "sphere_area: Gamma(d/2) overflows"),
+    ])
+    def test_non_finite_comparison_is_a_numerical_failure(self, argv, what, capsys):
+        assert main(["check", *_FLAT, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"numerical failure: {what}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, flag", [
         (["--theorem", "DOUBLING", "--alpha", "nan", "--R", "1"], "--alpha"),
@@ -389,6 +420,19 @@ class TestNonFiniteInput:
         assert main(["sweep", *_FLAT, "--theorem", "DOUBLING", "--alpha", "nan",
                      "--range", "R=0.5:1:2"]) == 2
         assert capsys.readouterr().err.startswith("error: --alpha: not a finite number")
+
+    @pytest.mark.parametrize("field, block", [
+        ("custom.f.coeffs[2]", {"f": {"type": "poly", "coeffs": [0.0, 0.0, float("nan")]}}),
+        ("custom.r_max", {"r_max": float("inf")}),
+    ])
+    def test_custom_file(self, field, block, capsys, tmp_path):
+        spec = {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], **block}}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", "--custom", str(path), "--theorem", "MC_DRIFT"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --custom: {field}: not a finite number")
+        assert captured.out == ""
 
 
 class TestSweep:

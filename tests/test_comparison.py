@@ -257,6 +257,20 @@ class TestVolumeComparison:
                 if area.passed:
                     assert vol.passed
 
+    def test_refinement_reuses_the_correction_solve(self, monkeypatch):
+        integrate_ode = comparison.integrate_ode
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_ode(*args, **kwargs)
+
+        monkeypatch.setattr(comparison, "integrate_ode", counted)
+        s = make_space("perturbed_sphere", n=3, H=1.0)
+        rep = check_volume_absolute(s, 1.0, 1.2)
+        assert rep.grid.shape[0] == 1021  # refined from 256 radii
+        assert len(calls) == 1
+
 
 class TestDoubling:
     def test_threshold_zero_is_zero(self):
@@ -389,7 +403,7 @@ class TestDoublingTable:
         eps = doubling_epsilon(n, H, R, 4.0, **mode).epsilon
         for sigma in (1e-2, 0.5 * eps, eps):
             F = doubling_F(n, H, R, sigma, **mode)
-            ode = float(comparison._exp_correction(mspace, c * sigma, np.array([R]))[0])
+            ode = float(comparison._exp_correction(mspace, c * sigma, R)(np.array([R]))[0])
             assert abs(F - ode) <= 1e-8 * ode
 
     def test_threshold_solves_no_ode(self, monkeypatch):
@@ -406,7 +420,7 @@ class TestDoublingTable:
         assert math.exp(cert.F_at_epsilon) <= 4.0
         # The counter does see the ODE that E(r) still uses.
         comparison._exp_correction(comparison._model(3, 1.0, a=0.1)[0], 0.5,
-                                   np.array([0.5]))
+                                   0.5)(np.array([0.5]))
         assert len(calls) == 1
 
     def test_truncated_table_fails_the_certificate(self, monkeypatch, capsys):

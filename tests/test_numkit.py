@@ -8,9 +8,8 @@ import pytest
 from scipy.special import roots_jacobi
 
 from smmskit.numkit import (BracketError, NonFiniteError, SubdivisionLimitError,
-                            Tolerance, find_root_bracketed, gamma_real,
-                            gauss_jacobi, integrate_ode, quad_adaptive,
-                            quad_grid, sphere_area)
+                            Tolerance, find_root_bracketed, gauss_jacobi,
+                            integrate_ode, quad_adaptive, quad_grid, sphere_area)
 
 TIGHT = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
 
@@ -71,6 +70,16 @@ class TestIntegrateOde:
         traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0)
         with pytest.raises(ValueError):
             traj.at(1.5)
+
+    def test_dense_output_on_arrays_matches_float_calls(self):
+        traj = integrate_ode(lambda t, y: (y[1], -y[0]), 0.0, [0.0, 1.0], 3.0)
+        ts = np.random.default_rng(3).uniform(0.0, 3.0, 500)
+        rows = traj.at(ts)
+        assert rows.shape == (500, 2)
+        assert np.array_equal(rows, np.array([traj.at(float(t)) for t in ts]))
+        for bad in ([0.5, 3.5], [-0.5, 1.0]):
+            with pytest.raises(ValueError, match="outside trajectory range"):
+                traj.at(np.array(bad))
 
     def test_random_linear_systems(self):
         # 2x2 constant-coefficient systems against the matrix exponential.
@@ -267,32 +276,6 @@ class TestFindRootBracketed:
         assert res.hi - res.lo <= max(tol.abs_tol, tol.rel_tol * res.hi)
         assert res.f_lo < 0.0 <= res.f_hi
         assert res.lo <= res.root <= res.hi
-
-
-class TestGamma:
-    def test_half_integer(self):
-        assert abs(gamma_real(0.5) - math.sqrt(math.pi)) < 1e-12
-
-    def test_factorial(self):
-        assert abs(gamma_real(5.0) - 24.0) < 1e-11
-
-    def test_two_and_a_half(self):
-        # Gamma(2.5) = 1.5 * 0.5 * sqrt(pi).
-        assert abs(gamma_real(2.5) - 1.5 * 0.5 * math.sqrt(math.pi)) < 1e-12
-
-    def test_against_stdlib(self):
-        for x in np.linspace(0.5, 50.0, 200):
-            assert abs(gamma_real(x) / math.gamma(x) - 1.0) < 1e-12
-
-    def test_recurrence(self):
-        for x in np.linspace(0.5, 20.0, 79):
-            lhs = gamma_real(x + 1.0)
-            rhs = x * gamma_real(x)
-            assert abs(lhs / rhs - 1.0) < 1e-11
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma_real(0.0)
 
 
 class TestSphereArea:

@@ -42,6 +42,15 @@ CUSTOM_SPEC = {"n": 3,
                "custom": {"w": {"type": "poly", "coeffs": [0.0, 1.0]},
                           "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.05]},
                           "r_max": 3.0, "closed": False}}
+# Spec files written into every run directory: the custom space, and two
+# copies with a non-finite number (JSON allows NaN and Infinity).
+SPEC_FILES = {
+    "space.json": CUSTOM_SPEC,
+    "nan.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"],
+                                           "f": {"type": "poly",
+                                                 "coeffs": [0.0, 0.0, math.nan]}}},
+    "inf.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "r_max": math.inf}},
+}
 
 # Per theorem id: flags for a cheap valid run.
 _IDS = {
@@ -64,7 +73,7 @@ _IDS = {
 
 
 def cases() -> list[tuple[str, list[str]]]:
-    """(name, argv) for every run; argv may name `space.json`, the custom spec."""
+    """(name, argv) for every run; argv may name the files in `SPEC_FILES`."""
     out = [(f"id/{tid}", ["check", *argv, "--theorem", tid]) for tid, argv in _IDS.items()]
     spaces = {"psphere": _PSPHERE, "hyp": _HYP, "soliton": _SOLITON, "drift": _DRIFT}
     for label, space in spaces.items():
@@ -84,6 +93,14 @@ def cases() -> list[tuple[str, list[str]]]:
         ("hyp/VOL_ABS_NEGH", ["check", *_HYP, "--H", "-1", "--theorem", "VOL_ABS_NEGH"]),
         ("psphere/MYERS", ["check", *_PSPHERE, "--H", "1", "--theorem", "MYERS"]),
         ("psphere/MC_ROUGH", ["check", *_PSPHERE, "--H", "1", "--theorem", "MC_ROUGH"]),
+        ("psphere/MC_DRIFT/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "MC_DRIFT",
+                                   "--mode", "full"]),
+        ("psphere/VOL_B/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "VOL_B",
+                                "--r", "0.3", "--R", "1.2", "--mode", "full"]),
+        ("psphere/VOL_B_ABS/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "VOL_B_ABS",
+                                    "--R", "1.2", "--mode", "full"]),
+        ("psphere/VOL_A", ["check", *_PSPHERE, "--H", "1", "--theorem", "VOL_A",
+                           "--r", "0.2", "--R", "0.7"]),
         ("psphere/DOUBLING/pi2", ["check", *_PSPHERE, "--H", "1", "--theorem", "DOUBLING",
                                   "--alpha", "1.5", "--R", "1.5"]),
         ("hyp/DOUBLING/H-4", ["check", *_HYP, "--H", "-4", "--theorem", "DOUBLING",
@@ -121,6 +138,8 @@ def cases() -> list[tuple[str, list[str]]]:
                                   "--range", "alpha=1.5:6:4"]),
         ("sweep/VOL_B/H", ["sweep", *_FLAT, "--theorem", "VOL_B", "--r", "0.3", "--R", "0.9",
                            "--grid", "24", "--range", "H=-1:1:3"]),
+        ("sweep/VOL_B/R", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "VOL_B", "--r", "0.3",
+                           "--grid", "64", "--range", "R=0.6:1.5:4"]),
         ("sweep/CHENG/delta", ["sweep", *_FLAT, "--theorem", "CHENG", "--R", "1",
                                "--range", "delta=0.1:0.5:3"]),
         ("sweep/MC_DRIFT/a", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT", "--grid", "32",
@@ -140,6 +159,16 @@ def cases() -> list[tuple[str, list[str]]]:
         ["check", *_CUSTOM, "--param", "H=1", "--theorem", "MC_DRIFT"],
         ["sweep", *_FLAT, "--theorem", "DOUBLING", "--R", "1", "--range", "alpha=2:nan:3"],
         ["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--range", "a=0:1"],
+        ["check", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "0"],
+        ["check", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "-5"],
+        ["check", *_HYP, "--theorem", "VOL_ABS_NEGH", "--H", "-1", "--R", "1", "--grid", "0"],
+        ["check", *_FLAT, "--theorem", "VOL_B", "--r", "0.3", "--R", "1", "--grid", "1"],
+        ["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "0", "--range", "H=0:1:2"],
+        ["check", "--custom", "nan.json", "--theorem", "MC_DRIFT", "--grid", "32"],
+        ["check", "--custom", "inf.json", "--theorem", "MC_DRIFT", "--grid", "32"],
+        ["check", *_FLAT, "--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--k", "50",
+         "--grid", "16"],
+        ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "2", "--R", "0.5", "--k", "100"],
         [],
     ]
     out += [(f"bad/{i}", argv) for i, argv in enumerate(bad)]
@@ -148,12 +177,13 @@ def cases() -> list[tuple[str, list[str]]]:
 
 def run_case(src: Path, argv: list[str], workdir: Path) -> dict:
     workdir.mkdir(parents=True)
-    (workdir / "space.json").write_text(json.dumps(CUSTOM_SPEC))
+    for name, spec in SPEC_FILES.items():
+        (workdir / name).write_text(json.dumps(spec))
     proc = subprocess.run([sys.executable, "-m", "smmskit", *argv], cwd=workdir,
                           capture_output=True, text=True, timeout=600,
                           env={**os.environ, "PYTHONPATH": str(src)})
     files = {p.name: p.read_text() for p in sorted(workdir.iterdir())
-             if p.name != "space.json"}
+             if p.name not in SPEC_FILES}
     return {"exit": str(proc.returncode), "stdout": proc.stdout,
             "stderr": proc.stderr, **{f"file:{k}": v for k, v in files.items()}}
 
