@@ -347,7 +347,13 @@ def _cmd_sweep(args) -> int:
             else:
                 overrides[name] = float(val)
         point_spec = replace(spec, params={**spec.params, **overrides})
-        report, _, _ = run_spec_check(point_spec, args.theorem, args)
+        try:
+            report, _, _ = run_spec_check(point_spec, args.theorem, args)
+        except (KernelError, ValueError) as exc:
+            # Same kind, so the same exit and prefix, naming the failing point.
+            at = ", ".join(f"{name}={val:.17g}" for name, val in zip(names, point))
+            kind = KernelError if isinstance(exc, KernelError) else ValueError
+            raise kind(f"at {at}: {exc}") from exc
         check = report["checks"][0]
         rows.append((point, check["min_margin"], report["verdict"],
                      check["params"].get("epsilon")))

@@ -6,19 +6,25 @@ warped space with coefficient m_f.  The pole is a regular singular point,
 so integration starts at r0 = 1e-6 R from the series
 phi(r0) = 1 - lambda r0^2 / (2n), phi'(r0) = -lambda r0 / n.
 
-Shoots follow the Pruefer angle theta, phi = rho sin(theta) and
-phi' = rho cos(theta), which obeys the first-order equation
-theta' = cos^2 theta + m_f sin theta cos theta + lambda sin^2 theta.
+Shoots run in the scaled state (phi, R phi'), whose components are of order
+one at any R, and follow the Pruefer angle theta, phi = rho sin(theta) and
+R phi' = rho cos(theta), which obeys the first-order equation
+theta' = cos^2 theta / R + m_f sin theta cos theta + lambda R sin^2 theta.
 theta(R; lambda) is continuous and increasing in lambda and passes each
 multiple of pi only upward, at a zero of phi, so the first eigenvalue is the
 root of theta(R; lambda) = pi (Pryce, Numerical Solution of Sturm-Liouville
-Problems, 1993).  Secant steps safeguarded inside a kept bracket find it,
-until the bracket is narrower than max(abs_tol, rel_tol * lambda_hi); one
-(phi, phi') shoot at the root then gives the eigenfunction samples, r_half
-and the residual |phi(R)|.  The report passes only when the bracket meets that
-width, theta(R) at its upper end lies in [pi, 2 pi) (phi has exactly one
-zero, so the eigenvalue is the first) and the residual is within the bound
-the bracket and the shoot's error estimates allow.
+Problems, 1993).  The lowest Rayleigh-Ritz value on a polynomial basis,
+taken on Gauss-Jacobi nodes, seeds the search with a bracket one closing
+width wide around it; the search falls back to growing a bracket from
+[0, pi^2/R^2] when the Ritz value does not bracket the root.  Secant steps
+safeguarded inside a kept bracket find it, until the bracket is narrower
+than max(abs_tol, rel_tol * lambda_hi); one (phi, R phi') shoot at the root
+then gives the eigenfunction samples, r_half and the residual |phi(R)|.  The
+report passes only when the bracket meets that width, theta(R) at its upper
+end lies in [pi, 2 pi) (phi has exactly one zero, so the eigenvalue is the
+first) and the residual is within the bound the bracket and the shoot's
+error estimates allow.  The Ritz value only places the bracket; the shoots
+decide the verdict.
 
 The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
@@ -36,9 +42,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .comparison import Report, doubling_epsilon, require_admissible
-from .model import ModelSpace, mean_curvature_model, volume_model
+from .model import ModelSpace, mean_curvature_model, sn, volume_model
 from .numkit import (RootBracket, Tolerance, bracket_width, find_root_bracketed,
-                     integrate_ode, quad_adaptive)
+                     gauss_jacobi, integrate_ode, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
@@ -66,9 +72,11 @@ class EigenResult(Report):
     bracket, ``theta_hi`` the Pruefer angle theta(R) at its upper end and
     ``r_half`` the first radius with phi = 1/2.  ``residual_bound`` is what
     the bracket allows, rho(R) max |theta(R) - pi| over its ends, plus the
-    summed local error estimates of the shoot.  The search is restricted to
-    radial eigenfunctions (the first eigenfunction is radial for radial
-    data).
+    summed local error estimates of the shoot.  ``lam_ritz`` is the
+    Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
+    failed) and ``shoots`` the number of ODE solves the eigenvalue took, the
+    (phi, R phi') shoot included.  The search is restricted to radial
+    eigenfunctions (the first eigenfunction is radial for radial data).
     """
 
     lam: float
@@ -79,6 +87,8 @@ class EigenResult(Report):
     theta_hi: float
     r_half: float
     tol: Tolerance
+    lam_ritz: float
+    shoots: int
     radial_only: bool = True
 
     theorem_id = "EIGEN"
@@ -117,6 +127,8 @@ class EigenResult(Report):
             "reason": self.reason,
             "tol_abs": self.tol.abs_tol,
             "tol_rel": self.tol.rel_tol,
+            "lambda_ritz": self.lam_ritz if math.isfinite(self.lam_ritz) else None,
+            "shoots": self.shoots,
         })
 
     def samples_csv(self) -> str:
@@ -127,57 +139,131 @@ class EigenResult(Report):
 
 
 def _pole_start(n: int, lam: float, R: float):
-    """Start radius and (phi, phi') there from the regular-singular pole series."""
+    """Start radius and (phi, R phi') there from the regular-singular pole series."""
     r0 = 1e-6 * R
-    return r0, 1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 / n
+    return r0, 1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 * R / n
 
 
 def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
-    """Integrate the radial eigenfunction ODE at trial eigenvalue ``lam``."""
+    """Integrate the radial eigenfunction ODE at trial eigenvalue ``lam``.
+
+    The state is (phi, R phi'), so both components are of order one at any R.
+    """
     r0, phi0, dphi0 = _pole_start(n, lam, R)
 
     def rhs(t, y):
-        return (y[1], -coeff(t) * y[1] - lam * y[0])
+        return (y[1] / R, -coeff(t) * y[1] - lam * R * y[0])
 
     return integrate_ode(rhs, r0, np.array([phi0, dphi0]), R, ode_tol,
                          max_step=R / 32.0)
 
 
 def _prufer_angle(coeff, n: int, lam: float, R: float) -> float:
-    """Pruefer angle theta(R; lam), with phi = rho sin(theta), phi' = rho cos(theta).
+    """Pruefer angle theta(R; lam), with phi = rho sin(theta), R phi' = rho cos(theta).
 
-    theta' = cos^2 + m_f sin cos + lam sin^2 starts near pi/2 and crosses
-    each multiple of pi upward exactly once, at a zero of phi.
+    theta' = cos^2/R + m_f sin cos + lam R sin^2 starts near pi/2 and
+    crosses each multiple of pi upward exactly once, at a zero of phi.
     """
     r0, phi0, dphi0 = _pole_start(n, lam, R)
 
     def rhs(t, y):
         sin, cos = math.sin(y[0]), math.cos(y[0])
-        return (cos * cos + coeff(t) * sin * cos + lam * sin * sin,)
+        return (cos * cos / R + coeff(t) * sin * cos + lam * R * sin * sin,)
 
     traj = integrate_ode(rhs, r0, (math.atan2(phi0, dphi0),), R, _ODE_TOL,
                          max_step=R / 32.0)
     return float(traj.terminal()[0])
 
 
-def _first_eigenvalue(coeff, n: int, R: float, tol: Tolerance):
+# Rayleigh-Ritz seed: basis (1 - v) P_k(2v - 1), k < _RITZ_BASIS, on the
+# _RITZ_NODES-point Gauss-Jacobi rule; mass-matrix directions below
+# _MASS_CUT of its largest eigenvalue are projected out.
+_RITZ_BASIS = 24
+_RITZ_NODES = 64
+_MASS_CUT = 1e-13
+
+
+@lru_cache(maxsize=None)
+def _ritz_basis(n: int):
+    """Nodes v and weights of the Gauss-Jacobi rule for v^(n-1) dv on (0, 1),
+    and the basis and its v-derivative at the nodes, as read-only arrays."""
+    v, wq = gauss_jacobi(_RITZ_NODES, n - 1.0)
+    legendre = np.polynomial.legendre
+    P = legendre.legvander(2.0 * v - 1.0, _RITZ_BASIS - 1)
+    dP = legendre.legval(2.0 * v - 1.0, legendre.legder(np.eye(_RITZ_BASIS))).T
+    basis = (1.0 - v)[:, None] * P
+    dbasis = 2.0 * (1.0 - v)[:, None] * dP - P
+    for arr in (v, wq, basis, dbasis):
+        arr.setflags(write=False)
+    return v, wq, basis, dbasis
+
+
+def _ritz_value(log_weight, n: int, R: float) -> float:
+    """Lowest Ritz value of -(A phi')' = lambda A phi, phi(R) = 0, on B(0, R).
+
+    ``log_weight(r)`` is log(A(r)/r^(n-1)) up to a constant, for an array of
+    r in (0, R).  With v = r/R the Rayleigh quotient is
+    int phi_v^2 g v^(n-1) dv / (R^2 int phi^2 g v^(n-1) dv), g(v) = A(Rv)/(Rv)^(n-1),
+    taken on the Gauss-Jacobi rule for v^(n-1).  By min-max the value bounds
+    the first eigenvalue from above, up to quadrature error.  Raises
+    ``numpy.linalg.LinAlgError`` when the small eigenproblem does.
+    """
+    v, wq, basis, dbasis = _ritz_basis(n)
+    log_g = np.asarray(log_weight(R * v), dtype=float)
+    root_w = np.sqrt(wq * np.exp(log_g - log_g.max()))
+    phi, dphi = basis * root_w[:, None], dbasis * root_w[:, None]
+    mass_eig, mass_vec = np.linalg.eigh(phi.T @ phi)
+    keep = mass_eig > _MASS_CUT * mass_eig[-1]
+    T = mass_vec[:, keep] / np.sqrt(mass_eig[keep])
+    dT = dphi @ T
+    return float(np.linalg.eigvalsh(dT.T @ dT)[0]) / (R * R)
+
+
+def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     """Root of theta(R; lam) = pi by ``find_root_bracketed``, then one shoot.
 
-    lam = 0 gives phi = 1 and theta = pi/2 with no shoot.  The upper end
-    starts at pi^2/R^2 and may grow up to 2^40 times that.  Returns the
-    result of the (phi, phi') shoot at the secant point of the final bracket.
+    The Ritz value lam_R seeds the search: the bracket is
+    [lam_R - max(0.4 w, 1e-8 lam_R), lam_R + 0.4 w] with w the closing width
+    at lam_R, so at rel_tol = 1e-6 two theta shoots close it, and at
+    rel_tol = 1e-10 the secant needs one or two more.  When lam_R is not
+    finite or the Ritz solve fails, the search starts from [0, pi^2/R^2] as
+    without a seed (lam = 0 gives phi = 1 and theta = pi/2 with no shoot).
+    When theta(R) >= pi already at the seeded lower end (a Ritz value too
+    high to bracket the root), that end is the upper end of the same
+    search.  The upper end may grow up to 2^40 pi^2/R^2.  Each trial lam is
+    shot once.  Returns the result of the (phi, R phi') shoot at the secant
+    point of the final bracket.
     """
+    shots = {}
+
     def g(lam: float) -> float:
-        return _prufer_angle(coeff, n, lam, R) - math.pi
+        if lam not in shots:
+            shots[lam] = _prufer_angle(coeff, n, lam, R) - math.pi
+        return shots[lam]
 
     hi = math.pi ** 2 / R ** 2
-    root = find_root_bracketed(g, 0.0, hi, tol, f_lo=-0.5 * math.pi,
-                               cap=hi * 2.0 ** 40)
+    cap = hi * 2.0 ** 40
+    try:
+        lam_ritz = _ritz_value(log_weight, n, R)
+    except np.linalg.LinAlgError:
+        lam_ritz = math.nan
+    root = None
+    if math.isfinite(lam_ritz):
+        width = bracket_width(tol, lam_ritz)
+        lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
+        if g(lo) < 0.0:
+            root = find_root_bracketed(g, lo, lam_ritz + 0.4 * width, tol,
+                                       f_lo=g(lo), cap=cap)
+        elif lo > 0.0:
+            hi = lo
+    if root is None:
+        root = find_root_bracketed(g, 0.0, hi, tol, f_lo=-0.5 * math.pi, cap=cap)
     traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
-    return _sample_result(root, traj, R, tol)
+    return _sample_result(root, traj, R, tol, lam_ritz, len(shots) + 1)
 
 
-def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance) -> EigenResult:
+def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
+                   lam_ritz: float, shoots: int) -> EigenResult:
     """The eigenfunction at 129 radii, r_half and the residual bound."""
     def phi(r: float) -> float:
         return 1.0 if r <= traj.t0 else float(traj.at(r)[0])
@@ -205,7 +291,7 @@ def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance) -> EigenRe
                        samples=np.column_stack([rs, phis]),
                        bracket=(root.lo, root.hi),
                        theta_hi=root.f_hi + math.pi,
-                       r_half=r_half, tol=tol)
+                       r_half=r_half, tol=tol, lam_ritz=lam_ritz, shoots=shoots)
 
 
 # Pure and deterministic, so memoization only removes repeated solves
@@ -223,7 +309,10 @@ def model_eigenvalue(n: int, a: float, H: float, R: float,
     def coeff(t: float) -> float:
         return mean_curvature_model(float(n), H, t) + a
 
-    return _first_eigenvalue(coeff, n, R, tol)
+    def log_weight(r: np.ndarray) -> np.ndarray:
+        return a * r + (n - 1.0) * np.log(sn(H, r) / r)
+
+    return _first_eigenvalue(coeff, log_weight, n, R, tol)
 
 
 def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
@@ -237,7 +326,10 @@ def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
     def coeff(t: float) -> float:
         return float(mean_curvature_f(s, t))
 
-    return _first_eigenvalue(coeff, s.n, R, tol)
+    def log_weight(r: np.ndarray) -> np.ndarray:
+        return (s.n - 1.0) * np.log(s.w.eval(r) / r) - s.f.eval(r)
+
+    return _first_eigenvalue(coeff, log_weight, s.n, R, tol)
 
 
 def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
@@ -259,7 +351,7 @@ def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
         return 1.0 if t <= t0 else float(traj.at(t)[0])
 
     def dphi(t: float) -> float:
-        return 0.0 if t <= t0 else float(traj.at(t)[1])
+        return 0.0 if t <= t0 else float(traj.at(t)[1]) / R
 
     qtol = Tolerance(abs_tol=1e-11, rel_tol=1e-10)
     num, _ = quad_adaptive(lambda t: dphi(t) ** 2 * float(weighted_area(s, t)),

@@ -464,6 +464,21 @@ class TestSweep:
         assert np.all(np.diff(eps) >= -1e-15)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, err", [
+        (_FLAT + ["--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--grid", "16",
+                  "--range", "k=1:50:3"],
+         "numerical failure: at k=50: AREA_A: a compared value is not finite"),
+        (_SPHERE + ["--H", "1", "--theorem", "VOL_B", "--r", "0.1", "--grid", "16",
+                    "--range", "R=0.5:2:3"],
+         "error: at R=2: R exceeds pi/(2 sqrt(H))"),
+    ], ids=["numerical", "range"])
+    def test_failing_point_is_named(self, capsys, tmp_path, argv, err):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err)
+        assert captured.out == "" and not out.exists()
+
     def test_empty_range_rejected(self, capsys):
         assert main(["sweep", "--space", "euclidean", "--n", "3",
                      "--theorem", "MC_DRIFT", "--range", "eps=0:1:0"]) == 2
@@ -484,6 +499,14 @@ class TestEigenReports:
             assert code == 0
             check = report["checks"][0]
             assert (check["tol_abs"], check["tol_rel"]) == (1e-8, 1e-6)
+
+    def test_eigen_report_states_the_ritz_seed_and_the_shoots(self, capsys):
+        code, report = run_json(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1"],
+                                capsys)
+        assert code == 0
+        check = report["checks"][0]
+        assert abs(check["lambda_ritz"] - np.pi ** 2) <= 1e-12 * np.pi ** 2
+        assert check["shoots"] == 3
 
     def test_eigen_residual_beyond_its_bound_exits_one(self, capsys, monkeypatch):
         solve = eigen.smms_radial_eigenvalue

@@ -147,8 +147,8 @@ class TestRayleighTransplant:
         def phi(t):
             return 1.0 if t <= t0 else float(traj.at(t)[0])
 
-        def dphi(t):
-            return 0.0 if t <= t0 else float(traj.at(t)[1])
+        def dphi(t):  # the shoot's second component is R phi'
+            return 0.0 if t <= t0 else float(traj.at(t)[1]) / R
 
         def excess(t):
             return max(0.0, float(mean_curvature_f(s, t))
@@ -207,13 +207,16 @@ SHOOT_CASES = [
     ("hyperbolic", {"n": 3, "H": -0.7}, 1.3),
     ("perturbed_sphere", {"n": 3}, 1.0),
 ]
+SHOOT_CLOSED_FORMS = {"sphere": math.pi ** 2 - 1.0, "euclidean": J01 ** 2,
+                      "hyperbolic": math.pi ** 2 / 1.69 + 0.7}
 CLI_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-6, max_steps=200_000)
 
 
 class TestPruferSolver:
     def test_steep_hyperbolic_ball_gives_the_first_eigenvalue(self, monkeypatch):
-        # lambda_1 = pi^2 + 100 and lambda_2 = 4 pi^2 + 100; the bracket
-        # grows from pi^2 past lambda_2 before the root search starts.
+        # lambda_1 = pi^2 + 100 and lambda_2 = 4 pi^2 + 100.  Without the Ritz
+        # seed the bracket grows from pi^2 past lambda_2 before the root
+        # search starts; the seeded search must land on the same root.
         want = math.pi ** 2 + 100.0
         trials = []
 
@@ -223,14 +226,19 @@ class TestPruferSolver:
 
         prufer_angle = eigen._prufer_angle
         monkeypatch.setattr(eigen, "_prufer_angle", recording)
-        res = model_eigenvalue.__wrapped__(3, 0.0, -100.0, 1.0)
-        assert max(trials) > 4.0 * math.pi ** 2 + 100.0
-        assert abs(res.lam - want) <= 1e-8 * want
         s = make_space("hyperbolic", n=3, H=-100.0, r_max=2.0)
-        res = smms_radial_eigenvalue(s, 1.0)
-        assert abs(res.lam - want) <= 1e-8 * want
-        assert res.verdict == "PASS"
-        assert math.pi <= res.theta_hi < 2.0 * math.pi
+        no_seed, ritz_value = (lambda *args: math.nan), eigen._ritz_value
+        for seed in (no_seed, ritz_value):
+            monkeypatch.setattr(eigen, "_ritz_value", seed)
+            trials.clear()
+            res = model_eigenvalue.__wrapped__(3, 0.0, -100.0, 1.0)
+            if seed is no_seed:
+                assert max(trials) > 4.0 * math.pi ** 2 + 100.0
+            assert abs(res.lam - want) <= 1e-8 * want
+            res = smms_radial_eigenvalue(s, 1.0)
+            assert abs(res.lam - want) <= 1e-8 * want
+            assert res.verdict == "PASS"
+            assert math.pi <= res.theta_hi < 2.0 * math.pi
 
     @pytest.mark.parametrize("tol", [CLI_TOL, EIGEN_TOL], ids=["rel1e-6", "EIGEN_TOL"])
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
@@ -255,6 +263,57 @@ class TestPruferSolver:
             lo, hi = res.bracket
             assert lo <= res.lam <= hi
             assert hi - lo <= tol.rel_tol * hi
+
+    @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
+                             ids=[c[0] for c in SHOOT_CASES])
+    def test_ritz_seed_closes_the_bracket_in_two_shoots(self, monkeypatch, name, params,
+                                                         R):
+        # Two theta shoots at the ends of the seeded bracket, then the
+        # (phi, R phi') shoot; the report counts the same solves.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return integrate_ode(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "integrate_ode", counting)
+        res = smms_radial_eigenvalue(make_space(name, **params), R, CLI_TOL)
+        assert res.verdict == "PASS"
+        assert len(calls) == res.shoots == 3
+        assert res.to_dict()["shoots"] == 3
+
+    @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
+                             ids=[c[0] for c in SHOOT_CASES])
+    def test_ritz_value_bounds_the_eigenvalue_from_above(self, name, params, R):
+        res = smms_radial_eigenvalue(make_space(name, **params), R)
+        assert res.lam_ritz >= res.lam - 1e-9 * res.lam
+        assert res.to_dict()["lambda_ritz"] == res.lam_ritz
+        want = SHOOT_CLOSED_FORMS.get(name)
+        if want is not None:
+            assert abs(res.lam_ritz - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name, params, want", [
+        ("linear_drift", {"n": 3, "a": 20.0}, 108.68375394023235),
+        ("hyperbolic", {"n": 9, "H": -25.0, "r_max": 5.0}, 400.7466976739629),
+    ], ids=["drift_a20", "hyperbolic_n9"])
+    def test_unconverged_ritz_value_falls_back_to_the_plain_search(self, name, params,
+                                                                   want):
+        # The weight spans e^80 on B(0, 4): 24 basis functions leave the Ritz
+        # value 0.7% and 3% high, so theta(R) >= pi at the seeded lower end.
+        res = smms_radial_eigenvalue(make_space(name, **params), 4.0, CLI_TOL)
+        assert res.lam_ritz > res.lam * (1.0 + 1e-3)
+        assert res.shoots > 3
+        assert res.verdict == "PASS"
+        assert abs(res.lam - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("R", [1e-9, 1e-6, 1e-3, 1.0, 3.0])
+    def test_accuracy_does_not_depend_on_the_radius(self, R):
+        # The shoots run in (phi, R phi') and theta = atan2(phi, R phi'), so
+        # a small ball is solved as well as the unit ball.
+        res = smms_radial_eigenvalue(make_space("euclidean", n=3), R, CLI_TOL)
+        assert res.verdict == "PASS"
+        assert abs(res.lam * R * R / math.pi ** 2 - 1.0) <= 1e-9
+        assert res.residual_bound <= 1e-6
 
     def test_closed_forms_far_inside_the_tolerance(self):
         # The root of theta(R) = pi is interpolated, so even the CLI

@@ -42,10 +42,14 @@ CUSTOM_SPEC = {"n": 3,
                "custom": {"w": {"type": "poly", "coeffs": [0.0, 1.0]},
                           "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.05]},
                           "r_max": 3.0, "closed": False}}
-# Spec files written into every run directory: the custom space, and two
-# copies with a non-finite number (JSON allows NaN and Infinity).
+# Spec files written into every run directory: the custom space, the same
+# space with a spline (`table`) warping w = r + 0.02 r^3, and two copies with a
+# non-finite number (JSON allows NaN and Infinity).
 SPEC_FILES = {
     "space.json": CUSTOM_SPEC,
+    "table.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "w": {
+        "type": "table", "nodes": [[i / 10, i / 10 + 0.02 * (i / 10) ** 3]
+                                   for i in range(31)]}}},
     "nan.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"],
                                            "f": {"type": "poly",
                                                  "coeffs": [0.0, 0.0, math.nan]}}},
@@ -118,6 +122,11 @@ def cases() -> list[tuple[str, list[str]]]:
                              "--R", "1.5", "--grid", "16"]),
         ("custom/CHENG", ["check", *_CUSTOM, "--theorem", "CHENG", "--R", "1.5",
                           "--delta", "0.5"]),
+        ("table/EIGEN", ["check", "--custom", "table.json", "--theorem", "EIGEN",
+                         "--R", "1.5"]),
+        ("flat/EIGEN/R1e-9", ["check", *_FLAT, "--theorem", "EIGEN", "--R", "1e-9"]),
+        ("drift/EIGEN/a20", ["check", *_DRIFT, "--param", "a=20", "--theorem", "EIGEN",
+                             "--R", "4"]),
         ("out/json", ["check", *_FLAT, "--theorem", "VOL_B", "--H", "0", "--r", "0.3",
                       "--R", "1", "--grid", "24", "--out", "report.json"]),
         ("out/csv", ["check", *_PSPHERE, "--theorem", "DOUBLING", "--H", "1", "--alpha", "4",
@@ -170,6 +179,8 @@ def cases() -> list[tuple[str, list[str]]]:
          "--grid", "16"],
         ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "2", "--R", "0.5", "--k", "100"],
         [],
+        ["sweep", *_FLAT, "--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--grid", "16",
+         "--range", "k=1:50:3"],
     ]
     out += [(f"bad/{i}", argv) for i, argv in enumerate(bad)]
     return out
