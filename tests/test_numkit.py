@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad, solve_ivp
 from scipy.special import roots_jacobi
 
 from smmskit.numkit import (BracketError, NonFiniteError, SubdivisionLimitError,
@@ -32,16 +33,19 @@ class TestIntegrateOde:
     def test_exponential(self):
         traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0, TIGHT)
         assert abs(traj.terminal()[0] - math.e) < 1e-9
+        assert len(traj.ts) - 1 == 27  # accepted steps, pinned here and below
 
     def test_harmonic_oscillator(self):
         rhs = lambda t, y: np.array([y[1], -y[0]])
         traj = integrate_ode(rhs, 0.0, [0.0, 1.0], math.pi / 2, TIGHT)
         assert abs(traj.terminal()[0] - 1.0) < 1e-9
+        assert len(traj.ts) - 1 == 41
 
     def test_riccati_closed_form(self):
         # m' = -m^2 with m(1) = 1 has m(t) = 1/t.
         traj = integrate_ode(lambda t, y: -y ** 2, 1.0, [1.0], 4.0, TIGHT)
         assert abs(traj.terminal()[0] - 0.25) < 1e-9
+        assert len(traj.ts) - 1 == 53
 
     def test_dense_output_matches_solution(self):
         # Cubic Hermite between nodes: O(h^4) on the capped step.
@@ -50,6 +54,7 @@ class TestIntegrateOde:
             assert abs(traj.at(t)[0] - math.exp(t)) < 5e-7
         traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0, TIGHT,
                              max_step=1.0 / 64)
+        assert len(traj.ts) - 1 == 64
         for t in np.linspace(0.0, 1.0, 23):
             assert abs(traj.at(t)[0] - math.exp(t)) < 2e-9
 
@@ -59,6 +64,7 @@ class TestIntegrateOde:
         assert np.all(np.diff(traj.ts) > 0)
         assert len(traj.errors) == len(traj.ts)
         assert np.all(traj.errors[1:] <= 1.0)  # accepted-step estimates
+        assert len(traj.ts) - 1 == 17
 
     def test_nonfinite_rhs_raises(self):
         def rhs(t, y):
@@ -68,11 +74,13 @@ class TestIntegrateOde:
 
     def test_dense_output_range_check(self):
         traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0)
+        assert len(traj.ts) - 1 == 17
         with pytest.raises(ValueError):
             traj.at(1.5)
 
     def test_dense_output_on_arrays_matches_float_calls(self):
         traj = integrate_ode(lambda t, y: (y[1], -y[0]), 0.0, [0.0, 1.0], 3.0)
+        assert len(traj.ts) - 1 == 18
         ts = np.random.default_rng(3).uniform(0.0, 3.0, 500)
         rows = traj.at(ts)
         assert rows.shape == (500, 2)
@@ -84,6 +92,7 @@ class TestIntegrateOde:
     def test_random_linear_systems(self):
         # 2x2 constant-coefficient systems against the matrix exponential.
         rng = np.random.default_rng(7)
+        total = 0
         for _ in range(100):
             A = rng.uniform(-2.0, 2.0, size=(2, 2))
             y0 = rng.uniform(-1.0, 1.0, size=2)
@@ -92,6 +101,63 @@ class TestIntegrateOde:
             lam, V = np.linalg.eig(A)
             exact = (V @ np.diag(np.exp(lam * t1)) @ np.linalg.inv(V) @ y0).real
             assert np.allclose(traj.terminal(), exact, rtol=1e-6, atol=1e-6)
+            total += len(traj.ts) - 1
+        assert total == 3328  # accepted steps over the 100 systems
+
+    def test_pendulum_against_dop853(self):
+        rhs = lambda t, y: (y[1], -math.sin(y[0]))
+        tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
+        traj = integrate_ode(rhs, 0.0, [2.5, 0.0], 10.0, tol)
+        ref = solve_ivp(rhs, (0.0, 10.0), [2.5, 0.0], method="DOP853", t_eval=traj.ts,
+                        rtol=1e-13, atol=1e-14)
+        assert ref.success
+        assert np.abs(traj.ys - ref.y.T).max() < 1e-9
+
+    def test_prufer_angle_of_the_flat_unit_ball_against_dop853(self):
+        # theta' = cos^2 + (n-1)/r sin cos + lam sin^2 at R = 1, from the pole
+        # series at r0 = 1e-6; the flat 3-ball has lam_1 = pi^2, so theta(1) = pi.
+        lam, n, r0 = math.pi ** 2, 3, 1e-6
+        theta0 = math.atan2(1.0 - lam * r0 * r0 / (2 * n), -lam * r0 / n)
+
+        def rhs(t, y):
+            sin, cos = math.sin(y[0]), math.cos(y[0])
+            return (cos * cos + (n - 1) / t * sin * cos + lam * sin * sin,)
+
+        traj = integrate_ode(rhs, r0, (theta0,), 1.0, Tolerance(1e-12, 1e-12),
+                             max_step=1.0 / 32)
+        ref = solve_ivp(rhs, (r0, 1.0), [theta0], method="DOP853", t_eval=traj.ts,
+                        rtol=1e-13, atol=1e-14)
+        assert ref.success
+        assert np.abs(traj.ys[:, 0] - ref.y[0]).max() < 1e-9
+        assert abs(traj.terminal()[0] - math.pi) < 1e-9
+
+    def test_tuple_list_and_array_returns_give_the_same_trajectory(self):
+        forms = (lambda a, b: (a, b), lambda a, b: [a, b], lambda a, b: np.array([a, b]))
+        trajs = [integrate_ode(lambda t, y, form=form: form(y[1], -math.sin(y[0]) * t),
+                               0.0, [1.0, 0.0], 4.0, TIGHT) for form in forms]
+        for other in trajs[1:]:
+            for field in ("ts", "ys", "derivs", "errors"):
+                assert getattr(other, field).tobytes() == getattr(trajs[0], field).tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        lambda t, y: (y[0],), lambda t, y: [y[0], y[1], 0.0],
+        lambda t, y: float(y[0]), lambda t, y: np.zeros((2, 2)),
+    ], ids=["one", "three", "scalar", "nested"])
+    def test_wrong_component_count_raises(self, bad):
+        with pytest.raises(ValueError, match="must return 2 numbers"):
+            integrate_ode(bad, 0.0, [1.0, 0.0], 1.0)
+
+    def test_nan_at_an_interior_stage_raises_at_that_stage(self):
+        # The third call is stage k2 of the first step: t = 3/8 h, h = 1/64.
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (math.nan if len(calls) == 3 else -y[0],)
+
+        with pytest.raises(NonFiniteError, match=r"at t=0\.005859375$"):
+            integrate_ode(rhs, 0.0, [1.0], 1.0)
+        assert len(calls) == 3
 
 
 class TestQuadAdaptive:
@@ -137,7 +203,7 @@ class TestQuadGrid:
         edges = np.linspace(0.0, math.pi, 17)
         segs, _ = quad_grid(np.sin, edges)
         assert abs(segs.sum() - 2.0) < 1e-10
-        scalar, _ = quad_adaptive(math.sin, 0.0, math.pi, TIGHT)
+        scalar, _ = quad(math.sin, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
         assert abs(segs.sum() - scalar) < 1e-9
 
     def test_kinked_integrand(self):
@@ -158,17 +224,21 @@ class TestQuadGrid:
             quad_grid(step, np.array([0.0, 1.0]), abs_tol=1e-14, rel_tol=1e-14)
 
     def test_agrees_with_scalar_kernel_on_random_integrands(self):
+        # Against the closed form and against scipy's scalar quadrature.
         rng = np.random.default_rng(17)
         for _ in range(20):
             a0, a1, w1, w2 = rng.uniform(-1.5, 1.5, size=4)
             f_vec = lambda t: a0 * np.cos(w1 * np.asarray(t)) \
                 + a1 * np.sin(w2 * np.asarray(t)) + 0.3 * np.asarray(t) ** 2
-            f_sca = lambda t: float(f_vec(t))
+            antideriv = lambda t: a0 * math.sin(w1 * t) / w1 \
+                - a1 * math.cos(w2 * t) / w2 + 0.1 * t ** 3
             edges = np.sort(rng.uniform(0.0, 3.0, size=6))
+            lo, hi = float(edges[0]), float(edges[-1])
             segs, _ = quad_grid(f_vec, edges)
-            whole, _ = quad_adaptive(f_sca, float(edges[0]), float(edges[-1]),
-                                     TIGHT)
-            assert abs(segs.sum() - whole) < 1e-9 * (1.0 + abs(whole))
+            exact = antideriv(hi) - antideriv(lo)
+            scalar, _ = quad(lambda t: float(f_vec(t)), lo, hi, epsabs=1e-13, epsrel=1e-13)
+            for whole in (exact, scalar):
+                assert abs(segs.sum() - whole) < 1e-9 * (1.0 + abs(whole))
 
 
 class TestGaussJacobi:

@@ -265,6 +265,20 @@ class TestProfiles:
         assert abs(p.d1(1.5) - (1.0 - 0.3 * 1.5 ** 2)) < 1e-14
         assert abs(p.d2(1.5) - (-0.6 * 1.5)) < 1e-14
 
+    def test_poly_profile_is_bitwise_numpy_polynomial(self):
+        # Horner on floats and on arrays must give numpy's bits, signed
+        # zeros included.
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            coeffs = rng.normal(size=rng.integers(1, 9)) * 10.0 ** rng.integers(-3, 3, 1)
+            p = profile_from_spec({"type": "poly", "coeffs": coeffs.tolist()}, 4.0)
+            ref = np.polynomial.Polynomial(coeffs)
+            rs = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, 40)])
+            for got, want in ((p.eval, ref), (p.d1, ref.deriv(1)), (p.d2, ref.deriv(2))):
+                assert got(rs).tobytes() == want(rs).tobytes()
+                floats = np.array([got(r) for r in rs.tolist()])
+                assert floats.tobytes() == want(rs).tobytes()
+
     def test_fourier_profile(self):
         p = profile_from_spec({"type": "fourier", "coeffs": [0.2, 0.1, 0.05]}, 2 * math.pi)
         r = 0.8

@@ -43,13 +43,17 @@ CUSTOM_SPEC = {"n": 3,
                           "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.05]},
                           "r_max": 3.0, "closed": False}}
 # Spec files written into every run directory: the custom space, the same
-# space with a spline (`table`) warping w = r + 0.02 r^3, and two copies with a
-# non-finite number (JSON allows NaN and Infinity).
+# space with a spline (`table`) warping w = r + 0.02 r^3, the benchmark's
+# `poly_small` family with a cubic warping w = r + 0.002 r^3 (`bumped`), and
+# two copies with a non-finite number (JSON allows NaN and Infinity).
 SPEC_FILES = {
     "space.json": CUSTOM_SPEC,
     "table.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "w": {
         "type": "table", "nodes": [[i / 10, i / 10 + 0.02 * (i / 10) ** 3]
                                    for i in range(31)]}}},
+    "bumped.json": {**CUSTOM_SPEC, "custom": {
+        "w": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.002]},
+        "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.01]}, "r_max": 3.0, "closed": False}},
     "nan.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"],
                                            "f": {"type": "poly",
                                                  "coeffs": [0.0, 0.0, math.nan]}}},
@@ -124,6 +128,10 @@ def cases() -> list[tuple[str, list[str]]]:
                           "--delta", "0.5"]),
         ("table/EIGEN", ["check", "--custom", "table.json", "--theorem", "EIGEN",
                          "--R", "1.5"]),
+        ("bumped/CHENG", ["check", "--custom", "bumped.json", "--theorem", "CHENG",
+                          "--R", "1.5", "--delta", "0.4"]),
+        ("bumped/EIGEN/tight", ["check", "--custom", "bumped.json", "--theorem", "EIGEN",
+                                "--R", "1.5", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
         ("flat/EIGEN/R1e-9", ["check", *_FLAT, "--theorem", "EIGEN", "--R", "1e-9"]),
         ("drift/EIGEN/a20", ["check", *_DRIFT, "--param", "a=20", "--theorem", "EIGEN",
                              "--R", "4"]),
