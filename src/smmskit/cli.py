@@ -27,7 +27,7 @@ from . import __version__
 from . import comparison as cmp
 from . import diameter, eigen
 from .numkit import KernelError, Tolerance
-from .smms import CATALOG, WarpedSMMS, make_space
+from .smms import CATALOG, DivergentExcessError, WarpedSMMS, make_space
 
 __all__ = ["SpaceSpec", "main", "run", "CHECK_IDS"]
 
@@ -204,7 +204,10 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
             raise InputError(f"theorem {tid} requires --{name}")
 
     t_start = time.perf_counter()
-    rep = runner(space, H, args)
+    try:
+        rep = runner(space, H, args)
+    except DivergentExcessError as exc:  # l = +inf: an unmet hypothesis
+        rep = cmp._not_applicable(tid, {"n": space.n, "H": H}, args.mode, str(exc))
     wall_ms = (time.perf_counter() - t_start) * 1e3
 
     check = {**rep.to_dict(), "wall_time_ms": wall_ms}

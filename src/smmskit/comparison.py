@@ -22,7 +22,9 @@ certified at epsilon against a table with twice the nodes.
 
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
-radius of the check.
+radius of the check.  A space whose excess integral is +inf fails the
+hypotheses: the checks raise ``smms.DivergentExcessError``, which the CLI
+reports as NOT-APPLICABLE.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .model import (ModelSpace, area_model, c_const, mean_curvature_model,
 from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
                      integrate_ode, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
-                   potential_bounds, weighted_area)
+                   potential_bounds, require_finite_excess, weighted_area)
 
 __all__ = [
     "Report",
@@ -358,7 +360,10 @@ def _mc_radii(s: WarpedSMMS, theorem_id: str, H: float, grid,
 def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
               radii: np.ndarray, mode: str, refine: bool,
               lo: float = 0.0) -> ComparisonReport:
-    """m_f(r) <= bound(r) + int_lo^r rho on ``radii``."""
+    """m_f(r) <= bound(r) + int_lo^r rho on ``radii``; raises
+    ``DivergentExcessError`` when that integral is +inf."""
+    require_finite_excess(s, mode, lo, float(radii[-1]))
+
     def eval_on(rs):
         lhs = np.asarray(mean_curvature_f(s, rs))
         cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs, lo=lo)

@@ -193,7 +193,7 @@ def _ritz_basis(n: int):
     dP = legendre.legval(2.0 * v - 1.0, legendre.legder(np.eye(_RITZ_BASIS))).T
     basis = (1.0 - v)[:, None] * P
     dbasis = 2.0 * (1.0 - v)[:, None] * dP - P
-    for arr in (v, wq, basis, dbasis):
+    for arr in (basis, dbasis):  # v and wq come read-only from the rule cache
         arr.setflags(write=False)
     return v, wq, basis, dbasis
 

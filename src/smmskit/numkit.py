@@ -4,13 +4,14 @@ Embedded Runge-Kutta 4(5) integration with dense output, adaptive Simpson
 quadrature, Gauss-Jacobi rules on (0, 1) by Golub-Welsch, safeguarded-secant
 root finding with bracket growth, and unit-sphere areas.  Every routine is a
 pure function of its inputs, so results are reproducible and safe to evaluate
-concurrently.
+concurrently; Gauss-Jacobi rules are cached and come back read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -384,6 +385,7 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
 # Gauss-Jacobi rules (Golub & Welsch, Math. Comp. 23, 1969).
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def gauss_jacobi(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the m-point Gauss rule for v^beta dv on (0, 1).
 
@@ -393,7 +395,9 @@ def gauss_jacobi(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     polynomials, evaluated by their recurrence at the node: the squared
     first eigenvector components are accurate only relative to the largest
     weight, which loses the small weights of large-beta rules.  Nodes come
-    sorted, inside (0, 1); weights are positive.
+    sorted, inside (0, 1); weights are positive.  A rule is built once per
+    (m, beta) and cached (the doubling table asks for the same four on every
+    threshold); both arrays are read-only.
     """
     if m < 1:
         raise ValueError(f"gauss_jacobi requires m >= 1, got {m}")
@@ -411,7 +415,10 @@ def gauss_jacobi(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     for j in range(m - 1):
         p_prev, p = p, ((nodes - diag[j]) * p - (off[j - 1] * p_prev if j else 0.0)) / off[j]
         total += p * p
-    return nodes, 1.0 / total
+    weights = 1.0 / total
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------

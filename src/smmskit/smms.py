@@ -14,6 +14,13 @@ as the single pole evaluation).  Curvature ratios are evaluated on the
 interior (r_lo, r_hi), r_lo = 1e-6 r_max, with clamping toward the poles
 where w -> 0; the improper upper limit of the excess integral is truncated
 at r_max.
+
+The excess integral splits [0, R] at the sign changes of
+g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
+radial and tangential curvature), so each piece is smooth and a 32/64-point
+Gauss-Legendre pair integrates it to quad_grid's 1e-10 budget; pieces the
+pair cannot resolve fall back to quad_grid.  A pole where rho ~ c/r makes
+l = +inf, which raises ``DivergentExcessError`` (an unmet hypothesis).
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as _model
-from .numkit import Tolerance, quad_adaptive, quad_grid, sphere_area
+from .numkit import (NonFiniteError, Tolerance, find_root_bracketed, gauss_jacobi,
+                     quad_adaptive, quad_grid, sphere_area)
 
 __all__ = [
     "RadialProfile",
@@ -40,6 +48,8 @@ __all__ = [
     "mean_curvature_f",
     "rho",
     "integral_rho",
+    "require_finite_excess",
+    "DivergentExcessError",
     "potential_bounds",
     "weighted_area",
     "weighted_volume",
@@ -213,6 +223,10 @@ def _check_open_interval(s: WarpedSMMS, r, what: str) -> None:
 
 
 def _clamp_interior(s: WarpedSMMS, r):
+    """``r`` clamped to the interior; a float stays a float, so the profiles
+    take their float path (the excess integral's root searches)."""
+    if isinstance(r, float):
+        return min(max(r, s.r_interior_lo), s.r_interior_hi)
     return np.clip(np.asarray(r, dtype=float), s.r_interior_lo, s.r_interior_hi)
 
 
@@ -299,8 +313,87 @@ def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
     return _scalar(_rho_clamped(s, H, r, mode))
 
 
+class DivergentExcessError(Exception):
+    """The excess integral is +inf: rho grows like c/(distance to a pole).
+
+    An unmet hypothesis (the theorems need a finite l), not a numerical
+    failure; the CLI reports it as NOT-APPLICABLE."""
+
+
+# A pole coefficient c with c r_max below this is taken as error in the
+# profile derivatives: analytic ones give c at rounding level, the finite
+# differences of a profile without derivatives about 1e-10 / r_max.  Such a
+# pole adds about c ln(1/_POLE_FRACTION) = 14 c to the clamped l.
+_POLE_TOL = 1e-9
+
+
+def require_finite_excess(s: WarpedSMMS, mode: str, lo: float, hi: float) -> None:
+    """Raise ``DivergentExcessError`` when int_lo^hi rho = +inf.
+
+    Near a pole at distance x, rho ~ c/x with c = (n-1) w'' for the radial
+    curvature and c = (2n-3) w'' - f' (pole r = 0) or (2n-3) w'' + f'
+    (closed far pole r = r_max) for the tangential one, w'' and f' taken at
+    the pole; ``full`` mode takes the larger.  Smooth profiles give c = 0.
+    The pole at 0 counts when lo = 0, the far pole when hi reaches r_max.
+    """
+    poles = []
+    if lo == 0.0:
+        poles.append((0.0, -1.0, "the pole r=0"))
+    if s.closed and hi >= s.r_max:
+        poles.append((s.r_max, 1.0, f"the far pole r=r_max={s.r_max:.12g}"))
+    for r, sign, where in poles:
+        w2 = float(s.w.d2(r))
+        c = (s.n - 1.0) * w2
+        if mode == "full":
+            c = max(c, (2.0 * s.n - 3.0) * w2 + sign * float(s.f.d1(r)))
+        if c * s.r_max > _POLE_TOL:
+            dist = "r" if r == 0.0 else "(r_max - r)"
+            raise DivergentExcessError(
+                f"excess integral diverges: rho ~ {c:.6g}/{dist} near {where} "
+                f"in {mode} mode")
+
+
+# integral_rho: sample count, fixed edges (quarter points), the Gauss pair,
+# the quadrature budget (quad_grid's default) and the root closing width.
+_EXCESS_SAMPLES = 257
+_EXCESS_EDGES = 5
+_GL_COARSE = 32
+_GL_FINE = 64
+_EXCESS_TOL = 1e-10
+_ROOT_TOL = 1e-14
+
+
+def _require_finite(values: np.ndarray, upper: float) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"excess integrand is not finite on [0, {upper:.6g}]")
+
+
+def _crossings(fn, x: np.ndarray, fx: np.ndarray, tiny: float, tol: Tolerance) -> list:
+    """Roots of ``fn`` in the sample cells where it changes sign, skipping
+    cells whose samples are both within ``tiny`` of zero."""
+    pos = fx > 0.0
+    cells = np.flatnonzero((pos[:-1] != pos[1:])
+                           & (np.maximum(np.abs(fx[:-1]), np.abs(fx[1:])) > tiny))
+    return [find_root_bracketed(fn, x[i], x[i + 1], tol, f_lo=fx[i]).root for i in cells]
+
+
 def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
-    """Excess integral along the radial segment, truncated at r_max."""
+    """Excess integral l = int_0^r rho along the radial segment, truncated at
+    r_max.
+
+    g = (n-1)H - Ric_f (``_rho_clamped`` before the positive part) is
+    sampled on 257 points; each sign change is closed by
+    ``find_root_bracketed``, except where both samples are within rounding,
+    1e-12 max(|(n-1)H|, max|g|), of zero.  In full mode the sign changes of
+    tangential - radial curvature, the kinks of their minimum, are closed
+    the same way.  [g]_+ is smooth between the roots, the clamp radii and
+    the quarter points, so each such piece gets a 32- and a 64-point
+    Gauss-Legendre sum, all nodes in one call.  The 64-point sum stands
+    when the two agree within quad_grid's budget, max(1e-10 max(width/r,
+    1/64), 1e-10 |I|); any other piece (a kink the samples missed, a pole)
+    goes to ``quad_grid`` at that budget.  Raises ``DivergentExcessError``
+    when l = +inf (``require_finite_excess``).
+    """
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
     if r < 0.0:
@@ -308,11 +401,41 @@ def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> flo
     upper = min(float(r), s.r_max)
     if upper == 0.0:
         return 0.0
-    # Breadth-first adaptive Simpson; subdivided edges keep the panel
-    # doubling shallow across the kinks of the positive part.
-    edges = np.linspace(0.0, upper, 33)
-    segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode), edges)
-    return float(segs.sum())
+    require_finite_excess(s, mode, 0.0, upper)
+
+    def g(t):
+        return (s.n - 1.0) * H - _ricci_f(s, _clamp_interior(s, t), mode)
+
+    x = np.linspace(0.0, upper, _EXCESS_SAMPLES)
+    gx = np.asarray(g(x), dtype=float)
+    _require_finite(gx, upper)
+    tiny = 1e-12 * max(abs((s.n - 1.0) * H), float(np.max(np.abs(gx))))
+    tol = Tolerance(abs_tol=_ROOT_TOL * upper, rel_tol=_ROOT_TOL)
+    roots = _crossings(g, x, gx, tiny, tol)
+    if mode == "full":  # the kinks of min(radial, tangential)
+        def kink(t):
+            rc = _clamp_interior(s, t)
+            return _tangential_f(s, rc) - _ricci_f(s, rc, "radial")
+        roots += _crossings(kink, x, kink(x), tiny, tol)
+    clamps = [c for c in (s.r_interior_lo, s.r_interior_hi) if c < upper]
+    edges = np.unique(np.concatenate([np.linspace(0.0, upper, _EXCESS_EDGES),
+                                      clamps, roots]))
+    a, b = edges[:-1], edges[1:]
+
+    (xc, wc), (xf, wf) = gauss_jacobi(_GL_COARSE, 0.0), gauss_jacobi(_GL_FINE, 0.0)
+    width = b - a
+    nodes = a[:, None] + width[:, None] * np.concatenate([xc, xf])
+    gp = np.maximum(0.0, np.asarray(g(nodes.ravel()), dtype=float)).reshape(nodes.shape)
+    _require_finite(gp, upper)
+    coarse = width * (gp[:, :_GL_COARSE] @ wc)
+    fine = width * (gp[:, _GL_COARSE:] @ wf)
+    budget = _EXCESS_TOL * np.maximum(width / upper, 1.0 / 64.0)
+    bad = np.abs(fine - coarse) > np.maximum(budget, _EXCESS_TOL * np.abs(fine))
+    for i in np.flatnonzero(bad):
+        segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode),
+                            np.linspace(a[i], b[i], 9), abs_tol=budget[i])
+        fine[i] = segs.sum()
+    return float(fine.sum())
 
 
 def potential_bounds(s: WarpedSMMS) -> PotentialBounds:

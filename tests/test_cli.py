@@ -79,6 +79,20 @@ class TestConformance:
         assert code == 3
         assert report["verdict"] == "NOT-APPLICABLE"
 
+    @pytest.mark.parametrize("theorem", ["VOL_B", "MC_DRIFT"])
+    def test_divergent_excess_is_not_applicable(self, theorem, capsys):
+        # f = -a r has f'(0) = -a, so in full mode rho ~ a/r at the pole
+        # and l = +inf: an unmet hypothesis, not a numerical failure.
+        code, report = run_json(
+            ["check", "--space", "linear_drift", "--n", "3", "--param", "a=0.5",
+             "--theorem", theorem, "--H", "0.2", "--r", "0.3", "--R", "1.5",
+             "--mode", "full"], capsys)
+        assert code == 3
+        assert report["verdict"] == "NOT-APPLICABLE"
+        check = report["checks"][0]
+        assert check["theorem_id"] == theorem and check["min_margin"] is None
+        assert "0.5/r near the pole r=0" in check["reason"]
+
     def test_verdict_aggregation(self):
         # The true theorems cannot be made to fail on valid inputs, so the
         # FAIL exit path is wired through the aggregator directly.

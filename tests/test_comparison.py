@@ -347,6 +347,21 @@ class TestDoubling:
                         0.0, 4.0, xtol=1e-15, rtol=1e-15)
         assert abs(cert.epsilon - oracle) <= 1e-12
 
+    def test_cached_rules_change_no_bit(self, monkeypatch):
+        from smmskit import model
+        from smmskit.numkit import gauss_jacobi
+        mspace = model.ModelSpace(dim=3.6, H=0.7)
+
+        def run():
+            cert = doubling_epsilon.__wrapped__(3, 0.7, 0.9, 3.0, k=0.15)
+            return (cert.epsilon, cert.F_at_epsilon,
+                    *(arr.tobytes() for arr in model.ratio_table(mspace, 0.9, 64)))
+
+        cached = run()
+        assert gauss_jacobi.cache_info().currsize > 0
+        monkeypatch.setattr(model, "gauss_jacobi", gauss_jacobi.__wrapped__)
+        assert run() == cached
+
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError):
             doubling_epsilon(3, 0.0, 1.0, 1.0, k=0.0)

@@ -274,6 +274,18 @@ class TestGaussJacobi:
         assert np.max(np.abs(v - 0.5 * (1.0 + x))) <= 1e-14
         assert np.max(np.abs(w / (wx / 2.0 ** (beta + 1.0)) - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("m, beta", [(32, 0.0), (64, 0.0), (48, 2.6), (96, 2.6)])
+    def test_cached_rule_is_fresh_rule_and_read_only(self, m, beta):
+        fresh = gauss_jacobi.__wrapped__(m, beta)
+        first, again = gauss_jacobi(m, beta), gauss_jacobi(m, beta)
+        for cached in (first, again):
+            for arr, ref in zip(cached, fresh):
+                assert arr.tobytes() == ref.tobytes()
+                assert not arr.flags.writeable
+        assert again[0] is first[0] and again[1] is first[1]
+        with pytest.raises(ValueError):
+            first[1][0] = 0.0
+
     @pytest.mark.parametrize("m, beta", [(0, 0.0), (4, -1.0), (4, math.nan)])
     def test_rejects_bad_arguments(self, m, beta):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """Warped-space catalog, curvature quantities, excess integrals, measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
+from smmskit.comparison import check_mc_drift
 from smmskit.model import area_model, ModelSpace
-from smmskit.smms import (RadialProfile, CATALOG, bakry_emery_radial,
+from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, bakry_emery_radial,
                           integral_rho, make_space, mean_curvature_f,
                           potential_bounds, profile_from_spec, rho,
                           ricci_f_smallest_eigenvalue, ricci_radial,
@@ -177,6 +181,157 @@ class TestIntegralRho:
         s = make_space("sphere", n=3, H=1.0)
         assert integral_rho(s, 2.0, 50.0) == pytest.approx(
             integral_rho(s, 2.0, s.r_max), rel=1e-12)
+
+
+def _excess_oracle(s, H, R, mode):
+    """scipy.integrate.quad of the clamped [g]_+, g = (n-1)H - Ric_f, split at
+    the clamp radii and at breakpoints brentq finds on a 1025-point grid:
+    the sign changes of g and, in full mode, of tangential - radial.  Near
+    the poles the tangential curvature is rounding noise of relative size
+    1e-16/r^2, which scipy may warn about; its share of l is ~1e-11."""
+    from smmskit.smms import _clamp_interior, _rho_clamped, _ricci_f, _tangential_f
+    upper = min(R, s.r_max)
+
+    def g(t):
+        return (s.n - 1.0) * H - float(_ricci_f(s, _clamp_interior(s, t), mode))
+
+    def kink(t):
+        rc = _clamp_interior(s, t)
+        return float(_tangential_f(s, rc) - _ricci_f(s, rc, "radial"))
+
+    x = np.linspace(0.0, upper, 1025)
+    points = {s.r_interior_lo, s.r_interior_hi}
+    for fn in [g, kink] if mode == "full" else [g]:
+        v = np.array([fn(t) for t in x])
+        for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
+            points.add(brentq(fn, x[i], x[i + 1], xtol=1e-15, rtol=1e-15))
+    edges = [0.0, *sorted(p for p in points if 0.0 < p < upper), upper]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return sum(quad(lambda t: float(_rho_clamped(s, H, t, mode)), a, b,
+                        epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _bumped():
+    return make_space("custom", n=3, w={"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.02]},
+                      f={"type": "poly", "coeffs": [0.0, 0.0, 0.03]}, r_max=3.0)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the root searches, quad_grid fallbacks and curvature
+    abscissae that ``integral_rho`` uses."""
+    from smmskit import smms
+    counts = {"roots": 0, "fallbacks": 0, "abscissae": 0}
+
+    def counting(name, key, size=None):
+        fn = getattr(smms, name)
+
+        def wrapped(*args, **kwargs):
+            counts[key] += 1 if size is None else np.size(args[size])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(smms, name, wrapped)
+
+    counting("find_root_bracketed", "roots")
+    counting("quad_grid", "fallbacks")
+    counting("_ricci_f", "abscissae", size=1)
+    return counts
+
+
+class TestExcessQuadrature:
+    """Breakpoint-split Gauss-Legendre against scipy at the 1e-10 budget."""
+
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("R", [1.2, math.pi])
+    def test_perturbed_sphere_matches_quad(self, n, mode, R):
+        # R = r_max = pi: closed at both poles.
+        s = make_space("perturbed_sphere", n=n, H=1.0, eps=0.05, omega=3.0)
+        oracle = _excess_oracle(s, 1.0, R, mode)
+        assert oracle > 0.5
+        assert abs(integral_rho(s, 1.0, R, mode) - oracle) <= 1e-10 * oracle
+
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    def test_bumped_poly_matches_quad(self, mode):
+        s = _bumped()
+        oracle = _excess_oracle(s, 0.5, 2.0, mode)
+        assert oracle > 1.0
+        assert abs(integral_rho(s, 0.5, 2.0, mode) - oracle) <= 1e-10 * oracle
+
+    def test_hyperbolic_full_mode_closes_no_rounding_roots(self, calls):
+        # Radial and tangential curvature agree, so g is rounding noise.
+        s = make_space("hyperbolic", n=3, H=-1.0)
+        l = integral_rho(s, -1.0, 1.5, "full")
+        assert 0.0 <= l <= 1e-10
+        assert abs(l - _excess_oracle(s, -1.0, 1.5, "full")) <= 1e-10
+        assert calls["roots"] <= 2
+
+    @pytest.mark.parametrize("n, mode", [(2, "radial"), (3, "radial"), (2, "full")])
+    @pytest.mark.parametrize("R", [1.2, math.pi])
+    def test_eps_zero_stays_at_rounding(self, n, mode, R, calls):
+        s = make_space("perturbed_sphere", n=n, H=1.0, eps=0.0, omega=3.0)
+        assert 0.0 <= integral_rho(s, 1.0, R, mode) <= 1e-14
+        assert calls["roots"] == 0
+
+    def test_kinks_between_samples_fall_back_to_quad_grid(self, calls):
+        # A spline potential has f'' piecewise linear: g = (n-1)H - f'' > 0
+        # has a kink at every node, which the Gauss pair cannot resolve.
+        # Closed form: l = (n-1) H R - (f'(R) - f'(0)).
+        nodes = [[r, 0.05 * r * r + 0.02 * math.sin(3.0 * r)]
+                 for r in np.linspace(0.0, 3.0, 13)]
+        s = make_space("custom", n=3, w={"type": "poly", "coeffs": [0.0, 1.0]},
+                       f={"type": "table", "nodes": nodes}, r_max=3.0)
+        exact = 2.0 * 0.5 * 2.6 - (s.f.d1(2.6) - s.f.d1(0.0))
+        assert abs(integral_rho(s, 0.5, 2.6) - exact) <= 1e-10 * exact
+        assert calls["fallbacks"] >= 1
+
+    def test_sees_few_abscissae(self, calls):
+        # Counts do not depend on the machine.  Simpson panel doubling
+        # across the kinks took 264 044 abscissae for this integral.
+        s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
+        integral_rho(s, 1.0, math.pi)
+        assert 0 < calls["abscissae"] <= 3000
+        assert calls["fallbacks"] == 0
+
+
+class TestDivergentExcess:
+    def test_drift_pole_in_full_mode(self):
+        # f = -a r: f'(0) = -a, so the tangential excess grows like a/r.
+        s = make_space("linear_drift", n=3, a=0.5)
+        with pytest.raises(DivergentExcessError, match=r"0\.5/r near the pole r=0"):
+            integral_rho(s, 0.2, 1.5, "full")
+        with pytest.raises(DivergentExcessError):
+            check_mc_drift(s, 0.2, mode="full", n_grid=16)
+        assert integral_rho(s, 0.2, 1.5) == pytest.approx(0.6, rel=1e-12)
+
+    def test_far_pole_counts_only_when_reached(self):
+        # Round sphere with f = 0.1 r^2: f'(pi) > 0, so rho ~ 0.2 pi/(pi - r).
+        sphere = make_space("sphere", n=3, H=1.0)
+        s = make_space("custom", n=3, w=sphere.w, f={"type": "poly", "coeffs": [0.0, 0.0, 0.1]},
+                       r_max=math.pi, closed=True)
+        with pytest.raises(DivergentExcessError, match="far pole"):
+            integral_rho(s, 1.0, math.pi, "full")
+        for R, mode in ((3.0, "full"), (math.pi, "radial")):
+            assert math.isfinite(integral_rho(s, 1.0, R, mode))
+
+    def test_smooth_poles_are_finite(self):
+        for name, params in [("sphere", {}), ("perturbed_sphere", {}), ("hyperbolic", {}),
+                             ("gaussian_soliton", {}), ("linear_drift", {"a": 0.0})]:
+            s = make_space(name, n=3, **params)
+            assert math.isfinite(integral_rho(s, 1.0, s.r_max, "full"))
+
+    def test_finite_difference_error_is_no_pole(self):
+        # Without derivatives, w = r + 0.1 r^3 gets w''(0) r_max = +1.3e-11
+        # from its finite differences: rounding, not a pole.
+        as_array = lambda fn: (lambda r: fn(np.asarray(r, dtype=float)))
+        s = make_space("custom", n=3, r_max=5.0,
+                       w=RadialProfile(as_array(lambda r: r + 0.1 * r ** 3), r_max=5.0),
+                       f=RadialProfile(as_array(lambda r: 0.2 * np.cos(r)), r_max=5.0))
+        assert 0.0 < s.w.d2(0.0) < 1e-11
+        for mode in ("radial", "full"):
+            assert math.isfinite(integral_rho(s, 1.0, 5.0, mode))
 
 
 class TestPotentialBounds:

@@ -161,6 +161,22 @@ def cases() -> list[tuple[str, list[str]]]:
                                "--range", "delta=0.1:0.5:3"]),
         ("sweep/MC_DRIFT/a", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT", "--grid", "32",
                               "--range", "a=0:1:3"]),
+        # Excess-integral traps: g = (n-1)H - Ric_f at rounding level (eps = 0,
+        # and hyperbolic with its radial and tangential curvature equal), the
+        # closed far pole in full mode, and the divergent pole of a drift
+        # f = -a r in full mode (l = +inf).
+        ("hyp/VOL_B/full", ["check", *_HYP, "--H", "-1", "--theorem", "VOL_B", "--r", "0.3",
+                            "--R", "1.5", "--mode", "full"]),
+        ("psphere/VOL_B/eps0", ["check", *_PSPHERE, "--param", "eps=0", "--H", "1",
+                                "--theorem", "VOL_B", "--r", "0.3", "--R", "1.2"]),
+        ("psphere/CHENG/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "CHENG",
+                                "--R", "1.2", "--delta", "0.4", "--mode", "full"]),
+        ("psphere/MYERS/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "MYERS",
+                                "--mode", "full"]),
+        ("drift/VOL_B/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem", "VOL_B",
+                              "--H", "0.2", "--r", "0.3", "--R", "1.5", "--mode", "full"]),
+        ("drift/MC_DRIFT/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
+                                 "MC_DRIFT", "--H", "0.2", "--mode", "full"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
