@@ -14,6 +14,11 @@ n+4k and drifted models with the exp((e^{clt}-1) A/V) correction, the
 absolute-volume forms, doubling certificates e^{F(eps)} <= alpha, and the
 hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
+Every integral over a grid is one ``quad_grid`` call with the grid radii
+as edges, cumulated: the weighted and model volumes, and on the
+mean-curvature grids the excess int rho (``smms.cumulative_excess``, whose
+edges add rho's breakpoints, so no segment holds a kink of rho).
+
 The correction E(r) = int_0^r (e^{clt}-1) A/V on the volume grids is one ODE
 solve per check, built before the grid is evaluated; the refinement pass
 reads the same trajectory.  The doubling threshold's F(sigma) = E(R) at
@@ -39,7 +44,7 @@ from .model import (ModelSpace, area_model, c_const, mean_curvature_model,
                     ratio_table, sn, volume_model)
 from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
                      integrate_ode, quad_grid, sphere_area)
-from .smms import (WarpedSMMS, _rho_clamped, integral_rho, mean_curvature_f,
+from .smms import (WarpedSMMS, cumulative_excess, integral_rho, mean_curvature_f,
                    potential_bounds, require_finite_excess, weighted_area)
 
 __all__ = [
@@ -220,10 +225,10 @@ def _require_outer(s: WarpedSMMS, theorem_id: str, H: float, R: float) -> None:
         raise ValueError(f"R={R} beyond the interior range {s.r_interior_hi}")
 
 
-def _cum_integral(fn, radii: np.ndarray, lo: float = 0.0) -> np.ndarray:
-    """Cumulative integral of a vectorized integrand from ``lo`` to each
-    grid radius."""
-    edges = np.concatenate([[lo], np.asarray(radii, dtype=float)])
+def _cum_integral(fn, radii: np.ndarray) -> np.ndarray:
+    """Cumulative integral of a vectorized integrand from 0 to each grid
+    radius."""
+    edges = np.concatenate([[0.0], np.asarray(radii, dtype=float)])
     segs, _ = quad_grid(fn, edges)
     return np.cumsum(segs)
 
@@ -366,8 +371,7 @@ def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
 
     def eval_on(rs):
         lhs = np.asarray(mean_curvature_f(s, rs))
-        cum = _cum_integral(lambda t: _rho_clamped(s, H, t, mode), rs, lo=lo)
-        return lhs, bound(rs) + cum
+        return lhs, bound(rs) + cumulative_excess(s, H, rs, mode, lo)
 
     return _finalize(theorem_id, params, mode, radii, eval_on, refine)
 

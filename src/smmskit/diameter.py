@@ -132,11 +132,11 @@ def index_form_total(s: WarpedSMMS, L: float) -> float:
         raise ValueError(f"require 0 < L <= r_max={s.r_max}, got {L}")
     w = math.pi / L
 
-    def integrand(t: float) -> float:
-        phi = math.sin(w * t)
-        dphi = w * math.cos(w * t)
-        tc = min(max(t, s.r_interior_lo), s.r_interior_hi)
-        return (s.n - 1.0) * dphi * dphi - phi * phi * float(_ricci(s, tc))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        phi = np.sin(w * t)
+        dphi = w * np.cos(w * t)
+        tc = np.clip(t, s.r_interior_lo, s.r_interior_hi)
+        return (s.n - 1.0) * dphi * dphi - phi * phi * _ricci(s, tc)
 
     value, _ = quad_adaptive(integrand, 0.0, L,
                              Tolerance(abs_tol=1e-10, rel_tol=1e-10))

@@ -347,17 +347,18 @@ def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
                   n, res.lam, R, _ODE_TOL)
     t0 = traj.t0
 
-    def phi(t: float) -> float:
-        return 1.0 if t <= t0 else float(traj.at(t)[0])
-
-    def dphi(t: float) -> float:
-        return 0.0 if t <= t0 else float(traj.at(t)[1]) / R
+    def weighted(t: np.ndarray, col: int) -> np.ndarray:
+        """phi^2 A_f (``col`` 0) or phi'^2 A_f (``col`` 1) at the radii ``t``,
+        one dense read of the shoot, whose second component is R phi'; below
+        its start phi = 1 and phi' = 0."""
+        rows = np.tile([1.0, 0.0], (len(t), 1))
+        inside = t > t0
+        rows[inside] = traj.at(t[inside]) / [1.0, R]
+        return rows[:, col] ** 2 * weighted_area(s, t)
 
     qtol = Tolerance(abs_tol=1e-11, rel_tol=1e-10)
-    num, _ = quad_adaptive(lambda t: dphi(t) ** 2 * float(weighted_area(s, t)),
-                           0.0, R, qtol)
-    den, _ = quad_adaptive(lambda t: phi(t) ** 2 * float(weighted_area(s, t)),
-                           0.0, R, qtol)
+    num, _ = quad_adaptive(lambda t: weighted(t, 1), 0.0, R, qtol)
+    den, _ = quad_adaptive(lambda t: weighted(t, 0), 0.0, R, qtol)
     return num / den
 
 

@@ -15,12 +15,13 @@ interior (r_lo, r_hi), r_lo = 1e-6 r_max, with clamping toward the poles
 where w -> 0; the improper upper limit of the excess integral is truncated
 at r_max.
 
-The excess integral splits [0, R] at the sign changes of
+The excess integrals split their range at the sign changes of
 g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
-radial and tangential curvature), so each piece is smooth and a 32/64-point
-Gauss-Legendre pair integrates it to quad_grid's 1e-10 budget; pieces the
-pair cannot resolve fall back to quad_grid.  A pole where rho ~ c/r makes
-l = +inf, which raises ``DivergentExcessError`` (an unmet hypothesis).
+radial and tangential curvature), so each piece is smooth, and integrate
+rho on those breakpoints and the requested radii with quad_grid at its
+1e-10 budget: ``integral_rho`` at one radius, ``cumulative_excess`` on the
+mean-curvature grids.  A pole where rho ~ c/r makes l = +inf, which
+raises ``DivergentExcessError`` (an unmet hypothesis).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as _model
-from .numkit import (NonFiniteError, Tolerance, find_root_bracketed, gauss_jacobi,
-                     quad_adaptive, quad_grid, sphere_area)
+from .numkit import (NonFiniteError, Tolerance, find_root_bracketed, quad_adaptive,
+                     quad_grid, sphere_area)
 
 __all__ = [
     "RadialProfile",
@@ -47,6 +48,7 @@ __all__ = [
     "ricci_f_smallest_eigenvalue",
     "mean_curvature_f",
     "rho",
+    "cumulative_excess",
     "integral_rho",
     "require_finite_excess",
     "DivergentExcessError",
@@ -106,17 +108,30 @@ class RadialProfile:
         return self._fd(r, order=2)
 
     def _fd(self, r, order: int):
-        r_arr = np.asarray(r, dtype=float)
-        if r_arr.ndim:
-            return np.array([self._fd(float(x), order) for x in r_arr.ravel()]).reshape(r_arr.shape)
-        x = float(r_arr)
+        """Finite-difference derivative: a float in plain floats, an array
+        with both stencils vectorized, each on its mask."""
+        if np.ndim(r) == 0:
+            x = float(r)
+            ends = x < 2 * self._h or x > self.r_max - 2 * self._h
+            return self._stencil(lambda t: float(self._fn(t)), x, ends, order)
+        x = np.asarray(r, dtype=float)
+        ends = (x < 2 * self._h) | (x > self.r_max - 2 * self._h)
+        f = lambda t: np.asarray(self._fn(t), dtype=float)
+        out = np.empty(x.shape)
+        for mask, at_end in ((~ends, False), (ends, True)):
+            if mask.any():
+                out[mask] = self._stencil(f, x[mask], at_end, order)
+        return out
+
+    def _stencil(self, f, x, ends: bool, order: int):
+        """Five-point central stencil, or the one-sided one pointing into
+        [0, r_max] when ``ends`` (x within 2h of an end)."""
         h = self._h
-        f = lambda t: float(self._fn(t))
-        if x >= 2 * h and x <= self.r_max - 2 * h:
+        if not ends:
             if order == 1:
                 return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
             return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
-        sgn = 1.0 if x < 2 * h else -1.0
+        sgn = np.where(x < 2 * h, 1.0, -1.0) if np.ndim(x) else (1.0 if x < 2 * h else -1.0)
         v = [f(x + sgn * i * h) for i in range(5)]
         if order == 1:
             return sgn * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
@@ -353,19 +368,9 @@ def require_finite_excess(s: WarpedSMMS, mode: str, lo: float, hi: float) -> Non
                 f"in {mode} mode")
 
 
-# integral_rho: sample count, fixed edges (quarter points), the Gauss pair,
-# the quadrature budget (quad_grid's default) and the root closing width.
+# The excess integrals: breakpoint sample count and root closing width.
 _EXCESS_SAMPLES = 257
-_EXCESS_EDGES = 5
-_GL_COARSE = 32
-_GL_FINE = 64
-_EXCESS_TOL = 1e-10
 _ROOT_TOL = 1e-14
-
-
-def _require_finite(values: np.ndarray, upper: float) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError(f"excess integrand is not finite on [0, {upper:.6g}]")
 
 
 def _crossings(fn, x: np.ndarray, fx: np.ndarray, tiny: float, tol: Tolerance) -> list:
@@ -377,22 +382,58 @@ def _crossings(fn, x: np.ndarray, fx: np.ndarray, tiny: float, tol: Tolerance) -
     return [find_root_bracketed(fn, x[i], x[i + 1], tol, f_lo=fx[i]).root for i in cells]
 
 
-def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
-    """Excess integral l = int_0^r rho along the radial segment, truncated at
-    r_max.
+def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
+                        mode: str) -> list:
+    """Radii in [lo, hi] where rho may kink.
 
     g = (n-1)H - Ric_f (``_rho_clamped`` before the positive part) is
     sampled on 257 points; each sign change is closed by
-    ``find_root_bracketed``, except where both samples are within rounding,
-    1e-12 max(|(n-1)H|, max|g|), of zero.  In full mode the sign changes of
-    tangential - radial curvature, the kinks of their minimum, are closed
-    the same way.  [g]_+ is smooth between the roots, the clamp radii and
-    the quarter points, so each such piece gets a 32- and a 64-point
-    Gauss-Legendre sum, all nodes in one call.  The 64-point sum stands
-    when the two agree within quad_grid's budget, max(1e-10 max(width/r,
-    1/64), 1e-10 |I|); any other piece (a kink the samples missed, a pole)
-    goes to ``quad_grid`` at that budget.  Raises ``DivergentExcessError``
-    when l = +inf (``require_finite_excess``).
+    ``find_root_bracketed`` to 1e-14 relative, except where both samples
+    are within rounding, 1e-12 max(|(n-1)H|, max|g|), of zero.  In full
+    mode the sign changes of tangential - radial curvature, the kinks of
+    their minimum, are closed the same way.  The clamp radii inside (lo, hi)
+    are breakpoints too.
+    """
+    def g(t):
+        return (s.n - 1.0) * H - _ricci_f(s, _clamp_interior(s, t), mode)
+
+    x = np.linspace(lo, hi, _EXCESS_SAMPLES)
+    gx = np.asarray(g(x), dtype=float)
+    if not np.all(np.isfinite(gx)):
+        raise NonFiniteError(f"excess integrand is not finite on [{lo:.6g}, {hi:.6g}]")
+    tiny = 1e-12 * max(abs((s.n - 1.0) * H), float(np.max(np.abs(gx))))
+    tol = Tolerance(abs_tol=_ROOT_TOL * hi, rel_tol=_ROOT_TOL)
+    roots = _crossings(g, x, gx, tiny, tol)
+    if mode == "full":  # the kinks of min(radial, tangential)
+        def kink(t):
+            rc = _clamp_interior(s, t)
+            return _tangential_f(s, rc) - _ricci_f(s, rc, "radial")
+        roots += _crossings(kink, x, kink(x), tiny, tol)
+    return roots + [c for c in (s.r_interior_lo, s.r_interior_hi) if lo < c < hi]
+
+
+def cumulative_excess(s: WarpedSMMS, H: float, radii, mode: str = "radial",
+                      lo: float = 0.0) -> np.ndarray:
+    """int_lo^{r_i} rho for each of the nondecreasing ``radii`` in [lo, r_max].
+
+    rho is smooth between ``_excess_breakpoints``, so ``quad_grid`` at its
+    default 1e-10 budget integrates it on the edges lo, those breakpoints
+    and the radii; the integrals are its cumulative sums at the radii.
+    """
+    radii = np.asarray(radii, dtype=float)
+    hi = float(radii[-1])
+    if hi == lo:
+        return np.zeros(len(radii))
+    edges = np.sort(np.concatenate([[lo], radii, _excess_breakpoints(s, H, lo, hi, mode)]))
+    segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode), edges)
+    cum = np.concatenate([[0.0], np.cumsum(segs)])
+    return cum[np.searchsorted(edges, radii)]
+
+
+def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
+    """Excess integral l = int_0^r rho along the radial segment, truncated at
+    r_max: ``cumulative_excess`` at the one radius.  Raises
+    ``DivergentExcessError`` when l = +inf (``require_finite_excess``).
     """
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
@@ -402,40 +443,7 @@ def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> flo
     if upper == 0.0:
         return 0.0
     require_finite_excess(s, mode, 0.0, upper)
-
-    def g(t):
-        return (s.n - 1.0) * H - _ricci_f(s, _clamp_interior(s, t), mode)
-
-    x = np.linspace(0.0, upper, _EXCESS_SAMPLES)
-    gx = np.asarray(g(x), dtype=float)
-    _require_finite(gx, upper)
-    tiny = 1e-12 * max(abs((s.n - 1.0) * H), float(np.max(np.abs(gx))))
-    tol = Tolerance(abs_tol=_ROOT_TOL * upper, rel_tol=_ROOT_TOL)
-    roots = _crossings(g, x, gx, tiny, tol)
-    if mode == "full":  # the kinks of min(radial, tangential)
-        def kink(t):
-            rc = _clamp_interior(s, t)
-            return _tangential_f(s, rc) - _ricci_f(s, rc, "radial")
-        roots += _crossings(kink, x, kink(x), tiny, tol)
-    clamps = [c for c in (s.r_interior_lo, s.r_interior_hi) if c < upper]
-    edges = np.unique(np.concatenate([np.linspace(0.0, upper, _EXCESS_EDGES),
-                                      clamps, roots]))
-    a, b = edges[:-1], edges[1:]
-
-    (xc, wc), (xf, wf) = gauss_jacobi(_GL_COARSE, 0.0), gauss_jacobi(_GL_FINE, 0.0)
-    width = b - a
-    nodes = a[:, None] + width[:, None] * np.concatenate([xc, xf])
-    gp = np.maximum(0.0, np.asarray(g(nodes.ravel()), dtype=float)).reshape(nodes.shape)
-    _require_finite(gp, upper)
-    coarse = width * (gp[:, :_GL_COARSE] @ wc)
-    fine = width * (gp[:, _GL_COARSE:] @ wf)
-    budget = _EXCESS_TOL * np.maximum(width / upper, 1.0 / 64.0)
-    bad = np.abs(fine - coarse) > np.maximum(budget, _EXCESS_TOL * np.abs(fine))
-    for i in np.flatnonzero(bad):
-        segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode),
-                            np.linspace(a[i], b[i], 9), abs_tol=budget[i])
-        fine[i] = segs.sum()
-    return float(fine.sum())
+    return float(cumulative_excess(s, H, [upper], mode)[0])
 
 
 def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
@@ -479,7 +487,7 @@ def weighted_volume(s: WarpedSMMS, R: float) -> float:
         raise ValueError(f"weighted_volume requires 0 <= R <= r_max={s.r_max}")
     if R == 0.0:
         return 0.0
-    value, _ = quad_adaptive(lambda t: float(weighted_area(s, t)), 0.0, R,
+    value, _ = quad_adaptive(lambda t: weighted_area(s, t), 0.0, R,
                              Tolerance(abs_tol=1e-10, rel_tol=1e-10))
     return value
 

@@ -145,20 +145,20 @@ class TestRayleighTransplant:
         t0 = traj.t0
 
         def phi(t):
-            return 1.0 if t <= t0 else float(traj.at(t)[0])
+            return np.where(t <= t0, 1.0, traj.at(np.maximum(t, t0))[:, 0])
 
         def dphi(t):  # the shoot's second component is R phi'
-            return 0.0 if t <= t0 else float(traj.at(t)[1]) / R
+            return np.where(t <= t0, 0.0, traj.at(np.maximum(t, t0))[:, 1] / R)
 
         def excess(t):
-            return max(0.0, float(mean_curvature_f(s, t))
-                       - mean_curvature_model(float(n), H, t) - a)
+            return np.maximum(0.0, mean_curvature_f(s, t)
+                              - mean_curvature_model(float(n), H, t) - a)
 
         qtol = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
-        num, _ = quad_adaptive(lambda t: excess(t) * abs(dphi(t))
-                               * float(weighted_area(s, t)), 1e-9, R, qtol)
+        num, _ = quad_adaptive(lambda t: excess(t) * np.abs(dphi(t))
+                               * weighted_area(s, t), 1e-9, R, qtol)
         den, _ = quad_adaptive(lambda t: phi(t) ** 2
-                               * float(weighted_area(s, t)), 1e-9, R, qtol)
+                               * weighted_area(s, t), 1e-9, R, qtol)
         Q = rayleigh_quotient_transplant(s, n, a, H, R)
         assert Q <= res.lam + num / den + 1e-7
 

@@ -162,7 +162,7 @@ class TestIntegrateOde:
 
 class TestQuadAdaptive:
     def test_sin_over_period(self):
-        value, _ = quad_adaptive(math.sin, 0.0, math.pi, TIGHT)
+        value, _ = quad_adaptive(np.sin, 0.0, math.pi, TIGHT)
         assert abs(value - 2.0) < 1e-9
 
     def test_cubic(self):
@@ -171,19 +171,19 @@ class TestQuadAdaptive:
 
     def test_round_three_sphere_volume(self):
         # int_0^pi 4 pi sin^2 t dt = 2 pi^2.
-        value, _ = quad_adaptive(lambda t: 4 * math.pi * math.sin(t) ** 2,
+        value, _ = quad_adaptive(lambda t: 4 * math.pi * np.sin(t) ** 2,
                                  0.0, math.pi, TIGHT)
         assert abs(value - 2.0 * math.pi ** 2) < 1e-8
 
     def test_degenerate_interval(self):
-        assert quad_adaptive(math.sin, 1.0, 1.0) == (0.0, 0.0)
+        assert quad_adaptive(np.sin, 1.0, 1.0) == (0.0, 0.0)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
-            quad_adaptive(math.sin, 1.0, 0.0)
+            quad_adaptive(np.sin, 1.0, 0.0)
 
     def test_additivity(self):
-        f = lambda t: math.exp(-t) * math.cos(3 * t)
+        f = lambda t: np.exp(-t) * np.cos(3 * t)
         rng = np.random.default_rng(3)
         for _ in range(20):
             c = rng.uniform(0.1, 2.9)
@@ -193,9 +193,17 @@ class TestQuadAdaptive:
             assert abs(whole - left - right) < 2e-10
 
     def test_recursion_cap_on_jump(self):
-        step = lambda t: 1.0 if t > 1 / math.e else 0.0
+        step = lambda t: (np.asarray(t) > 1 / math.e).astype(float)
         with pytest.raises(SubdivisionLimitError):
             quad_adaptive(step, 0.0, 1.0, Tolerance(1e-14, 1e-14))
+
+    @pytest.mark.parametrize("tol", [TIGHT, Tolerance(1e-8, 1e-6), Tolerance(1e-11, 1e-10)])
+    def test_is_quad_grid_on_one_interval(self, tol):
+        # The one-interval form of the grid kernel, bit for bit.
+        f = lambda t: np.exp(-t) * np.cos(3 * t) + np.abs(t - 0.5) ** 1.5
+        for a, b in ((0.0, 3.0), (0.2, 0.21), (-1.0, 0.0)):
+            value, err = quad_grid(f, [a, b], tol.abs_tol, tol.rel_tol)
+            assert quad_adaptive(f, a, b, tol) == (value[0], err[0])
 
 
 class TestQuadGrid:

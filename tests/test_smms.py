@@ -10,9 +10,9 @@ from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
 from smmskit.comparison import check_mc_drift
-from smmskit.model import area_model, ModelSpace
+from smmskit.model import area_model, mean_curvature_model, ModelSpace
 from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, bakry_emery_radial,
-                          integral_rho, make_space, mean_curvature_f,
+                          cumulative_excess, integral_rho, make_space, mean_curvature_f,
                           potential_bounds, profile_from_spec, rho,
                           ricci_f_smallest_eigenvalue, ricci_radial,
                           sample_curvature, weighted_area, weighted_volume)
@@ -220,10 +220,10 @@ def _bumped():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the root searches, quad_grid fallbacks and curvature
-    abscissae that ``integral_rho`` uses."""
-    from smmskit import smms
-    counts = {"roots": 0, "fallbacks": 0, "abscissae": 0}
+    """Counts of the root searches and curvature abscissae that
+    ``integral_rho`` uses, and the most panels a quadrature level took."""
+    from smmskit import numkit, smms
+    counts = {"roots": 0, "abscissae": 0, "panels": 0}
 
     def counting(name, key, size=None):
         fn = getattr(smms, name)
@@ -235,8 +235,14 @@ def calls(monkeypatch):
         monkeypatch.setattr(smms, name, wrapped)
 
     counting("find_root_bracketed", "roots")
-    counting("quad_grid", "fallbacks")
     counting("_ricci_f", "abscissae", size=1)
+    level = numkit._gauss_segments
+
+    def counted_level(f, a, b, panels):
+        counts["panels"] = max(counts["panels"], panels)
+        return level(f, a, b, panels)
+
+    monkeypatch.setattr(numkit, "_gauss_segments", counted_level)
     return counts
 
 
@@ -275,9 +281,10 @@ class TestExcessQuadrature:
         assert 0.0 <= integral_rho(s, 1.0, R, mode) <= 1e-14
         assert calls["roots"] == 0
 
-    def test_kinks_between_samples_fall_back_to_quad_grid(self, calls):
+    def test_kinks_between_samples_double_the_panels(self, calls):
         # A spline potential has f'' piecewise linear: g = (n-1)H - f'' > 0
-        # has a kink at every node, which the Gauss pair cannot resolve.
+        # has a kink at every node, and no breakpoint marks them, so the
+        # quadrature must double its panels past the first comparison.
         # Closed form: l = (n-1) H R - (f'(R) - f'(0)).
         nodes = [[r, 0.05 * r * r + 0.02 * math.sin(3.0 * r)]
                  for r in np.linspace(0.0, 3.0, 13)]
@@ -285,7 +292,7 @@ class TestExcessQuadrature:
                        f={"type": "table", "nodes": nodes}, r_max=3.0)
         exact = 2.0 * 0.5 * 2.6 - (s.f.d1(2.6) - s.f.d1(0.0))
         assert abs(integral_rho(s, 0.5, 2.6) - exact) <= 1e-10 * exact
-        assert calls["fallbacks"] >= 1
+        assert calls["panels"] > 2
 
     def test_sees_few_abscissae(self, calls):
         # Counts do not depend on the machine.  Simpson panel doubling
@@ -293,7 +300,23 @@ class TestExcessQuadrature:
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
         integral_rho(s, 1.0, math.pi)
         assert 0 < calls["abscissae"] <= 3000
-        assert calls["fallbacks"] == 0
+
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mc_cumulative_excess_ends_at_integral_rho(self, n, mode):
+        # MC_DRIFT integrates rho on its 256 radii plus integral_rho's
+        # breakpoints; rhs - (m_H + a) at the last radius R is then l(R).
+        # For n >= 3 in full mode the tangential curvature carries rounding
+        # noise ~1e-16/r^2 near the pole, so the two node sets see l only
+        # to ~1e-11 (about 3e-12 here); elsewhere they agree to rounding.
+        s = make_space("perturbed_sphere", n=n, H=1.0, eps=0.05, omega=3.0)
+        report = check_mc_drift(s, 1.0, mode=mode)
+        radii, rhs = report.grid[:, 0], report.grid[:, 2]
+        cum = rhs - mean_curvature_model(float(n), 1.0, radii)  # a = 0
+        R = float(radii[-1])
+        assert np.all(np.diff(cum) >= -1e-12)
+        tol = 1e-11 if (n, mode) == (3, "full") else 1e-12
+        assert abs(cum[-1] - integral_rho(s, 1.0, R, mode)) <= tol
 
 
 class TestDivergentExcess:
@@ -406,6 +429,19 @@ class TestProfiles:
         for r in (1e-5, 0.5, 1.5, 2.9999):
             assert abs(p.d1(r) - math.cos(r)) < 1e-7
             assert abs(p.d2(r) + math.sin(r)) < 1e-5
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_fd_on_arrays_matches_the_float_path(self, order):
+        # Central stencils inside, one-sided ones within 2h of either end.
+        p = RadialProfile(lambda r: np.sin(r) + 0.1 * np.cos(3.0 * r), r_max=math.pi)
+        h = p._h
+        rs = np.concatenate([np.linspace(0.0, math.pi, 100),
+                             [h, 2 * h, 3 * h, math.pi - h, math.pi - 2 * h, math.pi - 3 * h]])
+        got = p.d1(rs) if order == 1 else p.d2(rs)
+        want = np.array([p.d1(float(r)) if order == 1 else p.d2(float(r)) for r in rs])
+        assert got.shape == rs.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert (p.d1 if order == 1 else p.d2)(rs.reshape(2, -1)).shape == (2, len(rs) // 2)
 
     def test_analytic_d2_matches_differences(self):
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)

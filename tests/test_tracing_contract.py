@@ -36,3 +36,6 @@ def test_tracer_installs_and_counts_checks(tmp_path):
     assert counts["comparison.integrate_ode.rhs_evals"] > 0
     assert counts["smms.potential_bounds.calls"] > 0
     assert counts["smms.integral_rho.calls"] == 2
+    # Both quadrature entry points stay imported where the tracer looks.
+    assert counts["numkit.quad_grid.points"] > 0
+    assert counts["numkit.quad_adaptive.calls"] > 0

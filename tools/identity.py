@@ -177,6 +177,17 @@ def cases() -> list[tuple[str, list[str]]]:
                               "--H", "0.2", "--r", "0.3", "--R", "1.5", "--mode", "full"]),
         ("drift/MC_DRIFT/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
                                  "MC_DRIFT", "--H", "0.2", "--mode", "full"]),
+        # Quadrature-heavy paths: rho on the MC grids (the pi/2 range, full
+        # mode, and a cubic warping whose tangential curvature is rounding
+        # noise near the pole) and the hyperbolic absolute volume bound.
+        ("psphere/MC_BOUNDED_F_PI2", ["check", *_PSPHERE, "--H", "1", "--theorem",
+                                      "MC_BOUNDED_F_PI2"]),
+        ("psphere/MC_ROUGH/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "MC_ROUGH",
+                                   "--mode", "full"]),
+        ("bumped/MC_DRIFT/full", ["check", "--custom", "bumped.json", "--theorem", "MC_DRIFT",
+                                  "--mode", "full"]),
+        ("hyp4/VOL_ABS_NEGH", ["check", "--space", "hyperbolic", "--n", "4", "--param", "H=-2",
+                               "--H", "-2", "--theorem", "VOL_ABS_NEGH", "--grid", "24"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
