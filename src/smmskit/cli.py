@@ -126,8 +126,7 @@ _CHECKS = {
     "VOL_B_ABS": (("R",), lambda s, H, args: cmp.check_volume_absolute(
         s, H, args.R, const=args.a, mode=args.mode, n_grid=args.grid)),
     "VOL_ABS_NEGH": ((), lambda s, H, args: cmp.check_absolute_volume_negH(
-        s, H, k=args.k, mode=args.mode, R_grid=None if args.R is None
-        else np.linspace(args.R / args.grid, args.R, args.grid))),
+        s, H, k=args.k, R=args.R, mode=args.mode, n_grid=args.grid)),
     # Bounded-potential form when --k is given, drift form otherwise.
     "DOUBLING": (("alpha", "R"), lambda s, H, args: cmp.check_doubling(
         s, H, args.alpha, args.R, epsilon=args.epsilon,

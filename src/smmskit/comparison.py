@@ -1,10 +1,11 @@
 """Grid-based verification of the comparison inequalities.
 
-Each checker evaluates one inequality on a grid of radii inside its
-admissible range and reports the margins rhs - lhs.  A check passes when
-the minimum margin is above -max(1e-8, 1e-6 |rhs|); when the minimum
-margin is within ten times that tolerance the grid is refined (x4) once to
-separate genuine near-equality from discretization error.
+Each checker evaluates one inequality on ``n_grid`` evenly spaced radii
+across its theorem's admissible range and reports the margins rhs - lhs.
+A check passes when the minimum margin is above -max(1e-8, 1e-6 |rhs|);
+when the minimum margin is within ten times that tolerance the grid is
+refined (x4) once to separate genuine near-equality from discretization
+error.
 
 Checks covered: the rough mean-curvature bound, the bounded-potential
 bound m_f <= m_H^{n+4k} + int rho (inner range) and its pi/2 extension
@@ -292,9 +293,9 @@ def _compare(theorem_id: str, eval_on, radii: np.ndarray):
 
 
 def _finalize(theorem_id: str, params: dict, mode: str, radii: np.ndarray,
-              eval_on, refine: bool = True) -> ComparisonReport:
+              eval_on) -> ComparisonReport:
     lhs, rhs, margin, imin, tolv = _compare(theorem_id, eval_on, radii)
-    if refine and abs(margin[imin]) < 10.0 * tolv and len(radii) >= 2:
+    if abs(margin[imin]) < 10.0 * tolv and len(radii) >= 2:
         radii = np.linspace(radii[0], radii[-1], 4 * (len(radii) - 1) + 1)
         lhs, rhs, margin, imin, tolv = _compare(theorem_id, eval_on, radii)
     eq = radii[np.abs(margin) <= tolv]
@@ -339,32 +340,19 @@ def _interior_cap(s: WarpedSMMS) -> float:
     return min(s.r_interior_hi, s.r_max * (1.0 - 1e-9))
 
 
-def _mc_grid(s: WarpedSMMS, hi_cap: float, n_grid: int, lo: float | None = None,
-             drop_right: bool = False) -> np.ndarray:
-    hi = min(_interior_cap(s), hi_cap)
+def _mc_radii(s: WarpedSMMS, theorem_id: str, H: float, n_grid: int,
+              lo: float | None = None) -> np.ndarray:
+    """``n_grid`` radii from ``lo`` (default: the first of ``n_grid`` steps)
+    to the theorem's range cap or the space's interior, whichever is nearer."""
+    hi = min(_interior_cap(s), admissible_R(theorem_id, H))
     lo = hi / n_grid if lo is None else lo
     if not lo < hi:
         raise ValueError(f"empty admissible grid: [{lo}, {hi}]")
-    if drop_right:
-        return np.linspace(lo, hi, n_grid + 1)[:-1]
     return np.linspace(lo, hi, n_grid)
 
 
-def _mc_radii(s: WarpedSMMS, theorem_id: str, H: float, grid,
-              n_grid: int) -> np.ndarray:
-    """``grid``, or ``n_grid`` radii up to the theorem's range cap; either
-    must end within the cap."""
-    cap = admissible_R(theorem_id, H)
-    radii = np.asarray(grid, dtype=float) if grid is not None \
-        else _mc_grid(s, cap, n_grid)
-    if radii[-1] > cap + 1e-12:
-        raise ValueError(f"grid exceeds {_cap_text(theorem_id, H)}")
-    return radii
-
-
 def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
-              radii: np.ndarray, mode: str, refine: bool,
-              lo: float = 0.0) -> ComparisonReport:
+              radii: np.ndarray, mode: str, lo: float = 0.0) -> ComparisonReport:
     """m_f(r) <= bound(r) + int_lo^r rho on ``radii``; raises
     ``DivergentExcessError`` when that integral is +inf."""
     require_finite_excess(s, mode, lo, float(radii[-1]))
@@ -373,45 +361,37 @@ def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
         lhs = np.asarray(mean_curvature_f(s, rs))
         return lhs, bound(rs) + cumulative_excess(s, H, rs, mode, lo)
 
-    return _finalize(theorem_id, params, mode, radii, eval_on, refine)
+    return _finalize(theorem_id, params, mode, radii, eval_on)
 
 
 # ---------------------------------------------------------------------------
 # Mean curvature comparisons.
 # ---------------------------------------------------------------------------
 
-def check_mc_rough(s: WarpedSMMS, H: float, r0: float, grid=None,
-                   mode: str = "radial", n_grid: int = 256,
-                   refine: bool = True) -> ComparisonReport:
+def check_mc_rough(s: WarpedSMMS, H: float, r0: float, mode: str = "radial",
+                   n_grid: int = 256) -> ComparisonReport:
     """m_f(r) <= m_f(r0) - (n-1) H (r - r0) + int_{r0}^r rho."""
     cap = _interior_cap(s)
     if not 0.0 < r0 < cap:
         raise ValueError(f"r0={r0} outside (0, {cap})")
-    radii = np.asarray(grid, dtype=float) if grid is not None \
-        else np.linspace(r0, cap, n_grid)
-    if radii[0] < r0 or radii[-1] >= s.r_max:
-        raise ValueError("grid must lie in [r0, r_max)")
     base = float(mean_curvature_f(s, r0))
     return _check_mc("MC_ROUGH", s, H, {"n": s.n, "H": H, "r0": r0},
                      lambda rs: base - (s.n - 1.0) * H * (rs - r0),
-                     radii, mode, refine, lo=r0)
+                     _mc_radii(s, "MC_ROUGH", H, n_grid, lo=r0), mode, lo=r0)
 
 
 def check_mc_bounded_f_inner(s: WarpedSMMS, H: float, k: float | None = None,
-                             grid=None, mode: str = "radial", n_grid: int = 256,
-                             refine: bool = True) -> ComparisonReport:
+                             mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """m_f(r) <= m_H^{n+4k}(r) + int_0^r rho, r <= pi/(4 sqrt(H)) if H > 0."""
     k = _resolve(s, "k", k)
     d = s.n + 4.0 * k
-    radii = _mc_radii(s, "MC_BOUNDED_F_INNER", H, grid, n_grid)
     return _check_mc("MC_BOUNDED_F_INNER", s, H, {"n": s.n, "H": H, "k": k, "d": d},
                      lambda rs: np.asarray(mean_curvature_model(d, H, rs)),
-                     radii, mode, refine)
+                     _mc_radii(s, "MC_BOUNDED_F_INNER", H, n_grid), mode)
 
 
 def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
-                           grid=None, mode: str = "radial", n_grid: int = 256,
-                           refine: bool = True) -> ComparisonReport:
+                           mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """The pi/2 extension for H > 0 on [pi/(4 sqrt H), pi/(2 sqrt H)):
 
     m_f(r) <= (1 + 4k/((n-1) sin(2 sqrt(H) r))) m_H^n(r) + int_0^r rho.
@@ -421,42 +401,34 @@ def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
     if H <= 0.0:
         raise ValueError("the pi/2 range estimate requires H > 0")
     k = _resolve(s, "k", k)
-    lo = math.pi / (4.0 * math.sqrt(H))
-    cap = admissible_R("MC_BOUNDED_F_PI2", H)
-    radii = np.asarray(grid, dtype=float) if grid is not None \
-        else _mc_grid(s, cap, n_grid, lo=lo, drop_right=True)
-    if radii[0] < lo - 1e-12 or radii[-1] >= cap:
-        raise ValueError(f"grid must lie in [{lo:.12g}, {cap:.12g})")
+    # The coefficient diverges at the cap: n_grid + 1 radii up to it, less the last.
+    radii = _mc_radii(s, "MC_BOUNDED_F_PI2", H, n_grid + 1,
+                      lo=math.pi / (4.0 * math.sqrt(H)))[:-1]
 
     def bound(rs):
         coeff = 1.0 + 4.0 * k / ((s.n - 1.0) * np.sin(2.0 * math.sqrt(H) * rs))
         return coeff * np.asarray(mean_curvature_model(s.n, H, rs))
 
     return _check_mc("MC_BOUNDED_F_PI2", s, H, {"n": s.n, "H": H, "k": k}, bound,
-                     radii, mode, refine)
+                     radii, mode)
 
 
 def check_mc_bounded_f(s: WarpedSMMS, H: float, k: float | None = None,
-                       mode: str = "radial", n_grid: int = 256,
-                       refine: bool = True) -> list[ComparisonReport]:
+                       mode: str = "radial", n_grid: int = 256) -> list[ComparisonReport]:
     """Both ranges of the bounded-potential mean curvature comparison."""
-    reports = [check_mc_bounded_f_inner(s, H, k, mode=mode, n_grid=n_grid,
-                                        refine=refine)]
+    reports = [check_mc_bounded_f_inner(s, H, k, mode=mode, n_grid=n_grid)]
     if H > 0.0 and s.r_interior_hi > math.pi / (4.0 * math.sqrt(H)):
-        reports.append(check_mc_bounded_f_pi2(s, H, k, mode=mode, n_grid=n_grid,
-                                              refine=refine))
+        reports.append(check_mc_bounded_f_pi2(s, H, k, mode=mode, n_grid=n_grid))
     return reports
 
 
-def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None, grid=None,
-                   mode: str = "radial", n_grid: int = 256,
-                   refine: bool = True) -> ComparisonReport:
+def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None,
+                   mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """m_f(r) <= m_H^n(r) + a + int_0^r rho, r <= pi/(2 sqrt(H)) if H > 0."""
     a = _resolve(s, "a", a)
-    radii = _mc_radii(s, "MC_DRIFT", H, grid, n_grid)
     return _check_mc("MC_DRIFT", s, H, {"n": s.n, "H": H, "a": a},
                      lambda rs: np.asarray(mean_curvature_model(s.n, H, rs)) + a,
-                     radii, mode, refine)
+                     _mc_radii(s, "MC_DRIFT", H, n_grid), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +457,7 @@ def _bound_model(s: WarpedSMMS, H: float, bound: str, const: float | None):
 
 def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                           bound: str = "a", const: float | None = None,
-                          mode: str = "radial", n_grid: int = 256,
-                          refine: bool = True) -> ComparisonReport:
+                          mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """A_f(R')/A_model(R') <= e^{c R' l} A_f(r)/A_model(r) for r <= R' <= R."""
     tid = "AREA_A" if bound == "k" else "AREA_B"
     if not 0.0 < r <= R:
@@ -502,13 +473,12 @@ def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
 
     radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
-    return _finalize(tid, params, mode, radii, eval_on, refine)
+    return _finalize(tid, params, mode, radii, eval_on)
 
 
 def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                             bound: str = "a", const: float | None = None,
                             mode: str = "radial", n_grid: int = 256,
-                            refine: bool = True,
                             _tid: str | None = None) -> ComparisonReport:
     """V_f(R')/V_m(R') <= V_f(r)/V_m(r) exp{int_0^{R'} (e^{clt}-1) A_m/V_m}."""
     tid = _tid or ("VOL_A" if bound == "k" else "VOL_B")
@@ -516,8 +486,7 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
         if bound == "k":
             raise ValueError("the n+4k volume ratio blows up as r -> 0; "
                              "use r > 0 (or the absolute drift form)")
-        return check_volume_absolute(s, H, R, const=const, mode=mode,
-                                     n_grid=n_grid, refine=refine)
+        return check_volume_absolute(s, H, R, const=const, mode=mode, n_grid=n_grid)
     if not 0.0 < r <= R:
         raise ValueError(f"require 0 < r <= R, got r={r}, R={R}")
     _require_outer(s, tid, H, R)
@@ -532,12 +501,12 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
 
     radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
-    return _finalize(tid, params, mode, radii, eval_on, refine)
+    return _finalize(tid, params, mode, radii, eval_on)
 
 
 def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
                           const: float | None = None, mode: str = "radial",
-                          n_grid: int = 256, refine: bool = True) -> ComparisonReport:
+                          n_grid: int = 256) -> ComparisonReport:
     """Absolute drift form: V_f(R') <= V^a_H(R') exp{-f(0) + int (e^{lt}-1) A/V}."""
     require_admissible("VOL_B_ABS", H, R)
     if not 0.0 < R <= s.r_interior_hi:
@@ -553,18 +522,16 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
 
     radii = np.linspace(R / n_grid, R, n_grid)
     params = {"n": s.n, "H": H, "R": R, "l": l, **bparams}
-    return _finalize("VOL_B_ABS", params, mode, radii, eval_on, refine)
+    return _finalize("VOL_B_ABS", params, mode, radii, eval_on)
 
 
 def check_vol_r1(s: WarpedSMMS, H: float, R: float, const: float | None = None,
-                 mode: str = "radial", n_grid: int = 256,
-                 refine: bool = True) -> ComparisonReport:
+                 mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """The R >= 1 absolute estimate: the bounded-f volume comparison at r = 1."""
     if R < 1.0:
         raise ValueError(f"the R >= 1 estimate requires R >= 1, got {R}")
     return check_volume_comparison(s, H, 1.0, R, bound="k", const=const,
-                                   mode=mode, n_grid=n_grid, refine=refine,
-                                   _tid="VOL_R1")
+                                   mode=mode, n_grid=n_grid, _tid="VOL_R1")
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +611,7 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
 def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
                    epsilon: float | None = None, bound: str = "a",
                    const: float | None = None, mode: str = "radial",
-                   n_grid: int = 48, refine: bool = True) -> ComparisonReport:
+                   n_grid: int = 48) -> ComparisonReport:
     """V_f(r2)/V_f(r1) <= alpha V_model(r2)/V_model(r1) for 0 < r1 < r2 <= R.
 
     Gated on the excess hypothesis l <= epsilon; a space failing the gate
@@ -670,19 +637,15 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
 
     def eval_on(rs):
         vf2, vm2 = _volumes(s, mspace, rs)
-        lhs = np.empty(len(rs))
-        rhs = np.empty(len(rs))
-        for j, r2 in enumerate(rs):
-            m = inner < r2 - 1e-12 * R
-            ratios_f = vf2[j] / vf1[m]
-            ratios_m = alpha * vm2[j] / vm1[m]
-            i = int(np.argmin(ratios_m - ratios_f))
-            lhs[j] = ratios_f[i]
-            rhs[j] = ratios_m[i]
-        return lhs, rhs
+        # Table (r2, r1) of both ratios; pairs with r1 >= r2 never win.
+        ratios_f = vf2[:, None] / vf1
+        ratios_m = alpha * vm2[:, None] / vm1
+        gap = np.where(inner < rs[:, None] - 1e-12 * R, ratios_m - ratios_f, np.inf)
+        rows, i = np.arange(len(rs)), np.argmin(gap, axis=1)
+        return ratios_f[rows, i], ratios_m[rows, i]
 
     radii = np.linspace(R / n_grid, R, n_grid)[1:]
-    return _finalize("DOUBLING", params, mode, radii, eval_on, refine)
+    return _finalize("DOUBLING", params, mode, radii, eval_on)
 
 
 # ---------------------------------------------------------------------------
@@ -690,24 +653,23 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
 # ---------------------------------------------------------------------------
 
 def check_absolute_volume_negH(s: WarpedSMMS, H: float, k: float | None = None,
-                               R_grid=None, mode: str = "radial",
-                               refine: bool = True) -> ComparisonReport:
+                               R: float | None = None, mode: str = "radial",
+                               n_grid: int = 64) -> ComparisonReport:
     """V_f(R)/area(S^{n-1}) <= e^{3k} int_0^R sn_H^{n-1} e^{cosh(2 sqrt(-H) t) + l t} dt.
 
-    Both sides are compared per unit solid angle.  The default grid caps at
-    3.5/sqrt(-H), beyond which the e^{cosh} weight overflows doubles.
+    Both sides are compared per unit solid angle.  The outer radius R
+    defaults to 3.5/sqrt(-H), beyond which the e^{cosh} weight overflows
+    doubles, or the interior's end if nearer.
     """
     if H >= 0.0:
         raise ValueError(f"this bound requires H < 0, got H={H}")
     k = _resolve(s, "k", k)
     sqh = math.sqrt(-H)
-    if R_grid is None:
-        hi = min(s.r_interior_hi, 3.5 / sqh)
-        R_grid = np.linspace(hi / 64, hi, 64)
-    radii = np.asarray(R_grid, dtype=float)
-    if np.any(radii <= 0.0) or radii[-1] > s.r_interior_hi:
-        raise ValueError("R grid must lie in (0, r_max)")
-    l = integral_rho(s, H, float(radii[-1]), mode)
+    R = min(s.r_interior_hi, 3.5 / sqh) if R is None else float(R)
+    if not 0.0 < R <= s.r_interior_hi:
+        raise ValueError(f"require 0 < R <= {s.r_interior_hi}, got {R}")
+    radii = np.linspace(R / n_grid, R, n_grid)
+    l = integral_rho(s, H, R, mode)
     omega = sphere_area(s.n)
     e3k = math.exp(3.0 * k)
 
@@ -720,8 +682,8 @@ def check_absolute_volume_negH(s: WarpedSMMS, H: float, k: float | None = None,
         rhs = e3k * _cum_integral(integrand, rs)
         return lhs, rhs
 
-    params = {"n": s.n, "H": H, "k": k, "l": l, "R": float(radii[-1])}
-    return _finalize("VOL_ABS_NEGH", params, mode, radii, eval_on, refine)
+    params = {"n": s.n, "H": H, "k": k, "l": l, "R": R}
+    return _finalize("VOL_ABS_NEGH", params, mode, radii, eval_on)
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,7 @@ def test_criterion_9_absolute_volume_hyperbolic():
     s = WarpedSMMS(n=3, w=w, f=f, r_max=r_max, closed=False)
     margins = []
     for R in (0.5, 1.0, 2.0):
-        rep = check_absolute_volume_negH(s, -1.0,
-                                         R_grid=np.linspace(R / 24, R, 24))
+        rep = check_absolute_volume_negH(s, -1.0, R=R, n_grid=24)
         margins.append(rep.min_margin)
     ok = all(m > 0.0 for m in margins)
     report_line(9, f"hyperbolic absolute volume margins {['%.3e' % m for m in margins]}", ok)

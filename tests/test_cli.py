@@ -323,6 +323,16 @@ class TestOtherTheorems:
         assert code == 0
         assert report["checks"][0]["min_margin"] > 0.0
 
+    @pytest.mark.parametrize("grid", [24, 256])
+    def test_negh_grid_follows_grid_flag_without_R(self, capsys, grid):
+        code, report = run_json(
+            ["check", "--space", "hyperbolic", "--n", "3", "--param", "H=-1",
+             "--theorem", "VOL_ABS_NEGH", "--H", "-1", "--grid", str(grid)], capsys)
+        check = report["checks"][0]
+        assert code == 0
+        assert check["n_grid"] in (grid, 4 * grid - 3)  # as given, or refined x4
+        assert check["params"]["R"] == 3.5  # 3.5/sqrt(-H), inside r_max
+
     def test_negh_requires_negative_curvature(self, capsys):
         assert main(["check", "--space", "euclidean", "--n", "3",
                      "--theorem", "VOL_ABS_NEGH", "--H", "1"]) == 2

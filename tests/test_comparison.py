@@ -40,7 +40,7 @@ def sphere_with_potential(n=3, H=1.0, amp=0.1):
 class TestMcRough:
     def test_flat_closed_form_margin(self):
         s = make_space("euclidean", n=3)
-        rep = check_mc_rough(s, 0.0, 1.0, grid=np.linspace(1.0, 5.0, 33))
+        rep = check_mc_rough(s, 0.0, 1.0, n_grid=33)
         assert rep.passed
         for r, lhs, rhs, margin in rep.grid:
             assert abs(margin - 2.0 * (1.0 / 1.0 - 1.0 / r)) < 1e-10
@@ -49,21 +49,24 @@ class TestMcRough:
     def test_sphere_cot_closed_form(self):
         s = make_space("sphere", n=3, H=1.0)
         r0 = math.pi / 4
-        grid = np.linspace(r0, 3 * math.pi / 4, 41)
-        rep = check_mc_rough(s, 1.0, r0, grid=grid)
+        rep = check_mc_rough(s, 1.0, r0, n_grid=41)
         assert rep.passed
         for r, lhs, rhs, margin in rep.grid:
             want_lhs = 2.0 / math.tan(r)
             want_rhs = 2.0 / math.tan(r0) - 2.0 * (r - r0)
-            assert abs(lhs - want_lhs) < 1e-10
+            # Past 3 pi/4 the grid runs on to the far pole, where |cot r|
+            # reaches ~1e6 and the same bound holds relative to it.
+            scale = 1.0 if r <= 3 * math.pi / 4 else abs(want_lhs)
+            assert abs(lhs - want_lhs) < 1e-10 * scale
             assert abs(rhs - want_rhs) < 1e-10
             assert margin >= -1e-12
 
     def test_plateau_equality_case(self):
         # Flat radial curvature, m = 0 and f'' = (n-1)H - rho on the plateau.
         s = plateau_space(n=3)
-        rep = check_mc_rough(s, 0.5, 1.1, grid=np.linspace(1.1, 3.8, 28))
+        rep = check_mc_rough(s, 0.5, 1.1, n_grid=28)
         assert rep.passed
+        assert 1.0 <= rep.grid[0, 0] and rep.grid[-1, 0] <= 4.0  # all on the plateau
         assert np.max(np.abs(rep.grid[:, 3])) <= 1e-8
         assert len(rep.equality_radii) == rep.grid.shape[0]
 
@@ -82,8 +85,7 @@ class TestMcBoundedF:
     def test_flat_space_positive_target_closed_form(self):
         # lhs 2/r, rhs 2 cot r + 2r; margin = 2(cot r - 1/r) + 2r >= 0.
         s = make_space("euclidean", n=3)
-        grid = np.linspace(0.05, math.pi / 4, 40)
-        rep = check_mc_bounded_f_inner(s, 1.0, grid=grid, refine=False)
+        rep = check_mc_bounded_f_inner(s, 1.0, n_grid=40)
         assert rep.passed
         for r, lhs, rhs, margin in rep.grid:
             want = 2.0 / math.tan(r) + 2.0 * r - 2.0 / r
@@ -92,7 +94,7 @@ class TestMcBoundedF:
     def test_dense_grid_oracle(self):
         s = perturbed_euclidean(3, 0.06, 3.0, amp=0.08, nu=2.0)
         rep = check_mc_bounded_f_inner(s, 0.0, n_grid=48)
-        dense = check_mc_bounded_f_inner(s, 0.0, n_grid=480, refine=False)
+        dense = check_mc_bounded_f_inner(s, 0.0, n_grid=480)
         assert rep.passed and dense.passed
         assert dense.min_margin >= -1e-9
 
@@ -145,14 +147,13 @@ class TestMcDrift:
                           r_max=r_max)
         s = WarpedSMMS(n=3, w=w, f=f, r_max=r_max, closed=False)
         rep = check_mc_drift(s, 0.0, 0.6, n_grid=48)
-        dense = check_mc_drift(s, 0.0, 0.6, n_grid=480, refine=False)
+        dense = check_mc_drift(s, 0.0, 0.6, n_grid=480)
         assert rep.passed and dense.min_margin >= -1e-9
 
     def test_soliton_margin_closed_form(self):
         # rho = 0 and m_f = 2/r - r/2, so the margin is exactly r/2.
         s = make_space("gaussian_soliton", n=3, c=0.25)
-        grid = np.linspace(0.2, 3.0, 29)
-        rep = check_mc_drift(s, 0.0, 0.0, grid=grid, refine=False)
+        rep = check_mc_drift(s, 0.0, 0.0, n_grid=29)
         assert rep.passed
         for r, lhs, rhs, margin in rep.grid:
             assert abs(margin - r / 2.0) < 1e-12
@@ -172,8 +173,7 @@ class TestAreaComparison:
 
     def test_flat_vs_sphere_model_closed_form(self):
         s = make_space("euclidean", n=3)
-        rep = check_area_comparison(s, 1.0, 0.2, 0.6, bound="k", n_grid=32,
-                                    refine=False)
+        rep = check_area_comparison(s, 1.0, 0.2, 0.6, bound="k", n_grid=32)
         assert rep.passed
         assert abs(rep.params["l"] - 1.2) < 1e-9
         base = (0.2 / math.sin(0.2)) ** 2
@@ -201,14 +201,14 @@ class TestVolumeComparison:
 
     def test_riemann_oracle_flat_vs_sphere(self):
         s = make_space("euclidean", n=3)
-        rep = check_volume_comparison(s, 1.0, 0.25, 0.5, bound="a", n_grid=16,
-                                      refine=False)
+        rep = check_volume_comparison(s, 1.0, 0.25, 0.5, bound="a", n_grid=16)
         assert rep.passed
         # Midpoint-rule oracle for V_f, V_model and the exp correction.
         N = 1_000_000
         l = rep.params["l"]
         assert abs(l - 1.0) < 1e-9  # rho = 2 on [0, 0.5]
-        for r, lhs, rhs, margin in rep.grid[::5]:
+        # The four radii 0.25, 1/3, 5/12, 0.5 of the 16-point grid, refined or not.
+        for r, lhs, rhs, margin in rep.grid[::(rep.grid.shape[0] - 1) // 3]:
             ts = (np.arange(N) + 0.5) * (r / N)
             am = 4 * math.pi * np.sin(ts) ** 2
             vf = float(np.sum(4 * math.pi * ts ** 2)) * r / N
@@ -475,7 +475,7 @@ class TestDoublingTable:
 class TestAbsoluteVolumeNegH:
     def test_hyperbolic_strict_margin(self):
         s = make_space("hyperbolic", n=3, H=-1.0)
-        rep = check_absolute_volume_negH(s, -1.0, R_grid=np.linspace(0.05, 1.0, 24))
+        rep = check_absolute_volume_negH(s, -1.0, R=1.0, n_grid=20)
         assert rep.passed and rep.min_margin > 0.0
 
     def test_bounded_potential_case(self):
@@ -489,7 +489,7 @@ class TestAbsoluteVolumeNegH:
                           d2=lambda r: -0.1 * np.sin(np.asarray(r, dtype=float)),
                           r_max=r_max)
         s = WarpedSMMS(n=3, w=w, f=f, r_max=r_max, closed=False)
-        rep = check_absolute_volume_negH(s, -1.0, R_grid=np.linspace(0.1, 2.0, 20))
+        rep = check_absolute_volume_negH(s, -1.0, R=2.0, n_grid=20)
         assert rep.passed and rep.min_margin >= 0.0
 
     def test_requires_negative_curvature(self):
@@ -547,10 +547,10 @@ class TestScaledCurvature:
 class TestReportPlumbing:
     def test_csv_header_and_shape(self):
         s = make_space("euclidean", n=3)
-        rep = check_mc_drift(s, 0.0, n_grid=16, refine=False)
+        rep = check_mc_drift(s, 0.0, n_grid=16)
         csv = rep.grid_csv()
         assert csv.splitlines()[0] == "r,lhs,rhs,margin"
-        assert len(csv.splitlines()) == 17
+        assert len(csv.splitlines()) == 62  # the model's zero margin refines 16 -> 61
 
     def test_pass_vs_margin_consistency(self):
         s = perturbed_euclidean(3, 0.05, 2.0, amp=0.05, nu=1.0)

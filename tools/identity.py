@@ -188,6 +188,9 @@ def cases() -> list[tuple[str, list[str]]]:
                                   "--mode", "full"]),
         ("hyp4/VOL_ABS_NEGH", ["check", "--space", "hyperbolic", "--n", "4", "--param", "H=-2",
                                "--H", "-2", "--theorem", "VOL_ABS_NEGH", "--grid", "24"]),
+        # The benchmark's form: an explicit outer radius and grid.
+        ("bumped/VOL_ABS_NEGH/R", ["check", "--custom", "bumped.json", "--H", "-0.6",
+                                   "--theorem", "VOL_ABS_NEGH", "--R", "2.2", "--grid", "48"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
