@@ -15,8 +15,9 @@ multiple of pi only upward, at a zero of phi, so the first eigenvalue is the
 root of theta(R; lambda) = pi (Pryce, Numerical Solution of Sturm-Liouville
 Problems, 1993).  The lowest Rayleigh-Ritz value on a polynomial basis,
 taken on Gauss-Jacobi nodes, seeds the search with a bracket one closing
-width wide around it; the search falls back to growing a bracket from
-[0, pi^2/R^2] when the Ritz value does not bracket the root.  Secant steps
+width wide around it, whose two ends one solve shoots as two components
+that share the coefficient m_f; the search falls back to growing a bracket
+from [0, pi^2/R^2] when the Ritz value does not bracket the root.  Secant steps
 safeguarded inside a kept bracket find it, until the bracket is narrower
 than max(abs_tol, rel_tol * lambda_hi); one (phi, R phi') shoot at the root
 then gives the eigenfunction samples, r_half and the residual |phi(R)|.  The
@@ -75,8 +76,9 @@ class EigenResult(Report):
     summed local error estimates of the shoot.  ``lam_ritz`` is the
     Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
     failed) and ``shoots`` the number of ODE solves the eigenvalue took, the
-    (phi, R phi') shoot included.  The search is restricted to radial
-    eigenfunctions (the first eigenfunction is radial for radial data).
+    (phi, R phi') shoot included; both ends of the seeded bracket take one.
+    The search is restricted to radial eigenfunctions (the first
+    eigenfunction is radial for radial data).
     """
 
     lam: float
@@ -158,21 +160,30 @@ def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
                          max_step=R / 32.0)
 
 
-def _prufer_angle(coeff, n: int, lam: float, R: float) -> float:
-    """Pruefer angle theta(R; lam), with phi = rho sin(theta), R phi' = rho cos(theta).
+def _prufer_angles(coeff, n: int, lams, R: float) -> list[float]:
+    """Pruefer angles theta(R; lam) for each lam of ``lams``, with
+    phi = rho sin(theta) and R phi' = rho cos(theta), in one solve.
 
     theta' = cos^2/R + m_f sin cos + lam R sin^2 starts near pi/2 and
-    crosses each multiple of pi upward exactly once, at a zero of phi.
+    crosses each multiple of pi upward exactly once, at a zero of phi.  Each
+    lam is one component of the solve, and all share each stage's m_f(t);
+    with one lam the solve is the scalar one.
     """
-    r0, phi0, dphi0 = _pole_start(n, lam, R)
+    starts = [_pole_start(n, lam, R) for lam in lams]
+    lrs = [lam * R for lam in lams]
 
     def rhs(t, y):
-        sin, cos = math.sin(y[0]), math.cos(y[0])
-        return (cos * cos / R + coeff(t) * sin * cos + lam * R * sin * sin,)
+        c = coeff(t)
+        out = []
+        for theta, lr in zip(y, lrs):
+            sin, cos = math.sin(theta), math.cos(theta)
+            out.append(cos * cos / R + c * sin * cos + lr * sin * sin)
+        return out
 
-    traj = integrate_ode(rhs, r0, (math.atan2(phi0, dphi0),), R, _ODE_TOL,
-                         max_step=R / 32.0)
-    return float(traj.terminal()[0])
+    traj = integrate_ode(rhs, starts[0][0],
+                         [math.atan2(phi0, dphi0) for _, phi0, dphi0 in starts],
+                         R, _ODE_TOL, max_step=R / 32.0)
+    return traj.terminal().tolist()
 
 
 # Rayleigh-Ritz seed: basis (1 - v) P_k(2v - 1), k < _RITZ_BASIS, on the
@@ -224,21 +235,29 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
 
     The Ritz value lam_R seeds the search: the bracket is
     [lam_R - max(0.4 w, 1e-8 lam_R), lam_R + 0.4 w] with w the closing width
-    at lam_R, so at rel_tol = 1e-6 two theta shoots close it, and at
-    rel_tol = 1e-10 the secant needs one or two more.  When lam_R is not
-    finite or the Ritz solve fails, the search starts from [0, pi^2/R^2] as
-    without a seed (lam = 0 gives phi = 1 and theta = pi/2 with no shoot).
-    When theta(R) >= pi already at the seeded lower end (a Ritz value too
-    high to bracket the root), that end is the upper end of the same
-    search.  The upper end may grow up to 2^40 pi^2/R^2.  Each trial lam is
-    shot once.  Returns the result of the (phi, R phi') shoot at the secant
-    point of the final bracket.
+    at lam_R, and one solve shoots theta at both of its ends.  At
+    rel_tol = 1e-6 that closes it, and at rel_tol = 1e-10 the secant needs
+    one or two more shoots.  When lam_R is not finite or the Ritz solve
+    fails, the search starts from [0, pi^2/R^2] as without a seed (lam = 0
+    gives phi = 1 and theta = pi/2 with no shoot).  When theta(R) >= pi
+    already at the seeded lower end (a Ritz value too high to bracket the
+    root), that end is the upper end of the same search.  The upper end may
+    grow up to 2^40 pi^2/R^2.  Each trial lam is shot once, and every trial
+    but the seeded ends by a solve of its own.  Returns the result of the
+    (phi, R phi') shoot at the secant point of the final bracket.
     """
     shots = {}
+    solves = 0
+
+    def shoot(*lams: float) -> None:
+        nonlocal solves
+        solves += 1
+        for lam, theta in zip(lams, _prufer_angles(coeff, n, lams, R)):
+            shots[lam] = theta - math.pi
 
     def g(lam: float) -> float:
         if lam not in shots:
-            shots[lam] = _prufer_angle(coeff, n, lam, R) - math.pi
+            shoot(lam)
         return shots[lam]
 
     hi = math.pi ** 2 / R ** 2
@@ -251,15 +270,16 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     if math.isfinite(lam_ritz):
         width = bracket_width(tol, lam_ritz)
         lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
+        seed_hi = lam_ritz + 0.4 * width
+        shoot(lo, seed_hi)
         if g(lo) < 0.0:
-            root = find_root_bracketed(g, lo, lam_ritz + 0.4 * width, tol,
-                                       f_lo=g(lo), cap=cap)
+            root = find_root_bracketed(g, lo, seed_hi, tol, f_lo=g(lo), cap=cap)
         elif lo > 0.0:
             hi = lo
     if root is None:
         root = find_root_bracketed(g, 0.0, hi, tol, f_lo=-0.5 * math.pi, cap=cap)
     traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
-    return _sample_result(root, traj, R, tol, lam_ritz, len(shots) + 1)
+    return _sample_result(root, traj, R, tol, lam_ritz, solves + 1)
 
 
 def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,

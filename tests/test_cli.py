@@ -530,7 +530,7 @@ class TestEigenReports:
         assert code == 0
         check = report["checks"][0]
         assert abs(check["lambda_ritz"] - np.pi ** 2) <= 1e-12 * np.pi ** 2
-        assert check["shoots"] == 3
+        assert check["shoots"] == 2
 
     def test_eigen_residual_beyond_its_bound_exits_one(self, capsys, monkeypatch):
         solve = eigen.smms_radial_eigenvalue

@@ -1,5 +1,6 @@
 """Comparison checkers against closed forms, Riemann oracles and equality cases."""
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 volume_ratio_profile)
 from smmskit.cli import main
 from smmskit.model import c_const, sn as model_sn, sn_prime as model_sn_prime
-from smmskit.numkit import KernelError
+from smmskit.numkit import BracketError, KernelError
 from smmskit.smms import RadialProfile, WarpedSMMS, make_space
 
 
@@ -460,6 +461,34 @@ class TestDoublingTable:
                                           2 * comparison._TABLE_NODES)
         for sigma in (1e-4, 0.1, 1.0):
             comparison._certify_table(table, fine, sigma)
+
+    def test_threshold_beyond_the_cap_is_the_cap(self, monkeypatch):
+        # Flat k-mode, alpha = 1000: F(s) = 3 sum s^m/(m m!) meets log 1000
+        # between 1.2 and 2, and the bracket grows from [0, 1] to [1, 2.5].
+        def F_series(sigma):
+            return 3.0 * sum(sigma ** m / (m * math.factorial(m)) for m in range(1, 40))
+
+        monkeypatch.setattr(comparison, "_SIGMA_CAP", 1.2)
+        cert = doubling_epsilon.__wrapped__(3, 0.0, 1.0, 1e3, k=0.0)
+        assert cert.epsilon == 1.2
+        assert abs(cert.F_at_epsilon - F_series(1.2)) <= 1e-12 * F_series(1.2)
+        assert F_series(1.2) < math.log(1e3)
+        # F(cap) >= log alpha: the root lies below the cap, so no lower bound.
+        monkeypatch.setattr(comparison, "_SIGMA_CAP", 2.0)
+        with pytest.raises(BracketError, match="cap 2"):
+            doubling_epsilon.__wrapped__(3, 0.0, 1.0, 1e3, k=0.0)
+
+    def test_soliton_threshold_beyond_the_cap_gets_a_verdict(self, capsys):
+        # c(3, 25) = 2.9e-41, so F(1e9) = 4.6e-30 < log 4: the threshold lies
+        # beyond the cap, which is reported as a certified lower bound; the
+        # space has l = 0, so the gate holds and the grid decides.
+        code = main(["check", "--space", "gaussian_soliton", "--n", "3", "--theorem",
+                     "DOUBLING", "--alpha", "4", "--R", "1.5", "--k", "25", "--grid", "16"])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        check = json.loads(captured.out)["checks"][0]
+        assert check["params"]["epsilon"] == comparison._SIGMA_CAP == 1e9
+        assert check["verdict"] in ("PASS", "FAIL")
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
     def test_threshold_rejects_bad_alpha(self, alpha):

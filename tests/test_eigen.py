@@ -220,12 +220,12 @@ class TestPruferSolver:
         want = math.pi ** 2 + 100.0
         trials = []
 
-        def recording(coeff, n, lam, R):
-            trials.append(lam)
-            return prufer_angle(coeff, n, lam, R)
+        def recording(coeff, n, lams, R):
+            trials.extend(lams)
+            return prufer_angles(coeff, n, lams, R)
 
-        prufer_angle = eigen._prufer_angle
-        monkeypatch.setattr(eigen, "_prufer_angle", recording)
+        prufer_angles = eigen._prufer_angles
+        monkeypatch.setattr(eigen, "_prufer_angles", recording)
         s = make_space("hyperbolic", n=3, H=-100.0, r_max=2.0)
         no_seed, ritz_value = (lambda *args: math.nan), eigen._ritz_value
         for seed in (no_seed, ritz_value):
@@ -268,19 +268,58 @@ class TestPruferSolver:
                              ids=[c[0] for c in SHOOT_CASES])
     def test_ritz_seed_closes_the_bracket_in_two_shoots(self, monkeypatch, name, params,
                                                          R):
-        # Two theta shoots at the ends of the seeded bracket, then the
+        # One theta solve at both ends of the seeded bracket, then the
         # (phi, R phi') shoot; the report counts the same solves.
-        calls = []
+        calls, trials = [], []
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return integrate_ode(*args, **kwargs)
 
+        def recording(coeff, n, lams, R):
+            trials.append(tuple(lams))
+            return prufer_angles(coeff, n, lams, R)
+
+        prufer_angles = eigen._prufer_angles
         monkeypatch.setattr(eigen, "integrate_ode", counting)
+        monkeypatch.setattr(eigen, "_prufer_angles", recording)
         res = smms_radial_eigenvalue(make_space(name, **params), R, CLI_TOL)
         assert res.verdict == "PASS"
-        assert len(calls) == res.shoots == 3
-        assert res.to_dict()["shoots"] == 3
+        assert trials == [res.bracket]
+        assert len(calls) == res.shoots == 2
+        assert res.to_dict()["shoots"] == 2
+
+    @pytest.mark.parametrize("name, params, R", [*SHOOT_CASES, ("model", {"n": 3}, 1.3)],
+                             ids=[c[0] for c in SHOOT_CASES] + ["model"])
+    def test_joint_prufer_solve_matches_one_solve_per_lambda(self, name, params, R):
+        # Both ends of the seeded bracket in one solve, against a solve each.
+        n = params["n"]
+        if name == "model":
+            res = model_eigenvalue(n, 0.5, -0.7, R, CLI_TOL)
+
+            def coeff(t):
+                return mean_curvature_model(3.0, -0.7, t) + 0.5
+        else:
+            s = make_space(name, **params)
+            res = smms_radial_eigenvalue(s, R, CLI_TOL)
+
+            def coeff(t):
+                return float(mean_curvature_f(s, t))
+        lo, hi = res.bracket
+        joint = eigen._prufer_angles(coeff, n, (lo, hi), R)
+        single = [eigen._prufer_angles(coeff, n, (lam,), R)[0] for lam in (lo, hi)]
+        assert joint[0] < math.pi <= joint[1]
+        assert np.allclose(joint, single, rtol=0.0, atol=1e-10)
+
+        # One lambda is the scalar theta solve, bit for bit.
+        def rhs(t, y):
+            sin, cos = math.sin(y[0]), math.cos(y[0])
+            return (cos * cos / R + coeff(t) * sin * cos + lo * R * sin * sin,)
+
+        r0 = 1e-6 * R
+        theta0 = math.atan2(1.0 - lo * r0 * r0 / (2.0 * n), -lo * r0 * R / n)
+        traj = integrate_ode(rhs, r0, (theta0,), R, eigen._ODE_TOL, max_step=R / 32.0)
+        assert single[0] == float(traj.terminal()[0])
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
                              ids=[c[0] for c in SHOOT_CASES])

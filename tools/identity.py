@@ -117,6 +117,9 @@ def cases() -> list[tuple[str, list[str]]]:
                                      "--alpha", "1.01", "--R", "1"]),
         ("flat/DOUBLING/given-eps", ["check", *_FLAT, "--theorem", "DOUBLING",
                                      "--alpha", "2", "--R", "1", "--epsilon", "0.1"]),
+        # The threshold lies beyond the 1e9 cap of its bracket search.
+        ("soliton/DOUBLING/k25", ["check", *_SOLITON, "--theorem", "DOUBLING", "--alpha",
+                                  "4", "--R", "1.5", "--k", "25", "--grid", "16"]),
         ("flat/CHENG/tight", ["check", *_FLAT, "--theorem", "CHENG", "--R", "2",
                               "--delta", "0.05", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
         ("custom/MC_DRIFT", ["check", *_CUSTOM, "--theorem", "MC_DRIFT", "--grid", "32"]),
