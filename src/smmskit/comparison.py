@@ -43,8 +43,8 @@ import numpy as np
 
 from .model import (ModelSpace, area_model, c_const, mean_curvature_model,
                     ratio_table, sn, volume_model)
-from .numkit import (BracketError, KernelError, NonFiniteError, Tolerance,
-                     find_root_bracketed, integrate_ode, quad_grid, sphere_area)
+from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
+                     integrate_ode, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, cumulative_excess, integral_rho, mean_curvature_f,
                    potential_bounds, require_finite_excess, weighted_area)
 
@@ -591,10 +591,12 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     """Threshold epsilon with e^{F(epsilon)} = alpha, by ``find_root_bracketed``
     on one A/V table.
 
-    epsilon is the lower end of the closed bracket, so F(epsilon) < log alpha;
-    F(epsilon) is certified against a table with twice the nodes.  When
-    F(_SIGMA_CAP) < log alpha the threshold lies beyond the cap and epsilon
-    is the cap: F increases in sigma, so the cap is a lower bound on it.
+    F(_SIGMA_CAP) is taken first.  When it is below log alpha the threshold
+    lies beyond the cap and epsilon is the cap: F increases in sigma, so the
+    cap is a lower bound on it.  Otherwise the bracket grows from [0, 1] up
+    to the cap, so any threshold below it is found, and epsilon is the lower
+    end of the closed bracket, so F(epsilon) < log alpha.  F(epsilon) is
+    certified against a table with twice the nodes.
     """
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
@@ -602,15 +604,12 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     require_admissible(tid, H, R)
     target = math.log(alpha)
     table = _doubling_table(n, H, R, k, a)
-    try:
+    epsilon, F_eps = _SIGMA_CAP, _table_F(table, _SIGMA_CAP)
+    if not F_eps < target:
         root = find_root_bracketed(lambda sigma: _table_F(table, sigma) - target, 0.0, 1.0,
                                    Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_steps=300),
                                    f_lo=-target, cap=_SIGMA_CAP)
         epsilon, F_eps = root.lo, root.f_lo + target
-    except BracketError:
-        epsilon, F_eps = _SIGMA_CAP, _table_F(table, _SIGMA_CAP)
-        if not F_eps < target:
-            raise
     _certify_table(table, _doubling_table(n, H, R, k, a, 2 * _TABLE_NODES), epsilon)
     return DoublingCertificate(n=n, H=H, R=R, alpha=alpha, epsilon=epsilon,
                                F_at_epsilon=F_eps, k=k, a=a)

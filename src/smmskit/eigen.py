@@ -37,15 +37,15 @@ lambda, and the doubling threshold at alpha = 4 in drift mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .comparison import Report, doubling_epsilon, require_admissible
 from .model import ModelSpace, mean_curvature_model, sn, volume_model
-from .numkit import (RootBracket, Tolerance, bracket_width, find_root_bracketed,
-                     gauss_jacobi, integrate_ode, quad_adaptive)
+from .numkit import (OdeTrajectory, RootBracket, Tolerance, bracket_width,
+                     find_root_bracketed, gauss_jacobi, integrate_ode, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
@@ -77,7 +77,8 @@ class EigenResult(Report):
     Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
     failed) and ``shoots`` the number of ODE solves the eigenvalue took, the
     (phi, R phi') shoot included; both ends of the seeded bracket take one.
-    The search is restricted to radial eigenfunctions (the first
+    ``traj`` is that shoot, kept so the eigenfunction is read without another
+    solve.  The search is restricted to radial eigenfunctions (the first
     eigenfunction is radial for radial data).
     """
 
@@ -91,6 +92,7 @@ class EigenResult(Report):
     tol: Tolerance
     lam_ritz: float
     shoots: int
+    traj: OdeTrajectory = field(repr=False, compare=False)
     radial_only: bool = True
 
     theorem_id = "EIGEN"
@@ -237,13 +239,14 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     [lam_R - max(0.4 w, 1e-8 lam_R), lam_R + 0.4 w] with w the closing width
     at lam_R, and one solve shoots theta at both of its ends.  At
     rel_tol = 1e-6 that closes it, and at rel_tol = 1e-10 the secant needs
-    one or two more shoots.  When lam_R is not finite or the Ritz solve
-    fails, the search starts from [0, pi^2/R^2] as without a seed (lam = 0
-    gives phi = 1 and theta = pi/2 with no shoot).  When theta(R) >= pi
-    already at the seeded lower end (a Ritz value too high to bracket the
-    root), that end is the upper end of the same search.  The upper end may
-    grow up to 2^40 pi^2/R^2.  Each trial lam is shot once, and every trial
-    but the seeded ends by a solve of its own.  Returns the result of the
+    one or two more shoots.  The one search starts from that bracket when
+    theta(R) < pi at its lower end; from [0, its lower end] when
+    theta(R) >= pi there already (a Ritz value too high to bracket the root);
+    and from [0, pi^2/R^2] otherwise, as when lam_R is not finite or the Ritz
+    solve fails (lam = 0 gives phi = 1 and theta = pi/2 with no shoot).
+    The upper end may grow up to 2^40 pi^2/R^2, which is tried before the
+    search gives up.  Each trial lam is shot once, and every trial but the
+    seeded ends by a solve of its own.  Returns the result of the
     (phi, R phi') shoot at the secant point of the final bracket.
     """
     shots = {}
@@ -260,24 +263,22 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
             shoot(lam)
         return shots[lam]
 
-    hi = math.pi ** 2 / R ** 2
+    lo, hi, f_lo = 0.0, math.pi ** 2 / R ** 2, -0.5 * math.pi
     cap = hi * 2.0 ** 40
     try:
         lam_ritz = _ritz_value(log_weight, n, R)
     except np.linalg.LinAlgError:
         lam_ritz = math.nan
-    root = None
     if math.isfinite(lam_ritz):
         width = bracket_width(tol, lam_ritz)
-        lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
+        seed_lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
         seed_hi = lam_ritz + 0.4 * width
-        shoot(lo, seed_hi)
-        if g(lo) < 0.0:
-            root = find_root_bracketed(g, lo, seed_hi, tol, f_lo=g(lo), cap=cap)
-        elif lo > 0.0:
-            hi = lo
-    if root is None:
-        root = find_root_bracketed(g, 0.0, hi, tol, f_lo=-0.5 * math.pi, cap=cap)
+        shoot(seed_lo, seed_hi)
+        if g(seed_lo) < 0.0:
+            lo, hi, f_lo = seed_lo, seed_hi, g(seed_lo)
+        elif seed_lo > 0.0:
+            hi = seed_lo
+    root = find_root_bracketed(g, lo, hi, tol, f_lo=f_lo, cap=cap)
     traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
     return _sample_result(root, traj, R, tol, lam_ritz, solves + 1)
 
@@ -285,13 +286,8 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
 def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
                    lam_ritz: float, shoots: int) -> EigenResult:
     """The eigenfunction at 129 radii, r_half and the residual bound."""
-    def phi(r: float) -> float:
-        return 1.0 if r <= traj.t0 else float(traj.at(r)[0])
-
     rs = np.linspace(0.0, R, 129)
-    phis = np.ones(len(rs))
-    inside = rs > traj.t0
-    phis[inside] = traj.at(rs[inside])[:, 0]
+    phis = _eigenfunction(traj, R, rs)[:, 0]
     phi_R, dphi_R = traj.terminal()
     local_errors = traj.errors * (_ODE_TOL.abs_tol
                                   + _ODE_TOL.rel_tol * np.abs(traj.ys).max(axis=1))
@@ -303,15 +299,26 @@ def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
     r_half = R
     if len(below):  # phis[0] = 1; closed near the resolution of doubles
         i = below[0]
-        r_half = find_root_bracketed(lambda r: phi(r) - 0.5, rs[i - 1], rs[i],
-                                     Tolerance(1e-15, 1e-15), f_lo=phis[i - 1] - 0.5).root
+        r_half = find_root_bracketed(
+            lambda r: _eigenfunction(traj, R, np.array([r]))[0, 0] - 0.5, rs[i - 1], rs[i],
+            Tolerance(1e-15, 1e-15), f_lo=phis[i - 1] - 0.5).root
 
     return EigenResult(lam=root.root, residual=abs(float(phi_R)),
                        residual_bound=residual_bound,
                        samples=np.column_stack([rs, phis]),
                        bracket=(root.lo, root.hi),
                        theta_hi=root.f_hi + math.pi,
-                       r_half=r_half, tol=tol, lam_ritz=lam_ritz, shoots=shoots)
+                       r_half=r_half, tol=tol, lam_ritz=lam_ritz, shoots=shoots,
+                       traj=traj)
+
+
+def _eigenfunction(traj: OdeTrajectory, R: float, r: np.ndarray) -> np.ndarray:
+    """Rows (phi, phi') at the radii ``r`` from the (phi, R phi') shoot ``traj``;
+    below its start phi = 1 and phi' = 0."""
+    rows = np.tile([1.0, 0.0], (len(r), 1))
+    inside = r > traj.t0
+    rows[inside] = traj.at(r[inside]) / [1.0, R]
+    return rows
 
 
 # Pure and deterministic, so memoization only removes repeated solves
@@ -362,19 +369,11 @@ def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
     """
     if R >= s.r_max:
         raise ValueError(f"require R < r_max={s.r_max}, got {R}")
-    res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
-    traj = _shoot(lambda t: mean_curvature_model(float(n), H, t) + a,
-                  n, res.lam, R, _ODE_TOL)
-    t0 = traj.t0
+    traj = model_eigenvalue(n, a, H, R, EIGEN_TOL).traj
 
     def weighted(t: np.ndarray, col: int) -> np.ndarray:
-        """phi^2 A_f (``col`` 0) or phi'^2 A_f (``col`` 1) at the radii ``t``,
-        one dense read of the shoot, whose second component is R phi'; below
-        its start phi = 1 and phi' = 0."""
-        rows = np.tile([1.0, 0.0], (len(t), 1))
-        inside = t > t0
-        rows[inside] = traj.at(t[inside]) / [1.0, R]
-        return rows[:, col] ** 2 * weighted_area(s, t)
+        """phi^2 A_f (``col`` 0) or phi'^2 A_f (``col`` 1) at the radii ``t``."""
+        return _eigenfunction(traj, R, t)[:, col] ** 2 * weighted_area(s, t)
 
     qtol = Tolerance(abs_tol=1e-11, rel_tol=1e-10)
     num, _ = quad_adaptive(lambda t: weighted(t, 1), 0.0, R, qtol)

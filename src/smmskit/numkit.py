@@ -395,7 +395,8 @@ def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
     ``f_lo`` may be passed when f(lo) is known; f may rise or fall.  While
     f(hi) has the sign of f(lo), lo takes hi and hi grows by twice the secant
     extrapolation, and by at least half of its distance from the first lo,
-    up to ``cap`` (default: no growth).  Inside the bracket each point is the
+    up to ``cap`` (default: no growth), which it tries before it raises
+    ``BracketError``.  Inside the bracket each point is the
     secant point of the last two, safeguarded as in Brent's method: it
     becomes the midpoint when it leaves the bracket or moves more than half
     the step before last, it is pushed a guard width (a quarter of the
@@ -412,12 +413,12 @@ def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
     sign = math.copysign(1.0, f_lo)  # sign * f > 0 on the lo side of the root
     f_hi = float(f(hi))
     while sign * f_hi > 0.0:
+        if hi >= cap:
+            raise BracketError(f"no sign change of f up to {hi:.6g} (cap {cap:.6g})")
         reach = (-f_hi * (hi - lo) / (f_hi - f_lo) if abs(f_hi) < abs(f_lo)
                  else hi - start)
         lo, f_lo = hi, f_hi
-        hi += max(2.0 * reach, 0.5 * (hi - start))
-        if hi > cap:
-            raise BracketError(f"no sign change of f up to {lo:.6g} (cap {cap:.6g})")
+        hi = min(hi + max(2.0 * reach, 0.5 * (hi - start)), cap)
         f_hi = float(f(hi))
 
     x0, g0, x1, g1 = lo, f_lo, hi, f_hi

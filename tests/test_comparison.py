@@ -19,7 +19,7 @@ from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 volume_ratio_profile)
 from smmskit.cli import main
 from smmskit.model import c_const, sn as model_sn, sn_prime as model_sn_prime
-from smmskit.numkit import BracketError, KernelError
+from smmskit.numkit import KernelError
 from smmskit.smms import RadialProfile, WarpedSMMS, make_space
 
 
@@ -464,7 +464,7 @@ class TestDoublingTable:
 
     def test_threshold_beyond_the_cap_is_the_cap(self, monkeypatch):
         # Flat k-mode, alpha = 1000: F(s) = 3 sum s^m/(m m!) meets log 1000
-        # between 1.2 and 2, and the bracket grows from [0, 1] to [1, 2.5].
+        # between 1.2 and 2, and uncapped growth from [0, 1] jumps to 2.5.
         def F_series(sigma):
             return 3.0 * sum(sigma ** m / (m * math.factorial(m)) for m in range(1, 40))
 
@@ -473,10 +473,12 @@ class TestDoublingTable:
         assert cert.epsilon == 1.2
         assert abs(cert.F_at_epsilon - F_series(1.2)) <= 1e-12 * F_series(1.2)
         assert F_series(1.2) < math.log(1e3)
-        # F(cap) >= log alpha: the root lies below the cap, so no lower bound.
+        # F(cap) >= log alpha: the root lies below the cap, and growth past
+        # 2 stops at the cap, which closes the bracket.
         monkeypatch.setattr(comparison, "_SIGMA_CAP", 2.0)
-        with pytest.raises(BracketError, match="cap 2"):
-            doubling_epsilon.__wrapped__(3, 0.0, 1.0, 1e3, k=0.0)
+        eps = doubling_epsilon.__wrapped__(3, 0.0, 1.0, 1e3, k=0.0).epsilon
+        assert 1.2 < eps < 2.0
+        assert F_series(eps) < math.log(1e3) <= F_series(eps * (1.0 + 1e-12))
 
     def test_soliton_threshold_beyond_the_cap_gets_a_verdict(self, capsys):
         # c(3, 25) = 2.9e-41, so F(1e9) = 4.6e-30 < log 4: the threshold lies
@@ -489,6 +491,22 @@ class TestDoublingTable:
         check = json.loads(captured.out)["checks"][0]
         assert check["params"]["epsilon"] == comparison._SIGMA_CAP == 1e9
         assert check["verdict"] in ("PASS", "FAIL")
+
+    def test_threshold_just_below_the_cap_is_found(self, capsys):
+        # c(3, 10.75) puts the threshold at 5.2e8: growth from [0, 1] would
+        # jump past the 1e9 cap, which is tried before the search gives up.
+        code = main(["check", "--space", "euclidean", "--n", "3", "--theorem", "DOUBLING",
+                     "--alpha", "4", "--R", "1.5", "--k", "10.75", "--grid", "16"])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        params = json.loads(captured.out)["checks"][0]["params"]
+        eps = params["epsilon"]
+
+        def excess(sigma):
+            return doubling_F(3, params["H"], 1.5, sigma, k=10.75) - math.log(4.0)
+
+        assert abs(eps - brentq(excess, 0.0, 1e9, xtol=1e-6, rtol=1e-15)) <= 1e-12 * eps
+        assert excess(eps) < 0.0
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
     def test_threshold_rejects_bad_alpha(self, alpha):

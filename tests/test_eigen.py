@@ -162,6 +162,28 @@ class TestRayleighTransplant:
         Q = rayleigh_quotient_transplant(s, n, a, H, R)
         assert Q <= res.lam + num / den + 1e-7
 
+    def test_reads_the_model_shoot_without_a_solve(self, monkeypatch):
+        # Q from a fresh (phi, R phi') shoot at the model eigenvalue, bit for bit.
+        s = perturbed_euclidean(3, 0.01, 2.0)
+        n, a, H, R = 3, 0.2, 0.0, 1.1
+        res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
+        traj = _shoot(lambda t: mean_curvature_model(float(n), H, t) + a,
+                      n, res.lam, R, Tolerance(1e-12, 1e-11, 200_000))
+
+        def weighted(t, col):
+            rows = np.tile([1.0, 0.0], (len(t), 1))
+            inside = t > traj.t0
+            rows[inside] = traj.at(t[inside]) / [1.0, R]
+            return rows[:, col] ** 2 * weighted_area(s, t)
+
+        qtol = Tolerance(abs_tol=1e-11, rel_tol=1e-10)
+        expected = (quad_adaptive(lambda t: weighted(t, 1), 0.0, R, qtol)[0]
+                    / quad_adaptive(lambda t: weighted(t, 0), 0.0, R, qtol)[0])
+        calls = []
+        monkeypatch.setattr(eigen, "_shoot", lambda *args: calls.append(args))
+        assert rayleigh_quotient_transplant(s, n, a, H, R) == expected
+        assert not calls
+
 
 class TestCheng:
     def test_constants_self_verify(self):

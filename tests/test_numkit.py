@@ -357,6 +357,19 @@ class TestFindRootBracketed:
             find_root_bracketed(f, 0.0, 1.0, TIGHT, cap=50.0)
         assert max(calls) <= 50.0
 
+    def test_root_between_last_growth_and_the_cap(self):
+        # Growth from [0, 1] would jump to 79, past the cap; the cap is tried.
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 40.0
+
+        res = find_root_bracketed(f, 0.0, 1.0, TIGHT, cap=50.0)
+        assert abs(res.root - 40.0) < 1e-9 * 40.0
+        assert res.lo <= 40.0 <= res.hi <= 50.0
+        assert max(calls) <= 50.0
+
     @pytest.mark.parametrize("root", [0.37, 370.0])
     def test_closing_width(self, root):
         tol = Tolerance(abs_tol=1e-6, rel_tol=1e-8)

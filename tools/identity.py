@@ -120,6 +120,9 @@ def cases() -> list[tuple[str, list[str]]]:
         # The threshold lies beyond the 1e9 cap of its bracket search.
         ("soliton/DOUBLING/k25", ["check", *_SOLITON, "--theorem", "DOUBLING", "--alpha",
                                   "4", "--R", "1.5", "--k", "25", "--grid", "16"]),
+        # The threshold, 5.2e8, lies between the last growth step and the cap.
+        ("flat/DOUBLING/k10.75", ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "4",
+                                  "--R", "1.5", "--k", "10.75", "--grid", "16"]),
         ("flat/CHENG/tight", ["check", *_FLAT, "--theorem", "CHENG", "--R", "2",
                               "--delta", "0.05", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
         ("custom/MC_DRIFT", ["check", *_CUSTOM, "--theorem", "MC_DRIFT", "--grid", "32"]),
