@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,10 @@ from .smms import CATALOG, DivergentExcessError, WarpedSMMS, make_space
 
 __all__ = ["SpaceSpec", "main", "run", "CHECK_IDS"]
 
-# Theorem-level flags and their help; anything else in a sweep range
-# targets the space.
+# Theorem-level flags and their help.  A sweep range named param.<name>
+# sets the space parameter <name>; a bare name sets the theorem flag of that
+# name, and any other bare name the space parameter.
+_PARAM_PREFIX = "param."
 _THEOREM_FLAGS = {
     "H": "comparison curvature",
     "k": "potential bound sup|f|",
@@ -327,6 +330,22 @@ def _parse_range(text: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
+def _range_target(spec: SpaceSpec, name: str) -> tuple[bool, str]:
+    """(True, parameter) for a range that sets a space parameter, (False,
+    flag) for one that sets a theorem flag."""
+    key = name.removeprefix(_PARAM_PREFIX)
+    to_space = key != name or name not in _THEOREM_FLAGS
+    if to_space and spec.name == "custom":
+        raise InputError(f"--range {name}: a --custom space takes no space "
+                         "parameters; set them in the spec file")
+    if key != name and spec.name in CATALOG:
+        known = [p for p in CATALOG[spec.name]["params"] if p != "n"]
+        if key not in known:
+            raise InputError(f"--range {name}: space {spec.name} has no parameter "
+                             f"{key!r}; its parameters: {', '.join(known)}")
+    return to_space, key
+
+
 def _cmd_sweep(args) -> int:
     if not args.range:
         raise InputError("sweep requires at least one --range PARAM=start:stop:count")
@@ -336,18 +355,15 @@ def _cmd_sweep(args) -> int:
     points = np.column_stack([m.ravel() for m in mesh])
 
     spec = _space_spec_from_args(args)
-    for name in names:
-        if args.custom and name not in _THEOREM_FLAGS:
-            raise InputError(f"--range {name}: a --custom space takes no space "
-                             "parameters; set them in the spec file")
+    targets = [_range_target(spec, name) for name in names]
     rows = []
     for point in points:
         overrides = {}
-        for name, val in zip(names, point):
-            if name in _THEOREM_FLAGS:
-                setattr(args, name, float(val))
+        for (to_space, key), val in zip(targets, point):
+            if to_space:
+                overrides[key] = float(val)
             else:
-                overrides[name] = float(val)
+                setattr(args, key, float(val))
         point_spec = replace(spec, params={**spec.params, **overrides})
         try:
             report, _, _ = run_spec_check(point_spec, args.theorem, args)
@@ -380,7 +396,10 @@ def _cmd_sweep(args) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing does not change it, and building it costs ten times a parse."""
     parser = argparse.ArgumentParser(
         prog="smmskit",
         description="Check weighted comparison-geometry bounds on rotationally "
@@ -398,7 +417,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_check_flags(p_sweep)
     p_sweep.add_argument("--range", action="append", metavar="PARAM=start:stop:count",
                          help="sweep range (repeatable)")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,19 +13,23 @@ theta' = cos^2 theta / R + m_f sin theta cos theta + lambda R sin^2 theta.
 theta(R; lambda) is continuous and increasing in lambda and passes each
 multiple of pi only upward, at a zero of phi, so the first eigenvalue is the
 root of theta(R; lambda) = pi (Pryce, Numerical Solution of Sturm-Liouville
-Problems, 1993).  The lowest Rayleigh-Ritz value on a polynomial basis,
-taken on Gauss-Jacobi nodes, seeds the search with a bracket one closing
-width wide around it, whose two ends one solve shoots as two components
-that share the coefficient m_f; the search falls back to growing a bracket
-from [0, pi^2/R^2] when the Ritz value does not bracket the root.  Secant steps
-safeguarded inside a kept bracket find it, until the bracket is narrower
-than max(abs_tol, rel_tol * lambda_hi); one (phi, R phi') shoot at the root
-then gives the eigenfunction samples, r_half and the residual |phi(R)|.  The
-report passes only when the bracket meets that width, theta(R) at its upper
-end lies in [pi, 2 pi) (phi has exactly one zero, so the eigenvalue is the
-first) and the residual is within the bound the bracket and the shoot's
-error estimates allow.  The Ritz value only places the bracket; the shoots
-decide the verdict.
+Problems, 1993).  The lowest Rayleigh-Ritz value lambda_R on a polynomial
+basis, taken on Gauss-Jacobi nodes, seeds the search with a bracket one
+closing width wide around it.  One solve shoots theta at its two ends and,
+when that bracket is narrow enough to close at once, the linear
+(phi, R phi') at lambda_R: four components that share the coefficient m_f.
+The search falls back to growing a bracket from [0, pi^2/R^2] when the Ritz
+value does not bracket the root.  Secant steps safeguarded inside a kept
+bracket find it, until the bracket is narrower than
+max(abs_tol, rel_tol * lambda_hi).  The eigenfunction samples, r_half and
+the residual |phi(R)| come from the seeded solve's (phi, R phi') when the
+final bracket still holds lambda_R, so at the CLI tolerance a seeded
+eigenvalue takes one solve; otherwise one (phi, R phi') shoot at the root
+gives them.  The report passes only when the bracket meets that width,
+theta(R) at its upper end lies in [pi, 2 pi) (phi has exactly one zero, so
+the eigenvalue is the first) and the residual is within the bound the
+bracket and the shoot's error estimates allow.  The Ritz value only places
+the bracket and the eigenfunction; the shoots decide the verdict.
 
 The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
@@ -68,18 +72,23 @@ _ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_steps=200_000)
 class EigenResult(Report):
     """Converged first Dirichlet eigenvalue of a radial ball.
 
-    ``samples`` holds (r, phi) rows with phi(0) = 1; ``residual`` is
-    |phi(R)| at the converged eigenvalue, ``bracket`` the final root
-    bracket, ``theta_hi`` the Pruefer angle theta(R) at its upper end and
-    ``r_half`` the first radius with phi = 1/2.  ``residual_bound`` is what
-    the bracket allows, rho(R) max |theta(R) - pi| over its ends, plus the
-    summed local error estimates of the shoot.  ``lam_ritz`` is the
-    Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
-    failed) and ``shoots`` the number of ODE solves the eigenvalue took, the
-    (phi, R phi') shoot included; both ends of the seeded bracket take one.
-    ``traj`` is that shoot, kept so the eigenfunction is read without another
-    solve.  The search is restricted to radial eigenfunctions (the first
-    eigenfunction is radial for radial data).
+    ``lam`` is the secant point of ``bracket``, the final root bracket, and
+    ``theta_hi`` the Pruefer angle theta(R) at its upper end.  ``samples``
+    holds (r, phi) rows with phi(0) = 1, ``residual`` is |phi(R)| and
+    ``r_half`` the first radius with phi = 1/2, all from one (phi, R phi')
+    shoot at a lambda inside the bracket: the Ritz value when the bracket
+    still holds it, else ``lam``.  ``residual_bound`` is what the bracket
+    allows, rho(R) max |theta(R) - pi| over its ends, plus the summed local
+    error estimates of that shoot.  ``lam_ritz`` is the Rayleigh-Ritz value
+    that seeded the search (NaN when the Ritz solve failed) and ``shoots``
+    the number of ODE solves the eigenvalue and eigenfunction took: one
+    solve shoots both ends of the seeded bracket, and (phi, R phi') at the
+    Ritz value too when that bracket is narrow enough to close at once, so
+    a seeded eigenvalue at the CLI tolerance takes one in all.
+    ``traj`` is the solve the eigenfunction came from, its last two
+    components (phi, R phi'), kept so the eigenfunction is read without
+    another solve.  The search is restricted to radial eigenfunctions (the
+    first eigenfunction is radial for radial data).
     """
 
     lam: float
@@ -162,17 +171,23 @@ def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
                          max_step=R / 32.0)
 
 
-def _prufer_angles(coeff, n: int, lams, R: float) -> list[float]:
+def _prufer_angles(coeff, n: int, lams, R: float, lam_phi: float | None = None):
     """Pruefer angles theta(R; lam) for each lam of ``lams``, with
     phi = rho sin(theta) and R phi' = rho cos(theta), in one solve.
 
     theta' = cos^2/R + m_f sin cos + lam R sin^2 starts near pi/2 and
     crosses each multiple of pi upward exactly once, at a zero of phi.  Each
     lam is one component of the solve, and all share each stage's m_f(t);
-    with one lam the solve is the scalar one.
+    with one lam the solve is the scalar one.  With ``lam_phi`` the solve
+    also carries the linear (phi, R phi') at lam_phi as its last two
+    components, and returns the angles and its trajectory.
     """
     starts = [_pole_start(n, lam, R) for lam in lams]
     lrs = [lam * R for lam in lams]
+    y0 = [math.atan2(phi0, dphi0) for _, phi0, dphi0 in starts]
+    if lam_phi is not None:
+        y0 += _pole_start(n, lam_phi, R)[1:]
+        k, lr_phi = len(lrs), lam_phi * R
 
     def rhs(t, y):
         c = coeff(t)
@@ -180,12 +195,14 @@ def _prufer_angles(coeff, n: int, lams, R: float) -> list[float]:
         for theta, lr in zip(y, lrs):
             sin, cos = math.sin(theta), math.cos(theta)
             out.append(cos * cos / R + c * sin * cos + lr * sin * sin)
+        if lam_phi is not None:
+            phi, dphi = y[k], y[k + 1]
+            out += (dphi / R, -c * dphi - lr_phi * phi)
         return out
 
-    traj = integrate_ode(rhs, starts[0][0],
-                         [math.atan2(phi0, dphi0) for _, phi0, dphi0 in starts],
-                         R, _ODE_TOL, max_step=R / 32.0)
-    return traj.terminal().tolist()
+    traj = integrate_ode(rhs, starts[0][0], y0, R, _ODE_TOL, max_step=R / 32.0)
+    angles = traj.terminal()[:len(lrs)].tolist()
+    return angles if lam_phi is None else (angles, traj)
 
 
 # Rayleigh-Ritz seed: basis (1 - v) P_k(2v - 1), k < _RITZ_BASIS, on the
@@ -233,38 +250,47 @@ def _ritz_value(log_weight, n: int, R: float) -> float:
 
 
 def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
-    """Root of theta(R; lam) = pi by ``find_root_bracketed``, then one shoot.
+    """Root of theta(R; lam) = pi by ``find_root_bracketed``, and the
+    eigenfunction from one (phi, R phi') shoot.
 
     The Ritz value lam_R seeds the search: the bracket is
     [lam_R - max(0.4 w, 1e-8 lam_R), lam_R + 0.4 w] with w the closing width
     at lam_R, and one solve shoots theta at both of its ends.  At
-    rel_tol = 1e-6 that closes it, and at rel_tol = 1e-10 the secant needs
-    one or two more shoots.  The one search starts from that bracket when
-    theta(R) < pi at its lower end; from [0, its lower end] when
-    theta(R) >= pi there already (a Ritz value too high to bracket the root);
-    and from [0, pi^2/R^2] otherwise, as when lam_R is not finite or the Ritz
-    solve fails (lam = 0 gives phi = 1 and theta = pi/2 with no shoot).
-    The upper end may grow up to 2^40 pi^2/R^2, which is tried before the
-    search gives up.  Each trial lam is shot once, and every trial but the
-    seeded ends by a solve of its own.  Returns the result of the
-    (phi, R phi') shoot at the secant point of the final bracket.
+    rel_tol = 1e-6 the bracket is narrower than its closing width, so that
+    solve also shoots (phi, R phi') at lam_R, and it closes the search.  At
+    rel_tol = 1e-10 it is wider, and the secant needs one to five more
+    shoots of theta alone.  (phi, R phi') is not carried then: its steps
+    would move theta at the ends by up to ~1e-10 against the one-angle
+    shoots, and cost the secant more shoots than it saves.  The one search
+    starts from that bracket when theta(R) < pi at its lower end; from
+    [0, its lower end] when theta(R) >= pi there already (a Ritz value too
+    high to bracket the root); and from [0, pi^2/R^2] otherwise, as when
+    lam_R is not finite or the Ritz solve fails (lam = 0 gives phi = 1 and
+    theta = pi/2 with no shoot).  The upper end may grow up to
+    2^40 pi^2/R^2, which is tried before the search gives up.  Each trial
+    lam is shot once, and every trial but the seeded ends by a solve of its
+    own.  The eigenfunction is the seeded solve's (phi, R phi') when it has
+    one and the final bracket still holds lam_R, and otherwise a
+    (phi, R phi') shoot at the secant point of that bracket; lam is the
+    secant point either way.
     """
     shots = {}
     solves = 0
 
-    def shoot(*lams: float) -> None:
+    def record(lams, angles) -> None:
         nonlocal solves
         solves += 1
-        for lam, theta in zip(lams, _prufer_angles(coeff, n, lams, R)):
+        for lam, theta in zip(lams, angles):
             shots[lam] = theta - math.pi
 
     def g(lam: float) -> float:
         if lam not in shots:
-            shoot(lam)
+            record((lam,), _prufer_angles(coeff, n, (lam,), R))
         return shots[lam]
 
     lo, hi, f_lo = 0.0, math.pi ** 2 / R ** 2, -0.5 * math.pi
     cap = hi * 2.0 ** 40
+    seeded = None
     try:
         lam_ritz = _ritz_value(log_weight, n, R)
     except np.linalg.LinAlgError:
@@ -273,24 +299,41 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
         width = bracket_width(tol, lam_ritz)
         seed_lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
         seed_hi = lam_ritz + 0.4 * width
-        shoot(seed_lo, seed_hi)
+        if seed_hi - seed_lo <= bracket_width(tol, seed_hi):
+            angles, seeded = _prufer_angles(coeff, n, (seed_lo, seed_hi), R, lam_ritz)
+        else:  # too wide to close at once: the secant's one-angle shoots follow
+            angles = _prufer_angles(coeff, n, (seed_lo, seed_hi), R)
+        record((seed_lo, seed_hi), angles)
         if g(seed_lo) < 0.0:
             lo, hi, f_lo = seed_lo, seed_hi, g(seed_lo)
         elif seed_lo > 0.0:
             hi = seed_lo
     root = find_root_bracketed(g, lo, hi, tol, f_lo=f_lo, cap=cap)
-    traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
-    return _sample_result(root, traj, R, tol, lam_ritz, solves + 1)
+    traj = seeded
+    if seeded is None or not root.lo <= lam_ritz <= root.hi:
+        traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
+        solves += 1
+    return _sample_result(root, traj, R, tol, lam_ritz, solves)
 
 
 def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
                    lam_ritz: float, shoots: int) -> EigenResult:
-    """The eigenfunction at 129 radii, r_half and the residual bound."""
+    """The eigenfunction at 129 radii, r_half and the residual bound.
+
+    ``traj``'s last two components are (phi, R phi') at a lam inside the
+    root bracket.  theta(R) rises with lam, so |phi(R)| = rho(R) |sin theta(R)|
+    is at most rho(R) max |theta(R) - pi| over the bracket ends.  To that the
+    bound adds each step's local error in phi: a step passes when the RMS
+    over its d components of the scaled error is at most ``errors``, so each
+    component's error is at most sqrt(d) errors times its scale,
+    abs_tol + rel_tol max |y| over the step's two ends.
+    """
     rs = np.linspace(0.0, R, 129)
     phis = _eigenfunction(traj, R, rs)[:, 0]
-    phi_R, dphi_R = traj.terminal()
-    local_errors = traj.errors * (_ODE_TOL.abs_tol
-                                  + _ODE_TOL.rel_tol * np.abs(traj.ys).max(axis=1))
+    phi_R, dphi_R = traj.terminal()[-2:]
+    size = np.abs(traj.ys[:, -2:]).max(axis=1)
+    scale = _ODE_TOL.abs_tol + _ODE_TOL.rel_tol * np.maximum(size[:-1], size[1:])
+    local_errors = math.sqrt(traj.ys.shape[1]) * traj.errors[1:] * scale
     residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(root.f_lo), abs(root.f_hi))
                       + float(local_errors.sum()))
 
@@ -313,11 +356,11 @@ def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
 
 
 def _eigenfunction(traj: OdeTrajectory, R: float, r: np.ndarray) -> np.ndarray:
-    """Rows (phi, phi') at the radii ``r`` from the (phi, R phi') shoot ``traj``;
-    below its start phi = 1 and phi' = 0."""
+    """Rows (phi, phi') at the radii ``r`` from ``traj``, whose last two
+    components are (phi, R phi'); below its start phi = 1 and phi' = 0."""
     rows = np.tile([1.0, 0.0], (len(r), 1))
     inside = r > traj.t0
-    rows[inside] = traj.at(r[inside]) / [1.0, R]
+    rows[inside] = traj.at(r[inside])[:, -2:] / [1.0, R]
     return rows
 
 

@@ -85,7 +85,7 @@ DEFAULT_TOL = Tolerance()
 # ---------------------------------------------------------------------------
 # ODE integration: classical Fehlberg 4(5) embedded pair.
 #
-# Every caller integrates one or two components, where a numpy call costs far
+# Every caller integrates up to four components, where a numpy call costs far
 # more than the arithmetic it does.  So the stages are plain Python floats, one
 # comprehension over the d components per stage, and the tableau is float
 # constants.  With a trivial right-hand side a step costs 15-30 us (d = 1 or

@@ -488,6 +488,42 @@ class TestSweep:
         assert np.all(np.diff(eps) >= -1e-15)
         capsys.readouterr()
 
+    def test_param_range_sets_the_space_parameter(self, capsys):
+        drift = ["--space", "linear_drift", "--n", "3", "--theorem", "MC_DRIFT",
+                 "--grid", "32"]
+        assert main(["sweep", *drift, "--range", "param.a=0.5:1:3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "param.a,min_margin,verdict"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "0.75", "1"]
+
+        def margins(*argv):
+            assert main(["sweep", *drift, *argv]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            return [float(row.split(",")[1]) for row in rows]
+
+        # m_f = m_H + a_space on linear_drift, so the margin is a - a_space.
+        assert np.allclose(margins("--a", "1", "--range", "param.a=0:1:3"),
+                           [1.0, 0.5, 0.0], rtol=0.0, atol=1e-12)
+        # A bare a sets the theorem flag, against the space's default a = 0.5.
+        assert np.allclose(margins("--range", "a=1:2:3"), [0.5, 1.0, 1.5],
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("space, rng, err", [
+        (["--space", "linear_drift", "--n", "3"], "param.slope=0:1:3",
+         "error: --range param.slope: space linear_drift has no parameter 'slope'"),
+        (["--space", "sphere", "--n", "3"], "param.n=2:3:2",
+         "error: --range param.n: space sphere has no parameter 'n'"),
+        (["--custom", "space.json"], "param.r_max=2:3:2",
+         "error: --range param.r_max: a --custom space takes no space parameters"),
+    ], ids=["unknown", "dimension", "custom"])
+    def test_param_range_rejected(self, capsys, tmp_path, monkeypatch, space, rng, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "space.json").write_text(json.dumps(CUSTOM_SPEC))
+        assert main(["sweep", *space, "--theorem", "MC_DRIFT", "--grid", "32",
+                     "--range", rng]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err) and captured.out == ""
+
     @pytest.mark.parametrize("argv, err", [
         (_FLAT + ["--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--grid", "16",
                   "--range", "k=1:50:3"],
@@ -530,7 +566,7 @@ class TestEigenReports:
         assert code == 0
         check = report["checks"][0]
         assert abs(check["lambda_ritz"] - np.pi ** 2) <= 1e-12 * np.pi ** 2
-        assert check["shoots"] == 2
+        assert check["shoots"] == 1
 
     def test_eigen_residual_beyond_its_bound_exits_one(self, capsys, monkeypatch):
         solve = eigen.smms_radial_eigenvalue

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
 from smmskit import eigen
@@ -242,9 +244,9 @@ class TestPruferSolver:
         want = math.pi ** 2 + 100.0
         trials = []
 
-        def recording(coeff, n, lams, R):
+        def recording(coeff, n, lams, R, lam_phi=None):
             trials.extend(lams)
-            return prufer_angles(coeff, n, lams, R)
+            return prufer_angles(coeff, n, lams, R, lam_phi)
 
         prufer_angles = eigen._prufer_angles
         monkeypatch.setattr(eigen, "_prufer_angles", recording)
@@ -275,7 +277,9 @@ class TestPruferSolver:
         monkeypatch.setattr(eigen, "integrate_ode", counting)
         res = smms_radial_eigenvalue(make_space(name, **params), R, tol)
         assert res.verdict == "PASS"
-        assert 2 <= len(calls) <= 12
+        assert 1 <= len(calls) <= 12
+        if tol is CLI_TOL:
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
                              ids=[c[0] for c in SHOOT_CASES])
@@ -290,26 +294,27 @@ class TestPruferSolver:
                              ids=[c[0] for c in SHOOT_CASES])
     def test_ritz_seed_closes_the_bracket_in_two_shoots(self, monkeypatch, name, params,
                                                          R):
-        # One theta solve at both ends of the seeded bracket, then the
-        # (phi, R phi') shoot; the report counts the same solves.
+        # One solve shoots theta at both ends of the seeded bracket and
+        # (phi, R phi') at the Ritz value inside it; the report counts it.
         calls, trials = [], []
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return integrate_ode(*args, **kwargs)
 
-        def recording(coeff, n, lams, R):
-            trials.append(tuple(lams))
-            return prufer_angles(coeff, n, lams, R)
+        def recording(coeff, n, lams, R, lam_phi=None):
+            trials.append((tuple(lams), lam_phi))
+            return prufer_angles(coeff, n, lams, R, lam_phi)
 
         prufer_angles = eigen._prufer_angles
         monkeypatch.setattr(eigen, "integrate_ode", counting)
         monkeypatch.setattr(eigen, "_prufer_angles", recording)
         res = smms_radial_eigenvalue(make_space(name, **params), R, CLI_TOL)
         assert res.verdict == "PASS"
-        assert trials == [res.bracket]
-        assert len(calls) == res.shoots == 2
-        assert res.to_dict()["shoots"] == 2
+        assert trials == [(res.bracket, res.lam_ritz)]
+        assert res.bracket[0] <= res.lam_ritz <= res.bracket[1]
+        assert len(calls) == res.shoots == 1
+        assert res.to_dict()["shoots"] == 1
 
     @pytest.mark.parametrize("name, params, R", [*SHOOT_CASES, ("model", {"n": 3}, 1.3)],
                              ids=[c[0] for c in SHOOT_CASES] + ["model"])
@@ -353,19 +358,69 @@ class TestPruferSolver:
         if want is not None:
             assert abs(res.lam_ritz - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("name, params, want", [
-        ("linear_drift", {"n": 3, "a": 20.0}, 108.68375394023235),
-        ("hyperbolic", {"n": 9, "H": -25.0, "r_max": 5.0}, 400.7466976739629),
+    @pytest.mark.parametrize("name, params, want, shoots", [
+        ("linear_drift", {"n": 3, "a": 20.0}, 108.68375394023235, 18),
+        ("hyperbolic", {"n": 9, "H": -25.0, "r_max": 5.0}, 400.7466976739629, 31),
     ], ids=["drift_a20", "hyperbolic_n9"])
     def test_unconverged_ritz_value_falls_back_to_the_plain_search(self, name, params,
-                                                                   want):
+                                                                   want, shoots):
         # The weight spans e^80 on B(0, 4): 24 basis functions leave the Ritz
         # value 0.7% and 3% high, so theta(R) >= pi at the seeded lower end.
+        # The eigenfunction then comes from a shoot at the root, the last of
+        # the solves.
         res = smms_radial_eigenvalue(make_space(name, **params), 4.0, CLI_TOL)
         assert res.lam_ritz > res.lam * (1.0 + 1e-3)
-        assert res.shoots > 3
+        assert res.shoots == shoots
+        assert res.traj.ys.shape[1] == 2
         assert res.verdict == "PASS"
         assert abs(res.lam - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
+                             ids=[c[0] for c in SHOOT_CASES])
+    def test_seeded_eigenfunction_matches_an_independent_shoot(self, name, params, R):
+        # The samples and r_half come from the seeded solve's (phi, R phi')
+        # at the Ritz value; a DOP853 shoot at the reported lambda agrees.
+        s = make_space(name, **params)
+        res = smms_radial_eigenvalue(s, R, CLI_TOL)
+        assert res.shoots == 1 and res.traj.ys.shape[1] == 4
+        n, lam, r0 = params["n"], res.lam, 1e-6 * R
+
+        def rhs(t, y):
+            return [y[1], -float(mean_curvature_f(s, t)) * y[1] - lam * y[0]]
+
+        sol = solve_ivp(rhs, (r0, R), [1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 / n],
+                        method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+        rs, phis = res.samples[1:, 0], res.samples[1:, 1]
+        assert np.max(np.abs(phis - sol.sol(rs)[0])) <= 1e-9
+        r_half = brentq(lambda r: sol.sol(r)[0] - 0.5, r0, R, xtol=1e-15)
+        assert abs(res.r_half - r_half) <= 1e-9
+
+    def test_a_ritz_value_outside_the_final_bracket_takes_a_shoot_at_the_root(
+            self, monkeypatch):
+        # At rel_tol 1e-10 the seeded bracket is wider than its closing
+        # width, so the seeded solve shoots theta alone, the secant follows,
+        # and the eigenfunction is shot at the root: on the sphere the
+        # bracket closes tighter than the Ritz value's own error.
+        trials, roots = [], []
+
+        def recording(coeff, n, lams, R, lam_phi=None):
+            trials.append(lam_phi)
+            return prufer_angles(coeff, n, lams, R, lam_phi)
+
+        def shooting(coeff, n, lam, R, ode_tol):
+            roots.append(lam)
+            return shoot(coeff, n, lam, R, ode_tol)
+
+        prufer_angles, shoot = eigen._prufer_angles, eigen._shoot
+        monkeypatch.setattr(eigen, "_prufer_angles", recording)
+        monkeypatch.setattr(eigen, "_shoot", shooting)
+        res = smms_radial_eigenvalue(make_space("sphere", n=3, H=1.0), 1.0, EIGEN_TOL)
+        lo, hi = res.bracket
+        assert not lo <= res.lam_ritz <= hi
+        assert trials and all(lam_phi is None for lam_phi in trials)
+        assert roots == [res.lam]
+        assert res.shoots == len(trials) + 1
+        assert res.traj.ys.shape[1] == 2 and res.verdict == "PASS"
 
     @pytest.mark.parametrize("R", [1e-9, 1e-6, 1e-3, 1.0, 3.0])
     def test_accuracy_does_not_depend_on_the_radius(self, R):

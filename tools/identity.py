@@ -194,6 +194,11 @@ def cases() -> list[tuple[str, list[str]]]:
                                   "--mode", "full"]),
         ("hyp4/VOL_ABS_NEGH", ["check", "--space", "hyperbolic", "--n", "4", "--param", "H=-2",
                                "--H", "-2", "--theorem", "VOL_ABS_NEGH", "--grid", "24"]),
+        # The benchmark's eigen form: a slightly perturbed sphere at the CLI
+        # tolerance, where the seeded solve gives the eigenfunction.
+        ("psphere/CHENG/small", ["check", *_PSPHERE, "--param", "eps=0.001", "--param",
+                                 "omega=2", "--H", "1", "--theorem", "CHENG", "--R", "1.05",
+                                 "--delta", "0.45"]),
         # The benchmark's form: an explicit outer radius and grid.
         ("bumped/VOL_ABS_NEGH/R", ["check", "--custom", "bumped.json", "--H", "-0.6",
                                    "--theorem", "VOL_ABS_NEGH", "--R", "2.2", "--grid", "48"]),
