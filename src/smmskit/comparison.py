@@ -262,7 +262,7 @@ def _exp_correction(mspace: ModelSpace, cl: float, R: float):
         A = omega_d * math.exp(a * t) * sn(H, t) ** dm1
         return A, (math.exp(cl * t) - 1.0) * A / y[0]
 
-    traj = integrate_ode(rhs, t0, np.array([v0, e0]), R,
+    traj = integrate_ode(rhs, t0, (v0, e0), R,
                          Tolerance(abs_tol=1e-14, rel_tol=1e-12),
                          max_step=R / 64.0)
 

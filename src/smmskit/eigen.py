@@ -21,14 +21,17 @@ when that bracket is narrow enough to close at once, the linear
 The search falls back to growing a bracket from [0, pi^2/R^2] when the Ritz
 value does not bracket the root.  Secant steps safeguarded inside a kept
 bracket find it, until the bracket is narrower than
-max(abs_tol, rel_tol * lambda_hi).  The eigenfunction samples, r_half and
-the residual |phi(R)| come from the seeded solve's (phi, R phi') when the
-final bracket still holds lambda_R, so at the CLI tolerance a seeded
-eigenvalue takes one solve; otherwise one (phi, R phi') shoot at the root
-gives them.  The report passes only when the bracket meets that width,
-theta(R) at its upper end lies in [pi, 2 pi) (phi has exactly one zero, so
-the eigenvalue is the first) and the residual is within the bound the
-bracket and the shoot's error estimates allow.  The Ritz value only places
+max(abs_tol, rel_tol * lambda_hi).  Every shoot runs at an ODE tolerance
+at least two orders tighter than rel_tol (down to rel_tol 1e-12), so the
+theta(R) values are more accurate than the bracket they close.  The
+eigenfunction samples, r_half and the residual |phi(R)| come from the
+seeded solve's (phi, R phi') when the final bracket still holds lambda_R,
+so at the CLI tolerance a seeded eigenvalue takes one solve; otherwise one
+(phi, R phi') shoot at the root gives them.  The report passes only when
+the bracket meets that width, theta(R) at its upper end lies in [pi, 2 pi)
+(phi has exactly one zero, so the eigenvalue is the first) and the
+residual is within the bound the bracket and the shoot's error estimates
+allow.  The Ritz value only places
 the bracket and the eigenfunction; the shoots decide the verdict.
 
 The Cheng threshold makes the proof constant explicit:
@@ -66,6 +69,24 @@ __all__ = [
 
 EIGEN_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_steps=100_000)
 _ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_steps=200_000)
+_ODE_REL_FLOOR = 1e-14
+
+
+def _shoot_tol(tol: Tolerance) -> Tolerance:
+    """ODE tolerance of the shoots for the eigenvalue tolerance ``tol``.
+
+    A theta(R) error moves the root by that error over d theta(R) / d lam,
+    so the shoots run two orders tighter than the bracket: rel_tol is
+    tol.rel_tol / 100 and abs_tol a tenth of it.  rel_tol is at most
+    _ODE_TOL's 1e-11, so the CLI tolerance (rel_tol 1e-6) shoots at
+    _ODE_TOL, and at least _ODE_REL_FLOOR, which tol.rel_tol 1e-12 reaches;
+    tighter shoots would chase the rounding of theta.  At rel_tol 1e-10,
+    _ODE_TOL left lam up to 1.6e-10 relative off.
+    """
+    rel = max(_ODE_REL_FLOOR, tol.rel_tol / 100.0)
+    if rel >= _ODE_TOL.rel_tol:
+        return _ODE_TOL
+    return Tolerance(abs_tol=rel / 10.0, rel_tol=rel, max_steps=_ODE_TOL.max_steps)
 
 
 @dataclass(frozen=True)
@@ -167,13 +188,15 @@ def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
     def rhs(t, y):
         return (y[1] / R, -coeff(t) * y[1] - lam * R * y[0])
 
-    return integrate_ode(rhs, r0, np.array([phi0, dphi0]), R, ode_tol,
+    return integrate_ode(rhs, r0, (phi0, dphi0), R, ode_tol,
                          max_step=R / 32.0)
 
 
-def _prufer_angles(coeff, n: int, lams, R: float, lam_phi: float | None = None):
+def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
+                   lam_phi: float | None = None):
     """Pruefer angles theta(R; lam) for each lam of ``lams``, with
-    phi = rho sin(theta) and R phi' = rho cos(theta), in one solve.
+    phi = rho sin(theta) and R phi' = rho cos(theta), in one solve at
+    ``ode_tol``.
 
     theta' = cos^2/R + m_f sin cos + lam R sin^2 starts near pi/2 and
     crosses each multiple of pi upward exactly once, at a zero of phi.  Each
@@ -200,7 +223,7 @@ def _prufer_angles(coeff, n: int, lams, R: float, lam_phi: float | None = None):
             out += (dphi / R, -c * dphi - lr_phi * phi)
         return out
 
-    traj = integrate_ode(rhs, starts[0][0], y0, R, _ODE_TOL, max_step=R / 32.0)
+    traj = integrate_ode(rhs, starts[0][0], y0, R, ode_tol, max_step=R / 32.0)
     angles = traj.terminal()[:len(lrs)].tolist()
     return angles if lam_phi is None else (angles, traj)
 
@@ -260,8 +283,9 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     solve also shoots (phi, R phi') at lam_R, and it closes the search.  At
     rel_tol = 1e-10 it is wider, and the secant needs one to five more
     shoots of theta alone.  (phi, R phi') is not carried then: its steps
-    would move theta at the ends by up to ~1e-10 against the one-angle
-    shoots, and cost the secant more shoots than it saves.  The one search
+    would move theta at the ends by up to the shoots' own error against the
+    one-angle shoots, and cost the secant more shoots than it saves.  Every
+    solve runs at ``_shoot_tol(tol)``.  The one search
     starts from that bracket when theta(R) < pi at its lower end; from
     [0, its lower end] when theta(R) >= pi there already (a Ritz value too
     high to bracket the root); and from [0, pi^2/R^2] otherwise, as when
@@ -274,6 +298,7 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     (phi, R phi') shoot at the secant point of that bracket; lam is the
     secant point either way.
     """
+    ode_tol = _shoot_tol(tol)
     shots = {}
     solves = 0
 
@@ -285,7 +310,7 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
 
     def g(lam: float) -> float:
         if lam not in shots:
-            record((lam,), _prufer_angles(coeff, n, (lam,), R))
+            record((lam,), _prufer_angles(coeff, n, (lam,), R, ode_tol))
         return shots[lam]
 
     lo, hi, f_lo = 0.0, math.pi ** 2 / R ** 2, -0.5 * math.pi
@@ -300,9 +325,10 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
         seed_lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
         seed_hi = lam_ritz + 0.4 * width
         if seed_hi - seed_lo <= bracket_width(tol, seed_hi):
-            angles, seeded = _prufer_angles(coeff, n, (seed_lo, seed_hi), R, lam_ritz)
+            angles, seeded = _prufer_angles(coeff, n, (seed_lo, seed_hi), R, ode_tol,
+                                            lam_ritz)
         else:  # too wide to close at once: the secant's one-angle shoots follow
-            angles = _prufer_angles(coeff, n, (seed_lo, seed_hi), R)
+            angles = _prufer_angles(coeff, n, (seed_lo, seed_hi), R, ode_tol)
         record((seed_lo, seed_hi), angles)
         if g(seed_lo) < 0.0:
             lo, hi, f_lo = seed_lo, seed_hi, g(seed_lo)
@@ -311,13 +337,13 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     root = find_root_bracketed(g, lo, hi, tol, f_lo=f_lo, cap=cap)
     traj = seeded
     if seeded is None or not root.lo <= lam_ritz <= root.hi:
-        traj = _shoot(coeff, n, root.root, R, _ODE_TOL)
+        traj = _shoot(coeff, n, root.root, R, ode_tol)
         solves += 1
-    return _sample_result(root, traj, R, tol, lam_ritz, solves)
+    return _sample_result(root, traj, R, tol, ode_tol, lam_ritz, solves)
 
 
 def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
-                   lam_ritz: float, shoots: int) -> EigenResult:
+                   ode_tol: Tolerance, lam_ritz: float, shoots: int) -> EigenResult:
     """The eigenfunction at 129 radii, r_half and the residual bound.
 
     ``traj``'s last two components are (phi, R phi') at a lam inside the
@@ -326,13 +352,14 @@ def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
     bound adds each step's local error in phi: a step passes when the RMS
     over its d components of the scaled error is at most ``errors``, so each
     component's error is at most sqrt(d) errors times its scale,
-    abs_tol + rel_tol max |y| over the step's two ends.
+    abs_tol + rel_tol max |y| over the step's two ends, at ``ode_tol``, the
+    tolerance ``traj`` was solved at.
     """
     rs = np.linspace(0.0, R, 129)
     phis = _eigenfunction(traj, R, rs)[:, 0]
     phi_R, dphi_R = traj.terminal()[-2:]
     size = np.abs(traj.ys[:, -2:]).max(axis=1)
-    scale = _ODE_TOL.abs_tol + _ODE_TOL.rel_tol * np.maximum(size[:-1], size[1:])
+    scale = ode_tol.abs_tol + ode_tol.rel_tol * np.maximum(size[:-1], size[1:])
     local_errors = math.sqrt(traj.ys.shape[1]) * traj.errors[1:] * scale
     residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(root.f_lo), abs(root.f_hi))
                       + float(local_errors.sum()))
@@ -394,7 +421,7 @@ def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
         raise ValueError(f"require 0 < R < r_max={s.r_max}, got {R}")
 
     def coeff(t: float) -> float:
-        return float(mean_curvature_f(s, t))
+        return mean_curvature_f(s, t)
 
     def log_weight(r: np.ndarray) -> np.ndarray:
         return (s.n - 1.0) * np.log(s.w.eval(r) / r) - s.f.eval(r)

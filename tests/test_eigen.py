@@ -88,6 +88,28 @@ class TestModelEigenvalue:
         lam2 = model_eigenvalue(3, 0.2, 0.5, 1.2, tight).lam
         assert abs(lam1 - lam2) < 10 * tol.rel_tol * lam1
 
+    @pytest.mark.parametrize("n, a, H, R", [
+        (4, 0.0, -1.0, 2.0), (2, 0.0, 1.0, 1.5), (3, 0.0, 1.0, 1.0), (3, 0.5, 0.0, 1.0),
+    ])
+    def test_eigen_tol_meets_a_dop853_reference(self, n, a, H, R):
+        # At EIGEN_TOL (rel_tol 1e-10) lambda is within 1e-10 relative of a
+        # DOP853 shoot of phi(R) closed by brentq; shoots at the fixed
+        # 1e-12/1e-11 left the first two balls 1.4e-10 and 1.6e-10 off.
+        res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
+        r0 = 1e-6 * R
+
+        def phi_R(lam):
+            sol = solve_ivp(lambda t, y: [y[1], -(mean_curvature_model(float(n), H, t) + a)
+                                          * y[1] - lam * y[0]],
+                            (r0, R), [1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 / n],
+                            method="DOP853", rtol=1e-13, atol=1e-14)
+            return sol.y[0, -1]
+
+        want = brentq(phi_R, res.lam * (1.0 - 1e-7), res.lam * (1.0 + 1e-7),
+                      xtol=1e-15, rtol=1e-15)
+        assert res.verdict == "PASS"
+        assert abs(res.lam - want) <= 1e-10 * want
+
     def test_range_gate(self):
         with pytest.raises(ValueError):
             model_eigenvalue(3, 0.0, 1.0, 2.0)  # R > pi/(2 sqrt H)
@@ -170,7 +192,7 @@ class TestRayleighTransplant:
         n, a, H, R = 3, 0.2, 0.0, 1.1
         res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
         traj = _shoot(lambda t: mean_curvature_model(float(n), H, t) + a,
-                      n, res.lam, R, Tolerance(1e-12, 1e-11, 200_000))
+                      n, res.lam, R, eigen._shoot_tol(EIGEN_TOL))
 
         def weighted(t, col):
             rows = np.tile([1.0, 0.0], (len(t), 1))
@@ -244,9 +266,9 @@ class TestPruferSolver:
         want = math.pi ** 2 + 100.0
         trials = []
 
-        def recording(coeff, n, lams, R, lam_phi=None):
+        def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
             trials.extend(lams)
-            return prufer_angles(coeff, n, lams, R, lam_phi)
+            return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
 
         prufer_angles = eigen._prufer_angles
         monkeypatch.setattr(eigen, "_prufer_angles", recording)
@@ -302,9 +324,9 @@ class TestPruferSolver:
             calls.append(args[1])
             return integrate_ode(*args, **kwargs)
 
-        def recording(coeff, n, lams, R, lam_phi=None):
+        def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
             trials.append((tuple(lams), lam_phi))
-            return prufer_angles(coeff, n, lams, R, lam_phi)
+            return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
 
         prufer_angles = eigen._prufer_angles
         monkeypatch.setattr(eigen, "integrate_ode", counting)
@@ -333,8 +355,9 @@ class TestPruferSolver:
             def coeff(t):
                 return float(mean_curvature_f(s, t))
         lo, hi = res.bracket
-        joint = eigen._prufer_angles(coeff, n, (lo, hi), R)
-        single = [eigen._prufer_angles(coeff, n, (lam,), R)[0] for lam in (lo, hi)]
+        ode_tol = eigen._shoot_tol(CLI_TOL)
+        joint = eigen._prufer_angles(coeff, n, (lo, hi), R, ode_tol)
+        single = [eigen._prufer_angles(coeff, n, (lam,), R, ode_tol)[0] for lam in (lo, hi)]
         assert joint[0] < math.pi <= joint[1]
         assert np.allclose(joint, single, rtol=0.0, atol=1e-10)
 
@@ -345,7 +368,7 @@ class TestPruferSolver:
 
         r0 = 1e-6 * R
         theta0 = math.atan2(1.0 - lo * r0 * r0 / (2.0 * n), -lo * r0 * R / n)
-        traj = integrate_ode(rhs, r0, (theta0,), R, eigen._ODE_TOL, max_step=R / 32.0)
+        traj = integrate_ode(rhs, r0, (theta0,), R, ode_tol, max_step=R / 32.0)
         assert single[0] == float(traj.terminal()[0])
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
@@ -403,9 +426,9 @@ class TestPruferSolver:
         # bracket closes tighter than the Ritz value's own error.
         trials, roots = [], []
 
-        def recording(coeff, n, lams, R, lam_phi=None):
+        def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
             trials.append(lam_phi)
-            return prufer_angles(coeff, n, lams, R, lam_phi)
+            return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
 
         def shooting(coeff, n, lam, R, ode_tol):
             roots.append(lam)

@@ -43,7 +43,7 @@ class TestIntegrateOde:
 
     def test_riccati_closed_form(self):
         # m' = -m^2 with m(1) = 1 has m(t) = 1/t.
-        traj = integrate_ode(lambda t, y: -y ** 2, 1.0, [1.0], 4.0, TIGHT)
+        traj = integrate_ode(lambda t, y: (-(y[0] * y[0]),), 1.0, [1.0], 4.0, TIGHT)
         assert abs(traj.terminal()[0] - 0.25) < 1e-9
         assert len(traj.ts) - 1 == 53
 
@@ -59,7 +59,7 @@ class TestIntegrateOde:
             assert abs(traj.at(t)[0] - math.exp(t)) < 2e-9
 
     def test_nodes_strictly_increasing_and_start_at_ic(self):
-        traj = integrate_ode(lambda t, y: -y, 0.0, [2.0], 3.0)
+        traj = integrate_ode(lambda t, y: (-y[0],), 0.0, [2.0], 3.0)
         assert traj.ts[0] == 0.0 and traj.ys[0][0] == 2.0
         assert np.all(np.diff(traj.ts) > 0)
         assert len(traj.errors) == len(traj.ts)
@@ -138,6 +138,32 @@ class TestIntegrateOde:
         for other in trajs[1:]:
             for field in ("ts", "ys", "derivs", "errors"):
                 assert getattr(other, field).tobytes() == getattr(trajs[0], field).tobytes()
+
+    def test_every_stage_gets_a_list_of_floats(self):
+        # From an array y0 and array returns: the state goes in as Python
+        # floats at every stage, the first call at t0 included.
+        seen = []
+
+        def rhs(t, y):
+            seen.append((t, type(y), [type(v) for v in y]))
+            return np.array([y[1], -y[0]])
+
+        traj = integrate_ode(rhs, 0.0, np.array([0.0, 1.0]), 1.0)
+        assert seen[0][0] == 0.0
+        assert len(seen) == 1 + 6 * (len(traj.ts) - 1)  # no step was rejected
+        assert all(kind is list and types == [float, float] for _, kind, types in seen)
+
+    def test_numpy_scalar_nan_in_a_tuple_raises_at_its_stage(self):
+        # The third call is stage k2 of the first step: t = 3/8 h, h = 1/64.
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (np.float64(math.nan) if len(calls) == 3 else -y[0],)
+
+        with pytest.raises(NonFiniteError, match=r"at t=0\.005859375$"):
+            integrate_ode(rhs, 0.0, [1.0], 1.0)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("bad", [
         lambda t, y: (y[0],), lambda t, y: [y[0], y[1], 0.0],

@@ -202,6 +202,12 @@ def cases() -> list[tuple[str, list[str]]]:
         # The benchmark's form: an explicit outer radius and grid.
         ("bumped/VOL_ABS_NEGH/R", ["check", "--custom", "bumped.json", "--H", "-0.6",
                                    "--theorem", "VOL_ABS_NEGH", "--R", "2.2", "--grid", "48"]),
+        # The E(r) solve of the volume comparisons: a small excess (small cl)
+        # on a slightly perturbed sphere, and the benchmark's VOL_R1 form.
+        ("psphere/VOL_B/eps1e-3", ["check", *_PSPHERE, "--param", "eps=0.001", "--H", "1",
+                                   "--theorem", "VOL_B", "--r", "0.3", "--R", "1.2"]),
+        ("bumped/VOL_R1", ["check", "--custom", "bumped.json", "--H", "0.25",
+                           "--theorem", "VOL_R1", "--R", "1.45"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
