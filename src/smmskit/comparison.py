@@ -244,33 +244,35 @@ def _exp_correction(mspace: ModelSpace, cl: float, R: float):
     """E(r) = int_0^r (e^{cl t} - 1) A_model/V_model dt, as a function of an
     array of radii in (0, R].
 
-    One joint ODE solve for (V_model, E) up to R, read by dense output; the
-    integrand tends to cl * dim at the pole, so the solve starts from a
-    series value at a tiny radius.
+    One joint ODE solve for (V_model, E/cl) up to R, read by dense output.
+    E is of size cl * dim * r, so the solve carries u = E/cl, whose
+    integrand expm1(cl t)/cl A/V does not shrink with cl and so is not
+    swamped by abs_tol when cl is small; E is cl u.  The integrand tends to
+    dim at the pole, so the solve starts from a series value at a tiny
+    radius.
     """
     if cl == 0.0:
         return lambda radii: np.zeros(len(radii))
     R = float(R)
     t0 = 1e-8 * R
     v0 = volume_model(mspace, t0, Tolerance(abs_tol=1e-14, rel_tol=1e-12))
-    e0 = cl * mspace.dim * t0
+    u0 = mspace.dim * t0
 
     omega_d = sphere_area(mspace.dim)
     H, a, dm1 = mspace.H, mspace.drift, mspace.dim - 1.0
 
     def rhs(t, y):
         A = omega_d * math.exp(a * t) * sn(H, t) ** dm1
-        return A, (math.exp(cl * t) - 1.0) * A / y[0]
+        return A, math.expm1(cl * t) / cl * A / y[0]
 
-    traj = integrate_ode(rhs, t0, (v0, e0), R,
-                         Tolerance(abs_tol=1e-14, rel_tol=1e-12),
-                         max_step=R / 64.0)
+    traj = integrate_ode(rhs, t0, (v0, u0), R,
+                         Tolerance(abs_tol=1e-14, rel_tol=1e-12))
 
     def E(radii) -> np.ndarray:
         radii = np.asarray(radii, dtype=float)
         out = cl * mspace.dim * radii
         inside = radii > t0
-        out[inside] = traj.at(radii[inside])[:, 1]
+        out[inside] = cl * traj.at(radii[inside])[:, 1]
         return out
 
     return E
@@ -595,7 +597,7 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     lies beyond the cap and epsilon is the cap: F increases in sigma, so the
     cap is a lower bound on it.  Otherwise the bracket grows from [0, 1] up
     to the cap, so any threshold below it is found, and epsilon is the lower
-    end of the closed bracket, so F(epsilon) < log alpha.  F(epsilon) is
+    end of the closed bracket, so F(epsilon) <= log alpha.  F(epsilon) is
     certified against a table with twice the nodes.
     """
     if not 1.0 < alpha < math.inf:

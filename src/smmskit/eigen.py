@@ -188,8 +188,7 @@ def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
     def rhs(t, y):
         return (y[1] / R, -coeff(t) * y[1] - lam * R * y[0])
 
-    return integrate_ode(rhs, r0, (phi0, dphi0), R, ode_tol,
-                         max_step=R / 32.0)
+    return integrate_ode(rhs, r0, (phi0, dphi0), R, ode_tol)
 
 
 def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
@@ -223,7 +222,7 @@ def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
             out += (dphi / R, -c * dphi - lr_phi * phi)
         return out
 
-    traj = integrate_ode(rhs, starts[0][0], y0, R, ode_tol, max_step=R / 32.0)
+    traj = integrate_ode(rhs, starts[0][0], y0, R, ode_tol)
     angles = traj.terminal()[:len(lrs)].tolist()
     return angles if lam_phi is None else (angles, traj)
 
@@ -349,9 +348,11 @@ def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
     ``traj``'s last two components are (phi, R phi') at a lam inside the
     root bracket.  theta(R) rises with lam, so |phi(R)| = rho(R) |sin theta(R)|
     is at most rho(R) max |theta(R) - pi| over the bracket ends.  To that the
-    bound adds each step's local error in phi: a step passes when the RMS
-    over its d components of the scaled error is at most ``errors``, so each
-    component's error is at most sqrt(d) errors times its scale,
+    bound adds each step's local error in phi.  ``errors`` holds DOP853's
+    blended estimate of each step: the RMS over the d components of the
+    scaled 5th-order error estimate e5, shrunk by
+    |e5| / sqrt(|e5|^2 + 0.01 |e3|^2) with e3 the 3rd-order one.  So each
+    component's estimated error is at most sqrt(d) errors times its scale,
     abs_tol + rel_tol max |y| over the step's two ends, at ``ode_tol``, the
     tolerance ``traj`` was solved at.
     """

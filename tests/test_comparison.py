@@ -412,15 +412,25 @@ class TestDoublingTable:
 
     @pytest.mark.parametrize("n, H, R, mode", TABLE_CASES)
     def test_matches_ode(self, n, H, R, mode):
-        # The ODE's own error grows as sigma falls: at sigma = 1e-4 it is up
-        # to 1.3e-8 relative against the nested quad (which the table meets
-        # to 5e-15), so this comparison starts at 1e-2.
+        # The ODE carries E/(c sigma), so its relative error (up to 1.1e-11)
+        # does not grow as sigma falls.
         mspace, c = comparison._model(n, H, **mode)
         eps = doubling_epsilon(n, H, R, 4.0, **mode).epsilon
-        for sigma in (1e-2, 0.5 * eps, eps):
+        for sigma in (1e-4, 1e-2, 0.5 * eps, eps):
             F = doubling_F(n, H, R, sigma, **mode)
             ode = float(comparison._exp_correction(mspace, c * sigma, R)(np.array([R]))[0])
-            assert abs(F - ode) <= 1e-8 * ode
+            assert abs(F - ode) <= 1e-10 * ode
+
+    @pytest.mark.parametrize("n, k, H, R", [(3, 0.3, -4.0, 1.0), (3, 0.0, 1.0, 1.2),
+                                            (2, 0.5, 0.5, 1.5)])
+    def test_exp_correction_matches_nested_quad_at_every_cl(self, n, k, H, R):
+        # E is of size cl d R; solved as E/cl, its error stays relative to
+        # it at small cl instead of meeting abs_tol.
+        mspace, c = comparison._model(n, H, k=k)
+        for cl in (1e-4, 1e-2, 1.0):
+            E = float(comparison._exp_correction(mspace, cl, R)(np.array([R]))[0])
+            oracle = F_nested_quad(n, H, R, cl / c, k=k)
+            assert abs(E - oracle) <= 1e-11 * oracle
 
     def test_threshold_solves_no_ode(self, monkeypatch):
         integrate_ode = comparison.integrate_ode

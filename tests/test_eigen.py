@@ -368,7 +368,7 @@ class TestPruferSolver:
 
         r0 = 1e-6 * R
         theta0 = math.atan2(1.0 - lo * r0 * r0 / (2.0 * n), -lo * r0 * R / n)
-        traj = integrate_ode(rhs, r0, (theta0,), R, ode_tol, max_step=R / 32.0)
+        traj = integrate_ode(rhs, r0, (theta0,), R, ode_tol)
         assert single[0] == float(traj.terminal()[0])
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,

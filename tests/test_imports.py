@@ -1,6 +1,10 @@
-"""Every name a smmskit module imports is used in that module."""
+"""Every name a smmskit module imports is used in that module, and the
+runtime imports numpy but not scipy, the tests' oracle."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,12 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_the_cli_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, smmskit.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
