@@ -640,12 +640,15 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
                                f"excess integral l={l:.6g} exceeds epsilon={epsilon:.6g}")
 
     # Fixed inner grid of r1 candidates; each report row keys an outer r2
-    # and stores the worst genuine pair r1 < r2.
+    # and stores the worst genuine pair r1 < r2.  The report radii are the
+    # inner grid less its first radius, so that pass reads the volumes just
+    # integrated; only the x4 refinement integrates its own grid.
     inner = np.linspace(R / n_grid, R, n_grid)
     vf1, vm1 = _volumes(s, mspace, inner)
+    radii = inner[1:]
 
     def eval_on(rs):
-        vf2, vm2 = _volumes(s, mspace, rs)
+        vf2, vm2 = (vf1[1:], vm1[1:]) if rs is radii else _volumes(s, mspace, rs)
         # Table (r2, r1) of both ratios; pairs with r1 >= r2 never win.
         ratios_f = vf2[:, None] / vf1
         ratios_m = alpha * vm2[:, None] / vm1
@@ -653,7 +656,6 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
         rows, i = np.arange(len(rs)), np.argmin(gap, axis=1)
         return ratios_f[rows, i], ratios_m[rows, i]
 
-    radii = np.linspace(R / n_grid, R, n_grid)[1:]
     return _finalize("DOUBLING", params, mode, radii, eval_on)
 
 

@@ -7,6 +7,13 @@ rules on (0, 1) by Golub-Welsch, safeguarded-secant root finding with
 bracket growth, and unit-sphere areas.  Every routine is a pure function
 of its inputs, so results are reproducible and safe to evaluate
 concurrently; Gauss-Jacobi rules are cached and come back read-only.
+
+The unit of cost is a call of the function a kernel is given.  An ODE
+right-hand side is called on plain floats, stage by stage.  A quadrature
+integrand is called on arrays, and one such call costs tens of
+microseconds of numpy overhead, against a few hundredths of a microsecond
+for each further abscissa; so ``quad_grid`` evaluates as many levels as it
+can in one call (measurements at ``_GL_POINTS``).
 """
 
 from __future__ import annotations
@@ -505,23 +512,51 @@ def integrate_ode(rhs, t0: float, y0, t1: float,
 # ---------------------------------------------------------------------------
 
 # Points of the Gauss-Legendre rule on each panel, and the doubling cap.
-# Of 5 to 8 points, 5 evaluates the fewest abscissae on the benchmark's
-# workloads; smooth segments meet 1e-10 by 2 or 4 panels, and a segment
-# that doubles on (rounding or kink) noise doubles the fewest points.
+#
+# A quadrature costs what its integrand calls cost.  At 240 and 3 855
+# abscissae, weighted_area takes 31 and 118 us a call, area_model 21 and
+# 103 us, and smms._rho_clamped 71 and 330 us (radial; 183 and 921 us in
+# full mode): 16-54 us of overhead per call (134 us full), and 0.02-0.07 us
+# for each further abscissa (0.2 us full).  Best of 7 x 500-2000 calls,
+# shared 2-vCPU Xeon, Python 3.11, BLAS on one thread.
+#
+# More points per panel trade levels, hence calls, for abscissae.  Per
+# operation of the benchmark's workloads (seed 1: 30 sweep and 525 checks
+# operations, in process, the program's caches emptied before each; time
+# is the median of 3 runs of the busy time):
+#
+#   points   calls sweep / checks   abscissae sweep / checks   ms sweep / checks
+#     5         53.6 / 3.13           66 528 / 10 669             37.5 / 6.00
+#     6         45.7 / 3.02           79 504 / 12 792             34.3 / 6.61
+#     7         41.8 / 2.83           92 560 / 14 908             36.2 / 7.07
+#     8         39.5 / 2.64          105 707 / 17 028             36.7 / 7.17
+#
+# No count beats 5 on sweep beyond the host's noise (single runs spread
+# 24-39 ms), and 5 is the fastest on checks; any other count would also
+# move every quadrature value.  Smooth segments meet 1e-10 by 2 or 4
+# panels, and a segment that doubles on (rounding or kink) noise doubles
+# the fewest points.
 _GL_POINTS = 5
 _MAX_GRID_DOUBLINGS = 16
 
 
-def _gauss_segments(f, a: np.ndarray, b: np.ndarray, panels: int) -> np.ndarray:
-    """Composite ``_GL_POINTS``-point Gauss-Legendre sum on ``panels`` equal
-    panels of each [a_i, b_i], all abscissae in one call of ``f``."""
+def _gauss_segments(f, a: np.ndarray, b: np.ndarray, panels: tuple[int, ...]) -> list:
+    """Composite ``_GL_POINTS``-point Gauss-Legendre sums of each [a_i, b_i],
+    one array per panel count in ``panels``, all abscissae of all counts in
+    one call of ``f``.  Each count's abscissae form one contiguous block of
+    that call, so its sums are those of a call of its own, bit for bit."""
     x, w = gauss_jacobi(_GL_POINTS, 0.0)
-    u = ((np.arange(panels)[:, None] + x) / panels).ravel()
-    pts = a[:, None] + (b - a)[:, None] * u
-    y = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    blocks = [a[:, None] + (b - a)[:, None] * ((np.arange(p)[:, None] + x) / p).ravel()
+              for p in panels]
+    y = np.asarray(f(np.concatenate([pts.ravel() for pts in blocks])), dtype=float)
     if not np.all(np.isfinite(y)):
         raise NonFiniteError("integrand is not finite on the grid")
-    return (b - a) / panels * (y @ np.tile(w, panels))
+    sums, start = [], 0
+    for p, pts in zip(panels, blocks):
+        yp = y[start:start + pts.size].reshape(pts.shape)
+        sums.append((b - a) / p * (yp @ np.tile(w, p)))
+        start += pts.size
+    return sums
 
 
 def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
@@ -533,6 +568,13 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     1/64), rel_tol * |I_i|); only unconverged segments are recomputed, so
     isolated kinks refine locally.  Returns the finer sums and that
     difference per segment as the error estimate.  ``f`` must accept arrays.
+
+    The cost is counted in calls of ``f``, each of which costs far more
+    than its abscissae (see ``_GL_POINTS``).  The 1- and 2-panel sums of
+    every segment come from one call on their 3 ``_GL_POINTS`` = 15
+    abscissae per segment, and every later level is one call on the
+    segments still open: a grid whose segments all agree at 2 panels costs
+    one call.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2:
@@ -544,20 +586,21 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     total = max(widths.sum(), 1e-300)
     share = abs_tol * np.maximum(widths / total, 1.0 / 64.0)
 
-    out = _gauss_segments(f, a, b, 1)
-    err = np.full(len(a), np.inf)
+    coarse, out = _gauss_segments(f, a, b, (1, 2))
+    err = np.abs(out - coarse)
     idx = np.arange(len(a))
-    panels = 1
-    for _ in range(_MAX_GRID_DOUBLINGS):
-        panels *= 2
-        nxt = _gauss_segments(f, a[idx], b[idx], panels)
-        err[idx] = np.abs(nxt - out[idx])
-        out[idx] = nxt
-        idx = idx[err[idx] > np.maximum(share[idx], rel_tol * np.abs(nxt))]
+    panels = 2
+    while True:
+        idx = idx[err[idx] > np.maximum(share[idx], rel_tol * np.abs(out[idx]))]
         if not len(idx):
             return out, err
-    raise SubdivisionLimitError(
-        f"quad_grid: {_MAX_GRID_DOUBLINGS} panel doublings did not meet tolerance")
+        if panels == 2 ** _MAX_GRID_DOUBLINGS:
+            raise SubdivisionLimitError(
+                f"quad_grid: {_MAX_GRID_DOUBLINGS} panel doublings did not meet tolerance")
+        panels *= 2
+        (nxt,) = _gauss_segments(f, a[idx], b[idx], (panels,))
+        err[idx] = np.abs(nxt - out[idx])
+        out[idx] = nxt
 
 
 def quad_adaptive(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL):

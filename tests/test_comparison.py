@@ -322,6 +322,31 @@ class TestDoubling:
         assert rep.not_applicable and rep.verdict == "NOT-APPLICABLE"
         assert "exceeds" in rep.reason
 
+    def test_integrates_each_grid_once(self, monkeypatch):
+        # The report radii are the inner grid less its first radius, so a
+        # check that does not refine reads V_f and V_model there from the
+        # inner grid: one quad_grid call each.  Its margins agree with
+        # volumes integrated on the report radii directly, to rounding.
+        s = make_space("gaussian_soliton", n=3)
+        H, alpha, R, n_grid = 0.0, 4.0, 1.5, 48
+        calls = []
+        quad_grid = comparison.quad_grid
+        monkeypatch.setattr(comparison, "quad_grid",
+                            lambda f, edges: calls.append(len(edges)) or quad_grid(f, edges))
+        rep = check_doubling(s, H, alpha, R, n_grid=n_grid)
+        assert rep.passed and rep.grid.shape[0] == n_grid - 1  # not refined
+        assert calls == [n_grid + 1, n_grid + 1]
+
+        mspace = comparison.ModelSpace(dim=3.0, H=H, drift=rep.params["a"])
+        inner = np.linspace(R / n_grid, R, n_grid)
+        radii = inner[1:]
+        vf1, vm1 = comparison._volumes(s, mspace, inner)
+        vf2, vm2 = comparison._volumes(s, mspace, radii)
+        gap = alpha * vm2[:, None] / vm1 - vf2[:, None] / vf1
+        margins = np.where(inner < radii[:, None] - 1e-12 * R, gap, np.inf).min(axis=1)
+        assert np.array_equal(rep.grid[:, 0], radii)
+        assert np.all(np.abs(rep.grid[:, 3] - margins) <= 1e-13 * np.abs(margins))
+
     def test_perturbed_sphere_end_to_end(self):
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.002, omega=1.0)
         R = 0.99 * math.pi / 2

@@ -325,6 +325,50 @@ class TestQuadGrid:
         assert segs[0] == 0.0 and segs[2] == 0.0
         assert abs(segs.sum() - (1 - math.cos(1.0))) < 1e-10
 
+    @staticmethod
+    def _sequential(f, edges, abs_tol=1e-10, rel_tol=1e-10):
+        """The docstring's rule, one call of ``f`` per level: a composite
+        5-point Gauss-Legendre sum on 1, 2, 4, ... panels of each segment
+        not yet converged.  Returns (sums, errors)."""
+        x, w = gauss_jacobi(5, 0.0)
+        a, b = edges[:-1], edges[1:]
+        widths = b - a
+        share = abs_tol * np.maximum(widths / max(widths.sum(), 1e-300), 1.0 / 64.0)
+
+        def level(idx, panels):
+            u = ((np.arange(panels)[:, None] + x) / panels).ravel()
+            pts = a[idx][:, None] + widths[idx][:, None] * u
+            y = f(pts.ravel()).reshape(pts.shape)
+            return widths[idx] / panels * (y @ np.tile(w, panels))
+
+        idx = np.arange(len(a))
+        out, err = level(idx, 1), np.full(len(a), np.inf)
+        panels = 1
+        while len(idx):
+            panels *= 2
+            nxt = level(idx, panels)
+            err[idx] = np.abs(nxt - out[idx])
+            out[idx] = nxt
+            idx = idx[err[idx] > np.maximum(share[idx], rel_tol * np.abs(nxt))]
+        return out, err
+
+    @pytest.mark.parametrize("f, edges, levels", [
+        (np.exp, np.linspace(0.0, 1.0, 257), 2),
+        (lambda t: np.maximum(0.0, np.sin(5.0 * t)), np.linspace(0.0, 2.0, 33), None),
+        (np.sin, np.array([0.0, 0.0, 1.0, 1.0]), 2),
+    ], ids=["smooth", "kinked", "zero-width"])
+    def test_first_two_levels_take_one_call_and_keep_the_bits(self, f, edges, levels):
+        # One call of the integrand yields the 1- and 2-panel sums; every
+        # later level is one call on the segments still open.  Values and
+        # error estimates are those of one call per level, bit for bit.
+        sizes, ref_sizes = [], []
+        out, err = quad_grid(lambda t: sizes.append(t.size) or f(t), edges)
+        ref_out, ref_err = self._sequential(lambda t: ref_sizes.append(t.size) or f(t), edges)
+        assert len(ref_sizes) == levels if levels else len(ref_sizes) > 2
+        assert len(sizes) == len(ref_sizes) - 1
+        assert sum(sizes) == sum(ref_sizes)
+        assert np.array_equal(out, ref_out) and np.array_equal(err, ref_err)
+
     def test_subdivision_limit_on_jump(self):
         step = lambda t: (np.asarray(t) > 1 / math.e).astype(float)
         with pytest.raises(SubdivisionLimitError):

@@ -239,7 +239,7 @@ def calls(monkeypatch):
     level = numkit._gauss_segments
 
     def counted_level(f, a, b, panels):
-        counts["panels"] = max(counts["panels"], panels)
+        counts["panels"] = max(counts["panels"], *panels)
         return level(f, a, b, panels)
 
     monkeypatch.setattr(numkit, "_gauss_segments", counted_level)

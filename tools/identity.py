@@ -123,6 +123,12 @@ def cases() -> list[tuple[str, list[str]]]:
         # The threshold, 5.2e8, lies between the last growth step and the cap.
         ("flat/DOUBLING/k10.75", ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "4",
                                   "--R", "1.5", "--k", "10.75", "--grid", "16"]),
+        # A margin within ten tolerances, so the x4 refinement integrates its
+        # own grid (n_grid 57); the other DOUBLING runs report the first pass,
+        # which reads its volumes from the inner grid.
+        ("psphere/DOUBLING/refined", ["check", *_PSPHERE, "--param", "eps=1e-8", "--H", "1",
+                                      "--theorem", "DOUBLING", "--alpha", "1.000005",
+                                      "--R", "1.2", "--grid", "16"]),
         ("flat/CHENG/tight", ["check", *_FLAT, "--theorem", "CHENG", "--R", "2",
                               "--delta", "0.05", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
         ("custom/MC_DRIFT", ["check", *_CUSTOM, "--theorem", "MC_DRIFT", "--grid", "32"]),
