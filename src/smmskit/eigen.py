@@ -172,23 +172,9 @@ class EigenResult(Report):
         return "\n".join(lines) + "\n"
 
 
-def _pole_start(n: int, lam: float, R: float):
-    """Start radius and (phi, R phi') there from the regular-singular pole series."""
-    r0 = 1e-6 * R
-    return r0, 1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 * R / n
-
-
-def _shoot(coeff, n: int, lam: float, R: float, ode_tol: Tolerance):
-    """Integrate the radial eigenfunction ODE at trial eigenvalue ``lam``.
-
-    The state is (phi, R phi'), so both components are of order one at any R.
-    """
-    r0, phi0, dphi0 = _pole_start(n, lam, R)
-
-    def rhs(t, y):
-        return (y[1] / R, -coeff(t) * y[1] - lam * R * y[0])
-
-    return integrate_ode(rhs, r0, (phi0, dphi0), R, ode_tol)
+def _pole_start(n: int, lam: float, r0: float, R: float):
+    """(phi, R phi') at r0 from the regular-singular pole series."""
+    return 1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 * R / n
 
 
 def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
@@ -202,13 +188,13 @@ def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
     lam is one component of the solve, and all share each stage's m_f(t);
     with one lam the solve is the scalar one.  With ``lam_phi`` the solve
     also carries the linear (phi, R phi') at lam_phi as its last two
-    components, and returns the angles and its trajectory.
+    components, and returns the angles and its trajectory; with no lams
+    it is the (phi, R phi') shoot alone.
     """
-    starts = [_pole_start(n, lam, R) for lam in lams]
-    lrs = [lam * R for lam in lams]
-    y0 = [math.atan2(phi0, dphi0) for _, phi0, dphi0 in starts]
+    r0, lrs = 1e-6 * R, [lam * R for lam in lams]
+    y0 = [math.atan2(*_pole_start(n, lam, r0, R)) for lam in lams]
     if lam_phi is not None:
-        y0 += _pole_start(n, lam_phi, R)[1:]
+        y0 += _pole_start(n, lam_phi, r0, R)
         k, lr_phi = len(lrs), lam_phi * R
 
     def rhs(t, y):
@@ -222,7 +208,7 @@ def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
             out += (dphi / R, -c * dphi - lr_phi * phi)
         return out
 
-    traj = integrate_ode(rhs, starts[0][0], y0, R, ode_tol)
+    traj = integrate_ode(rhs, r0, y0, R, ode_tol)
     angles = traj.terminal()[:len(lrs)].tolist()
     return angles if lam_phi is None else (angles, traj)
 
@@ -336,7 +322,7 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     root = find_root_bracketed(g, lo, hi, tol, f_lo=f_lo, cap=cap)
     traj = seeded
     if seeded is None or not root.lo <= lam_ritz <= root.hi:
-        traj = _shoot(coeff, n, root.root, R, ode_tol)
+        traj = _prufer_angles(coeff, n, (), R, ode_tol, root.root)[1]
         solves += 1
     return _sample_result(root, traj, R, tol, ode_tol, lam_ritz, solves)
 

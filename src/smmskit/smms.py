@@ -13,7 +13,11 @@ canonical, so the sup over base points in hypothesis constants is realized
 as the single pole evaluation).  Curvature ratios are evaluated on the
 interior (r_lo, r_hi), r_lo = 1e-6 r_max, with clamping toward the poles
 where w -> 0; the improper upper limit of the excess integral is truncated
-at r_max.
+at r_max.  Pole rule: 1 - w'^2 in the tangential curvature has rounding
+noise eps/r^2 (eps = 2.2e-16), within quad_grid's 1e-10 relative budget of
+the curvature scale 1/r_max^2 only beyond r_s = sqrt(eps/1e-10) r_max =
+1.5e-3 r_max; within r_s of a pole it is -(|w'| - 1)(|w'| + 1), with
+|w'| - 1 integrated from w'' on a Gauss rule.
 
 The excess integrals split their range at the sign changes of
 g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
@@ -32,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as _model
-from .numkit import (NonFiniteError, Tolerance, find_root_bracketed, quad_adaptive,
-                     quad_grid, sphere_area)
+from .numkit import (NonFiniteError, Tolerance, find_root_bracketed, gauss_jacobi,
+                     quad_adaptive, quad_grid, sphere_area)
 
 __all__ = [
     "RadialProfile",
@@ -154,6 +158,7 @@ def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 _POLE_FRACTION = 1e-6
+_POLE_RULE = math.sqrt(np.finfo(float).eps / 1e-10)  # see _one_minus_w1_squared
 
 
 @dataclass(frozen=True)
@@ -267,21 +272,45 @@ def bakry_emery_radial(s: WarpedSMMS, r):
     return _scalar(_ricci_f(s, _clamp_interior(s, r), "radial"))
 
 
-def _tangential_f(s: WarpedSMMS, rc):
-    w = s.w.eval(rc)
+def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
+    """1 - w'^2 at clamped radii ``rc``, w1 = w'(rc), by the pole rule: within
+    r_s = sqrt(eps/1e-10) r_max = 1.5e-3 r_max of a pole it is -I (I + 2),
+    I = |w'| - 1 = int_0^r w'' (int_r^r_max w'' at a closed far pole, as
+    w'(0) = 1 = -w'(r_max)) on the 5-point Gauss-Legendre rule, whose error
+    there is O((r_s/r_max)^10); elsewhere it is 1 - w1^2 (module docstring).
+    """
+    r = np.asarray(rc, dtype=float)
+    far = s.closed & (r > 0.5 * s.r_max)
+    d = np.where(far, s.r_max - r, r)  # distance to the nearer pole
+    near = d < _POLE_RULE * s.r_max
+    out = np.array(1.0 - w1 * w1, dtype=float)
+    if near.any():
+        v, wq = gauss_jacobi(5, 0.0)
+        dn = d[near][:, None]
+        t = np.where(far[near][:, None], s.r_max - dn * v, dn * v)
+        i = dn[:, 0] * (s.w.d2(t.ravel()).reshape(t.shape) * wq).sum(axis=1)
+        out[near] = -i * (i + 2.0)
+    return out if out.ndim else float(out)
+
+
+def _bakry_emery(s: WarpedSMMS, rc, mode: str):
+    """Radial Ric_f = -(n-1) w''/w + f'' at clamped radii ``rc`` and, in full
+    mode, tangential Ric_f = -w''/w + (n-2)(1 - w'^2)/w^2 + f' w'/w (else
+    None): one read of w, w', w'', f', f'' per radius."""
+    w, w2 = s.w.eval(rc), s.w.d2(rc)
+    radial = -(s.n - 1.0) * w2 / w + s.f.d2(rc)
+    if mode != "full":
+        return radial, None
     w1 = s.w.d1(rc)
-    w2 = s.w.d2(rc)
-    ric_tan = -w2 / w + (s.n - 2.0) * (1.0 - w1 * w1) / (w * w)
-    return ric_tan + s.f.d1(rc) * w1 / w
+    ric_tan = -w2 / w + (s.n - 2.0) * _one_minus_w1_squared(s, rc, w1) / (w * w)
+    return radial, ric_tan + s.f.d1(rc) * w1 / w
 
 
 def _ricci_f(s: WarpedSMMS, rc, mode: str):
     """Ric_f(d_r, d_r) = Ric + f'' at clamped radii ``rc``; in ``full`` mode
     the smaller of it and the tangential value."""
-    lam = _ricci(s, rc) + s.f.d2(rc)
-    if mode == "full":
-        lam = np.minimum(lam, _tangential_f(s, rc))
-    return lam
+    radial, tangential = _bakry_emery(s, rc, mode)
+    return radial if tangential is None else np.minimum(radial, tangential)
 
 
 def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
@@ -406,8 +435,8 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     roots = _crossings(g, x, gx, tiny, tol)
     if mode == "full":  # the kinks of min(radial, tangential)
         def kink(t):
-            rc = _clamp_interior(s, t)
-            return _tangential_f(s, rc) - _ricci_f(s, rc, "radial")
+            radial, tangential = _bakry_emery(s, _clamp_interior(s, t), mode)
+            return tangential - radial
         roots += _crossings(kink, x, kink(x), tiny, tol)
     return roots + [c for c in (s.r_interior_lo, s.r_interior_hi) if lo < c < hi]
 

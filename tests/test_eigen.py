@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from conftest import perturbed_euclidean
 from smmskit import eigen
 from smmskit.comparison import doubling_F
-from smmskit.eigen import (EIGEN_TOL, _shoot, cheng_constants, cheng_epsilon,
+from smmskit.eigen import (EIGEN_TOL, _prufer_angles, cheng_constants, cheng_epsilon,
                            check_cheng_estimate, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
 from smmskit.model import mean_curvature_model
@@ -164,8 +164,8 @@ class TestRayleighTransplant:
         s = perturbed_euclidean(3, 0.04, 3.0, amp=0.05, nu=1.0)
         n, a, H, R = 3, 0.0, 0.0, 1.2
         res = model_eigenvalue(n, a, H, R)
-        traj = _shoot(lambda t: mean_curvature_model(float(n), H, t) + a,
-                      n, res.lam, R, Tolerance(1e-12, 1e-11, 200_000))
+        _, traj = _prufer_angles(lambda t: mean_curvature_model(float(n), H, t) + a,
+                                 n, (), R, Tolerance(1e-12, 1e-11, 200_000), res.lam)
         t0 = traj.t0
 
         def phi(t):
@@ -191,8 +191,8 @@ class TestRayleighTransplant:
         s = perturbed_euclidean(3, 0.01, 2.0)
         n, a, H, R = 3, 0.2, 0.0, 1.1
         res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
-        traj = _shoot(lambda t: mean_curvature_model(float(n), H, t) + a,
-                      n, res.lam, R, eigen._shoot_tol(EIGEN_TOL))
+        _, traj = _prufer_angles(lambda t: mean_curvature_model(float(n), H, t) + a,
+                                 n, (), R, eigen._shoot_tol(EIGEN_TOL), res.lam)
 
         def weighted(t, col):
             rows = np.tile([1.0, 0.0], (len(t), 1))
@@ -204,7 +204,7 @@ class TestRayleighTransplant:
         expected = (quad_adaptive(lambda t: weighted(t, 1), 0.0, R, qtol)[0]
                     / quad_adaptive(lambda t: weighted(t, 0), 0.0, R, qtol)[0])
         calls = []
-        monkeypatch.setattr(eigen, "_shoot", lambda *args: calls.append(args))
+        monkeypatch.setattr(eigen, "_prufer_angles", lambda *args: calls.append(args))
         assert rayleigh_quotient_transplant(s, n, a, H, R) == expected
         assert not calls
 
@@ -427,16 +427,12 @@ class TestPruferSolver:
         trials, roots = [], []
 
         def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
-            trials.append(lam_phi)
+            # a solve with no angles is the (phi, R phi') shoot at the root
+            (trials if lams else roots).append(lam_phi)
             return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
 
-        def shooting(coeff, n, lam, R, ode_tol):
-            roots.append(lam)
-            return shoot(coeff, n, lam, R, ode_tol)
-
-        prufer_angles, shoot = eigen._prufer_angles, eigen._shoot
+        prufer_angles = eigen._prufer_angles
         monkeypatch.setattr(eigen, "_prufer_angles", recording)
-        monkeypatch.setattr(eigen, "_shoot", shooting)
         res = smms_radial_eigenvalue(make_space("sphere", n=3, H=1.0), 1.0, EIGEN_TOL)
         lo, hi = res.bracket
         assert not lo <= res.lam_ritz <= hi

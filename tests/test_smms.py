@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
@@ -183,21 +184,32 @@ class TestIntegralRho:
             integral_rho(s, 2.0, s.r_max), rel=1e-12)
 
 
+def _curvatures(s, t):
+    """Radial and tangential Ric_f at t clamped to the interior, written out
+    from the profiles with the cancelling 1 - w'^2 (no pole rule)."""
+    t = min(max(t, s.r_interior_lo), s.r_interior_hi)
+    w, w1, w2 = float(s.w.eval(t)), float(s.w.d1(t)), float(s.w.d2(t))
+    radial = -(s.n - 1.0) * w2 / w + float(s.f.d2(t))
+    return radial, (-w2 / w + (s.n - 2.0) * (1.0 - w1 * w1) / (w * w)
+                    + float(s.f.d1(t)) * w1 / w)
+
+
 def _excess_oracle(s, H, R, mode):
     """scipy.integrate.quad of the clamped [g]_+, g = (n-1)H - Ric_f, split at
     the clamp radii and at breakpoints brentq finds on a 1025-point grid:
     the sign changes of g and, in full mode, of tangential - radial.  Near
-    the poles the tangential curvature is rounding noise of relative size
-    1e-16/r^2, which scipy may warn about; its share of l is ~1e-11."""
-    from smmskit.smms import _clamp_interior, _rho_clamped, _ricci_f, _tangential_f
+    the poles ``_curvatures``' tangential value is rounding noise of
+    relative size 1e-16/r^2, which scipy may warn about; its share of l is
+    ~1e-11."""
     upper = min(R, s.r_max)
 
     def g(t):
-        return (s.n - 1.0) * H - float(_ricci_f(s, _clamp_interior(s, t), mode))
+        radial, tangential = _curvatures(s, t)
+        return (s.n - 1.0) * H - (min(radial, tangential) if mode == "full" else radial)
 
     def kink(t):
-        rc = _clamp_interior(s, t)
-        return float(_tangential_f(s, rc) - _ricci_f(s, rc, "radial"))
+        radial, tangential = _curvatures(s, t)
+        return tangential - radial
 
     x = np.linspace(0.0, upper, 1025)
     points = {s.r_interior_lo, s.r_interior_hi}
@@ -208,9 +220,44 @@ def _excess_oracle(s, H, R, mode):
     edges = [0.0, *sorted(p for p in points if 0.0 < p < upper), upper]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return sum(quad(lambda t: float(_rho_clamped(s, H, t, mode)), a, b,
+        return sum(quad(lambda t: max(0.0, g(t)), a, b,
                         epsabs=1e-13, epsrel=1e-13, limit=200)[0]
                    for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _mp_full_excess(n, eps, R):
+    """Full-mode l on ``perturbed_sphere`` (H = 1, omega = 3) at 40 digits:
+    w, with w' and w'' by ``mp.diff``, clamped to [1e-6 pi, (1 - 1e-6) pi],
+    breakpoints by ``findroot`` in each sign change of g and of tangential
+    - radial on 257 samples, and ``mp.quad`` between them.  At 40 digits
+    the cancelling 1 - w'^2 loses nothing that shows in double precision."""
+    with mp.workdps(40):
+        eps, lo, hi = mp.mpf(eps), mp.mpf("1e-6") * mp.pi, (1 - mp.mpf("1e-6")) * mp.pi
+        upper = min(mp.mpf(R), mp.pi)
+
+        def w(r):
+            return mp.sin(r) * (1 + eps * mp.sin(3 * r) ** 2)
+
+        def curvatures(r):
+            r = min(max(r, lo), hi)
+            w0, w1, w2 = w(r), mp.diff(w, r, 1), mp.diff(w, r, 2)
+            return -(n - 1) * w2 / w0, -w2 / w0 + (n - 2) * (1 - w1 ** 2) / w0 ** 2
+
+        def g(r):
+            return n - 1 - min(curvatures(r))
+
+        def kink(r):
+            radial, tangential = curvatures(r)
+            return tangential - radial
+
+        xs = [upper * i / 256 for i in range(257)]
+        points = {lo, hi}
+        for fn in (g, kink):
+            v = [fn(x) for x in xs]
+            points.update(mp.findroot(fn, (xs[i], xs[i + 1]), solver="anderson")
+                          for i in range(256) if v[i] * v[i + 1] < 0)
+        edges = [mp.mpf(0), *sorted(p for p in points if 0 < p < upper), upper]
+        return float(mp.quad(lambda r: max(0, g(r)), edges))
 
 
 def _bumped():
@@ -306,17 +353,62 @@ class TestExcessQuadrature:
     def test_mc_cumulative_excess_ends_at_integral_rho(self, n, mode):
         # MC_DRIFT integrates rho on its 256 radii plus integral_rho's
         # breakpoints; rhs - (m_H + a) at the last radius R is then l(R).
-        # For n >= 3 in full mode the tangential curvature carries rounding
-        # noise ~1e-16/r^2 near the pole, so the two node sets see l only
-        # to ~1e-11 (about 3e-12 here); elsewhere they agree to rounding.
         s = make_space("perturbed_sphere", n=n, H=1.0, eps=0.05, omega=3.0)
         report = check_mc_drift(s, 1.0, mode=mode)
         radii, rhs = report.grid[:, 0], report.grid[:, 2]
         cum = rhs - mean_curvature_model(float(n), 1.0, radii)  # a = 0
         R = float(radii[-1])
         assert np.all(np.diff(cum) >= -1e-12)
-        tol = 1e-11 if (n, mode) == (3, "full") else 1e-12
-        assert abs(cum[-1] - integral_rho(s, 1.0, R, mode)) <= tol
+        assert abs(cum[-1] - integral_rho(s, 1.0, R, mode)) <= 1e-12
+
+
+class TestPoleRule:
+    """1 - w'^2 near a pole without cancellation (smms._one_minus_w1_squared)."""
+
+    def test_sphere_closed_form_at_both_poles(self):
+        # w = sin r: 1 - w'^2 = sin^2 r, which 1 - cos^2 r loses near 0 and
+        # pi (relative error 1e-16/d^2 at distance d from the pole); the
+        # rule holds within 1.5e-3 r_max.  A radius near pi is known only to
+        # spacing(pi), so w there carries that much absolute error.
+        from smmskit.smms import _one_minus_w1_squared
+        s = make_space("sphere", n=3, H=1.0)
+        d = np.geomspace(s.r_interior_lo, 1e-3 * s.r_max, 60)
+        for r, ulp in ((d, 0.0), (math.pi - d, np.spacing(math.pi))):
+            want = np.sin(r) ** 2
+            got = _one_minus_w1_squared(s, r, np.cos(r))
+            assert np.all(np.abs(got - want) <= 1e-13 * want + 2.0 * ulp * np.sin(r))
+            floats = [_one_minus_w1_squared(s, float(x), math.cos(x)) for x in r]
+            assert np.array_equal(floats, got)
+
+    @pytest.mark.parametrize("n, eps, R", [(3, 0.05, 1.2), (4, 0.03, math.pi)])
+    def test_full_mode_matches_mpmath(self, n, eps, R):
+        # References 1.9507942942539686 and 3.8798831394168459; the
+        # tangential noise left ~1e-11 relative before the pole rule.
+        s = make_space("perturbed_sphere", n=n, H=1.0, eps=eps, omega=3.0)
+        want = _mp_full_excess(n, eps, R)
+        assert abs(integral_rho(s, 1.0, R, "full") - want) <= 1e-12 * want
+
+    def test_no_spurious_kink_near_the_pole(self, calls):
+        # Rounding noise in tangential - radial (~c r^2 here) closed a kink
+        # root at 6.4e-5, and the segment below it doubled to 4096 panels.
+        from smmskit.smms import _excess_breakpoints
+        s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
+        breakpoints = _excess_breakpoints(s, 1.0, 0.0, 1.2, "full")
+        assert [b for b in breakpoints if b < 1e-3 * s.r_max] == [s.r_interior_lo]
+        integral_rho(s, 1.0, 1.2, "full")
+        assert calls["panels"] <= 8
+
+    def test_hyperbolic_full_mode_is_exact(self):
+        # Ric_f = -(n-1) in both directions, so l = 0 (it was 8.5e-13).
+        s = make_space("hyperbolic", n=3, H=-1.0)
+        assert 0.0 <= integral_rho(s, -1.0, 3.0, "full") <= 1e-14
+
+    def test_closed_finite_difference_profile(self):
+        # w = sin r without derivatives: the round sphere, l = 0 up to the
+        # finite differences' error; it raised SubdivisionLimitError.
+        s = make_space("custom", n=3, w=RadialProfile(np.sin, r_max=math.pi),
+                       r_max=math.pi, closed=True)
+        assert 0.0 <= integral_rho(s, 1.0, math.pi, "full") <= 1e-8
 
 
 class TestDivergentExcess:

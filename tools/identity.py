@@ -175,8 +175,9 @@ def cases() -> list[tuple[str, list[str]]]:
                               "--range", "a=0:1:3"]),
         # Excess-integral traps: g = (n-1)H - Ric_f at rounding level (eps = 0,
         # and hyperbolic with its radial and tangential curvature equal), the
-        # closed far pole in full mode, and the divergent pole of a drift
-        # f = -a r in full mode (l = +inf).
+        # closed far pole in full mode (n = 3, and n = 4, where the
+        # tangential term (n-2)(1-w'^2)/w^2 has n-2 = 2), and the divergent
+        # pole of a drift f = -a r in full mode (l = +inf).
         ("hyp/VOL_B/full", ["check", *_HYP, "--H", "-1", "--theorem", "VOL_B", "--r", "0.3",
                             "--R", "1.5", "--mode", "full"]),
         ("psphere/VOL_B/eps0", ["check", *_PSPHERE, "--param", "eps=0", "--H", "1",
@@ -185,6 +186,9 @@ def cases() -> list[tuple[str, list[str]]]:
                                 "--R", "1.2", "--delta", "0.4", "--mode", "full"]),
         ("psphere/MYERS/full", ["check", *_PSPHERE, "--H", "1", "--theorem", "MYERS",
                                 "--mode", "full"]),
+        ("psphere4/MYERS/full", ["check", "--space", "perturbed_sphere", "--n", "4",
+                                 "--param", "H=1", "--param", "eps=0.03", "--H", "1",
+                                 "--theorem", "MYERS", "--mode", "full"]),
         ("drift/VOL_B/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem", "VOL_B",
                               "--H", "0.2", "--r", "0.3", "--R", "1.5", "--mode", "full"]),
         ("drift/MC_DRIFT/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
