@@ -15,16 +15,19 @@ n+4k and drifted models with the exp((e^{clt}-1) A/V) correction, the
 absolute-volume forms, doubling certificates e^{F(eps)} <= alpha, and the
 hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
-Every integral over a grid is one ``quad_grid`` call with the grid radii
-as edges, cumulated: the weighted and model volumes, and on the
+Every other integral over a grid is one ``quad_grid`` call with the grid
+radii as edges, cumulated: the weighted and model volumes, and on the
 mean-curvature grids the excess int rho (``smms.cumulative_excess``, whose
-edges add rho's breakpoints, so no segment holds a kink of rho).
+edges add rho's breakpoints, so no segment holds a kink of rho).  The model
+volume's pole segment is its Jacobi form instead, V_m(r) = r A_m(r) J/psi
+(``model.jacobi_factor``), and its later segments meet a relative budget.
 
-The correction E(r) = int_0^r (e^{clt}-1) A/V on the volume grids is one ODE
-solve per check, built before the grid is evaluated; the refinement pass
-reads the same trajectory.  The doubling threshold's F(sigma) = E(R) at
-cl = c sigma is a dot product on the model's Gauss-Jacobi ``ratio_table``,
-certified at epsilon against a table with twice the nodes.
+The correction E(r) = int_0^r (e^{clt}-1) A/V on the volume grids is a
+cumulative fixed-rule sum on the grid's own radii (``_exp_correction``), so
+the refinement pass sums its own grid; no check solves an ODE.  Its pole
+piece E(radii[0]), like the doubling threshold's F(sigma) = E(R) at
+cl = c sigma, is a dot product on the model's Gauss-Jacobi ``ratio_table``;
+the threshold is certified at epsilon against a table with twice the nodes.
 
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
@@ -41,10 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import (ModelSpace, area_model, c_const, mean_curvature_model,
-                    ratio_table, sn, volume_model)
+from .model import (ModelSpace, area_model, c_const, jacobi_factor,
+                    mean_curvature_model, ratio_table, sn, volume_model)
 from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
-                     integrate_ode, quad_grid, sphere_area)
+                     gauss_jacobi, integrate_ode, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, cumulative_excess, integral_rho, mean_curvature_f,
                    potential_bounds, require_finite_excess, weighted_area)
 
@@ -67,6 +70,10 @@ __all__ = [
     "check_absolute_volume_negH",
     "volume_ratio_profile",
 ]
+
+# No check calls these two; bench/tracing.py looks both names up in this
+# module.  They can go once the tracer skips a missing name (ROADMAP item 1).
+_TRACED_NAMES = (integrate_ode, volume_model)
 
 _UNITS = {
     "n": "dimensionless",
@@ -234,48 +241,63 @@ def _cum_integral(fn, radii: np.ndarray) -> np.ndarray:
     return np.cumsum(segs)
 
 
+def _pole_volume(mspace: ModelSpace, t) -> np.ndarray:
+    """V_model at an array of radii t > 0 in its Jacobi form t A_m(t) J/psi."""
+    t = np.asarray(t, dtype=float)
+    return t * area_model(mspace, t) * jacobi_factor(mspace, t)
+
+
 def _volumes(s: WarpedSMMS, mspace: ModelSpace, radii: np.ndarray):
-    """(V_f, V_model) at each grid radius."""
-    return (_cum_integral(lambda t: weighted_area(s, t), radii),
-            _cum_integral(lambda t: area_model(mspace, t), radii))
+    """(V_f, V_model) at each grid radius.  V_model(radii[0]) is the Jacobi
+    form and each later segment a ``quad_grid`` sum at a relative budget
+    only: in k mode V_model can be far below any absolute one."""
+    vf = _cum_integral(lambda t: weighted_area(s, t), radii)
+    vm = _pole_volume(mspace, radii[:1])
+    if len(radii) > 1:
+        segs, _ = quad_grid(lambda t: area_model(mspace, t), radii, abs_tol=0.0)
+        vm = np.concatenate([vm, vm[0] + np.cumsum(segs)])
+    return vf, vm
 
 
-def _exp_correction(mspace: ModelSpace, cl: float, R: float):
-    """E(r) = int_0^r (e^{cl t} - 1) A_model/V_model dt, as a function of an
-    array of radii in (0, R].
+def _exp_correction(mspace: ModelSpace, cl: float, radii: np.ndarray) -> np.ndarray:
+    """E(r) = int_0^r (e^{cl t} - 1) A_model/V_model dt at ascending radii > 0.
 
-    One joint ODE solve for (V_model, E/cl) up to R, read by dense output.
-    E is of size cl * dim * r, so the solve carries u = E/cl, whose
-    integrand expm1(cl t)/cl A/V does not shrink with cl and so is not
-    swamped by abs_tol when cl is small; E is cl u.  The integrand tends to
-    dim at the pole, so the solve starts from a series value at a tiny
-    radius.
+    A cumulative fixed-rule sum: E(radii[0]) on the threshold's
+    ``ratio_table``, then a 5-point Gauss-Legendre sum on each grid interval.
+    A coarse grid is first split into equal panels of at most half a unit of
+    cl + sqrt|H| + drift + (dim - 1) sqrt(max(-H, 0)), which bounds the
+    growth rates of expm1(cl t) and of A away from the pole.  V at the nodes
+    is the Jacobi form (``_pole_volume``) on intervals that start within
+    2 (dim - 1) widths of the pole, where t^(dim-1) is far from a low-degree
+    polynomial, and beyond them V at the interval's start plus a nested
+    5-point sum.
     """
+    radii = np.asarray(radii, dtype=float)
     if cl == 0.0:
-        return lambda radii: np.zeros(len(radii))
-    R = float(R)
-    t0 = 1e-8 * R
-    v0 = volume_model(mspace, t0, Tolerance(abs_tol=1e-14, rel_tol=1e-12))
-    u0 = mspace.dim * t0
-
-    omega_d = sphere_area(mspace.dim)
-    H, a, dm1 = mspace.H, mspace.drift, mspace.dim - 1.0
-
-    def rhs(t, y):
-        A = omega_d * math.exp(a * t) * sn(H, t) ** dm1
-        return A, math.expm1(cl * t) / cl * A / y[0]
-
-    traj = integrate_ode(rhs, t0, (v0, u0), R,
-                         Tolerance(abs_tol=1e-14, rel_tol=1e-12))
-
-    def E(radii) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        out = cl * mspace.dim * radii
-        inside = radii > t0
-        out[inside] = cl * traj.at(radii[inside])[:, 1]
-        return out
-
-    return E
+        return np.zeros(len(radii))
+    lo, h = radii[:-1], np.diff(radii)
+    scale = (cl + math.sqrt(abs(mspace.H)) + mspace.drift
+             + (mspace.dim - 1.0) * math.sqrt(max(-mspace.H, 0.0)))
+    panels = math.ceil(2.0 * scale * h.max()) if len(h) else 1
+    if panels > 1:
+        fine = (lo[:, None] + h[:, None] * (np.arange(panels) / panels)).ravel()
+        return _exp_correction(mspace, cl, np.append(fine, radii[-1]))[::panels]
+    t, W = ratio_table(mspace, radii[0], _TABLE_NODES)
+    x, w = gauss_jacobi(5, 0.0)
+    nodes = lo[:, None] + h[:, None] * x
+    near = np.flatnonzero(lo < 2.0 * (mspace.dim - 1.0) * h)
+    p = near[-1] + 1 if len(near) else 0
+    ratio = np.empty_like(nodes)  # A/V at the nodes
+    ratio[:p] = 1.0 / (nodes[:p] * jacobi_factor(mspace, nodes[:p].ravel())
+                       .reshape(p, len(x)))
+    a_nodes, sub = area_model(mspace, nodes[p:]), h[p:, None] * x
+    v_lo = _pole_volume(mspace, radii[p:p + 1])[0] + np.concatenate(
+        [[0.0], np.cumsum(h[p:] * (a_nodes @ w))[:-1]])
+    nested = area_model(mspace, lo[p:, None, None] + sub[:, :, None] * x)
+    v_nodes = v_lo[:, None] + sub * (nested @ w)
+    ratio[p:] = a_nodes / v_nodes
+    steps = h * ((np.expm1(cl * nodes) * ratio) @ w)
+    return W @ np.expm1(cl * t) + np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _compare(theorem_id: str, eval_on, radii: np.ndarray):
@@ -494,12 +516,11 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
     _require_outer(s, tid, H, R)
     mspace, c, bparams = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, R, mode)
-    corr = _exp_correction(mspace, c * l, R)
 
     def eval_on(rs):
         vf, vm = _volumes(s, mspace, rs)
         ratio = vf / vm
-        return ratio, ratio[0] * np.exp(corr(rs))
+        return ratio, ratio[0] * np.exp(_exp_correction(mspace, c * l, rs))
 
     radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
@@ -516,11 +537,10 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
     mspace, _, bparams = _bound_model(s, H, "a", const)
     l = integral_rho(s, H, R, mode)
     f0 = float(s.f.eval(0.0))
-    corr = _exp_correction(mspace, l, R)
 
     def eval_on(rs):
         vf, vm = _volumes(s, mspace, rs)
-        return vf, vm * np.exp(-f0 + corr(rs))
+        return vf, vm * np.exp(-f0 + _exp_correction(mspace, l, rs))
 
     radii = np.linspace(R / n_grid, R, n_grid)
     params = {"n": s.n, "H": H, "R": R, "l": l, **bparams}
@@ -715,5 +735,4 @@ def volume_ratio_profile(s: WarpedSMMS, H: float, radii, bound: str = "a",
     mspace, c, _ = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, float(radii[-1]), mode)
     vf, vm = _volumes(s, mspace, radii)
-    corr = _exp_correction(mspace, c * l, radii[-1])(radii)
-    return vf / vm * np.exp(-corr)
+    return vf / vm * np.exp(-_exp_correction(mspace, c * l, radii))

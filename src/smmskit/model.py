@@ -2,8 +2,9 @@
 
 All comparison checks are phrased against these closed forms: the
 generalized sine ``sn``, model mean curvature, the (possibly drifted)
-areas and volumes of geodesic spheres and balls, and a Gauss-Jacobi table
-of the area/volume ratio for integrals against A/V.  Curvature ``H`` is a raw
+areas and volumes of geodesic spheres and balls, the volume's Jacobi form
+V = t A J/psi (``jacobi_factor``), and a Gauss-Jacobi table of the
+area/volume ratio for integrals against A/V.  Curvature ``H`` is a raw
 real everywhere; the sign branch lives inside ``sn``.
 """
 
@@ -25,6 +26,7 @@ __all__ = [
     "mean_curvature_model",
     "area_model",
     "volume_model",
+    "jacobi_factor",
     "ratio_table",
     "c_const",
 ]
@@ -177,32 +179,41 @@ def volume_model(m: ModelSpace, R: float, tol: Tolerance = DEFAULT_TOL) -> float
     return value
 
 
+def jacobi_factor(m: ModelSpace, t, nodes: int = 48) -> np.ndarray:
+    """J(t)/psi(t) = V_m(t) / (t A_m(t)) at an array of radii t > 0.
+
+    With psi(x) = e^{a x} (sn(x)/x)^{d-1}, A_m(t) = area(S^{d-1}) t^{d-1}
+    psi(t) and V_m(t) = area(S^{d-1}) t^d J(t), J(t) = int_0^1 psi(t v)
+    v^{d-1} dv, taken on the cached ``nodes``-point Gauss-Jacobi rule for
+    v^{d-1} (any real d >= 1), so the pole power is exact.  psi enters only
+    in ratios, in logarithms, so no factor overflows before sinh does.
+    """
+    v, wv = gauss_jacobi(nodes, m.dim - 1.0)
+
+    def log_psi(r):
+        return m.drift * r + (m.dim - 1.0) * np.log(sn(m.H, r) / r)
+
+    rel = np.exp(log_psi(np.outer(t, v)) - log_psi(t)[:, None])
+    return rel @ wv
+
+
 def ratio_table(m: ModelSpace, R: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t_i on (0, R) and weights W_i with
 
         int_0^R g(t) A_m(t)/V_m(t) dt ~= sum_i W_i g(t_i)
 
-    for g(0) = 0 and g(t)/t smooth.  With psi(x) = e^{a x} (sn(x)/x)^{d-1}
-    and J(t) = int_0^1 psi(t v) v^{d-1} dv, A_m/V_m = q(t)/t for the
-    analytic q = psi/J, so the pole sits in g(t)/t, W_i = w_i q(t_i)/t_i
-    on ``nodes`` Gauss-Legendre points, and J is taken on 3/4 as many
-    Gauss-Jacobi points for v^{d-1} (any real d >= 1).  psi is used only
-    in ratios, in logarithms, so no factor overflows before sinh does.
+    for g(0) = 0 and g(t)/t smooth.  A_m/V_m = q(t)/t for the analytic
+    q = psi/J (``jacobi_factor``), so the pole sits in g(t)/t, W_i = w_i
+    q(t_i)/t_i on ``nodes`` Gauss-Legendre points, and J is taken on 3/4
+    as many Gauss-Jacobi points.
     """
     R = float(R)
     if not R > 0.0:
         raise ValueError(f"ratio_table requires R > 0, got {R}")
     _check_inside(m.H, R, "ratio_table")
     x, w = gauss_jacobi(nodes, 0.0)
-    v, wv = gauss_jacobi(3 * nodes // 4, m.dim - 1.0)
     t = R * x
-
-    def log_psi(r):
-        return m.drift * r + (m.dim - 1.0) * np.log(sn(m.H, r) / r)
-
-    # 1/q(t) = J(t)/psi(t) = sum_j wv_j psi(t v_j)/psi(t)
-    rel = np.exp(log_psi(np.outer(t, v)) - log_psi(t)[:, None])
-    W = w / x / (rel @ wv)
+    W = w / x / jacobi_factor(m, t, 3 * nodes // 4)
     if not np.all(np.isfinite(W)):
         raise NonFiniteError(f"area/volume table is not finite on (0, {R}]")
     return t, W

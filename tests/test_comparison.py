@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 volume_ratio_profile)
 from smmskit.cli import main
 from smmskit.model import c_const, sn as model_sn, sn_prime as model_sn_prime
-from smmskit.numkit import KernelError
-from smmskit.smms import RadialProfile, WarpedSMMS, make_space
+from smmskit.numkit import KernelError, sphere_area
+from smmskit.smms import RadialProfile, WarpedSMMS, integral_rho, make_space
 
 
 def sphere_with_potential(n=3, H=1.0, amp=0.1):
@@ -258,19 +259,53 @@ class TestVolumeComparison:
                 if area.passed:
                     assert vol.passed
 
-    def test_refinement_reuses_the_correction_solve(self, monkeypatch):
-        integrate_ode = comparison.integrate_ode
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return integrate_ode(*args, **kwargs)
-
-        monkeypatch.setattr(comparison, "integrate_ode", counted)
+    def test_refinement_integrates_its_own_grid(self):
+        # The x4 pass sums E on its own 1021 radii; at the 256 radii it
+        # shares with the first pass it gives the first pass's E.
         s = make_space("perturbed_sphere", n=3, H=1.0)
         rep = check_volume_absolute(s, 1.0, 1.2)
         assert rep.grid.shape[0] == 1021  # refined from 256 radii
-        assert len(calls) == 1
+        mspace = comparison.ModelSpace(dim=3.0, H=1.0, drift=rep.params["a"])
+        l, coarse = rep.params["l"], np.linspace(1.2 / 256, 1.2, 256)
+        E_fine = comparison._exp_correction(mspace, l, rep.grid[:, 0])
+        E = comparison._exp_correction(mspace, l, coarse)
+        assert np.array_equal(rep.grid[::4, 0], coarse)
+        assert np.all(np.abs(E_fine[::4] - E) <= 1e-13 * E)
+
+    @pytest.mark.parametrize("run", [
+        lambda s: check_volume_comparison(s, 1.0, 0.2, 0.7, bound="k"),
+        lambda s: check_volume_comparison(s, 1.0, 0.2, 1.2, bound="a"),
+        lambda s: check_volume_absolute(s, 1.0, 1.2),
+        lambda s: check_vol_r1(s, 0.25, 1.2),
+        lambda s: volume_ratio_profile(s, 1.0, np.linspace(0.05, 1.2, 24)),
+    ], ids=["VOL_A", "VOL_B", "VOL_B_ABS", "VOL_R1", "profile"])
+    def test_solves_no_ode(self, monkeypatch, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_ode called")
+
+        monkeypatch.setattr(comparison, "integrate_ode", refuse)
+        s = make_space("perturbed_sphere", n=3, H=1.0)
+        run(s)
+        assert integral_rho(s, 1.0, 1.2, "radial") > 0.0  # so E is not 0
+
+    def test_large_model_dimension(self):
+        # d = 46: V_model underflows to 0 within ~1e-7 of the pole, so E
+        # must not divide by V there; its sum starts at the first radius.
+        s = make_space("euclidean", n=3)
+        rep = check_volume_comparison(s, 1.0, 0.25, 0.5, bound="k", const=10.75,
+                                      n_grid=32)
+        assert rep.passed and rep.params["l"] > 0.0
+
+    def test_model_volume_pole_segment(self):
+        # Flat k mode: V_model = area(S^{d-1}) t^d / d exactly; at d = 46 the
+        # innermost volume is far below any absolute quadrature budget.
+        s = make_space("euclidean", n=3)
+        mspace = comparison.ModelSpace(dim=3.0 + 4.0 * 10.75, H=0.0)
+        inner = np.linspace(1.5 / 16, 1.5, 16)
+        _, vm = comparison._volumes(s, mspace, inner)
+        exact = sphere_area(mspace.dim) * inner ** mspace.dim / mspace.dim
+        assert abs(vm[0] - exact[0]) <= 1e-12 * exact[0]
+        assert np.all(np.abs(vm - exact) <= 1e-10 * exact)
 
 
 class TestDoubling:
@@ -325,17 +360,20 @@ class TestDoubling:
     def test_integrates_each_grid_once(self, monkeypatch):
         # The report radii are the inner grid less its first radius, so a
         # check that does not refine reads V_f and V_model there from the
-        # inner grid: one quad_grid call each.  Its margins agree with
-        # volumes integrated on the report radii directly, to rounding.
+        # inner grid: one quad_grid call each (V_model's from the first
+        # radius on, its pole segment being the Jacobi form).  Its margins
+        # agree with volumes integrated on the report radii directly, to
+        # rounding.
         s = make_space("gaussian_soliton", n=3)
         H, alpha, R, n_grid = 0.0, 4.0, 1.5, 48
         calls = []
         quad_grid = comparison.quad_grid
         monkeypatch.setattr(comparison, "quad_grid",
-                            lambda f, edges: calls.append(len(edges)) or quad_grid(f, edges))
+                            lambda f, edges, **kw: calls.append(len(edges))
+                            or quad_grid(f, edges, **kw))
         rep = check_doubling(s, H, alpha, R, n_grid=n_grid)
         assert rep.passed and rep.grid.shape[0] == n_grid - 1  # not refined
-        assert calls == [n_grid + 1, n_grid + 1]
+        assert calls == [n_grid + 1, n_grid]
 
         mspace = comparison.ModelSpace(dim=3.0, H=H, drift=rep.params["a"])
         inner = np.linspace(R / n_grid, R, n_grid)
@@ -426,6 +464,77 @@ TABLE_CASES = [
 ]
 
 
+def E_nested_quad(mspace, cls, radii):
+    """E(r) = int_0^r expm1(cl t) A/V dt at each radius and each cl, one quad
+    per segment between radii; V/A(t) = int_0^t A(s)/A(t) ds by an inner
+    quad in logarithms, so that large dimensions do not underflow."""
+    d, H, a = mspace.dim, mspace.H, mspace.drift
+
+    def log_area(t):
+        return a * t + (d - 1.0) * math.log(model_sn(H, t)) if t > 0.0 else -math.inf
+
+    @lru_cache(maxsize=None)
+    def v_over_a(t):
+        la = log_area(t)
+        return quad(lambda u: math.exp(log_area(u) - la), 0.0, t,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    out = np.zeros((len(cls), len(radii)))
+    for i, cl in enumerate(cls):
+        total, prev = 0.0, 0.0
+        for j, r in enumerate(radii):
+            total += quad(lambda t: math.expm1(cl * t) / v_over_a(t) if t > 0.0 else cl * d,
+                          prev, r, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            out[i, j], prev = total, r
+    return out
+
+
+# (dim, H, drift, R): every dimension and curvature the fixed rule must hold
+# at, non-integer dimensions from the n + 4k model among them.
+E_CASES = [
+    (2.0, -1.0, 0.0, 2.0),
+    (3.0, 1.0, 0.0, 1.2),
+    (3.72, -4.0, 0.0, 1.0),
+    (4.36, 0.1, 0.0, 2.0),
+    (7.4, 0.0, 0.0, 1.5),
+    (11.0, -1.0, 0.0, 1.5),
+    (46.0, 1.0, 0.0, 1.2),
+    (46.0, -4.0, 0.0, 1.0),
+    (3.0, -1.0, 1.0, 1.5),
+]
+
+
+class TestExpCorrection:
+    @pytest.mark.parametrize("start", [1 / 256, 0.3], ids=["R/256", "0.3R"])
+    @pytest.mark.parametrize("dim, H, drift, R", E_CASES)
+    def test_matches_nested_quad_on_the_grid(self, dim, H, drift, R, start):
+        mspace = comparison.ModelSpace(dim=dim, H=H, drift=drift)
+        radii = np.linspace(start * R, R, 256)
+        at = [*range(0, 256, 16), 255]
+        cls = (1e-4, 1.0, 42.0 / R)
+        oracle = E_nested_quad(mspace, cls, radii[at])
+        for cl, want in zip(cls, oracle):
+            E = comparison._exp_correction(mspace, cl, radii)[at]
+            assert np.all(np.abs(E - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("n_grid", [2, 3, 8, 32])
+    def test_coarse_grids_hold(self, n_grid):
+        # Each interval is split until it spans at most half a unit of
+        # cl + sqrt|H| + drift + (dim - 1) sqrt(max(-H, 0)).
+        mspace = comparison.ModelSpace(dim=3.72, H=-1.0)
+        R = 1.5
+        radii = np.linspace(R / n_grid, R, n_grid)
+        for cl in (1e-4, 42.0 / R):
+            want = E_nested_quad(mspace, (cl,), radii)[0]
+            E = comparison._exp_correction(mspace, cl, radii)
+            assert np.all(np.abs(E - want) <= 1e-12 * want)
+
+    def test_zero_rate_is_zero(self):
+        E = comparison._exp_correction(comparison.ModelSpace(dim=3.0, H=1.0), 0.0,
+                                       np.linspace(0.1, 1.0, 10))
+        assert np.array_equal(E, np.zeros(10))
+
+
 class TestDoublingTable:
     @pytest.mark.parametrize("n, H, R, mode", TABLE_CASES)
     def test_matches_nested_quad(self, n, H, R, mode):
@@ -436,26 +545,27 @@ class TestDoublingTable:
             assert abs(F - oracle) <= 1e-10 * oracle
 
     @pytest.mark.parametrize("n, H, R, mode", TABLE_CASES)
-    def test_matches_ode(self, n, H, R, mode):
-        # The ODE carries E/(c sigma), so its relative error (up to 1.1e-11)
-        # does not grow as sigma falls.
+    def test_matches_exp_correction(self, n, H, R, mode):
+        # F(sigma) is E(R) at cl = c sigma, on the volume checks' grid sum.
         mspace, c = comparison._model(n, H, **mode)
         eps = doubling_epsilon(n, H, R, 4.0, **mode).epsilon
+        radii = np.linspace(R / 256, R, 256)
         for sigma in (1e-4, 1e-2, 0.5 * eps, eps):
             F = doubling_F(n, H, R, sigma, **mode)
-            ode = float(comparison._exp_correction(mspace, c * sigma, R)(np.array([R]))[0])
-            assert abs(F - ode) <= 1e-10 * ode
+            E = comparison._exp_correction(mspace, c * sigma, radii)[-1]
+            assert abs(F - E) <= 1e-10 * E
 
     @pytest.mark.parametrize("n, k, H, R", [(3, 0.3, -4.0, 1.0), (3, 0.0, 1.0, 1.2),
                                             (2, 0.5, 0.5, 1.5)])
     def test_exp_correction_matches_nested_quad_at_every_cl(self, n, k, H, R):
-        # E is of size cl d R; solved as E/cl, its error stays relative to
-        # it at small cl instead of meeting abs_tol.
+        # E is of size cl d R, and every term of its sum carries expm1(cl t),
+        # so its error stays relative to it at small cl.
         mspace, c = comparison._model(n, H, k=k)
+        radii = np.linspace(R / 256, R, 256)
         for cl in (1e-4, 1e-2, 1.0):
-            E = float(comparison._exp_correction(mspace, cl, R)(np.array([R]))[0])
+            E = comparison._exp_correction(mspace, cl, radii)[-1]
             oracle = F_nested_quad(n, H, R, cl / c, k=k)
-            assert abs(E - oracle) <= 1e-11 * oracle
+            assert abs(E - oracle) <= 1e-12 * oracle
 
     def test_threshold_solves_no_ode(self, monkeypatch):
         integrate_ode = comparison.integrate_ode
@@ -469,10 +579,6 @@ class TestDoublingTable:
         cert = doubling_epsilon.__wrapped__(3, 1.0, 0.5, 4.0, a=0.1)
         assert calls == []
         assert math.exp(cert.F_at_epsilon) <= 4.0
-        # The counter does see the ODE that E(r) still uses.
-        comparison._exp_correction(comparison._model(3, 1.0, a=0.1)[0], 0.5,
-                                   0.5)(np.array([0.5]))
-        assert len(calls) == 1
 
     def test_truncated_table_fails_the_certificate(self, monkeypatch, capsys):
         ratio_table = comparison.ratio_table

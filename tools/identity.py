@@ -218,6 +218,16 @@ def cases() -> list[tuple[str, list[str]]]:
                                    "--theorem", "VOL_B", "--r", "0.3", "--R", "1.2"]),
         ("bumped/VOL_R1", ["check", "--custom", "bumped.json", "--H", "0.25",
                            "--theorem", "VOL_R1", "--R", "1.45"]),
+        # E(r) at a large non-integer model dimension (n + 4k = 12.2) from
+        # near the pole, where V at the rule's nodes is the Jacobi form, and
+        # on a x4 refinement (64 -> 253 radii), which sums its own grid.
+        ("bumped/VOL_A/k2.3", ["check", "--custom", "bumped.json", "--H", "0.25",
+                               "--theorem", "VOL_A", "--k", "2.3", "--r", "0.02",
+                               "--R", "1.2"]),
+        ("psphere4/VOL_B_ABS/refined", ["check", "--space", "perturbed_sphere", "--n", "4",
+                                        "--param", "H=1", "--param", "eps=0.03", "--H", "1",
+                                        "--theorem", "VOL_B_ABS", "--R", "1.2",
+                                        "--grid", "64"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
