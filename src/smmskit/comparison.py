@@ -16,18 +16,19 @@ absolute-volume forms, doubling certificates e^{F(eps)} <= alpha, and the
 hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
 Every other integral over a grid is one ``quad_grid`` call with the grid
-radii as edges, cumulated: the weighted and model volumes, and on the
-mean-curvature grids the excess int rho (``smms.cumulative_excess``, whose
-edges add rho's breakpoints, so no segment holds a kink of rho).  The model
-volume's pole segment is its Jacobi form instead, V_m(r) = r A_m(r) J/psi
-(``model.jacobi_factor``), and its later segments meet a relative budget.
+radii as edges, cumulated: the weighted volume, and on the mean-curvature
+grids the excess int rho (``smms.cumulative_excess``, whose edges add rho's
+breakpoints, so no segment holds a kink of rho).
 
-The correction E(r) = int_0^r (e^{clt}-1) A/V on the volume grids is a
-cumulative fixed-rule sum on the grid's own radii (``_exp_correction``), so
-the refinement pass sums its own grid; no check solves an ODE.  Its pole
-piece E(radii[0]), like the doubling threshold's F(sigma) = E(R) at
-cl = c sigma, is a dot product on the model's Gauss-Jacobi ``ratio_table``;
-the threshold is certified at epsilon against a table with twice the nodes.
+The model volume and the correction E(r) = int_0^r (e^{clt}-1) A/V on the
+volume grids come from one pass of fixed rules on the grid's own radii
+(``_model_volumes``), so the refinement pass sums its own grid and no check
+solves an ODE.  V_model is its Jacobi form V_m(r) = r A_m(r) J/psi
+(``model.jacobi_factor``) near the pole and a cumulative 5-point
+Gauss-Legendre sum beyond.  E's pole piece E(radii[0]), like the doubling
+threshold's F(sigma) = E(R) at cl = c sigma, is a dot product on the model's
+Gauss-Jacobi ``ratio_table``; the threshold is certified at epsilon against
+a table with twice the nodes.
 
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
@@ -247,57 +248,54 @@ def _pole_volume(mspace: ModelSpace, t) -> np.ndarray:
     return t * area_model(mspace, t) * jacobi_factor(mspace, t)
 
 
-def _volumes(s: WarpedSMMS, mspace: ModelSpace, radii: np.ndarray):
-    """(V_f, V_model) at each grid radius.  V_model(radii[0]) is the Jacobi
-    form and each later segment a ``quad_grid`` sum at a relative budget
-    only: in k mode V_model can be far below any absolute one."""
+def _volumes(s: WarpedSMMS, mspace: ModelSpace, radii: np.ndarray, cl: float = 0.0):
+    """(V_f, V_model, E) at each grid radius: V_f by one ``quad_grid`` call,
+    V_model and E at rate ``cl`` (zero at cl = 0) by ``_model_volumes``."""
     vf = _cum_integral(lambda t: weighted_area(s, t), radii)
-    vm = _pole_volume(mspace, radii[:1])
-    if len(radii) > 1:
-        segs, _ = quad_grid(lambda t: area_model(mspace, t), radii, abs_tol=0.0)
-        vm = np.concatenate([vm, vm[0] + np.cumsum(segs)])
-    return vf, vm
+    return (vf, *_model_volumes(mspace, cl, radii))
 
 
-def _exp_correction(mspace: ModelSpace, cl: float, radii: np.ndarray) -> np.ndarray:
-    """E(r) = int_0^r (e^{cl t} - 1) A_model/V_model dt at ascending radii > 0.
+def _model_volumes(mspace: ModelSpace, cl: float, radii: np.ndarray):
+    """(V_model, E) at ascending radii > 0, E(r) = int_0^r (e^{cl t} - 1)
+    A_model/V_model dt, in one pass of fixed rules.
 
-    A cumulative fixed-rule sum: E(radii[0]) on the threshold's
-    ``ratio_table``, then a 5-point Gauss-Legendre sum on each grid interval.
     A coarse grid is first split into equal panels of at most half a unit of
     cl + sqrt|H| + drift + (dim - 1) sqrt(max(-H, 0)), which bounds the
-    growth rates of expm1(cl t) and of A away from the pole.  V at the nodes
-    is the Jacobi form (``_pole_volume``) on intervals that start within
-    2 (dim - 1) widths of the pole, where t^(dim-1) is far from a low-degree
-    polynomial, and beyond them V at the interval's start plus a nested
-    5-point sum.
+    growth rates of expm1(cl t) and of A away from the pole.  V at the radii
+    is the Jacobi form (``_pole_volume``) up to the end of the last interval
+    that starts within 2 (dim - 1) widths of the pole, where t^(dim-1) is far
+    from a low-degree polynomial, and beyond it a cumulative 5-point
+    Gauss-Legendre sum of A.  At cl = 0 the pass stops there.  Otherwise
+    E(radii[0]) is a dot product on the threshold's ``ratio_table`` and each
+    interval adds a 5-point sum, with V at its nodes the Jacobi form near the
+    pole and V at the interval's start plus a nested 5-point sum beyond.
     """
     radii = np.asarray(radii, dtype=float)
-    if cl == 0.0:
-        return np.zeros(len(radii))
     lo, h = radii[:-1], np.diff(radii)
     scale = (cl + math.sqrt(abs(mspace.H)) + mspace.drift
              + (mspace.dim - 1.0) * math.sqrt(max(-mspace.H, 0.0)))
     panels = math.ceil(2.0 * scale * h.max()) if len(h) else 1
     if panels > 1:
         fine = (lo[:, None] + h[:, None] * (np.arange(panels) / panels)).ravel()
-        return _exp_correction(mspace, cl, np.append(fine, radii[-1]))[::panels]
-    t, W = ratio_table(mspace, radii[0], _TABLE_NODES)
+        vm, E = _model_volumes(mspace, cl, np.append(fine, radii[-1]))
+        return vm[::panels], E[::panels]
     x, w = gauss_jacobi(5, 0.0)
     nodes = lo[:, None] + h[:, None] * x
     near = np.flatnonzero(lo < 2.0 * (mspace.dim - 1.0) * h)
     p = near[-1] + 1 if len(near) else 0
+    a_nodes, sub = area_model(mspace, nodes[p:]), h[p:, None] * x
+    vm = _pole_volume(mspace, radii[:p + 1])
+    vm = np.concatenate([vm, vm[-1] + np.cumsum(h[p:] * (a_nodes @ w))])
+    if cl == 0.0:
+        return vm, np.zeros(len(radii))
     ratio = np.empty_like(nodes)  # A/V at the nodes
     ratio[:p] = 1.0 / (nodes[:p] * jacobi_factor(mspace, nodes[:p].ravel())
                        .reshape(p, len(x)))
-    a_nodes, sub = area_model(mspace, nodes[p:]), h[p:, None] * x
-    v_lo = _pole_volume(mspace, radii[p:p + 1])[0] + np.concatenate(
-        [[0.0], np.cumsum(h[p:] * (a_nodes @ w))[:-1]])
     nested = area_model(mspace, lo[p:, None, None] + sub[:, :, None] * x)
-    v_nodes = v_lo[:, None] + sub * (nested @ w)
-    ratio[p:] = a_nodes / v_nodes
+    ratio[p:] = a_nodes / (vm[p:-1, None] + sub * (nested @ w))
+    t, W = ratio_table(mspace, radii[0], _TABLE_NODES)
     steps = h * ((np.expm1(cl * nodes) * ratio) @ w)
-    return W @ np.expm1(cl * t) + np.concatenate([[0.0], np.cumsum(steps)])
+    return vm, W @ np.expm1(cl * t) + np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _compare(theorem_id: str, eval_on, radii: np.ndarray):
@@ -518,9 +516,9 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
     l = integral_rho(s, H, R, mode)
 
     def eval_on(rs):
-        vf, vm = _volumes(s, mspace, rs)
+        vf, vm, E = _volumes(s, mspace, rs, c * l)
         ratio = vf / vm
-        return ratio, ratio[0] * np.exp(_exp_correction(mspace, c * l, rs))
+        return ratio, ratio[0] * np.exp(E)
 
     radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
@@ -539,8 +537,8 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
     f0 = float(s.f.eval(0.0))
 
     def eval_on(rs):
-        vf, vm = _volumes(s, mspace, rs)
-        return vf, vm * np.exp(-f0 + _exp_correction(mspace, l, rs))
+        vf, vm, E = _volumes(s, mspace, rs, l)
+        return vf, vm * np.exp(-f0 + E)
 
     radii = np.linspace(R / n_grid, R, n_grid)
     params = {"n": s.n, "H": H, "R": R, "l": l, **bparams}
@@ -664,11 +662,11 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     # inner grid less its first radius, so that pass reads the volumes just
     # integrated; only the x4 refinement integrates its own grid.
     inner = np.linspace(R / n_grid, R, n_grid)
-    vf1, vm1 = _volumes(s, mspace, inner)
+    vf1, vm1, _ = _volumes(s, mspace, inner)
     radii = inner[1:]
 
     def eval_on(rs):
-        vf2, vm2 = (vf1[1:], vm1[1:]) if rs is radii else _volumes(s, mspace, rs)
+        vf2, vm2 = (vf1[1:], vm1[1:]) if rs is radii else _volumes(s, mspace, rs)[:2]
         # Table (r2, r1) of both ratios; pairs with r1 >= r2 never win.
         ratios_f = vf2[:, None] / vf1
         ratios_m = alpha * vm2[:, None] / vm1
@@ -734,5 +732,5 @@ def volume_ratio_profile(s: WarpedSMMS, H: float, radii, bound: str = "a",
         raise ValueError("radii must be positive and strictly increasing")
     mspace, c, _ = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, float(radii[-1]), mode)
-    vf, vm = _volumes(s, mspace, radii)
-    return vf / vm * np.exp(-_exp_correction(mspace, c * l, radii))
+    vf, vm, E = _volumes(s, mspace, radii, c * l)
+    return vf / vm * np.exp(-E)

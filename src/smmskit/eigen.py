@@ -50,7 +50,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .comparison import Report, doubling_epsilon, require_admissible
-from .model import ModelSpace, mean_curvature_model, sn, volume_model
+from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
 from .numkit import (OdeTrajectory, RootBracket, Tolerance, bracket_width,
                      find_root_bracketed, gauss_jacobi, integrate_ode, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
@@ -123,9 +123,9 @@ class EigenResult(Report):
     lam_ritz: float
     shoots: int
     traj: OdeTrajectory = field(repr=False, compare=False)
-    radial_only: bool = True
 
     theorem_id = "EIGEN"
+    radial_only = True
 
     @property
     def reason(self) -> str:
@@ -390,13 +390,12 @@ def model_eigenvalue(n: int, a: float, H: float, R: float,
         raise ValueError(f"drift a must be >= 0, got {a}")
     require_admissible("VOL_B", H, R)
 
+    mspace = ModelSpace(dim=float(n), H=H, drift=a)
+
     def coeff(t: float) -> float:
         return mean_curvature_model(float(n), H, t) + a
 
-    def log_weight(r: np.ndarray) -> np.ndarray:
-        return a * r + (n - 1.0) * np.log(sn(H, r) / r)
-
-    return _first_eigenvalue(coeff, log_weight, n, R, tol)
+    return _first_eigenvalue(coeff, partial(log_psi, mspace), n, R, tol)
 
 
 def smms_radial_eigenvalue(s: WarpedSMMS, R: float,

@@ -58,7 +58,7 @@ class NonFiniteError(KernelError):
 
 
 class SubdivisionLimitError(KernelError):
-    """Adaptive quadrature hit its recursion cap with tolerance unmet."""
+    """Adaptive quadrature hit its panel-doubling cap with tolerance unmet."""
 
 
 class BracketError(KernelError):

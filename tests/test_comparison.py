@@ -267,8 +267,8 @@ class TestVolumeComparison:
         assert rep.grid.shape[0] == 1021  # refined from 256 radii
         mspace = comparison.ModelSpace(dim=3.0, H=1.0, drift=rep.params["a"])
         l, coarse = rep.params["l"], np.linspace(1.2 / 256, 1.2, 256)
-        E_fine = comparison._exp_correction(mspace, l, rep.grid[:, 0])
-        E = comparison._exp_correction(mspace, l, coarse)
+        E_fine = comparison._model_volumes(mspace, l, rep.grid[:, 0])[1]
+        E = comparison._model_volumes(mspace, l, coarse)[1]
         assert np.array_equal(rep.grid[::4, 0], coarse)
         assert np.all(np.abs(E_fine[::4] - E) <= 1e-13 * E)
 
@@ -302,7 +302,7 @@ class TestVolumeComparison:
         s = make_space("euclidean", n=3)
         mspace = comparison.ModelSpace(dim=3.0 + 4.0 * 10.75, H=0.0)
         inner = np.linspace(1.5 / 16, 1.5, 16)
-        _, vm = comparison._volumes(s, mspace, inner)
+        _, vm, _ = comparison._volumes(s, mspace, inner)
         exact = sphere_area(mspace.dim) * inner ** mspace.dim / mspace.dim
         assert abs(vm[0] - exact[0]) <= 1e-12 * exact[0]
         assert np.all(np.abs(vm - exact) <= 1e-10 * exact)
@@ -360,10 +360,9 @@ class TestDoubling:
     def test_integrates_each_grid_once(self, monkeypatch):
         # The report radii are the inner grid less its first radius, so a
         # check that does not refine reads V_f and V_model there from the
-        # inner grid: one quad_grid call each (V_model's from the first
-        # radius on, its pole segment being the Jacobi form).  Its margins
-        # agree with volumes integrated on the report radii directly, to
-        # rounding.
+        # inner grid: one quad_grid call, for V_f (V_model is a fixed-rule
+        # sum).  Its margins agree with volumes integrated on the report
+        # radii directly, to rounding.
         s = make_space("gaussian_soliton", n=3)
         H, alpha, R, n_grid = 0.0, 4.0, 1.5, 48
         calls = []
@@ -373,13 +372,13 @@ class TestDoubling:
                             or quad_grid(f, edges, **kw))
         rep = check_doubling(s, H, alpha, R, n_grid=n_grid)
         assert rep.passed and rep.grid.shape[0] == n_grid - 1  # not refined
-        assert calls == [n_grid + 1, n_grid]
+        assert calls == [n_grid + 1]
 
         mspace = comparison.ModelSpace(dim=3.0, H=H, drift=rep.params["a"])
         inner = np.linspace(R / n_grid, R, n_grid)
         radii = inner[1:]
-        vf1, vm1 = comparison._volumes(s, mspace, inner)
-        vf2, vm2 = comparison._volumes(s, mspace, radii)
+        vf1, vm1, _ = comparison._volumes(s, mspace, inner)
+        vf2, vm2, _ = comparison._volumes(s, mspace, radii)
         gap = alpha * vm2[:, None] / vm1 - vf2[:, None] / vf1
         margins = np.where(inner < radii[:, None] - 1e-12 * R, gap, np.inf).min(axis=1)
         assert np.array_equal(rep.grid[:, 0], radii)
@@ -514,7 +513,7 @@ class TestExpCorrection:
         cls = (1e-4, 1.0, 42.0 / R)
         oracle = E_nested_quad(mspace, cls, radii[at])
         for cl, want in zip(cls, oracle):
-            E = comparison._exp_correction(mspace, cl, radii)[at]
+            E = comparison._model_volumes(mspace, cl, radii)[1][at]
             assert np.all(np.abs(E - want) <= 1e-12 * want)
 
     @pytest.mark.parametrize("n_grid", [2, 3, 8, 32])
@@ -526,13 +525,49 @@ class TestExpCorrection:
         radii = np.linspace(R / n_grid, R, n_grid)
         for cl in (1e-4, 42.0 / R):
             want = E_nested_quad(mspace, (cl,), radii)[0]
-            E = comparison._exp_correction(mspace, cl, radii)
+            E = comparison._model_volumes(mspace, cl, radii)[1]
             assert np.all(np.abs(E - want) <= 1e-12 * want)
 
     def test_zero_rate_is_zero(self):
-        E = comparison._exp_correction(comparison.ModelSpace(dim=3.0, H=1.0), 0.0,
-                                       np.linspace(0.1, 1.0, 10))
+        _, E = comparison._model_volumes(comparison.ModelSpace(dim=3.0, H=1.0), 0.0,
+                                         np.linspace(0.1, 1.0, 10))
         assert np.array_equal(E, np.zeros(10))
+
+
+# (dim, H, drift, R) for V_model at the grid radii: dimensions 2 to 46,
+# curvatures -4 to 1, drifts 0 and 0.5.
+V_CASES = [
+    (2.0, -1.0, 0.0, 3.0),
+    (2.0, -4.0, 0.5, 3.0),
+    (3.0, 1.0, 0.0, 1.5),
+    (3.4, -4.0, 0.5, 1.0),
+    (4.36, 0.1, 0.0, 3.0),
+    (7.4, 0.0, 0.5, 2.0),
+    (12.2, 0.25, 0.0, 1.2),
+    (46.0, -4.0, 0.0, 1.0),
+    (46.0, 1.0, 0.5, 1.2),
+    (3.0, -1.0, 0.5, 3.0),
+]
+
+
+class TestModelVolumes:
+    @pytest.mark.parametrize("dim, H, drift, R", V_CASES)
+    def test_matches_nested_quad_at_the_radii(self, dim, H, drift, R):
+        # V/area(S^{d-1}) by one quad per segment between radii, cumulated;
+        # the pass must hold on coarse grids (panel split) and near the pole
+        # (Jacobi form), with E asked for or not.
+        mspace = comparison.ModelSpace(dim=dim, H=H, drift=drift)
+        area = lambda t: math.exp(drift * t) * model_sn(H, t) ** (dim - 1.0)
+        for n in (2, 3, 4, 16, 48, 256):
+            for start in (R / n, 0.3 * R):
+                radii = np.linspace(start, R, n)
+                edges = np.concatenate([[0.0], radii])
+                want = np.cumsum([quad(area, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                                  for a, b in zip(edges[:-1], edges[1:])])
+                for cl in (0.0, 0.7):
+                    vm, _ = comparison._model_volumes(mspace, cl, radii)
+                    got = vm / sphere_area(dim)
+                    assert np.all(np.abs(got - want) <= 1e-12 * want), (n, start, cl)
 
 
 class TestDoublingTable:
@@ -552,7 +587,7 @@ class TestDoublingTable:
         radii = np.linspace(R / 256, R, 256)
         for sigma in (1e-4, 1e-2, 0.5 * eps, eps):
             F = doubling_F(n, H, R, sigma, **mode)
-            E = comparison._exp_correction(mspace, c * sigma, radii)[-1]
+            E = comparison._model_volumes(mspace, c * sigma, radii)[1][-1]
             assert abs(F - E) <= 1e-10 * E
 
     @pytest.mark.parametrize("n, k, H, R", [(3, 0.3, -4.0, 1.0), (3, 0.0, 1.0, 1.2),
@@ -563,7 +598,7 @@ class TestDoublingTable:
         mspace, c = comparison._model(n, H, k=k)
         radii = np.linspace(R / 256, R, 256)
         for cl in (1e-4, 1e-2, 1.0):
-            E = comparison._exp_correction(mspace, cl, radii)[-1]
+            E = comparison._model_volumes(mspace, cl, radii)[1][-1]
             oracle = F_nested_quad(n, H, R, cl / c, k=k)
             assert abs(E - oracle) <= 1e-12 * oracle
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from smmskit.model import (ModelSpace, area_model, c_const, conjugate_radius,
                            mean_curvature_model, sn, volume_model)
@@ -114,6 +115,22 @@ class TestMeanCurvature:
                 got = mean_curvature_model(3, H, r)
                 want = 2 * (1.0 / r - H * r / 3.0)
                 assert close(got, want, 1e-10)
+
+    @pytest.mark.parametrize("H", [4.0, 1.0, 0.1, -0.1, -1.0, -25.0])
+    def test_tiny_radii_match_mpmath(self, H):
+        # sqrt|H| r from 1e-12 to 1e-3: the scalar and the array path
+        # against 40-digit cot/coth at the same double radii.
+        d, q = 3.4, math.sqrt(abs(H))
+        radii = np.logspace(-12, -3, 37) / q
+        with mp.workdps(40):
+            cot = mp.cot if H > 0 else mp.coth
+            want = np.array([float((mp.mpf(d) - 1) * mp.sqrt(abs(mp.mpf(H)))
+                                   * cot(mp.sqrt(abs(mp.mpf(H))) * mp.mpf(r)))
+                             for r in radii])
+        scalar = np.array([mean_curvature_model(d, H, float(r)) for r in radii])
+        array = mean_curvature_model(d, H, radii)
+        assert np.all(np.abs(scalar - want) <= 1e-15 * want)
+        assert np.all(np.abs(array - want) <= 1e-15 * want)
 
     def test_strictly_decreasing(self):
         for d in DIMS:

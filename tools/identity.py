@@ -228,6 +228,16 @@ def cases() -> list[tuple[str, list[str]]]:
                                         "--param", "H=1", "--param", "eps=0.03", "--H", "1",
                                         "--theorem", "VOL_B_ABS", "--R", "1.2",
                                         "--grid", "64"]),
+        # Coarse grids, on which the model-volume pass splits each interval
+        # into panels before its fixed rules, and a k-mode doubling at model
+        # dimension 46 on hyperbolic space, whose V_model is split too.
+        ("psphere/VOL_B/grid3", ["check", *_PSPHERE, "--H", "1", "--theorem", "VOL_B",
+                                 "--r", "0.3", "--R", "1.2", "--grid", "3"]),
+        ("drift/VOL_B_ABS/grid2", ["check", *_DRIFT, "--param", "a=0.5", "--H", "0.2",
+                                   "--theorem", "VOL_B_ABS", "--R", "1.5", "--grid", "2"]),
+        ("hyp/DOUBLING/k10.75/grid4", ["check", *_HYP, "--H", "-1", "--theorem", "DOUBLING",
+                                       "--alpha", "4", "--R", "1.5", "--k", "10.75",
+                                       "--grid", "4"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
