@@ -28,7 +28,7 @@ from . import __version__
 from . import comparison as cmp
 from . import diameter, eigen
 from .numkit import KernelError, Tolerance
-from .smms import CATALOG, DivergentExcessError, WarpedSMMS, make_space
+from .smms import CATALOG, DivergentExcessError, WarpedSMMS, check_space_params, make_space
 
 __all__ = ["SpaceSpec", "main", "run", "CHECK_IDS"]
 
@@ -262,10 +262,18 @@ def _space_spec_from_args(args) -> SpaceSpec:
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"--custom: cannot read spec file: {exc}") from exc
         _require_finite_json(payload)
+        block = (payload.get("custom") or {}) if isinstance(payload, dict) else None
+        if not isinstance(block, dict):
+            raise InputError("--custom: the spec must be a JSON object whose 'custom' "
+                             "block is an object")
+        if "n" in block:
+            raise InputError("--custom: custom.n: the dimension is the file's top-level n")
         if "n" not in payload:
             payload["n"] = args.n
         return SpaceSpec.from_dict({"name": "custom", **payload})
     params = _parse_params(args.param)
+    if "n" in params:
+        raise InputError("--param n: the dimension is not a space parameter; set it with --n")
     return SpaceSpec(name=args.space, n=args.n, params=params)
 
 
@@ -338,11 +346,11 @@ def _range_target(spec: SpaceSpec, name: str) -> tuple[bool, str]:
     if to_space and spec.name == "custom":
         raise InputError(f"--range {name}: a --custom space takes no space "
                          "parameters; set them in the spec file")
-    if key != name and spec.name in CATALOG:
-        known = [p for p in CATALOG[spec.name]["params"] if p != "n"]
-        if key not in known:
-            raise InputError(f"--range {name}: space {spec.name} has no parameter "
-                             f"{key!r}; its parameters: {', '.join(known)}")
+    if to_space and spec.name in CATALOG:
+        try:
+            check_space_params(spec.name, {key: None})
+        except ValueError as exc:
+            raise InputError(f"--range {name}: {exc}") from exc
     return to_space, key
 
 

@@ -50,7 +50,7 @@ from .model import (ModelSpace, area_model, c_const, jacobi_factor,
 from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
                      gauss_jacobi, integrate_ode, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, cumulative_excess, integral_rho, mean_curvature_f,
-                   potential_bounds, require_finite_excess, weighted_area)
+                   potential_bounds, weighted_area)
 
 __all__ = [
     "Report",
@@ -377,8 +377,6 @@ def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
               radii: np.ndarray, mode: str, lo: float = 0.0) -> ComparisonReport:
     """m_f(r) <= bound(r) + int_lo^r rho on ``radii``; raises
     ``DivergentExcessError`` when that integral is +inf."""
-    require_finite_excess(s, mode, lo, float(radii[-1]))
-
     def eval_on(rs):
         lhs = np.asarray(mean_curvature_f(s, rs))
         return lhs, bound(rs) + cumulative_excess(s, H, rs, mode, lo)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .comparison import Report
 from .numkit import Tolerance, quad_adaptive
-from .smms import WarpedSMMS, _clamp_interior, _ricci, integral_rho, potential_bounds
+from .smms import WarpedSMMS, integral_rho, potential_bounds, ricci_radial
 
 __all__ = [
     "DiameterReport",
@@ -135,7 +135,7 @@ def index_form_total(s: WarpedSMMS, L: float) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         phi = np.sin(w * t)
         dphi = w * np.cos(w * t)
-        return (s.n - 1.0) * dphi * dphi - phi * phi * _ricci(s, _clamp_interior(s, t))
+        return (s.n - 1.0) * dphi * dphi - phi * phi * ricci_radial(s, t)
 
     value, _ = quad_adaptive(integrand, 0.0, L,
                              Tolerance(abs_tol=1e-10, rel_tol=1e-10))

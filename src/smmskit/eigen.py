@@ -49,7 +49,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .comparison import Report, doubling_epsilon, require_admissible
+from .comparison import Report, _resolve, doubling_epsilon, require_admissible
 from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
 from .numkit import (OdeTrajectory, RootBracket, Tolerance, bracket_width,
                      find_root_bracketed, gauss_jacobi, integrate_ode, quad_adaptive)
@@ -66,6 +66,10 @@ __all__ = [
     "cheng_epsilon",
     "check_cheng_estimate",
 ]
+
+# check_cheng_estimate reads the space's bounds through comparison._resolve;
+# bench/tracing.py still looks this name up in this module (ROADMAP item 1).
+_TRACED_NAMES = (potential_bounds,)
 
 EIGEN_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_steps=100_000)
 _ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_steps=200_000)
@@ -519,11 +523,7 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
     Fails, gated or not, when either eigenvalue solve fails its own verdict:
     epsilon is built from the model solve.
     """
-    pb = potential_bounds(s)
-    if a is None:
-        a = pb.a
-    elif a < pb.a - 1e-9:
-        raise ValueError(f"a={a} is below the space's drift bound {pb.a}")
+    a = _resolve(s, "a", a)
     eps = cheng_epsilon(s.n, a, H, R, delta, tol)
     l = integral_rho(s, H, s.r_max, mode)
     model = model_eigenvalue(s.n, a, H, R, tol)

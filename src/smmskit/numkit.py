@@ -515,7 +515,7 @@ def integrate_ode(rhs, t0: float, y0, t1: float,
 #
 # A quadrature costs what its integrand calls cost.  At 240 and 3 855
 # abscissae, weighted_area takes 31 and 118 us a call, area_model 21 and
-# 103 us, and smms._rho_clamped 71 and 330 us (radial; 183 and 921 us in
+# 103 us, and [smms._excess]_+ 71 and 330 us (radial; 183 and 921 us in
 # full mode): 16-54 us of overhead per call (134 us full), and 0.02-0.07 us
 # for each further abscissa (0.2 us full).  Best of 7 x 500-2000 calls,
 # shared 2-vCPU Xeon, Python 3.11, BLAS on one thread.

@@ -46,6 +46,7 @@ __all__ = [
     "PotentialBounds",
     "CATALOG",
     "make_space",
+    "check_space_params",
     "profile_from_spec",
     "ricci_radial",
     "bakry_emery_radial",
@@ -242,34 +243,21 @@ def _check_open_interval(s: WarpedSMMS, r, what: str) -> None:
         raise ValueError(f"{what} requires 0 < r < r_max={s.r_max}")
 
 
-def _clamp_interior(s: WarpedSMMS, r):
-    """``r`` clamped to the interior; a float stays a float, so the profiles
-    take their float path (the excess integral's root searches)."""
-    if isinstance(r, float):
-        return min(max(r, s.r_interior_lo), s.r_interior_hi)
-    return np.clip(np.asarray(r, dtype=float), s.r_interior_lo, s.r_interior_hi)
-
-
 def _scalar(out):
     out = np.asarray(out)
     return out if out.ndim else float(out)
 
 
-def _ricci(s: WarpedSMMS, rc):
-    """Ric(d_r, d_r) = -(n-1) w''/w at clamped radii ``rc``."""
-    return -(s.n - 1.0) * s.w.d2(rc) / s.w.eval(rc)
-
-
 def ricci_radial(s: WarpedSMMS, r):
     """Ric(d_r, d_r) = -(n-1) w''/w."""
     _check_open_interval(s, r, "ricci_radial")
-    return _scalar(_ricci(s, _clamp_interior(s, r)))
+    return _scalar(_bakry_emery(s, r, "radial")[0])
 
 
 def bakry_emery_radial(s: WarpedSMMS, r):
     """Radial Bakry-Emery curvature Ric(d_r,d_r) + f''."""
     _check_open_interval(s, r, "bakry_emery_radial")
-    return _scalar(_ricci_f(s, _clamp_interior(s, r), "radial"))
+    return _scalar(_bakry_emery(s, r, "radial")[1])
 
 
 def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
@@ -293,30 +281,39 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
     return out if out.ndim else float(out)
 
 
-def _bakry_emery(s: WarpedSMMS, rc, mode: str):
-    """Radial Ric_f = -(n-1) w''/w + f'' at clamped radii ``rc`` and, in full
-    mode, tangential Ric_f = -w''/w + (n-2)(1 - w'^2)/w^2 + f' w'/w (else
-    None): one read of w, w', w'', f', f'' per radius."""
+def _bakry_emery(s: WarpedSMMS, r, mode: str):
+    """The one read of a space's curvature, from w, w', w'', f', f'' at ``r``
+    clamped to the interior (a float stays a float, for the root searches):
+    Ric(d_r, d_r) = -(n-1) w''/w, radial Ric_f = Ric + f'' and, in full mode
+    (else None), tangential Ric_f = -w''/w + (n-2)(1 - w'^2)/w^2 + f' w'/w."""
+    lo, hi = s.r_interior_lo, s.r_interior_hi
+    rc = (min(max(r, lo), hi) if isinstance(r, float)
+          else np.clip(np.asarray(r, dtype=float), lo, hi))
     w, w2 = s.w.eval(rc), s.w.d2(rc)
-    radial = -(s.n - 1.0) * w2 / w + s.f.d2(rc)
+    ric = -(s.n - 1.0) * w2 / w
+    radial = ric + s.f.d2(rc)
     if mode != "full":
-        return radial, None
+        return ric, radial, None
     w1 = s.w.d1(rc)
     ric_tan = -w2 / w + (s.n - 2.0) * _one_minus_w1_squared(s, rc, w1) / (w * w)
-    return radial, ric_tan + s.f.d1(rc) * w1 / w
+    return ric, radial, ric_tan + s.f.d1(rc) * w1 / w
 
 
-def _ricci_f(s: WarpedSMMS, rc, mode: str):
-    """Ric_f(d_r, d_r) = Ric + f'' at clamped radii ``rc``; in ``full`` mode
-    the smaller of it and the tangential value."""
-    radial, tangential = _bakry_emery(s, rc, mode)
-    return radial if tangential is None else np.minimum(radial, tangential)
+def _excess(s: WarpedSMMS, H: float, r, mode: str):
+    """g = (n-1)H - lambda at ``r`` clamped to the interior, so rho = [g]_+;
+    lambda is radial Ric_f, in full mode the smaller of it and tangential."""
+    if mode not in RHO_MODES:
+        raise ValueError(f"unknown rho mode {mode!r}")
+    _, radial, tangential = _bakry_emery(s, r, mode)
+    return (s.n - 1.0) * H - (radial if tangential is None
+                              else np.minimum(radial, tangential))
 
 
 def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
     """Smallest eigenvalue of Ric_f: min of radial and tangential values."""
     _check_open_interval(s, r, "ricci_f_smallest_eigenvalue")
-    return _scalar(_ricci_f(s, _clamp_interior(s, r), "full"))
+    _, radial, tangential = _bakry_emery(s, r, "full")
+    return _scalar(np.minimum(radial, tangential))
 
 
 def mean_curvature_f(s: WarpedSMMS, r):
@@ -340,10 +337,6 @@ def mean_curvature_f(s: WarpedSMMS, r):
     return m_f if scalar else _scalar(m_f)
 
 
-def _rho_clamped(s: WarpedSMMS, H: float, r, mode: str):
-    return np.maximum(0.0, (s.n - 1.0) * H - _ricci_f(s, _clamp_interior(s, r), mode))
-
-
 def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
     """Curvature excess [(n-1)H - lambda]_+.
 
@@ -351,10 +344,8 @@ def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
     the comparison proofs) takes lambda = Ric_f(d_r, d_r); ``full`` takes the
     smallest Ric_f eigenvalue, so full >= radial pointwise.
     """
-    if mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {mode!r}")
     _check_open_interval(s, r, "rho")
-    return _scalar(_rho_clamped(s, H, r, mode))
+    return _scalar(np.maximum(0.0, _excess(s, H, r, mode)))
 
 
 class DivergentExcessError(Exception):
@@ -415,17 +406,14 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
                         mode: str) -> list:
     """Radii in [lo, hi] where rho may kink.
 
-    g = (n-1)H - Ric_f (``_rho_clamped`` before the positive part) is
-    sampled on 257 points; each sign change is closed by
-    ``find_root_bracketed`` to 1e-14 relative, except where both samples
-    are within rounding, 1e-12 max(|(n-1)H|, max|g|), of zero.  In full
-    mode the sign changes of tangential - radial curvature, the kinks of
-    their minimum, are closed the same way.  The clamp radii inside (lo, hi)
-    are breakpoints too.
+    g = ``_excess`` (rho before the positive part) is sampled on 257
+    points; each sign change is closed by ``find_root_bracketed`` to 1e-14
+    relative, except where both samples are within rounding,
+    1e-12 max(|(n-1)H|, max|g|), of zero.  In full mode the sign changes of
+    tangential - radial curvature, the kinks of their minimum, are closed
+    the same way.  The clamp radii inside (lo, hi) are breakpoints too.
     """
-    def g(t):
-        return (s.n - 1.0) * H - _ricci_f(s, _clamp_interior(s, t), mode)
-
+    g = lambda t: _excess(s, H, t, mode)
     x = np.linspace(lo, hi, _EXCESS_SAMPLES)
     gx = np.asarray(g(x), dtype=float)
     if not np.all(np.isfinite(gx)):
@@ -435,7 +423,7 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     roots = _crossings(g, x, gx, tiny, tol)
     if mode == "full":  # the kinks of min(radial, tangential)
         def kink(t):
-            radial, tangential = _bakry_emery(s, _clamp_interior(s, t), mode)
+            _, radial, tangential = _bakry_emery(s, t, mode)
             return tangential - radial
         roots += _crossings(kink, x, kink(x), tiny, tol)
     return roots + [c for c in (s.r_interior_lo, s.r_interior_hi) if lo < c < hi]
@@ -448,31 +436,30 @@ def cumulative_excess(s: WarpedSMMS, H: float, radii, mode: str = "radial",
     rho is smooth between ``_excess_breakpoints``, so ``quad_grid`` at its
     default 1e-10 budget integrates it on the edges lo, those breakpoints
     and the radii; the integrals are its cumulative sums at the radii.
+    Raises ``DivergentExcessError`` when they are +inf
+    (``require_finite_excess``).
     """
     radii = np.asarray(radii, dtype=float)
     hi = float(radii[-1])
     if hi == lo:
         return np.zeros(len(radii))
     edges = np.sort(np.concatenate([[lo], radii, _excess_breakpoints(s, H, lo, hi, mode)]))
-    segs, _ = quad_grid(lambda t: _rho_clamped(s, H, t, mode), edges)
+    require_finite_excess(s, mode, lo, hi)  # after _excess has rejected a bad mode
+    segs, _ = quad_grid(lambda t: np.maximum(0.0, _excess(s, H, t, mode)), edges)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     return cum[np.searchsorted(edges, radii)]
 
 
 def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
     """Excess integral l = int_0^r rho along the radial segment, truncated at
-    r_max: ``cumulative_excess`` at the one radius.  Raises
-    ``DivergentExcessError`` when l = +inf (``require_finite_excess``).
+    r_max: ``cumulative_excess`` at the one radius, so it raises
+    ``DivergentExcessError`` when l = +inf.
     """
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
     if r < 0.0:
         raise ValueError("integral_rho requires r >= 0")
-    upper = min(float(r), s.r_max)
-    if upper == 0.0:
-        return 0.0
-    require_finite_excess(s, mode, 0.0, upper)
-    return float(cumulative_excess(s, H, [upper], mode)[0])
+    return float(cumulative_excess(s, H, [min(float(r), s.r_max)], mode)[0])
 
 
 def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
@@ -574,7 +561,7 @@ def _sn_profile(H: float, r_max: float) -> RadialProfile:
     )
 
 
-def _build_euclidean(n: int, r_max: float = 10.0, **params) -> WarpedSMMS:
+def _build_euclidean(n: int, r_max: float = 10.0) -> WarpedSMMS:
     w = RadialProfile(lambda r: 1.0 * r, d1=lambda r: 1.0 + 0.0 * r,
                       d2=lambda r: 0.0 * r, r_max=r_max, name="r")
     return WarpedSMMS(n=n, w=w, f=_const_profile(0.0, r_max), r_max=r_max,
@@ -582,7 +569,7 @@ def _build_euclidean(n: int, r_max: float = 10.0, **params) -> WarpedSMMS:
                       params={"n": n, "r_max": r_max})
 
 
-def _build_sphere(n: int, H: float = 1.0, **params) -> WarpedSMMS:
+def _build_sphere(n: int, H: float = 1.0) -> WarpedSMMS:
     if H <= 0.0:
         raise ValueError(f"sphere requires H > 0, got {H}")
     r_max = math.pi / math.sqrt(H)
@@ -591,8 +578,7 @@ def _build_sphere(n: int, H: float = 1.0, **params) -> WarpedSMMS:
                       params={"n": n, "H": H})
 
 
-def _build_hyperbolic(n: int, H: float = -1.0, r_max: float | None = None,
-                      **params) -> WarpedSMMS:
+def _build_hyperbolic(n: int, H: float = -1.0, r_max: float | None = None) -> WarpedSMMS:
     if H >= 0.0:
         raise ValueError(f"hyperbolic requires H < 0, got {H}")
     r_max = float(r_max) if r_max is not None else 10.0 / math.sqrt(-H)
@@ -601,8 +587,7 @@ def _build_hyperbolic(n: int, H: float = -1.0, r_max: float | None = None,
                       params={"n": n, "H": H, "r_max": r_max})
 
 
-def _build_gaussian_soliton(n: int, c: float = 0.25, r_max: float = 10.0,
-                            **params) -> WarpedSMMS:
+def _build_gaussian_soliton(n: int, c: float = 0.25, r_max: float = 10.0) -> WarpedSMMS:
     base = _build_euclidean(n, r_max)
     f = RadialProfile(lambda r: c * np.asarray(r, dtype=float) ** 2,
                       d1=lambda r: 2.0 * c * np.asarray(r, dtype=float),
@@ -630,7 +615,7 @@ def _build_linear_drift(n: int, a: float = 0.5, base: str = "euclidean",
 
 
 def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
-                            omega: float = 3.0, **params) -> WarpedSMMS:
+                            omega: float = 3.0) -> WarpedSMMS:
     if H <= 0.0:
         raise ValueError(f"perturbed_sphere requires H > 0, got {H}")
     r_max = math.pi / math.sqrt(H)
@@ -659,7 +644,7 @@ def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
 
 
 def _build_custom(n: int, w=None, f=None, r_max: float = None,
-                  closed: bool = False, **params) -> WarpedSMMS:
+                  closed: bool = False) -> WarpedSMMS:
     if w is None or r_max is None:
         raise ValueError("custom space requires 'w' profile spec and 'r_max'")
     r_max = float(r_max)
@@ -683,6 +668,19 @@ _BUILDERS = {
 }
 
 
+def check_space_params(name: str, params: dict) -> None:
+    """Raise ``ValueError`` naming the first key of ``params`` (n aside) that
+    catalog space ``name`` does not take; linear_drift takes its base's too."""
+    known = [p for p in CATALOG[name]["params"] if p != "n"]
+    base = params.get("base", "euclidean")
+    if name == "linear_drift" and base in CATALOG:
+        known += [p for p in CATALOG[base]["params"] if p != "n" and p not in known]
+    for key in params:
+        if key not in known:
+            raise ValueError(f"space {name} has no parameter {key!r}; "
+                             f"its parameters: {', '.join(known)}")
+
+
 def make_space(name: str, **params) -> WarpedSMMS:
     """Build a catalog space; invariants are checked at construction."""
     if name not in _BUILDERS:
@@ -690,6 +688,7 @@ def make_space(name: str, **params) -> WarpedSMMS:
     if "n" not in params:
         raise ValueError(f"space {name!r} requires parameter 'n'")
     n = int(params.pop("n"))
+    check_space_params(name, params)
     return _BUILDERS[name](n, **params)
 
 

@@ -263,6 +263,16 @@ class TestCustomSpace:
         assert code == 0
         assert report["spec"]["name"] == "custom"
 
+    @pytest.mark.parametrize("payload", [[1, 2], {"n": 3, "custom": [1, 2]}],
+                             ids=["list", "list-block"])
+    def test_spec_that_is_not_an_object(self, capsys, tmp_path, payload):
+        # Both ended in a traceback (AttributeError, TypeError), exit 1.
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", "--custom", str(path), "--theorem", "MC_DRIFT"]) == 2
+        assert capsys.readouterr().err == ("error: --custom: the spec must be a JSON object "
+                                           "whose 'custom' block is an object\n")
+
     def test_missing_file(self, capsys):
         assert main(["check", "--custom", "/nonexistent.json",
                      "--theorem", "MC_DRIFT"]) == 2
@@ -275,6 +285,20 @@ class TestCustomSpace:
                      "--param", "r_max=2", "--grid", "32"]) == 2
         captured = capsys.readouterr()
         assert "--param" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("key, err", [
+        ("n", "error: --custom: custom.n: the dimension is the file's top-level n\n"),
+        ("H", "error: space custom has no parameter 'H'; its parameters: "
+              "w, f, r_max, closed\n")], ids=["dimension", "unknown"])
+    def test_parameter_the_space_does_not_take(self, capsys, tmp_path, key, err):
+        # Both ran before: n ended in a TypeError traceback, H was dropped.
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({**CUSTOM_SPEC,
+                                    "custom": {**CUSTOM_SPEC["custom"], key: 4.0}}))
+        assert main(["check", "--custom", str(path), "--theorem", "MC_DRIFT",
+                     "--grid", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == err and captured.out == ""
 
     def test_space_parameter_range_rejected(self, capsys, tmp_path):
         path = tmp_path / "space.json"
@@ -358,6 +382,24 @@ class TestBadInput:
         assert main(["check", "--space", "euclidean", "--n", "3",
                      "--param", "Hone", "--theorem", "MC_DRIFT"]) == 2
         assert "--param" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["check", *_SPHERE, "--param", "Hx=7", "--param", "r_max=99",
+          "--theorem", "MC_DRIFT", "--a", "0"],
+         "error: space sphere has no parameter 'Hx'; its parameters: H\n"),
+        (["sweep", "--space", "sphere", "--n", "3", "--theorem", "MC_DRIFT", "--a", "0",
+          "--range", "Hx=1:2:2"],
+         "error: --range Hx: space sphere has no parameter 'Hx'; its parameters: H\n"),
+        (["check", "--space", "sphere", "--n", "3", "--param", "n=4",
+          "--theorem", "MC_DRIFT", "--a", "0"],
+         "error: --param n: the dimension is not a space parameter; set it with --n\n"),
+    ], ids=["check", "sweep", "dimension"])
+    def test_parameter_the_space_does_not_take(self, capsys, argv, err):
+        # The builders took any name: the first two ran the H = 1 sphere,
+        # and n=4 ended in a TypeError traceback (exit 1, the FAIL code).
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == err and captured.out == ""
 
     def test_missing_required_radius(self, capsys):
         assert main(["check", "--space", "euclidean", "--n", "3",
@@ -523,6 +565,15 @@ class TestSweep:
                      "--range", rng]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(err) and captured.out == ""
+
+    def test_linear_drift_range_sets_its_base_parameter(self, capsys):
+        # --param r_max reached the euclidean base, but --range
+        # param.r_max was rejected (exit 2).
+        argv = ["sweep", "--space", "linear_drift", "--n", "3", "--theorem", "MC_DRIFT",
+                "--grid", "32", "--range", "param.r_max=4:5:2"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "param.r_max,min_margin,verdict" and len(rows) == 3
 
     @pytest.mark.parametrize("argv, err", [
         (_FLAT + ["--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--grid", "16",

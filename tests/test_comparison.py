@@ -165,6 +165,15 @@ class TestMcDrift:
         with pytest.raises(ValueError):
             check_mc_drift(s, 0.0, 0.2)
 
+    @pytest.mark.parametrize("w", [[0.0, 1.0], [0.0, 1.0, 0.1]], ids=["flat", "divergent"])
+    def test_unknown_mode_rejected(self, w):
+        # "Full" ran radial mode and was echoed as the report's mode.  With
+        # w''(0) = 0.2 the radial excess diverges at the pole, and the
+        # mode is still what is wrong.
+        s = make_space("custom", n=3, w={"type": "poly", "coeffs": w}, r_max=3.0)
+        with pytest.raises(ValueError, match="unknown rho mode 'Full'"):
+            check_mc_drift(s, 1.0, mode="Full", n_grid=16)
+
 
 class TestAreaComparison:
     def test_model_equality_both_modes(self):

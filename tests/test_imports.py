@@ -34,6 +34,21 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_no_module_imports_an_smms_private():
+    # smms holds the one curvature read; the other modules go through its
+    # public functions.
+    private = {}
+    for path in _MODULES:
+        if path.name == "smms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("smms", "smmskit.smms"):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+                if names:
+                    private[path.name] = names
+    assert not private, f"modules import smms privates: {private}"
+
+
 def test_the_cli_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
     out = subprocess.run(

@@ -70,6 +70,15 @@ class TestCatalog:
         with pytest.raises(ValueError):
             make_space("euclidean")
 
+    @pytest.mark.parametrize("name, params", [
+        ("sphere", {"H": 1.0, "Hx": 7.0}), ("euclidean", {"H": 1.0}),
+        ("linear_drift", {"a": 0.5, "c": 0.25}),
+        ("linear_drift", {"base": "sphere", "r_max": 3.0})])
+    def test_unknown_parameter_rejected(self, name, params):
+        bad = list(params)[-1]
+        with pytest.raises(ValueError, match=f"space {name} has no parameter '{bad}'"):
+            make_space(name, n=3, **params)
+
     def test_nonpositive_warping_rejected(self):
         with pytest.raises(ValueError):
             make_space("custom", n=3,
@@ -174,8 +183,9 @@ class TestIntegralRho:
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
         got = integral_rho(s, 1.0, math.pi)
         ts = (np.arange(1_000_000) + 0.5) * (math.pi / 1_000_000)
-        from smmskit.smms import _rho_clamped
-        oracle = float(np.sum(_rho_clamped(s, 1.0, ts, "radial"))) * math.pi / 1_000_000
+        from smmskit.smms import _excess
+        rho_ts = np.maximum(0.0, _excess(s, 1.0, ts, "radial"))
+        oracle = float(np.sum(rho_ts)) * math.pi / 1_000_000
         assert abs(got - oracle) <= 1e-6 * oracle
 
     def test_truncates_at_r_max(self):
@@ -282,7 +292,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(smms, name, wrapped)
 
     counting("find_root_bracketed", "roots")
-    counting("_ricci_f", "abscissae", size=1)
+    counting("_excess", "abscissae", size=2)
     level = numkit._gauss_segments
 
     def counted_level(f, a, b, panels):
@@ -420,6 +430,12 @@ class TestDivergentExcess:
         with pytest.raises(DivergentExcessError):
             check_mc_drift(s, 0.2, mode="full", n_grid=16)
         assert integral_rho(s, 0.2, 1.5) == pytest.approx(0.6, rel=1e-12)
+
+    def test_cumulative_excess_rejects_the_pole_itself(self):
+        # It ended in SubdivisionLimitError, integrating the a/r pole.
+        s = make_space("linear_drift", n=3, a=0.5)
+        with pytest.raises(DivergentExcessError, match=r"0\.5/r near the pole r=0"):
+            cumulative_excess(s, 0.2, [0.5, 1.0, 1.5], "full")
 
     def test_far_pole_counts_only_when_reached(self):
         # Round sphere with f = 0.1 r^2: f'(pi) > 0, so rho ~ 0.2 pi/(pi - r).

@@ -238,6 +238,17 @@ def cases() -> list[tuple[str, list[str]]]:
         ("hyp/DOUBLING/k10.75/grid4", ["check", *_HYP, "--H", "-1", "--theorem", "DOUBLING",
                                        "--alpha", "4", "--R", "1.5", "--k", "10.75",
                                        "--grid", "4"]),
+        # Space parameter names: one the space does not take, on a check and
+        # as a bare sweep range, the dimension given as a parameter, and a
+        # linear_drift range over its base's r_max.
+        ("param/check-unknown", ["check", *_SPHERE, "--param", "Hx=7", "--param", "r_max=99",
+                                 "--theorem", "MC_DRIFT", "--a", "0"]),
+        ("param/sweep-unknown", ["sweep", "--space", "sphere", "--n", "3", "--theorem",
+                                 "MC_DRIFT", "--a", "0", "--range", "Hx=1:2:2"]),
+        ("param/n", ["check", "--space", "sphere", "--n", "3", "--param", "n=4",
+                     "--theorem", "MC_DRIFT", "--a", "0"]),
+        ("param/drift-base-range", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT",
+                                    "--range", "param.r_max=4:5:2"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
