@@ -238,12 +238,19 @@ def _require_finite_json(value, path: str = "") -> None:
         _require_finite(f"--custom: {path}", value)
 
 
+# Space parameters whose value is a catalog name, kept as text.
+_NAME_PARAMS = ("base",)
+
+
 def _parse_params(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise InputError(f"--param expects K=V, got {pair!r}")
         key, _, val = pair.partition("=")
+        if key in _NAME_PARAMS:
+            out[key] = val
+            continue
         try:
             out[key] = float(val)
         except ValueError as exc:

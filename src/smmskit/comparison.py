@@ -28,7 +28,14 @@ solves an ODE.  V_model is its Jacobi form V_m(r) = r A_m(r) J/psi
 Gauss-Legendre sum beyond.  E's pole piece E(radii[0]), like the doubling
 threshold's F(sigma) = E(R) at cl = c sigma, is a dot product on the model's
 Gauss-Jacobi ``ratio_table``; the threshold is certified at epsilon against
-a table with twice the nodes.
+a table with twice the nodes.  All of it but the expm1(cl t) sums depends
+on the model and the grid only, so the pass keeps node tables (V_model at
+the radii, the nodes, A/V at the nodes and the ``ratio_table``, the A/V
+part only for cl > 0), keyed on the ``ModelSpace`` and the float64 bytes
+of the grid after the coarse-grid panel split, in ``lru_cache``s of two
+grids (a point's own and its x4 refinement).  The points of a sweep over
+the excess, which change only l, read the same tables; the arrays are
+read-only.
 
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
@@ -261,14 +268,13 @@ def _model_volumes(mspace: ModelSpace, cl: float, radii: np.ndarray):
 
     A coarse grid is first split into equal panels of at most half a unit of
     cl + sqrt|H| + drift + (dim - 1) sqrt(max(-H, 0)), which bounds the
-    growth rates of expm1(cl t) and of A away from the pole.  V at the radii
-    is the Jacobi form (``_pole_volume``) up to the end of the last interval
-    that starts within 2 (dim - 1) widths of the pole, where t^(dim-1) is far
-    from a low-degree polynomial, and beyond it a cumulative 5-point
-    Gauss-Legendre sum of A.  At cl = 0 the pass stops there.  Otherwise
-    E(radii[0]) is a dot product on the threshold's ``ratio_table`` and each
-    interval adds a 5-point sum, with V at its nodes the Jacobi form near the
-    pole and V at the interval's start plus a nested 5-point sum beyond.
+    growth rates of expm1(cl t) and of A away from the pole.  Everything
+    else but the expm1 sums depends on the model and the split grid only,
+    and comes from the node tables (``_volume_nodes``, ``_ratio_nodes``): a
+    sweep over the excess changes cl alone, so its points share them.  E
+    is the table's dot product for E(radii[0]) plus a cumulative 5-point
+    sum of expm1(cl t) A/V per interval; at cl = 0 it is zero, and no A/V
+    table is built.  The returned V is read-only.
     """
     radii = np.asarray(radii, dtype=float)
     lo, h = radii[:-1], np.diff(radii)
@@ -279,23 +285,69 @@ def _model_volumes(mspace: ModelSpace, cl: float, radii: np.ndarray):
         fine = (lo[:, None] + h[:, None] * (np.arange(panels) / panels)).ravel()
         vm, E = _model_volumes(mspace, cl, np.append(fine, radii[-1]))
         return vm[::panels], E[::panels]
+    grid = radii.tobytes()
+    vm, nodes, _, _ = _volume_nodes(mspace, grid)
+    if cl == 0.0:
+        return vm, np.zeros(len(radii))
+    ratio, t, W = _ratio_nodes(mspace, grid)
+    _, w = gauss_jacobi(5, 0.0)
+    steps = h * ((np.expm1(cl * nodes) * ratio) @ w)
+    return vm, W @ np.expm1(cl * t) + np.concatenate([[0.0], np.cumsum(steps)])
+
+
+# The node tables of the model-volume pass, keyed on the model and the
+# float64 bytes of the split grid.  A sweep point reads at most two grids,
+# its own and the x4 refinement, so the caches keep two each.
+_NODE_TABLES = 2
+
+
+@lru_cache(maxsize=_NODE_TABLES)
+def _volume_nodes(mspace: ModelSpace, grid: bytes):
+    """(V_model at the radii, the 5-point nodes of each interval, the count
+    p of intervals near the pole, A_model at the nodes beyond them), all
+    read-only, for the radii whose float64 bytes are ``grid``.
+
+    V is the Jacobi form (``_pole_volume``) up to the end of the last
+    interval that starts within 2 (dim - 1) widths of the pole, where
+    t^(dim-1) is far from a low-degree polynomial, and beyond it a
+    cumulative 5-point Gauss-Legendre sum of A.
+    """
+    radii = np.frombuffer(grid)
+    lo, h = radii[:-1], np.diff(radii)
     x, w = gauss_jacobi(5, 0.0)
     nodes = lo[:, None] + h[:, None] * x
     near = np.flatnonzero(lo < 2.0 * (mspace.dim - 1.0) * h)
     p = near[-1] + 1 if len(near) else 0
-    a_nodes, sub = area_model(mspace, nodes[p:]), h[p:, None] * x
+    a_nodes = area_model(mspace, nodes[p:])
     vm = _pole_volume(mspace, radii[:p + 1])
     vm = np.concatenate([vm, vm[-1] + np.cumsum(h[p:] * (a_nodes @ w))])
-    if cl == 0.0:
-        return vm, np.zeros(len(radii))
-    ratio = np.empty_like(nodes)  # A/V at the nodes
+    for arr in (vm, nodes, a_nodes):
+        arr.setflags(write=False)
+    return vm, nodes, p, a_nodes
+
+
+@lru_cache(maxsize=_NODE_TABLES)
+def _ratio_nodes(mspace: ModelSpace, grid: bytes):
+    """(A/V at the nodes of ``_volume_nodes``, the ``ratio_table`` on
+    (0, radii[0])), all read-only.
+
+    V at the nodes is the Jacobi form near the pole, and V at the
+    interval's start plus a nested 5-point sum beyond.
+    """
+    radii = np.frombuffer(grid)
+    lo, h = radii[:-1], np.diff(radii)
+    vm, nodes, p, a_nodes = _volume_nodes(mspace, grid)
+    x, w = gauss_jacobi(5, 0.0)
+    sub = h[p:, None] * x
+    ratio = np.empty_like(nodes)
     ratio[:p] = 1.0 / (nodes[:p] * jacobi_factor(mspace, nodes[:p].ravel())
                        .reshape(p, len(x)))
     nested = area_model(mspace, lo[p:, None, None] + sub[:, :, None] * x)
     ratio[p:] = a_nodes / (vm[p:-1, None] + sub * (nested @ w))
     t, W = ratio_table(mspace, radii[0], _TABLE_NODES)
-    steps = h * ((np.expm1(cl * nodes) * ratio) @ w)
-    return vm, W @ np.expm1(cl * t) + np.concatenate([[0.0], np.cumsum(steps)])
+    for arr in (ratio, t, W):
+        arr.setflags(write=False)
+    return ratio, t, W
 
 
 def _compare(theorem_id: str, eval_on, radii: np.ndarray):

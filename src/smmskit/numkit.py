@@ -514,30 +514,44 @@ def integrate_ode(rhs, t0: float, y0, t1: float,
 # Points of the Gauss-Legendre rule on each panel, and the doubling cap.
 #
 # A quadrature costs what its integrand calls cost.  At 240 and 3 855
-# abscissae, weighted_area takes 31 and 118 us a call, area_model 21 and
-# 103 us, and [smms._excess]_+ 71 and 330 us (radial; 183 and 921 us in
-# full mode): 16-54 us of overhead per call (134 us full), and 0.02-0.07 us
-# for each further abscissa (0.2 us full).  Best of 7 x 500-2000 calls,
-# shared 2-vCPU Xeon, Python 3.11, BLAS on one thread.
+# abscissae, weighted_area takes 29 and 103 us a call, area_model 19 and
+# 56 us, and [smms._excess]_+ 53 and 281 us (radial; 98 and 503 us in full
+# mode; perturbed_sphere n = 3): 16-38 us of overhead per call (71 us
+# full), and 0.01-0.06 us for each further abscissa (0.11 us full).
+# quad_grid's own bookkeeping, with each panel count's unit abscissae and
+# weight tiles cached (``_unit_panels``), is 36-40 us a call on 49 edges,
+# against 7 us for an integrand t^2 on its 735 abscissae.  Best of 7 x 500-2000 calls, shared 2-vCPU
+# Xeon, Python 3.11, BLAS on one thread.
 #
 # More points per panel trade levels, hence calls, for abscissae.  Per
 # operation of the benchmark's workloads (seed 1: 30 sweep and 525 checks
 # operations, in process, the program's caches emptied before each; time
-# is the median of 3 runs of the busy time):
+# is the median of 4 runs of the busy time):
 #
 #   points   calls sweep / checks   abscissae sweep / checks   ms sweep / checks
-#     5         53.6 / 3.13           66 528 / 10 669             37.5 / 6.00
-#     6         45.7 / 3.02           79 504 / 12 792             34.3 / 6.61
-#     7         41.8 / 2.83           92 560 / 14 908             36.2 / 7.07
-#     8         39.5 / 2.64          105 707 / 17 028             36.7 / 7.17
+#     5         35.1 / 2.10           33 783 /  7 179             24.3 / 4.84
+#     6         28.6 / 2.03           40 242 /  8 611             24.3 / 4.44
+#     7         25.0 / 1.90           46 762 / 10 036             21.2 / 4.35
+#     8         22.7 / 1.75           53 368 / 11 464             24.1 / 5.18
 #
-# No count beats 5 on sweep beyond the host's noise (single runs spread
-# 24-39 ms), and 5 is the fastest on checks; any other count would also
-# move every quadrature value.  Smooth segments meet 1e-10 by 2 or 4
-# panels, and a segment that doubles on (rounding or kink) noise doubles
-# the fewest points.
+# No count beats 5 beyond the host's noise (single runs spread 16-26 ms on
+# sweep and 4.1-5.8 ms on checks; 7 reads lowest on both, inside that
+# spread), and any other count would move every quadrature value.  Smooth
+# segments meet 1e-10 by 2 or 4 panels, and a segment that doubles on
+# (rounding or kink) noise doubles the fewest points.
 _GL_POINTS = 5
 _MAX_GRID_DOUBLINGS = 16
+
+
+@lru_cache(maxsize=None)  # keyed on the panel counts 2^j, j <= _MAX_GRID_DOUBLINGS
+def _unit_panels(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae on [0, 1] of the ``p``-panel composite rule and the rule's
+    weights tiled once per panel, both read-only."""
+    x, w = gauss_jacobi(_GL_POINTS, 0.0)
+    u, wp = ((np.arange(p)[:, None] + x) / p).ravel(), np.tile(w, p)
+    for arr in (u, wp):
+        arr.setflags(write=False)
+    return u, wp
 
 
 def _gauss_segments(f, a: np.ndarray, b: np.ndarray, panels: tuple[int, ...]) -> list:
@@ -545,16 +559,15 @@ def _gauss_segments(f, a: np.ndarray, b: np.ndarray, panels: tuple[int, ...]) ->
     one array per panel count in ``panels``, all abscissae of all counts in
     one call of ``f``.  Each count's abscissae form one contiguous block of
     that call, so its sums are those of a call of its own, bit for bit."""
-    x, w = gauss_jacobi(_GL_POINTS, 0.0)
-    blocks = [a[:, None] + (b - a)[:, None] * ((np.arange(p)[:, None] + x) / p).ravel()
-              for p in panels]
+    rules = [_unit_panels(p) for p in panels]
+    blocks = [a[:, None] + (b - a)[:, None] * u for u, _ in rules]
     y = np.asarray(f(np.concatenate([pts.ravel() for pts in blocks])), dtype=float)
     if not np.all(np.isfinite(y)):
         raise NonFiniteError("integrand is not finite on the grid")
     sums, start = [], 0
-    for p, pts in zip(panels, blocks):
+    for p, pts, (_, wp) in zip(panels, blocks, rules):
         yp = y[start:start + pts.size].reshape(pts.shape)
-        sums.append((b - a) / p * (yp @ np.tile(w, p)))
+        sums.append((b - a) / p * (yp @ wp))
         start += pts.size
     return sums
 

@@ -370,7 +370,10 @@ def require_finite_excess(s: WarpedSMMS, mode: str, lo: float, hi: float) -> Non
     (closed far pole r = r_max) for the tangential one, w'' and f' taken at
     the pole; ``full`` mode takes the larger.  Smooth profiles give c = 0.
     The pole at 0 counts when lo = 0, the far pole when hi reaches r_max.
+    An unknown mode raises ``ValueError``, as ``rho`` does.
     """
+    if mode not in RHO_MODES:
+        raise ValueError(f"unknown rho mode {mode!r}")
     poles = []
     if lo == 0.0:
         poles.append((0.0, -1.0, "the pole r=0"))

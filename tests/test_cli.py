@@ -165,6 +165,17 @@ class TestReportSchema:
         assert code1 == code2 == 0
         assert rep1["checks"][0]["min_margin"] == rep2["checks"][0]["min_margin"]
 
+    def test_drift_base_from_the_command_line(self, capsys):
+        # --param read every value as a number, so base=sphere exited 2.
+        code, report = run_json(["check", "--space", "linear_drift", "--n", "3", "--param",
+                                 "base=sphere", "--param", "H=1", "--theorem", "MC_DRIFT",
+                                 "--H", "1", "--grid", "32"], capsys)
+        assert code == 0
+        assert report["spec"]["params"] == {"base": "sphere", "H": 1.0}
+        s = smmskit.smms.make_space("linear_drift", n=3, base="sphere", H=1.0)
+        want = comparison.check_mc_drift(s, 1.0, n_grid=32)
+        assert report["checks"][0]["min_margin"] == want.min_margin
+
     def test_deterministic_reruns(self, capsys):
         args = ["check", "--space", "perturbed_sphere", "--n", "3",
                 "--param", "H=1", "--theorem", "AREA_B",
@@ -400,6 +411,21 @@ class TestBadInput:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == err and captured.out == ""
+
+    @pytest.mark.parametrize("base, says", [("nosuch", "unknown space 'nosuch'"),
+                                            ("linear_drift", "cannot stack on itself")])
+    def test_drift_base_that_is_no_catalog_base(self, capsys, base, says):
+        assert main(["check", "--space", "linear_drift", "--n", "3", "--param",
+                     f"base={base}", "--theorem", "MC_DRIFT", "--grid", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and says in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_numeric_param_still_needs_a_number(self, capsys):
+        assert main(["check", "--space", "linear_drift", "--n", "3", "--param", "base=sphere",
+                     "--param", "H=abc", "--theorem", "MC_DRIFT"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --param H: not a real number: 'abc'\n"
 
     def test_missing_required_radius(self, capsys):
         assert main(["check", "--space", "euclidean", "--n", "3",

@@ -579,6 +579,63 @@ class TestModelVolumes:
                     assert np.all(np.abs(got - want) <= 1e-12 * want), (n, start, cl)
 
 
+class TestNodeTables:
+    """The (model, grid) node tables of ``_model_volumes``: a warm table
+    gives the cold result bit for bit at every cl."""
+
+    MODEL = comparison.ModelSpace(dim=3.72, H=-1.0, drift=0.3)
+    CLS = (0.0, 1e-4, 0.05, 1.0, 28.0)
+
+    @staticmethod
+    def clear():
+        comparison._volume_nodes.cache_clear()
+        comparison._ratio_nodes.cache_clear()
+
+    @pytest.mark.parametrize("radii", [np.linspace(0.3, 1.5, 256),
+                                       np.linspace(0.3, 1.5, 1021),
+                                       np.linspace(0.5, 1.5, 3)],
+                             ids=["grid256", "refine1021", "coarse-split"])
+    def test_warm_equals_cold_bit_for_bit(self, radii):
+        cold = []
+        for cl in self.CLS:
+            self.clear()
+            cold.append(comparison._model_volumes(self.MODEL, cl, radii))
+        self.clear()
+        for cl, (vm, E) in zip(self.CLS, cold):
+            vm_warm, E_warm = comparison._model_volumes(self.MODEL, cl, radii)
+            assert np.array_equal(vm_warm, vm) and np.array_equal(E_warm, E)
+        if len(radii) > 3:  # the coarse grid's split depends on cl
+            assert comparison._volume_nodes.cache_info().misses == 1
+            assert comparison._ratio_nodes.cache_info().misses == 1
+
+    def test_returned_volume_is_read_only(self):
+        self.clear()
+        for cl in (0.0, 1.0):
+            for radii in (np.linspace(0.3, 1.5, 16), np.linspace(0.5, 1.5, 3)):
+                vm, _ = comparison._model_volumes(self.MODEL, cl, radii)
+                with pytest.raises(ValueError):
+                    vm[0] = 1.0
+
+    def test_grids_one_ulp_apart_do_not_share(self):
+        self.clear()
+        radii = np.linspace(0.3, 1.5, 64)
+        other = radii.copy()
+        other[17] = np.nextafter(other[17], 2.0)
+        comparison._model_volumes(self.MODEL, 1.0, radii)
+        comparison._model_volumes(self.MODEL, 1.0, other)
+        for table in (comparison._volume_nodes, comparison._ratio_nodes):
+            info = table.cache_info()
+            assert info.misses == 2 and info.currsize == 2
+
+    def test_caches_are_bounded(self):
+        self.clear()
+        for n in range(8, 14):
+            comparison._model_volumes(self.MODEL, 1.0, np.linspace(0.3, 1.5, n))
+        for table in (comparison._volume_nodes, comparison._ratio_nodes):
+            info = table.cache_info()
+            assert info.maxsize == 2 and info.currsize == 2
+
+
 class TestDoublingTable:
     @pytest.mark.parametrize("n, H, R, mode", TABLE_CASES)
     def test_matches_nested_quad(self, n, H, R, mode):

@@ -14,7 +14,7 @@ from smmskit.comparison import check_mc_drift
 from smmskit.model import area_model, mean_curvature_model, ModelSpace
 from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, bakry_emery_radial,
                           cumulative_excess, integral_rho, make_space, mean_curvature_f,
-                          potential_bounds, profile_from_spec, rho,
+                          potential_bounds, profile_from_spec, require_finite_excess, rho,
                           ricci_f_smallest_eigenvalue, ricci_radial,
                           sample_curvature, weighted_area, weighted_volume)
 
@@ -436,6 +436,15 @@ class TestDivergentExcess:
         s = make_space("linear_drift", n=3, a=0.5)
         with pytest.raises(DivergentExcessError, match=r"0\.5/r near the pole r=0"):
             cumulative_excess(s, 0.2, [0.5, 1.0, 1.5], "full")
+
+    def test_unknown_mode_is_rejected(self):
+        # "Full" was taken as radial: it returned where "full" raises.
+        s = make_space("linear_drift", n=3, a=0.5)
+        with pytest.raises(DivergentExcessError):
+            require_finite_excess(s, "full", 0.0, 1.5)
+        for mode in ("Full", "tangential"):
+            with pytest.raises(ValueError, match=f"unknown rho mode '{mode}'"):
+                require_finite_excess(s, mode, 0.0, 1.5)
 
     def test_far_pole_counts_only_when_reached(self):
         # Round sphere with f = 0.1 r^2: f'(pi) > 0, so rho ~ 0.2 pi/(pi - r).

@@ -169,6 +169,10 @@ def cases() -> list[tuple[str, list[str]]]:
                            "--grid", "24", "--range", "H=-1:1:3"]),
         ("sweep/VOL_B/R", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "VOL_B", "--r", "0.3",
                            "--grid", "64", "--range", "R=0.6:1.5:4"]),
+        # An excess sweep changes only cl, so its points share the model
+        # volume's node tables; the eps = 0 point (l = 0) refines.
+        ("sweep/VOL_B/eps", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "VOL_B", "--r", "0.3",
+                             "--R", "1.2", "--grid", "32", "--range", "eps=0:0.05:4"]),
         ("sweep/CHENG/delta", ["sweep", *_FLAT, "--theorem", "CHENG", "--R", "1",
                                "--range", "delta=0.1:0.5:3"]),
         ("sweep/MC_DRIFT/a", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT", "--grid", "32",
