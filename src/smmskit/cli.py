@@ -75,11 +75,6 @@ class SpaceSpec:
             out["custom"] = self.custom
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpaceSpec":
-        return cls(name=d["name"], n=int(d["n"]), params=dict(d.get("params", {})),
-                   custom=d.get("custom"))
-
 
 def _overall(verdicts: list[str]) -> tuple[str, int]:
     if any(v == "FAIL" for v in verdicts):
@@ -273,11 +268,15 @@ def _space_spec_from_args(args) -> SpaceSpec:
         if not isinstance(block, dict):
             raise InputError("--custom: the spec must be a JSON object whose 'custom' "
                              "block is an object")
+        for key in payload:
+            if key not in ("n", "custom"):
+                raise InputError(f"--custom: {key}: the top level holds only n and custom")
+        n = payload.get("n", args.n)
+        if type(n) is not int:
+            raise InputError(f"--custom: n: the dimension must be an integer, got {n!r}")
         if "n" in block:
             raise InputError("--custom: custom.n: the dimension is the file's top-level n")
-        if "n" not in payload:
-            payload["n"] = args.n
-        return SpaceSpec.from_dict({"name": "custom", **payload})
+        return SpaceSpec(name="custom", n=n, custom=block)
     params = _parse_params(args.param)
     if "n" in params:
         raise InputError("--param n: the dimension is not a space parameter; set it with --n")
@@ -345,9 +344,9 @@ def _parse_range(text: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
-def _range_target(spec: SpaceSpec, name: str) -> tuple[bool, str]:
-    """(True, parameter) for a range that sets a space parameter, (False,
-    flag) for one that sets a theorem flag."""
+def _range_target(spec: SpaceSpec, name: str, first: float) -> tuple[bool, str]:
+    """(True, parameter) for a range that sets a space parameter, checked at
+    the range's ``first`` value, (False, flag) for one that sets a theorem flag."""
     key = name.removeprefix(_PARAM_PREFIX)
     to_space = key != name or name not in _THEOREM_FLAGS
     if to_space and spec.name == "custom":
@@ -355,7 +354,7 @@ def _range_target(spec: SpaceSpec, name: str) -> tuple[bool, str]:
                          "parameters; set them in the spec file")
     if to_space and spec.name in CATALOG:
         try:
-            check_space_params(spec.name, {key: None})
+            check_space_params(spec.name, {**spec.params, key: float(first)})
         except ValueError as exc:
             raise InputError(f"--range {name}: {exc}") from exc
     return to_space, key
@@ -370,7 +369,9 @@ def _cmd_sweep(args) -> int:
     points = np.column_stack([m.ravel() for m in mesh])
 
     spec = _space_spec_from_args(args)
-    targets = [_range_target(spec, name) for name in names]
+    if spec.name in CATALOG:  # a bad --param fails before any point, whatever the ranges
+        check_space_params(spec.name, spec.params)
+    targets = [_range_target(spec, name, vals[0]) for name, vals in ranges]
     rows = []
     for point in points:
         overrides = {}

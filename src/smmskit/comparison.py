@@ -225,20 +225,37 @@ def admissible_R(theorem_id: str, H: float) -> float:
     return math.pi / (q * math.sqrt(H))
 
 
-def _cap_text(theorem_id: str, H: float) -> str:
-    return f"pi/({_RANGE_CAP[theorem_id]} sqrt(H)) = {admissible_R(theorem_id, H):.12g}"
-
-
 def require_admissible(theorem_id: str, H: float, R: float) -> None:
-    if R > admissible_R(theorem_id, H) + 1e-12:
-        raise ValueError(f"R exceeds {_cap_text(theorem_id, H)} for {theorem_id}")
+    cap = admissible_R(theorem_id, H)
+    if R > cap + 1e-12:
+        raise ValueError(f"R exceeds pi/({_RANGE_CAP[theorem_id]} sqrt(H)) = {cap:.12g} "
+                         f"for {theorem_id}")
 
 
-def _require_outer(s: WarpedSMMS, theorem_id: str, H: float, R: float) -> None:
-    """Outer radius within the theorem's range cap and the space's interior."""
-    require_admissible(theorem_id, H, R)
-    if R > s.r_interior_hi:
-        raise ValueError(f"R={R} beyond the interior range {s.r_interior_hi}")
+# How a diagnostic names a theorem's inner radius; the others take --r.
+_INNER_NAME = {"MC_ROUGH": "r0", "MC_BOUNDED_F_PI2": "pi/(4 sqrt(H))"}
+
+
+def _radii(s: WarpedSMMS, theorem_id: str, H: float, n_grid: int,
+           lo: float | None = None, R: float | None = None) -> np.ndarray:
+    """The one radius rule: ``n_grid`` evenly spaced radii from ``lo`` to R.
+
+    A given R lies in (0, the theorem's cap] and in the space's interior; by
+    default R is the cap or just short of r_max, whichever is nearer.  ``lo``
+    defaults to R/n_grid; a given one lies in (0, R], and lo = R repeats R.
+    """
+    if R is None:
+        R = min(admissible_R(theorem_id, H), s.r_interior_hi, s.r_max * (1.0 - 1e-9))
+    else:
+        require_admissible(theorem_id, H, R)
+        if not 0.0 < R <= s.r_interior_hi:
+            raise ValueError(f"require 0 < R <= {s.r_interior_hi}, got {R}")
+    if lo is None:
+        lo = R / n_grid
+    elif not 0.0 < lo <= R:
+        name = _INNER_NAME.get(theorem_id, "r")
+        raise ValueError(f"require 0 < {name} <= R, got {name}={lo}, R={R}")
+    return np.linspace(lo, R, n_grid)
 
 
 def _cum_integral(fn, radii: np.ndarray) -> np.ndarray:
@@ -410,21 +427,6 @@ def _resolve(s: WarpedSMMS, name: str, value) -> float:
     return float(value)
 
 
-def _interior_cap(s: WarpedSMMS) -> float:
-    return min(s.r_interior_hi, s.r_max * (1.0 - 1e-9))
-
-
-def _mc_radii(s: WarpedSMMS, theorem_id: str, H: float, n_grid: int,
-              lo: float | None = None) -> np.ndarray:
-    """``n_grid`` radii from ``lo`` (default: the first of ``n_grid`` steps)
-    to the theorem's range cap or the space's interior, whichever is nearer."""
-    hi = min(_interior_cap(s), admissible_R(theorem_id, H))
-    lo = hi / n_grid if lo is None else lo
-    if not lo < hi:
-        raise ValueError(f"empty admissible grid: [{lo}, {hi}]")
-    return np.linspace(lo, hi, n_grid)
-
-
 def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
               radii: np.ndarray, mode: str, lo: float = 0.0) -> ComparisonReport:
     """m_f(r) <= bound(r) + int_lo^r rho on ``radii``; raises
@@ -443,13 +445,10 @@ def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
 def check_mc_rough(s: WarpedSMMS, H: float, r0: float, mode: str = "radial",
                    n_grid: int = 256) -> ComparisonReport:
     """m_f(r) <= m_f(r0) - (n-1) H (r - r0) + int_{r0}^r rho."""
-    cap = _interior_cap(s)
-    if not 0.0 < r0 < cap:
-        raise ValueError(f"r0={r0} outside (0, {cap})")
+    radii = _radii(s, "MC_ROUGH", H, n_grid, lo=r0)
     base = float(mean_curvature_f(s, r0))
     return _check_mc("MC_ROUGH", s, H, {"n": s.n, "H": H, "r0": r0},
-                     lambda rs: base - (s.n - 1.0) * H * (rs - r0),
-                     _mc_radii(s, "MC_ROUGH", H, n_grid, lo=r0), mode, lo=r0)
+                     lambda rs: base - (s.n - 1.0) * H * (rs - r0), radii, mode, lo=r0)
 
 
 def check_mc_bounded_f_inner(s: WarpedSMMS, H: float, k: float | None = None,
@@ -459,7 +458,7 @@ def check_mc_bounded_f_inner(s: WarpedSMMS, H: float, k: float | None = None,
     d = s.n + 4.0 * k
     return _check_mc("MC_BOUNDED_F_INNER", s, H, {"n": s.n, "H": H, "k": k, "d": d},
                      lambda rs: np.asarray(mean_curvature_model(d, H, rs)),
-                     _mc_radii(s, "MC_BOUNDED_F_INNER", H, n_grid), mode)
+                     _radii(s, "MC_BOUNDED_F_INNER", H, n_grid), mode)
 
 
 def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
@@ -474,8 +473,8 @@ def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
         raise ValueError("the pi/2 range estimate requires H > 0")
     k = _resolve(s, "k", k)
     # The coefficient diverges at the cap: n_grid + 1 radii up to it, less the last.
-    radii = _mc_radii(s, "MC_BOUNDED_F_PI2", H, n_grid + 1,
-                      lo=math.pi / (4.0 * math.sqrt(H)))[:-1]
+    radii = _radii(s, "MC_BOUNDED_F_PI2", H, n_grid + 1,
+                   lo=math.pi / (4.0 * math.sqrt(H)))[:-1]
 
     def bound(rs):
         coeff = 1.0 + 4.0 * k / ((s.n - 1.0) * np.sin(2.0 * math.sqrt(H) * rs))
@@ -489,7 +488,7 @@ def check_mc_bounded_f(s: WarpedSMMS, H: float, k: float | None = None,
                        mode: str = "radial", n_grid: int = 256) -> list[ComparisonReport]:
     """Both ranges of the bounded-potential mean curvature comparison."""
     reports = [check_mc_bounded_f_inner(s, H, k, mode=mode, n_grid=n_grid)]
-    if H > 0.0 and s.r_interior_hi > math.pi / (4.0 * math.sqrt(H)):
+    if H > 0.0 and _radii(s, "MC_BOUNDED_F_PI2", H, 1)[0] > math.pi / (4.0 * math.sqrt(H)):
         reports.append(check_mc_bounded_f_pi2(s, H, k, mode=mode, n_grid=n_grid))
     return reports
 
@@ -500,7 +499,7 @@ def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None,
     a = _resolve(s, "a", a)
     return _check_mc("MC_DRIFT", s, H, {"n": s.n, "H": H, "a": a},
                      lambda rs: np.asarray(mean_curvature_model(s.n, H, rs)) + a,
-                     _mc_radii(s, "MC_DRIFT", H, n_grid), mode)
+                     _radii(s, "MC_DRIFT", H, n_grid), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +531,7 @@ def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                           mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """A_f(R')/A_model(R') <= e^{c R' l} A_f(r)/A_model(r) for r <= R' <= R."""
     tid = "AREA_A" if bound == "k" else "AREA_B"
-    if not 0.0 < r <= R:
-        raise ValueError(f"require 0 < r <= R, got r={r}, R={R}")
-    _require_outer(s, tid, H, R)
+    radii = _radii(s, tid, H, n_grid, lo=r, R=R)
     mspace, c, bparams = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, R, mode)
     base = float(weighted_area(s, r)) / area_model(mspace, r)
@@ -543,25 +540,27 @@ def check_area_comparison(s: WarpedSMMS, H: float, r: float, R: float,
         lhs = np.asarray(weighted_area(s, rs)) / np.asarray(area_model(mspace, rs))
         return lhs, np.exp(c * l * rs) * base
 
-    radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
     return _finalize(tid, params, mode, radii, eval_on)
 
 
 def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                             bound: str = "a", const: float | None = None,
-                            mode: str = "radial", n_grid: int = 256,
-                            _tid: str | None = None) -> ComparisonReport:
+                            mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """V_f(R')/V_m(R') <= V_f(r)/V_m(r) exp{int_0^{R'} (e^{clt}-1) A_m/V_m}."""
-    tid = _tid or ("VOL_A" if bound == "k" else "VOL_B")
     if r == 0.0:
         if bound == "k":
             raise ValueError("the n+4k volume ratio blows up as r -> 0; "
                              "use r > 0 (or the absolute drift form)")
         return check_volume_absolute(s, H, R, const=const, mode=mode, n_grid=n_grid)
-    if not 0.0 < r <= R:
-        raise ValueError(f"require 0 < r <= R, got r={r}, R={R}")
-    _require_outer(s, tid, H, R)
+    return _check_volume("VOL_A" if bound == "k" else "VOL_B", s, H, r, R, bound,
+                         const, mode, n_grid)
+
+
+def _check_volume(tid: str, s: WarpedSMMS, H: float, r: float, R: float, bound: str,
+                  const: float | None, mode: str, n_grid: int) -> ComparisonReport:
+    """The volume ratio comparison on [r, R], reported as ``tid``."""
+    radii = _radii(s, tid, H, n_grid, lo=r, R=R)
     mspace, c, bparams = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, R, mode)
 
@@ -570,7 +569,6 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
         ratio = vf / vm
         return ratio, ratio[0] * np.exp(E)
 
-    radii = np.linspace(r, R, n_grid)
     params = {"n": s.n, "H": H, "r": r, "R": R, "l": l, "c": c, **bparams}
     return _finalize(tid, params, mode, radii, eval_on)
 
@@ -579,9 +577,7 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
                           const: float | None = None, mode: str = "radial",
                           n_grid: int = 256) -> ComparisonReport:
     """Absolute drift form: V_f(R') <= V^a_H(R') exp{-f(0) + int (e^{lt}-1) A/V}."""
-    require_admissible("VOL_B_ABS", H, R)
-    if not 0.0 < R <= s.r_interior_hi:
-        raise ValueError(f"require 0 < R <= {s.r_interior_hi}, got {R}")
+    radii = _radii(s, "VOL_B_ABS", H, n_grid, R=R)
     mspace, _, bparams = _bound_model(s, H, "a", const)
     l = integral_rho(s, H, R, mode)
     f0 = float(s.f.eval(0.0))
@@ -590,7 +586,6 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
         vf, vm, E = _volumes(s, mspace, rs, l)
         return vf, vm * np.exp(-f0 + E)
 
-    radii = np.linspace(R / n_grid, R, n_grid)
     params = {"n": s.n, "H": H, "R": R, "l": l, **bparams}
     return _finalize("VOL_B_ABS", params, mode, radii, eval_on)
 
@@ -600,8 +595,7 @@ def check_vol_r1(s: WarpedSMMS, H: float, R: float, const: float | None = None,
     """The R >= 1 absolute estimate: the bounded-f volume comparison at r = 1."""
     if R < 1.0:
         raise ValueError(f"the R >= 1 estimate requires R >= 1, got {R}")
-    return check_volume_comparison(s, H, 1.0, R, bound="k", const=const,
-                                   mode=mode, n_grid=n_grid, _tid="VOL_R1")
+    return _check_volume("VOL_R1", s, H, 1.0, R, "k", const, mode, n_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +664,7 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     """
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
-    tid = "VOL_A" if k is not None else "VOL_B"
-    require_admissible(tid, H, R)
+    require_admissible("VOL_A" if k is not None else "VOL_B", H, R)
     target = math.log(alpha)
     table = _doubling_table(n, H, R, k, a)
     epsilon, F_eps = _SIGMA_CAP, _table_F(table, _SIGMA_CAP)
@@ -695,7 +688,7 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     yields a NOT-APPLICABLE report, not a failure.  Each grid row keys the
     outer radius r2 and stores the worst pair over r1 < r2.
     """
-    _require_outer(s, "VOL_A" if bound == "k" else "VOL_B", H, R)
+    inner = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, n_grid, R=R)
     mspace, _, bparams = _bound_model(s, H, bound, const)
     if epsilon is None:
         epsilon = doubling_epsilon(s.n, H, R, alpha,
@@ -711,7 +704,6 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     # and stores the worst genuine pair r1 < r2.  The report radii are the
     # inner grid less its first radius, so that pass reads the volumes just
     # integrated; only the x4 refinement integrates its own grid.
-    inner = np.linspace(R / n_grid, R, n_grid)
     vf1, vm1, _ = _volumes(s, mspace, inner)
     radii = inner[1:]
 
@@ -745,9 +737,7 @@ def check_absolute_volume_negH(s: WarpedSMMS, H: float, k: float | None = None,
     k = _resolve(s, "k", k)
     sqh = math.sqrt(-H)
     R = min(s.r_interior_hi, 3.5 / sqh) if R is None else float(R)
-    if not 0.0 < R <= s.r_interior_hi:
-        raise ValueError(f"require 0 < R <= {s.r_interior_hi}, got {R}")
-    radii = np.linspace(R / n_grid, R, n_grid)
+    radii = _radii(s, "VOL_ABS_NEGH", H, n_grid, R=R)
     l = integral_rho(s, H, R, mode)
     omega = sphere_area(s.n)
     e3k = math.exp(3.0 * k)

@@ -304,7 +304,11 @@ def _excess(s: WarpedSMMS, H: float, r, mode: str):
     lambda is radial Ric_f, in full mode the smaller of it and tangential."""
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
-    _, radial, tangential = _bakry_emery(s, r, mode)
+    return _excess_of(s, H, *_bakry_emery(s, r, mode)[1:])
+
+
+def _excess_of(s: WarpedSMMS, H: float, radial, tangential):
+    """g from the radial and tangential (None outside full mode) Ric_f."""
     return (s.n - 1.0) * H - (radial if tangential is None
                               else np.minimum(radial, tangential))
 
@@ -418,7 +422,8 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     """
     g = lambda t: _excess(s, H, t, mode)
     x = np.linspace(lo, hi, _EXCESS_SAMPLES)
-    gx = np.asarray(g(x), dtype=float)
+    _, radial, tangential = _bakry_emery(s, x, mode)  # the one read of the samples
+    gx = np.asarray(_excess_of(s, H, radial, tangential), dtype=float)
     if not np.all(np.isfinite(gx)):
         raise NonFiniteError(f"excess integrand is not finite on [{lo:.6g}, {hi:.6g}]")
     tiny = 1e-12 * max(abs((s.n - 1.0) * H), float(np.max(np.abs(gx))))
@@ -426,9 +431,9 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     roots = _crossings(g, x, gx, tiny, tol)
     if mode == "full":  # the kinks of min(radial, tangential)
         def kink(t):
-            _, radial, tangential = _bakry_emery(s, t, mode)
-            return tangential - radial
-        roots += _crossings(kink, x, kink(x), tiny, tol)
+            _, radial_t, tangential_t = _bakry_emery(s, t, mode)
+            return tangential_t - radial_t
+        roots += _crossings(kink, x, tangential - radial, tiny, tol)
     return roots + [c for c in (s.r_interior_lo, s.r_interior_hi) if lo < c < hi]
 
 
@@ -446,8 +451,8 @@ def cumulative_excess(s: WarpedSMMS, H: float, radii, mode: str = "radial",
     hi = float(radii[-1])
     if hi == lo:
         return np.zeros(len(radii))
+    require_finite_excess(s, mode, lo, hi)  # an unknown mode too, before the scan
     edges = np.sort(np.concatenate([[lo], radii, _excess_breakpoints(s, H, lo, hi, mode)]))
-    require_finite_excess(s, mode, lo, hi)  # after _excess has rejected a bad mode
     segs, _ = quad_grid(lambda t: np.maximum(0.0, _excess(s, H, t, mode)), edges)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     return cum[np.searchsorted(edges, radii)]
@@ -672,11 +677,14 @@ _BUILDERS = {
 
 
 def check_space_params(name: str, params: dict) -> None:
-    """Raise ``ValueError`` naming the first key of ``params`` (n aside) that
-    catalog space ``name`` does not take; linear_drift takes its base's too."""
+    """Raise ``ValueError`` naming a linear_drift base outside the catalog, else
+    the first key of ``params`` (n aside) that ``name`` (and its base) does not take."""
     known = [p for p in CATALOG[name]["params"] if p != "n"]
-    base = params.get("base", "euclidean")
-    if name == "linear_drift" and base in CATALOG:
+    if name == "linear_drift":
+        base = params.get("base", "euclidean")
+        if base not in CATALOG:
+            raise ValueError(f"space linear_drift: unknown space {base!r} as its base; "
+                             f"catalog: {sorted(CATALOG)}")
         known += [p for p in CATALOG[base]["params"] if p != "n" and p not in known]
     for key in params:
         if key not in known:

@@ -297,15 +297,24 @@ class TestCustomSpace:
         captured = capsys.readouterr()
         assert "--param" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("key, err", [
-        ("n", "error: --custom: custom.n: the dimension is the file's top-level n\n"),
-        ("H", "error: space custom has no parameter 'H'; its parameters: "
-              "w, f, r_max, closed\n")], ids=["dimension", "unknown"])
-    def test_parameter_the_space_does_not_take(self, capsys, tmp_path, key, err):
-        # Both ran before: n ended in a TypeError traceback, H was dropped.
+    @pytest.mark.parametrize("spec, err", [
+        ({**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "n": 4.0}},
+         "error: --custom: custom.n: the dimension is the file's top-level n\n"),
+        ({**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "H": 4.0}},
+         "error: space custom has no parameter 'H'; its parameters: w, f, r_max, closed\n"),
+        ({"name": "sphere", "params": {"H": 4.0}, **CUSTOM_SPEC},
+         "error: --custom: name: the top level holds only n and custom\n"),
+        ({**CUSTOM_SPEC, "params": {"H": 4.0}},
+         "error: --custom: params: the top level holds only n and custom\n"),
+        ({**CUSTOM_SPEC, "n": 3.7},
+         "error: --custom: n: the dimension must be an integer, got 3.7\n"),
+    ], ids=["dimension", "unknown", "name", "params", "real-dimension"])
+    def test_parameter_the_space_does_not_take(self, capsys, tmp_path, spec, err):
+        # All ran before: custom.n ended in a TypeError traceback, custom.H
+        # was dropped, a top-level name and params ran that catalog space or
+        # set the comparison curvature, and n = 3.7 ran as n = 3.
         path = tmp_path / "space.json"
-        path.write_text(json.dumps({**CUSTOM_SPEC,
-                                    "custom": {**CUSTOM_SPEC["custom"], key: 4.0}}))
+        path.write_text(json.dumps(spec))
         assert main(["check", "--custom", str(path), "--theorem", "MC_DRIFT",
                      "--grid", "32"]) == 2
         captured = capsys.readouterr()
@@ -401,13 +410,23 @@ class TestBadInput:
         (["sweep", "--space", "sphere", "--n", "3", "--theorem", "MC_DRIFT", "--a", "0",
           "--range", "Hx=1:2:2"],
          "error: --range Hx: space sphere has no parameter 'Hx'; its parameters: H\n"),
+        (["sweep", "--space", "sphere", "--n", "3", "--param", "Hx=7", "--theorem",
+          "MC_DRIFT", "--grid", "16", "--range", "a=0:1:2"],
+         "error: space sphere has no parameter 'Hx'; its parameters: H\n"),
         (["check", "--space", "sphere", "--n", "3", "--param", "n=4",
           "--theorem", "MC_DRIFT", "--a", "0"],
          "error: --param n: the dimension is not a space parameter; set it with --n\n"),
-    ], ids=["check", "sweep", "dimension"])
+        (["check", "--space", "linear_drift", "--n", "3", "--param", "base=nosuch",
+          "--param", "H=1", "--theorem", "MC_DRIFT"],
+         "error: space linear_drift: unknown space 'nosuch' as its base; catalog: "
+         "['custom', 'euclidean', 'gaussian_soliton', 'hyperbolic', 'linear_drift', "
+         "'perturbed_sphere', 'sphere']\n"),
+    ], ids=["check", "sweep", "sweep-param", "dimension", "base"])
     def test_parameter_the_space_does_not_take(self, capsys, argv, err):
         # The builders took any name: the first two ran the H = 1 sphere,
         # and n=4 ended in a TypeError traceback (exit 1, the FAIL code).
+        # An unknown base was not named: the diagnostic blamed H.  A bad
+        # --param next to a theorem-flag range failed at the first point.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == err and captured.out == ""
@@ -420,6 +439,20 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and says in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("R", ["0", "-1"])
+    @pytest.mark.parametrize("tid", ["AREA_A", "AREA_B", "VOL_A", "VOL_B", "VOL_B_ABS",
+                                     "VOL_ABS_NEGH", "DOUBLING", "VOL_R1"])
+    def test_outer_radius_not_positive(self, capsys, tid, R):
+        # DOUBLING said "ratio_table requires R > 0", naming no flag, and
+        # AREA and VOL put r first: "require 0 < r <= R".
+        H = "-1" if tid == "VOL_ABS_NEGH" else "0"
+        assert main(["check", *_FLAT, "--theorem", tid, "--H", H, "--r", "0.25",
+                     "--alpha", "2", "--R", R]) == 2
+        captured = capsys.readouterr()
+        want = ("the R >= 1 estimate requires R >= 1" if tid == "VOL_R1"
+                else "require 0 < R <= 10.0")
+        assert captured.err == f"error: {want}, got {float(R)}\n" and captured.out == ""
 
     def test_numeric_param_still_needs_a_number(self, capsys):
         assert main(["check", "--space", "linear_drift", "--n", "3", "--param", "base=sphere",
@@ -583,7 +616,12 @@ class TestSweep:
          "error: --range param.n: space sphere has no parameter 'n'"),
         (["--custom", "space.json"], "param.r_max=2:3:2",
          "error: --range param.r_max: a --custom space takes no space parameters"),
-    ], ids=["unknown", "dimension", "custom"])
+        # It passed this check against the euclidean base, then failed at
+        # its first point.
+        (["--space", "linear_drift", "--n", "3", "--param", "base=sphere", "--param", "H=1"],
+         "param.r_max=3:4:2",
+         "error: --range param.r_max: space linear_drift has no parameter 'r_max'"),
+    ], ids=["unknown", "dimension", "custom", "drift-base"])
     def test_param_range_rejected(self, capsys, tmp_path, monkeypatch, space, rng, err):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "space.json").write_text(json.dumps(CUSTOM_SPEC))
@@ -600,6 +638,19 @@ class TestSweep:
         assert main(argv) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == "param.r_max,min_margin,verdict" and len(rows) == 3
+
+    def test_linear_drift_range_over_its_base_parameter(self, capsys):
+        # It exited 2: the range was checked against the euclidean base.
+        drift = ["--space", "linear_drift", "--n", "3", "--param", "base=sphere",
+                 "--theorem", "MC_DRIFT", "--grid", "16"]
+        assert main(["sweep", *drift, "--param", "H=1", "--range", "param.H=0.5:1:2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "param.H,min_margin,verdict" and len(rows) == 3
+        for row in rows[1:]:
+            H, margin, verdict = row.split(",")
+            _, report = run_json(["check", *drift, "--param", f"H={H}"], capsys)
+            assert f"{report['checks'][0]['min_margin']:.17g}" == margin
+            assert report["verdict"] == verdict
 
     @pytest.mark.parametrize("argv, err", [
         (_FLAT + ["--theorem", "AREA_A", "--r", "0.1", "--R", "0.5", "--grid", "16",

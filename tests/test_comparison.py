@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +77,41 @@ class TestMcRough:
         s = make_space("euclidean", n=3)
         with pytest.raises(ValueError):
             check_mc_rough(s, 0.0, 12.0)
+
+
+class TestRadiusRule:
+    """Every check takes its radii and their range checks from one rule."""
+
+    @pytest.mark.parametrize("check, says", [
+        (lambda s: check_mc_rough(s, 0.0, 0.6), "require 0 < r0 <= R, got r0=0.6, "),
+        (lambda s: check_mc_bounded_f_pi2(s, 1.0),
+         "require 0 < pi/(4 sqrt(H)) <= R, got pi/(4 sqrt(H))=0.785398"),
+        (lambda s: check_area_comparison(s, 0.0, 0.45, 0.4),
+         "require 0 < r <= R, got r=0.45, R=0.4"),
+        (lambda s: check_doubling(s, 0.0, 2.0, -1.0), "require 0 < R <= 0.5, got -1.0"),
+        (lambda s: check_volume_comparison(s, 0.0, 0.2, 0.6), "require 0 < R <= 0.5, got 0.6"),
+    ], ids=["r0", "pi2-start", "r", "R-negative", "R-beyond"])
+    def test_diagnostic_names_the_radius(self, check, says):
+        # r0 and the pi/2 range's start read "outside (0, cap)" and "empty
+        # admissible grid"; a doubling R <= 0 reached ratio_table, and an R
+        # past the interior read "beyond the interior range".
+        with pytest.raises(ValueError, match=re.escape(says)):
+            check(make_space("euclidean", n=3, r_max=0.5))
+
+    def test_pi2_range_runs_only_where_it_is_not_empty(self):
+        # It ran, and raised, when r_max lay within 1e-9 r_max past pi/4:
+        # the range ends just short of r_max.
+        s = make_space("euclidean", n=3, r_max=math.pi / 4 + 1e-10)
+        reports = check_mc_bounded_f(s, 1.0, n_grid=16)
+        assert [rep.theorem_id for rep in reports] == ["MC_BOUNDED_F_INNER"]
+
+    def test_inner_radius_at_the_outer_one(self):
+        # lo = R is admitted, as r = R always was on AREA and VOL; it was
+        # "outside (0, cap)" for r0.
+        s = make_space("euclidean", n=3)
+        R = s.r_max * (1.0 - 1e-9)
+        rep = check_mc_rough(s, 0.0, R, n_grid=4)
+        assert rep.passed and np.all(rep.grid[:, 0] == R)
 
 
 class TestMcBoundedF:

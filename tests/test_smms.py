@@ -292,7 +292,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(smms, name, wrapped)
 
     counting("find_root_bracketed", "roots")
-    counting("_excess", "abscissae", size=2)
+    counting("_excess_of", "abscissae", size=2)  # the scan's samples and each _excess
     level = numkit._gauss_segments
 
     def counted_level(f, a, b, panels):
@@ -357,6 +357,29 @@ class TestExcessQuadrature:
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
         integral_rho(s, 1.0, math.pi)
         assert 0 < calls["abscissae"] <= 3000
+
+    def test_full_mode_scan_reads_the_curvature_once(self, monkeypatch):
+        # The breakpoint scan read its 257 samples twice in full mode, once
+        # for g and once for tangential - radial.  Every other array read is
+        # one integrand call of the quadrature.
+        from smmskit import smms
+        reads, integrand = [], []
+        read, quad = smms._bakry_emery, smms.quad_grid
+
+        def counted_read(s, r, mode):
+            if np.ndim(r):
+                reads.append(np.size(r))
+            return read(s, r, mode)
+
+        def counted_quad(f, edges, *args, **kwargs):
+            return quad(lambda t: integrand.append(np.size(t)) or f(t), edges,
+                        *args, **kwargs)
+
+        monkeypatch.setattr(smms, "_bakry_emery", counted_read)
+        monkeypatch.setattr(smms, "quad_grid", counted_quad)
+        s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
+        integral_rho(s, 1.0, 1.2, "full")
+        assert integrand and reads == [257] + integrand
 
     @pytest.mark.parametrize("mode", ["radial", "full"])
     @pytest.mark.parametrize("n", [2, 3])

@@ -44,8 +44,10 @@ CUSTOM_SPEC = {"n": 3,
                           "r_max": 3.0, "closed": False}}
 # Spec files written into every run directory: the custom space, the same
 # space with a spline (`table`) warping w = r + 0.02 r^3, the benchmark's
-# `poly_small` family with a cubic warping w = r + 0.002 r^3 (`bumped`), and
-# two copies with a non-finite number (JSON allows NaN and Infinity).
+# `poly_small` family with a cubic warping w = r + 0.002 r^3 (`bumped`),
+# two copies with a non-finite number (JSON allows NaN and Infinity), and
+# three with a top level other than n and custom: a catalog name and its
+# parameters, parameters alone, and a dimension that is not an integer.
 SPEC_FILES = {
     "space.json": CUSTOM_SPEC,
     "table.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "w": {
@@ -58,6 +60,9 @@ SPEC_FILES = {
                                            "f": {"type": "poly",
                                                  "coeffs": [0.0, 0.0, math.nan]}}},
     "inf.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "r_max": math.inf}},
+    "named.json": {"name": "sphere", "params": {"H": 4}, **CUSTOM_SPEC},
+    "params.json": {**CUSTOM_SPEC, "params": {"H": 4}},
+    "n37.json": {**CUSTOM_SPEC, "n": 3.7},
 }
 
 # Per theorem id: flags for a cheap valid run.
@@ -283,6 +288,49 @@ def cases() -> list[tuple[str, list[str]]]:
          "--range", "k=1:50:3"],
     ]
     out += [(f"bad/{i}", argv) for i, argv in enumerate(bad)]
+    # The radius rule's diagnostics: an outer radius R <= 0 on every theorem
+    # that takes --R, an inner radius beyond it, r0 outside its range, and
+    # the pi/2 range on a space that ends before it starts.
+    for tid in ("AREA_A", "AREA_B", "VOL_A", "VOL_B", "VOL_B_ABS", "VOL_ABS_NEGH",
+                "DOUBLING", "VOL_R1", "CHENG", "EIGEN"):
+        for R in ("0", "-1"):
+            out.append((f"radius/{tid}/R{R}", ["check", *_IDS[tid], "--theorem", tid,
+                                               "--R", R]))
+    for tid in ("AREA_A", "VOL_B"):
+        out.append((f"radius/{tid}/r>R", ["check", *_IDS[tid], "--theorem", tid,
+                                          "--r", "0.6"]))
+    for tid in ("VOL_A", "DOUBLING"):
+        out.append((f"radius/{tid}/R>r_max", ["check", *_IDS[tid], "--theorem", tid,
+                                              "--H", "0", "--R", "11"]))
+    for r0 in ("0", "-1", "10", "20"):
+        out.append((f"radius/MC_ROUGH/r0={r0}", ["check", *_FLAT, "--theorem", "MC_ROUGH",
+                                                 "--r0", r0, "--grid", "32"]))
+    out.append(("radius/MC_BOUNDED_F_PI2/short", [
+        "check", *_FLAT, "--param", "r_max=0.5", "--H", "1", "--theorem",
+        "MC_BOUNDED_F_PI2", "--grid", "32"]))
+    # Space specs: ranges over a linear_drift base's parameters, an unknown
+    # base next to a base parameter, and the custom files' top level.
+    drift_sphere = [*_DRIFT, "--param", "base=sphere", "--param", "H=1", "--theorem",
+                    "MC_DRIFT", "--grid", "16"]
+    out += [
+        ("spec/drift-sphere-range-H", ["sweep", *drift_sphere, "--range", "param.H=0.5:1:2"]),
+        ("spec/drift-sphere-range-r_max", ["sweep", *drift_sphere,
+                                           "--range", "param.r_max=3:4:2"]),
+        ("spec/drift-unknown-base", ["check", *_DRIFT, "--param", "base=nosuch", "--param",
+                                     "H=1", "--theorem", "MC_DRIFT"]),
+        ("spec/drift-range-base", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT",
+                                   "--range", "param.base=0.5:1:2"]),
+        ("spec/unknown-param-with-range", ["sweep", *_SPHERE, "--param", "Hx=1", "--theorem",
+                                           "MC_DRIFT", "--range", "param.H=0.5:1:2"]),
+        ("spec/unknown-param-with-flag-range", ["sweep", *_SPHERE, "--param", "Hx=1",
+                                                "--theorem", "MC_DRIFT", "--grid", "16",
+                                                "--range", "a=0:1:2"]),
+        ("spec/custom-named", ["check", "--custom", "named.json", "--theorem", "MYERS"]),
+        ("spec/custom-params", ["check", "--custom", "params.json", "--theorem", "MC_DRIFT",
+                                "--grid", "16"]),
+        ("spec/custom-n3.7", ["check", "--custom", "n37.json", "--theorem", "MC_DRIFT",
+                              "--grid", "16"]),
+    ]
     return out
 
 
