@@ -152,6 +152,14 @@ def cases() -> list[tuple[str, list[str]]]:
         ("flat/EIGEN/R1e-9", ["check", *_FLAT, "--theorem", "EIGEN", "--R", "1e-9"]),
         ("drift/EIGEN/a20", ["check", *_DRIFT, "--param", "a=20", "--theorem", "EIGEN",
                              "--R", "4"]),
+        # A steep weight on which the Ritz seed misses, a tight tolerance on
+        # a curved space, and a disk (n = 2, whose pole series is the shortest).
+        ("hyp9/EIGEN/H-25", ["check", "--space", "hyperbolic", "--n", "9", "--param", "H=-25",
+                             "--param", "r_max=5", "--theorem", "EIGEN", "--R", "4"]),
+        ("psphere/EIGEN/tight", ["check", *_PSPHERE, "--theorem", "EIGEN", "--R", "1.2",
+                                 "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
+        ("flat2/EIGEN", ["check", "--space", "euclidean", "--n", "2", "--theorem", "EIGEN",
+                         "--R", "1"]),
         ("out/json", ["check", *_FLAT, "--theorem", "VOL_B", "--H", "0", "--r", "0.3",
                       "--R", "1", "--grid", "24", "--out", "report.json"]),
         ("out/csv", ["check", *_PSPHERE, "--theorem", "DOUBLING", "--H", "1", "--alpha", "4",
