@@ -190,8 +190,9 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
                              "tolerance; only CHENG and EIGEN read it")
     for name in _THEOREM_FLAGS:
         _require_finite(f"--{name}", getattr(args, name))
-    if args.grid < 2:
-        raise InputError(f"--grid: a check needs at least 2 grid points, got {args.grid}")
+    if args.grid < cmp.MIN_GRID_POINTS:
+        raise InputError(f"--grid: a check needs at least {cmp.MIN_GRID_POINTS} grid points,"
+                         f" got {args.grid}")
     H = _resolve_H(args, spec)
     if args.R is not None:
         cmp.require_admissible(tid, H, args.R)

@@ -63,6 +63,7 @@ __all__ = [
     "Report",
     "ComparisonReport",
     "DoublingCertificate",
+    "MIN_GRID_POINTS",
     "admissible_R",
     "check_mc_rough",
     "check_mc_bounded_f",
@@ -234,16 +235,24 @@ def require_admissible(theorem_id: str, H: float, R: float) -> None:
 
 # How a diagnostic names a theorem's inner radius; the others take --r.
 _INNER_NAME = {"MC_ROUGH": "r0", "MC_BOUNDED_F_PI2": "pi/(4 sqrt(H))"}
+# Fewest radii a check's grid may have (the CLI's --grid floor too).
+MIN_GRID_POINTS = 2
 
 
 def _radii(s: WarpedSMMS, theorem_id: str, H: float, n_grid: int,
-           lo: float | None = None, R: float | None = None) -> np.ndarray:
+           lo: float | None = None, R: float | None = None,
+           open_hi: bool = False) -> np.ndarray:
     """The one radius rule: ``n_grid`` evenly spaced radii from ``lo`` to R.
 
-    A given R lies in (0, the theorem's cap] and in the space's interior; by
-    default R is the cap or just short of r_max, whichever is nearer.  ``lo``
-    defaults to R/n_grid; a given one lies in (0, R], and lo = R repeats R.
+    ``n_grid`` is at least ``MIN_GRID_POINTS``.  A given R lies in (0, the
+    theorem's cap] and in the space's interior; by default R is the cap or
+    just short of r_max, whichever is nearer.  ``lo`` defaults to R/n_grid;
+    a given one lies in (0, R], and lo = R repeats R.  With ``open_hi`` the
+    radii are the first ``n_grid`` of ``n_grid + 1`` from ``lo`` to R.
     """
+    if n_grid < MIN_GRID_POINTS:
+        raise ValueError(f"n_grid: a check needs at least {MIN_GRID_POINTS} grid points,"
+                         f" got {n_grid}")
     if R is None:
         R = min(admissible_R(theorem_id, H), s.r_interior_hi, s.r_max * (1.0 - 1e-9))
     else:
@@ -255,7 +264,7 @@ def _radii(s: WarpedSMMS, theorem_id: str, H: float, n_grid: int,
     elif not 0.0 < lo <= R:
         name = _INNER_NAME.get(theorem_id, "r")
         raise ValueError(f"require 0 < {name} <= R, got {name}={lo}, R={R}")
-    return np.linspace(lo, R, n_grid)
+    return np.linspace(lo, R, n_grid + 1)[:-1] if open_hi else np.linspace(lo, R, n_grid)
 
 
 def _cum_integral(fn, radii: np.ndarray) -> np.ndarray:
@@ -472,9 +481,9 @@ def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
     if H <= 0.0:
         raise ValueError("the pi/2 range estimate requires H > 0")
     k = _resolve(s, "k", k)
-    # The coefficient diverges at the cap: n_grid + 1 radii up to it, less the last.
-    radii = _radii(s, "MC_BOUNDED_F_PI2", H, n_grid + 1,
-                   lo=math.pi / (4.0 * math.sqrt(H)))[:-1]
+    # The coefficient diverges at the cap, which the radii leave out.
+    radii = _radii(s, "MC_BOUNDED_F_PI2", H, n_grid, lo=math.pi / (4.0 * math.sqrt(H)),
+                   open_hi=True)
 
     def bound(rs):
         coeff = 1.0 + 4.0 * k / ((s.n - 1.0) * np.sin(2.0 * math.sqrt(H) * rs))
@@ -488,7 +497,8 @@ def check_mc_bounded_f(s: WarpedSMMS, H: float, k: float | None = None,
                        mode: str = "radial", n_grid: int = 256) -> list[ComparisonReport]:
     """Both ranges of the bounded-potential mean curvature comparison."""
     reports = [check_mc_bounded_f_inner(s, H, k, mode=mode, n_grid=n_grid)]
-    if H > 0.0 and _radii(s, "MC_BOUNDED_F_PI2", H, 1)[0] > math.pi / (4.0 * math.sqrt(H)):
+    if H > 0.0 and (_radii(s, "MC_BOUNDED_F_PI2", H, MIN_GRID_POINTS)[-1]
+                    > math.pi / (4.0 * math.sqrt(H))):
         reports.append(check_mc_bounded_f_pi2(s, H, k, mode=mode, n_grid=n_grid))
     return reports
 

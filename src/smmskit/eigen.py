@@ -1,38 +1,65 @@
-"""First Dirichlet eigenvalues by shooting, and the constructive Cheng check.
+"""First Dirichlet eigenvalues by shooting on fixed Magnus panels, and the
+constructive Cheng check.
 
 The model eigenproblem is phi'' + (m_H + a) phi' + lambda phi = 0 with
 phi(0) = 1 and phi(R) = 0; the same solver handles a radial ball in a
 warped space with coefficient m_f.  The pole is a regular singular point,
-so integration starts at r0 = 1e-6 R from the series
+so shoots start at r0 = 1e-6 R from the series
 phi(r0) = 1 - lambda r0^2 / (2n), phi'(r0) = -lambda r0 / n.
 
-Shoots run in the scaled state (phi, R phi'), whose components are of order
-one at any R, and follow the Pruefer angle theta, phi = rho sin(theta) and
-R phi' = rho cos(theta), which obeys the first-order equation
-theta' = cos^2 theta / R + m_f sin theta cos theta + lambda R sin^2 theta.
-theta(R; lambda) is continuous and increasing in lambda and passes each
-multiple of pi only upward, at a zero of phi, so the first eigenvalue is the
+A shoot carries the linear state y = (phi, R phi'), whose components are
+of order one at any R, across fixed panels: y' = A(r) y with
+A = [[0, 1/R], [-lambda R, -m(r)]].  The panels are geometric from r0 to
+R/20 and uniform beyond, 64 and 128 of them at level 0; level k splits
+each into 2^k.  A geometric panel steps in x = log r, where the pole's
+m ~ (n-1)/r makes r A nearly constant, and a uniform one in x = r.  m does
+not depend on lambda, so a solve reads it once per level, in one array call
+at the panels' 3-point Gauss nodes and edges.  Each panel's propagator is
+the sixth-order Magnus exponential exp(Omega) of dy/dx = (dr/dx) A y in the
+Blanes-Casas-Ros commutator form (Iserles & Norsett, Phil. Trans. R. Soc.
+A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Lambda
+enters A only as w = -lambda R^2 v in its off-diagonal pair, so Omega is a
+closed form, linear or quadratic in lambda, whose coefficients a level
+keeps; the 2x2 exponential is e^tau (C I + S (Omega - tau I)) with
+C = cos w, S = sin(w)/w, or their hyperbolic forms.  One pass multiplies
+the propagators along the edges for every lambda it carries, and a point
+between edges is one partial Magnus step from the edge on its left.
+
+The Pruefer angle theta, phi = rho sin(theta) and R phi' = rho cos(theta),
+obeys theta' = cos^2 theta / R + m sin theta cos theta + lambda R sin^2 theta,
+so theta(R; lambda) is continuous and increasing in lambda and passes each
+multiple of pi only upward, at a zero of phi: the first eigenvalue is the
 root of theta(R; lambda) = pi (Pryce, Numerical Solution of Sturm-Liouville
-Problems, 1993).  The lowest Rayleigh-Ritz value lambda_R on a polynomial
-basis, taken on Gauss-Jacobi nodes, seeds the search with a bracket one
-closing width wide around it.  One solve shoots theta at its two ends and,
-when that bracket is narrow enough to close at once, the linear
-(phi, R phi') at lambda_R: four components that share the coefficient m_f.
-The search falls back to growing a bracket from [0, pi^2/R^2] when the Ritz
-value does not bracket the root.  Secant steps safeguarded inside a kept
-bracket find it, until the bracket is narrower than
-max(abs_tol, rel_tol * lambda_hi).  Every shoot runs at an ODE tolerance
-at least two orders tighter than rel_tol (down to rel_tol 1e-12), so the
-theta(R) values are more accurate than the bracket they close.  The
-eigenfunction samples, r_half and the residual |phi(R)| come from the
-seeded solve's (phi, R phi') when the final bracket still holds lambda_R,
-so at the CLI tolerance a seeded eigenvalue takes one solve; otherwise one
-(phi, R phi') shoot at the root gives them.  The report passes only when
-the bracket meets that width, theta(R) at its upper end lies in [pi, 2 pi)
-(phi has exactly one zero, so the eigenvalue is the first) and the
-residual is within the bound the bracket and the shoot's error estimates
-allow.  The Ritz value only places
-the bracket and the eigenfunction; the shoots decide the verdict.
+Problems, 1993).  theta(R) is the atan2 of the edge states, unwrapped.
+Unwrapping needs every panel to turn the angle by less than pi.  The angle
+of the balanced state (phi, R phi'/s), s = max(1, R sqrt(lambda)), which
+has the same multiples of pi, turns by at most
+h (max(1/R, sqrt(lambda)) + |m|/2) on a panel of length h; a shoot runs on
+the lowest level at which that is below pi/2 on every panel, with |m| the
+largest of its level-0 panel's node and edge values, and raises
+``SubdivisionLimitError`` when that level would pass 2^16 panels.
+
+The lowest Rayleigh-Ritz value lambda_R on a polynomial basis, taken on
+Gauss-Jacobi nodes, seeds the search with a bracket one closing width wide
+around it.  One pass shoots both of its ends and, when that bracket is
+narrow enough to close at once, lambda_R too.  The search falls back to
+growing a bracket from [0, pi^2/R^2] when the Ritz value does not bracket
+the root.  Secant steps safeguarded inside a kept bracket find it, until
+the bracket is narrower than max(abs_tol, rel_tol * lambda_hi).  The
+eigenfunction is the shoot at lambda_R when the final bracket still holds
+it, and otherwise the shoot at the root.  A shoot at the same lambda with
+twice the panels sets the level.  Compared with it, the root (theta(R)
+over the slope of theta(R) across the bracket) and phi at the shared
+edges must move by at most 1/100 of the closing width relative to
+lambda_hi (at least 1e-14, where theta's rounding sets in); otherwise the
+search runs again from the final bracket, on the level the sixth order
+predicts.  The report passes only when the bracket meets that width,
+theta(R) at its upper end lies in [pi, 2 pi) (phi has exactly one zero, so
+the eigenvalue is the first) and the residual |phi(R)| is within the bound
+the bracket and the two levels allow.  The Ritz value only places the
+bracket and the eigenfunction; the shoots decide the verdict.  ``shoots``
+in the report counts the passes, and ``panels`` the panels of the
+eigenfunction's shoot.
 
 The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
@@ -51,13 +78,15 @@ import numpy as np
 
 from .comparison import Report, _resolve, doubling_epsilon, require_admissible
 from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
-from .numkit import (OdeTrajectory, RootBracket, Tolerance, bracket_width,
-                     find_root_bracketed, gauss_jacobi, integrate_ode, quad_adaptive)
+from .numkit import (NonFiniteError, RootBracket, SubdivisionLimitError, Tolerance,
+                     bracket_width, find_root_bracketed, gauss_jacobi, integrate_ode,
+                     quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
 __all__ = [
     "EigenResult",
+    "MagnusShoot",
     "ChengReport",
     "model_eigenvalue",
     "smms_radial_eigenvalue",
@@ -67,30 +96,191 @@ __all__ = [
     "check_cheng_estimate",
 ]
 
-# check_cheng_estimate reads the space's bounds through comparison._resolve;
-# bench/tracing.py still looks this name up in this module (ROADMAP item 1).
-_TRACED_NAMES = (potential_bounds,)
+# check_cheng_estimate reads the space's bounds through comparison._resolve,
+# and no shoot calls integrate_ode; bench/tracing.py still looks both names
+# up in this module (ROADMAP item 1).
+_TRACED_NAMES = (potential_bounds, integrate_ode)
 
 EIGEN_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_steps=100_000)
-_ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11, max_steps=200_000)
-_ODE_REL_FLOOR = 1e-14
+
+# Level-0 panels: _GEOM_PANELS geometric ones from _R0 R to _R_GEOM R and
+# _UNIFORM_PANELS uniform ones to R; a shoot may use at most _MAX_PANELS.
+_R0 = 1e-6
+_R_GEOM = 0.05
+_GEOM_PANELS = 64
+_UNIFORM_PANELS = 128
+_MAX_PANELS = 1 << 16
+_GAUSS3 = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+# The level rule asks for no more relative accuracy than this over 100.
+_ROUNDING_REL = 1e-12
 
 
-def _shoot_tol(tol: Tolerance) -> Tolerance:
-    """ODE tolerance of the shoots for the eigenvalue tolerance ``tol``.
+def _gauss_nodes(left: np.ndarray, right: np.ndarray, log: np.ndarray) -> tuple:
+    """Panel lengths h in x, the 3-point Gauss nodes in r and dr/dx at them,
+    for panels from ``left`` to ``right`` in x = log r where ``log`` holds
+    and in x = r elsewhere."""
+    h = np.where(log, np.log(right / left), right - left)
+    step = h[:, None] * _GAUSS3
+    nodes = left[:, None] * np.where(log[:, None], np.exp(step), 1.0 + step / left[:, None])
+    return h, nodes, np.where(log[:, None], nodes, 1.0)
 
-    A theta(R) error moves the root by that error over d theta(R) / d lam,
-    so the shoots run two orders tighter than the bracket: rel_tol is
-    tol.rel_tol / 100 and abs_tol a tenth of it.  rel_tol is at most
-    _ODE_TOL's 1e-11, so the CLI tolerance (rel_tol 1e-6) shoots at
-    _ODE_TOL, and at least _ODE_REL_FLOOR, which tol.rel_tol 1e-12 reaches;
-    tighter shoots would chase the rounding of theta.  At rel_tol 1e-10,
-    _ODE_TOL left lam up to 1.6e-10 relative off.
+
+def _panel_terms(h: np.ndarray, jac: np.ndarray, m: np.ndarray, R: float) -> tuple:
+    """The lambda-free parts of the Magnus exponent on panels of lengths
+    ``h`` in x, with dr/dx (``jac``) and m at their three Gauss nodes (rows).
+
+    dy/dx = B y with B = (dr/dx) A.  In traceless coordinates
+    (u, v, w) = [[u, v], [w, -u]] and L = lambda R^2, B has
+    u = (dr/dx) m/2, v = (dr/dx)/R and w = -L v, and so do its Gauss terms
+    alpha1 = h B2, alpha2 = sqrt(15) h (B3 - B1)/3 and
+    alpha3 = 10 h (B3 - 2 B2 + B1)/3.  The commutator form
+    Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240,
+    C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60, then has
+    u = P0 + L P1, v = Q0 + L Q1, w = L (S0 + L S1) and trace -2 P0.
+    Returns (P0, P1, Q0, Q1, S0, S1, e^-P0).
     """
-    rel = max(_ODE_REL_FLOOR, tol.rel_tol / 100.0)
-    if rel >= _ODE_TOL.rel_tol:
-        return _ODE_TOL
-    return Tolerance(abs_tol=rel / 10.0, rel_tol=rel, max_steps=_ODE_TOL.max_steps)
+    k2, k3 = math.sqrt(15.0) / 3.0 * h, 10.0 / 3.0 * h
+
+    def gauss(x):
+        return h * x[:, 1], k2 * (x[:, 2] - x[:, 0]), k3 * (x[:, 2] - 2.0 * x[:, 1] + x[:, 0])
+
+    u1, u2, u3 = gauss(0.5 * jac * m)
+    v1, v2, v3 = gauss(jac / R)
+    D, E = u1 * v2 - u2 * v1, u1 * v3 - u3 * v1
+    Xu, Xv, Xw = -20.0 * u1 - u3, 2.0 * D - 20.0 * v1 - v3, 2.0 * D + 20.0 * v1 + v3
+    Yv, Yw = v2 - (E + u1 * D) / 15.0, (u1 * D - E) / 15.0 - v2
+    P0 = u1 + u3 / 12.0
+    return (P0, (Xv * Yw - Yv * Xw) / 240.0,
+            v1 + v3 / 12.0 + (Xu * Yv - u2 * Xv) / 120.0, v1 * D * Xv / 1800.0,
+            (u2 * Xw - Xu * Yw) / 120.0 - v1 - v3 / 12.0, -v1 * D * Xw / 1800.0,
+            np.exp(-P0))
+
+
+def _propagators(terms: tuple, lam, R: float) -> tuple:
+    """Entries (a, b, c, d) of exp(Omega) = [[a, b], [c, d]] for each lam of
+    ``lam`` (an array of shape (K, 1), or a float) on each panel."""
+    P0, P1, Q0, Q1, S0, S1, decay = terms
+    L = lam * (R * R)
+    u = P0 + L * P1
+    v = Q0 + L * Q1
+    w = L * (S0 + L * S1)
+    q = u * u + v * w  # Omega - tau I squares to q I
+    arg = np.sqrt(np.abs(q))
+    osc = q < 0.0
+    cos = np.where(osc, np.cos(arg), np.cosh(arg))
+    sinc = np.where(arg > 0.0, np.where(osc, np.sin(arg), np.sinh(arg))
+                    / np.where(arg > 0.0, arg, 1.0), 1.0)
+    sinc = sinc * decay
+    cos = cos * decay
+    return cos + sinc * u, sinc * v, sinc * w, cos - sinc * u
+
+
+def _pole_start(n: int, lam: float, r: float, R: float):
+    """(phi, R phi') at r from the regular-singular pole series."""
+    return 1.0 - lam * r * r / (2.0 * n), -lam * r * R / n
+
+
+@dataclass(frozen=True, eq=False)
+class MagnusShoot:
+    """One shoot at ``lam``: (phi, R phi') at the panel ``edges`` (rows of
+    ``ys``), and phi between them by one Magnus step from the nearest edge
+    on the left; ``coeff`` is the shoot's m, read at that step's nodes."""
+
+    lam: float
+    n: int
+    R: float
+    edges: np.ndarray
+    geom: int
+    ys: np.ndarray
+    coeff: object = field(repr=False)
+
+    def at(self, r) -> np.ndarray:
+        """Rows (phi, phi') at the radii ``r``; the pole series below the
+        first edge."""
+        r = np.asarray(r, dtype=float)
+        edges = self.edges
+        i = np.searchsorted(edges, r, side="right") - 1
+        pole = i < 0
+        i = np.clip(i, 0, len(edges) - 1)
+        h, nodes, jac = _gauss_nodes(edges[i], np.where(pole, edges[0], r), i < self.geom)
+        m = np.asarray(self.coeff(nodes.ravel())).reshape(nodes.shape)
+        a, b, c, d = _propagators(_panel_terms(h, jac, m, self.R), self.lam, self.R)
+        phi, dphi = self.ys[i, 0], self.ys[i, 1]
+        series = _pole_start(self.n, self.lam, r, 1.0)
+        return np.column_stack([np.where(pole, series[0], a * phi + b * dphi),
+                                np.where(pole, series[1], (c * phi + d * dphi) / self.R)])
+
+
+class _Panels:
+    """The panel levels of one solve: edges, node values of m and the
+    Magnus terms per level, built on first use, and the shoots made."""
+
+    def __init__(self, coeff, n: int, R: float) -> None:
+        self.coeff, self.n, self.R = coeff, n, R
+        self.levels: dict = {}
+        self.passes = 0
+
+    def level(self, k: int) -> tuple:
+        """Edges, Magnus terms, panel lengths and largest |m| per panel of
+        level ``k``; its first ``_GEOM_PANELS << k`` panels step in log r."""
+        if k not in self.levels:
+            R = self.R
+            geom = _GEOM_PANELS << k
+            edges = np.concatenate([
+                _R0 * R * (_R_GEOM / _R0) ** (np.arange(geom) / geom),
+                np.linspace(_R_GEOM * R, R, (_UNIFORM_PANELS << k) + 1)])
+            h, nodes, jac = _gauss_nodes(edges[:-1], edges[1:],
+                                         np.arange(len(edges) - 1) < geom)
+            m = np.asarray(self.coeff(np.concatenate([nodes.ravel(), edges])))
+            m_nodes, m_edges = m[:nodes.size].reshape(nodes.shape), np.abs(m[nodes.size:])
+            m_max = np.maximum(np.abs(m_nodes).max(axis=1),
+                               np.maximum(m_edges[:-1], m_edges[1:]))
+            self.levels[k] = (edges, _panel_terms(h, jac, m_nodes, R),
+                              np.diff(edges), m_max)
+        return self.levels[k]
+
+    def turn_level(self, lam: float) -> int:
+        """Lowest level whose panels each turn the balanced angle by less
+        than pi/2 at ``lam``, bounded from the level-0 panels."""
+        _, _, length, m_max = self.level(0)
+        rate = max(1.0 / self.R, math.sqrt(max(lam, 0.0)))
+        turn = float(np.max(length * (rate + 0.5 * m_max))) / (0.5 * math.pi)
+        return max(0, math.frexp(turn)[1]) if turn >= 1.0 else 0
+
+    def shoot(self, lams, level: int) -> tuple:
+        """theta(R) for each lam of ``lams`` in one pass, on ``level`` or the
+        turn level of the largest lam if that is higher.  Returns the angles,
+        the edge states (one (edges, 2) array per lam) and the level used."""
+        level = max(level, self.turn_level(max(lams)))
+        if (_GEOM_PANELS + _UNIFORM_PANELS) << level > _MAX_PANELS:
+            raise SubdivisionLimitError(
+                f"a shoot at lambda={max(lams):.6g} needs"
+                f" {(_GEOM_PANELS + _UNIFORM_PANELS) << level} panels, more than {_MAX_PANELS}")
+        edges, terms = self.level(level)[:2]
+        n, R, r0 = self.n, self.R, edges[0]
+        lam_col = np.array(lams, dtype=float)[:, None]
+        mats = [x.tolist() for x in _propagators(terms, lam_col, R)]
+        self.passes += 1
+        ys = np.empty((len(lams), 2, len(edges)))
+        for k, lam in enumerate(lams):
+            p, q = _pole_start(n, lam, r0, R)
+            ps, qs = [p], [q]
+            for a, b, c, d in zip(mats[0][k], mats[1][k], mats[2][k], mats[3][k]):
+                p, q = a * p + b * q, c * p + d * q
+                ps.append(p)
+                qs.append(q)
+            ys[k, 0], ys[k, 1] = ps, qs
+        phi = ys[:, 0]
+        scale = np.maximum(1.0, R * np.sqrt(np.maximum(lam_col, 0.0)))
+        x = ys[:, 1] / scale
+        turns = np.arctan2(x[:, :-1] * phi[:, 1:] - phi[:, :-1] * x[:, 1:],
+                           x[:, :-1] * x[:, 1:] + phi[:, :-1] * phi[:, 1:])
+        pR, qR, s = phi[:, -1], ys[:, 1, -1], scale[:, 0]
+        thetas = (np.arctan2(phi[:, 0], x[:, 0]) + turns.sum(axis=1)
+                  + np.arctan2(pR * qR * (1.0 / s - 1.0), qR * qR / s + pR * pR))
+        if not np.all(np.isfinite(thetas)):
+            raise NonFiniteError(f"a shoot at lambda in {list(lams)} left the doubles")
+        return thetas.tolist(), ys.transpose(0, 2, 1), level
 
 
 @dataclass(frozen=True)
@@ -100,20 +290,20 @@ class EigenResult(Report):
     ``lam`` is the secant point of ``bracket``, the final root bracket, and
     ``theta_hi`` the Pruefer angle theta(R) at its upper end.  ``samples``
     holds (r, phi) rows with phi(0) = 1, ``residual`` is |phi(R)| and
-    ``r_half`` the first radius with phi = 1/2, all from one (phi, R phi')
-    shoot at a lambda inside the bracket: the Ritz value when the bracket
-    still holds it, else ``lam``.  ``residual_bound`` is what the bracket
-    allows, rho(R) max |theta(R) - pi| over its ends, plus the summed local
-    error estimates of that shoot.  ``lam_ritz`` is the Rayleigh-Ritz value
-    that seeded the search (NaN when the Ritz solve failed) and ``shoots``
-    the number of ODE solves the eigenvalue and eigenfunction took: one
-    solve shoots both ends of the seeded bracket, and (phi, R phi') at the
-    Ritz value too when that bracket is narrow enough to close at once, so
-    a seeded eigenvalue at the CLI tolerance takes one in all.
-    ``traj`` is the solve the eigenfunction came from, its last two
-    components (phi, R phi'), kept so the eigenfunction is read without
-    another solve.  The search is restricted to radial eigenfunctions (the
-    first eigenfunction is radial for radial data).
+    ``r_half`` the first radius with phi = 1/2, all from ``traj``, one shoot
+    at a lambda inside the bracket: the Ritz value when the bracket still
+    holds it, else ``lam``.  ``residual_bound`` is what the bracket allows,
+    rho(R) max |theta(R) - pi| over its ends, plus |phi(R)| minus phi(R) of
+    a shoot at the same lambda with twice the panels.  ``lam_ritz`` is the
+    Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
+    failed), ``shoots`` the number of passes over the panels the eigenvalue
+    and eigenfunction took (one pass shoots every lambda it carries, so
+    both ends of the seeded bracket, and the Ritz value too when that
+    bracket closes at once, take one; the shoot with twice the panels is
+    one more), and ``panels`` how many panels ``traj`` crossed.  ``traj``
+    reads the eigenfunction without another shoot.  The search is
+    restricted to radial eigenfunctions (the first eigenfunction is radial
+    for radial data).
     """
 
     lam: float
@@ -126,7 +316,8 @@ class EigenResult(Report):
     tol: Tolerance
     lam_ritz: float
     shoots: int
-    traj: OdeTrajectory = field(repr=False, compare=False)
+    panels: int
+    traj: MagnusShoot = field(repr=False, compare=False)
 
     theorem_id = "EIGEN"
     radial_only = True
@@ -167,6 +358,7 @@ class EigenResult(Report):
             "tol_rel": self.tol.rel_tol,
             "lambda_ritz": self.lam_ritz if math.isfinite(self.lam_ritz) else None,
             "shoots": self.shoots,
+            "panels": self.panels,
         })
 
     def samples_csv(self) -> str:
@@ -174,47 +366,6 @@ class EigenResult(Report):
         for r, phi in self.samples:
             lines.append(f"{r:.17g},{phi:.17g}")
         return "\n".join(lines) + "\n"
-
-
-def _pole_start(n: int, lam: float, r0: float, R: float):
-    """(phi, R phi') at r0 from the regular-singular pole series."""
-    return 1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 * R / n
-
-
-def _prufer_angles(coeff, n: int, lams, R: float, ode_tol: Tolerance,
-                   lam_phi: float | None = None):
-    """Pruefer angles theta(R; lam) for each lam of ``lams``, with
-    phi = rho sin(theta) and R phi' = rho cos(theta), in one solve at
-    ``ode_tol``.
-
-    theta' = cos^2/R + m_f sin cos + lam R sin^2 starts near pi/2 and
-    crosses each multiple of pi upward exactly once, at a zero of phi.  Each
-    lam is one component of the solve, and all share each stage's m_f(t);
-    with one lam the solve is the scalar one.  With ``lam_phi`` the solve
-    also carries the linear (phi, R phi') at lam_phi as its last two
-    components, and returns the angles and its trajectory; with no lams
-    it is the (phi, R phi') shoot alone.
-    """
-    r0, lrs = 1e-6 * R, [lam * R for lam in lams]
-    y0 = [math.atan2(*_pole_start(n, lam, r0, R)) for lam in lams]
-    if lam_phi is not None:
-        y0 += _pole_start(n, lam_phi, r0, R)
-        k, lr_phi = len(lrs), lam_phi * R
-
-    def rhs(t, y):
-        c = coeff(t)
-        out = []
-        for theta, lr in zip(y, lrs):
-            sin, cos = math.sin(theta), math.cos(theta)
-            out.append(cos * cos / R + c * sin * cos + lr * sin * sin)
-        if lam_phi is not None:
-            phi, dphi = y[k], y[k + 1]
-            out += (dphi / R, -c * dphi - lr_phi * phi)
-        return out
-
-    traj = integrate_ode(rhs, r0, y0, R, ode_tol)
-    angles = traj.terminal()[:len(lrs)].tolist()
-    return angles if lam_phi is None else (angles, traj)
 
 
 # Rayleigh-Ritz seed: basis (1 - v) P_k(2v - 1), k < _RITZ_BASIS, on the
@@ -261,125 +412,146 @@ def _ritz_value(log_weight, n: int, R: float) -> float:
     return float(np.linalg.eigvalsh(dT.T @ dT)[0]) / (R * R)
 
 
-def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
-    """Root of theta(R; lam) = pi by ``find_root_bracketed``, and the
-    eigenfunction from one (phi, R phi') shoot.
+def _search(panels: _Panels, level: int, tol: Tolerance, seed_lo: float,
+            seed_hi: float, seed: float):
+    """Root of theta(R; lam) = pi on ``level`` by ``find_root_bracketed``,
+    and the eigenfunction's (lam, theta(R), edge states, level).
 
-    The Ritz value lam_R seeds the search: the bracket is
-    [lam_R - max(0.4 w, 1e-8 lam_R), lam_R + 0.4 w] with w the closing width
-    at lam_R, and one solve shoots theta at both of its ends.  At
-    rel_tol = 1e-6 the bracket is narrower than its closing width, so that
-    solve also shoots (phi, R phi') at lam_R, and it closes the search.  At
-    rel_tol = 1e-10 it is wider, and the secant needs one to five more
-    shoots of theta alone.  (phi, R phi') is not carried then: its steps
-    would move theta at the ends by up to the shoots' own error against the
-    one-angle shoots, and cost the secant more shoots than it saves.  Every
-    solve runs at ``_shoot_tol(tol)``.  The one search
-    starts from that bracket when theta(R) < pi at its lower end; from
-    [0, its lower end] when theta(R) >= pi there already (a Ritz value too
-    high to bracket the root); and from [0, pi^2/R^2] otherwise, as when
-    lam_R is not finite or the Ritz solve fails (lam = 0 gives phi = 1 and
+    A finite seed bracket [seed_lo, seed_hi] is shot in one pass, with
+    ``seed`` too when the bracket closes at once.  The search starts from
+    that bracket when theta(R) < pi at its lower end; from [0, its lower
+    end] when theta(R) >= pi there already (a seed too high to bracket the
+    root); and from [0, pi^2/R^2] otherwise (lam = 0 gives phi = 1 and
     theta = pi/2 with no shoot).  The upper end may grow up to
     2^40 pi^2/R^2, which is tried before the search gives up.  Each trial
-    lam is shot once, and every trial but the seeded ends by a solve of its
-    own.  The eigenfunction is the seeded solve's (phi, R phi') when it has
-    one and the final bracket still holds lam_R, and otherwise a
-    (phi, R phi') shoot at the secant point of that bracket; lam is the
-    secant point either way.
+    lam is shot once.  The eigenfunction is the seed's shoot when the final
+    bracket holds it, and otherwise the shoot at the secant point of that
+    bracket, which is lam either way.
     """
-    ode_tol = _shoot_tol(tol)
-    shots = {}
-    solves = 0
-
-    def record(lams, angles) -> None:
-        nonlocal solves
-        solves += 1
-        for lam, theta in zip(lams, angles):
-            shots[lam] = theta - math.pi
+    shots, states = {}, {}
 
     def g(lam: float) -> float:
         if lam not in shots:
-            record((lam,), _prufer_angles(coeff, n, (lam,), R, ode_tol))
+            thetas, ys, used = panels.shoot((lam,), level)
+            shots[lam], states[lam] = thetas[0] - math.pi, (lam, thetas[0], ys[0], used)
         return shots[lam]
 
-    lo, hi, f_lo = 0.0, math.pi ** 2 / R ** 2, -0.5 * math.pi
+    lo, hi, f_lo = 0.0, math.pi ** 2 / panels.R ** 2, -0.5 * math.pi
     cap = hi * 2.0 ** 40
-    seeded = None
+    eig = None
+    if math.isfinite(seed):
+        lams = (seed_lo, seed_hi)
+        if seed_hi - seed_lo <= bracket_width(tol, seed_hi):
+            lams += (seed,)
+        thetas, ys, used = panels.shoot(lams, level)
+        shots[seed_lo], shots[seed_hi] = thetas[0] - math.pi, thetas[1] - math.pi
+        if len(lams) == 3:
+            eig = (seed, thetas[2], ys[2], used)
+        if shots[seed_lo] < 0.0:
+            lo, hi, f_lo = seed_lo, seed_hi, shots[seed_lo]
+        elif seed_lo > 0.0:
+            hi = seed_lo
+    root = find_root_bracketed(g, lo, hi, tol, f_lo=f_lo, cap=cap)
+    if eig is None or not root.lo <= eig[0] <= root.hi:
+        g(root.root)  # a trial point when f vanished there
+        eig = states[root.root]
+    return root, eig
+
+
+def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
+    """Root of theta(R; lam) = pi on the lowest panel level that meets the
+    level rule, and the eigenfunction from one shoot.
+
+    ``coeff`` is m on an array of radii.  The Ritz value lam_R seeds the
+    level-0 search with the bracket [lam_R - max(0.4 w, 1e-8 lam_R),
+    lam_R + 0.4 w], w the closing width at lam_R (lam_R bounds the root from
+    above, up to quadrature error).  At rel_tol = 1e-6 that bracket closes
+    at once, so one pass shoots its ends and lam_R and ends the search; at
+    rel_tol = 1e-10 it is wider, and the secant shoots one lam a pass.  A
+    shoot at the eigenfunction's lam, which lies in the final bracket, on
+    the level above checks the level against the relative accuracy
+    max(w / lam_hi, 1e-12) / 100: the root that its theta(R) gives, over
+    the slope of theta(R) across the bracket, and phi at the edges the two
+    levels share must each move by no more.  Otherwise the search runs
+    again on the level that the sixth order (2^6 per level) predicts, from
+    the final bracket and the eigenfunction's lam.
+    """
+    panels = _Panels(coeff, n, R)
     try:
         lam_ritz = _ritz_value(log_weight, n, R)
     except np.linalg.LinAlgError:
         lam_ritz = math.nan
-    if math.isfinite(lam_ritz):
-        width = bracket_width(tol, lam_ritz)
-        seed_lo = lam_ritz - max(0.4 * width, 1e-8 * lam_ritz)
-        seed_hi = lam_ritz + 0.4 * width
-        if seed_hi - seed_lo <= bracket_width(tol, seed_hi):
-            angles, seeded = _prufer_angles(coeff, n, (seed_lo, seed_hi), R, ode_tol,
-                                            lam_ritz)
-        else:  # too wide to close at once: the secant's one-angle shoots follow
-            angles = _prufer_angles(coeff, n, (seed_lo, seed_hi), R, ode_tol)
-        record((seed_lo, seed_hi), angles)
-        if g(seed_lo) < 0.0:
-            lo, hi, f_lo = seed_lo, seed_hi, g(seed_lo)
-        elif seed_lo > 0.0:
-            hi = seed_lo
-    root = find_root_bracketed(g, lo, hi, tol, f_lo=f_lo, cap=cap)
-    traj = seeded
-    if seeded is None or not root.lo <= lam_ritz <= root.hi:
-        traj = _prufer_angles(coeff, n, (), R, ode_tol, root.root)[1]
-        solves += 1
-    return _sample_result(root, traj, R, tol, ode_tol, lam_ritz, solves)
+    width = bracket_width(tol, lam_ritz)
+    seed = (lam_ritz - max(0.4 * width, 1e-8 * lam_ritz), lam_ritz + 0.4 * width, lam_ritz)
+    level = 0
+    while True:
+        root, (lam, theta, ys, used) = _search(panels, level, tol, *seed)
+        thetas, fine, _ = panels.shoot((lam,), used + 1)
+        width = bracket_width(tol, root.hi)
+        if root.hi > root.lo:
+            slope = (root.f_hi - root.f_lo) / (root.hi - root.lo)
+            seed = (root.lo, root.hi, lam)
+        else:  # an exact zero: the slope from a shoot one closing width up
+            slope = (panels.shoot((lam + width,), used)[0][0] - theta) / width
+            seed = (lam - 0.4 * width, lam + 0.4 * width, lam)
+        accuracy = max(width / root.hi, _ROUNDING_REL) / 100.0
+        moved = max(abs(thetas[0] - theta) / (slope * root.hi),
+                    float(np.max(np.abs(ys[:, 0] - fine[0][::2, 0]))))
+        if moved <= accuracy:
+            break
+        level = used + math.ceil(math.log(moved / accuracy, 64.0))
+    traj = MagnusShoot(lam, n, R, panels.level(used)[0], _GEOM_PANELS << used, ys, coeff)
+    return _sample_result(root, traj, fine[0][-1, 0], tol, lam_ritz, panels.passes)
 
 
-def _sample_result(root: RootBracket, traj, R: float, tol: Tolerance,
-                   ode_tol: Tolerance, lam_ritz: float, shoots: int) -> EigenResult:
+# r_half is closed on phi's interpolant at the _HALF_POINTS Chebyshev points
+# of the first kind, x_k = cos(pi (k + 1/2) / N), whose coefficients are
+# _HALF_DCT times the values.
+_HALF_POINTS = 16
+_HALF_X = np.cos(math.pi * (np.arange(_HALF_POINTS) + 0.5) / _HALF_POINTS)
+_HALF_DCT = 2.0 / _HALF_POINTS * np.cos(
+    math.pi * np.outer(np.arange(_HALF_POINTS), np.arange(_HALF_POINTS) + 0.5)
+    / _HALF_POINTS)
+_HALF_DCT[0] *= 0.5
+
+
+def _sample_result(root: RootBracket, traj: MagnusShoot, phi_fine: float,
+                   tol: Tolerance, lam_ritz: float, shoots: int) -> EigenResult:
     """The eigenfunction at 129 radii, r_half and the residual bound.
 
-    ``traj``'s last two components are (phi, R phi') at a lam inside the
-    root bracket.  theta(R) rises with lam, so |phi(R)| = rho(R) |sin theta(R)|
-    is at most rho(R) max |theta(R) - pi| over the bracket ends.  To that the
-    bound adds each step's local error in phi.  ``errors`` holds DOP853's
-    blended estimate of each step: the RMS over the d components of the
-    scaled 5th-order error estimate e5, shrunk by
-    |e5| / sqrt(|e5|^2 + 0.01 |e3|^2) with e3 the 3rd-order one.  So each
-    component's estimated error is at most sqrt(d) errors times its scale,
-    abs_tol + rel_tol max |y| over the step's two ends, at ``ode_tol``, the
-    tolerance ``traj`` was solved at.
+    ``traj`` is a shoot at a lam inside the root bracket and ``phi_fine``
+    phi(R) of a shoot at that lam with twice the panels.  theta(R) rises
+    with lam, so |phi(R)| = rho(R) |sin theta(R)| is at most
+    rho(R) max |theta(R) - pi| over the bracket ends; to that the bound adds
+    |phi(R) - phi_fine|, the panel error of phi(R).  r_half, the first
+    radius with phi = 1/2 (phi falls from 1 toward 0), lies in the panel
+    whose right edge is the first with phi <= 1/2; the samples and phi at
+    that panel's Chebyshev points are read in one call, and the root is
+    closed near the resolution of doubles on the interpolant.
     """
+    R, edges = traj.R, traj.edges
     rs = np.linspace(0.0, R, 129)
-    phis = _eigenfunction(traj, R, rs)[:, 0]
-    phi_R, dphi_R = traj.terminal()[-2:]
-    size = np.abs(traj.ys[:, -2:]).max(axis=1)
-    scale = ode_tol.abs_tol + ode_tol.rel_tol * np.maximum(size[:-1], size[1:])
-    local_errors = math.sqrt(traj.ys.shape[1]) * traj.errors[1:] * scale
+    phi_R, dphi_R = traj.ys[-1]
     residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(root.f_lo), abs(root.f_hi))
-                      + float(local_errors.sum()))
-
-    # First radius with phi = 1/2 (phi decreases from 1 toward 0).
-    below = np.flatnonzero(phis <= 0.5)
+                      + abs(phi_R - phi_fine))
+    below = np.flatnonzero(traj.ys[:, 0] <= 0.5)  # the first edge's phi is ~1
+    lo, hi = (edges[below[0] - 1], edges[below[0]]) if len(below) else (R, R)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    phis = traj.at(np.concatenate([rs, mid + half * _HALF_X]))[:, 0]
     r_half = R
-    if len(below):  # phis[0] = 1; closed near the resolution of doubles
-        i = below[0]
+    if len(below):
+        coef = _HALF_DCT @ (phis[len(rs):] - 0.5)
         r_half = find_root_bracketed(
-            lambda r: _eigenfunction(traj, R, np.array([r]))[0, 0] - 0.5, rs[i - 1], rs[i],
-            Tolerance(1e-15, 1e-15), f_lo=phis[i - 1] - 0.5).root
+            lambda r: np.polynomial.chebyshev.chebval((r - mid) / half, coef), lo, hi,
+            Tolerance(1e-15, 1e-15), f_lo=traj.ys[below[0] - 1, 0] - 0.5).root
 
     return EigenResult(lam=root.root, residual=abs(float(phi_R)),
                        residual_bound=residual_bound,
-                       samples=np.column_stack([rs, phis]),
+                       samples=np.column_stack([rs, phis[:len(rs)]]),
                        bracket=(root.lo, root.hi),
                        theta_hi=root.f_hi + math.pi,
                        r_half=r_half, tol=tol, lam_ritz=lam_ritz, shoots=shoots,
-                       traj=traj)
-
-
-def _eigenfunction(traj: OdeTrajectory, R: float, r: np.ndarray) -> np.ndarray:
-    """Rows (phi, phi') at the radii ``r`` from ``traj``, whose last two
-    components are (phi, R phi'); below its start phi = 1 and phi' = 0."""
-    rows = np.tile([1.0, 0.0], (len(r), 1))
-    inside = r > traj.t0
-    rows[inside] = traj.at(r[inside])[:, -2:] / [1.0, R]
-    return rows
+                       panels=len(edges) - 1, traj=traj)
 
 
 # Pure and deterministic, so memoization only removes repeated solves
@@ -396,7 +568,7 @@ def model_eigenvalue(n: int, a: float, H: float, R: float,
 
     mspace = ModelSpace(dim=float(n), H=H, drift=a)
 
-    def coeff(t: float) -> float:
+    def coeff(t: np.ndarray) -> np.ndarray:
         return mean_curvature_model(float(n), H, t) + a
 
     return _first_eigenvalue(coeff, partial(log_psi, mspace), n, R, tol)
@@ -410,7 +582,7 @@ def smms_radial_eigenvalue(s: WarpedSMMS, R: float,
     if not 0.0 < R < s.r_max:
         raise ValueError(f"require 0 < R < r_max={s.r_max}, got {R}")
 
-    def coeff(t: float) -> float:
+    def coeff(t: np.ndarray) -> np.ndarray:
         return mean_curvature_f(s, t)
 
     def log_weight(r: np.ndarray) -> np.ndarray:
@@ -433,7 +605,7 @@ def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
 
     def weighted(t: np.ndarray, col: int) -> np.ndarray:
         """phi^2 A_f (``col`` 0) or phi'^2 A_f (``col`` 1) at the radii ``t``."""
-        return _eigenfunction(traj, R, t)[:, col] ** 2 * weighted_area(s, t)
+        return traj.at(t)[:, col] ** 2 * weighted_area(s, t)
 
     qtol = Tolerance(abs_tol=1e-11, rel_tol=1e-10)
     num, _ = quad_adaptive(lambda t: weighted(t, 1), 0.0, R, qtol)

@@ -124,7 +124,7 @@ def mean_curvature_model(d: float, H: float, r):
     every r > 0: sn(r) > 0 there, so there is no 0/0, and down to sqrt|H| r
     = 1e-12 the form is within 1e-15 relative of 40-digit arithmetic.  For
     H > 0 the conjugate radius is rejected.  Scalar input takes a math-only
-    fast path (the ODE shooting hot loop).
+    fast path.
     """
     if isinstance(r, (float, int)):
         r = float(r)

@@ -58,7 +58,8 @@ class NonFiniteError(KernelError):
 
 
 class SubdivisionLimitError(KernelError):
-    """Adaptive quadrature hit its panel-doubling cap with tolerance unmet."""
+    """A panel cap was hit: adaptive quadrature's panel doubling with its
+    tolerance unmet, or the Magnus panels an eigenvalue shoot needs."""
 
 
 class BracketError(KernelError):

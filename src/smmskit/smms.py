@@ -323,8 +323,8 @@ def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
 def mean_curvature_f(s: WarpedSMMS, r):
     """Weighted mean curvature m_f = (n-1) w'/w - f' (no pole clamp).
 
-    A float ``r`` takes a float-only path (the eigen shooting hot loop) with
-    the same domain checks as arrays."""
+    A float ``r`` takes a float-only path with the same domain checks as
+    arrays."""
     hi = s.r_max if not s.closed else s.r_max * (1.0 - 1e-12)
     scalar = isinstance(r, (float, int))
     if scalar:

@@ -98,6 +98,31 @@ class TestRadiusRule:
         with pytest.raises(ValueError, match=re.escape(says)):
             check(make_space("euclidean", n=3, r_max=0.5))
 
+    @pytest.mark.parametrize("check", [
+        lambda s, n: check_mc_rough(s, 0.0, 0.2, n_grid=n),
+        lambda s, n: check_mc_bounded_f_inner(s, 1.0, n_grid=n),
+        lambda s, n: check_mc_bounded_f_pi2(s, 1.0, n_grid=n),
+        lambda s, n: check_mc_bounded_f(s, 1.0, n_grid=n),
+        lambda s, n: check_mc_drift(s, 0.0, n_grid=n),
+        lambda s, n: check_area_comparison(s, 0.0, 0.2, 0.4, n_grid=n),
+        lambda s, n: check_volume_comparison(s, 0.0, 0.2, 0.4, n_grid=n),
+        lambda s, n: check_volume_absolute(s, 0.0, 0.4, n_grid=n),
+        lambda s, n: check_vol_r1(s, 0.0, 1.5, n_grid=n),
+        lambda s, n: check_doubling(s, 0.0, 2.0, 0.4, n_grid=n),
+        lambda s, n: check_absolute_volume_negH(s, -1.0, n_grid=n),
+    ], ids=["MC_ROUGH", "MC_BOUNDED_F_INNER", "MC_BOUNDED_F_PI2", "MC_BOUNDED_F",
+            "MC_DRIFT", "AREA", "VOL", "VOL_B_ABS", "VOL_R1", "DOUBLING", "VOL_ABS_NEGH"])
+    def test_grid_floor(self, check):
+        # One below the floor is malformed input naming n_grid (0 divided
+        # by zero in the rule, 1 gave a one-radius grid); the floor runs.
+        s = make_space("euclidean", n=3)
+        floor = comparison.MIN_GRID_POINTS
+        for n_grid in (floor - 1, 0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_grid: a check needs at least {floor} grid points, got {n_grid}")):
+                check(s, n_grid)
+        check(s, floor)
+
     def test_pi2_range_runs_only_where_it_is_not_empty(self):
         # It ran, and raised, when r_max lay within 1e-9 r_max past pi/4:
         # the range ends just short of r_max.

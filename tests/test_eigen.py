@@ -6,17 +6,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
 from smmskit import eigen
 from smmskit.comparison import doubling_F
-from smmskit.eigen import (EIGEN_TOL, _prufer_angles, cheng_constants, cheng_epsilon,
+from smmskit.eigen import (EIGEN_TOL, cheng_constants, cheng_epsilon,
                            check_cheng_estimate, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
 from smmskit.model import mean_curvature_model
-from smmskit.numkit import Tolerance, integrate_ode, quad_adaptive
+from smmskit.numkit import SubdivisionLimitError, Tolerance, quad_adaptive
 from smmskit.smms import make_space, mean_curvature_f, weighted_area
 
 J01 = 2.404825557695773  # first zero of the Bessel function J_0
@@ -164,15 +164,12 @@ class TestRayleighTransplant:
         s = perturbed_euclidean(3, 0.04, 3.0, amp=0.05, nu=1.0)
         n, a, H, R = 3, 0.0, 0.0, 1.2
         res = model_eigenvalue(n, a, H, R)
-        _, traj = _prufer_angles(lambda t: mean_curvature_model(float(n), H, t) + a,
-                                 n, (), R, Tolerance(1e-12, 1e-11, 200_000), res.lam)
-        t0 = traj.t0
 
         def phi(t):
-            return np.where(t <= t0, 1.0, traj.at(np.maximum(t, t0))[:, 0])
+            return res.traj.at(t)[:, 0]
 
-        def dphi(t):  # the shoot's second component is R phi'
-            return np.where(t <= t0, 0.0, traj.at(np.maximum(t, t0))[:, 1] / R)
+        def dphi(t):
+            return res.traj.at(t)[:, 1]
 
         def excess(t):
             return np.maximum(0.0, mean_curvature_f(s, t)
@@ -187,24 +184,30 @@ class TestRayleighTransplant:
         assert Q <= res.lam + num / den + 1e-7
 
     def test_reads_the_model_shoot_without_a_solve(self, monkeypatch):
-        # Q from a fresh (phi, R phi') shoot at the model eigenvalue, bit for bit.
+        # Q from a fresh shoot at the model eigenfunction's lambda on the
+        # same panels, bit for bit, and no shoot while Q is taken.
         s = perturbed_euclidean(3, 0.01, 2.0)
         n, a, H, R = 3, 0.2, 0.0, 1.1
         res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
-        _, traj = _prufer_angles(lambda t: mean_curvature_model(float(n), H, t) + a,
-                                 n, (), R, eigen._shoot_tol(EIGEN_TOL), res.lam)
+
+        def coeff(t):
+            return mean_curvature_model(float(n), H, t) + a
+
+        panels = eigen._Panels(coeff, n, R)
+        level = (res.panels // 192).bit_length() - 1
+        _, ys, used = panels.shoot((res.traj.lam,), level)
+        assert used == level
+        fresh = eigen.MagnusShoot(res.traj.lam, n, R, panels.level(level)[0],
+                                  eigen._GEOM_PANELS << level, ys[0], coeff)
 
         def weighted(t, col):
-            rows = np.tile([1.0, 0.0], (len(t), 1))
-            inside = t > traj.t0
-            rows[inside] = traj.at(t[inside]) / [1.0, R]
-            return rows[:, col] ** 2 * weighted_area(s, t)
+            return fresh.at(t)[:, col] ** 2 * weighted_area(s, t)
 
         qtol = Tolerance(abs_tol=1e-11, rel_tol=1e-10)
         expected = (quad_adaptive(lambda t: weighted(t, 1), 0.0, R, qtol)[0]
                     / quad_adaptive(lambda t: weighted(t, 0), 0.0, R, qtol)[0])
         calls = []
-        monkeypatch.setattr(eigen, "_prufer_angles", lambda *args: calls.append(args))
+        monkeypatch.setattr(eigen._Panels, "shoot", lambda *args: calls.append(args))
         assert rayleigh_quotient_transplant(s, n, a, H, R) == expected
         assert not calls
 
@@ -258,28 +261,61 @@ SHOOT_CLOSED_FORMS = {"sphere": math.pi ** 2 - 1.0, "euclidean": J01 ** 2,
 CLI_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-6, max_steps=200_000)
 
 
+def record_passes(monkeypatch) -> list:
+    """(lams, level used) of every pass over the panels, in order."""
+    passes = []
+    shoot = eigen._Panels.shoot
+
+    def recording(self, lams, level):
+        out = shoot(self, lams, level)
+        passes.append((tuple(lams), out[2]))
+        return out
+
+    monkeypatch.setattr(eigen._Panels, "shoot", recording)
+    return passes
+
+
+def prufer_reference(coeff, n: int, R: float, lam: float) -> float:
+    """theta(R; lam) - pi from scipy's DOP853 on the Pruefer equation."""
+    r0 = 1e-6 * R
+
+    def rhs(t, y):
+        sin, cos = math.sin(y[0]), math.cos(y[0])
+        return [cos * cos / R + float(coeff(np.array([t]))[0]) * sin * cos
+                + lam * R * sin * sin]
+
+    theta0 = math.atan2(1.0 - lam * r0 * r0 / (2.0 * n), -lam * r0 * R / n)
+    return solve_ivp(rhs, (r0, R), [theta0], method="DOP853", rtol=1e-13,
+                     atol=1e-14).y[0, -1] - math.pi
+
+
+EIGHT_BALLS = [
+    ("sphere", 3, (0.0, 1.0), 1.0),
+    ("flat", 3, (0.0, 0.0), 1.0),
+    ("hyperbolic", 3, (0.0, -0.7), 1.3),
+    ("drift_n4", 4, (0.5, -1.0), 2.0),
+    ("drift_n5", 5, (1.0, 0.5), 1.2),
+    ("hyperbolic_n9", 9, {"H": -25.0, "r_max": 5.0}, 4.0),
+    ("perturbed_sphere", 3, {}, 1.0),
+    ("linear_drift", 3, {"a": 20.0}, 4.0),
+]
+
+
 class TestPruferSolver:
     def test_steep_hyperbolic_ball_gives_the_first_eigenvalue(self, monkeypatch):
         # lambda_1 = pi^2 + 100 and lambda_2 = 4 pi^2 + 100.  Without the Ritz
         # seed the bracket grows from pi^2 past lambda_2 before the root
         # search starts; the seeded search must land on the same root.
         want = math.pi ** 2 + 100.0
-        trials = []
-
-        def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
-            trials.extend(lams)
-            return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
-
-        prufer_angles = eigen._prufer_angles
-        monkeypatch.setattr(eigen, "_prufer_angles", recording)
+        passes = record_passes(monkeypatch)
         s = make_space("hyperbolic", n=3, H=-100.0, r_max=2.0)
         no_seed, ritz_value = (lambda *args: math.nan), eigen._ritz_value
         for seed in (no_seed, ritz_value):
             monkeypatch.setattr(eigen, "_ritz_value", seed)
-            trials.clear()
+            passes.clear()
             res = model_eigenvalue.__wrapped__(3, 0.0, -100.0, 1.0)
             if seed is no_seed:
-                assert max(trials) > 4.0 * math.pi ** 2 + 100.0
+                assert max(max(lams) for lams, _ in passes) > 4.0 * math.pi ** 2 + 100.0
             assert abs(res.lam - want) <= 1e-8 * want
             res = smms_radial_eigenvalue(s, 1.0)
             assert abs(res.lam - want) <= 1e-8 * want
@@ -290,18 +326,13 @@ class TestPruferSolver:
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
                              ids=[c[0] for c in SHOOT_CASES])
     def test_at_most_twelve_shoots(self, monkeypatch, name, params, R, tol):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return integrate_ode(*args, **kwargs)
-
-        monkeypatch.setattr(eigen, "integrate_ode", counting)
+        passes = record_passes(monkeypatch)
         res = smms_radial_eigenvalue(make_space(name, **params), R, tol)
         assert res.verdict == "PASS"
-        assert 1 <= len(calls) <= 12
+        assert 1 <= len(passes) <= 12
+        assert res.shoots == len(passes)
         if tol is CLI_TOL:
-            assert len(calls) == 1
+            assert len(passes) == 2
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
                              ids=[c[0] for c in SHOOT_CASES])
@@ -316,32 +347,23 @@ class TestPruferSolver:
                              ids=[c[0] for c in SHOOT_CASES])
     def test_ritz_seed_closes_the_bracket_in_two_shoots(self, monkeypatch, name, params,
                                                          R):
-        # One solve shoots theta at both ends of the seeded bracket and
-        # (phi, R phi') at the Ritz value inside it; the report counts it.
-        calls, trials = [], []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return integrate_ode(*args, **kwargs)
-
-        def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
-            trials.append((tuple(lams), lam_phi))
-            return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
-
-        prufer_angles = eigen._prufer_angles
-        monkeypatch.setattr(eigen, "integrate_ode", counting)
-        monkeypatch.setattr(eigen, "_prufer_angles", recording)
+        # One pass on the 192 level-0 panels shoots both ends of the seeded
+        # bracket and the Ritz value inside it; one more shoots the Ritz
+        # value on 384 panels for the level rule and the residual bound.
+        # The report counts both.
+        passes = record_passes(monkeypatch)
         res = smms_radial_eigenvalue(make_space(name, **params), R, CLI_TOL)
         assert res.verdict == "PASS"
-        assert trials == [(res.bracket, res.lam_ritz)]
+        assert passes == [((*res.bracket, res.lam_ritz), 0), ((res.lam_ritz,), 1)]
         assert res.bracket[0] <= res.lam_ritz <= res.bracket[1]
-        assert len(calls) == res.shoots == 1
-        assert res.to_dict()["shoots"] == 1
+        assert res.traj.lam == res.lam_ritz
+        assert res.shoots == 2 and res.panels == 192
+        assert res.to_dict()["shoots"] == 2 and res.to_dict()["panels"] == 192
 
     @pytest.mark.parametrize("name, params, R", [*SHOOT_CASES, ("model", {"n": 3}, 1.3)],
                              ids=[c[0] for c in SHOOT_CASES] + ["model"])
     def test_joint_prufer_solve_matches_one_solve_per_lambda(self, name, params, R):
-        # Both ends of the seeded bracket in one solve, against a solve each.
+        # Both ends of the seeded bracket in one pass, against a pass each.
         n = params["n"]
         if name == "model":
             res = model_eigenvalue(n, 0.5, -0.7, R, CLI_TOL)
@@ -353,23 +375,44 @@ class TestPruferSolver:
             res = smms_radial_eigenvalue(s, R, CLI_TOL)
 
             def coeff(t):
-                return float(mean_curvature_f(s, t))
+                return mean_curvature_f(s, t)
         lo, hi = res.bracket
-        ode_tol = eigen._shoot_tol(CLI_TOL)
-        joint = eigen._prufer_angles(coeff, n, (lo, hi), R, ode_tol)
-        single = [eigen._prufer_angles(coeff, n, (lam,), R, ode_tol)[0] for lam in (lo, hi)]
+        panels = eigen._Panels(coeff, n, R)
+        joint = panels.shoot((lo, hi), 0)[0]
+        single = [panels.shoot((lam,), 0)[0][0] for lam in (lo, hi)]
         assert joint[0] < math.pi <= joint[1]
-        assert np.allclose(joint, single, rtol=0.0, atol=1e-10)
+        assert np.allclose(joint, single, rtol=0.0, atol=1e-12)
 
-        # One lambda is the scalar theta solve, bit for bit.
-        def rhs(t, y):
-            sin, cos = math.sin(y[0]), math.cos(y[0])
-            return (cos * cos / R + coeff(t) * sin * cos + lo * R * sin * sin,)
+        # One lambda against the same Magnus steps taken with 2x2 matrix
+        # commutators and scipy's expm, and numpy's unwrap of atan2(phi, R phi').
+        # The first _GEOM_PANELS panels step in x = log r (dy/dx = r A y),
+        # the others in r.
+        edges = panels.level(0)[0]
+        gauss = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+        log = np.arange(len(edges) - 1) < eigen._GEOM_PANELS
+        h = np.where(log, np.log(edges[1:] / edges[:-1]), np.diff(edges))
+        nodes = np.where(log[:, None], edges[:-1, None] * np.exp(h[:, None] * gauss),
+                         edges[:-1, None] + h[:, None] * gauss)
+        jac = np.where(log[:, None], nodes, 1.0)
+        m = np.asarray(coeff(nodes.ravel())).reshape(nodes.shape)
 
-        r0 = 1e-6 * R
-        theta0 = math.atan2(1.0 - lo * r0 * r0 / (2.0 * n), -lo * r0 * R / n)
-        traj = integrate_ode(rhs, r0, (theta0,), R, ode_tol)
-        assert single[0] == float(traj.terminal()[0])
+        def com(x, y):
+            return x @ y - y @ x
+
+        r0 = edges[0]
+        ys = [np.array([1.0 - lo * r0 * r0 / (2.0 * n), -lo * r0 * R / n])]
+        for hi_, ji, mi in zip(h, jac, m):
+            A1, A2, A3 = (j * np.array([[0.0, 1.0 / R], [-lo * R, -mj]])
+                          for j, mj in zip(ji, mi))
+            a1, a2 = hi_ * A2, math.sqrt(15.0) * hi_ / 3.0 * (A3 - A1)
+            a3 = 10.0 * hi_ / 3.0 * (A3 - 2.0 * A2 + A1)
+            c1 = com(a1, a2)
+            c2 = -com(a1, 2.0 * a3 + c1) / 60.0
+            omega = a1 + a3 / 12.0 + com(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+            ys.append(expm(omega) @ ys[-1])
+        ys = np.array(ys)
+        theta = np.unwrap(np.arctan2(ys[:, 0], ys[:, 1]))[-1]
+        assert abs(theta - single[0]) <= 1e-12
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
                              ids=[c[0] for c in SHOOT_CASES])
@@ -382,30 +425,32 @@ class TestPruferSolver:
             assert abs(res.lam_ritz - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("name, params, want, shoots", [
-        ("linear_drift", {"n": 3, "a": 20.0}, 108.68375394023235, 18),
-        ("hyperbolic", {"n": 9, "H": -25.0, "r_max": 5.0}, 400.7466976739629, 31),
+        ("linear_drift", {"n": 3, "a": 20.0}, 108.68375394023235, 21),
+        ("hyperbolic", {"n": 9, "H": -25.0, "r_max": 5.0}, 400.7466976739629, 34),
     ], ids=["drift_a20", "hyperbolic_n9"])
     def test_unconverged_ritz_value_falls_back_to_the_plain_search(self, name, params,
                                                                    want, shoots):
         # The weight spans e^80 on B(0, 4): 24 basis functions leave the Ritz
         # value 0.7% and 3% high, so theta(R) >= pi at the seeded lower end.
-        # The eigenfunction then comes from a shoot at the root, the last of
-        # the solves.
+        # The eigenfunction then comes from a shoot at the root of the plain
+        # search, which the final bracket holds; the level rule moves both
+        # balls to finer panels, where that bracket is shot again.
         res = smms_radial_eigenvalue(make_space(name, **params), 4.0, CLI_TOL)
         assert res.lam_ritz > res.lam * (1.0 + 1e-3)
         assert res.shoots == shoots
-        assert res.traj.ys.shape[1] == 2
+        assert res.bracket[0] <= res.traj.lam <= res.bracket[1]
+        assert res.panels > 192
         assert res.verdict == "PASS"
         assert abs(res.lam - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("name, params, R", SHOOT_CASES,
                              ids=[c[0] for c in SHOOT_CASES])
     def test_seeded_eigenfunction_matches_an_independent_shoot(self, name, params, R):
-        # The samples and r_half come from the seeded solve's (phi, R phi')
-        # at the Ritz value; a DOP853 shoot at the reported lambda agrees.
+        # The samples and r_half come from the seeded pass's shoot at the
+        # Ritz value; a DOP853 shoot at the reported lambda agrees.
         s = make_space(name, **params)
         res = smms_radial_eigenvalue(s, R, CLI_TOL)
-        assert res.shoots == 1 and res.traj.ys.shape[1] == 4
+        assert res.shoots == 2 and res.traj.lam == res.lam_ritz
         n, lam, r0 = params["n"], res.lam, 1e-6 * R
 
         def rhs(t, y):
@@ -421,25 +466,34 @@ class TestPruferSolver:
     def test_a_ritz_value_outside_the_final_bracket_takes_a_shoot_at_the_root(
             self, monkeypatch):
         # At rel_tol 1e-10 the seeded bracket is wider than its closing
-        # width, so the seeded solve shoots theta alone, the secant follows,
+        # width, so the seeded pass shoots its ends alone, the secant follows,
         # and the eigenfunction is shot at the root: on the sphere the
-        # bracket closes tighter than the Ritz value's own error.
-        trials, roots = [], []
+        # bracket closes tighter than the Ritz value's own error.  The pass
+        # at the root with twice the panels follows it.
+        searches = []
+        search = eigen._search
 
-        def recording(coeff, n, lams, R, ode_tol, lam_phi=None):
-            # a solve with no angles is the (phi, R phi') shoot at the root
-            (trials if lams else roots).append(lam_phi)
-            return prufer_angles(coeff, n, lams, R, ode_tol, lam_phi)
+        def recording(panels, level, tol, seed_lo, seed_hi, seed):
+            root, eig = search(panels, level, tol, seed_lo, seed_hi, seed)
+            searches.append((level, seed, root, eig[0], eig[3]))
+            return root, eig
 
-        prufer_angles = eigen._prufer_angles
-        monkeypatch.setattr(eigen, "_prufer_angles", recording)
+        monkeypatch.setattr(eigen, "_search", recording)
+        passes = record_passes(monkeypatch)
         res = smms_radial_eigenvalue(make_space("sphere", n=3, H=1.0), 1.0, EIGEN_TOL)
-        lo, hi = res.bracket
-        assert not lo <= res.lam_ritz <= hi
-        assert trials and all(lam_phi is None for lam_phi in trials)
-        assert roots == [res.lam]
-        assert res.shoots == len(trials) + 1
-        assert res.traj.ys.shape[1] == 2 and res.verdict == "PASS"
+        level, seed, root, lam_eig, used = searches[0]
+        assert (level, seed, used) == (0, res.lam_ritz, 0)
+        assert not root.lo <= res.lam_ritz <= root.hi
+        assert len(passes[0][0]) == 2 and passes[0][1] == 0
+        assert all(res.lam_ritz not in lams for lams, _ in passes)
+        assert lam_eig == root.root
+        at_root = passes.index(((root.root,), 0))
+        assert passes[at_root + 1] == ((root.root,), 1)
+        assert res.traj.lam == searches[-1][3]
+        assert res.bracket[0] <= res.traj.lam <= res.bracket[1]
+        assert passes[-1] == ((res.traj.lam,), searches[-1][4] + 1)
+        assert res.shoots == len(passes)
+        assert res.verdict == "PASS"
 
     @pytest.mark.parametrize("R", [1e-9, 1e-6, 1e-3, 1.0, 3.0])
     def test_accuracy_does_not_depend_on_the_radius(self, R):
@@ -452,12 +506,78 @@ class TestPruferSolver:
 
     def test_closed_forms_far_inside_the_tolerance(self):
         # The root of theta(R) = pi is interpolated, so even the CLI
-        # tolerance gives the closed forms to the ODE accuracy.
+        # tolerance gives the closed forms to the panels' accuracy.
         for (n, H, R), want in (((3, 0.0, 1.0), math.pi ** 2),
                                 ((2, 0.0, 1.0), J01 ** 2),
                                 ((3, -0.7, 1.3), math.pi ** 2 / 1.69 + 0.7)):
             res = model_eigenvalue(n, 0.0, H, R, CLI_TOL)
             assert abs(res.lam - want) <= 1e-9 * want
+
+    def test_theta_error_falls_2_to_the_6_per_panel_doubling(self, monkeypatch):
+        # Level-0 panels coarse enough that four doublings stay above the
+        # rounding of theta (their first uniform panel turns theta too far,
+        # so the shoots start at level 1); successive differences shrink by
+        # about 64.
+        monkeypatch.setattr(eigen, "_GEOM_PANELS", 16)
+        monkeypatch.setattr(eigen, "_UNIFORM_PANELS", 16)
+        s = make_space("perturbed_sphere", n=3)
+        panels = eigen._Panels(lambda t: mean_curvature_f(s, t), 3, 1.0)
+        thetas = []
+        for level in range(1, 6):
+            (theta,), _, used = panels.shoot((60.0,), level)
+            assert used == level
+            thetas.append(theta)
+        diffs = np.abs(np.diff(thetas))
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((ratios > 50.0) & (ratios < 80.0))
+        assert ratios[-1] > 60.0
+
+    @pytest.mark.parametrize("n, R, zeros", [(2, 1.0, 1024.0), (2, 2.5, 1024.0),
+                                             (3, 1.0, 1024.5), (3, 0.3, 1024.5)])
+    def test_a_large_trial_lambda_counts_every_zero(self, n, R, zeros):
+        # lambda = (zeros pi / R)^2 on the flat ball: phi has exactly
+        # k = floor(sqrt(lambda) R / pi) zeros in (0, R) (J_0's k-th zero
+        # lies near (k - 1/4) pi, sin's at k pi), so theta(R) lies in
+        # [k pi, (k + 1) pi).  The level-0 panels would turn theta by ~20 pi
+        # each; the shoot splits them until each turns it by less than pi/2.
+        lam = (zeros * math.pi / R) ** 2
+        panels = eigen._Panels(lambda t: mean_curvature_model(float(n), 0.0, t), n, R)
+        (theta,), _, level = panels.shoot((lam,), 0)
+        k = math.floor(math.sqrt(lam) * R / math.pi)
+        assert k == 1024 and level > 0
+        assert k * math.pi <= theta < (k + 1) * math.pi
+
+    def test_a_trial_lambda_past_the_panel_cap_raises(self):
+        # Bracket growth may try lambda up to 2^40 pi^2 / R^2; its panels
+        # would pass the cap, and the shoot raises before it builds them.
+        panels = eigen._Panels(lambda t: mean_curvature_model(3.0, 0.0, t), 3, 1.0)
+        with pytest.raises(SubdivisionLimitError, match="panels"):
+            panels.shoot((2.0 ** 40 * math.pi ** 2,), 0)
+        assert panels.passes == 0
+
+    @pytest.mark.parametrize("name, n, params, R", EIGHT_BALLS,
+                             ids=[c[0] for c in EIGHT_BALLS])
+    def test_eigen_tol_meets_a_scipy_pruefer_reference(self, name, n, params, R):
+        # At EIGEN_TOL lambda is within 1e-10 relative of the root of
+        # theta(R) = pi shot by scipy's DOP853 and closed by brentq.
+        if isinstance(params, tuple):
+            a, H = params
+            res = model_eigenvalue(n, a, H, R, EIGEN_TOL)
+
+            def coeff(t):
+                return mean_curvature_model(float(n), H, t) + a
+        else:
+            kind = {"hyperbolic_n9": "hyperbolic"}.get(name, name)
+            s = make_space(kind, n=n, **params)
+            res = smms_radial_eigenvalue(s, R, EIGEN_TOL)
+
+            def coeff(t):
+                return mean_curvature_f(s, t)
+        want = brentq(lambda lam: prufer_reference(coeff, n, R, lam),
+                      res.lam * (1.0 - 1e-7), res.lam * (1.0 + 1e-7),
+                      xtol=1e-15, rtol=1e-15)
+        assert res.verdict == "PASS"
+        assert abs(res.lam - want) <= 1e-10 * want
 
 
 class TestEigenVerdict:
