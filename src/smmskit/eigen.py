@@ -120,8 +120,8 @@ def _gauss_nodes(left: np.ndarray, right: np.ndarray, log: np.ndarray) -> tuple:
     for panels from ``left`` to ``right`` in x = log r where ``log`` holds
     and in x = r elsewhere."""
     h = np.where(log, np.log(right / left), right - left)
-    step = h[:, None] * _GAUSS3
-    nodes = left[:, None] * np.where(log[:, None], np.exp(step), 1.0 + step / left[:, None])
+    step, left = h[:, None] * _GAUSS3, left[:, None]
+    nodes = np.where(log[:, None], left * np.exp(step), left + step)
     return h, nodes, np.where(log[:, None], nodes, 1.0)
 
 
@@ -184,7 +184,8 @@ def _pole_start(n: int, lam: float, r: float, R: float):
 class MagnusShoot:
     """One shoot at ``lam``: (phi, R phi') at the panel ``edges`` (rows of
     ``ys``), and phi between them by one Magnus step from the nearest edge
-    on the left; ``coeff`` is the shoot's m, read at that step's nodes."""
+    on the left, in log r on the first ``geom`` panels and in r beyond;
+    ``coeff`` is the shoot's m, read at that step's nodes."""
 
     lam: float
     n: int
@@ -291,8 +292,8 @@ class EigenResult(Report):
     ``theta_hi`` the Pruefer angle theta(R) at its upper end.  ``samples``
     holds (r, phi) rows with phi(0) = 1, ``residual`` is |phi(R)| and
     ``r_half`` the first radius with phi = 1/2, all from ``traj``, one shoot
-    at a lambda inside the bracket: the Ritz value when the bracket still
-    holds it, else ``lam``.  ``residual_bound`` is what the bracket allows,
+    at a lambda inside the bracket: the Ritz value, or the root of a search
+    on fewer panels, when the bracket still holds it, else ``lam``.  ``residual_bound`` is what the bracket allows,
     rho(R) max |theta(R) - pi| over its ends, plus |phi(R)| minus phi(R) of
     a shoot at the same lambda with twice the panels.  ``lam_ritz`` is the
     Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
@@ -474,7 +475,9 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
     the slope of theta(R) across the bracket, and phi at the edges the two
     levels share must each move by no more.  Otherwise the search runs
     again on the level that the sixth order (2^6 per level) predicts, from
-    the final bracket and the eigenfunction's lam.
+    the final bracket widened on each side by twice the root's move (and
+    by at least 1/1000 of the closing width), with the eigenfunction's lam
+    as its seed.
     """
     panels = _Panels(coeff, n, R)
     try:
@@ -490,29 +493,26 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
         width = bracket_width(tol, root.hi)
         if root.hi > root.lo:
             slope = (root.f_hi - root.f_lo) / (root.hi - root.lo)
-            seed = (root.lo, root.hi, lam)
         else:  # an exact zero: the slope from a shoot one closing width up
             slope = (panels.shoot((lam + width,), used)[0][0] - theta) / width
-            seed = (lam - 0.4 * width, lam + 0.4 * width, lam)
+        shift = abs(thetas[0] - theta) / slope
         accuracy = max(width / root.hi, _ROUNDING_REL) / 100.0
-        moved = max(abs(thetas[0] - theta) / (slope * root.hi),
-                    float(np.max(np.abs(ys[:, 0] - fine[0][::2, 0]))))
+        moved = max(shift / root.hi, float(np.max(np.abs(ys[:, 0] - fine[0][::2, 0]))))
         if moved <= accuracy:
             break
         level = used + math.ceil(math.log(moved / accuracy, 64.0))
+        pad = max(2.0 * shift, 1e-3 * width)
+        seed = (root.lo - pad, root.hi + pad, lam)
     traj = MagnusShoot(lam, n, R, panels.level(used)[0], _GEOM_PANELS << used, ys, coeff)
     return _sample_result(root, traj, fine[0][-1, 0], tol, lam_ritz, panels.passes)
 
 
-# r_half is closed on phi's interpolant at the _HALF_POINTS Chebyshev points
-# of the first kind, x_k = cos(pi (k + 1/2) / N), whose coefficients are
-# _HALF_DCT times the values.
-_HALF_POINTS = 16
-_HALF_X = np.cos(math.pi * (np.arange(_HALF_POINTS) + 0.5) / _HALF_POINTS)
-_HALF_DCT = 2.0 / _HALF_POINTS * np.cos(
-    math.pi * np.outer(np.arange(_HALF_POINTS), np.arange(_HALF_POINTS) + 0.5)
-    / _HALF_POINTS)
-_HALF_DCT[0] *= 0.5
+# r_half is closed on phi's interpolant at the 16 Chebyshev points of the
+# first kind on (-1, 1); by their discrete orthogonality _HALF_FIT maps the
+# values there to the interpolant's Chebyshev coefficients.
+_HALF_X = np.polynomial.chebyshev.chebpts1(16)
+_HALF_FIT = np.polynomial.chebyshev.chebvander(_HALF_X, 15).T / 8.0
+_HALF_FIT[0] /= 2.0
 
 
 def _sample_result(root: RootBracket, traj: MagnusShoot, phi_fine: float,
@@ -540,7 +540,7 @@ def _sample_result(root: RootBracket, traj: MagnusShoot, phi_fine: float,
     phis = traj.at(np.concatenate([rs, mid + half * _HALF_X]))[:, 0]
     r_half = R
     if len(below):
-        coef = _HALF_DCT @ (phis[len(rs):] - 0.5)
+        coef = _HALF_FIT @ (phis[len(rs):] - 0.5)
         r_half = find_root_bracketed(
             lambda r: np.polynomial.chebyshev.chebval((r - mid) / half, coef), lo, hi,
             Tolerance(1e-15, 1e-15), f_lo=traj.ys[below[0] - 1, 0] - 0.5).root
