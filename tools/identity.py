@@ -45,6 +45,7 @@ CUSTOM_SPEC = {"n": 3,
 # Spec files written into every run directory: the custom space, the same
 # space with a spline (`table`) warping w = r + 0.02 r^3, the benchmark's
 # `poly_small` family with a cubic warping w = r + 0.002 r^3 (`bumped`),
+# that warping with a `fourier` potential of two harmonics (`fourier`),
 # two copies with a non-finite number (JSON allows NaN and Infinity), and
 # three with a top level other than n and custom: a catalog name and its
 # parameters, parameters alone, and a dimension that is not an integer.
@@ -56,6 +57,10 @@ SPEC_FILES = {
     "bumped.json": {**CUSTOM_SPEC, "custom": {
         "w": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.002]},
         "f": {"type": "poly", "coeffs": [0.0, 0.0, 0.01]}, "r_max": 3.0, "closed": False}},
+    "fourier.json": {**CUSTOM_SPEC, "custom": {
+        "w": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.002]},
+        "f": {"type": "fourier", "coeffs": [0.05, 0.02, -0.01, 0.005, 0.01]},
+        "r_max": 3.0, "closed": False}},
     "nan.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"],
                                            "f": {"type": "poly",
                                                  "coeffs": [0.0, 0.0, math.nan]}}},
@@ -219,6 +224,14 @@ def cases() -> list[tuple[str, list[str]]]:
                                    "--mode", "full"]),
         ("bumped/MC_DRIFT/full", ["check", "--custom", "bumped.json", "--theorem", "MC_DRIFT",
                                   "--mode", "full"]),
+        # A fourier potential: its jet on the excess, drift bound, volume
+        # and eigenvalue paths.
+        ("fourier/MC_DRIFT/full", ["check", "--custom", "fourier.json", "--theorem",
+                                   "MC_DRIFT", "--H", "0.1", "--mode", "full"]),
+        ("fourier/VOL_B", ["check", "--custom", "fourier.json", "--theorem", "VOL_B",
+                           "--H", "0.1", "--r", "0.3", "--R", "1.5", "--grid", "32"]),
+        ("fourier/EIGEN", ["check", "--custom", "fourier.json", "--theorem", "EIGEN",
+                           "--R", "1.5"]),
         ("hyp4/VOL_ABS_NEGH", ["check", "--space", "hyperbolic", "--n", "4", "--param", "H=-2",
                                "--H", "-2", "--theorem", "VOL_ABS_NEGH", "--grid", "24"]),
         # The benchmark's eigen form: a slightly perturbed sphere at the CLI
