@@ -17,8 +17,9 @@ hyperbolic absolute volume bound with the e^{cosh(2 sqrt(-H) t)} weight.
 
 Every other integral over a grid is one ``quad_grid`` call with the grid
 radii as edges, cumulated: the weighted volume, and on the mean-curvature
-grids the excess int rho (``smms.cumulative_excess``, whose edges add rho's
-breakpoints, so no segment holds a kink of rho).
+grids the excess int rho (``smms.excess_integrator``, whose edges add rho's
+breakpoints, so no segment holds a kink of rho; a check's two passes share
+one, so the breakpoints are closed once).
 
 The model volume and the correction E(r) = int_0^r (e^{clt}-1) A/V on the
 volume grids come from one pass of fixed rules on the grid's own radii
@@ -56,7 +57,7 @@ from .model import (ModelSpace, area_model, c_const, jacobi_factor,
                     mean_curvature_model, ratio_table, sn, volume_model)
 from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
                      gauss_jacobi, integrate_ode, quad_grid, sphere_area)
-from .smms import (WarpedSMMS, cumulative_excess, integral_rho, mean_curvature_f,
+from .smms import (WarpedSMMS, excess_integrator, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
 __all__ = [
@@ -439,10 +440,17 @@ def _resolve(s: WarpedSMMS, name: str, value) -> float:
 def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
               radii: np.ndarray, mode: str, lo: float = 0.0) -> ComparisonReport:
     """m_f(r) <= bound(r) + int_lo^r rho on ``radii``; raises
-    ``DivergentExcessError`` when that integral is +inf."""
+    ``DivergentExcessError`` when that integral is +inf.  Both passes end
+    at radii[-1], so they share one ``excess_integrator``: the refinement
+    integrates on the breakpoints the first pass closed."""
+    excess = None
+
     def eval_on(rs):
+        nonlocal excess
         lhs = np.asarray(mean_curvature_f(s, rs))
-        return lhs, bound(rs) + cumulative_excess(s, H, rs, mode, lo)
+        if excess is None:
+            excess = excess_integrator(s, H, lo, float(rs[-1]), mode)
+        return lhs, bound(rs) + excess(rs)
 
     return _finalize(theorem_id, params, mode, radii, eval_on)
 

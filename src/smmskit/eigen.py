@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -293,7 +293,9 @@ class EigenResult(Report):
     holds (r, phi) rows with phi(0) = 1, ``residual`` is |phi(R)| and
     ``r_half`` the first radius with phi = 1/2, all from ``traj``, one shoot
     at a lambda inside the bracket: the Ritz value, or the root of a search
-    on fewer panels, when the bracket still holds it, else ``lam``.  ``residual_bound`` is what the bracket allows,
+    on fewer panels, when the bracket still holds it, else ``lam``.  The
+    samples and ``r_half`` are read from ``traj`` on first use, both in one
+    call (``_sample_eigenfunction``).  ``residual_bound`` is what the bracket allows,
     rho(R) max |theta(R) - pi| over its ends, plus |phi(R)| minus phi(R) of
     a shoot at the same lambda with twice the panels.  ``lam_ritz`` is the
     Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
@@ -310,10 +312,8 @@ class EigenResult(Report):
     lam: float
     residual: float
     residual_bound: float
-    samples: np.ndarray
     bracket: tuple
     theta_hi: float
-    r_half: float
     tol: Tolerance
     lam_ritz: float
     shoots: int
@@ -322,6 +322,18 @@ class EigenResult(Report):
 
     theorem_id = "EIGEN"
     radial_only = True
+
+    @cached_property
+    def _eigenfunction(self) -> tuple:
+        return _sample_eigenfunction(self.traj)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._eigenfunction[0]
+
+    @property
+    def r_half(self) -> float:
+        return self._eigenfunction[1]
 
     @property
     def reason(self) -> str:
@@ -517,23 +529,34 @@ _HALF_FIT[0] /= 2.0
 
 def _sample_result(root: RootBracket, traj: MagnusShoot, phi_fine: float,
                    tol: Tolerance, lam_ritz: float, shoots: int) -> EigenResult:
-    """The eigenfunction at 129 radii, r_half and the residual bound.
+    """The result with its residual bound.
 
     ``traj`` is a shoot at a lam inside the root bracket and ``phi_fine``
     phi(R) of a shoot at that lam with twice the panels.  theta(R) rises
     with lam, so |phi(R)| = rho(R) |sin theta(R)| is at most
     rho(R) max |theta(R) - pi| over the bracket ends; to that the bound adds
-    |phi(R) - phi_fine|, the panel error of phi(R).  r_half, the first
-    radius with phi = 1/2 (phi falls from 1 toward 0), lies in the panel
-    whose right edge is the first with phi <= 1/2; the samples and phi at
-    that panel's Chebyshev points are read in one call, and the root is
-    closed near the resolution of doubles on the interpolant.
+    |phi(R) - phi_fine|, the panel error of phi(R).
     """
-    R, edges = traj.R, traj.edges
-    rs = np.linspace(0.0, R, 129)
     phi_R, dphi_R = traj.ys[-1]
     residual_bound = (math.hypot(phi_R, dphi_R) * max(abs(root.f_lo), abs(root.f_hi))
                       + abs(phi_R - phi_fine))
+    return EigenResult(lam=root.root, residual=abs(float(phi_R)),
+                       residual_bound=residual_bound, bracket=(root.lo, root.hi),
+                       theta_hi=root.f_hi + math.pi, tol=tol, lam_ritz=lam_ritz,
+                       shoots=shoots, panels=len(traj.edges) - 1, traj=traj)
+
+
+def _sample_eigenfunction(traj: MagnusShoot) -> tuple:
+    """The eigenfunction's (r, phi) rows at 129 radii, and r_half.
+
+    r_half, the first radius with phi = 1/2 (phi falls from 1 toward 0),
+    lies in the panel whose right edge is the first with phi <= 1/2; the
+    samples and phi at that panel's Chebyshev points are read in one call,
+    and the root is closed near the resolution of doubles on the
+    interpolant.
+    """
+    R, edges = traj.R, traj.edges
+    rs = np.linspace(0.0, R, 129)
     below = np.flatnonzero(traj.ys[:, 0] <= 0.5)  # the first edge's phi is ~1
     lo, hi = (edges[below[0] - 1], edges[below[0]]) if len(below) else (R, R)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -544,14 +567,7 @@ def _sample_result(root: RootBracket, traj: MagnusShoot, phi_fine: float,
         r_half = find_root_bracketed(
             lambda r: np.polynomial.chebyshev.chebval((r - mid) / half, coef), lo, hi,
             Tolerance(1e-15, 1e-15), f_lo=traj.ys[below[0] - 1, 0] - 0.5).root
-
-    return EigenResult(lam=root.root, residual=abs(float(phi_R)),
-                       residual_bound=residual_bound,
-                       samples=np.column_stack([rs, phis[:len(rs)]]),
-                       bracket=(root.lo, root.hi),
-                       theta_hi=root.f_hi + math.pi,
-                       r_half=r_half, tol=tol, lam_ritz=lam_ritz, shoots=shoots,
-                       panels=len(edges) - 1, traj=traj)
+    return np.column_stack([rs, phis[:len(rs)]]), r_half
 
 
 # Pure and deterministic, so memoization only removes repeated solves

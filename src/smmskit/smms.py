@@ -23,9 +23,11 @@ The excess integrals split their range at the sign changes of
 g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
 radial and tangential curvature), so each piece is smooth, and integrate
 rho on those breakpoints and the requested radii with quad_grid at its
-1e-10 budget: ``integral_rho`` at one radius, ``cumulative_excess`` on the
-mean-curvature grids.  A pole where rho ~ c/r makes l = +inf, which
-raises ``DivergentExcessError`` (an unmet hypothesis).
+1e-10 budget: ``integral_rho`` at one radius, ``cumulative_excess`` at
+many, and ``excess_integrator`` on every grid ending at one radius (a
+check's first pass and its refinement) from one breakpoint search.  A
+pole where rho ~ c/r makes l = +inf, which raises
+``DivergentExcessError`` (an unmet hypothesis).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "mean_curvature_f",
     "rho",
     "cumulative_excess",
+    "excess_integrator",
     "integral_rho",
     "require_finite_excess",
     "DivergentExcessError",
@@ -70,88 +73,117 @@ RHO_MODES = ("radial", "full")
 # Radial profiles.
 # ---------------------------------------------------------------------------
 
-def _apply(fn, r):
-    """``fn`` at ``r``: a float goes to ``fn`` as is and comes back a float
-    (the ODE hot loop), anything else as a float array."""
-    if isinstance(r, float):
-        return float(fn(r))
-    out = np.asarray(fn(np.asarray(r, dtype=float)), dtype=float)
-    return out if out.ndim else float(out)
+def _apply(fn, x):
+    """``fn`` at ``x``, a float or a float array, as the same kind: a float
+    stays a float (the root searches of ``_excess_breakpoints``)."""
+    return float(fn(x)) if isinstance(x, float) else np.asarray(fn(x), dtype=float)
+
+
+def _lib(x):
+    """``math`` for a float, so a float read stays in floats, else ``numpy``."""
+    return math if isinstance(x, float) else np
 
 
 class RadialProfile:
     """Scalar function of arc length with first and second derivatives.
 
-    Analytic derivatives may be supplied; otherwise central differences with
-    step h = max(1e-6, 1e-4 r_max) and Richardson extrapolation are used
-    (one-sided stencils near the ends of [0, r_max]).  The callables must
-    accept a float as well as a float array.
+    Its one read is ``jet(r, orders)``: the value (order 0) and derivatives
+    at ``orders`` from one call, which computes their shared terms once and
+    nothing that no asked order needs; ``eval``, ``d1`` and ``d2`` read one
+    order of it.  A float in gives floats out, an array arrays of its shape.
+    The catalog and spec profiles are built on such a jet.  Given as
+    callables, analytic derivatives may be supplied; otherwise central
+    differences with step h = max(1e-6, 1e-4 r_max) and Richardson
+    extrapolation are used (one-sided stencils near the ends of
+    [0, r_max]), both orders from one set of stencil values.  The callables
+    must accept a float as well as a float array.
     """
 
     def __init__(self, fn, d1=None, d2=None, *, r_max: float, name: str = ""):
-        self._fn = fn
-        self._d1 = d1
-        self._d2 = d2
+        self._fns = (fn, d1, d2)
+        self._jet = self._callables_jet
         self.r_max = float(r_max)
         self.name = name
         self._h = max(1e-6, 1e-4 * self.r_max)
 
+    @classmethod
+    def _of_jet(cls, jet, *, r_max: float, name: str = "") -> "RadialProfile":
+        """A profile read by ``jet(x, orders)``, x a float or a float array,
+        which returns the values at ``orders`` as a list of x's kind."""
+        p = cls(None, r_max=r_max, name=name)
+        p._jet = jet
+        return p
+
     def __call__(self, r):
         return self.eval(r)
 
+    def jet(self, r, orders: tuple = (0, 1, 2)) -> list:
+        """The value (order 0) and derivatives at ``orders``, in that order."""
+        if isinstance(r, float):
+            return self._jet(float(r), orders)
+        x = np.asarray(r, dtype=float)
+        out = self._jet(x, orders)
+        return out if x.ndim else [float(v) for v in out]
+
     def eval(self, r):
-        return _apply(self._fn, r)
+        return self.jet(r, (0,))[0]
 
     def d1(self, r):
-        if self._d1 is not None:
-            return _apply(self._d1, r)
-        return self._fd(r, order=1)
+        return self.jet(r, (1,))[0]
 
     def d2(self, r):
-        if self._d2 is not None:
-            return _apply(self._d2, r)
-        return self._fd(r, order=2)
+        return self.jet(r, (2,))[0]
 
-    def _fd(self, r, order: int):
-        """Finite-difference derivative: a float in plain floats, an array
-        with both stencils vectorized, each on its mask."""
+    def _callables_jet(self, x, orders: tuple) -> list:
+        """The jet of the callables form: the given functions, and one
+        finite-difference pass up to the highest missing order."""
+        fns = self._fns
+        missing = max((k for k in orders if fns[k] is None), default=0)
+        fd = self._fd(x, missing) if missing else None
+        return [fd[k - 1] if fns[k] is None else _apply(fns[k], x) for k in orders]
+
+    def _fd(self, r, order: int) -> list:
+        """Finite-difference derivatives 1..``order``: a float in plain
+        floats, an array with both stencils vectorized, each on its mask."""
         if np.ndim(r) == 0:
             x = float(r)
             ends = x < 2 * self._h or x > self.r_max - 2 * self._h
-            return self._stencil(lambda t: float(self._fn(t)), x, ends, order)
+            return self._stencil(lambda t: float(self._fns[0](t)), x, ends, order)
         x = np.asarray(r, dtype=float)
         ends = (x < 2 * self._h) | (x > self.r_max - 2 * self._h)
-        f = lambda t: np.asarray(self._fn(t), dtype=float)
-        out = np.empty(x.shape)
+        f = lambda t: np.asarray(self._fns[0](t), dtype=float)
+        out = [np.empty(x.shape) for _ in range(order)]
         for mask, at_end in ((~ends, False), (ends, True)):
             if mask.any():
-                out[mask] = self._stencil(f, x[mask], at_end, order)
+                for o, d in zip(out, self._stencil(f, x[mask], at_end, order)):
+                    o[mask] = d
         return out
 
-    def _stencil(self, f, x, ends: bool, order: int):
-        """Five-point central stencil, or the one-sided one pointing into
+    def _stencil(self, f, x, ends: bool, order: int) -> list:
+        """Derivatives 1..``order`` from one set of values of ``f``: the
+        five-point central stencil, or the one-sided one pointing into
         [0, r_max] when ``ends`` (x within 2h of an end)."""
         h = self._h
         if not ends:
-            if order == 1:
-                return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
-            return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
+            m2, m1, p1, p2 = f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
+            out = [(m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)]
+            if order == 2:
+                out.append((-m2 + 16 * m1 - 30 * f(x) + 16 * p1 - p2) / (12 * h * h))
+            return out
         sgn = np.where(x < 2 * h, 1.0, -1.0) if np.ndim(x) else (1.0 if x < 2 * h else -1.0)
         v = [f(x + sgn * i * h) for i in range(5)]
-        if order == 1:
-            return sgn * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-        return (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
+        out = [sgn * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)]
+        if order == 2:
+            out.append((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h))
+        return out
 
 
 def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
-    # value + 0 r keeps a float a float and an array an array of r's shape.
-    return RadialProfile(
-        lambda r: value + 0.0 * r,
-        d1=lambda r: 0.0 * r,
-        d2=lambda r: 0.0 * r,
-        r_max=r_max,
-        name=name,
-    )
+    def jet(x, orders):
+        zero = 0.0 * x  # value + 0 r keeps a float a float and an array an array
+        return [value + zero if k == 0 else zero for k in orders]
+
+    return RadialProfile._of_jet(jet, r_max=r_max, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +212,22 @@ class WarpedSMMS:
         if self.r_max <= 0.0:
             raise ValueError(f"r_max must be > 0, got {self.r_max}")
         scale = self.r_max
-        if abs(self.w.eval(0.0)) > 1e-10 * scale:
-            raise ValueError(f"warping must vanish at the pole, w(0)={self.w.eval(0.0)}")
-        if abs(self.w.d1(0.0) - 1.0) > 1e-6:
-            raise ValueError(f"smooth pole requires w'(0)=1, got {self.w.d1(0.0)}")
+        w0, w1 = self.w.jet(0.0, (0, 1))
+        if abs(w0) > 1e-10 * scale:
+            raise ValueError(f"warping must vanish at the pole, w(0)={w0}")
+        if abs(w1 - 1.0) > 1e-6:
+            raise ValueError(f"smooth pole requires w'(0)=1, got {w1}")
         interior = np.linspace(scale / 257, scale * (1 - 1 / 257), 257)
         wv = np.asarray(self.w.eval(interior))
         if np.any(wv <= 0.0):
             bad = interior[np.argmax(wv <= 0.0)]
             raise ValueError(f"warping must be positive on (0, r_max); w({bad}) <= 0")
         if self.closed:
-            if abs(self.w.eval(self.r_max)) > 1e-8 * max(1.0, scale):
-                raise ValueError(
-                    f"closed space requires w(r_max)=0, got {self.w.eval(self.r_max)}"
-                )
-            if abs(self.w.d1(self.r_max) + 1.0) > 1e-8:
-                raise ValueError(
-                    f"closed space requires w'(r_max)=-1, got {self.w.d1(self.r_max)}"
-                )
+            w0, w1 = self.w.jet(self.r_max, (0, 1))
+            if abs(w0) > 1e-8 * max(1.0, scale):
+                raise ValueError(f"closed space requires w(r_max)=0, got {w0}")
+            if abs(w1 + 1.0) > 1e-8:
+                raise ValueError(f"closed space requires w'(r_max)=-1, got {w1}")
 
     @property
     def r_interior_lo(self) -> float:
@@ -282,21 +312,25 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
 
 
 def _bakry_emery(s: WarpedSMMS, r, mode: str):
-    """The one read of a space's curvature, from w, w', w'', f', f'' at ``r``
-    clamped to the interior (a float stays a float, for the root searches):
-    Ric(d_r, d_r) = -(n-1) w''/w, radial Ric_f = Ric + f'' and, in full mode
-    (else None), tangential Ric_f = -w''/w + (n-2)(1 - w'^2)/w^2 + f' w'/w."""
+    """The one read of a space's curvature, from one jet of w and one of f
+    at ``r`` clamped to the interior (a float stays a float, for the root
+    searches): w, w'', f'' give Ric(d_r, d_r) = -(n-1) w''/w and radial
+    Ric_f = Ric + f''; in full mode (else None) w' and f' too give
+    tangential Ric_f = -w''/w + (n-2)(1 - w'^2)/w^2 + f' w'/w, whose pole
+    rule reads w'' at its Gauss nodes as well."""
     lo, hi = s.r_interior_lo, s.r_interior_hi
     rc = (min(max(r, lo), hi) if isinstance(r, float)
-          else np.clip(np.asarray(r, dtype=float), lo, hi))
-    w, w2 = s.w.eval(rc), s.w.d2(rc)
-    ric = -(s.n - 1.0) * w2 / w
-    radial = ric + s.f.d2(rc)
+          else np.minimum(np.maximum(np.asarray(r, dtype=float), lo), hi))
     if mode != "full":
-        return ric, radial, None
-    w1 = s.w.d1(rc)
+        w, w2 = s.w.jet(rc, (0, 2))
+        ric = -(s.n - 1.0) * w2 / w
+        return ric, ric + s.f.d2(rc), None
+    w, w1, w2 = s.w.jet(rc)
+    f1, f2 = s.f.jet(rc, (1, 2))
+    ric = -(s.n - 1.0) * w2 / w
+    radial = ric + f2
     ric_tan = -w2 / w + (s.n - 2.0) * _one_minus_w1_squared(s, rc, w1) / (w * w)
-    return ric, radial, ric_tan + s.f.d1(rc) * w1 / w
+    return ric, radial, ric_tan + f1 * w1 / w
 
 
 def _excess(s: WarpedSMMS, H: float, r, mode: str):
@@ -337,7 +371,8 @@ def mean_curvature_f(s: WarpedSMMS, r):
         raise ValueError("mean_curvature_f requires r > 0")
     if above:
         raise ValueError(f"mean_curvature_f requires r < r_max={s.r_max}")
-    m_f = (s.n - 1.0) * s.w.d1(r) / s.w.eval(r) - s.f.d1(r)
+    w, w1 = s.w.jet(r, (0, 1))
+    m_f = (s.n - 1.0) * w1 / w - s.f.d1(r)
     return m_f if scalar else _scalar(m_f)
 
 
@@ -437,25 +472,38 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     return roots + [c for c in (s.r_interior_lo, s.r_interior_hi) if lo < c < hi]
 
 
+def excess_integrator(s: WarpedSMMS, H: float, lo: float, hi: float,
+                      mode: str = "radial"):
+    """int_lo^{r_i} rho as a function of nondecreasing radii r_i in [lo, hi].
+
+    rho is smooth between ``_excess_breakpoints``, which are closed on
+    [lo, hi] once, here, so every grid that ends at hi (a check's first pass
+    and its x4 refinement) is integrated on the same ones: ``quad_grid`` at
+    its default 1e-10 budget on the edges lo, those breakpoints and the
+    radii, and the integrals are its cumulative sums at the radii.  Raises
+    ``DivergentExcessError`` when they are +inf (``require_finite_excess``).
+    """
+    if hi == lo:
+        return lambda radii: np.zeros(len(radii))
+    require_finite_excess(s, mode, lo, hi)  # an unknown mode too, before the scan
+    breaks = _excess_breakpoints(s, H, lo, hi, mode)
+
+    def cumulative(radii) -> np.ndarray:
+        radii = np.asarray(radii, dtype=float)
+        edges = np.sort(np.concatenate([[lo], radii, breaks]))
+        segs, _ = quad_grid(lambda t: np.maximum(0.0, _excess(s, H, t, mode)), edges)
+        cum = np.concatenate([[0.0], np.cumsum(segs)])
+        return cum[np.searchsorted(edges, radii)]
+
+    return cumulative
+
+
 def cumulative_excess(s: WarpedSMMS, H: float, radii, mode: str = "radial",
                       lo: float = 0.0) -> np.ndarray:
-    """int_lo^{r_i} rho for each of the nondecreasing ``radii`` in [lo, r_max].
-
-    rho is smooth between ``_excess_breakpoints``, so ``quad_grid`` at its
-    default 1e-10 budget integrates it on the edges lo, those breakpoints
-    and the radii; the integrals are its cumulative sums at the radii.
-    Raises ``DivergentExcessError`` when they are +inf
-    (``require_finite_excess``).
-    """
+    """int_lo^{r_i} rho for each of the nondecreasing ``radii`` in [lo, r_max]
+    (``excess_integrator`` on [lo, radii[-1]])."""
     radii = np.asarray(radii, dtype=float)
-    hi = float(radii[-1])
-    if hi == lo:
-        return np.zeros(len(radii))
-    require_finite_excess(s, mode, lo, hi)  # an unknown mode too, before the scan
-    edges = np.sort(np.concatenate([[lo], radii, _excess_breakpoints(s, H, lo, hi, mode)]))
-    segs, _ = quad_grid(lambda t: np.maximum(0.0, _excess(s, H, t, mode)), edges)
-    cum = np.concatenate([[0.0], np.cumsum(segs)])
-    return cum[np.searchsorted(edges, radii)]
+    return excess_integrator(s, H, lo, float(radii[-1]), mode)(radii)
 
 
 def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
@@ -479,8 +527,8 @@ def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
     prev = None
     while True:
         grid = np.linspace(0.0, s.r_max, n)
-        fv = np.abs(np.asarray(s.f.eval(grid)))
-        f1 = np.asarray(s.f.d1(grid))
+        f0, f1 = s.f.jet(grid, (0, 1))
+        fv = np.abs(f0)
         k = float(np.max(fv))
         a = float(max(0.0, -np.min(f1)))
         grad = float(np.max(np.abs(f1)))
@@ -560,18 +608,19 @@ CATALOG = {
 
 
 def _sn_profile(H: float, r_max: float) -> RadialProfile:
-    return RadialProfile(
-        lambda r: _model.sn(H, r),
-        d1=lambda r: _model.sn_prime(H, r),
-        d2=lambda r: -H * np.asarray(_model.sn(H, r), dtype=float),
-        r_max=r_max,
-        name=f"sn_H={H}",
-    )
+    def jet(x, orders):  # one sn for both w and w'' = -H w
+        w, w1 = _model.sn_pair(H, x) if 1 in orders else (_model.sn(H, x), None)
+        return [w if k == 0 else w1 if k == 1 else -H * w for k in orders]
+
+    return RadialProfile._of_jet(jet, r_max=r_max, name=f"sn_H={H}")
 
 
 def _build_euclidean(n: int, r_max: float = 10.0) -> WarpedSMMS:
-    w = RadialProfile(lambda r: 1.0 * r, d1=lambda r: 1.0 + 0.0 * r,
-                      d2=lambda r: 0.0 * r, r_max=r_max, name="r")
+    def jet(x, orders):
+        return [1.0 * x if k == 0 else 1.0 + 0.0 * x if k == 1 else 0.0 * x
+                for k in orders]
+
+    w = RadialProfile._of_jet(jet, r_max=r_max, name="r")
     return WarpedSMMS(n=n, w=w, f=_const_profile(0.0, r_max), r_max=r_max,
                       closed=False, name="euclidean",
                       params={"n": n, "r_max": r_max})
@@ -597,10 +646,13 @@ def _build_hyperbolic(n: int, H: float = -1.0, r_max: float | None = None) -> Wa
 
 def _build_gaussian_soliton(n: int, c: float = 0.25, r_max: float = 10.0) -> WarpedSMMS:
     base = _build_euclidean(n, r_max)
-    f = RadialProfile(lambda r: c * np.asarray(r, dtype=float) ** 2,
-                      d1=lambda r: 2.0 * c * np.asarray(r, dtype=float),
-                      d2=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0 * c),
-                      r_max=r_max, name=f"{c}*r^2")
+
+    def jet(x, orders):
+        return [c * (x * x) if k == 0 else 2.0 * c * x if k == 1
+                else 2.0 * c if isinstance(x, float) else np.full_like(x, 2.0 * c)
+                for k in orders]
+
+    f = RadialProfile._of_jet(jet, r_max=r_max, name=f"{c}*r^2")
     return WarpedSMMS(n=n, w=base.w, f=f, r_max=r_max, closed=False,
                       name="gaussian_soliton", params={"n": n, "c": c, "r_max": r_max})
 
@@ -613,10 +665,12 @@ def _build_linear_drift(n: int, a: float = 0.5, base: str = "euclidean",
         raise ValueError("linear_drift cannot stack on itself")
     b = make_space(base, n=n, **base_params)
     f0 = b.f
-    f = RadialProfile(lambda r: f0.eval(r) - a * r,
-                      d1=lambda r: f0.d1(r) - a,
-                      d2=f0.d2,
-                      r_max=b.r_max, name=f"{f0.name}-{a}*r")
+
+    def jet(x, orders):
+        return [v - a * x if k == 0 else v - a if k == 1 else v
+                for k, v in zip(orders, f0.jet(x, orders))]
+
+    f = RadialProfile._of_jet(jet, r_max=b.r_max, name=f"{f0.name}-{a}*r")
     return WarpedSMMS(n=n, w=b.w, f=f, r_max=b.r_max, closed=b.closed,
                       name="linear_drift",
                       params={"n": n, "a": a, "base": base, **base_params})
@@ -627,25 +681,31 @@ def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
     if H <= 0.0:
         raise ValueError(f"perturbed_sphere requires H > 0, got {H}")
     r_max = math.pi / math.sqrt(H)
+    rt, e, om = math.sqrt(H), float(eps), float(omega)
+    k1, k2 = 2.0 * e * om, 2.0 * e * om * om
 
-    def w_fn(r):
-        return _model.sn(H, r) * (1.0 + eps * np.sin(omega * r) ** 2)
+    def jet(x, orders):
+        """w = sn p, p = 1 + eps s^2, from s, c = sin, cos(omega r) and sin,
+        cos(sqrt(H) r): p' = 2 eps omega s c and p'' = 2 eps omega^2 (1 - 2 s^2)."""
+        lib, u, v = _lib(x), rt * x, om * x
+        sn, s = lib.sin(u) / rt, lib.sin(v)
+        ss = s * s
+        p = 1.0 + e * ss
+        w = sn * p
+        if not any(orders):
+            return [w for _ in orders]
+        sn1, p1 = lib.cos(u), k1 * (s * lib.cos(v))
+        out = []
+        for k in orders:
+            if k == 0:
+                out.append(w)
+            elif k == 1:
+                out.append(sn1 * p + sn * p1)
+            else:
+                out.append(-H * w + 2.0 * sn1 * p1 + sn * (k2 - 2.0 * k2 * ss))
+        return out
 
-    def w_d1(r):
-        p = 1.0 + eps * np.sin(omega * r) ** 2
-        p1 = eps * omega * np.sin(2.0 * omega * r)
-        return _model.sn_prime(H, r) * p + _model.sn(H, r) * p1
-
-    def w_d2(r):
-        snv = _model.sn(H, r)
-        sn1 = _model.sn_prime(H, r)
-        p = 1.0 + eps * np.sin(omega * r) ** 2
-        p1 = eps * omega * np.sin(2.0 * omega * r)
-        p2 = 2.0 * eps * omega * omega * np.cos(2.0 * omega * r)
-        return -H * snv * p + 2.0 * sn1 * p1 + snv * p2
-
-    w = RadialProfile(w_fn, d1=w_d1, d2=w_d2, r_max=r_max,
-                      name=f"sn_{H}*(1+{eps}sin^2({omega}r))")
+    w = RadialProfile._of_jet(jet, r_max=r_max, name=f"sn_{H}*(1+{eps}sin^2({omega}r))")
     return WarpedSMMS(n=n, w=w, f=_const_profile(0.0, r_max), r_max=r_max,
                       closed=True, name="perturbed_sphere",
                       params={"n": n, "H": H, "eps": eps, "omega": omega})
@@ -740,40 +800,63 @@ class _SplineProfile:
         u = self.xs[i + 1] - r
         return i, h, t, u
 
-    def eval(self, r):
-        i, h, t, u = self._pieces(r)
-        return (self.m2[i] * u ** 3 + self.m2[i + 1] * t ** 3) / (6 * h) \
-            + (self.ys[i] / h - self.m2[i] * h / 6) * u \
-            + (self.ys[i + 1] / h - self.m2[i + 1] * h / 6) * t
-
-    def d1(self, r):
-        i, h, t, u = self._pieces(r)
-        return (-self.m2[i] * u ** 2 + self.m2[i + 1] * t ** 2) / (2 * h) \
-            - (self.ys[i] / h - self.m2[i] * h / 6) \
-            + (self.ys[i + 1] / h - self.m2[i + 1] * h / 6)
-
-    def d2(self, r):
-        i, h, t, u = self._pieces(r)
-        return (self.m2[i] * u + self.m2[i + 1] * t) / h
+    def jet(self, x, orders: tuple) -> list:
+        """The values at ``orders`` from one ``_pieces`` lookup, in numpy (a
+        float comes back a float)."""
+        i, h, t, u = self._pieces(x)
+        m0, m1 = self.m2[i], self.m2[i + 1]
+        lin0, lin1 = self.ys[i] / h - m0 * h / 6, self.ys[i + 1] / h - m1 * h / 6
+        out = [(m0 * u ** 3 + m1 * t ** 3) / (6 * h) + lin0 * u + lin1 * t if k == 0
+               else (-m0 * u ** 2 + m1 * t ** 2) / (2 * h) - lin0 + lin1 if k == 1
+               else (m0 * u + m1 * t) / h for k in orders]
+        return [float(v) for v in out] if isinstance(x, float) else out
 
 
-def _horner(p: np.polynomial.Polynomial):
-    """``p`` as a profile callable: Horner's rule in ``polyval``'s own order
-    (``r * 0.0`` included, which fixes the sign of a zero), on a float in
-    plain floats (about 0.4 us instead of 8 us for ``p(r)``, the ODE hot
-    loop) and on an array elementwise, with the same bits as ``p``.
+def _horner_jet(p: np.polynomial.Polynomial):
+    """The jet of ``p``: Horner's rule on p, p' and p'' in ``polyval``'s own
+    order (``r * 0.0`` included, which fixes the sign of a zero), one sweep
+    per asked order in one call; on a float in plain floats (about 0.4 us a
+    sweep instead of 8 us for ``p(r)``, for the root searches) and on an
+    array elementwise, with the same bits as ``p`` and its derivatives.
     """
-    coeffs = p.coef.tolist()
-    top, rest = coeffs[-1], coeffs[-2::-1]
+    sweeps = []
+    for k in range(3):
+        coeffs = p.deriv(k).coef.tolist()
+        sweeps.append((coeffs[-1], coeffs[-2::-1]))
 
-    def ev(r):
-        x = r if isinstance(r, float) else np.asarray(r, dtype=float)
-        acc = top + x * 0.0
-        for c in rest:
-            acc = c + acc * x
-        return acc
+    def jet(x, orders):
+        out = []
+        for k in orders:
+            top, rest = sweeps[k]
+            acc = top + x * 0.0
+            for c in rest:
+                acc = c + acc * x
+            out.append(acc)
+        return out
 
-    return ev
+    return jet
+
+
+def _fourier_jet(a0: float, terms: list):
+    """The jet of a0 + sum a cos(w r) + b sin(w r) over ``terms`` (w, a, b):
+    one cos and one sin per harmonic for every asked order."""
+    def jet(x, orders):
+        lib = _lib(x)
+        out = [a0 if k == 0 else 0.0 for k in orders]
+        if lib is np:
+            out = [np.full_like(x, v) for v in out]
+        for w, a, b in terms:
+            c, s = lib.cos(w * x), lib.sin(w * x)
+            for j, k in enumerate(orders):
+                if k == 0:
+                    out[j] = out[j] + a * c + b * s
+                elif k == 1:
+                    out[j] = out[j] + w * (-a * s + b * c)
+                else:
+                    out[j] = out[j] - w * w * (a * c + b * s)
+        return out
+
+    return jet
 
 
 def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
@@ -791,36 +874,21 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
         coeffs = np.asarray(spec.get("coeffs", []), dtype=float)
         if coeffs.size == 0:
             raise ValueError("poly profile requires nonempty 'coeffs'")
-        p = np.polynomial.Polynomial(coeffs)
-        return RadialProfile(_horner(p), d1=_horner(p.deriv(1)),
-                             d2=_horner(p.deriv(2)), r_max=r_max, name="poly")
+        return RadialProfile._of_jet(_horner_jet(np.polynomial.Polynomial(coeffs)),
+                                     r_max=r_max, name="poly")
     if kind == "fourier":
         coeffs = np.asarray(spec.get("coeffs", []), dtype=float)
         if coeffs.size == 0:
             raise ValueError("fourier profile requires nonempty 'coeffs'")
-        a0 = coeffs[0]
         pairs = coeffs[1:]
-        ks = np.arange(1, len(pairs) // 2 + len(pairs) % 2 + 1)
         a_k = pairs[0::2]
         b_k = np.zeros_like(a_k)
         b_k[: len(pairs[1::2])] = pairs[1::2]
         base = 2.0 * math.pi / r_max
-
-        def ev(r, order=0):
-            r = np.asarray(r, dtype=float)
-            out = np.full_like(r, a0 if order == 0 else 0.0)
-            for j, kk in enumerate(ks[: len(a_k)]):
-                wkr = base * kk
-                if order == 0:
-                    out = out + a_k[j] * np.cos(wkr * r) + b_k[j] * np.sin(wkr * r)
-                elif order == 1:
-                    out = out + wkr * (-a_k[j] * np.sin(wkr * r) + b_k[j] * np.cos(wkr * r))
-                else:
-                    out = out - wkr ** 2 * (a_k[j] * np.cos(wkr * r) + b_k[j] * np.sin(wkr * r))
-            return out
-
-        return RadialProfile(lambda r: ev(r, 0), d1=lambda r: ev(r, 1),
-                             d2=lambda r: ev(r, 2), r_max=r_max, name="fourier")
+        terms = [(base * k, a, b) for k, a, b in
+                 zip(range(1, len(a_k) + 1), a_k.tolist(), b_k.tolist())]
+        return RadialProfile._of_jet(_fourier_jet(float(coeffs[0]), terms),
+                                     r_max=r_max, name="fourier")
     if kind == "table":
         nodes = np.asarray(spec.get("nodes", []), dtype=float)
         if nodes.ndim == 2 and nodes.shape[1] == 2:
@@ -833,6 +901,5 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
             raise ValueError(f"table profile requires >= 8 nodes, got {len(xs)}")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("table nodes must be strictly increasing in r")
-        sp = _SplineProfile(xs, ys)
-        return RadialProfile(sp.eval, d1=sp.d1, d2=sp.d2, r_max=r_max, name="table")
+        return RadialProfile._of_jet(_SplineProfile(xs, ys).jet, r_max=r_max, name="table")
     raise ValueError(f"unknown profile type {kind!r}")

@@ -1,6 +1,7 @@
 """Shooting eigensolver oracles, Rayleigh transplants, Cheng threshold."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from smmskit.eigen import (EIGEN_TOL, cheng_constants, cheng_epsilon,
                            check_cheng_estimate, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
 from smmskit.model import mean_curvature_model
-from smmskit.numkit import SubdivisionLimitError, Tolerance, quad_adaptive
+from smmskit.numkit import (SubdivisionLimitError, Tolerance, find_root_bracketed,
+                            quad_adaptive)
 from smmskit.smms import make_space, mean_curvature_f, weighted_area
 
 J01 = 2.404825557695773  # first zero of the Bessel function J_0
@@ -626,3 +628,74 @@ class TestEigenVerdict:
         s = make_space("euclidean", n=3)
         d = check_cheng_estimate(s, 0.0, 0.0, 1.0, 0.1, tol=CLI_TOL).to_dict()
         assert d["tol_abs"] == 1e-8 and d["tol_rel"] == 1e-6
+
+
+def _eager_samples(traj):
+    """The samples and r_half as the solve took them before they were read
+    on first use: the 129 radii and the Chebyshev points of the panel where
+    phi first drops to 1/2 in one ``traj.at`` call, r_half closed on the
+    interpolant."""
+    R, edges = traj.R, traj.edges
+    rs = np.linspace(0.0, R, 129)
+    below = np.flatnonzero(traj.ys[:, 0] <= 0.5)
+    lo, hi = (edges[below[0] - 1], edges[below[0]]) if len(below) else (R, R)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    phis = traj.at(np.concatenate([rs, mid + half * eigen._HALF_X]))[:, 0]
+    r_half = R
+    if len(below):
+        coef = eigen._HALF_FIT @ (phis[len(rs):] - 0.5)
+        r_half = find_root_bracketed(
+            lambda r: np.polynomial.chebyshev.chebval((r - mid) / half, coef), lo, hi,
+            Tolerance(1e-15, 1e-15), f_lo=traj.ys[below[0] - 1, 0] - 0.5).root
+    return np.column_stack([rs, phis[:len(rs)]]), r_half
+
+
+class TestLazyEigenfunction:
+    """The samples and r_half are read from the shoot on first use."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda: model_eigenvalue(3, 0.3, 1.0, 1.1, CLI_TOL),
+        lambda: smms_radial_eigenvalue(
+            make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0), 1.2, CLI_TOL),
+        lambda: smms_radial_eigenvalue(make_space("hyperbolic", n=4, H=-2.0), 1.5)],
+        ids=["model", "perturbed", "hyperbolic"])
+    def test_lazy_values_equal_the_eager_ones(self, solve):
+        samples, r_half = _eager_samples(solve().traj)
+        first_samples, first_r_half = solve(), solve()
+        assert first_samples.samples.tobytes() == samples.tobytes()
+        assert first_r_half.r_half == r_half
+        assert first_r_half.samples.tobytes() == samples.tobytes()
+        assert first_samples.r_half == first_r_half.r_half
+        copy = dataclasses.replace(first_samples, residual=0.0)
+        assert copy.samples.tobytes() == samples.tobytes()
+        assert copy.r_half == first_r_half.r_half
+
+    def test_read_once_and_only_when_asked(self, monkeypatch):
+        calls = []
+        sample = eigen._sample_eigenfunction
+        monkeypatch.setattr(eigen, "_sample_eigenfunction",
+                            lambda traj: calls.append(traj) or sample(traj))
+        s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.001, omega=2.0)
+        res = smms_radial_eigenvalue(s, 1.05, CLI_TOL)
+        assert calls == []
+        res.r_half, res.samples, res.r_half
+        assert len(calls) == 1
+        # CHENG reads the model's r_half and never the ball's samples.
+        calls.clear()
+        model_eigenvalue.cache_clear()
+        check_cheng_estimate(s, 1.0, 0.0, 1.05, 0.45, tol=CLI_TOL)
+        assert len(calls) == 1
+
+    def test_cli_json_and_csv_read_the_same_values(self, capsys, tmp_path):
+        from smmskit.cli import main
+        argv = ["check", "--space", "perturbed_sphere", "--n", "3", "--param", "H=1",
+                "--theorem", "EIGEN", "--R", "1.2"]
+        samples, r_half = _eager_samples(smms_radial_eigenvalue(
+            make_space("perturbed_sphere", n=3, H=1.0), 1.2, CLI_TOL).traj)
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)["checks"][0]
+        assert report["params"]["r_half"] == r_half
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path / "phi.csv")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "phi.csv").read_text().splitlines()
+        assert lines == ["r,phi"] + [f"{r:.17g},{phi:.17g}" for r, phi in samples]

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from conftest import perturbed_euclidean
 from smmskit.comparison import check_mc_drift
 from smmskit.model import area_model, mean_curvature_model, ModelSpace
+from smmskit.model import sn as model_sn, sn_prime as model_sn_prime
 from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, bakry_emery_radial,
                           cumulative_excess, integral_rho, make_space, mean_curvature_f,
                           potential_bounds, profile_from_spec, require_finite_excess, rho,
@@ -686,3 +687,251 @@ class TestScalarMeanCurvature:
             with pytest.raises(ValueError) as array:
                 mean_curvature_f(s, np.array([0.5 * s.r_max, r]))
             assert str(scalar.value) == str(array.value)
+
+
+# The profile reads as they were written before the jet, one callable per
+# order: the jet of a profile whose formula is unchanged must give their bits.
+def _sn_reads(H):
+    return (lambda r: model_sn(H, r), lambda r: model_sn_prime(H, r),
+            lambda r: -H * np.asarray(model_sn(H, r), dtype=float))
+
+
+_LINE_READS = (lambda r: 1.0 * r, lambda r: 1.0 + 0.0 * r, lambda r: 0.0 * r)
+_ZERO_READS = (lambda r: 0.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r)
+
+
+def _poly_reads(coeffs):
+    p = np.polynomial.Polynomial(coeffs)
+    return p, p.deriv(1), p.deriv(2)
+
+
+def _perturbed_reads(H, eps, omega):
+    """w = sn_H (1 + eps sin^2(omega r)) with sin and cos of 2 omega r."""
+    sn = lambda r: model_sn(H, r)
+    p = lambda r: 1.0 + eps * np.sin(omega * r) ** 2
+    p1 = lambda r: eps * omega * np.sin(2.0 * omega * r)
+    p2 = lambda r: 2.0 * eps * omega * omega * np.cos(2.0 * omega * r)
+    return (lambda r: sn(r) * p(r),
+            lambda r: model_sn_prime(H, r) * p(r) + sn(r) * p1(r),
+            lambda r: -H * sn(r) * p(r) + 2.0 * model_sn_prime(H, r) * p1(r) + sn(r) * p2(r))
+
+
+def _fourier_reads(coeffs, r_max):
+    """One cos and one sin per harmonic and per order."""
+    a0, pairs = coeffs[0], coeffs[1:]
+    a_k = pairs[0::2]
+    b_k = (pairs[1::2] + [0.0])[:len(a_k)]
+
+    def ev(r, order):
+        r = np.asarray(r, dtype=float)
+        out = np.full_like(r, a0 if order == 0 else 0.0)
+        for k, (a, b) in enumerate(zip(a_k, b_k), start=1):
+            w = 2.0 * math.pi / r_max * k
+            if order == 0:
+                out = out + a * np.cos(w * r) + b * np.sin(w * r)
+            elif order == 1:
+                out = out + w * (-a * np.sin(w * r) + b * np.cos(w * r))
+            else:
+                out = out - w ** 2 * (a * np.cos(w * r) + b * np.sin(w * r))
+        return out
+
+    return tuple(lambda r, k=k: ev(r, k) for k in range(3))
+
+
+def _table_reads(sp):
+    """The natural spline's three piecewise formulas, each with its own lookup."""
+    def piece(r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(sp.xs, r, side="right") - 1, 0, len(sp.xs) - 2)
+        return i, sp.xs[i + 1] - sp.xs[i], r - sp.xs[i], sp.xs[i + 1] - r
+
+    def ev(r):
+        i, h, t, u = piece(r)
+        return (sp.m2[i] * u ** 3 + sp.m2[i + 1] * t ** 3) / (6 * h) \
+            + (sp.ys[i] / h - sp.m2[i] * h / 6) * u \
+            + (sp.ys[i + 1] / h - sp.m2[i + 1] * h / 6) * t
+
+    def d1(r):
+        i, h, t, u = piece(r)
+        return (-sp.m2[i] * u ** 2 + sp.m2[i + 1] * t ** 2) / (2 * h) \
+            - (sp.ys[i] / h - sp.m2[i] * h / 6) \
+            + (sp.ys[i + 1] / h - sp.m2[i + 1] * h / 6)
+
+    def d2(r):
+        i, h, t, u = piece(r)
+        return (sp.m2[i] * u + sp.m2[i + 1] * t) / h
+
+    return ev, d1, d2
+
+
+def _fd_reads(fn, h, r_max):
+    """Five-point central differences, one-sided within 2h of an end."""
+    def stencil(x, order):
+        array = np.ndim(x) > 0
+        x = np.asarray(x, dtype=float) if array else float(x)
+        if order == 1:
+            central = (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
+        else:
+            central = (-fn(x - 2 * h) + 16 * fn(x - h) - 30 * fn(x) + 16 * fn(x + h)
+                       - fn(x + 2 * h)) / (12 * h * h)
+        sgn = np.where(x < 2 * h, 1.0, -1.0) if array else (1.0 if x < 2 * h else -1.0)
+        v = [fn(x + sgn * i * h) for i in range(5)]
+        if order == 1:
+            side = sgn * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+        else:
+            side = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
+        if array:
+            return np.where((x < 2 * h) | (x > r_max - 2 * h), side, central)
+        return side if x < 2 * h or x > r_max - 2 * h else central
+
+    return fn, lambda r: stencil(r, 1), lambda r: stencil(r, 2)
+
+
+def _sine(r):
+    return math.sin(r) if isinstance(r, float) else np.sin(r)
+
+
+def _fd_space():
+    return make_space("custom", n=3, r_max=math.pi, closed=True,
+                      w=RadialProfile(_sine, r_max=math.pi),
+                      f=RadialProfile(lambda r: 0.2 * np.cos(r), d1=lambda r: -0.2 * np.sin(r),
+                                      r_max=math.pi))
+
+
+def _jet_cases():
+    """name -> (space, {profile: (reads, exact)}); ``exact`` where the jet
+    keeps the formula, else a few ulp where an identity replaces a call."""
+    sp = SCALAR_PATH_SPACES
+    fd = _fd_space()
+    fourier = [0.1, 0.05, 0.02, -0.03, 0.01]
+    drift_f = (lambda r: _ZERO_READS[0](r) - 0.5 * r, lambda r: _ZERO_READS[1](r) - 0.5,
+               _ZERO_READS[2])
+    soliton_f = (lambda r: 0.25 * np.asarray(r, dtype=float) ** 2,
+                 lambda r: 2.0 * 0.25 * np.asarray(r, dtype=float),
+                 lambda r: np.full_like(np.asarray(r, dtype=float), 2.0 * 0.25))
+    return {
+        "euclidean": (sp["euclidean"], {"w": (_LINE_READS, True), "f": (_ZERO_READS, True)}),
+        "sphere": (sp["sphere"], {"w": (_sn_reads(1.0), True), "f": (_ZERO_READS, True)}),
+        "hyperbolic": (sp["hyperbolic"], {"w": (_sn_reads(-0.7), True),
+                                          "f": (_ZERO_READS, True)}),
+        "gaussian_soliton": (sp["gaussian_soliton"], {"w": (_LINE_READS, True),
+                                                      "f": (soliton_f, True)}),
+        "linear_drift": (sp["linear_drift"], {"w": (_sn_reads(1.0), True),
+                                              "f": (drift_f, True)}),
+        "perturbed_sphere": (sp["perturbed_sphere"], {
+            "w": (_perturbed_reads(1.0, 0.05, 3.0), False), "f": (_ZERO_READS, True)}),
+        "poly": (sp["poly"], {"w": (_poly_reads([0.0, 1.0, 0.0, -0.02]), True),
+                              "f": (_poly_reads([0.0, 0.1, 0.05]), True)}),
+        "fourier": (sp["fourier"], {"w": (_poly_reads([0.0, 1.0]), True),
+                                    "f": (_fourier_reads(fourier, 3.0), False)}),
+        "table": (sp["table"], {"w": (_poly_reads([0.0, 1.0]), True),
+                                "f": (_table_reads(sp["table"].f._jet.__self__), True)}),
+        "finite_differences": (fd, {
+            "w": (_fd_reads(_sine, fd.w._h, math.pi), True),
+            "f": ((lambda r: 0.2 * np.cos(r), lambda r: -0.2 * np.sin(r),
+                   _fd_reads(lambda r: 0.2 * np.cos(r), fd.f._h, math.pi)[2]), True)}),
+    }
+
+
+JET_CASES = _jet_cases()
+
+
+class TestJet:
+    """One read per profile: the value and both derivatives in one call."""
+
+    def test_every_catalog_space_and_spec_kind_covered(self):
+        assert set(CATALOG) - {"custom"} <= set(JET_CASES)
+        assert {"poly", "fourier", "table", "finite_differences"} <= set(JET_CASES)
+
+    @pytest.mark.parametrize("name", sorted(JET_CASES))
+    @pytest.mark.parametrize("prof", ["w", "f"])
+    def test_matches_the_per_order_reads(self, name, prof):
+        s, cases = JET_CASES[name]
+        reads, exact = cases[prof]
+        p = getattr(s, prof)
+        h = p._h
+        rs = np.concatenate([np.linspace(0.0, s.r_max, 101),
+                             [h, 3 * h, s.r_max - h, s.r_max - 3 * h]])
+        arrays = p.jet(rs)
+        floats = np.array([p.jet(r) for r in rs.tolist()]).T
+        for k, read in enumerate(reads):
+            want = np.asarray(read(rs), dtype=float)
+            want_floats = np.array([float(read(r)) for r in rs.tolist()])
+            if exact:
+                assert arrays[k].tobytes() == want.tobytes()
+                assert floats[k].tobytes() == want_floats.tobytes()
+            else:  # a few ulp of the profile's scale
+                ulp = np.spacing(np.max(np.abs(want)))
+                assert np.max(np.abs(arrays[k] - want)) <= 4 * ulp
+                assert np.max(np.abs(floats[k] - want_floats)) <= 4 * ulp
+
+    @pytest.mark.parametrize("name", sorted(JET_CASES))
+    def test_float_in_gives_floats_out(self, name):
+        s, _ = JET_CASES[name]
+        for p in (s.w, s.f):
+            for r in (0.37 * s.r_max, 0.0, np.float64(0.5 * s.r_max)):
+                out = p.jet(r)
+                assert len(out) == 3 and all(type(v) is float for v in out)
+                assert all(type(read(r)) is float for read in (p, p.eval, p.d1, p.d2))
+            assert all(type(v) is float for v in p.jet(np.asarray(0.4 * s.r_max)))
+            rs = np.linspace(0.1, 0.9, 6).reshape(2, 3) * s.r_max
+            assert all(isinstance(v, np.ndarray) and v.shape == (2, 3) for v in p.jet(rs))
+
+    @pytest.mark.parametrize("name", sorted(JET_CASES))
+    def test_any_orders_match_eval_d1_d2(self, name):
+        s, _ = JET_CASES[name]
+        rs = np.linspace(0.0, s.r_max, 37)
+        for p in (s.w, s.f):
+            single = (p.eval(rs), p.d1(rs), p.d2(rs))
+            for orders in ((0,), (1,), (2,), (0, 2), (2, 0), (1, 2), (0, 1), (0, 1, 2)):
+                got = p.jet(rs, orders)
+                assert [v.tobytes() for v in got] == [single[k].tobytes() for k in orders]
+
+    @pytest.mark.parametrize("name", sorted(JET_CASES))
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    def test_one_read_per_profile_per_curvature_read(self, name, mode, monkeypatch):
+        from smmskit import smms
+        s, _ = JET_CASES[name]
+        reads = []
+        for prof in ("w", "f"):
+            p = getattr(s, prof)
+            monkeypatch.setattr(p, "_jet", lambda x, orders, jet=p._jet, prof=prof:
+                                reads.append((prof, orders)) or jet(x, orders))
+        want = ([("w", (0, 2)), ("f", (2,))] if mode == "radial"
+                else [("w", (0, 1, 2)), ("f", (1, 2))])
+        for r in (np.linspace(0.1, 0.9, 33) * s.r_max, 0.5 * s.r_max):
+            reads.clear()
+            smms._bakry_emery(s, r, mode)
+            assert reads == want
+        # Within the pole rule's reach the tangential curvature reads w''
+        # once more, at the rule's Gauss nodes.
+        reads.clear()
+        smms._bakry_emery(s, np.array([1e-4, 0.5]) * s.r_max, mode)
+        assert reads == want + ([("w", (2,))] if mode == "full" else [])
+
+
+class TestBreakpointScanReuse:
+    """A check's x4 refinement takes its first pass's excess breakpoints."""
+
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    def test_a_refined_mc_check_closes_its_breakpoints_once(self, mode, monkeypatch):
+        from smmskit import comparison, smms
+        scans = []
+        scan = smms._excess_breakpoints
+
+        def counted(*args):
+            scans.append(args[2:4])
+            return scan(*args)
+
+        monkeypatch.setattr(smms, "_excess_breakpoints", counted)
+        space = lambda: make_space("perturbed_sphere", n=3, H=1.0, eps=1e-8, omega=3.0)
+        report = check_mc_drift(space(), 1.0, a=0.0, mode=mode)
+        assert len(report.grid) == 4 * 255 + 1  # the refinement ran
+        assert len(scans) == 1
+        # The same numbers as a refinement that closes them again.
+        monkeypatch.setattr(comparison, "excess_integrator",
+                            lambda s, H, lo, hi, mode: lambda radii: cumulative_excess(
+                                s, H, radii, mode, lo))
+        again = check_mc_drift(space(), 1.0, a=0.0, mode=mode)
+        assert len(scans) == 3
+        assert again.grid.tobytes() == report.grid.tobytes()
