@@ -528,10 +528,10 @@ def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
     while True:
         grid = np.linspace(0.0, s.r_max, n)
         f0, f1 = s.f.jet(grid, (0, 1))
-        fv = np.abs(f0)
-        k = float(np.max(fv))
-        a = float(max(0.0, -np.min(f1)))
-        grad = float(np.max(np.abs(f1)))
+        lo1 = f1.min()  # a sup of |v| is |max v| or |min v|
+        k = float(max(abs(f0.max()), abs(f0.min())))
+        a = float(max(0.0, -lo1))
+        grad = float(max(abs(f1.max()), abs(lo1)))
         cur = (k, a, grad)
         if prev is not None:
             if all(abs(c - p) <= 1e-9 * (1.0 + abs(c)) for c, p in zip(cur, prev)):
