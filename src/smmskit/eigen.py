@@ -295,18 +295,18 @@ class EigenResult(Report):
     at a lambda inside the bracket: the Ritz value, or the root of a search
     on fewer panels, when the bracket still holds it, else ``lam``.  The
     samples and ``r_half`` are read from ``traj`` on first use, both in one
-    call (``_sample_eigenfunction``).  ``residual_bound`` is what the bracket allows,
-    rho(R) max |theta(R) - pi| over its ends, plus |phi(R)| minus phi(R) of
-    a shoot at the same lambda with twice the panels.  ``lam_ritz`` is the
-    Rayleigh-Ritz value that seeded the search (NaN when the Ritz solve
-    failed), ``shoots`` the number of passes over the panels the eigenvalue
-    and eigenfunction took (one pass shoots every lambda it carries, so
-    both ends of the seeded bracket, and the Ritz value too when that
-    bracket closes at once, take one; the shoot with twice the panels is
-    one more), and ``panels`` how many panels ``traj`` crossed.  ``traj``
-    reads the eigenfunction without another shoot.  The search is
-    restricted to radial eigenfunctions (the first eigenfunction is radial
-    for radial data).
+    call (``_sample_eigenfunction``).  ``residual_bound`` is what the
+    bracket allows, rho(R) max |theta(R) - pi| over its ends, plus |phi(R)|
+    minus phi(R) of a shoot at the same lambda with twice the panels.
+    ``lam_ritz`` is the Rayleigh-Ritz value that seeded the search (NaN
+    when the Ritz solve failed), ``shoots`` the number of passes over the
+    panels the eigenvalue and eigenfunction took (one pass shoots every
+    lambda it carries, so both ends of the seeded bracket, and the Ritz
+    value too when that bracket closes at once, take one; the shoot with
+    twice the panels is one more), and ``panels`` how many panels ``traj``
+    crossed.  ``traj`` reads the eigenfunction without another shoot.  The
+    search is restricted to radial eigenfunctions (the first eigenfunction
+    is radial for radial data).
     """
 
     lam: float

@@ -22,7 +22,6 @@ __all__ = [
     "ModelSpace",
     "sn",
     "sn_prime",
-    "sn_pair",
     "conjugate_radius",
     "mean_curvature_model",
     "area_model",
@@ -110,32 +109,6 @@ def sn_prime(H: float, r):
     else:
         out = np.ones_like(r)
     return out if out.ndim else float(out)
-
-
-def sn_pair(H: float, r):
-    """(``sn``, ``sn_prime``) at r >= 0 from one product sqrt|H| r, with the
-    same bits as the two calls."""
-    if isinstance(r, (float, int)):
-        r = float(r)
-        if r < 0.0:
-            raise ValueError("sn requires r >= 0")
-        if H == 0.0:
-            return r, 1.0
-        s = math.sqrt(abs(H))
-        x = s * r
-        return ((math.sin(x) / s, math.cos(x)) if H > 0.0
-                else (math.sinh(x) / s, math.cosh(x)))
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("sn requires r >= 0")
-    if H == 0.0:
-        out, out1 = r, np.ones_like(r)
-    else:
-        s = math.sqrt(abs(H))
-        x = s * r
-        out, out1 = ((np.sin(x) / s, np.cos(x)) if H > 0.0
-                     else (np.sinh(x) / s, np.cosh(x)))
-    return (out, out1) if out.ndim else (float(out), float(out1))
 
 
 def _check_inside(H: float, r, what: str) -> None:

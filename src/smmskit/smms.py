@@ -609,8 +609,9 @@ CATALOG = {
 
 def _sn_profile(H: float, r_max: float) -> RadialProfile:
     def jet(x, orders):  # one sn for both w and w'' = -H w
-        w, w1 = _model.sn_pair(H, x) if 1 in orders else (_model.sn(H, x), None)
-        return [w if k == 0 else w1 if k == 1 else -H * w for k in orders]
+        w = _model.sn(H, x) if 0 in orders or 2 in orders else None
+        return [w if k == 0 else _model.sn_prime(H, x) if k == 1 else -H * w
+                for k in orders]
 
     return RadialProfile._of_jet(jet, r_max=r_max, name=f"sn_H={H}")
 
@@ -687,14 +688,14 @@ def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
     def jet(x, orders):
         """w = sn p, p = 1 + eps s^2, from s, c = sin, cos(omega r) and sin,
         cos(sqrt(H) r): p' = 2 eps omega s c and p'' = 2 eps omega^2 (1 - 2 s^2)."""
-        lib, u, v = _lib(x), rt * x, om * x
-        sn, s = lib.sin(u) / rt, lib.sin(v)
+        lib = _lib(x)
+        sn, s = lib.sin(rt * x) / rt, lib.sin(om * x)
         ss = s * s
         p = 1.0 + e * ss
         w = sn * p
         if not any(orders):
             return [w for _ in orders]
-        sn1, p1 = lib.cos(u), k1 * (s * lib.cos(v))
+        sn1, p1 = lib.cos(rt * x), k1 * (s * lib.cos(om * x))
         out = []
         for k in orders:
             if k == 0:
