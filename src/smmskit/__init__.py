@@ -5,8 +5,8 @@ comparison inequality checkers, diameter bounds and Dirichlet eigenvalues.
 
 __version__ = "0.1.0"
 
-from .numkit import (Tolerance, DEFAULT_TOL, OdeTrajectory, integrate_ode,
-                     quad_adaptive, find_root_bracketed, sphere_area)
+from .numkit import (Tolerance, DEFAULT_TOL, quad_adaptive, find_root_bracketed,
+                     sphere_area)
 from .model import (ModelSpace, sn, sn_prime, conjugate_radius,
                     mean_curvature_model, area_model, volume_model, c_const)
 from .smms import (RadialProfile, WarpedSMMS, CurvatureSample, PotentialBounds,

@@ -56,7 +56,7 @@ import numpy as np
 from .model import (ModelSpace, area_model, c_const, jacobi_factor,
                     mean_curvature_model, ratio_table, sn, volume_model)
 from .numkit import (KernelError, NonFiniteError, Tolerance, find_root_bracketed,
-                     gauss_jacobi, integrate_ode, quad_grid, sphere_area)
+                     gauss_jacobi, quad_grid, sphere_area)
 from .smms import (WarpedSMMS, excess_integrator, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
@@ -81,9 +81,12 @@ __all__ = [
     "volume_ratio_profile",
 ]
 
-# No check calls these two; bench/tracing.py looks both names up in this
-# module.  They can go once the tracer skips a missing name (ROADMAP item 1).
-_TRACED_NAMES = (integrate_ode, volume_model)
+# No check calls volume_model or solves an ODE.  Both names below are kept
+# only because bench/tracing.py TARGETS looks them up in this module; the
+# deleted ODE kernel's name is a None placeholder.  Stage A of ROADMAP item 1
+# deletes both.
+_TRACED_NAMES = (volume_model,)
+integrate_ode = None
 
 _UNITS = {
     "n": "dimensionless",

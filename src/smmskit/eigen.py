@@ -79,8 +79,7 @@ import numpy as np
 from .comparison import Report, _resolve, doubling_epsilon, require_admissible
 from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
 from .numkit import (NonFiniteError, RootBracket, SubdivisionLimitError, Tolerance,
-                     bracket_width, find_root_bracketed, gauss_jacobi, integrate_ode,
-                     quad_adaptive)
+                     bracket_width, find_root_bracketed, gauss_jacobi, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
                    potential_bounds, weighted_area)
 
@@ -97,9 +96,12 @@ __all__ = [
 ]
 
 # check_cheng_estimate reads the space's bounds through comparison._resolve,
-# and no shoot calls integrate_ode; bench/tracing.py still looks both names
-# up in this module (ROADMAP item 1).
-_TRACED_NAMES = (potential_bounds, integrate_ode)
+# and every shoot runs on Magnus panels.  Both names below are kept only
+# because bench/tracing.py TARGETS looks them up in this module; the deleted
+# ODE kernel's name is a None placeholder.  Stage A of ROADMAP item 1 deletes
+# both.
+_TRACED_NAMES = (potential_bounds,)
+integrate_ode = None
 
 EIGEN_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_steps=100_000)
 

@@ -123,22 +123,8 @@ def mean_curvature_model(d: float, H: float, r):
     """Model mean curvature (d-1) sn'(r) / sn(r), the cot/coth form at
     every r > 0: sn(r) > 0 there, so there is no 0/0, and down to sqrt|H| r
     = 1e-12 the form is within 1e-15 relative of 40-digit arithmetic.  For
-    H > 0 the conjugate radius is rejected.  Scalar input takes a math-only
-    fast path.
+    H > 0 the conjugate radius is rejected.  A float comes back as a float.
     """
-    if isinstance(r, (float, int)):
-        r = float(r)
-        if r <= 0.0:
-            raise ValueError("mean_curvature_model requires r > 0")
-        if H == 0.0:
-            return (d - 1.0) / r
-        if H > 0.0 and r >= math.pi / math.sqrt(H) - _CONJ_PAD:
-            raise ValueError("mean_curvature_model: r reaches the conjugate radius")
-        x = math.sqrt(abs(H)) * r
-        if H > 0.0:
-            return (d - 1.0) * math.sqrt(H) * math.cos(x) / math.sin(x)
-        return (d - 1.0) * math.sqrt(-H) * math.cosh(x) / math.sinh(x)
-
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("mean_curvature_model requires r > 0")

@@ -355,25 +355,16 @@ def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
 
 
 def mean_curvature_f(s: WarpedSMMS, r):
-    """Weighted mean curvature m_f = (n-1) w'/w - f' (no pole clamp).
-
-    A float ``r`` takes a float-only path with the same domain checks as
-    arrays."""
+    """Weighted mean curvature m_f = (n-1) w'/w - f' (no pole clamp).  A
+    float ``r`` comes back as a float."""
     hi = s.r_max if not s.closed else s.r_max * (1.0 - 1e-12)
-    scalar = isinstance(r, (float, int))
-    if scalar:
-        r = float(r)
-        below, above = r <= 0.0, r > hi
-    else:
-        r = np.asarray(r, dtype=float)
-        below, above = np.any(r <= 0.0), np.any(r > hi)
-    if below:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError("mean_curvature_f requires r > 0")
-    if above:
+    if np.any(r > hi):
         raise ValueError(f"mean_curvature_f requires r < r_max={s.r_max}")
     w, w1 = s.w.jet(r, (0, 1))
-    m_f = (s.n - 1.0) * w1 / w - s.f.d1(r)
-    return m_f if scalar else _scalar(m_f)
+    return _scalar((s.n - 1.0) * w1 / w - s.f.d1(r))
 
 
 def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):

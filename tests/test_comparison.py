@@ -342,22 +342,6 @@ class TestVolumeComparison:
         assert np.array_equal(rep.grid[::4, 0], coarse)
         assert np.all(np.abs(E_fine[::4] - E) <= 1e-13 * E)
 
-    @pytest.mark.parametrize("run", [
-        lambda s: check_volume_comparison(s, 1.0, 0.2, 0.7, bound="k"),
-        lambda s: check_volume_comparison(s, 1.0, 0.2, 1.2, bound="a"),
-        lambda s: check_volume_absolute(s, 1.0, 1.2),
-        lambda s: check_vol_r1(s, 0.25, 1.2),
-        lambda s: volume_ratio_profile(s, 1.0, np.linspace(0.05, 1.2, 24)),
-    ], ids=["VOL_A", "VOL_B", "VOL_B_ABS", "VOL_R1", "profile"])
-    def test_solves_no_ode(self, monkeypatch, run):
-        def refuse(*args, **kwargs):
-            raise AssertionError("integrate_ode called")
-
-        monkeypatch.setattr(comparison, "integrate_ode", refuse)
-        s = make_space("perturbed_sphere", n=3, H=1.0)
-        run(s)
-        assert integral_rho(s, 1.0, 1.2, "radial") > 0.0  # so E is not 0
-
     def test_large_model_dimension(self):
         # d = 46: V_model underflows to 0 within ~1e-7 of the pole, so E
         # must not divide by V there; its sum starts at the first radius.
@@ -728,19 +712,6 @@ class TestDoublingTable:
             E = comparison._model_volumes(mspace, cl, radii)[1][-1]
             oracle = F_nested_quad(n, H, R, cl / c, k=k)
             assert abs(E - oracle) <= 1e-12 * oracle
-
-    def test_threshold_solves_no_ode(self, monkeypatch):
-        integrate_ode = comparison.integrate_ode
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return integrate_ode(*args, **kwargs)
-
-        monkeypatch.setattr(comparison, "integrate_ode", counted)
-        cert = doubling_epsilon.__wrapped__(3, 1.0, 0.5, 4.0, a=0.1)
-        assert calls == []
-        assert math.exp(cert.F_at_epsilon) <= 4.0
 
     def test_truncated_table_fails_the_certificate(self, monkeypatch, capsys):
         ratio_table = comparison.ratio_table

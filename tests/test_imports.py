@@ -1,5 +1,5 @@
-"""Every name a smmskit module imports is used in that module, and the
-runtime imports numpy but not scipy, the tests' oracle."""
+"""Every name a smmskit module, a test or a tool imports is used in that
+file, and the runtime imports numpy but not scipy, the tests' oracle."""
 
 import ast
 import os
@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
-_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smmskit"
+_REPO = Path(__file__).resolve().parent.parent
+_PACKAGE = _REPO / "src" / "smmskit"
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_SOURCES = (_MODULES + sorted((_REPO / "tests").glob("*.py"))
+            + sorted((_REPO / "tools").glob("*.py")))
+
+
+def _source_id(path: Path) -> str:
+    """A package module by its file name, a test or tool by its repo path."""
+    return path.name if path.parent == _PACKAGE else path.relative_to(_REPO).as_posix()
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -26,7 +34,7 @@ def _imported(tree: ast.Module) -> dict:
     return names
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+@pytest.mark.parametrize("path", _SOURCES, ids=_source_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -1,18 +1,16 @@
-"""Kernel oracles: closed forms, recurrences, and randomized linear systems."""
+"""Kernel oracles: closed forms, recurrences, and randomized integrands."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from smmskit import numkit
-from smmskit.numkit import (BracketError, NonFiniteError, SubdivisionLimitError,
-                            Tolerance, find_root_bracketed, gauss_jacobi,
-                            integrate_ode, quad_adaptive, quad_grid, sphere_area)
+from smmskit.numkit import (BracketError, SubdivisionLimitError, Tolerance,
+                            find_root_bracketed, gauss_jacobi, quad_adaptive,
+                            quad_grid, sphere_area)
 
 TIGHT = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
 
@@ -29,234 +27,6 @@ class TestTolerance:
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError):
             Tolerance(**bad)
-
-
-def _dop853_tableau():
-    """The module's DOP853 constants as full arrays: stage rows A (row 12 is
-    the weights b), nodes c, the 5th-order error weights and the 3rd-order
-    solution's weights."""
-    A, c = np.zeros((16, 16)), np.zeros(16)
-    e5, b3 = np.zeros(16), np.zeros(16)
-    c[12] = 1.0  # the end point, the next step's first stage
-    for name, value in vars(numkit).items():
-        if m := re.fullmatch(r"_A(\d+)_(\d+)", name):
-            A[int(m[1]), int(m[2])] = value
-        elif m := re.fullmatch(r"_B(\d+)", name):
-            A[12, int(m[1])] = value
-        elif m := re.fullmatch(r"_C(\d+)", name):
-            c[int(m[1])] = value
-        elif m := re.fullmatch(r"_E5_(\d+)", name):
-            e5[int(m[1])] = value
-        elif m := re.fullmatch(r"_B3_(\d+)", name):
-            b3[int(m[1])] = value
-    return A, c, e5, b3
-
-
-def _extension(coeffs, y_old, x):
-    """DOP853's continuous extension at x in [0, 1] from one step's rows."""
-    acc = 0.0
-    for j in range(6, -1, -1):
-        acc = (acc + coeffs[j]) * (x if j % 2 == 0 else 1.0 - x)
-    return y_old + acc
-
-
-class TestDop853Tableau:
-    def test_rows_sum_to_their_nodes(self):
-        A, c, _, _ = _dop853_tableau()
-        assert np.count_nonzero(A) == 82
-        for i in range(1, 16):
-            assert abs(math.fsum(A[i]) - c[i]) < 1e-14, i
-
-    def test_weights_integrate_polynomials_to_degree_seven(self):
-        A, c, _, _ = _dop853_tableau()
-        for k in range(8):
-            assert abs(math.fsum(A[12] * c ** k) - 1.0 / (k + 1)) < 1e-14, k
-
-    def test_error_weights_sum_to_zero(self):
-        A, _, e5, b3 = _dop853_tableau()
-        assert np.count_nonzero(e5) == 8 and np.count_nonzero(b3) == 3
-        assert abs(math.fsum(e5)) < 1e-15
-        assert abs(math.fsum(A[12] - b3)) < 1e-15
-
-    def test_extension_meets_the_step_ends(self):
-        traj = integrate_ode(lambda t, y: (y[1], -math.sin(y[0]) + 0.5 * math.cos(t)),
-                             0.0, [2.0, 0.0], 10.0, TIGHT)
-        assert traj.dense.shape == (len(traj.ts) - 1, 7, 2)
-        for i, coeffs in enumerate(traj.dense):
-            assert np.abs(_extension(coeffs, traj.ys[i], 0.0) - traj.ys[i]).max() == 0.0
-            assert np.abs(_extension(coeffs, traj.ys[i], 1.0)
-                          - traj.ys[i + 1]).max() <= 1e-15 * max(1.0, *abs(traj.ys[i + 1]))
-
-
-class TestIntegrateOde:
-    def test_exponential(self):
-        traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0, TIGHT)
-        assert abs(traj.terminal()[0] - math.e) < 1e-9
-        assert len(traj.ts) - 1 == 5  # accepted steps, pinned here and below
-
-    def test_harmonic_oscillator(self):
-        rhs = lambda t, y: np.array([y[1], -y[0]])
-        traj = integrate_ode(rhs, 0.0, [0.0, 1.0], math.pi / 2, TIGHT)
-        assert abs(traj.terminal()[0] - 1.0) < 1e-9
-        assert len(traj.ts) - 1 == 6
-
-    def test_riccati_closed_form(self):
-        # m' = -m^2 with m(1) = 1 has m(t) = 1/t.
-        traj = integrate_ode(lambda t, y: (-(y[0] * y[0]),), 1.0, [1.0], 4.0, TIGHT)
-        assert abs(traj.terminal()[0] - 0.25) < 1e-9
-        assert len(traj.ts) - 1 == 14
-
-    def test_dense_output_matches_solution(self):
-        # The 7th-order continuous extension between the nodes, on steps
-        # of a fifth of the interval.
-        traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0, TIGHT)
-        assert len(traj.ts) - 1 == 5
-        for t in np.linspace(0.0, 1.0, 23):
-            assert abs(traj.at(t)[0] - math.exp(t)) < 1e-9
-
-    def test_nodes_strictly_increasing_and_start_at_ic(self):
-        traj = integrate_ode(lambda t, y: (-y[0],), 0.0, [2.0], 3.0)
-        assert traj.ts[0] == 0.0 and traj.ys[0][0] == 2.0
-        assert np.all(np.diff(traj.ts) > 0)
-        assert len(traj.errors) == len(traj.ts)
-        assert np.all(traj.errors[1:] <= 1.0)  # accepted-step estimates
-        assert len(traj.ts) - 1 == 5
-
-    def test_nonfinite_rhs_raises(self):
-        def rhs(t, y):
-            return np.array([math.inf if t > 0.5 else 1.0])
-        with pytest.raises(NonFiniteError):
-            integrate_ode(rhs, 0.0, [0.0], 1.0)
-
-    def test_dense_output_range_check(self):
-        traj = integrate_ode(lambda t, y: y, 0.0, [1.0], 1.0)
-        assert len(traj.ts) - 1 == 3
-        with pytest.raises(ValueError):
-            traj.at(1.5)
-
-    def test_dense_output_on_arrays_matches_float_calls(self):
-        traj = integrate_ode(lambda t, y: (y[1], -y[0]), 0.0, [0.0, 1.0], 3.0)
-        assert len(traj.ts) - 1 == 5
-        ts = np.random.default_rng(3).uniform(0.0, 3.0, 500)
-        rows = traj.at(ts)
-        assert rows.shape == (500, 2)
-        assert np.array_equal(rows, np.array([traj.at(float(t)) for t in ts]))
-        for bad in ([0.5, 3.5], [-0.5, 1.0]):
-            with pytest.raises(ValueError, match="outside trajectory range"):
-                traj.at(np.array(bad))
-
-    def test_random_linear_systems(self):
-        # 2x2 constant-coefficient systems against the matrix exponential.
-        rng = np.random.default_rng(7)
-        total = 0
-        for _ in range(100):
-            A = rng.uniform(-2.0, 2.0, size=(2, 2))
-            y0 = rng.uniform(-1.0, 1.0, size=2)
-            t1 = rng.uniform(0.4, 1.5)
-            traj = integrate_ode(lambda t, y: A @ y, 0.0, y0, t1, TIGHT)
-            lam, V = np.linalg.eig(A)
-            exact = (V @ np.diag(np.exp(lam * t1)) @ np.linalg.inv(V) @ y0).real
-            assert np.allclose(traj.terminal(), exact, rtol=1e-6, atol=1e-6)
-            total += len(traj.ts) - 1
-        assert total == 565  # accepted steps over the 100 systems
-
-    def test_pendulum_against_dop853(self):
-        rhs = lambda t, y: (y[1], -math.sin(y[0]))
-        tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
-        traj = integrate_ode(rhs, 0.0, [2.5, 0.0], 10.0, tol)
-        ref = solve_ivp(rhs, (0.0, 10.0), [2.5, 0.0], method="DOP853", t_eval=traj.ts,
-                        rtol=1e-13, atol=1e-14)
-        assert ref.success
-        assert np.abs(traj.ys - ref.y.T).max() < 1e-9
-
-    @pytest.mark.parametrize("rtol, atol", [(1e-3, 1e-6), (1e-9, 1e-11), (1e-12, 1e-14)])
-    def test_forced_pendulum_takes_scipy_dop853_steps(self, rtol, atol):
-        # Same method, first step and step control: the same accepted steps,
-        # and dense output that agrees far inside the tolerance.  (At rtol
-        # 1e-6 the first step's error estimate, 1e-7 of its scale, is
-        # rounding, so the node times part by 2e-7 and the dense outputs
-        # by 2e-11.)
-        def rhs(t, y):
-            return (y[1], -math.sin(y[0]) + 0.5 * math.cos(1.3 * t))
-
-        traj = integrate_ode(rhs, 0.0, [2.0, 0.0], 10.0, Tolerance(atol, rtol))
-        ref = solve_ivp(rhs, (0.0, 10.0), [2.0, 0.0], method="DOP853",
-                        first_step=10.0 / 64, rtol=rtol, atol=atol, dense_output=True)
-        assert ref.success
-        assert len(traj.ts) == len(ref.t)
-        ts = np.linspace(0.0, 10.0, 101)
-        assert np.abs(traj.at(ts) - ref.sol(ts).T).max() <= 1e-12
-
-    def test_prufer_angle_of_the_flat_unit_ball_against_dop853(self):
-        # theta' = cos^2 + (n-1)/r sin cos + lam sin^2 at R = 1, from the pole
-        # series at r0 = 1e-6; the flat 3-ball has lam_1 = pi^2, so theta(1) = pi.
-        lam, n, r0 = math.pi ** 2, 3, 1e-6
-        theta0 = math.atan2(1.0 - lam * r0 * r0 / (2 * n), -lam * r0 / n)
-
-        def rhs(t, y):
-            sin, cos = math.sin(y[0]), math.cos(y[0])
-            return (cos * cos + (n - 1) / t * sin * cos + lam * sin * sin,)
-
-        traj = integrate_ode(rhs, r0, (theta0,), 1.0, Tolerance(1e-12, 1e-12))
-        ref = solve_ivp(rhs, (r0, 1.0), [theta0], method="DOP853", t_eval=traj.ts,
-                        rtol=1e-13, atol=1e-14)
-        assert ref.success
-        assert np.abs(traj.ys[:, 0] - ref.y[0]).max() < 1e-9
-        assert abs(traj.terminal()[0] - math.pi) < 1e-9
-
-    def test_tuple_list_and_array_returns_give_the_same_trajectory(self):
-        forms = (lambda a, b: (a, b), lambda a, b: [a, b], lambda a, b: np.array([a, b]))
-        trajs = [integrate_ode(lambda t, y, form=form: form(y[1], -math.sin(y[0]) * t),
-                               0.0, [1.0, 0.0], 4.0, TIGHT) for form in forms]
-        for other in trajs[1:]:
-            for field in ("ts", "ys", "dense", "errors"):
-                assert getattr(other, field).tobytes() == getattr(trajs[0], field).tobytes()
-
-    def test_every_stage_gets_a_list_of_floats(self):
-        # From an array y0 and array returns: the state goes in as Python
-        # floats at every stage, the first call at t0 included.
-        seen = []
-
-        def rhs(t, y):
-            seen.append((t, type(y), [type(v) for v in y]))
-            return np.array([y[1], -y[0]])
-
-        traj = integrate_ode(rhs, 0.0, np.array([0.0, 1.0]), 1.0)
-        assert seen[0][0] == 0.0
-        assert len(seen) == 1 + 15 * (len(traj.ts) - 1)  # no step was rejected
-        assert all(kind is list and types == [float, float] for _, kind, types in seen)
-
-    def test_numpy_scalar_nan_in_a_tuple_raises_at_its_stage(self):
-        # The third call is stage k2 of the first step: t = c2 h, h = 1/64.
-        calls = []
-
-        def rhs(t, y):
-            calls.append(t)
-            return (np.float64(math.nan) if len(calls) == 3 else -y[0],)
-
-        with pytest.raises(NonFiniteError, match=r"at t=0\.0012328160615336188$"):
-            integrate_ode(rhs, 0.0, [1.0], 1.0)
-        assert len(calls) == 3
-
-    @pytest.mark.parametrize("bad", [
-        lambda t, y: (y[0],), lambda t, y: [y[0], y[1], 0.0],
-        lambda t, y: float(y[0]), lambda t, y: np.zeros((2, 2)),
-    ], ids=["one", "three", "scalar", "nested"])
-    def test_wrong_component_count_raises(self, bad):
-        with pytest.raises(ValueError, match="must return 2 numbers"):
-            integrate_ode(bad, 0.0, [1.0, 0.0], 1.0)
-
-    def test_nan_at_an_interior_stage_raises_at_that_stage(self):
-        # The third call is stage k2 of the first step: t = c2 h, h = 1/64.
-        calls = []
-
-        def rhs(t, y):
-            calls.append(t)
-            return (math.nan if len(calls) == 3 else -y[0],)
-
-        with pytest.raises(NonFiniteError, match=r"at t=0\.0012328160615336188$"):
-            integrate_ode(rhs, 0.0, [1.0], 1.0)
-        assert len(calls) == 3
 
 
 class TestQuadAdaptive:

@@ -663,7 +663,8 @@ SCALAR_PATH_SPACES = {
 
 
 class TestScalarMeanCurvature:
-    """A float radius takes the float-only path of mean_curvature_f."""
+    """A float radius gives a float m_f through the array path: the same
+    numbers and the same domain errors as an array of radii."""
 
     def test_catalog_covered(self):
         assert set(CATALOG) - {"custom"} <= set(SCALAR_PATH_SPACES)

@@ -21,6 +21,9 @@ def test_tracer_installs_and_counts_checks(tmp_path):
     main = smmskit.cli.main
     tracer.install(smmskit)
     try:
+        # The tracer wraps the integrate_ode placeholders like any target.
+        assert callable(smmskit.comparison.integrate_ode)
+        assert callable(smmskit.eigen.integrate_ode)
         for argv in (["--space", "perturbed_sphere", "--n", "3", "--param", "H=1",
                       "--theorem", "VOL_B", "--r", "0.3", "--R", "1.2", "--grid", "32"],
                      ["--space", "sphere", "--n", "3", "--param", "H=1",
@@ -34,11 +37,16 @@ def test_tracer_installs_and_counts_checks(tmp_path):
     finally:
         tracer.uninstall()
     assert smmskit.cli.main is main
+    # uninstall puts the placeholders back.
+    assert smmskit.comparison.integrate_ode is None
+    assert smmskit.eigen.integrate_ode is None
     counts = tracer.counts
     assert counts["cli.main.calls"] == 3
     assert counts["smms.make_space.calls"] == 3
-    # VOL_B solves no ODE; the tracer still installs on the kept name.
+    # No check solves an ODE: VOL_B's volumes come from fixed rules and
+    # CHENG shoots on Magnus panels, so neither placeholder is called.
     assert counts["comparison.integrate_ode.calls"] == 0
+    assert counts["eigen.integrate_ode.calls"] == 0
     assert counts["smms.potential_bounds.calls"] > 0
     assert counts["smms.integral_rho.calls"] == 3
     # Both quadrature entry points stay imported where the tracer looks.
