@@ -24,8 +24,8 @@ g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
 radial and tangential curvature), so each piece is smooth, and integrate
 rho on those breakpoints and the requested radii with quad_grid at its
 1e-10 budget: ``integral_rho`` at one radius, ``cumulative_excess`` at
-many, and ``excess_integrator`` on every grid ending at one radius (a
-check's first pass and its refinement) from one breakpoint search.  A
+many, and ``excess_integrator`` on every grid within one range (a check's
+first pass and its refinement) from one breakpoint search.  A
 pole where rho ~ c/r makes l = +inf, which raises
 ``DivergentExcessError`` (an unmet hypothesis).
 """
@@ -296,7 +296,13 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
     I = |w'| - 1 = int_0^r w'' (int_r^r_max w'' at a closed far pole, as
     w'(0) = 1 = -w'(r_max)) on the 5-point Gauss-Legendre rule, whose error
     there is O((r_s/r_max)^10); elsewhere it is 1 - w1^2 (module docstring).
+    A float ``rc`` stays in plain floats away from the poles (the root
+    searches), with the array path's bits.
     """
+    if isinstance(rc, float):
+        d = s.r_max - rc if s.closed and rc > 0.5 * s.r_max else rc
+        if not d < _POLE_RULE * s.r_max:
+            return 1.0 - w1 * w1
     r = np.asarray(rc, dtype=float)
     far = s.closed & (r > 0.5 * s.r_max)
     d = np.where(far, s.r_max - r, r)  # distance to the nearer pole
@@ -342,9 +348,15 @@ def _excess(s: WarpedSMMS, H: float, r, mode: str):
 
 
 def _excess_of(s: WarpedSMMS, H: float, radial, tangential):
-    """g from the radial and tangential (None outside full mode) Ric_f."""
-    return (s.n - 1.0) * H - (radial if tangential is None
-                              else np.minimum(radial, tangential))
+    """g from the radial and tangential (None outside full mode) Ric_f; on
+    floats in plain floats, the smaller one picked as ``np.minimum`` does."""
+    if tangential is None:
+        lam = radial
+    elif isinstance(radial, float):
+        lam = radial if radial <= tangential or radial != radial else tangential
+    else:
+        lam = np.minimum(radial, tangential)
+    return (s.n - 1.0) * H - lam
 
 
 def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
@@ -468,20 +480,21 @@ def excess_integrator(s: WarpedSMMS, H: float, lo: float, hi: float,
     """int_lo^{r_i} rho as a function of nondecreasing radii r_i in [lo, hi].
 
     rho is smooth between ``_excess_breakpoints``, which are closed on
-    [lo, hi] once, here, so every grid that ends at hi (a check's first pass
-    and its x4 refinement) is integrated on the same ones: ``quad_grid`` at
-    its default 1e-10 budget on the edges lo, those breakpoints and the
-    radii, and the integrals are its cumulative sums at the radii.  Raises
-    ``DivergentExcessError`` when they are +inf (``require_finite_excess``).
+    [lo, hi] once, here, so every grid in that range (a check's first pass
+    and its refinement) is integrated on the same ones: ``quad_grid`` at
+    its default 1e-10 budget on the edges lo, the breakpoints below the
+    last radius and the radii, and the integrals are its cumulative sums at
+    the radii.  Raises ``DivergentExcessError`` when they are +inf
+    (``require_finite_excess``).
     """
     if hi == lo:
         return lambda radii: np.zeros(len(radii))
     require_finite_excess(s, mode, lo, hi)  # an unknown mode too, before the scan
-    breaks = _excess_breakpoints(s, H, lo, hi, mode)
+    breaks = np.asarray(_excess_breakpoints(s, H, lo, hi, mode), dtype=float)
 
     def cumulative(radii) -> np.ndarray:
         radii = np.asarray(radii, dtype=float)
-        edges = np.sort(np.concatenate([[lo], radii, breaks]))
+        edges = np.sort(np.concatenate([[lo], radii, breaks[breaks < radii[-1]]]))
         segs, _ = quad_grid(lambda t: np.maximum(0.0, _excess(s, H, t, mode)), edges)
         cum = np.concatenate([[0.0], np.cumsum(segs)])
         return cum[np.searchsorted(edges, radii)]
@@ -804,17 +817,29 @@ class _SplineProfile:
         return [float(v) for v in out] if isinstance(x, float) else out
 
 
-def _horner_jet(p: np.polynomial.Polynomial):
-    """The jet of ``p``: Horner's rule on p, p' and p'' in ``polyval``'s own
-    order (``r * 0.0`` included, which fixes the sign of a zero), one sweep
-    per asked order in one call; on a float in plain floats (about 0.4 us a
-    sweep instead of 8 us for ``p(r)``, for the root searches) and on an
-    array elementwise, with the same bits as ``p`` and its derivatives.
+def _polyder(coeffs: list, k: int) -> list:
+    """The coefficients of the k-th derivative of sum c_j r^j as numpy's
+    ``polyder`` gives them: k passes of j c_j, or [c_0 * 0] (a zero signed
+    like c_0) once k reaches the length."""
+    if k >= len(coeffs):
+        return [coeffs[0] * 0]
+    for _ in range(k):
+        coeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
+    return coeffs
+
+
+def _horner_jet(coeffs: list):
+    """The jet of sum c_j r^j over the float list ``coeffs``: Horner's rule
+    on p, p' and p'' in ``polyval``'s own order (``r * 0.0`` included, which
+    fixes the sign of a zero), one sweep per asked order in one call; on a
+    float in plain floats (about 0.4 us a sweep instead of 8 us for a numpy
+    ``Polynomial``, for the root searches) and on an array elementwise,
+    with the same bits as ``Polynomial(coeffs)`` and its ``deriv``.
     """
     sweeps = []
     for k in range(3):
-        coeffs = p.deriv(k).coef.tolist()
-        sweeps.append((coeffs[-1], coeffs[-2::-1]))
+        c = _polyder(coeffs, k)
+        sweeps.append((c[-1], c[-2::-1]))
 
     def jet(x, orders):
         out = []
@@ -866,8 +891,7 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
         coeffs = np.asarray(spec.get("coeffs", []), dtype=float)
         if coeffs.size == 0:
             raise ValueError("poly profile requires nonempty 'coeffs'")
-        return RadialProfile._of_jet(_horner_jet(np.polynomial.Polynomial(coeffs)),
-                                     r_max=r_max, name="poly")
+        return RadialProfile._of_jet(_horner_jet(coeffs.tolist()), r_max=r_max, name="poly")
     if kind == "fourier":
         coeffs = np.asarray(spec.get("coeffs", []), dtype=float)
         if coeffs.size == 0:

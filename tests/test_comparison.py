@@ -22,7 +22,8 @@ from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
 from smmskit.cli import main
 from smmskit.model import c_const, sn as model_sn, sn_prime as model_sn_prime
 from smmskit.numkit import KernelError, sphere_area
-from smmskit.smms import RadialProfile, WarpedSMMS, integral_rho, make_space
+from smmskit.smms import (RadialProfile, WarpedSMMS, integral_rho, make_space,
+                          mean_curvature_f)
 
 
 def sphere_with_potential(n=3, H=1.0, amp=0.1):
@@ -330,17 +331,26 @@ class TestVolumeComparison:
                     assert vol.passed
 
     def test_refinement_integrates_its_own_grid(self):
-        # The x4 pass sums E on its own 1021 radii; at the 256 radii it
-        # shares with the first pass it gives the first pass's E.
+        # The near-pole margins sit within ten 1e-8 tolerances, so the cells
+        # there get the x4 grid's interior radii.  The refinement pass sums
+        # E on its own radii (radii[0] and the new ones) and gives the E of
+        # the whole x4 grid there; its rows are its own pass's.
         s = make_space("perturbed_sphere", n=3, H=1.0)
         rep = check_volume_absolute(s, 1.0, 1.2)
-        assert rep.grid.shape[0] == 1021  # refined from 256 radii
         mspace = comparison.ModelSpace(dim=3.0, H=1.0, drift=rep.params["a"])
         l, coarse = rep.params["l"], np.linspace(1.2 / 256, 1.2, 256)
-        E_fine = comparison._model_volumes(mspace, l, rep.grid[:, 0])[1]
-        E = comparison._model_volumes(mspace, l, coarse)[1]
-        assert np.array_equal(rep.grid[::4, 0], coarse)
-        assert np.all(np.abs(E_fine[::4] - E) <= 1e-13 * E)
+        fine = np.linspace(coarse[0], 1.2, 1021)
+        r = rep.grid[:, 0]
+        shared = np.isin(r, coarse)
+        assert np.array_equal(r[shared], coarse)
+        new = r[~shared]
+        assert 0 < len(new) < 3 * 255 and len(new) % 3 == 0  # refined, and locally
+        assert np.all(np.isin(new, fine))
+        vm, E = comparison._model_volumes(mspace, l, np.concatenate([coarse[:1], new]))
+        E_fine = comparison._model_volumes(mspace, l, fine)[1][np.isin(fine, new)]
+        assert np.all(np.abs(E[1:] - E_fine) <= 1e-13 * E_fine)
+        f0 = float(s.f.eval(0.0))
+        assert np.array_equal(rep.grid[~shared, 2], (vm * np.exp(-f0 + E))[1:])
 
     def test_large_model_dimension(self):
         # d = 46: V_model underflows to 0 within ~1e-7 of the pole, so E
@@ -865,13 +875,114 @@ class TestScaledCurvature:
             assert rep.passed and abs(rep.min_margin) <= 1e-8
 
 
+def bumped(b3=0.02, f1=0.0, f2=0.03, r_max=2.9):
+    """The benchmark's custom poly space: w = r + b3 r^3, f = f1 r + f2 r^2."""
+    return make_space("custom", n=3, r_max=r_max,
+                      w={"type": "poly", "coeffs": [0.0, 1.0, 0.0, b3]},
+                      f={"type": "poly", "coeffs": [0.0, f1, f2]})
+
+
+class TestLocalRefinement:
+    """The first pass is refined only in the cells next to a radius whose
+    margin is within ten tolerances of zero; an anchor and a model identity
+    refine nothing."""
+
+    def test_mc_rough_anchor_does_not_refine(self):
+        # r0 compares m_f(r0) with itself: margin 0.0 there, at today's
+        # tolerance, and no x4 pass.
+        s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.04, omega=3.0)
+        r0 = 0.3 * s.r_max
+        rep = check_mc_rough(s, 1.0, r0)
+        assert rep.grid.shape[0] == 256
+        assert rep.min_margin == 0.0 and rep.grid[0, 3] == 0.0
+        assert rep.tolerance == max(1e-8, 1e-6 * abs(float(mean_curvature_f(s, r0))))
+        assert rep.passed and rep.equality_radii == [r0]
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_mc_drift(make_space("sphere", n=3, H=1.0), 1.0, a=0.0),
+        lambda: check_area_comparison(make_space("euclidean", n=3, r_max=6.0), 0.0,
+                                      0.4, 3.0, bound="k"),
+        lambda: check_volume_comparison(make_space("linear_drift", n=3, a=0.3), 0.0,
+                                        0.4, 3.0),
+        lambda: check_volume_absolute(make_space("linear_drift", n=3, a=0.3), 0.0, 2.0),
+    ], ids=["MC_DRIFT-sphere", "AREA_A-flat", "VOL_B-linear_drift", "VOL_B_ABS-flat"])
+    def test_model_identities_are_not_refined(self, check):
+        rep = check()
+        assert rep.grid.shape[0] == 256
+        assert len(rep.equality_radii) == 256 and rep.passed
+        tol = np.maximum(1e-8, 1e-6 * np.abs(rep.grid[:, 2]))
+        assert np.all(np.abs(rep.grid[:, 3]) <= comparison._IDENTITY * tol)
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_mc_drift(make_space("perturbed_sphere", n=3, H=1.0, eps=1e-4,
+                                          omega=3.0), 1.0, a=0.0),
+        lambda: check_volume_absolute(make_space("perturbed_sphere", n=3, H=1.0), 1.0, 1.2),
+    ], ids=["MC_DRIFT", "VOL_B_ABS"])
+    def test_refines_only_cells_next_to_near_radii(self, check, monkeypatch):
+        passes = []
+        evaluate = comparison._evaluate
+        monkeypatch.setattr(comparison, "_evaluate", lambda tid, eval_on, radii: passes.append(
+            (radii.copy(), evaluate(tid, eval_on, radii))) or passes[-1][1])
+        rep = check()
+        (radii, (lhs, rhs, margin)), (second, _) = passes
+        # The cells the rule names, from the first pass alone.
+        tol = np.maximum(1e-8, 1e-6 * np.abs(rhs))
+        i = int(np.argmin(margin))
+        assert abs(margin[i]) < 10.0 * tol[i]
+        near = np.flatnonzero(margin < 10.0 * tol[i])
+        cells = sorted({c for j in near for c in (j - 1, j) if 0 <= c < len(radii) - 1})
+        assert 0 < len(cells) < len(radii) - 1
+        fine = np.linspace(radii[0], radii[-1], 4 * (len(radii) - 1) + 1)
+        new = np.concatenate([fine[4 * c + 1:4 * c + 4] for c in cells])
+        # One more pass, from radii[0], on the x4 grid's radii of those cells.
+        assert np.array_equal(second, np.concatenate([radii[:1], new]))
+        assert rep.grid.shape[0] == len(radii) + 3 * len(cells)
+        assert np.array_equal(rep.grid[:, 0], np.sort(np.concatenate([radii, new])))
+        # The first pass's rows, bit for bit.
+        coarse = np.isin(rep.grid[:, 0], radii)
+        assert rep.grid[coarse].tobytes() == np.column_stack([radii, lhs, rhs, margin]).tobytes()
+        imin = int(np.argmin(rep.grid[:, 3]))
+        assert rep.min_margin == rep.grid[imin, 3]
+        assert rep.tolerance == max(1e-8, 1e-6 * abs(rep.grid[imin, 2]))
+
+    @pytest.mark.parametrize("check", [
+        lambda n: check_mc_rough(make_space("perturbed_sphere", n=3, H=1.0, eps=0.04,
+                                            omega=3.0), 1.0, 0.3 * math.pi, n_grid=n),
+        lambda n: check_area_comparison(bumped(), 0.0, 0.3, 2.0, bound="k", n_grid=n),
+        lambda n: check_area_comparison(make_space("perturbed_sphere", n=3, H=1.0, eps=0.04,
+                                                   omega=3.0), 1.0, 0.25, 1.4, n_grid=n),
+        lambda n: check_area_comparison(make_space("linear_drift", n=3, a=0.3), 0.0, 0.4,
+                                        3.0, n_grid=n),
+        lambda n: check_area_comparison(make_space("gaussian_soliton", n=3, c=0.2, r_max=4.0),
+                                        0.0, 0.4, 2.0, bound="k", n_grid=n),
+        lambda n: check_volume_comparison(make_space("perturbed_sphere", n=3, H=1.0, eps=0.04,
+                                                     omega=3.0), 1.0, 0.2, 0.7, bound="k",
+                                          n_grid=n),
+        lambda n: check_volume_comparison(bumped(), 0.1, 0.3, 1.8, bound="k", n_grid=n),
+        lambda n: check_volume_comparison(bumped(f1=-0.2), 0.2, 0.3, 2.0, n_grid=n),
+        lambda n: check_volume_comparison(make_space("linear_drift", n=3, a=0.3), 0.0, 0.4,
+                                          3.0, n_grid=n),
+        lambda n: check_vol_r1(bumped(), 0.3, 1.3, n_grid=n),
+    ], ids=["MC_ROUGH", "AREA_A-poly", "AREA_B-perturbed", "AREA_B-linear_drift",
+            "AREA_A-soliton", "VOL_A-perturbed", "VOL_A-poly", "VOL_B-poly",
+            "VOL_B-linear_drift", "VOL_R1-poly"])
+    def test_inner_radius_forms_agree_with_the_x4_grid(self, check):
+        # The benchmark's forms with an explicit inner radius: the verdict
+        # and min_margin of the old x4 radii (grid 4n - 3).
+        rep, dense = check(256), check(4 * 256 - 3)
+        assert rep.verdict == dense.verdict == "PASS"
+        assert abs(rep.min_margin - dense.min_margin) <= max(rep.tolerance, dense.tolerance)
+
+
 class TestReportPlumbing:
     def test_csv_header_and_shape(self):
         s = make_space("euclidean", n=3)
         rep = check_mc_drift(s, 0.0, n_grid=16)
         csv = rep.grid_csv()
         assert csv.splitlines()[0] == "r,lhs,rhs,margin"
-        assert len(csv.splitlines()) == 62  # the model's zero margin refines 16 -> 61
+        # A model identity (every margin at rounding level) is not refined.
+        assert len(csv.splitlines()) == 17
+        assert all(len(line.split(",")) == 4 for line in csv.splitlines())
 
     def test_pass_vs_margin_consistency(self):
         s = perturbed_euclidean(3, 0.05, 2.0, amp=0.05, nu=1.0)

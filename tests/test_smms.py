@@ -432,6 +432,30 @@ class TestPoleRule:
         integral_rho(s, 1.0, 1.2, "full")
         assert calls["panels"] <= 8
 
+    @pytest.mark.parametrize("name, params", [
+        ("perturbed_sphere", {"H": 1.0, "eps": 0.03, "omega": 3.0}),
+        ("perturbed_sphere", {"H": 4.0, "eps": 0.05, "omega": 2.0}),
+        ("gaussian_soliton", {}),
+    ])
+    def test_scalar_full_excess_is_the_array_path(self, name, params):
+        # A float read (the breakpoint root searches) stays in plain floats
+        # and gives the array path's bits below the pole rule's r_s, in the
+        # middle of the range, and near a closed far pole.
+        from smmskit.smms import _POLE_RULE, _excess
+        s = make_space(name, n=3, **params)
+        r_s = _POLE_RULE * s.r_max
+        d = np.concatenate([np.geomspace(s.r_interior_lo, 0.99 * r_s, 8),
+                            np.geomspace(1.01 * r_s, 0.05 * s.r_max, 8)])
+        rs = [d, np.linspace(0.1, 0.9, 9) * s.r_max]
+        if s.closed:
+            rs.append(s.r_max - d)
+        for r in np.concatenate(rs):
+            for H in (-1.0, 0.0, 1.0):
+                got = _excess(s, H, float(r), "full")
+                assert type(got) is float
+                want = _excess(s, H, np.array([r]), "full")[0]
+                assert np.float64(got).tobytes() == want.tobytes()
+
     def test_hyperbolic_full_mode_is_exact(self):
         # Ric_f = -(n-1) in both directions, so l = 0 (it was 8.5e-13).
         s = make_space("hyperbolic", n=3, H=-1.0)
@@ -610,6 +634,25 @@ class TestProfiles:
                 assert got(rs).tobytes() == want(rs).tobytes()
                 floats = np.array([got(r) for r in rs.tolist()])
                 assert floats.tobytes() == want(rs).tobytes()
+
+    @pytest.mark.parametrize("coeffs", [
+        [2.5], [-2.5], [0.0], [-0.0], [1.5, -3.0], [-1.5, 3.0], [0.0, 1.0, 0.0],
+        [-0.7, 0.0, 0.0], [0.0, 1.0, 0.0, 0.02], [0.3, -1.0, 0.5, 0.0],
+        [-0.1, 0.0, 2.0, -0.3, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
+    def test_poly_jet_is_numpy_deriv_with_trailing_zeros(self, coeffs):
+        # The sweeps are built from the list (j c_j per derivative, polyder's
+        # zero for a derivative past the degree), not numpy objects; the
+        # bits stay numpy's on floats and arrays, signed zeros included.
+        # (Not at r = -0.0, which Polynomial's domain map turns into +0.0.)
+        p = profile_from_spec({"type": "poly", "coeffs": coeffs}, 4.0)
+        ref = np.polynomial.Polynomial(coeffs)
+        rs = np.array([0.0, 0.25, 1.0, 3.7, -1.5, -2.0])
+        for k, want in enumerate((ref, ref.deriv(1), ref.deriv(2))):
+            arr = p.jet(rs, (k,))[0]
+            assert arr.tobytes() == want(rs).tobytes()
+            floats = np.array([p.jet(r, (k,))[0] for r in rs.tolist()])
+            assert floats.tobytes() == want(rs).tobytes()
+            assert all(type(p.jet(r, (k,))[0]) is float for r in rs.tolist())
 
     def test_fourier_profile(self):
         p = profile_from_spec({"type": "fourier", "coeffs": [0.2, 0.1, 0.05]}, 2 * math.pi)
@@ -912,7 +955,7 @@ class TestJet:
 
 
 class TestBreakpointScanReuse:
-    """A check's x4 refinement takes its first pass's excess breakpoints."""
+    """A check's refinement takes its first pass's excess breakpoints."""
 
     @pytest.mark.parametrize("mode", ["radial", "full"])
     def test_a_refined_mc_check_closes_its_breakpoints_once(self, mode, monkeypatch):
@@ -927,12 +970,12 @@ class TestBreakpointScanReuse:
         monkeypatch.setattr(smms, "_excess_breakpoints", counted)
         space = lambda: make_space("perturbed_sphere", n=3, H=1.0, eps=1e-8, omega=3.0)
         report = check_mc_drift(space(), 1.0, a=0.0, mode=mode)
-        assert len(report.grid) == 4 * 255 + 1  # the refinement ran
+        assert len(report.grid) == 4 * 255 + 1  # every cell refined
         assert len(scans) == 1
-        # The same numbers as a refinement that closes them again.
+        # The same numbers as passes that close them again on the range.
         monkeypatch.setattr(comparison, "excess_integrator",
-                            lambda s, H, lo, hi, mode: lambda radii: cumulative_excess(
-                                s, H, radii, mode, lo))
+                            lambda s, H, lo, hi, mode: lambda radii: smms.excess_integrator(
+                                s, H, lo, hi, mode)(radii))
         again = check_mc_drift(space(), 1.0, a=0.0, mode=mode)
         assert len(scans) == 3
         assert again.grid.tobytes() == report.grid.tobytes()

@@ -133,9 +133,9 @@ def cases() -> list[tuple[str, list[str]]]:
         # The threshold, 5.2e8, lies between the last growth step and the cap.
         ("flat/DOUBLING/k10.75", ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "4",
                                   "--R", "1.5", "--k", "10.75", "--grid", "16"]),
-        # A margin within ten tolerances, so the x4 refinement integrates its
-        # own grid (n_grid 57); the other DOUBLING runs report the first pass,
-        # which reads its volumes from the inner grid.
+        # Margins within ten tolerances, so a refinement pass integrates its
+        # own radii (n_grid 51: 12 of the 14 cells); the other DOUBLING runs
+        # report the first pass, which reads its volumes from the inner grid.
         ("psphere/DOUBLING/refined", ["check", *_PSPHERE, "--param", "eps=1e-8", "--H", "1",
                                       "--theorem", "DOUBLING", "--alpha", "1.000005",
                                       "--R", "1.2", "--grid", "16"]),
@@ -188,7 +188,8 @@ def cases() -> list[tuple[str, list[str]]]:
         ("sweep/VOL_B/R", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "VOL_B", "--r", "0.3",
                            "--grid", "64", "--range", "R=0.6:1.5:4"]),
         # An excess sweep changes only cl, so its points share the model
-        # volume's node tables; the eps = 0 point (l = 0) refines.
+        # volume's node tables; the eps = 0 point (l = 0) is a model identity
+        # and does not refine.
         ("sweep/VOL_B/eps", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "VOL_B", "--r", "0.3",
                              "--R", "1.2", "--grid", "32", "--range", "eps=0:0.05:4"]),
         ("sweep/CHENG/delta", ["sweep", *_FLAT, "--theorem", "CHENG", "--R", "1",
@@ -250,7 +251,8 @@ def cases() -> list[tuple[str, list[str]]]:
                            "--theorem", "VOL_R1", "--R", "1.45"]),
         # E(r) at a large non-integer model dimension (n + 4k = 12.2) from
         # near the pole, where V at the rule's nodes is the Jacobi form, and
-        # on a x4 refinement (64 -> 253 radii), which sums its own grid.
+        # on a local refinement (64 -> 67 radii, the first cell), which sums
+        # its own radii.
         ("bumped/VOL_A/k2.3", ["check", "--custom", "bumped.json", "--H", "0.25",
                                "--theorem", "VOL_A", "--k", "2.3", "--r", "0.02",
                                "--R", "1.2"]),
@@ -258,6 +260,17 @@ def cases() -> list[tuple[str, list[str]]]:
                                         "--param", "H=1", "--param", "eps=0.03", "--H", "1",
                                         "--theorem", "VOL_B_ABS", "--R", "1.2",
                                         "--grid", "64"]),
+        # The refinement rule at the default grid: an anchor (MC_ROUGH's r0)
+        # and a near-pole VOL_B_ABS margin on perturbed spheres, in the
+        # benchmark's forms, and two model identities, which refine nothing.
+        ("psphere/MC_ROUGH/r0", ["check", *_PSPHERE, "--H", "1", "--theorem", "MC_ROUGH",
+                                 "--r0", "0.9"]),
+        ("psphere/VOL_B_ABS/R1.4", ["check", *_PSPHERE, "--param", "eps=0.05", "--H", "1",
+                                    "--theorem", "VOL_B_ABS", "--R", "1.4"]),
+        ("sphere/MC_DRIFT/a0", ["check", *_SPHERE, "--H", "1", "--theorem", "MC_DRIFT",
+                                "--a", "0"]),
+        ("drift/VOL_B/a0.3", ["check", *_DRIFT, "--param", "a=0.3", "--H", "0", "--theorem",
+                              "VOL_B", "--r", "0.4", "--R", "3"]),
         # Coarse grids, on which the model-volume pass splits each interval
         # into panels before its fixed rules, and a k-mode doubling at model
         # dimension 46 on hyperbolic space, whose V_model is split too.
