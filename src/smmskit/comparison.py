@@ -407,7 +407,8 @@ def _tolerance(rhs):
 
 # The refinement rule.  A first-pass minimum margin within _NEAR tolerances
 # of zero may hide a crossing between radii, so each cell next to a radius
-# whose margin is within _NEAR of that tolerance gets the _SPLIT - 1 interior
+# whose margin is below _NEAR of its own tolerance (a pole's rhs ~ 1/r makes
+# the first radius's hundreds of the others) gets the _SPLIT - 1 interior
 # radii of the x4 grid, the radii the whole-range x4 pass put there; a cell
 # whose two ends sit farther from the line keeps the first pass's reading.
 # Two first passes refine nothing:
@@ -432,7 +433,7 @@ def _refined_cells(margin: np.ndarray, rhs: np.ndarray, anchored: bool) -> np.nd
     i = first + int(np.argmin(margin[first:]))
     if not abs(margin[i]) < _NEAR * tol[i] or np.all(np.abs(margin) <= _IDENTITY * tol):
         return np.empty(0, dtype=int)
-    near = first + np.flatnonzero(margin[first:] < _NEAR * tol[i])
+    near = first + np.flatnonzero(margin[first:] < _NEAR * tol[first:])
     cells = np.union1d(near - 1, near)
     return cells[(cells >= 0) & (cells < len(margin) - 1)]
 

@@ -277,11 +277,13 @@ def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
     extrapolation, and by at least half of its distance from the first lo,
     up to ``cap`` (default: no growth), which it tries before it raises
     ``BracketError``.  Inside the bracket each point is the
-    secant point of the last two, safeguarded as in Brent's method: it
-    becomes the midpoint when it leaves the bracket or moves more than half
-    the step before last, it is pushed a guard width (a quarter of the
-    closing width) past the root estimate once it would move less than that,
-    so that the bracket closes, and it stays a guard width inside the ends.
+    secant point of the last two, safeguarded as in Brent's method: one
+    within a guard width (a quarter of the closing width) of the last trial
+    is pushed a guard width on, away from it, so that the bracket closes,
+    even where it rounds onto the end the last trial became (not right after
+    a guard step: on rounding noise guard steps from an end would crawl);
+    else it becomes the midpoint when it leaves the bracket or moves more
+    than half the step before last.  It stays a guard width inside the ends.
     An exact zero of f, at lo or at any later trial point x, ends the search
     with the bracket [x, x].
     """
@@ -307,16 +309,19 @@ def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
 
     x0, g0, x1, g1 = lo, f_lo, hi, f_hi
     step_before = step_last = math.inf
+    guarded = False  # the last trial was a guard step
     for _ in range(tol.max_steps):
         width = bracket_width(tol, hi)
         if hi - lo <= width:
             return RootBracket(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo, hi, f_lo, f_hi)
         guard = 0.25 * width
         x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else lo
-        if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
-            x = 0.5 * (lo + hi)
-        elif abs(x - x1) < guard:
+        guarded = abs(x - x1) < guard and (
+            not guarded or lo < x < hi and abs(x - x1) <= 0.5 * step_before)
+        if guarded:
             x += guard if sign * g1 > 0.0 else -guard
+        elif not lo < x < hi or abs(x - x1) > 0.5 * step_before:
+            x = 0.5 * (lo + hi)
         x = min(max(x, lo + guard), hi - guard)
         fx = float(f(x))
         if fx == 0.0:

@@ -73,12 +73,6 @@ RHO_MODES = ("radial", "full")
 # Radial profiles.
 # ---------------------------------------------------------------------------
 
-def _apply(fn, x):
-    """``fn`` at ``x``, a float or a float array, as the same kind: a float
-    stays a float (the root searches of ``_excess_breakpoints``)."""
-    return float(fn(x)) if isinstance(x, float) else np.asarray(fn(x), dtype=float)
-
-
 def _lib(x):
     """``math`` for a float, so a float read stays in floats, else ``numpy``."""
     return math if isinstance(x, float) else np
@@ -91,27 +85,29 @@ class RadialProfile:
     at ``orders`` from one call, which computes their shared terms once and
     nothing that no asked order needs; ``eval``, ``d1`` and ``d2`` read one
     order of it.  A float in gives floats out, an array arrays of its shape.
-    The catalog and spec profiles are built on such a jet.  Given as
-    callables, analytic derivatives may be supplied; otherwise central
-    differences with step h = max(1e-6, 1e-4 r_max) and Richardson
-    extrapolation are used (one-sided stencils near the ends of
-    [0, r_max]), both orders from one set of stencil values.  The callables
-    must accept a float as well as a float array.
+    The catalog and spec profiles are built on such a jet.  The callables
+    form ``RadialProfile(fn, d1, d2, r_max=...)`` takes the function and
+    its exact first and second derivatives, each accepting a float as well
+    as a float array, and its jet calls the ones asked for; a missing
+    derivative is refused here, since every curvature is read from them.
     """
 
-    def __init__(self, fn, d1=None, d2=None, *, r_max: float, name: str = ""):
-        self._fns = (fn, d1, d2)
-        self._jet = self._callables_jet
+    def __init__(self, fn, d1, d2, *, r_max: float, name: str = ""):
+        fns = (fn, d1, d2)
+        if not all(map(callable, fns)):
+            raise TypeError("RadialProfile(fn, d1, d2, r_max=...) takes fn and its exact "
+                            "derivatives d1 and d2 as callables")
+        self._jet = lambda x, orders: [float(fns[k](x)) if isinstance(x, float)
+                                       else np.asarray(fns[k](x), dtype=float) for k in orders]
         self.r_max = float(r_max)
         self.name = name
-        self._h = max(1e-6, 1e-4 * self.r_max)
 
     @classmethod
     def _of_jet(cls, jet, *, r_max: float, name: str = "") -> "RadialProfile":
         """A profile read by ``jet(x, orders)``, x a float or a float array,
         which returns the values at ``orders`` as a list of x's kind."""
-        p = cls(None, r_max=r_max, name=name)
-        p._jet = jet
+        p = cls.__new__(cls)
+        p._jet, p.r_max, p.name = jet, float(r_max), name
         return p
 
     def __call__(self, r):
@@ -133,49 +129,6 @@ class RadialProfile:
 
     def d2(self, r):
         return self.jet(r, (2,))[0]
-
-    def _callables_jet(self, x, orders: tuple) -> list:
-        """The jet of the callables form: the given functions, and one
-        finite-difference pass up to the highest missing order."""
-        fns = self._fns
-        missing = max((k for k in orders if fns[k] is None), default=0)
-        fd = self._fd(x, missing) if missing else None
-        return [fd[k - 1] if fns[k] is None else _apply(fns[k], x) for k in orders]
-
-    def _fd(self, r, order: int) -> list:
-        """Finite-difference derivatives 1..``order``: a float in plain
-        floats, an array with both stencils vectorized, each on its mask."""
-        if np.ndim(r) == 0:
-            x = float(r)
-            ends = x < 2 * self._h or x > self.r_max - 2 * self._h
-            return self._stencil(lambda t: float(self._fns[0](t)), x, ends, order)
-        x = np.asarray(r, dtype=float)
-        ends = (x < 2 * self._h) | (x > self.r_max - 2 * self._h)
-        f = lambda t: np.asarray(self._fns[0](t), dtype=float)
-        out = [np.empty(x.shape) for _ in range(order)]
-        for mask, at_end in ((~ends, False), (ends, True)):
-            if mask.any():
-                for o, d in zip(out, self._stencil(f, x[mask], at_end, order)):
-                    o[mask] = d
-        return out
-
-    def _stencil(self, f, x, ends: bool, order: int) -> list:
-        """Derivatives 1..``order`` from one set of values of ``f``: the
-        five-point central stencil, or the one-sided one pointing into
-        [0, r_max] when ``ends`` (x within 2h of an end)."""
-        h = self._h
-        if not ends:
-            m2, m1, p1, p2 = f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
-            out = [(m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)]
-            if order == 2:
-                out.append((-m2 + 16 * m1 - 30 * f(x) + 16 * p1 - p2) / (12 * h * h))
-            return out
-        sgn = np.where(x < 2 * h, 1.0, -1.0) if np.ndim(x) else (1.0 if x < 2 * h else -1.0)
-        v = [f(x + sgn * i * h) for i in range(5)]
-        out = [sgn * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)]
-        if order == 2:
-            out.append((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h))
-        return out
 
 
 def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
@@ -398,9 +351,10 @@ class DivergentExcessError(Exception):
 
 
 # A pole coefficient c with c r_max below this is taken as error in the
-# profile derivatives: analytic ones give c at rounding level, the finite
-# differences of a profile without derivatives about 1e-10 / r_max.  Such a
-# pole adds about c ln(1/_POLE_FRACTION) = 14 c to the clamped l.
+# profile derivatives, which every profile gives exactly, so c is at
+# rounding level on a smooth pole; the threshold is a margin above that,
+# not a derived bound.  Such a pole adds about c ln(1/_POLE_FRACTION) = 14 c
+# to the clamped l.
 _POLE_TOL = 1e-9
 
 

@@ -929,7 +929,7 @@ class TestLocalRefinement:
         tol = np.maximum(1e-8, 1e-6 * np.abs(rhs))
         i = int(np.argmin(margin))
         assert abs(margin[i]) < 10.0 * tol[i]
-        near = np.flatnonzero(margin < 10.0 * tol[i])
+        near = np.flatnonzero(margin < 10.0 * tol)  # each radius against its own tolerance
         cells = sorted({c for j in near for c in (j - 1, j) if 0 <= c < len(radii) - 1})
         assert 0 < len(cells) < len(radii) - 1
         fine = np.linspace(radii[0], radii[-1], 4 * (len(radii) - 1) + 1)
@@ -944,6 +944,21 @@ class TestLocalRefinement:
         imin = int(np.argmin(rep.grid[:, 3]))
         assert rep.min_margin == rep.grid[imin, 3]
         assert rep.tolerance == max(1e-8, 1e-6 * abs(rep.grid[imin, 2]))
+
+    def test_a_pole_tolerance_does_not_refine_the_whole_grid(self, monkeypatch):
+        # MC_DRIFT's rhs ~ 2/r makes the first radius's tolerance 3.3e-4,
+        # hundreds of the others; measured against it, 237 radii were near
+        # and the report had 967 radii.  Against their own, it keeps the
+        # verdict, min_margin and tolerance of the whole x4 grid (every
+        # cell refined: 4n - 3 radii on the same range).
+        check = lambda: check_mc_drift(make_space("perturbed_sphere", n=3, H=1.0, eps=1e-4,
+                                                  omega=3.0), 1.0, a=0.0)
+        rep = check()
+        monkeypatch.setattr(comparison, "_NEAR", math.inf)
+        dense = check()
+        assert rep.grid.shape[0] < 300 and dense.grid.shape[0] == 4 * 256 - 3
+        assert rep.verdict == dense.verdict == "PASS"
+        assert rep.min_margin == dense.min_margin and rep.tolerance == dense.tolerance
 
     @pytest.mark.parametrize("check", [
         lambda n: check_mc_rough(make_space("perturbed_sphere", n=3, H=1.0, eps=0.04,

@@ -462,11 +462,12 @@ class TestPoleRule:
         assert 0.0 <= integral_rho(s, -1.0, 3.0, "full") <= 1e-14
 
     def test_closed_finite_difference_profile(self):
-        # w = sin r without derivatives: the round sphere, l = 0 up to the
-        # finite differences' error; it raised SubdivisionLimitError.
-        s = make_space("custom", n=3, w=RadialProfile(np.sin, r_max=math.pi),
-                       r_max=math.pi, closed=True)
-        assert 0.0 <= integral_rho(s, 1.0, math.pi, "full") <= 1e-8
+        # w = sin r as callables with its exact derivatives: the round
+        # sphere, l = 0 up to rounding.  Given without derivatives it was
+        # differenced, then raised SubdivisionLimitError, then read <= 1e-8.
+        w = RadialProfile(np.sin, np.cos, lambda r: -np.sin(r), r_max=math.pi)
+        s = make_space("custom", n=3, w=w, r_max=math.pi, closed=True)
+        assert 0.0 <= integral_rho(s, 1.0, math.pi, "full") <= 1e-14
 
 
 class TestDivergentExcess:
@@ -511,15 +512,67 @@ class TestDivergentExcess:
             assert math.isfinite(integral_rho(s, 1.0, s.r_max, "full"))
 
     def test_finite_difference_error_is_no_pole(self):
-        # Without derivatives, w = r + 0.1 r^3 gets w''(0) r_max = +1.3e-11
-        # from its finite differences: rounding, not a pole.
-        as_array = lambda fn: (lambda r: fn(np.asarray(r, dtype=float)))
-        s = make_space("custom", n=3, r_max=5.0,
-                       w=RadialProfile(as_array(lambda r: r + 0.1 * r ** 3), r_max=5.0),
-                       f=RadialProfile(as_array(lambda r: 0.2 * np.cos(r)), r_max=5.0))
+        # w = r + 0.1 r^3 + d r^2 / 2 has w''(0) r_max = +1.3e-11 = d r_max,
+        # the error finite differences of r + 0.1 r^3 left there: below the
+        # pole threshold, so taken as derivative error, not a pole.
+        d = 1.3e-11 / 5.0
+        w = RadialProfile(lambda r: r + 0.5 * d * r ** 2 + 0.1 * r ** 3,
+                          lambda r: 1.0 + d * r + 0.3 * r ** 2, lambda r: d + 0.6 * r,
+                          r_max=5.0)
+        f = RadialProfile(lambda r: 0.2 * np.cos(r), lambda r: -0.2 * np.sin(r),
+                          lambda r: -0.2 * np.cos(r), r_max=5.0)
+        s = make_space("custom", n=3, r_max=5.0, w=w, f=f)
         assert 0.0 < s.w.d2(0.0) < 1e-11
         for mode in ("radial", "full"):
             assert math.isfinite(integral_rho(s, 1.0, 5.0, mode))
+
+
+class TestExactDerivatives:
+    """Every profile carries exact derivatives: the callables form takes d1
+    and d2, and refuses a profile without them as malformed input."""
+
+    # w = 1.5 r - 0.5 sin r: a smooth pole (w(0) = 0, w'(0) = 1, w''(0) = 0).
+    W = (lambda r: 1.5 * r - 0.5 * np.sin(r), lambda r: 1.5 - 0.5 * np.cos(r),
+         lambda r: 0.5 * np.sin(r))
+
+    @staticmethod
+    def _oracle(mode):
+        """scipy's quad of rho (n = 3, H = 0, f = 0) on [0, 10], split at
+        brentq's sign changes, with 1 - w'^2 = -s (2 + s), s = sin^2(r/2),
+        free of the cancellation near the pole."""
+        w, _, w2 = TestExactDerivatives.W
+        s = lambda r: math.sin(0.5 * r) ** 2
+        radial = lambda r: -2.0 * w2(r) / w(r)
+        tangential = lambda r: -w2(r) / w(r) - s(r) * (2.0 + s(r)) / w(r) ** 2
+        lam = radial if mode == "radial" else lambda r: min(radial(r), tangential(r))
+        x = np.linspace(1e-3, 10.0, 401)
+
+        def roots(fn):
+            v = [fn(t) for t in x]
+            return [brentq(fn, x[i], x[i + 1], xtol=1e-15)
+                    for i in range(len(x) - 1) if v[i] * v[i + 1] < 0.0]
+
+        pts = sorted([0.0, 10.0] + roots(lam)
+                     + (roots(lambda r: tangential(r) - radial(r)) if mode == "full" else []))
+        return sum(quad(lambda r: max(0.0, -lam(r)), a, b, epsabs=1e-14, epsrel=1e-13)[0]
+                   for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-12)
+
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    def test_smooth_pole_gives_a_finite_l(self, mode):
+        # n = 3, r_max = 50, f = 0: differenced, w''(0) read 6.25e-8 and
+        # integral_rho raised DivergentExcessError; l = 1.85190 and 2.16301.
+        s = make_space("custom", n=3, r_max=50.0, w=RadialProfile(*self.W, r_max=50.0))
+        assert abs(integral_rho(s, 0.0, 10.0, mode) - self._oracle(mode)) <= 1e-10
+
+    def test_a_profile_without_derivatives_is_refused(self):
+        # Malformed input when the profile is built, never a divergent excess.
+        fn, d1, d2 = self.W
+        for args in ((fn,), (fn, d1)):
+            with pytest.raises(TypeError, match="'d2'"):
+                RadialProfile(*args, r_max=50.0)
+        for args in ((fn, None, None), (fn, d1, None), (fn, None, d2)):
+            with pytest.raises(TypeError, match="exact derivatives d1 and d2"):
+                RadialProfile(*args, r_max=50.0)
 
 
 class TestPotentialBounds:
@@ -589,25 +642,6 @@ class TestSampleCurvature:
 
 
 class TestProfiles:
-    def test_fd_fallback_accuracy(self):
-        p = RadialProfile(lambda r: np.sin(np.asarray(r, dtype=float)), r_max=3.0)
-        for r in (1e-5, 0.5, 1.5, 2.9999):
-            assert abs(p.d1(r) - math.cos(r)) < 1e-7
-            assert abs(p.d2(r) + math.sin(r)) < 1e-5
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_fd_on_arrays_matches_the_float_path(self, order):
-        # Central stencils inside, one-sided ones within 2h of either end.
-        p = RadialProfile(lambda r: np.sin(r) + 0.1 * np.cos(3.0 * r), r_max=math.pi)
-        h = p._h
-        rs = np.concatenate([np.linspace(0.0, math.pi, 100),
-                             [h, 2 * h, 3 * h, math.pi - h, math.pi - 2 * h, math.pi - 3 * h]])
-        got = p.d1(rs) if order == 1 else p.d2(rs)
-        want = np.array([p.d1(float(r)) if order == 1 else p.d2(float(r)) for r in rs])
-        assert got.shape == rs.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-        assert (p.d1 if order == 1 else p.d2)(rs.reshape(2, -1)).shape == (2, len(rs) // 2)
-
     def test_analytic_d2_matches_differences(self):
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
         h = 1e-4
@@ -808,45 +842,31 @@ def _table_reads(sp):
     return ev, d1, d2
 
 
-def _fd_reads(fn, h, r_max):
-    """Five-point central differences, one-sided within 2h of an end."""
-    def stencil(x, order):
-        array = np.ndim(x) > 0
-        x = np.asarray(x, dtype=float) if array else float(x)
-        if order == 1:
-            central = (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
-        else:
-            central = (-fn(x - 2 * h) + 16 * fn(x - h) - 30 * fn(x) + 16 * fn(x + h)
-                       - fn(x + 2 * h)) / (12 * h * h)
-        sgn = np.where(x < 2 * h, 1.0, -1.0) if array else (1.0 if x < 2 * h else -1.0)
-        v = [fn(x + sgn * i * h) for i in range(5)]
-        if order == 1:
-            side = sgn * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-        else:
-            side = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
-        if array:
-            return np.where((x < 2 * h) | (x > r_max - 2 * h), side, central)
-        return side if x < 2 * h or x > r_max - 2 * h else central
-
-    return fn, lambda r: stencil(r, 1), lambda r: stencil(r, 2)
-
-
 def _sine(r):
     return math.sin(r) if isinstance(r, float) else np.sin(r)
 
 
-def _fd_space():
+def _cosine(r):
+    return math.cos(r) if isinstance(r, float) else np.cos(r)
+
+
+_CALLABLES_W = (_sine, _cosine, lambda r: -_sine(r))
+_CALLABLES_F = (lambda r: 0.2 * np.cos(r), lambda r: -0.2 * np.sin(r),
+                lambda r: -0.2 * np.cos(r))
+
+
+def _callables_space():
+    """The callables form: the round sphere's w = sin r in plain floats on a
+    float, and f = 0.2 cos r in numpy, each with its exact d1 and d2."""
     return make_space("custom", n=3, r_max=math.pi, closed=True,
-                      w=RadialProfile(_sine, r_max=math.pi),
-                      f=RadialProfile(lambda r: 0.2 * np.cos(r), d1=lambda r: -0.2 * np.sin(r),
-                                      r_max=math.pi))
+                      w=RadialProfile(*_CALLABLES_W, r_max=math.pi),
+                      f=RadialProfile(*_CALLABLES_F, r_max=math.pi))
 
 
 def _jet_cases():
     """name -> (space, {profile: (reads, exact)}); ``exact`` where the jet
     keeps the formula, else a few ulp where an identity replaces a call."""
     sp = SCALAR_PATH_SPACES
-    fd = _fd_space()
     fourier = [0.1, 0.05, 0.02, -0.03, 0.01]
     drift_f = (lambda r: _ZERO_READS[0](r) - 0.5 * r, lambda r: _ZERO_READS[1](r) - 0.5,
                _ZERO_READS[2])
@@ -870,10 +890,8 @@ def _jet_cases():
                                     "f": (_fourier_reads(fourier, 3.0), False)}),
         "table": (sp["table"], {"w": (_poly_reads([0.0, 1.0]), True),
                                 "f": (_table_reads(sp["table"].f._jet.__self__), True)}),
-        "finite_differences": (fd, {
-            "w": (_fd_reads(_sine, fd.w._h, math.pi), True),
-            "f": ((lambda r: 0.2 * np.cos(r), lambda r: -0.2 * np.sin(r),
-                   _fd_reads(lambda r: 0.2 * np.cos(r), fd.f._h, math.pi)[2]), True)}),
+        "callables": (_callables_space(), {"w": (_CALLABLES_W, True),
+                                           "f": (_CALLABLES_F, True)}),
     }
 
 
@@ -885,7 +903,7 @@ class TestJet:
 
     def test_every_catalog_space_and_spec_kind_covered(self):
         assert set(CATALOG) - {"custom"} <= set(JET_CASES)
-        assert {"poly", "fourier", "table", "finite_differences"} <= set(JET_CASES)
+        assert {"poly", "fourier", "table", "callables"} <= set(JET_CASES)
 
     @pytest.mark.parametrize("name", sorted(JET_CASES))
     @pytest.mark.parametrize("prof", ["w", "f"])
@@ -893,7 +911,7 @@ class TestJet:
         s, cases = JET_CASES[name]
         reads, exact = cases[prof]
         p = getattr(s, prof)
-        h = p._h
+        h = 1e-4 * s.r_max  # radii next to either end
         rs = np.concatenate([np.linspace(0.0, s.r_max, 101),
                              [h, 3 * h, s.r_max - h, s.r_max - 3 * h]])
         arrays = p.jet(rs)
@@ -970,7 +988,9 @@ class TestBreakpointScanReuse:
         monkeypatch.setattr(smms, "_excess_breakpoints", counted)
         space = lambda: make_space("perturbed_sphere", n=3, H=1.0, eps=1e-8, omega=3.0)
         report = check_mc_drift(space(), 1.0, a=0.0, mode=mode)
-        assert len(report.grid) == 4 * 255 + 1  # every cell refined
+        # Eps = 1e-8 keeps nearly every margin within ten of its own
+        # tolerance: 253 (radial) and 252 (full) of the 255 cells refined.
+        assert len(report.grid) == 256 + 3 * {"radial": 253, "full": 252}[mode]
         assert len(scans) == 1
         # The same numbers as passes that close them again on the range.
         monkeypatch.setattr(comparison, "excess_integrator",
@@ -979,3 +999,25 @@ class TestBreakpointScanReuse:
         again = check_mc_drift(space(), 1.0, a=0.0, mode=mode)
         assert len(scans) == 3
         assert again.grid.tobytes() == report.grid.tobytes()
+
+
+class TestBreakpointRootSearch:
+    def test_a_secant_step_onto_the_last_trial_takes_the_guard_step(self):
+        # The sample cell [0.84375, 0.8484375] of integral_rho(s, 0.97, 1.2):
+        # the 4th evaluation lands on the root (g = -2.2e-16) and the next
+        # secant point rounds onto that bracket end; the midpoint fallback
+        # then bisected to 12 evaluations, the guard step closes it.
+        from smmskit.numkit import Tolerance, find_root_bracketed
+        from smmskit.smms import _excess
+        s = make_space("perturbed_sphere", n=3, H=0.97, eps=0.02, omega=3.0 * math.sqrt(0.97))
+        x = np.linspace(0.0, 1.2, 257)
+        lo, hi = x[180], x[181]
+        assert (lo, hi) == (0.84375, 0.8484375)
+        calls = []
+        g = lambda t: calls.append(t) or _excess(s, 0.97, t, "radial")
+        res = find_root_bracketed(g, lo, hi, Tolerance(abs_tol=1e-14 * 1.2, rel_tol=1e-14),
+                                  f_lo=_excess(s, 0.97, x, "radial")[180])
+        assert len(calls) <= 6
+        assert res.root == 0.8471170759903542  # the root the bisections closed to
+        assert res.hi - res.lo <= 1.2e-14 and res.f_lo * res.f_hi < 0.0
+        assert res.lo <= brentq(g, lo, hi, xtol=1e-16) <= res.hi

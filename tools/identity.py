@@ -269,6 +269,11 @@ def cases() -> list[tuple[str, list[str]]]:
                                     "--theorem", "VOL_B_ABS", "--R", "1.4"]),
         ("sphere/MC_DRIFT/a0", ["check", *_SPHERE, "--H", "1", "--theorem", "MC_DRIFT",
                                 "--a", "0"]),
+        # A margin near the pole, where MC_DRIFT's rhs ~ 2/r makes the
+        # first radius's tolerance hundreds of the others.
+        ("psphere/MC_DRIFT/eps1e-4", ["check", *_PSPHERE, "--param", "eps=1e-4", "--param",
+                                      "omega=3", "--theorem", "MC_DRIFT", "--H", "1",
+                                      "--a", "0"]),
         ("drift/VOL_B/a0.3", ["check", *_DRIFT, "--param", "a=0.3", "--H", "0", "--theorem",
                               "VOL_B", "--r", "0.4", "--R", "3"]),
         # Coarse grids, on which the model-volume pass splits each interval
