@@ -9,13 +9,10 @@ from .numkit import (Tolerance, DEFAULT_TOL, quad_adaptive, find_root_bracketed,
                      sphere_area)
 from .model import (ModelSpace, sn, sn_prime, conjugate_radius,
                     mean_curvature_model, area_model, volume_model, c_const)
-from .smms import (RadialProfile, WarpedSMMS, CurvatureSample, PotentialBounds,
-                   CATALOG, make_space, profile_from_spec, ricci_radial,
-                   bakry_emery_radial, ricci_f_smallest_eigenvalue,
-                   mean_curvature_f, rho, integral_rho, potential_bounds,
-                   weighted_area, weighted_volume, sample_curvature)
-from .comparison import (ComparisonReport, DoublingCertificate,
-                         check_mc_rough, check_mc_bounded_f,
+from .smms import (RadialProfile, WarpedSMMS, PotentialBounds, CATALOG, make_space,
+                   profile_from_spec, ricci_radial, mean_curvature_f, rho,
+                   integral_rho, potential_bounds, weighted_area)
+from .comparison import (ComparisonReport, DoublingCertificate, check_mc_rough,
                          check_mc_bounded_f_inner, check_mc_bounded_f_pi2,
                          check_mc_drift, check_area_comparison,
                          check_volume_comparison, check_volume_absolute,

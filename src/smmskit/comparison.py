@@ -70,7 +70,6 @@ __all__ = [
     "MIN_GRID_POINTS",
     "admissible_R",
     "check_mc_rough",
-    "check_mc_bounded_f",
     "check_mc_bounded_f_inner",
     "check_mc_bounded_f_pi2",
     "check_mc_drift",
@@ -564,16 +563,6 @@ def check_mc_bounded_f_pi2(s: WarpedSMMS, H: float, k: float | None = None,
 
     return _check_mc("MC_BOUNDED_F_PI2", s, H, {"n": s.n, "H": H, "k": k}, bound,
                      radii, mode)
-
-
-def check_mc_bounded_f(s: WarpedSMMS, H: float, k: float | None = None,
-                       mode: str = "radial", n_grid: int = 256) -> list[ComparisonReport]:
-    """Both ranges of the bounded-potential mean curvature comparison."""
-    reports = [check_mc_bounded_f_inner(s, H, k, mode=mode, n_grid=n_grid)]
-    if H > 0.0 and (_radii(s, "MC_BOUNDED_F_PI2", H, MIN_GRID_POINTS)[-1]
-                    > math.pi / (4.0 * math.sqrt(H))):
-        reports.append(check_mc_bounded_f_pi2(s, H, k, mode=mode, n_grid=n_grid))
-    return reports
 
 
 def check_mc_drift(s: WarpedSMMS, H: float, a: float | None = None,

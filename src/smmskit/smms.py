@@ -17,17 +17,16 @@ at r_max.  Pole rule: 1 - w'^2 in the tangential curvature has rounding
 noise eps/r^2 (eps = 2.2e-16), within quad_grid's 1e-10 relative budget of
 the curvature scale 1/r_max^2 only beyond r_s = sqrt(eps/1e-10) r_max =
 1.5e-3 r_max; within r_s of a pole it is -(|w'| - 1)(|w'| + 1), with
-|w'| - 1 integrated from w'' on a Gauss rule.
+|w'| - 1 its value delta at the pole plus the integral of w'' on a Gauss rule.
 
 The excess integrals split their range at the sign changes of
 g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
 radial and tangential curvature), so each piece is smooth, and integrate
 rho on those breakpoints and the requested radii with quad_grid at its
-1e-10 budget: ``integral_rho`` at one radius, ``cumulative_excess`` at
-many, and ``excess_integrator`` on every grid within one range (a check's
-first pass and its refinement) from one breakpoint search.  A
-pole where rho ~ c/r makes l = +inf, which raises
-``DivergentExcessError`` (an unmet hypothesis).
+1e-10 budget: ``excess_integrator`` on every grid within one range (a
+check's first pass and its refinement) from one breakpoint search, and
+``integral_rho`` at one radius.  A pole where rho ~ c/r makes l = +inf,
+which raises ``DivergentExcessError`` (an unmet hypothesis).
 """
 
 from __future__ import annotations
@@ -44,27 +43,24 @@ from .numkit import (NonFiniteError, Tolerance, find_root_bracketed, gauss_jacob
 __all__ = [
     "RadialProfile",
     "WarpedSMMS",
-    "CurvatureSample",
     "PotentialBounds",
     "CATALOG",
     "make_space",
     "check_space_params",
     "profile_from_spec",
     "ricci_radial",
-    "bakry_emery_radial",
-    "ricci_f_smallest_eigenvalue",
     "mean_curvature_f",
     "rho",
-    "cumulative_excess",
     "excess_integrator",
     "integral_rho",
     "require_finite_excess",
     "DivergentExcessError",
     "potential_bounds",
     "weighted_area",
-    "weighted_volume",
-    "sample_curvature",
 ]
+
+# No function here calls quad_adaptive; bench/tracing.py TARGETS looks it up.
+_TRACED_NAMES = (quad_adaptive,)
 
 RHO_MODES = ("radial", "full")
 
@@ -145,6 +141,13 @@ def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
 
 _POLE_FRACTION = 1e-6
 _POLE_RULE = math.sqrt(np.finfo(float).eps / 1e-10)  # see _one_minus_w1_squared
+# delta = |w'| - 1 at a pole is exact in floats, but w' there comes from a jet
+# whose terms round at eps = 2.2e-16.  A |delta| <= 4 eps is taken as that
+# rounding, 0: kept, it would put 2(n-2) delta/r^2 ~ 2e-3 (n-2)/r_max^2 of noise
+# into tangential Ric_f at the clamp radius 1e-6 r_max, the noise the pole rule
+# removes; dropped, it moves that curvature at r_s by at most 2(n-2) 4 eps/r_s^2
+# = 8(n-2) 1e-10/r_max^2, the order of the rule's own 1e-10 budget.
+_CONE_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,7 @@ class WarpedSMMS:
             raise ValueError(f"warping must vanish at the pole, w(0)={w0}")
         if abs(w1 - 1.0) > 1e-6:
             raise ValueError(f"smooth pole requires w'(0)=1, got {w1}")
+        deltas = [abs(w1) - 1.0, 0.0]
         interior = np.linspace(scale / 257, scale * (1 - 1 / 257), 257)
         wv = np.asarray(self.w.eval(interior))
         if np.any(wv <= 0.0):
@@ -181,6 +185,10 @@ class WarpedSMMS:
                 raise ValueError(f"closed space requires w(r_max)=0, got {w0}")
             if abs(w1 + 1.0) > 1e-8:
                 raise ValueError(f"closed space requires w'(r_max)=-1, got {w1}")
+            deltas[1] = abs(w1) - 1.0
+        # delta at each pole (0.0 if open or within _CONE_TOL), read once.
+        object.__setattr__(self, "_pole_deltas",
+                           tuple(d if abs(d) > _CONE_TOL else 0.0 for d in deltas))
 
     @property
     def r_interior_lo(self) -> float:
@@ -189,20 +197,6 @@ class WarpedSMMS:
     @property
     def r_interior_hi(self) -> float:
         return self.r_max * (1.0 - _POLE_FRACTION) if self.closed else self.r_max
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Pointwise curvature/measure data along the radial direction."""
-
-    r: float
-    ric_radial: float
-    ric_f_radial: float
-    lambda_min: float
-    m: float
-    m_f: float
-    rho: float
-    rho_integral: float
 
 
 @dataclass(frozen=True)
@@ -237,18 +231,14 @@ def ricci_radial(s: WarpedSMMS, r):
     return _scalar(_bakry_emery(s, r, "radial")[0])
 
 
-def bakry_emery_radial(s: WarpedSMMS, r):
-    """Radial Bakry-Emery curvature Ric(d_r,d_r) + f''."""
-    _check_open_interval(s, r, "bakry_emery_radial")
-    return _scalar(_bakry_emery(s, r, "radial")[1])
-
-
 def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
     """1 - w'^2 at clamped radii ``rc``, w1 = w'(rc), by the pole rule: within
     r_s = sqrt(eps/1e-10) r_max = 1.5e-3 r_max of a pole it is -I (I + 2),
-    I = |w'| - 1 = int_0^r w'' (int_r^r_max w'' at a closed far pole, as
-    w'(0) = 1 = -w'(r_max)) on the 5-point Gauss-Legendre rule, whose error
-    there is O((r_s/r_max)^10); elsewhere it is 1 - w1^2 (module docstring).
+    I = |w'| - 1 = delta + int_0^r w'' (delta + int_r^r_max w'' at a closed
+    far pole), delta = |w'| - 1 at that pole (``WarpedSMMS._pole_deltas``), so
+    it meets 1 - w1^2 at r_s; the integral is on the 5-point Gauss-Legendre
+    rule, whose error there is O((r_s/r_max)^10); elsewhere it is 1 - w1^2
+    (module docstring).
     A float ``rc`` stays in plain floats away from the poles (the root
     searches), with the array path's bits.
     """
@@ -265,7 +255,8 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
         v, wq = gauss_jacobi(5, 0.0)
         dn = d[near][:, None]
         t = np.where(far[near][:, None], s.r_max - dn * v, dn * v)
-        i = dn[:, 0] * (s.w.d2(t.ravel()).reshape(t.shape) * wq).sum(axis=1)
+        delta = np.where(far[near], s._pole_deltas[1], s._pole_deltas[0])
+        i = delta + dn[:, 0] * (s.w.d2(t.ravel()).reshape(t.shape) * wq).sum(axis=1)
         out[near] = -i * (i + 2.0)
     return out if out.ndim else float(out)
 
@@ -312,13 +303,6 @@ def _excess_of(s: WarpedSMMS, H: float, radial, tangential):
     return (s.n - 1.0) * H - lam
 
 
-def ricci_f_smallest_eigenvalue(s: WarpedSMMS, r):
-    """Smallest eigenvalue of Ric_f: min of radial and tangential values."""
-    _check_open_interval(s, r, "ricci_f_smallest_eigenvalue")
-    _, radial, tangential = _bakry_emery(s, r, "full")
-    return _scalar(np.minimum(radial, tangential))
-
-
 def mean_curvature_f(s: WarpedSMMS, r):
     """Weighted mean curvature m_f = (n-1) w'/w - f' (no pole clamp).  A
     float ``r`` comes back as a float."""
@@ -344,7 +328,8 @@ def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
 
 
 class DivergentExcessError(Exception):
-    """The excess integral is +inf: rho grows like c/(distance to a pole).
+    """The excess integral is +inf: rho grows like c/(distance to a pole), or
+    like c/distance^2 at a cone point.
 
     An unmet hypothesis (the theorems need a finite l), not a numerical
     failure; the CLI reports it as NOT-APPLICABLE."""
@@ -365,6 +350,8 @@ def require_finite_excess(s: WarpedSMMS, mode: str, lo: float, hi: float) -> Non
     curvature and c = (2n-3) w'' - f' (pole r = 0) or (2n-3) w'' + f'
     (closed far pole r = r_max) for the tangential one, w'' and f' taken at
     the pole; ``full`` mode takes the larger.  Smooth profiles give c = 0.
+    In ``full`` mode for n > 2, a cone point, delta = |w'| - 1 > 0 at the
+    pole beyond rounding (``_CONE_TOL``), gives rho ~ 2(n-2) delta/x^2.
     The pole at 0 counts when lo = 0, the far pole when hi reaches r_max.
     An unknown mode raises ``ValueError``, as ``rho`` does.
     """
@@ -372,16 +359,21 @@ def require_finite_excess(s: WarpedSMMS, mode: str, lo: float, hi: float) -> Non
         raise ValueError(f"unknown rho mode {mode!r}")
     poles = []
     if lo == 0.0:
-        poles.append((0.0, -1.0, "the pole r=0"))
+        poles.append((0.0, -1.0, "the pole r=0", s._pole_deltas[0]))
     if s.closed and hi >= s.r_max:
-        poles.append((s.r_max, 1.0, f"the far pole r=r_max={s.r_max:.12g}"))
-    for r, sign, where in poles:
+        poles.append((s.r_max, 1.0, f"the far pole r=r_max={s.r_max:.12g}",
+                      s._pole_deltas[1]))
+    for r, sign, where, delta in poles:
+        dist = "r" if r == 0.0 else "(r_max - r)"
+        if mode == "full" and s.n > 2 and delta > 0.0:
+            raise DivergentExcessError(
+                f"excess integral diverges: |w'| = 1 + {delta:.6g} at {where} is a cone "
+                f"point, rho ~ {2.0 * (s.n - 2.0) * delta:.6g}/{dist}^2 in full mode")
         w2 = float(s.w.d2(r))
         c = (s.n - 1.0) * w2
         if mode == "full":
             c = max(c, (2.0 * s.n - 3.0) * w2 + sign * float(s.f.d1(r)))
         if c * s.r_max > _POLE_TOL:
-            dist = "r" if r == 0.0 else "(r_max - r)"
             raise DivergentExcessError(
                 f"excess integral diverges: rho ~ {c:.6g}/{dist} near {where} "
                 f"in {mode} mode")
@@ -456,24 +448,17 @@ def excess_integrator(s: WarpedSMMS, H: float, lo: float, hi: float,
     return cumulative
 
 
-def cumulative_excess(s: WarpedSMMS, H: float, radii, mode: str = "radial",
-                      lo: float = 0.0) -> np.ndarray:
-    """int_lo^{r_i} rho for each of the nondecreasing ``radii`` in [lo, r_max]
-    (``excess_integrator`` on [lo, radii[-1]])."""
-    radii = np.asarray(radii, dtype=float)
-    return excess_integrator(s, H, lo, float(radii[-1]), mode)(radii)
-
-
 def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> float:
     """Excess integral l = int_0^r rho along the radial segment, truncated at
-    r_max: ``cumulative_excess`` at the one radius, so it raises
+    r_max: ``excess_integrator`` on [0, r] at the one radius r, so it raises
     ``DivergentExcessError`` when l = +inf.
     """
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
     if r < 0.0:
         raise ValueError("integral_rho requires r >= 0")
-    return float(cumulative_excess(s, H, [min(float(r), s.r_max)], mode)[0])
+    r = min(float(r), s.r_max)
+    return float(excess_integrator(s, H, 0.0, r, mode)([r])[0])
 
 
 def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
@@ -508,33 +493,6 @@ def weighted_area(s: WarpedSMMS, r):
     if np.any(r < 0.0) or np.any(r > s.r_max * (1 + 1e-12)):
         raise ValueError(f"weighted_area requires 0 <= r <= r_max={s.r_max}")
     return _scalar(sphere_area(s.n) * s.w.eval(r) ** (s.n - 1.0) * np.exp(-s.f.eval(r)))
-
-
-def weighted_volume(s: WarpedSMMS, R: float) -> float:
-    """Weighted volume of the R-ball about the pole."""
-    R = float(R)
-    if R < 0.0 or R > s.r_max * (1 + 1e-12):
-        raise ValueError(f"weighted_volume requires 0 <= R <= r_max={s.r_max}")
-    if R == 0.0:
-        return 0.0
-    value, _ = quad_adaptive(lambda t: weighted_area(s, t), 0.0, R,
-                             Tolerance(abs_tol=1e-10, rel_tol=1e-10))
-    return value
-
-
-def sample_curvature(s: WarpedSMMS, H: float, r: float,
-                     mode: str = "radial") -> CurvatureSample:
-    """All pointwise curvature data at radius r, plus the excess integral."""
-    return CurvatureSample(
-        r=float(r),
-        ric_radial=float(ricci_radial(s, r)),
-        ric_f_radial=float(bakry_emery_radial(s, r)),
-        lambda_min=float(ricci_f_smallest_eigenvalue(s, r)),
-        m=float(mean_curvature_f(s, r) + s.f.d1(np.asarray(r, dtype=float))),
-        m_f=float(mean_curvature_f(s, r)),
-        rho=float(rho(s, H, r, mode)),
-        rho_integral=integral_rho(s, H, r, mode),
-    )
 
 
 # ---------------------------------------------------------------------------

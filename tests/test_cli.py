@@ -93,6 +93,19 @@ class TestConformance:
         assert check["theorem_id"] == theorem and check["min_margin"] is None
         assert "0.5/r near the pole r=0" in check["reason"]
 
+    def test_cone_point_is_not_applicable(self, capsys, tmp_path):
+        # w'(0) = 1 + 1e-7 is a cone point: in full mode l = +inf.  It exited 2
+        # with "quad_grid: 16 panel doublings did not meet tolerance".
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"n": 3, "custom": {
+            "w": {"type": "poly", "coeffs": [0.0, 1.0 + 1e-7, 0.0, 0.02]}, "r_max": 3.0}}))
+        argv = ["check", "--custom", str(path), "--theorem", "MC_DRIFT", "--H", "0.5"]
+        code, report = run_json([*argv, "--mode", "full"], capsys)
+        assert code == 3
+        assert report["verdict"] == "NOT-APPLICABLE"
+        assert "|w'| = 1 + 1e-07 at the pole r=0 is a cone point" in report["checks"][0]["reason"]
+        assert run_json(argv, capsys)[0] == 0
+
     def test_verdict_aggregation(self):
         # The true theorems cannot be made to fail on valid inputs, so the
         # FAIL exit path is wired through the aggregator directly.

@@ -14,7 +14,7 @@ from conftest import perturbed_euclidean, plateau_space
 from smmskit import comparison
 from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 check_area_comparison, check_doubling,
-                                check_mc_bounded_f, check_mc_bounded_f_inner,
+                                check_mc_bounded_f_inner,
                                 check_mc_bounded_f_pi2, check_mc_drift,
                                 check_mc_rough, check_vol_r1, check_volume_absolute,
                                 check_volume_comparison, doubling_F, doubling_epsilon,
@@ -103,7 +103,6 @@ class TestRadiusRule:
         lambda s, n: check_mc_rough(s, 0.0, 0.2, n_grid=n),
         lambda s, n: check_mc_bounded_f_inner(s, 1.0, n_grid=n),
         lambda s, n: check_mc_bounded_f_pi2(s, 1.0, n_grid=n),
-        lambda s, n: check_mc_bounded_f(s, 1.0, n_grid=n),
         lambda s, n: check_mc_drift(s, 0.0, n_grid=n),
         lambda s, n: check_area_comparison(s, 0.0, 0.2, 0.4, n_grid=n),
         lambda s, n: check_volume_comparison(s, 0.0, 0.2, 0.4, n_grid=n),
@@ -111,8 +110,8 @@ class TestRadiusRule:
         lambda s, n: check_vol_r1(s, 0.0, 1.5, n_grid=n),
         lambda s, n: check_doubling(s, 0.0, 2.0, 0.4, n_grid=n),
         lambda s, n: check_absolute_volume_negH(s, -1.0, n_grid=n),
-    ], ids=["MC_ROUGH", "MC_BOUNDED_F_INNER", "MC_BOUNDED_F_PI2", "MC_BOUNDED_F",
-            "MC_DRIFT", "AREA", "VOL", "VOL_B_ABS", "VOL_R1", "DOUBLING", "VOL_ABS_NEGH"])
+    ], ids=["MC_ROUGH", "MC_BOUNDED_F_INNER", "MC_BOUNDED_F_PI2", "MC_DRIFT", "AREA", "VOL",
+            "VOL_B_ABS", "VOL_R1", "DOUBLING", "VOL_ABS_NEGH"])
     def test_grid_floor(self, check):
         # One below the floor is malformed input naming n_grid (0 divided
         # by zero in the rule, 1 gave a one-radius grid); the floor runs.
@@ -123,13 +122,6 @@ class TestRadiusRule:
                     f"n_grid: a check needs at least {floor} grid points, got {n_grid}")):
                 check(s, n_grid)
         check(s, floor)
-
-    def test_pi2_range_runs_only_where_it_is_not_empty(self):
-        # It ran, and raised, when r_max lay within 1e-9 r_max past pi/4:
-        # the range ends just short of r_max.
-        s = make_space("euclidean", n=3, r_max=math.pi / 4 + 1e-10)
-        reports = check_mc_bounded_f(s, 1.0, n_grid=16)
-        assert [rep.theorem_id for rep in reports] == ["MC_BOUNDED_F_INNER"]
 
     def test_inner_radius_at_the_outer_one(self):
         # lo = R is admitted, as r = R always was on AREA and VOL; it was
@@ -164,7 +156,8 @@ class TestMcBoundedF:
 
     def test_sphere_with_potential_both_ranges(self):
         s = sphere_with_potential(amp=0.1)
-        reports = check_mc_bounded_f(s, 1.0, n_grid=96)
+        reports = [check_mc_bounded_f_inner(s, 1.0, n_grid=96),
+                   check_mc_bounded_f_pi2(s, 1.0, n_grid=96)]
         assert [r.theorem_id for r in reports] == ["MC_BOUNDED_F_INNER",
                                                    "MC_BOUNDED_F_PI2"]
         for rep in reports:

@@ -10,14 +10,14 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
-from smmskit.comparison import check_mc_drift
+from smmskit import smms
+from smmskit.comparison import check_mc_drift, check_volume_absolute
 from smmskit.model import area_model, mean_curvature_model, ModelSpace
 from smmskit.model import sn as model_sn, sn_prime as model_sn_prime
-from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, bakry_emery_radial,
-                          cumulative_excess, integral_rho, make_space, mean_curvature_f,
-                          potential_bounds, profile_from_spec, require_finite_excess, rho,
-                          ricci_f_smallest_eigenvalue, ricci_radial,
-                          sample_curvature, weighted_area, weighted_volume)
+from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, excess_integrator,
+                          integral_rho, make_space, mean_curvature_f, potential_bounds,
+                          profile_from_spec, require_finite_excess, rho, ricci_radial,
+                          weighted_area)
 
 INTERIOR = np.linspace(0.2, 2.8, 40)
 
@@ -41,16 +41,18 @@ class TestCatalog:
             assert abs(ricci_radial(s, r) + 3.0) < 1e-12
 
     def test_gaussian_soliton_is_einstein(self):
-        # f = r^2/4 on flat space: Ric_f = g/2 in every direction.
+        # f = r^2/4 on flat space: Ric_f = g/2 in every direction.  At H = 1
+        # the excess is positive, so (n-1)H - rho is radial Ric_f (radial
+        # mode) and its smallest eigenvalue (full mode).
         s = make_space("gaussian_soliton", n=3, c=0.25)
         for r in INTERIOR:
-            assert abs(bakry_emery_radial(s, r) - 0.5) < 1e-12
-            assert abs(ricci_f_smallest_eigenvalue(s, r) - 0.5) < 1e-12
+            assert abs(2.0 - rho(s, 1.0, r) - 0.5) < 1e-12
+            assert abs(2.0 - rho(s, 1.0, r, "full") - 0.5) < 1e-12
 
     def test_linear_drift_stacks_on_base(self):
         s = make_space("linear_drift", n=3, a=0.7, base="euclidean")
         for r in INTERIOR:
-            assert abs(bakry_emery_radial(s, r)) < 1e-12
+            assert abs(2.0 - rho(s, 1.0, r)) < 1e-12  # radial Ric_f = 0
             assert abs(mean_curvature_f(s, r) - (2.0 / r + 0.7)) < 1e-12
 
     def test_perturbed_sphere_closes(self):
@@ -94,10 +96,11 @@ class TestCatalog:
 
 class TestCurvature:
     def test_sphere_einstein(self):
+        # Ric_f = 2 in every direction; at H = 2, (n-1)H - rho reads it.
         s = make_space("sphere", n=3, H=1.0)
         for r in (0.5, 1.5, 2.5):
-            assert abs(bakry_emery_radial(s, r) - 2.0) < 1e-12
-            assert abs(ricci_f_smallest_eigenvalue(s, r) - 2.0) < 1e-10
+            assert abs(4.0 - rho(s, 2.0, r) - 2.0) < 1e-12
+            assert abs(4.0 - rho(s, 2.0, r, "full") - 2.0) < 1e-10
 
     def test_soliton_mean_curvature(self):
         s = make_space("gaussian_soliton", n=3, c=0.25)
@@ -162,7 +165,7 @@ class TestRho:
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
         for r in np.linspace(0.2, 2.9, 25):
             zero = rho(s, 1.0, r) == 0.0
-            dominates = bakry_emery_radial(s, r) >= 2.0 - 1e-14
+            dominates = smms._bakry_emery(s, r, "radial")[1] >= 2.0 - 1e-14
             assert zero == dominates
 
     def test_unknown_mode(self):
@@ -363,7 +366,6 @@ class TestExcessQuadrature:
         # The breakpoint scan read its 257 samples twice in full mode, once
         # for g and once for tangential - radial.  Every other array read is
         # one integrand call of the quadrature.
-        from smmskit import smms
         reads, integrand = [], []
         read, quad = smms._bakry_emery, smms.quad_grid
 
@@ -469,6 +471,21 @@ class TestPoleRule:
         s = make_space("custom", n=3, w=w, r_max=math.pi, closed=True)
         assert 0.0 <= integral_rho(s, 1.0, math.pi, "full") <= 1e-14
 
+    @pytest.mark.parametrize("w1", [math.nextafter(1.0 - 1e-6, 2.0), 1.0 - 1e-7,
+                                    1.0 + 1e-7, 1.0 + 1e-6],
+                             ids=["-1e-6", "-1e-7", "1e-7", "1e-6"])
+    def test_pole_delta_is_continuous_across_r_s(self, w1):
+        # w'(0) = 1 + delta.  The rule took I = int_0^r w'' and dropped delta
+        # below r_s, so tangential Ric_f jumped there by ~2(n-2) delta/r_s^2
+        # (0.1 at delta = 1e-6).  The float 1 - 1e-6 lies past WarpedSMMS's
+        # 1e-6 bound, so the first case is the next float above it.
+        s = make_space("custom", n=3, r_max=3.0,
+                       w={"type": "poly", "coeffs": [0.0, w1, 0.0, 0.02]})
+        r_s = smms._POLE_RULE * s.r_max
+        below, above = (smms._bakry_emery(s, r_s * (1.0 + h), "full")[2]
+                        for h in (-1e-12, 1e-12))
+        assert abs(below - above) <= 1e-10 * abs(above)
+
 
 class TestDivergentExcess:
     def test_drift_pole_in_full_mode(self):
@@ -480,11 +497,46 @@ class TestDivergentExcess:
             check_mc_drift(s, 0.2, mode="full", n_grid=16)
         assert integral_rho(s, 0.2, 1.5) == pytest.approx(0.6, rel=1e-12)
 
-    def test_cumulative_excess_rejects_the_pole_itself(self):
+    def test_excess_integrator_rejects_the_pole_itself(self):
         # It ended in SubdivisionLimitError, integrating the a/r pole.
         s = make_space("linear_drift", n=3, a=0.5)
         with pytest.raises(DivergentExcessError, match=r"0\.5/r near the pole r=0"):
-            cumulative_excess(s, 0.2, [0.5, 1.0, 1.5], "full")
+            excess_integrator(s, 0.2, 0.0, 1.5, "full")([0.5, 1.0, 1.5])
+
+    def test_cone_point_in_full_mode(self):
+        # w'(0) = 1 + delta, delta > 0: tangential Ric_f ~ -2(n-2) delta/r^2,
+        # so l = +inf in full mode for n > 2.  It ended in SubdivisionLimitError.
+        def cone(n, w1):
+            return make_space("custom", n=n, r_max=3.0,
+                              w={"type": "poly", "coeffs": [0.0, w1, 0.0, 0.02]})
+
+        with pytest.raises(DivergentExcessError,
+                           match=r"\|w'\| = 1 \+ 1e-07 at the pole r=0 is a cone point"):
+            integral_rho(cone(3, 1.0 + 1e-7), 0.5, 2.0, "full")
+        # No cone in radial mode, for n = 2, for delta < 0 (tangential Ric_f
+        # -> +inf), or within rounding (_CONE_TOL = 4 eps); 5 eps is one.
+        eps = np.finfo(float).eps
+        for n, w1, mode in ((3, 1.0 + 1e-7, "radial"), (2, 1.0 + 1e-7, "full"),
+                            (3, 1.0 - 1e-7, "full"), (3, 1.0 + 4.0 * eps, "full")):
+            assert integral_rho(cone(n, w1), 0.5, 2.0, mode) == pytest.approx(
+                integral_rho(cone(n, 1.0), 0.5, 2.0, mode), rel=1e-5)
+        with pytest.raises(DivergentExcessError, match="cone point"):
+            integral_rho(cone(3, 1.0 + 5.0 * eps), 0.5, 2.0, "full")
+
+    def test_cone_at_the_far_pole_counts_only_when_reached(self):
+        # w = sin r (1 + e r^2) closes with |w'(pi)| = 1 + 5e-9, inside
+        # WarpedSMMS's 1e-8 bound for a closed space.
+        e = 5e-9 / math.pi ** 2
+        w = RadialProfile(lambda r: np.sin(r) * (1.0 + e * r * r),
+                          lambda r: np.cos(r) * (1.0 + e * r * r) + 2.0 * e * r * np.sin(r),
+                          lambda r: (2.0 * e - 1.0 - e * r * r) * np.sin(r)
+                          + 4.0 * e * r * np.cos(r), r_max=math.pi)
+        s = make_space("custom", n=3, w=w, r_max=math.pi, closed=True)
+        with pytest.raises(DivergentExcessError,
+                           match=r"1 \+ 5e-09 at the far pole r=r_max=3\.14159265359"):
+            integral_rho(s, 1.0, math.pi, "full")
+        for R, mode in ((3.0, "full"), (math.pi, "radial")):
+            assert math.isfinite(integral_rho(s, 1.0, R, mode))
 
     def test_unknown_mode_is_rejected(self):
         # "Full" was taken as radial: it returned where "full" raises.
@@ -594,27 +646,37 @@ class TestPotentialBounds:
         assert abs(pb.grad - 1.0) < 1e-12
 
 
+def _volume_f(s, R, n_grid=2):
+    """V_f as the checks compute it: {radius: lhs} of a VOL_B_ABS report on
+    n_grid radii up to R."""
+    rep = check_volume_absolute(s, 0.0, R, n_grid=n_grid)
+    return dict(zip(rep.grid[:, 0].tolist(), rep.grid[:, 1].tolist()))
+
+
 class TestMeasures:
     def test_euclidean_area_volume(self):
         s = make_space("euclidean", n=3)
+        vf = _volume_f(s, 2.0, n_grid=4)
         for r in (0.5, 1.0, 2.0):
             assert abs(weighted_area(s, r) - 4 * math.pi * r ** 2) < 1e-10
-            assert abs(weighted_volume(s, r) - 4 * math.pi * r ** 3 / 3) < 1e-9
+            assert abs(vf[r] - 4 * math.pi * r ** 3 / 3) < 1e-9
 
     def test_round_sphere_total_volume(self):
+        # The grid ends at the interior's edge, pi (1 - 1e-6), short of the
+        # far pole by a ball of volume ~1e-17.
         s = make_space("sphere", n=3, H=1.0)
-        assert abs(weighted_volume(s, math.pi) - 2 * math.pi ** 2) < 1e-9
+        assert abs(_volume_f(s, s.r_interior_hi)[s.r_interior_hi] - 2 * math.pi ** 2) < 1e-9
 
     def test_drift_hand_integral(self):
         # 2 pi int_0^1 t e^t dt = 2 pi.
         s = make_space("linear_drift", n=2, a=1.0, base="euclidean", r_max=5.0)
-        assert abs(weighted_volume(s, 1.0) - 2 * math.pi) < 1e-9
+        assert abs(_volume_f(s, 1.0)[1.0] - 2 * math.pi) < 1e-9
 
     def test_fundamental_theorem(self):
         s = make_space("gaussian_soliton", n=3, c=0.1)
         h = 1e-5
         for R in (0.5, 1.5, 2.5):
-            dv = (weighted_volume(s, R + h) - weighted_volume(s, R - h)) / (2 * h)
+            dv = (_volume_f(s, R + h)[R + h] - _volume_f(s, R - h)[R - h]) / (2 * h)
             assert abs(dv - weighted_area(s, R)) <= 1e-6 * weighted_area(s, R)
 
     def test_matches_model_on_space_forms(self):
@@ -628,16 +690,20 @@ class TestMeasures:
 
 
 class TestSampleCurvature:
+    """The reads at one radius agree with each other."""
+
     def test_fields_consistent(self):
-        s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
-        c = sample_curvature(s, 1.0, 1.3, "full")
-        assert c.rho >= (s.n - 1) * 1.0 - c.ric_f_radial - 1e-12
-        assert c.lambda_min <= c.ric_f_radial + 1e-12
-        assert abs(c.m_f - (c.m - float(s.f.d1(1.3)))) < 1e-12
+        # m = (n-1) w'/w from the profile; f' != 0 on this space.
+        s = perturbed_euclidean(3, 0.05, 3.0, amp=0.1, nu=1.5)
+        r = 1.3
+        radial = smms._bakry_emery(s, r, "full")[1]
+        assert rho(s, 1.0, r, "full") >= (s.n - 1) * 1.0 - radial - 1e-12
+        m = (s.n - 1) * s.w.d1(r) / s.w.eval(r)
+        assert abs(mean_curvature_f(s, r) - (m - s.f.d1(r))) < 1e-12
 
     def test_rho_integral_nondecreasing(self):
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0)
-        vals = [sample_curvature(s, 1.0, r).rho_integral for r in (0.5, 1.0, 2.0, 3.0)]
+        vals = [integral_rho(s, 1.0, r) for r in (0.5, 1.0, 2.0, 3.0)]
         assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -952,7 +1018,6 @@ class TestJet:
     @pytest.mark.parametrize("name", sorted(JET_CASES))
     @pytest.mark.parametrize("mode", ["radial", "full"])
     def test_one_read_per_profile_per_curvature_read(self, name, mode, monkeypatch):
-        from smmskit import smms
         s, _ = JET_CASES[name]
         reads = []
         for prof in ("w", "f"):

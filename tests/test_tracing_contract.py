@@ -1,5 +1,6 @@
 """The benchmark's tracer patches program names by lookup; they must exist."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -52,3 +53,30 @@ def test_tracer_installs_and_counts_checks(tmp_path):
     # Both quadrature entry points stay imported where the tracer looks.
     assert counts["numkit.quad_grid.points"] > 0
     assert counts["numkit.quad_adaptive.calls"] > 0
+
+
+def test_every_tracer_shim_is_a_name_the_tracer_looks_up():
+    # A module keeps a name only for bench/tracing.py (a _TRACED_NAMES
+    # entry, or a None placeholder for a deleted kernel) while TARGETS looks
+    # it up there; once the tracer stops, this fails on the stale shim.
+    tracing = _load_tracing()
+    looked_up = {}
+    for name, modules, _ in tracing.TARGETS:
+        attr = tracing._ATTR_OVERRIDE.get(name, name.rsplit(".", 1)[1])
+        for mod in modules:
+            looked_up.setdefault(mod, set()).add(attr)
+    stale = {}
+    for path in sorted(Path(smmskit.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
+                continue
+            if node.targets[0].id == "_TRACED_NAMES":
+                shims = {e.id for e in node.value.elts}
+            elif isinstance(node.value, ast.Constant) and node.value.value is None:
+                shims = {node.targets[0].id}
+            else:
+                continue
+            shims -= looked_up.get(path.stem, set())
+            if shims:
+                stale.setdefault(path.stem, set()).update(shims)
+    assert not stale, f"shims bench/tracing.py TARGETS does not look up: {stale}"

@@ -46,9 +46,11 @@ CUSTOM_SPEC = {"n": 3,
 # space with a spline (`table`) warping w = r + 0.02 r^3, the benchmark's
 # `poly_small` family with a cubic warping w = r + 0.002 r^3 (`bumped`),
 # that warping with a `fourier` potential of two harmonics (`fourier`),
-# two copies with a non-finite number (JSON allows NaN and Infinity), and
+# two copies with a non-finite number (JSON allows NaN and Infinity),
 # three with a top level other than n and custom: a catalog name and its
-# parameters, parameters alone, and a dimension that is not an integer.
+# parameters, parameters alone, and a dimension that is not an integer, and
+# two warpings w = (1 + delta) r + 0.02 r^3 with delta = +-1e-7 at the pole
+# (`cone`, a cone point, and `cone_neg`).
 SPEC_FILES = {
     "space.json": CUSTOM_SPEC,
     "table.json": {**CUSTOM_SPEC, "custom": {**CUSTOM_SPEC["custom"], "w": {
@@ -68,6 +70,9 @@ SPEC_FILES = {
     "named.json": {"name": "sphere", "params": {"H": 4}, **CUSTOM_SPEC},
     "params.json": {**CUSTOM_SPEC, "params": {"H": 4}},
     "n37.json": {**CUSTOM_SPEC, "n": 3.7},
+    **{f"{name}.json": {"n": 3, "custom": {
+        "w": {"type": "poly", "coeffs": [0.0, 1.0 + delta, 0.0, 0.02]}, "r_max": 3.0}}
+       for name, delta in (("cone", 1e-7), ("cone_neg", -1e-7))},
 }
 
 # Per theorem id: flags for a cheap valid run.
@@ -297,6 +302,14 @@ def cases() -> list[tuple[str, list[str]]]:
                      "--theorem", "MC_DRIFT", "--a", "0"]),
         ("param/drift-base-range", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT",
                                     "--range", "param.r_max=4:5:2"]),
+        # w'(0) = 1 + delta: in full mode a cone (delta > 0) makes l = +inf,
+        # NOT-APPLICABLE; delta < 0 and radial mode integrate.
+        ("cone/MC_DRIFT/full", ["check", "--custom", "cone.json", "--theorem", "MC_DRIFT",
+                                "--H", "0.5", "--mode", "full"]),
+        ("cone_neg/MC_DRIFT/full", ["check", "--custom", "cone_neg.json", "--theorem",
+                                    "MC_DRIFT", "--H", "0.5", "--mode", "full"]),
+        ("cone/MC_DRIFT", ["check", "--custom", "cone.json", "--theorem", "MC_DRIFT",
+                           "--H", "0.5"]),
     ]
     bad = [
         ["check", *_FLAT, "--theorem", "BROUWER"],
