@@ -66,18 +66,8 @@ def conjugate_radius(H: float) -> float:
 
 
 def sn(H: float, r):
-    """Generalized sine: solution of sn'' + H sn = 0, sn(0)=0, sn'(0)=1."""
-    if isinstance(r, (float, int)):
-        r = float(r)
-        if r < 0.0:
-            raise ValueError("sn requires r >= 0")
-        if H > 0.0:
-            s = math.sqrt(H)
-            return math.sin(s * r) / s
-        if H < 0.0:
-            s = math.sqrt(-H)
-            return math.sinh(s * r) / s
-        return r
+    """Generalized sine: solution of sn'' + H sn = 0, sn(0)=0, sn'(0)=1.
+    A float (or a 0-d array) comes back as a float, an array as an array."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("sn requires r >= 0")
@@ -93,14 +83,7 @@ def sn(H: float, r):
 
 
 def sn_prime(H: float, r):
-    """Derivative of ``sn`` in r."""
-    if isinstance(r, (float, int)):
-        r = float(r)
-        if H > 0.0:
-            return math.cos(math.sqrt(H) * r)
-        if H < 0.0:
-            return math.cosh(math.sqrt(-H) * r)
-        return 1.0
+    """Derivative of ``sn`` in r, a float or an array as ``sn``."""
     r = np.asarray(r, dtype=float)
     if H > 0.0:
         out = np.cos(math.sqrt(H) * r)

@@ -21,11 +21,12 @@ the curvature scale 1/r_max^2 only beyond r_s = sqrt(eps/1e-10) r_max =
 
 The excess integrals split their range at the sign changes of
 g = (n-1)H - Ric_f (and, in full mode, at the kinks of the minimum of the
-radial and tangential curvature), so each piece is smooth, and integrate
-rho on those breakpoints and the requested radii with quad_grid at its
-1e-10 budget: ``excess_integrator`` on every grid within one range (a
-check's first pass and its refinement) from one breakpoint search, and
-``integral_rho`` at one radius.  A pole where rho ~ c/r makes l = +inf,
+radial and tangential curvature), so each piece is smooth: one curvature
+read on 257 samples finds the sign changes and a root search closes each.
+They integrate rho on those breakpoints and the requested radii with
+quad_grid at its 1e-10 budget: ``excess_integrator`` on every grid within
+one range (a check's first pass and its refinement) from one breakpoint
+search, and ``integral_rho`` at one radius.  A pole where rho ~ c/r makes l = +inf,
 which raises ``DivergentExcessError`` (an unmet hypothesis).
 """
 
@@ -69,23 +70,20 @@ RHO_MODES = ("radial", "full")
 # Radial profiles.
 # ---------------------------------------------------------------------------
 
-def _lib(x):
-    """``math`` for a float, so a float read stays in floats, else ``numpy``."""
-    return math if isinstance(x, float) else np
-
-
 class RadialProfile:
     """Scalar function of arc length with first and second derivatives.
 
     Its one read is ``jet(r, orders)``: the value (order 0) and derivatives
     at ``orders`` from one call, which computes their shared terms once and
     nothing that no asked order needs; ``eval``, ``d1`` and ``d2`` read one
-    order of it.  A float in gives floats out, an array arrays of its shape.
-    The catalog and spec profiles are built on such a jet.  The callables
-    form ``RadialProfile(fn, d1, d2, r_max=...)`` takes the function and
-    its exact first and second derivatives, each accepting a float as well
-    as a float array, and its jet calls the ones asked for; a missing
-    derivative is refused here, since every curvature is read from them.
+    order of it.  Every read is an array read: a float (or a 0-d array) is
+    read as a 0-d array and comes back as floats, an array gives arrays of
+    its shape.  The catalog and spec profiles are built on such a jet.  The
+    callables form ``RadialProfile(fn, d1, d2, r_max=...)`` takes the
+    function and its exact first and second derivatives, each accepting a
+    float array (0-d for a single radius), and its jet calls the ones asked
+    for; a missing derivative is refused here, since every curvature is
+    read from them.
     """
 
     def __init__(self, fn, d1, d2, *, r_max: float, name: str = ""):
@@ -93,15 +91,15 @@ class RadialProfile:
         if not all(map(callable, fns)):
             raise TypeError("RadialProfile(fn, d1, d2, r_max=...) takes fn and its exact "
                             "derivatives d1 and d2 as callables")
-        self._jet = lambda x, orders: [float(fns[k](x)) if isinstance(x, float)
-                                       else np.asarray(fns[k](x), dtype=float) for k in orders]
+        self._jet = lambda x, orders: [np.asarray(fns[k](x), dtype=float) for k in orders]
         self.r_max = float(r_max)
         self.name = name
 
     @classmethod
     def _of_jet(cls, jet, *, r_max: float, name: str = "") -> "RadialProfile":
-        """A profile read by ``jet(x, orders)``, x a float or a float array,
-        which returns the values at ``orders`` as a list of x's kind."""
+        """A profile read by ``jet(x, orders)``, x a float array (0-d for a
+        single radius), which returns the values at ``orders`` as a list of
+        arrays (or numpy scalars) of x's shape."""
         p = cls.__new__(cls)
         p._jet, p.r_max, p.name = jet, float(r_max), name
         return p
@@ -111,8 +109,6 @@ class RadialProfile:
 
     def jet(self, r, orders: tuple = (0, 1, 2)) -> list:
         """The value (order 0) and derivatives at ``orders``, in that order."""
-        if isinstance(r, float):
-            return self._jet(float(r), orders)
         x = np.asarray(r, dtype=float)
         out = self._jet(x, orders)
         return out if x.ndim else [float(v) for v in out]
@@ -129,7 +125,7 @@ class RadialProfile:
 
 def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
     def jet(x, orders):
-        zero = 0.0 * x  # value + 0 r keeps a float a float and an array an array
+        zero = 0.0 * x  # value + 0 r has x's shape
         return [value + zero if k == 0 else zero for k in orders]
 
     return RadialProfile._of_jet(jet, r_max=r_max, name=name)
@@ -146,7 +142,9 @@ _POLE_RULE = math.sqrt(np.finfo(float).eps / 1e-10)  # see _one_minus_w1_squared
 # rounding, 0: kept, it would put 2(n-2) delta/r^2 ~ 2e-3 (n-2)/r_max^2 of noise
 # into tangential Ric_f at the clamp radius 1e-6 r_max, the noise the pole rule
 # removes; dropped, it moves that curvature at r_s by at most 2(n-2) 4 eps/r_s^2
-# = 8(n-2) 1e-10/r_max^2, the order of the rule's own 1e-10 budget.
+# = 8(n-2) 1e-10/r_max^2, the order of the rule's own 1e-10 budget.  It is
+# also the rounding allowed on the pole slope bounds |w'(0) - 1| <= 1e-6 and
+# |w'(r_max) + 1| <= 1e-8, so a bound written as a float, 1 - 1e-6, holds.
 _CONE_TOL = 4.0 * np.finfo(float).eps
 
 
@@ -171,7 +169,7 @@ class WarpedSMMS:
         w0, w1 = self.w.jet(0.0, (0, 1))
         if abs(w0) > 1e-10 * scale:
             raise ValueError(f"warping must vanish at the pole, w(0)={w0}")
-        if abs(w1 - 1.0) > 1e-6:
+        if abs(w1 - 1.0) > 1e-6 + _CONE_TOL:
             raise ValueError(f"smooth pole requires w'(0)=1, got {w1}")
         deltas = [abs(w1) - 1.0, 0.0]
         interior = np.linspace(scale / 257, scale * (1 - 1 / 257), 257)
@@ -183,7 +181,7 @@ class WarpedSMMS:
             w0, w1 = self.w.jet(self.r_max, (0, 1))
             if abs(w0) > 1e-8 * max(1.0, scale):
                 raise ValueError(f"closed space requires w(r_max)=0, got {w0}")
-            if abs(w1 + 1.0) > 1e-8:
+            if abs(w1 + 1.0) > 1e-8 + _CONE_TOL:
                 raise ValueError(f"closed space requires w'(r_max)=-1, got {w1}")
             deltas[1] = abs(w1) - 1.0
         # delta at each pole (0.0 if open or within _CONE_TOL), read once.
@@ -239,13 +237,7 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
     it meets 1 - w1^2 at r_s; the integral is on the 5-point Gauss-Legendre
     rule, whose error there is O((r_s/r_max)^10); elsewhere it is 1 - w1^2
     (module docstring).
-    A float ``rc`` stays in plain floats away from the poles (the root
-    searches), with the array path's bits.
     """
-    if isinstance(rc, float):
-        d = s.r_max - rc if s.closed and rc > 0.5 * s.r_max else rc
-        if not d < _POLE_RULE * s.r_max:
-            return 1.0 - w1 * w1
     r = np.asarray(rc, dtype=float)
     far = s.closed & (r > 0.5 * s.r_max)
     d = np.where(far, s.r_max - r, r)  # distance to the nearer pole
@@ -258,19 +250,18 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
         delta = np.where(far[near], s._pole_deltas[1], s._pole_deltas[0])
         i = delta + dn[:, 0] * (s.w.d2(t.ravel()).reshape(t.shape) * wq).sum(axis=1)
         out[near] = -i * (i + 2.0)
-    return out if out.ndim else float(out)
+    return out
 
 
 def _bakry_emery(s: WarpedSMMS, r, mode: str):
     """The one read of a space's curvature, from one jet of w and one of f
-    at ``r`` clamped to the interior (a float stays a float, for the root
-    searches): w, w'', f'' give Ric(d_r, d_r) = -(n-1) w''/w and radial
+    at ``r`` clamped to the interior (a float is read as a 0-d array):
+    w, w'', f'' give Ric(d_r, d_r) = -(n-1) w''/w and radial
     Ric_f = Ric + f''; in full mode (else None) w' and f' too give
     tangential Ric_f = -w''/w + (n-2)(1 - w'^2)/w^2 + f' w'/w, whose pole
     rule reads w'' at its Gauss nodes as well."""
     lo, hi = s.r_interior_lo, s.r_interior_hi
-    rc = (min(max(r, lo), hi) if isinstance(r, float)
-          else np.minimum(np.maximum(np.asarray(r, dtype=float), lo), hi))
+    rc = np.minimum(np.maximum(np.asarray(r, dtype=float), lo), hi)
     if mode != "full":
         w, w2 = s.w.jet(rc, (0, 2))
         ric = -(s.n - 1.0) * w2 / w
@@ -292,14 +283,8 @@ def _excess(s: WarpedSMMS, H: float, r, mode: str):
 
 
 def _excess_of(s: WarpedSMMS, H: float, radial, tangential):
-    """g from the radial and tangential (None outside full mode) Ric_f; on
-    floats in plain floats, the smaller one picked as ``np.minimum`` does."""
-    if tangential is None:
-        lam = radial
-    elif isinstance(radial, float):
-        lam = radial if radial <= tangential or radial != radial else tangential
-    else:
-        lam = np.minimum(radial, tangential)
+    """g from the radial and tangential (None outside full mode) Ric_f."""
+    lam = radial if tangential is None else np.minimum(radial, tangential)
     return (s.n - 1.0) * H - lam
 
 
@@ -398,11 +383,13 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     """Radii in [lo, hi] where rho may kink.
 
     g = ``_excess`` (rho before the positive part) is sampled on 257
-    points; each sign change is closed by ``find_root_bracketed`` to 1e-14
-    relative, except where both samples are within rounding,
-    1e-12 max(|(n-1)H|, max|g|), of zero.  In full mode the sign changes of
-    tangential - radial curvature, the kinks of their minimum, are closed
-    the same way.  The clamp radii inside (lo, hi) are breakpoints too.
+    points, one curvature read; each sign change is closed by
+    ``find_root_bracketed`` on g to 1e-14 relative, reading g one radius
+    at a time through the same array path, except where both samples are
+    within rounding, 1e-12 max(|(n-1)H|, max|g|), of zero.  In full mode
+    the sign changes of tangential - radial curvature, the kinks of their
+    minimum, are closed the same way.  The clamp radii inside (lo, hi) are
+    breakpoints too.
     """
     g = lambda t: _excess(s, H, t, mode)
     x = np.linspace(lo, hi, _EXCESS_SAMPLES)
@@ -566,8 +553,7 @@ def _build_gaussian_soliton(n: int, c: float = 0.25, r_max: float = 10.0) -> War
 
     def jet(x, orders):
         return [c * (x * x) if k == 0 else 2.0 * c * x if k == 1
-                else 2.0 * c if isinstance(x, float) else np.full_like(x, 2.0 * c)
-                for k in orders]
+                else np.full_like(x, 2.0 * c) for k in orders]
 
     f = RadialProfile._of_jet(jet, r_max=r_max, name=f"{c}*r^2")
     return WarpedSMMS(n=n, w=base.w, f=f, r_max=r_max, closed=False,
@@ -604,14 +590,13 @@ def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
     def jet(x, orders):
         """w = sn p, p = 1 + eps s^2, from s, c = sin, cos(omega r) and sin,
         cos(sqrt(H) r): p' = 2 eps omega s c and p'' = 2 eps omega^2 (1 - 2 s^2)."""
-        lib = _lib(x)
-        sn, s = lib.sin(rt * x) / rt, lib.sin(om * x)
+        sn, s = np.sin(rt * x) / rt, np.sin(om * x)
         ss = s * s
         p = 1.0 + e * ss
         w = sn * p
         if not any(orders):
             return [w for _ in orders]
-        sn1, p1 = lib.cos(rt * x), k1 * (s * lib.cos(om * x))
+        sn1, p1 = np.cos(rt * x), k1 * (s * np.cos(om * x))
         out = []
         for k in orders:
             if k == 0:
@@ -705,28 +690,17 @@ class _SplineProfile:
         self.ys = np.asarray(ys, dtype=float)
         self.m2 = _natural_spline(self.xs, self.ys)
 
-    def _locate(self, r):
-        i = np.clip(np.searchsorted(self.xs, r, side="right") - 1, 0, len(self.xs) - 2)
-        return i
-
-    def _pieces(self, r):
-        r = np.asarray(r, dtype=float)
-        i = self._locate(r)
-        h = self.xs[i + 1] - self.xs[i]
-        t = r - self.xs[i]
-        u = self.xs[i + 1] - r
-        return i, h, t, u
-
     def jet(self, x, orders: tuple) -> list:
-        """The values at ``orders`` from one ``_pieces`` lookup, in numpy (a
-        float comes back a float)."""
-        i, h, t, u = self._pieces(x)
+        """The values at ``orders`` from one lookup of x's spline piece."""
+        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
+        h = self.xs[i + 1] - self.xs[i]
+        t = x - self.xs[i]
+        u = self.xs[i + 1] - x
         m0, m1 = self.m2[i], self.m2[i + 1]
         lin0, lin1 = self.ys[i] / h - m0 * h / 6, self.ys[i + 1] / h - m1 * h / 6
-        out = [(m0 * u ** 3 + m1 * t ** 3) / (6 * h) + lin0 * u + lin1 * t if k == 0
-               else (-m0 * u ** 2 + m1 * t ** 2) / (2 * h) - lin0 + lin1 if k == 1
-               else (m0 * u + m1 * t) / h for k in orders]
-        return [float(v) for v in out] if isinstance(x, float) else out
+        return [(m0 * u ** 3 + m1 * t ** 3) / (6 * h) + lin0 * u + lin1 * t if k == 0
+                else (-m0 * u ** 2 + m1 * t ** 2) / (2 * h) - lin0 + lin1 if k == 1
+                else (m0 * u + m1 * t) / h for k in orders]
 
 
 def _polyder(coeffs: list, k: int) -> list:
@@ -743,10 +717,9 @@ def _polyder(coeffs: list, k: int) -> list:
 def _horner_jet(coeffs: list):
     """The jet of sum c_j r^j over the float list ``coeffs``: Horner's rule
     on p, p' and p'' in ``polyval``'s own order (``r * 0.0`` included, which
-    fixes the sign of a zero), one sweep per asked order in one call; on a
-    float in plain floats (about 0.4 us a sweep instead of 8 us for a numpy
-    ``Polynomial``, for the root searches) and on an array elementwise,
-    with the same bits as ``Polynomial(coeffs)`` and its ``deriv``.
+    fixes the sign of a zero), one sweep per asked order in one call,
+    elementwise on the array r, with the same bits as ``Polynomial(coeffs)``
+    and its ``deriv``.
     """
     sweeps = []
     for k in range(3):
@@ -770,12 +743,9 @@ def _fourier_jet(a0: float, terms: list):
     """The jet of a0 + sum a cos(w r) + b sin(w r) over ``terms`` (w, a, b):
     one cos and one sin per harmonic for every asked order."""
     def jet(x, orders):
-        lib = _lib(x)
-        out = [a0 if k == 0 else 0.0 for k in orders]
-        if lib is np:
-            out = [np.full_like(x, v) for v in out]
+        out = [np.full_like(x, a0 if k == 0 else 0.0) for k in orders]
         for w, a, b in terms:
-            c, s = lib.cos(w * x), lib.sin(w * x)
+            c, s = np.cos(w * x), np.sin(w * x)
             for j, k in enumerate(orders):
                 if k == 0:
                     out[j] = out[j] + a * c + b * s

@@ -1,6 +1,7 @@
 """CLI conformance: exit codes, report schema, CSV grids, sweeps."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -50,6 +51,17 @@ def run_json(argv, capsys):
 
 
 class TestConformance:
+    def test_identity_harness_runs_every_theorem(self):
+        # tools/identity.py runs each id in its _IDS once, and the radius
+        # diagnostics reuse those flags: a new theorem id must be added there.
+        path = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+        spec = importlib.util.spec_from_file_location("identity", path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        assert set(CHECK_IDS) <= set(harness._IDS)
+        names = [name for name, _ in harness.cases()]
+        assert all(f"id/{tid}" in names for tid in CHECK_IDS)
+
     def test_model_equality_drift_check(self, capsys):
         code, report = run_json(
             ["check", "--space", "sphere", "--n", "3", "--param", "H=1",

@@ -494,12 +494,19 @@ class TestDoubling:
         assert not isinstance(info.value, ValueError)
 
 
+def _sn(H, t):
+    """sn_H(t) on one float in ``math``: the quad oracles' closed form, about
+    ten times cheaper a call than ``model.sn``, which reads an array."""
+    q = math.sqrt(abs(H))
+    return math.sin(q * t) / q if H > 0.0 else math.sinh(q * t) / q if H < 0.0 else t
+
+
 def F_nested_quad(n, H, R, sigma, k=None, a=None):
     """F(sigma) from its definition: (e^{c sigma t} - 1) A/V, V by inner quad."""
     d = n + 4.0 * k if k is not None else float(n)
     drift = 0.0 if a is None else a
     c = c_const(n, k) if k is not None else 1.0
-    area = lambda t: math.exp(drift * t) * model_sn(H, t) ** (d - 1.0)
+    area = lambda t: math.exp(drift * t) * _sn(H, t) ** (d - 1.0)
 
     def integrand(t):
         vol, _ = quad(area, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
@@ -527,7 +534,7 @@ def E_nested_quad(mspace, cls, radii):
     d, H, a = mspace.dim, mspace.H, mspace.drift
 
     def log_area(t):
-        return a * t + (d - 1.0) * math.log(model_sn(H, t)) if t > 0.0 else -math.inf
+        return a * t + (d - 1.0) * math.log(_sn(H, t)) if t > 0.0 else -math.inf
 
     @lru_cache(maxsize=None)
     def v_over_a(t):
@@ -614,7 +621,7 @@ class TestModelVolumes:
         # the pass must hold on coarse grids (panel split) and near the pole
         # (Jacobi form), with E asked for or not.
         mspace = comparison.ModelSpace(dim=dim, H=H, drift=drift)
-        area = lambda t: math.exp(drift * t) * model_sn(H, t) ** (dim - 1.0)
+        area = lambda t: math.exp(drift * t) * _sn(H, t) ** (dim - 1.0)
         for n in (2, 3, 4, 16, 48, 256):
             for start in (R / n, 0.3 * R):
                 radii = np.linspace(start, R, n)

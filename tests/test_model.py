@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp
 
 from smmskit.model import (ModelSpace, area_model, c_const, conjugate_radius,
-                           mean_curvature_model, sn, volume_model)
+                           mean_curvature_model, sn, sn_prime, volume_model)
 from smmskit.numkit import Tolerance, sphere_area
 
 GRID = np.linspace(0.05, 3.0, 64)
@@ -66,6 +66,13 @@ class TestSn:
     def test_closed_form_on_grid(self, H):
         for r in GRID:
             assert close(sn(H, r), sn_exact(H, r), 1e-12)
+        # A float, an int or a 0-d array gives a Python float, the array
+        # path's value; an array gives an array of its shape.
+        for fn in (sn, sn_prime):
+            assert [fn(H, float(r)) for r in GRID] == fn(H, GRID).tolist()
+            for r in (0.7, 2, np.float64(0.7), np.asarray(0.7)):
+                assert type(fn(H, r)) is float
+            assert fn(H, GRID[:6].reshape(2, 3)).shape == (2, 3)
 
     def test_spot_values(self):
         assert abs(sn(1.0, math.pi / 2) - 1.0) < 1e-15

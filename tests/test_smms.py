@@ -88,6 +88,33 @@ class TestCatalog:
                        w={"type": "poly", "coeffs": [0.0, 1.0, -0.5]},
                        r_max=4.0)
 
+    @pytest.mark.parametrize("delta, ok", [(1e-6, True), (-1e-6, True),
+                                           (1.1e-6, False), (-1.1e-6, False)])
+    def test_pole_slope_bound_allows_rounding(self, delta, ok):
+        # |w'(0) - 1| <= 1e-6 up to rounding: the float 1 - 1e-6 lies
+        # 2.9e-17 beyond the bound and is admitted, as 1 + 1e-6 is.
+        w = {"type": "poly", "coeffs": [0.0, 1.0 + delta, 0.0, 0.02]}
+        if ok:
+            make_space("custom", n=3, w=w, r_max=3.0)
+        else:
+            with pytest.raises(ValueError, match=r"smooth pole requires w'\(0\)=1"):
+                make_space("custom", n=3, w=w, r_max=3.0)
+
+    @pytest.mark.parametrize("c, ok", [(1e-8, True), (-1e-8, True),
+                                       (1.1e-8, False), (-1.1e-8, False)])
+    def test_far_pole_slope_bound_allows_rounding(self, c, ok):
+        # w = sin r + c r^2 (r - pi)/pi^2 has w'(pi) = -1 + c, rounded.
+        pi2 = math.pi ** 2
+        w = RadialProfile(lambda r: np.sin(r) + c * r * r * (r - math.pi) / pi2,
+                          lambda r: np.cos(r) + c * (3.0 * r - 2.0 * math.pi) * r / pi2,
+                          lambda r: -np.sin(r) + c * (6.0 * r - 2.0 * math.pi) / pi2,
+                          r_max=math.pi)
+        if ok:
+            make_space("custom", n=3, w=w, r_max=math.pi, closed=True)
+        else:
+            with pytest.raises(ValueError, match=r"closed space requires w'\(r_max\)=-1"):
+                make_space("custom", n=3, w=w, r_max=math.pi, closed=True)
+
     def test_catalog_listing_complete(self):
         assert set(CATALOG) == {"euclidean", "sphere", "hyperbolic",
                                 "gaussian_soliton", "linear_drift",
@@ -202,10 +229,9 @@ def _curvatures(s, t):
     """Radial and tangential Ric_f at t clamped to the interior, written out
     from the profiles with the cancelling 1 - w'^2 (no pole rule)."""
     t = min(max(t, s.r_interior_lo), s.r_interior_hi)
-    w, w1, w2 = float(s.w.eval(t)), float(s.w.d1(t)), float(s.w.d2(t))
-    radial = -(s.n - 1.0) * w2 / w + float(s.f.d2(t))
-    return radial, (-w2 / w + (s.n - 2.0) * (1.0 - w1 * w1) / (w * w)
-                    + float(s.f.d1(t)) * w1 / w)
+    (w, w1, w2), (f1, f2) = s.w.jet(t), s.f.jet(t, (1, 2))
+    radial = -(s.n - 1.0) * w2 / w + f2
+    return radial, (-w2 / w + (s.n - 2.0) * (1.0 - w1 * w1) / (w * w) + f1 * w1 / w)
 
 
 def _excess_oracle(s, H, R, mode):
@@ -440,9 +466,9 @@ class TestPoleRule:
         ("gaussian_soliton", {}),
     ])
     def test_scalar_full_excess_is_the_array_path(self, name, params):
-        # A float read (the breakpoint root searches) stays in plain floats
-        # and gives the array path's bits below the pole rule's r_s, in the
-        # middle of the range, and near a closed far pole.
+        # A float read (the breakpoint root searches) is a 0-d read of the
+        # array path and gives its bits below the pole rule's r_s, in
+        # the middle of the range, and near a closed far pole.
         from smmskit.smms import _POLE_RULE, _excess
         s = make_space(name, n=3, **params)
         r_s = _POLE_RULE * s.r_max
@@ -454,7 +480,7 @@ class TestPoleRule:
         for r in np.concatenate(rs):
             for H in (-1.0, 0.0, 1.0):
                 got = _excess(s, H, float(r), "full")
-                assert type(got) is float
+                assert np.ndim(got) == 0
                 want = _excess(s, H, np.array([r]), "full")[0]
                 assert np.float64(got).tobytes() == want.tobytes()
 
@@ -471,14 +497,12 @@ class TestPoleRule:
         s = make_space("custom", n=3, w=w, r_max=math.pi, closed=True)
         assert 0.0 <= integral_rho(s, 1.0, math.pi, "full") <= 1e-14
 
-    @pytest.mark.parametrize("w1", [math.nextafter(1.0 - 1e-6, 2.0), 1.0 - 1e-7,
-                                    1.0 + 1e-7, 1.0 + 1e-6],
+    @pytest.mark.parametrize("w1", [1.0 - 1e-6, 1.0 - 1e-7, 1.0 + 1e-7, 1.0 + 1e-6],
                              ids=["-1e-6", "-1e-7", "1e-7", "1e-6"])
     def test_pole_delta_is_continuous_across_r_s(self, w1):
         # w'(0) = 1 + delta.  The rule took I = int_0^r w'' and dropped delta
         # below r_s, so tangential Ric_f jumped there by ~2(n-2) delta/r_s^2
-        # (0.1 at delta = 1e-6).  The float 1 - 1e-6 lies past WarpedSMMS's
-        # 1e-6 bound, so the first case is the next float above it.
+        # (0.1 at delta = 1e-6).
         s = make_space("custom", n=3, r_max=3.0,
                        w={"type": "poly", "coeffs": [0.0, w1, 0.0, 0.02]})
         r_s = smms._POLE_RULE * s.r_max
@@ -814,12 +838,20 @@ class TestScalarMeanCurvature:
 
     @pytest.mark.parametrize("name", sorted(SCALAR_PATH_SPACES))
     def test_matches_array_path(self, name):
+        # So does every public pointwise reader: a float, a numpy float or a
+        # 0-d array gives a Python float, an array an array of its shape.
         s = SCALAR_PATH_SPACES[name]
         rs = np.linspace(1e-6, 1.0 - 1e-6, 101) * s.r_max
-        array = mean_curvature_f(s, rs)
-        scalar = np.array([mean_curvature_f(s, float(r)) for r in rs])
-        assert all(type(mean_curvature_f(s, float(r))) is float for r in rs[:3])
-        np.testing.assert_allclose(scalar, array, rtol=1e-14, atol=1e-14)
+        for read in (lambda r: mean_curvature_f(s, r), lambda r: weighted_area(s, r),
+                     lambda r: ricci_radial(s, r), lambda r: rho(s, 1.0, r),
+                     lambda r: rho(s, 1.0, r, "full")):
+            array = read(rs)
+            scalar = np.array([read(float(r)) for r in rs])
+            np.testing.assert_allclose(scalar, array, rtol=1e-14, atol=1e-14)
+            r = float(rs[40])
+            assert all(type(read(x)) is float for x in (r, np.float64(r), np.asarray(r)))
+            grid = read(rs[1:7].reshape(2, 3))
+            assert isinstance(grid, np.ndarray) and grid.shape == (2, 3)
 
     @pytest.mark.parametrize("name", sorted(SCALAR_PATH_SPACES))
     def test_same_domain_errors(self, name):
@@ -908,22 +940,14 @@ def _table_reads(sp):
     return ev, d1, d2
 
 
-def _sine(r):
-    return math.sin(r) if isinstance(r, float) else np.sin(r)
-
-
-def _cosine(r):
-    return math.cos(r) if isinstance(r, float) else np.cos(r)
-
-
-_CALLABLES_W = (_sine, _cosine, lambda r: -_sine(r))
+_CALLABLES_W = (np.sin, np.cos, lambda r: -np.sin(r))
 _CALLABLES_F = (lambda r: 0.2 * np.cos(r), lambda r: -0.2 * np.sin(r),
                 lambda r: -0.2 * np.cos(r))
 
 
 def _callables_space():
-    """The callables form: the round sphere's w = sin r in plain floats on a
-    float, and f = 0.2 cos r in numpy, each with its exact d1 and d2."""
+    """The callables form: the round sphere's w = sin r and f = 0.2 cos r,
+    each with its exact d1 and d2."""
     return make_space("custom", n=3, r_max=math.pi, closed=True,
                       w=RadialProfile(*_CALLABLES_W, r_max=math.pi),
                       f=RadialProfile(*_CALLABLES_F, r_max=math.pi))
@@ -996,14 +1020,16 @@ class TestJet:
     @pytest.mark.parametrize("name", sorted(JET_CASES))
     def test_float_in_gives_floats_out(self, name):
         s, _ = JET_CASES[name]
+        rs = np.linspace(0.1, 0.9, 6).reshape(2, 3) * s.r_max
         for p in (s.w, s.f):
-            for r in (0.37 * s.r_max, 0.0, np.float64(0.5 * s.r_max)):
+            reads = (p, p.eval, p.d1, p.d2)
+            for r in (0.37 * s.r_max, 0.0, np.float64(0.5 * s.r_max),
+                      np.asarray(0.4 * s.r_max)):
                 out = p.jet(r)
                 assert len(out) == 3 and all(type(v) is float for v in out)
-                assert all(type(read(r)) is float for read in (p, p.eval, p.d1, p.d2))
-            assert all(type(v) is float for v in p.jet(np.asarray(0.4 * s.r_max)))
-            rs = np.linspace(0.1, 0.9, 6).reshape(2, 3) * s.r_max
-            assert all(isinstance(v, np.ndarray) and v.shape == (2, 3) for v in p.jet(rs))
+                assert all(type(read(r)) is float for read in reads)
+            for v in [*p.jet(rs), *(read(rs) for read in reads)]:
+                assert isinstance(v, np.ndarray) and v.shape == (2, 3)
 
     @pytest.mark.parametrize("name", sorted(JET_CASES))
     def test_any_orders_match_eval_d1_d2(self, name):
@@ -1086,3 +1112,64 @@ class TestBreakpointRootSearch:
         assert res.root == 0.8471170759903542  # the root the bisections closed to
         assert res.hi - res.lo <= 1.2e-14 and res.f_lo * res.f_hi < 0.0
         assert res.lo <= brentq(g, lo, hi, xtol=1e-16) <= res.hi
+
+
+def _table_warped():
+    """w a natural spline through r + 0.02 r^3 at r = 0, 0.1, ..., 3 (the
+    identity harness's ``table.json``): w''' and so g' jump at the nodes."""
+    nodes = [[i / 10, i / 10 + 0.02 * (i / 10) ** 3] for i in range(31)]
+    return make_space("custom", n=3, w={"type": "table", "nodes": nodes},
+                      f={"type": "poly", "coeffs": [0.0, 0.0, 0.05]}, r_max=3.0)
+
+
+def _near_tangent():
+    """Flat, f = 0.1 cos(4 pi r / 3): g = 2H - f'' dips to -eps at r = 0.75
+    and 2.25, both samples of the 257-point scan of [0, 3], with eps chosen
+    so that g crosses zero half a sample step h on either side."""
+    k, h = 4.0 * math.pi / 3.0, 3.0 / 256
+    eps = 0.1 * k ** 4 / 2.0 * (0.5 * h) ** 2
+    s = make_space("custom", n=3, w={"type": "poly", "coeffs": [0.0, 1.0]},
+                   f={"type": "fourier", "coeffs": [0.0, 0.0, 0.0, 0.1, 0.0]}, r_max=3.0)
+    return s, (0.1 * k * k - eps) / 2.0
+
+
+class TestRoughBreakpoints:
+    """Breakpoints where g is not smooth at the scan's scale or crosses
+    zero near-tangentially: the root search closes them as it does any."""
+
+    @staticmethod
+    def _roots(s, H, mode):
+        """brentq's roots of g (and, in full mode, of tangential - radial)
+        in the cells of the scan's 257 samples where they change sign."""
+        x = np.linspace(0.0, s.r_max, 257)
+        fns = [lambda t: float(smms._excess(s, H, t, mode))]
+        if mode == "full":
+            fns.append(lambda t: float(np.subtract(*smms._bakry_emery(s, t, mode)[:0:-1])))
+        want = []
+        for fn in fns:
+            v = np.array([fn(t) for t in x])
+            want += [brentq(fn, x[i], x[i + 1], xtol=1e-16, rtol=1e-15)
+                     for i in np.flatnonzero((v[:-1] > 0.0) != (v[1:] > 0.0))]
+        return sorted(want)
+
+    @pytest.mark.parametrize("space, H, mode", [
+        ("table", -0.06, "radial"), ("table", -0.06, "full"),
+        ("near_tangent", None, "radial")])
+    def test_breakpoints_match_brentq_and_quad(self, space, H, mode):
+        # Crossings at r ~ 2.13, 2.84, 2.92 on the table space, the last
+        # next to a node.
+        s, H = (_table_warped(), H) if space == "table" else _near_tangent()
+        got = sorted(b for b in smms._excess_breakpoints(s, H, 0.0, s.r_max, mode)
+                     if b not in (s.r_interior_lo, s.r_interior_hi))
+        want = self._roots(s, H, mode)
+        assert len(got) == len(want) >= 3
+        for b, root in zip(got, want):
+            assert abs(b - root) <= 1e-14 * root
+        g = lambda t: max(0.0, float(smms._excess(s, H, t, mode)))
+        edges = [0.0, *sorted({*want, s.r_interior_lo}), s.r_max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            oracle = sum(quad(g, a, b, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+                         for a, b in zip(edges[:-1], edges[1:]))
+        assert oracle > 0.0
+        assert abs(integral_rho(s, H, s.r_max, mode) - oracle) <= 1e-10 * oracle

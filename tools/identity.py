@@ -155,6 +155,12 @@ def cases() -> list[tuple[str, list[str]]]:
                           "--delta", "0.5"]),
         ("table/EIGEN", ["check", "--custom", "table.json", "--theorem", "EIGEN",
                          "--R", "1.5"]),
+        # g crosses zero at r ~ 2.13, 2.84 and 2.92 on the spline warping,
+        # whose g' jumps at its nodes; the last crossing lies next to one.
+        ("table/MC_DRIFT/H-0.06", ["check", "--custom", "table.json", "--theorem",
+                                   "MC_DRIFT", "--H", "-0.06"]),
+        ("table/MC_DRIFT/H-0.06/full", ["check", "--custom", "table.json", "--theorem",
+                                        "MC_DRIFT", "--H", "-0.06", "--mode", "full"]),
         ("bumped/CHENG", ["check", "--custom", "bumped.json", "--theorem", "CHENG",
                           "--R", "1.5", "--delta", "0.4"]),
         ("bumped/EIGEN/tight", ["check", "--custom", "bumped.json", "--theorem", "EIGEN",
