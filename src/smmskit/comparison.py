@@ -432,9 +432,9 @@ def _refined_cells(margin: np.ndarray, rhs: np.ndarray, anchored: bool) -> np.nd
     i = first + int(np.argmin(margin[first:]))
     if not abs(margin[i]) < _NEAR * tol[i] or np.all(np.abs(margin) <= _IDENTITY * tol):
         return np.empty(0, dtype=int)
-    near = first + np.flatnonzero(margin[first:] < _NEAR * tol[first:])
-    cells = np.union1d(near - 1, near)
-    return cells[(cells >= 0) & (cells < len(margin) - 1)]
+    near = margin < _NEAR * tol
+    near[:first] = False  # an anchor is never near
+    return np.flatnonzero(near[:-1] | near[1:])
 
 
 def _finalize(theorem_id: str, params: dict, mode: str, radii: np.ndarray,
@@ -502,17 +502,13 @@ def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
               radii: np.ndarray, mode: str, lo: float = 0.0,
               anchored: bool = False) -> ComparisonReport:
     """m_f(r) <= bound(r) + int_lo^r rho on ``radii``; raises
-    ``DivergentExcessError`` when that integral is +inf.  The first pass
-    closes rho's breakpoints on [lo, radii[-1]] (``excess_integrator``) and
-    the refinement, whose radii lie in that range, integrates on them."""
-    excess = None
+    ``DivergentExcessError`` when that integral is +inf.  rho's breakpoints
+    are closed once on [lo, radii[-1]] (``excess_integrator``), before the
+    first pass; the refinement, whose radii lie in that range, reuses them."""
+    excess = excess_integrator(s, H, lo, float(radii[-1]), mode)
 
     def eval_on(rs):
-        nonlocal excess
-        lhs = np.asarray(mean_curvature_f(s, rs))
-        if excess is None:
-            excess = excess_integrator(s, H, lo, float(rs[-1]), mode)
-        return lhs, bound(rs) + excess(rs)
+        return np.asarray(mean_curvature_f(s, rs)), bound(rs) + excess(rs)
 
     return _finalize(theorem_id, params, mode, radii, eval_on, anchored)
 

@@ -26,8 +26,10 @@ read on 257 samples finds the sign changes and a root search closes each.
 They integrate rho on those breakpoints and the requested radii with
 quad_grid at its 1e-10 budget: ``excess_integrator`` on every grid within
 one range (a check's first pass and its refinement) from one breakpoint
-search, and ``integral_rho`` at one radius.  A pole where rho ~ c/r makes l = +inf,
-which raises ``DivergentExcessError`` (an unmet hypothesis).
+search, and ``integral_rho`` at one radius.  A space classifies its poles
+once, when it is built: a pole where rho ~ c/r, or a cone point in full
+mode, makes l = +inf, and an excess integral reaching it raises that
+pole's ``DivergentExcessError`` (an unmet hypothesis) before the scan.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "rho",
     "excess_integrator",
     "integral_rho",
-    "require_finite_excess",
     "DivergentExcessError",
     "potential_bounds",
     "weighted_area",
@@ -146,6 +147,44 @@ _POLE_RULE = math.sqrt(np.finfo(float).eps / 1e-10)  # see _one_minus_w1_squared
 # also the rounding allowed on the pole slope bounds |w'(0) - 1| <= 1e-6 and
 # |w'(r_max) + 1| <= 1e-8, so a bound written as a float, 1 - 1e-6, holds.
 _CONE_TOL = 4.0 * np.finfo(float).eps
+# A pole coefficient c with c r_max below this is taken as error in the
+# profile derivatives, which every profile gives exactly, so c is at
+# rounding level on a smooth pole; the threshold is a margin above that,
+# not a derived bound.  Such a pole adds about c ln(1/_POLE_FRACTION) = 14 c
+# to the clamped l.
+_POLE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class _Pole:
+    """A pole of a space, read once when it is built (``_pole``)."""
+
+    delta: float  # |w'| - 1 there, 0.0 within _CONE_TOL
+    divergent: dict  # rho mode -> DivergentExcessError text where l = +inf
+
+
+def _pole(s: WarpedSMMS, r: float, w1: float, w2: float, f1: float) -> _Pole:
+    """The pole at r (0, or r_max of a closed space) from w', w'', f' there.
+
+    Near it, at distance x, rho ~ c/x with c = (n-1) w'' for the radial
+    curvature and c = (2n-3) w'' - f' (pole r = 0) or (2n-3) w'' + f'
+    (closed far pole r = r_max) for the tangential one; ``full`` mode takes
+    the larger.  Smooth profiles give c = 0.  In ``full`` mode for n > 2, a
+    cone point, delta > 0, gives rho ~ 2(n-2) delta/x^2.
+    """
+    delta = abs(w1) - 1.0
+    delta = delta if abs(delta) > _CONE_TOL else 0.0
+    where, dist, sign = (("the pole r=0", "r", -1.0) if r == 0.0 else
+                         (f"the far pole r=r_max={s.r_max:.12g}", "(r_max - r)", 1.0))
+    radial = (s.n - 1.0) * w2
+    c = {"radial": radial, "full": max(radial, (2.0 * s.n - 3.0) * w2 + sign * f1)}
+    divergent = {mode: f"excess integral diverges: rho ~ {c[mode]:.6g}/{dist} near {where} "
+                       f"in {mode} mode" for mode in RHO_MODES if c[mode] * s.r_max > _POLE_TOL}
+    if s.n > 2 and delta > 0.0:
+        divergent["full"] = (
+            f"excess integral diverges: |w'| = 1 + {delta:.6g} at {where} is a cone "
+            f"point, rho ~ {2.0 * (s.n - 2.0) * delta:.6g}/{dist}^2 in full mode")
+    return _Pole(delta, divergent)
 
 
 @dataclass(frozen=True)
@@ -166,27 +205,27 @@ class WarpedSMMS:
         if self.r_max <= 0.0:
             raise ValueError(f"r_max must be > 0, got {self.r_max}")
         scale = self.r_max
-        w0, w1 = self.w.jet(0.0, (0, 1))
+        w0, w1, w2 = self.w.jet(0.0)
         if abs(w0) > 1e-10 * scale:
             raise ValueError(f"warping must vanish at the pole, w(0)={w0}")
         if abs(w1 - 1.0) > 1e-6 + _CONE_TOL:
             raise ValueError(f"smooth pole requires w'(0)=1, got {w1}")
-        deltas = [abs(w1) - 1.0, 0.0]
+        poles = [(0.0, w1, w2)]
         interior = np.linspace(scale / 257, scale * (1 - 1 / 257), 257)
         wv = np.asarray(self.w.eval(interior))
         if np.any(wv <= 0.0):
             bad = interior[np.argmax(wv <= 0.0)]
             raise ValueError(f"warping must be positive on (0, r_max); w({bad}) <= 0")
         if self.closed:
-            w0, w1 = self.w.jet(self.r_max, (0, 1))
+            w0, w1, w2 = self.w.jet(self.r_max)
             if abs(w0) > 1e-8 * max(1.0, scale):
                 raise ValueError(f"closed space requires w(r_max)=0, got {w0}")
             if abs(w1 + 1.0) > 1e-8 + _CONE_TOL:
                 raise ValueError(f"closed space requires w'(r_max)=-1, got {w1}")
-            deltas[1] = abs(w1) - 1.0
-        # delta at each pole (0.0 if open or within _CONE_TOL), read once.
-        object.__setattr__(self, "_pole_deltas",
-                           tuple(d if abs(d) > _CONE_TOL else 0.0 for d in deltas))
+            poles.append((self.r_max, w1, w2))
+        # One record per pole; these jets and f' here are the only pole reads.
+        object.__setattr__(self, "_poles", tuple(_pole(self, r, w1, w2, self.f.d1(r))
+                                                 for r, w1, w2 in poles))
 
     @property
     def r_interior_lo(self) -> float:
@@ -233,7 +272,7 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
     """1 - w'^2 at clamped radii ``rc``, w1 = w'(rc), by the pole rule: within
     r_s = sqrt(eps/1e-10) r_max = 1.5e-3 r_max of a pole it is -I (I + 2),
     I = |w'| - 1 = delta + int_0^r w'' (delta + int_r^r_max w'' at a closed
-    far pole), delta = |w'| - 1 at that pole (``WarpedSMMS._pole_deltas``), so
+    far pole), delta = |w'| - 1 at that pole (its ``_Pole`` record), so
     it meets 1 - w1^2 at r_s; the integral is on the 5-point Gauss-Legendre
     rule, whose error there is O((r_s/r_max)^10); elsewhere it is 1 - w1^2
     (module docstring).
@@ -247,7 +286,7 @@ def _one_minus_w1_squared(s: WarpedSMMS, rc, w1):
         v, wq = gauss_jacobi(5, 0.0)
         dn = d[near][:, None]
         t = np.where(far[near][:, None], s.r_max - dn * v, dn * v)
-        delta = np.where(far[near], s._pole_deltas[1], s._pole_deltas[0])
+        delta = np.where(far[near], s._poles[-1].delta, s._poles[0].delta)
         i = delta + dn[:, 0] * (s.w.d2(t.ravel()).reshape(t.shape) * wq).sum(axis=1)
         out[near] = -i * (i + 2.0)
     return out
@@ -277,8 +316,6 @@ def _bakry_emery(s: WarpedSMMS, r, mode: str):
 def _excess(s: WarpedSMMS, H: float, r, mode: str):
     """g = (n-1)H - lambda at ``r`` clamped to the interior, so rho = [g]_+;
     lambda is radial Ric_f, in full mode the smaller of it and tangential."""
-    if mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {mode!r}")
     return _excess_of(s, H, *_bakry_emery(s, r, mode)[1:])
 
 
@@ -309,6 +346,7 @@ def rho(s: WarpedSMMS, H: float, r, mode: str = "radial"):
     smallest Ric_f eigenvalue, so full >= radial pointwise.
     """
     _check_open_interval(s, r, "rho")
+    _check_mode(mode)
     return _scalar(np.maximum(0.0, _excess(s, H, r, mode)))
 
 
@@ -320,48 +358,9 @@ class DivergentExcessError(Exception):
     failure; the CLI reports it as NOT-APPLICABLE."""
 
 
-# A pole coefficient c with c r_max below this is taken as error in the
-# profile derivatives, which every profile gives exactly, so c is at
-# rounding level on a smooth pole; the threshold is a margin above that,
-# not a derived bound.  Such a pole adds about c ln(1/_POLE_FRACTION) = 14 c
-# to the clamped l.
-_POLE_TOL = 1e-9
-
-
-def require_finite_excess(s: WarpedSMMS, mode: str, lo: float, hi: float) -> None:
-    """Raise ``DivergentExcessError`` when int_lo^hi rho = +inf.
-
-    Near a pole at distance x, rho ~ c/x with c = (n-1) w'' for the radial
-    curvature and c = (2n-3) w'' - f' (pole r = 0) or (2n-3) w'' + f'
-    (closed far pole r = r_max) for the tangential one, w'' and f' taken at
-    the pole; ``full`` mode takes the larger.  Smooth profiles give c = 0.
-    In ``full`` mode for n > 2, a cone point, delta = |w'| - 1 > 0 at the
-    pole beyond rounding (``_CONE_TOL``), gives rho ~ 2(n-2) delta/x^2.
-    The pole at 0 counts when lo = 0, the far pole when hi reaches r_max.
-    An unknown mode raises ``ValueError``, as ``rho`` does.
-    """
+def _check_mode(mode: str) -> None:
     if mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {mode!r}")
-    poles = []
-    if lo == 0.0:
-        poles.append((0.0, -1.0, "the pole r=0", s._pole_deltas[0]))
-    if s.closed and hi >= s.r_max:
-        poles.append((s.r_max, 1.0, f"the far pole r=r_max={s.r_max:.12g}",
-                      s._pole_deltas[1]))
-    for r, sign, where, delta in poles:
-        dist = "r" if r == 0.0 else "(r_max - r)"
-        if mode == "full" and s.n > 2 and delta > 0.0:
-            raise DivergentExcessError(
-                f"excess integral diverges: |w'| = 1 + {delta:.6g} at {where} is a cone "
-                f"point, rho ~ {2.0 * (s.n - 2.0) * delta:.6g}/{dist}^2 in full mode")
-        w2 = float(s.w.d2(r))
-        c = (s.n - 1.0) * w2
-        if mode == "full":
-            c = max(c, (2.0 * s.n - 3.0) * w2 + sign * float(s.f.d1(r)))
-        if c * s.r_max > _POLE_TOL:
-            raise DivergentExcessError(
-                f"excess integral diverges: rho ~ {c:.6g}/{dist} near {where} "
-                f"in {mode} mode")
 
 
 # The excess integrals: breakpoint sample count and root closing width.
@@ -417,12 +416,17 @@ def excess_integrator(s: WarpedSMMS, H: float, lo: float, hi: float,
     and its refinement) is integrated on the same ones: ``quad_grid`` at
     its default 1e-10 budget on the edges lo, the breakpoints below the
     last radius and the radii, and the integrals are its cumulative sums at
-    the radii.  Raises ``DivergentExcessError`` when they are +inf
-    (``require_finite_excess``).
+    the radii.  An unknown mode raises ``ValueError``, as ``rho`` does; an
+    integral that is +inf at a pole in play, the pole at 0 when lo = 0 or
+    the far pole of a closed space when hi reaches r_max, raises that
+    pole's ``DivergentExcessError`` (``WarpedSMMS``'s pole records).
     """
+    _check_mode(mode)
     if hi == lo:
         return lambda radii: np.zeros(len(radii))
-    require_finite_excess(s, mode, lo, hi)  # an unknown mode too, before the scan
+    for pole, in_play in zip(s._poles, (lo == 0.0, hi >= s.r_max)):
+        if in_play and mode in pole.divergent:
+            raise DivergentExcessError(pole.divergent[mode])
     breaks = np.asarray(_excess_breakpoints(s, H, lo, hi, mode), dtype=float)
 
     def cumulative(radii) -> np.ndarray:
@@ -440,8 +444,6 @@ def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> flo
     r_max: ``excess_integrator`` on [0, r] at the one radius r, so it raises
     ``DivergentExcessError`` when l = +inf.
     """
-    if mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {mode!r}")
     if r < 0.0:
         raise ValueError("integral_rho requires r >= 0")
     r = min(float(r), s.r_max)

@@ -68,10 +68,26 @@ def test_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_refined_check_loads_no_numpy_ma():
+    # The refinement picks its cells without np.unique, whose first call
+    # imports numpy.ma (about 15 ms).
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    argv = ["check", "--space", "perturbed_sphere", "--n", "3", "--param", "H=1",
+            "--theorem", "VOL_B_ABS", "--H", "1", "--R", "1.2"]
+    out = subprocess.run(
+        [sys.executable, "-c", "import io, json, sys, contextlib, smmskit.cli\n"
+         "buf = io.StringIO()\n"
+         "with contextlib.redirect_stdout(buf): code = smmskit.cli.main(sys.argv[1:])\n"
+         "report = json.loads(buf.getvalue())['checks'][0]\n"
+         "print(code, report['n_grid'], 'numpy.ma' in sys.modules)", *argv],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "259", "False"]  # 259: the check refined
+
+
 # Public API that no check reached, deleted with its tests.
 _DELETED = ("sample_curvature", "CurvatureSample", "bakry_emery_radial",
             "ricci_f_smallest_eigenvalue", "weighted_volume", "cumulative_excess",
-            "check_mc_bounded_f")
+            "check_mc_bounded_f", "require_finite_excess")
 _LIBRARY = [p for p in _MODULES if p.name != "__main__.py"]  # that one runs the CLI
 
 

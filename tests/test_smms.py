@@ -11,12 +11,12 @@ from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
 from smmskit import smms
-from smmskit.comparison import check_mc_drift, check_volume_absolute
+from smmskit.comparison import check_mc_drift, check_mc_rough, check_volume_absolute
 from smmskit.model import area_model, mean_curvature_model, ModelSpace
 from smmskit.model import sn as model_sn, sn_prime as model_sn_prime
 from smmskit.smms import (RadialProfile, CATALOG, DivergentExcessError, excess_integrator,
                           integral_rho, make_space, mean_curvature_f, potential_bounds,
-                          profile_from_spec, require_finite_excess, rho, ricci_radial,
+                          profile_from_spec, rho, ricci_radial,
                           weighted_area)
 
 INTERIOR = np.linspace(0.2, 2.8, 40)
@@ -566,10 +566,44 @@ class TestDivergentExcess:
         # "Full" was taken as radial: it returned where "full" raises.
         s = make_space("linear_drift", n=3, a=0.5)
         with pytest.raises(DivergentExcessError):
-            require_finite_excess(s, "full", 0.0, 1.5)
+            integral_rho(s, 0.2, 1.5, "full")
+        with pytest.raises(DivergentExcessError):
+            excess_integrator(s, 0.2, 0.0, 1.5, "full")
         for mode in ("Full", "tangential"):
             with pytest.raises(ValueError, match=f"unknown rho mode '{mode}'"):
-                require_finite_excess(s, mode, 0.0, 1.5)
+                integral_rho(s, 0.2, 1.5, mode)
+            with pytest.raises(ValueError, match=f"unknown rho mode '{mode}'"):
+                excess_integrator(s, 0.2, 0.0, 1.5, mode)
+        # An empty range returned 0, and a rough check anchored at its end
+        # passed, echoing "Full" as its mode.
+        p = make_space("perturbed_sphere", n=3)
+        with pytest.raises(ValueError, match="unknown rho mode 'Full'"):
+            excess_integrator(p, 1.0, 0.5, 0.5, "Full")
+        with pytest.raises(ValueError, match="unknown rho mode 'Full'"):
+            check_mc_rough(p, 1.0, p.r_interior_hi, mode="Full")
+
+    def test_poles_are_read_only_when_the_space_is_built(self):
+        # The pole record holds delta and each mode's verdict, so an excess
+        # integral reads no profile at a pole.
+        reads = []
+
+        def logged(prof, fns):
+            return [lambda r, name=prof + "'" * k, fn=fn: reads.append(
+                (name, np.array(r, dtype=float))) or fn(r) for k, fn in enumerate(fns)]
+
+        def at_poles():
+            return sorted((name, float(r)) for name, x in reads for r in x.ravel()
+                          if r in (0.0, math.pi))
+
+        s = make_space("custom", n=3, r_max=math.pi, closed=True,
+                       w=RadialProfile(*logged("w", _CALLABLES_W), r_max=math.pi),
+                       f=RadialProfile(*logged("f", _CALLABLES_F), r_max=math.pi))
+        assert at_poles() == sorted((name, r) for r in (0.0, math.pi)
+                                    for name in ("w", "w'", "w''", "f'"))
+        reads.clear()
+        for _ in range(2):
+            assert math.isfinite(integral_rho(s, 1.0, math.pi, "full"))
+        assert reads and at_poles() == []
 
     def test_far_pole_counts_only_when_reached(self):
         # Round sphere with f = 0.1 r^2: f'(pi) > 0, so rho ~ 0.2 pi/(pi - r).
