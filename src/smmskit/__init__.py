@@ -23,4 +23,4 @@ from .diameter import (DiameterReport, myers_bound_bounded_f,
                        actual_diameter, index_form_total, check_myers)
 from .eigen import (EigenResult, ChengReport, model_eigenvalue,
                     smms_radial_eigenvalue, rayleigh_quotient_transplant,
-                    cheng_epsilon, cheng_constants, check_cheng_estimate)
+                    cheng_constants, check_cheng_estimate)

@@ -43,9 +43,11 @@ read-only.
 
 Hypothesis constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
-radius of the check.  A space whose excess integral is +inf fails the
-hypotheses: the checks raise ``smms.DivergentExcessError``, which the CLI
-reports as NOT-APPLICABLE.
+radius of the check, read after the inputs are checked and before any
+costly work.  A space whose excess integral is +inf fails the hypotheses:
+the checks raise ``smms.DivergentExcessError``, which the CLI reports as
+NOT-APPLICABLE; a gated check compares l with its threshold in
+``_excess_gate``.  A NOT-APPLICABLE comparison report has no grid keys.
 """
 
 from __future__ import annotations
@@ -168,14 +170,13 @@ class ComparisonReport(Report):
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return self._dict(self.params, {
-            "mode": self.mode,
+        grid = {} if self.not_applicable else {  # a NOT-APPLICABLE check compared nothing
             "tolerance": float(self.tolerance),
             "n_grid": int(self.grid.shape[0]),
             "n_equality": len(self.equality_radii),
             "equality_radii": [float(x) for x in self.equality_radii[:16]],
-            "reason": self.reason,
-        })
+        }
+        return self._dict(self.params, {"mode": self.mode, "reason": self.reason, **grid})
 
     def grid_csv(self) -> str:
         lines = ["r,lhs,rhs,margin"]
@@ -477,9 +478,16 @@ def _not_applicable(theorem_id: str, params: dict, mode: str,
                     reason: str) -> ComparisonReport:
     return ComparisonReport(
         theorem_id=theorem_id, params=params,
-        grid=np.empty((0, 4)), min_margin=math.nan, tolerance=1e-8,
+        grid=np.empty((0, 4)), min_margin=math.nan, tolerance=math.nan,
         passed=False, mode=mode, not_applicable=True, reason=reason,
     )
+
+
+def _excess_gate(l: float, epsilon: float) -> str:
+    """Why the hypothesis l <= epsilon fails, or "" when it holds."""
+    if l > epsilon + 1e-12:
+        return f"excess integral l={l:.6g} exceeds epsilon={epsilon:.6g}"
+    return ""
 
 
 # Hypothesis constant -> how the space's own bound reads in a diagnostic.
@@ -760,15 +768,18 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     """
     inner = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, n_grid, R=R)
     mspace, _, bparams = _bound_model(s, H, bound, const)
+    if not 1.0 < alpha < math.inf:  # doubling_epsilon's check; a given epsilon skips it
+        raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
+    if epsilon is not None and not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
+    l = integral_rho(s, H, R, mode)
     if epsilon is None:
         epsilon = doubling_epsilon(s.n, H, R, alpha,
                                    k=bparams.get("k"), a=bparams.get("a")).epsilon
-    l = integral_rho(s, H, R, mode)
     params = {"n": s.n, "H": H, "R": R, "alpha": alpha, "epsilon": epsilon,
               "l": l, **bparams}
-    if l > epsilon + 1e-12:
-        return _not_applicable("DOUBLING", params, mode,
-                               f"excess integral l={l:.6g} exceeds epsilon={epsilon:.6g}")
+    if reason := _excess_gate(l, epsilon):
+        return _not_applicable("DOUBLING", params, mode, reason)
 
     # Fixed inner grid of r1 candidates; each report row keys an outer r2
     # and stores the worst genuine pair r1 < r2.  The report radii are the

@@ -152,10 +152,8 @@ def check_myers(s: WarpedSMMS, H: float, mode: str = "radial") -> DiameterReport
     _require_positive_H(H)
     if not s.closed:
         raise ValueError("check_myers requires a closed space")
-    pb = potential_bounds(s)
     l = integral_rho(s, H, s.r_max, mode)
-    if not math.isfinite(l):
-        raise ValueError("excess integral not finite on the grid")
+    pb = potential_bounds(s)
     bounds = {
         "MYERS_F": myers_bound_bounded_f(s.n, H, pb.k, l),
         "MYERS_GRAD": myers_bound_gradient(s.n, H, pb.grad, l),

@@ -65,7 +65,9 @@ The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
 model eigenfunction reaches 1/2, and epsilon is the smaller of the largest
 value for which Q <= lambda + C eps sqrt(Q) still forces Q <= (1 + delta)
-lambda, and the doubling threshold at alpha = 4 in drift mode.
+lambda, and the doubling threshold at alpha = 4 in drift mode.  The check
+reads l after its inputs and before any solve, and gates it on epsilon
+with ``comparison._excess_gate``.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .comparison import Report, _resolve, doubling_epsilon, require_admissible
+from .comparison import Report, _excess_gate, _resolve, doubling_epsilon, require_admissible
 from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
 from .numkit import (NonFiniteError, RootBracket, SubdivisionLimitError, Tolerance,
                      bracket_width, find_root_bracketed, gauss_jacobi, quad_adaptive)
@@ -91,7 +93,6 @@ __all__ = [
     "smms_radial_eigenvalue",
     "rayleigh_quotient_transplant",
     "cheng_constants",
-    "cheng_epsilon",
     "check_cheng_estimate",
 ]
 
@@ -660,13 +661,6 @@ def cheng_constants(n: int, a: float, H: float, R: float, delta: float,
                           epsilon=min(eps_quadratic, eps_doubling))
 
 
-def cheng_epsilon(n: int, a: float, H: float, R: float, delta: float,
-                  tol: Tolerance = EIGEN_TOL) -> float:
-    """Excess threshold below which the ball eigenvalue is (1+delta)-close
-    to the model eigenvalue."""
-    return cheng_constants(n, a, H, R, delta, tol).epsilon
-
-
 # Slack on the ratio lambda_ball / lambda_model when it is compared with 1 + delta.
 _SLACK = 1e-8
 
@@ -714,8 +708,16 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
     epsilon is built from the model solve.
     """
     a = _resolve(s, "a", a)
-    eps = cheng_epsilon(s.n, a, H, R, delta, tol)
+    # The solves' own input checks, in their order, so bad input fails before l.
+    if delta <= 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if R <= 0.0:
+        raise ValueError(f"R must be > 0, got {R}")
+    require_admissible("VOL_B", H, R)
+    if not R < s.r_max:
+        raise ValueError(f"require 0 < R < r_max={s.r_max}, got {R}")
     l = integral_rho(s, H, s.r_max, mode)
+    eps = cheng_constants(s.n, a, H, R, delta, tol).epsilon
     model = model_eigenvalue(s.n, a, H, R, tol)
     ball = smms_radial_eigenvalue(s, R, tol)
     ratio = ball.lam / model.lam
@@ -724,7 +726,6 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
     for name, res in (("model", model), ("ball", ball)):
         if not res.passed:
             return report(passed=False, reason=f"{name} eigenvalue solve: {res.reason}")
-    if l > eps + 1e-12:
-        return report(passed=False, not_applicable=True,
-                      reason=f"excess integral l={l:.6g} exceeds epsilon={eps:.6g}")
+    if reason := _excess_gate(l, eps):
+        return report(passed=False, not_applicable=True, reason=reason)
     return report(passed=ratio <= 1.0 + delta + _SLACK)

@@ -19,7 +19,7 @@ from smmskit.comparison import (check_absolute_volume_negH, check_area_compariso
                                 doubling_F, doubling_epsilon,
                                 volume_ratio_profile)
 from smmskit.diameter import check_myers, index_form_total
-from smmskit.eigen import (cheng_epsilon, model_eigenvalue,
+from smmskit.eigen import (cheng_constants, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
 from smmskit.model import ModelSpace, area_model, c_const, mean_curvature_model, sn, volume_model
 from smmskit.numkit import Tolerance, sphere_area
@@ -137,7 +137,7 @@ def test_criterion_4_eigenvalue_oracles():
 
 
 def test_criterion_5_cheng_end_to_end():
-    eps = cheng_epsilon(3, 0.0, 0.0, 1.0, 0.1)
+    eps = cheng_constants(3, 0.0, 0.0, 1.0, 0.1).epsilon
     s = perturbed_euclidean(3, 5e-4, 3.0)
     l = integral_rho(s, 0.0, s.r_max)
     lam_model = model_eigenvalue(3, 0.0, 0.0, 1.0).lam

@@ -43,6 +43,25 @@ CHECK_ARGV = {
     "EIGEN": _FLAT + ["--R", "1"],
 }
 
+NOT_APPLICABLE_CHECK = SHARED_CHECK | {"mode", "reason"}
+# A drift f = -a r; in full mode rho ~ a/r at the pole, so l = +inf.
+_DRIFT = ["--space", "linear_drift", "--n", "3", "--param", "a=0.5"]
+_DIVERGENT = [*_DRIFT, "--mode", "full"]
+# Flags for each theorem that reads l from the pole, on that space.
+DIVERGENT_ARGV = {
+    "MC_BOUNDED_F_INNER": ["--H", "0.2"],
+    "MC_BOUNDED_F_PI2": ["--H", "1"],
+    "MC_DRIFT": ["--H", "0.2"],
+    **{tid: ["--H", "0.2", "--r", "0.3", "--R", "1.5"]
+       for tid in ("AREA_A", "AREA_B", "VOL_A", "VOL_B")},
+    "VOL_B_ABS": ["--H", "0.2", "--R", "1.5"],
+    "VOL_ABS_NEGH": ["--H", "-1"],
+    "DOUBLING": ["--H", "0.2", "--alpha", "2", "--R", "1.5"],
+    "VOL_R1": ["--H", "0.2", "--R", "1.5"],
+    "MYERS": ["--param", "base=sphere", "--param", "H=1", "--H", "1"],
+    "CHENG": ["--H", "0.2", "--R", "1", "--delta", "0.3"],
+}
+
 
 def run_json(argv, capsys):
     code = main(argv)
@@ -90,20 +109,28 @@ class TestConformance:
              "--epsilon", "0.01", "--grid", "16"], capsys)
         assert code == 3
         assert report["verdict"] == "NOT-APPLICABLE"
+        assert set(report["checks"][0]) == NOT_APPLICABLE_CHECK
 
-    @pytest.mark.parametrize("theorem", ["VOL_B", "MC_DRIFT"])
+    @pytest.mark.parametrize("theorem", sorted(DIVERGENT_ARGV))
     def test_divergent_excess_is_not_applicable(self, theorem, capsys):
         # f = -a r has f'(0) = -a, so in full mode rho ~ a/r at the pole
-        # and l = +inf: an unmet hypothesis, not a numerical failure.
-        code, report = run_json(
-            ["check", "--space", "linear_drift", "--n", "3", "--param", "a=0.5",
-             "--theorem", theorem, "--H", "0.2", "--r", "0.3", "--R", "1.5",
-             "--mode", "full"], capsys)
+        # and l = +inf: an unmet hypothesis, not a numerical failure.  Every
+        # check that reads l from the pole reads it before its other work
+        # and reports the shared keys, mode and reason: no grid keys (a
+        # comparison report had tolerance 1e-08, n_grid 0, n_equality and
+        # equality_radii) and no eigenvalues (CHENG solves none).
+        code, report = run_json(["check", *_DIVERGENT, *DIVERGENT_ARGV[theorem],
+                                 "--theorem", theorem], capsys)
         assert code == 3
         assert report["verdict"] == "NOT-APPLICABLE"
         check = report["checks"][0]
         assert check["theorem_id"] == theorem and check["min_margin"] is None
+        assert set(check) == NOT_APPLICABLE_CHECK
         assert "0.5/r near the pole r=0" in check["reason"]
+
+    def test_every_pole_excess_check_is_tried_divergent(self):
+        # MC_ROUGH reads l from r0, and EIGEN reads none.
+        assert set(DIVERGENT_ARGV) == set(CHECK_IDS) - {"MC_ROUGH", "EIGEN"}
 
     def test_cone_point_is_not_applicable(self, capsys, tmp_path):
         # w'(0) = 1 + 1e-7 is a cone point: in full mode l = +inf.  It exited 2
@@ -478,6 +505,33 @@ class TestBadInput:
         want = ("the R >= 1 estimate requires R >= 1" if tid == "VOL_R1"
                 else "require 0 < R <= 10.0")
         assert captured.err == f"error: {want}, got {float(R)}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--alpha", "0.5", "--epsilon", "10"], "alpha must be a finite number > 1, got 0.5"),
+        (["--alpha", "1", "--epsilon", "10"], "alpha must be a finite number > 1, got 1.0"),
+        (["--alpha", "0.5"], "alpha must be a finite number > 1, got 0.5"),
+        (["--alpha", "2", "--epsilon", "-1"],
+         "epsilon must be a finite number >= 0, got -1.0"),
+    ], ids=["alpha-with-epsilon", "alpha1-with-epsilon", "alpha", "epsilon"])
+    def test_doubling_checks_alpha_and_epsilon(self, capsys, flags, err):
+        # With --epsilon given, alpha was never checked: alpha 0.5 and 1
+        # reported FAIL (exit 1), and epsilon -1 NOT-APPLICABLE (exit 3).
+        assert main(["check", *_FLAT, "--theorem", "DOUBLING", "--H", "1", "--R", "0.7",
+                     "--grid", "16", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("mode", ["radial", "full"])
+    @pytest.mark.parametrize("flags, err", [
+        (["--R", "20", "--delta", "0.1"], "require 0 < R < r_max=10.0, got 20.0"),
+        (["--R", "1", "--delta", "0"], "delta must be > 0, got 0.0"),
+    ], ids=["R", "delta"])
+    def test_cheng_checks_its_inputs_before_the_excess(self, capsys, mode, flags, err):
+        # In full mode this space's l = +inf; an R beyond r_max reported
+        # that (exit 3) instead of the malformed R.
+        assert main(["check", *_DRIFT, "--mode", mode, "--theorem", "CHENG", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n" and captured.out == ""
 
     def test_numeric_param_still_needs_a_number(self, capsys):
         assert main(["check", "--space", "linear_drift", "--n", "3", "--param", "base=sphere",

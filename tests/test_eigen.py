@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from conftest import perturbed_euclidean
 from smmskit import eigen
 from smmskit.comparison import doubling_F
-from smmskit.eigen import (EIGEN_TOL, cheng_constants, cheng_epsilon,
+from smmskit.eigen import (EIGEN_TOL, cheng_constants,
                            check_cheng_estimate, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
 from smmskit.model import mean_curvature_model
@@ -226,13 +226,13 @@ class TestCheng:
         assert lhs >= rhs - 1e-12
 
     def test_epsilon_small_delta_limit(self):
-        eps_tiny = cheng_epsilon(3, 0.0, 0.0, 1.0, 1e-4)
-        eps_mid = cheng_epsilon(3, 0.0, 0.0, 1.0, 0.1)
+        eps_tiny = cheng_constants(3, 0.0, 0.0, 1.0, 1e-4).epsilon
+        eps_mid = cheng_constants(3, 0.0, 0.0, 1.0, 0.1).epsilon
         assert 0.0 < eps_tiny < eps_mid
 
     def test_epsilon_monotone_in_delta(self):
         deltas = np.linspace(0.05, 0.5, 10)
-        eps = [cheng_epsilon(3, 0.0, 0.0, 1.0, d) for d in deltas]
+        eps = [cheng_constants(3, 0.0, 0.0, 1.0, d).epsilon for d in deltas]
         assert np.all(np.diff(eps) >= -1e-15)
 
     def test_model_space_passes(self):
@@ -249,7 +249,7 @@ class TestCheng:
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
-            cheng_epsilon(3, 0.0, 0.0, 1.0, 0.0)
+            cheng_constants(3, 0.0, 0.0, 1.0, 0.0)
 
 
 SHOOT_CASES = [

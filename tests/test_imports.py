@@ -84,10 +84,11 @@ def test_a_refined_check_loads_no_numpy_ma():
     assert out.stdout.split() == ["0", "259", "False"]  # 259: the check refined
 
 
-# Public API that no check reached, deleted with its tests.
+# Deleted public API: names no check reached, deleted with their tests, and
+# cheng_epsilon, a wrapper of cheng_constants(...).epsilon.
 _DELETED = ("sample_curvature", "CurvatureSample", "bakry_emery_radial",
             "ricci_f_smallest_eigenvalue", "weighted_volume", "cumulative_excess",
-            "check_mc_bounded_f", "require_finite_excess")
+            "check_mc_bounded_f", "require_finite_excess", "cheng_epsilon")
 _LIBRARY = [p for p in _MODULES if p.name != "__main__.py"]  # that one runs the CLI
 
 

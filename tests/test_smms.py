@@ -226,9 +226,11 @@ class TestIntegralRho:
 
 
 def _curvatures(s, t):
-    """Radial and tangential Ric_f at t clamped to the interior, written out
-    from the profiles with the cancelling 1 - w'^2 (no pole rule)."""
-    t = min(max(t, s.r_interior_lo), s.r_interior_hi)
+    """Radial and tangential Ric_f at t (a float or an array) clamped to the
+    interior, written out from the profiles with the cancelling 1 - w'^2 (no
+    pole rule)."""
+    lo, hi = s.r_interior_lo, s.r_interior_hi
+    t = min(max(t, lo), hi) if isinstance(t, float) else np.clip(t, lo, hi)
     (w, w1, w2), (f1, f2) = s.w.jet(t), s.f.jet(t, (1, 2))
     radial = -(s.n - 1.0) * w2 / w + f2
     return radial, (-w2 / w + (s.n - 2.0) * (1.0 - w1 * w1) / (w * w) + f1 * w1 / w)
@@ -237,10 +239,10 @@ def _curvatures(s, t):
 def _excess_oracle(s, H, R, mode):
     """scipy.integrate.quad of the clamped [g]_+, g = (n-1)H - Ric_f, split at
     the clamp radii and at breakpoints brentq finds on a 1025-point grid:
-    the sign changes of g and, in full mode, of tangential - radial.  Near
-    the poles ``_curvatures``' tangential value is rounding noise of
-    relative size 1e-16/r^2, which scipy may warn about; its share of l is
-    ~1e-11."""
+    the sign changes of g and, in full mode, of tangential - radial, both
+    scanned from one array read.  Near the poles ``_curvatures``'
+    tangential value is rounding noise of relative size 1e-16/r^2, which
+    scipy may warn about; its share of l is ~1e-11."""
     upper = min(R, s.r_max)
 
     def g(t):
@@ -252,9 +254,14 @@ def _excess_oracle(s, H, R, mode):
         return tangential - radial
 
     x = np.linspace(0.0, upper, 1025)
+    radial, tangential = _curvatures(s, x)
+    if mode == "full":
+        scans = [(g, (s.n - 1.0) * H - np.minimum(radial, tangential)),
+                 (kink, tangential - radial)]
+    else:
+        scans = [(g, (s.n - 1.0) * H - radial)]
     points = {s.r_interior_lo, s.r_interior_hi}
-    for fn in [g, kink] if mode == "full" else [g]:
-        v = np.array([fn(t) for t in x])
+    for fn, v in scans:
         for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
             points.add(brentq(fn, x[i], x[i + 1], xtol=1e-15, rtol=1e-15))
     edges = [0.0, *sorted(p for p in points if 0.0 < p < upper), upper]

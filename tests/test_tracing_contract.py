@@ -4,6 +4,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import smmskit
 import smmskit.cli
 
@@ -53,6 +55,35 @@ def test_tracer_installs_and_counts_checks(tmp_path):
     # Both quadrature entry points stay imported where the tracer looks.
     assert counts["numkit.quad_grid.points"] > 0
     assert counts["numkit.quad_adaptive.calls"] > 0
+
+
+@pytest.mark.parametrize("theorem, flags", [
+    ("CHENG", ["--R", "1", "--delta", "0.3"]),
+    ("DOUBLING", ["--alpha", "2", "--R", "1.5"]),
+    ("MYERS", ["--param", "base=sphere", "--param", "H=1", "--H", "1"]),
+])
+def test_a_divergent_excess_fails_before_the_work(theorem, flags, tmp_path):
+    # A drift f = -a r in full mode has l = +inf.  Each check reads l after
+    # its inputs and before its costly work, so the trace shows one excess
+    # read and no eigen solve, no threshold search and (MYERS) no potential
+    # bounds.  The memoized solves start empty, so a skipped one shows.
+    smmskit.eigen.model_eigenvalue.cache_clear()
+    smmskit.comparison.doubling_epsilon.cache_clear()
+    tracer = _load_tracing().Tracer()
+    tracer.install(smmskit)
+    try:
+        code = smmskit.cli.main(["check", "--space", "linear_drift", "--n", "3", "--param",
+                                 "a=0.5", *flags, "--theorem", theorem, "--mode", "full",
+                                 "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 3
+    counts = tracer.counts
+    assert counts["smms.integral_rho.calls"] == 1
+    assert counts["eigen.first_eigenvalue.calls"] == 0
+    assert counts["comparison.doubling_epsilon.calls"] == 0
+    if theorem == "MYERS":
+        assert counts["smms.potential_bounds.calls"] == 0
 
 
 def test_every_tracer_shim_is_a_name_the_tracer_looks_up():

@@ -227,6 +227,24 @@ def cases() -> list[tuple[str, list[str]]]:
                               "--H", "0.2", "--r", "0.3", "--R", "1.5", "--mode", "full"]),
         ("drift/MC_DRIFT/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
                                  "MC_DRIFT", "--H", "0.2", "--mode", "full"]),
+        # The checks that read l before their costly work (eigen solves, the
+        # doubling threshold, MYERS's potential bounds) on that divergent
+        # pole, and malformed inputs, which exit 2 before l is read.
+        ("drift/CHENG/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem", "CHENG",
+                              "--R", "1", "--delta", "0.3", "--mode", "full"]),
+        ("drift/DOUBLING/full", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
+                                 "DOUBLING", "--alpha", "2", "--R", "1.5", "--mode", "full"]),
+        ("drift-sphere/MYERS/full", ["check", *_DRIFT, "--param", "a=0.5", "--param",
+                                     "base=sphere", "--param", "H=1", "--H", "1",
+                                     "--theorem", "MYERS", "--mode", "full"]),
+        ("drift/CHENG/full/R20", ["check", *_DRIFT, "--param", "a=0.5", "--theorem", "CHENG",
+                                  "--R", "20", "--delta", "0.1", "--mode", "full"]),
+        ("drift/CHENG/full/delta0", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
+                                     "CHENG", "--R", "1", "--delta", "0", "--mode", "full"]),
+        ("flat/DOUBLING/alpha0.5-given-eps", ["check", *_IDS["DOUBLING"], "--theorem",
+                                              "DOUBLING", "--alpha", "0.5", "--epsilon", "10"]),
+        ("flat/DOUBLING/eps-1", ["check", *_IDS["DOUBLING"], "--theorem", "DOUBLING",
+                                 "--epsilon", "-1"]),
         # Quadrature-heavy paths: rho on the MC grids (the pi/2 range, full
         # mode, and a cubic warping whose tangential curvature is rounding
         # noise near the pole) and the hyperbolic absolute volume bound.
