@@ -98,45 +98,44 @@ def _eigen_tol(args) -> Tolerance:
                      rel_tol=max(1e-6 if args.tol_rel is None else args.tol_rel, 1e-12))
 
 
-# Theorem id -> (flags it requires, runner(space, H, args) -> report).
+# Theorem id -> (flags it requires, other flags it reads, runner(space, H,
+# args) -> report).  A flag given to a theorem that does not read it is
+# refused; --H is read by every id, since it defaults from --param H.
 _CHECKS = {
-    "MC_ROUGH": ((), lambda s, H, args: cmp.check_mc_rough(
-        s, H, s.r_interior_hi / 4.0 if args.r0 is None else args.r0,
-        mode=args.mode, n_grid=args.grid)),
-    "MC_BOUNDED_F_INNER": ((), lambda s, H, args: cmp.check_mc_bounded_f_inner(
+    "MC_ROUGH": ((), ("r0",), lambda s, H, args: cmp.check_mc_rough(
+        s, H, args.r0, mode=args.mode, n_grid=args.grid)),
+    "MC_BOUNDED_F_INNER": ((), ("k",), lambda s, H, args: cmp.check_mc_bounded_f_inner(
         s, H, args.k, mode=args.mode, n_grid=args.grid)),
-    "MC_BOUNDED_F_PI2": ((), lambda s, H, args: cmp.check_mc_bounded_f_pi2(
+    "MC_BOUNDED_F_PI2": ((), ("k",), lambda s, H, args: cmp.check_mc_bounded_f_pi2(
         s, H, args.k, mode=args.mode, n_grid=args.grid)),
-    "MC_DRIFT": ((), lambda s, H, args: cmp.check_mc_drift(
+    "MC_DRIFT": ((), ("a",), lambda s, H, args: cmp.check_mc_drift(
         s, H, args.a, mode=args.mode, n_grid=args.grid)),
-    "AREA_A": (("r", "R"), lambda s, H, args: cmp.check_area_comparison(
+    "AREA_A": (("r", "R"), ("k",), lambda s, H, args: cmp.check_area_comparison(
         s, H, args.r, args.R, bound="k", const=args.k, mode=args.mode,
         n_grid=args.grid)),
-    "AREA_B": (("r", "R"), lambda s, H, args: cmp.check_area_comparison(
+    "AREA_B": (("r", "R"), ("a",), lambda s, H, args: cmp.check_area_comparison(
         s, H, args.r, args.R, bound="a", const=args.a, mode=args.mode,
         n_grid=args.grid)),
-    "VOL_A": (("r", "R"), lambda s, H, args: cmp.check_volume_comparison(
+    "VOL_A": (("r", "R"), ("k",), lambda s, H, args: cmp.check_volume_comparison(
         s, H, args.r, args.R, bound="k", const=args.k, mode=args.mode,
         n_grid=args.grid)),
-    "VOL_B": (("r", "R"), lambda s, H, args: cmp.check_volume_comparison(
+    "VOL_B": (("r", "R"), ("a",), lambda s, H, args: cmp.check_volume_comparison(
         s, H, args.r, args.R, bound="a", const=args.a, mode=args.mode,
         n_grid=args.grid)),
-    "VOL_B_ABS": (("R",), lambda s, H, args: cmp.check_volume_absolute(
+    "VOL_B_ABS": (("R",), ("a",), lambda s, H, args: cmp.check_volume_absolute(
         s, H, args.R, const=args.a, mode=args.mode, n_grid=args.grid)),
-    "VOL_ABS_NEGH": ((), lambda s, H, args: cmp.check_absolute_volume_negH(
+    "VOL_ABS_NEGH": ((), ("k", "R"), lambda s, H, args: cmp.check_absolute_volume_negH(
         s, H, k=args.k, R=args.R, mode=args.mode, n_grid=args.grid)),
-    # Bounded-potential form when --k is given, drift form otherwise.
-    "DOUBLING": (("alpha", "R"), lambda s, H, args: cmp.check_doubling(
-        s, H, args.alpha, args.R, epsilon=args.epsilon,
-        bound="a" if args.k is None else "k",
-        const=args.a if args.k is None else args.k, mode=args.mode,
-        n_grid=min(args.grid, 64))),
-    "VOL_R1": (("R",), lambda s, H, args: cmp.check_vol_r1(
+    "DOUBLING": (("alpha", "R"), ("epsilon", "k", "a"), lambda s, H, args: cmp.check_doubling(
+        s, H, args.alpha, args.R, epsilon=args.epsilon, k=args.k, a=args.a,
+        mode=args.mode, n_grid=args.grid)),
+    "VOL_R1": (("R",), ("k",), lambda s, H, args: cmp.check_vol_r1(
         s, H, args.R, const=args.k, mode=args.mode, n_grid=args.grid)),
-    "MYERS": ((), lambda s, H, args: diameter.check_myers(s, H, mode=args.mode)),
-    "CHENG": (("R", "delta"), lambda s, H, args: eigen.check_cheng_estimate(
-        s, H, args.a, args.R, args.delta, mode=args.mode, tol=_eigen_tol(args))),
-    "EIGEN": (("R",), lambda s, H, args: eigen.smms_radial_eigenvalue(
+    "MYERS": ((), (), lambda s, H, args: diameter.check_myers(s, H, mode=args.mode)),
+    "CHENG": (("R", "delta"), ("a", "tol_abs", "tol_rel"),
+              lambda s, H, args: eigen.check_cheng_estimate(
+                  s, H, args.a, args.R, args.delta, mode=args.mode, tol=_eigen_tol(args))),
+    "EIGEN": (("R",), ("tol_abs", "tol_rel"), lambda s, H, args: eigen.smms_radial_eigenvalue(
         s, args.R, _eigen_tol(args))),
 }
 
@@ -183,11 +182,10 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
     tid = theorem.upper()
     if tid not in _CHECKS:
         raise InputError(f"unknown theorem id {tid!r}; known: {', '.join(CHECK_IDS)}")
-    required, runner = _CHECKS[tid]
-    for flag in ("tol_abs", "tol_rel"):
-        if getattr(args, flag) is not None and tid not in ("CHENG", "EIGEN"):
-            raise InputError(f"--{flag.replace('_', '-')}: theorem {tid} has no solver "
-                             "tolerance; only CHENG and EIGEN read it")
+    required, reads, runner = _CHECKS[tid]
+    for name in (*_THEOREM_FLAGS, "tol_abs", "tol_rel"):
+        if getattr(args, name) is not None and name not in (*required, *reads, "H"):
+            raise InputError(f"--{name.replace('_', '-')}: theorem {tid} does not read it")
     for name in _THEOREM_FLAGS:
         _require_finite(f"--{name}", getattr(args, name))
     if args.grid < cmp.MIN_GRID_POINTS:

@@ -41,7 +41,10 @@ grids (a point's own and its refinement's radii).  The points of a sweep over
 the excess, which change only l, read the same tables; the arrays are
 read-only.
 
-Hypothesis constants are computed from the space itself: k and a from
+Each checker owns its defaults, the ones the CLI runs when a flag is not
+given: n_grid 256 (at most 64 radii for doubling), MC_ROUGH's r0 a quarter
+of the interior, doubling's drift form unless k is given.  Hypothesis
+constants are computed from the space itself: k and a from
 ``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
 radius of the check, read after the inputs are checked and before any
 costly work.  A space whose excess integral is +inf fails the hypotheses:
@@ -525,10 +528,12 @@ def _check_mc(theorem_id: str, s: WarpedSMMS, H: float, params: dict, bound,
 # Mean curvature comparisons.
 # ---------------------------------------------------------------------------
 
-def check_mc_rough(s: WarpedSMMS, H: float, r0: float, mode: str = "radial",
-                   n_grid: int = 256) -> ComparisonReport:
+def check_mc_rough(s: WarpedSMMS, H: float, r0: float | None = None,
+                   mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """m_f(r) <= m_f(r0) - (n-1) H (r - r0) + int_{r0}^r rho; r0 is the
-    anchor (rhs = m_f(r0) there)."""
+    anchor (rhs = m_f(r0) there), by default a quarter of the interior."""
+    if r0 is None:
+        r0 = s.r_interior_hi / 4.0
     radii = _radii(s, "MC_ROUGH", H, n_grid, lo=r0)
     base = float(mean_curvature_f(s, r0))
     return _check_mc("MC_ROUGH", s, H, {"n": s.n, "H": H, "r0": r0},
@@ -625,11 +630,6 @@ def check_volume_comparison(s: WarpedSMMS, H: float, r: float, R: float,
                             bound: str = "a", const: float | None = None,
                             mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """V_f(R')/V_m(R') <= V_f(r)/V_m(r) exp{int_0^{R'} (e^{clt}-1) A_m/V_m}."""
-    if r == 0.0:
-        if bound == "k":
-            raise ValueError("the n+4k volume ratio blows up as r -> 0; "
-                             "use r > 0 (or the absolute drift form)")
-        return check_volume_absolute(s, H, R, const=const, mode=mode, n_grid=n_grid)
     return _check_volume("VOL_A" if bound == "k" else "VOL_B", s, H, r, R, bound,
                          const, mode, n_grid)
 
@@ -757,16 +757,23 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
 
 
 def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
-                   epsilon: float | None = None, bound: str = "a",
-                   const: float | None = None, mode: str = "radial",
-                   n_grid: int = 48) -> ComparisonReport:
+                   epsilon: float | None = None, k: float | None = None,
+                   a: float | None = None, mode: str = "radial",
+                   n_grid: int = 256) -> ComparisonReport:
     """V_f(r2)/V_f(r1) <= alpha V_model(r2)/V_model(r1) for 0 < r1 < r2 <= R.
 
-    Gated on the excess hypothesis l <= epsilon; a space failing the gate
-    yields a NOT-APPLICABLE report, not a failure.  Each grid row keys the
-    outer radius r2 and stores the worst pair over r1 < r2.
+    Given k, the model is the n+4k one; otherwise it is the drifted n-model
+    at a, by default the space's drift bound.  epsilon defaults to the
+    threshold ``doubling_epsilon`` of that model.  Gated on the excess
+    hypothesis l <= epsilon; a space failing the gate yields a
+    NOT-APPLICABLE report, not a failure.  It takes at most 64 radii, since
+    its pair table grows as their square; each grid row keys the outer
+    radius r2 and stores the worst pair over r1 < r2.
     """
-    inner = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, n_grid, R=R)
+    if k is not None and a is not None:
+        raise ValueError(f"the doubling check takes k or a, not both: got k={k}, a={a}")
+    bound, const = ("a", a) if k is None else ("k", k)
+    inner = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, min(n_grid, 64), R=R)
     mspace, _, bparams = _bound_model(s, H, bound, const)
     if not 1.0 < alpha < math.inf:  # doubling_epsilon's check; a given epsilon skips it
         raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
@@ -806,7 +813,7 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
 
 def check_absolute_volume_negH(s: WarpedSMMS, H: float, k: float | None = None,
                                R: float | None = None, mode: str = "radial",
-                               n_grid: int = 64) -> ComparisonReport:
+                               n_grid: int = 256) -> ComparisonReport:
     """V_f(R)/area(S^{n-1}) <= e^{3k} int_0^R sn_H^{n-1} e^{cosh(2 sqrt(-H) t) + l t} dt.
 
     Both sides are compared per unit solid angle.  The outer radius R

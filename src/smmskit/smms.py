@@ -35,7 +35,7 @@ pole's ``DivergentExcessError`` (an unmet hypothesis) before the scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,22 +87,21 @@ class RadialProfile:
     read from them.
     """
 
-    def __init__(self, fn, d1, d2, *, r_max: float, name: str = ""):
+    def __init__(self, fn, d1, d2, *, r_max: float):
         fns = (fn, d1, d2)
         if not all(map(callable, fns)):
             raise TypeError("RadialProfile(fn, d1, d2, r_max=...) takes fn and its exact "
                             "derivatives d1 and d2 as callables")
         self._jet = lambda x, orders: [np.asarray(fns[k](x), dtype=float) for k in orders]
         self.r_max = float(r_max)
-        self.name = name
 
     @classmethod
-    def _of_jet(cls, jet, *, r_max: float, name: str = "") -> "RadialProfile":
+    def _of_jet(cls, jet, *, r_max: float) -> "RadialProfile":
         """A profile read by ``jet(x, orders)``, x a float array (0-d for a
         single radius), which returns the values at ``orders`` as a list of
         arrays (or numpy scalars) of x's shape."""
         p = cls.__new__(cls)
-        p._jet, p.r_max, p.name = jet, float(r_max), name
+        p._jet, p.r_max = jet, float(r_max)
         return p
 
     def __call__(self, r):
@@ -122,14 +121,6 @@ class RadialProfile:
 
     def d2(self, r):
         return self.jet(r, (2,))[0]
-
-
-def _const_profile(value: float, r_max: float, name: str = "") -> RadialProfile:
-    def jet(x, orders):
-        zero = 0.0 * x  # value + 0 r has x's shape
-        return [value + zero if k == 0 else zero for k in orders]
-
-    return RadialProfile._of_jet(jet, r_max=r_max, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +187,6 @@ class WarpedSMMS:
     f: RadialProfile
     r_max: float
     closed: bool = False
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -518,48 +507,37 @@ def _sn_profile(H: float, r_max: float) -> RadialProfile:
         return [w if k == 0 else _model.sn_prime(H, x) if k == 1 else -H * w
                 for k in orders]
 
-    return RadialProfile._of_jet(jet, r_max=r_max, name=f"sn_H={H}")
+    return RadialProfile._of_jet(jet, r_max=r_max)
 
 
 def _build_euclidean(n: int, r_max: float = 10.0) -> WarpedSMMS:
-    def jet(x, orders):
-        return [1.0 * x if k == 0 else 1.0 + 0.0 * x if k == 1 else 0.0 * x
-                for k in orders]
-
-    w = RadialProfile._of_jet(jet, r_max=r_max, name="r")
-    return WarpedSMMS(n=n, w=w, f=_const_profile(0.0, r_max), r_max=r_max,
-                      closed=False, name="euclidean",
-                      params={"n": n, "r_max": r_max})
+    return WarpedSMMS(n=n, w=_poly_profile([0.0, 1.0], r_max),
+                      f=_poly_profile([0.0], r_max), r_max=r_max)
 
 
 def _build_sphere(n: int, H: float = 1.0) -> WarpedSMMS:
     if H <= 0.0:
         raise ValueError(f"sphere requires H > 0, got {H}")
     r_max = math.pi / math.sqrt(H)
-    return WarpedSMMS(n=n, w=_sn_profile(H, r_max), f=_const_profile(0.0, r_max),
-                      r_max=r_max, closed=True, name="sphere",
-                      params={"n": n, "H": H})
+    return WarpedSMMS(n=n, w=_sn_profile(H, r_max), f=_poly_profile([0.0], r_max),
+                      r_max=r_max, closed=True)
 
 
 def _build_hyperbolic(n: int, H: float = -1.0, r_max: float | None = None) -> WarpedSMMS:
     if H >= 0.0:
         raise ValueError(f"hyperbolic requires H < 0, got {H}")
     r_max = float(r_max) if r_max is not None else 10.0 / math.sqrt(-H)
-    return WarpedSMMS(n=n, w=_sn_profile(H, r_max), f=_const_profile(0.0, r_max),
-                      r_max=r_max, closed=False, name="hyperbolic",
-                      params={"n": n, "H": H, "r_max": r_max})
+    return WarpedSMMS(n=n, w=_sn_profile(H, r_max), f=_poly_profile([0.0], r_max),
+                      r_max=r_max)
 
 
 def _build_gaussian_soliton(n: int, c: float = 0.25, r_max: float = 10.0) -> WarpedSMMS:
-    base = _build_euclidean(n, r_max)
-
-    def jet(x, orders):
+    def jet(x, orders):  # c (r r): Horner's (c r) r differs from it in the last bit
         return [c * (x * x) if k == 0 else 2.0 * c * x if k == 1
                 else np.full_like(x, 2.0 * c) for k in orders]
 
-    f = RadialProfile._of_jet(jet, r_max=r_max, name=f"{c}*r^2")
-    return WarpedSMMS(n=n, w=base.w, f=f, r_max=r_max, closed=False,
-                      name="gaussian_soliton", params={"n": n, "c": c, "r_max": r_max})
+    return WarpedSMMS(n=n, w=_poly_profile([0.0, 1.0], r_max),
+                      f=RadialProfile._of_jet(jet, r_max=r_max), r_max=r_max)
 
 
 def _build_linear_drift(n: int, a: float = 0.5, base: str = "euclidean",
@@ -575,10 +553,8 @@ def _build_linear_drift(n: int, a: float = 0.5, base: str = "euclidean",
         return [v - a * x if k == 0 else v - a if k == 1 else v
                 for k, v in zip(orders, f0.jet(x, orders))]
 
-    f = RadialProfile._of_jet(jet, r_max=b.r_max, name=f"{f0.name}-{a}*r")
-    return WarpedSMMS(n=n, w=b.w, f=f, r_max=b.r_max, closed=b.closed,
-                      name="linear_drift",
-                      params={"n": n, "a": a, "base": base, **base_params})
+    return WarpedSMMS(n=n, w=b.w, f=RadialProfile._of_jet(jet, r_max=b.r_max),
+                      r_max=b.r_max, closed=b.closed)
 
 
 def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
@@ -609,10 +585,8 @@ def _build_perturbed_sphere(n: int, H: float = 1.0, eps: float = 0.05,
                 out.append(-H * w + 2.0 * sn1 * p1 + sn * (k2 - 2.0 * k2 * ss))
         return out
 
-    w = RadialProfile._of_jet(jet, r_max=r_max, name=f"sn_{H}*(1+{eps}sin^2({omega}r))")
-    return WarpedSMMS(n=n, w=w, f=_const_profile(0.0, r_max), r_max=r_max,
-                      closed=True, name="perturbed_sphere",
-                      params={"n": n, "H": H, "eps": eps, "omega": omega})
+    return WarpedSMMS(n=n, w=RadialProfile._of_jet(jet, r_max=r_max),
+                      f=_poly_profile([0.0], r_max), r_max=r_max, closed=True)
 
 
 def _build_custom(n: int, w=None, f=None, r_max: float = None,
@@ -622,11 +596,10 @@ def _build_custom(n: int, w=None, f=None, r_max: float = None,
     r_max = float(r_max)
     wp = w if isinstance(w, RadialProfile) else profile_from_spec(w, r_max)
     if f is None:
-        fp = _const_profile(0.0, r_max)
+        fp = _poly_profile([0.0], r_max)
     else:
         fp = f if isinstance(f, RadialProfile) else profile_from_spec(f, r_max)
-    return WarpedSMMS(n=n, w=wp, f=fp, r_max=r_max, closed=bool(closed),
-                      name="custom", params={"n": n, "r_max": r_max, "closed": closed})
+    return WarpedSMMS(n=n, w=wp, f=fp, r_max=r_max, closed=bool(closed))
 
 
 _BUILDERS = {
@@ -741,6 +714,11 @@ def _horner_jet(coeffs: list):
     return jet
 
 
+def _poly_profile(coeffs: list, r_max: float) -> RadialProfile:
+    """The profile sum c_j r^j on ``_horner_jet``."""
+    return RadialProfile._of_jet(_horner_jet(coeffs), r_max=r_max)
+
+
 def _fourier_jet(a0: float, terms: list):
     """The jet of a0 + sum a cos(w r) + b sin(w r) over ``terms`` (w, a, b):
     one cos and one sin per harmonic for every asked order."""
@@ -775,7 +753,7 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
         coeffs = np.asarray(spec.get("coeffs", []), dtype=float)
         if coeffs.size == 0:
             raise ValueError("poly profile requires nonempty 'coeffs'")
-        return RadialProfile._of_jet(_horner_jet(coeffs.tolist()), r_max=r_max, name="poly")
+        return _poly_profile(coeffs.tolist(), r_max)
     if kind == "fourier":
         coeffs = np.asarray(spec.get("coeffs", []), dtype=float)
         if coeffs.size == 0:
@@ -787,8 +765,7 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
         base = 2.0 * math.pi / r_max
         terms = [(base * k, a, b) for k, a, b in
                  zip(range(1, len(a_k) + 1), a_k.tolist(), b_k.tolist())]
-        return RadialProfile._of_jet(_fourier_jet(float(coeffs[0]), terms),
-                                     r_max=r_max, name="fourier")
+        return RadialProfile._of_jet(_fourier_jet(float(coeffs[0]), terms), r_max=r_max)
     if kind == "table":
         nodes = np.asarray(spec.get("nodes", []), dtype=float)
         if nodes.ndim == 2 and nodes.shape[1] == 2:
@@ -801,5 +778,5 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
             raise ValueError(f"table profile requires >= 8 nodes, got {len(xs)}")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("table nodes must be strictly increasing in r")
-        return RadialProfile._of_jet(_SplineProfile(xs, ys).jet, r_max=r_max, name="table")
+        return RadialProfile._of_jet(_SplineProfile(xs, ys).jet, r_max=r_max)
     raise ValueError(f"unknown profile type {kind!r}")

@@ -31,16 +31,13 @@ def perturbed_euclidean(n, eps, omega, amp=0.0, nu=1.0, r_max=3.0):
         return 2.0 * eps * omega * np.sin(2.0 * omega * r) \
             + 2.0 * r * eps * omega * omega * np.cos(2.0 * omega * r)
 
-    w = RadialProfile(w_fn, d1=w_d1, d2=w_d2, r_max=r_max, name="wiggle")
+    w = RadialProfile(w_fn, d1=w_d1, d2=w_d2, r_max=r_max)
     f = RadialProfile(
         lambda r: amp * np.sin(nu * np.asarray(r, dtype=float)),
         d1=lambda r: amp * nu * np.cos(nu * np.asarray(r, dtype=float)),
         d2=lambda r: -amp * nu * nu * np.sin(nu * np.asarray(r, dtype=float)),
-        r_max=r_max, name="amp*sin")
-    return WarpedSMMS(n=n, w=w, f=f, r_max=r_max, closed=False,
-                      name="perturbed_euclidean",
-                      params={"n": n, "eps": eps, "omega": omega,
-                              "amp": amp, "nu": nu, "r_max": r_max})
+        r_max=r_max)
+    return WarpedSMMS(n=n, w=w, f=f, r_max=r_max, closed=False)
 
 
 def plateau_space(n=3, h_plateau=0.75, r_max=4.0):
@@ -76,12 +73,12 @@ def plateau_space(n=3, h_plateau=0.75, r_max=4.0):
         inside = (r > r_lo) & (r < r_hi)
         return np.where(inside, -smooth_d(u) / span, 0.0)
 
-    w = RadialProfile(w_fn, d1=w_d1, d2=w_d2, r_max=r_max, name="plateau")
+    w = RadialProfile(w_fn, d1=w_d1, d2=w_d2, r_max=r_max)
     f = RadialProfile(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                       d1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                       d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                       r_max=r_max)
-    return WarpedSMMS(n=n, w=w, f=f, r_max=r_max, closed=False, name="plateau")
+    return WarpedSMMS(n=n, w=w, f=f, r_max=r_max, closed=False)
 
 
 def random_perturbed_suite(n_spaces=50, seed=20260808):

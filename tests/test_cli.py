@@ -15,6 +15,7 @@ import smmskit
 from smmskit import comparison, eigen
 from smmskit.cli import CHECK_IDS, main
 from smmskit.numkit import BracketError
+from smmskit.smms import make_space
 
 REQUIRED_TOP = {"tool_version", "spec", "checks", "verdict"}
 REQUIRED_CHECK = {"theorem_id", "params", "min_margin", "pass"}
@@ -42,6 +43,28 @@ CHECK_ARGV = {
     "CHENG": _FLAT + ["--R", "1", "--delta", "0.1"],
     "EIGEN": _FLAT + ["--R", "1"],
 }
+
+# The flags each theorem reads besides --H, which every theorem takes.
+READS = {
+    "MC_ROUGH": {"r0"},
+    "MC_BOUNDED_F_INNER": {"k"},
+    "MC_BOUNDED_F_PI2": {"k"},
+    "MC_DRIFT": {"a"},
+    "AREA_A": {"r", "R", "k"},
+    "AREA_B": {"r", "R", "a"},
+    "VOL_A": {"r", "R", "k"},
+    "VOL_B": {"r", "R", "a"},
+    "VOL_B_ABS": {"R", "a"},
+    "VOL_ABS_NEGH": {"R", "k"},
+    "DOUBLING": {"alpha", "R", "epsilon", "k", "a"},
+    "VOL_R1": {"R", "k"},
+    "MYERS": set(),
+    "CHENG": {"R", "delta", "a", "tol-abs", "tol-rel"},
+    "EIGEN": {"R", "tol-abs", "tol-rel"},
+}
+# A value of each flag that every CHECK_ARGV run reading it accepts.
+FLAG_VALUE = {"k": "0.1", "a": "0.1", "delta": "0.2", "alpha": "3", "epsilon": "1",
+              "r": "0.3", "R": "0.5", "r0": "0.5", "tol-abs": "1e-7", "tol-rel": "1e-5"}
 
 NOT_APPLICABLE_CHECK = SHARED_CHECK | {"mode", "reason"}
 # A drift f = -a r; in full mode rho ~ a/r at the pole, so l = +inf.
@@ -144,6 +167,23 @@ class TestConformance:
         assert report["verdict"] == "NOT-APPLICABLE"
         assert "|w'| = 1 + 1e-07 at the pole r=0 is a cone point" in report["checks"][0]["reason"]
         assert run_json(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("tid, argv, call", [
+        ("MC_ROUGH", ["--space", "perturbed_sphere", "--n", "3", "--param", "H=1", "--H", "1"],
+         lambda: comparison.check_mc_rough(make_space("perturbed_sphere", n=3, H=1.0), 1.0)),
+        ("DOUBLING", [*_FLAT, "--alpha", "2", "--R", "0.7"],
+         lambda: comparison.check_doubling(make_space("euclidean", n=3), 0.0, 2.0, 0.7)),
+        ("VOL_ABS_NEGH", ["--space", "hyperbolic", "--n", "3", "--param", "H=-1"],
+         lambda: comparison.check_absolute_volume_negH(make_space("hyperbolic", n=3, H=-1.0),
+                                                       -1.0)),
+    ], ids=["MC_ROUGH", "DOUBLING", "VOL_ABS_NEGH"])
+    def test_library_defaults_run_the_cli_check(self, capsys, tid, argv, call):
+        # The CLI chose MC_ROUGH's r0, which the library required, and ran
+        # 64 radii for DOUBLING (48 in the library) and 256 for VOL_ABS_NEGH (64).
+        code, report = run_json(["check", "--theorem", tid, *argv], capsys)
+        check = report["checks"][0]
+        del check["wall_time_ms"]
+        assert code == 0 and check == json.loads(json.dumps(call().to_dict()))
 
     def test_verdict_aggregation(self):
         # The true theorems cannot be made to fail on valid inputs, so the
@@ -499,8 +539,9 @@ class TestBadInput:
         # DOUBLING said "ratio_table requires R > 0", naming no flag, and
         # AREA and VOL put r first: "require 0 < r <= R".
         H = "-1" if tid == "VOL_ABS_NEGH" else "0"
-        assert main(["check", *_FLAT, "--theorem", tid, "--H", H, "--r", "0.25",
-                     "--alpha", "2", "--R", R]) == 2
+        inner = [arg for name in ("r", "alpha") if name in READS[tid]
+                 for arg in (f"--{name}", FLAG_VALUE[name])]
+        assert main(["check", *_FLAT, "--theorem", tid, "--H", H, *inner, "--R", R]) == 2
         captured = capsys.readouterr()
         want = ("the R >= 1 estimate requires R >= 1" if tid == "VOL_R1"
                 else "require 0 < R <= 10.0")
@@ -512,10 +553,13 @@ class TestBadInput:
         (["--alpha", "0.5"], "alpha must be a finite number > 1, got 0.5"),
         (["--alpha", "2", "--epsilon", "-1"],
          "epsilon must be a finite number >= 0, got -1.0"),
-    ], ids=["alpha-with-epsilon", "alpha1-with-epsilon", "alpha", "epsilon"])
+        (["--alpha", "2", "--k", "0.1", "--a", "0.3"],
+         "the doubling check takes k or a, not both: got k=0.1, a=0.3"),
+    ], ids=["alpha-with-epsilon", "alpha1-with-epsilon", "alpha", "epsilon", "k-and-a"])
     def test_doubling_checks_alpha_and_epsilon(self, capsys, flags, err):
         # With --epsilon given, alpha was never checked: alpha 0.5 and 1
         # reported FAIL (exit 1), and epsilon -1 NOT-APPLICABLE (exit 3).
+        # With --k given, --a was dropped.
         assert main(["check", *_FLAT, "--theorem", "DOUBLING", "--H", "1", "--R", "0.7",
                      "--grid", "16", *flags]) == 2
         captured = capsys.readouterr()
@@ -789,14 +833,35 @@ class TestEigenReports:
         check = report["checks"][0]
         assert check["pass"] is False and "residual" in check["reason"]
 
-    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
-    @pytest.mark.parametrize("tid", ["MC_DRIFT", "DOUBLING", "MYERS"])
+    @pytest.mark.parametrize("tid, flag", [(tid, f"--{flag}") for tid in READS
+                                           for flag in FLAG_VALUE if flag not in READS[tid]])
     def test_tolerance_flags_rejected_where_nothing_reads_them(self, capsys, flag, tid):
-        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid], flag, "1e-3"])
+        # Theorem flags too: all but the tolerances were dropped, so MYERS
+        # --k 5 passed on the space's own k = 0 and MC_DRIFT --R 0.5 ran to the cap.
+        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid], flag, FLAG_VALUE[flag[2:]]])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith(f"error: {flag}:") and tid in captured.err
+        assert captured.err == f"error: {flag}: theorem {tid} does not read it\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("tid, flag", [(tid, flag) for tid in READS
+                                           for flag in sorted(READS[tid])])
+    def test_flags_accepted_where_the_theorem_reads_them(self, capsys, tid, flag):
+        argv = CHECK_ARGV[tid]
+        if f"--{flag}" not in argv:  # a required flag is in the run already
+            argv = [*argv, f"--{flag}", FLAG_VALUE[flag]]
+        code, report = run_json(["check", "--theorem", tid, *argv], capsys)
+        # DOUBLING's run is NOT-APPLICABLE: l = 1.4 on flat space at H = 1.
+        assert code in (0, 3)
+        assert report["checks"][0]["theorem_id"] == tid
+
+    def test_sweep_over_a_flag_the_theorem_does_not_read(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--range", "k=0:0.2:3",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --k: theorem MC_DRIFT does not read it\n"
+        assert captured.out == "" and not out.exists()
 
     def test_tolerance_flags_accepted_by_eigen_and_cheng(self, capsys):
         for tid in ("EIGEN", "CHENG"):

@@ -37,8 +37,7 @@ def sphere_with_potential(n=3, H=1.0, amp=0.1):
                       d1=lambda r: -amp * np.sin(np.asarray(r, dtype=float)),
                       d2=lambda r: -amp * np.cos(np.asarray(r, dtype=float)),
                       r_max=r_max)
-    return WarpedSMMS(n=n, w=w, f=f, r_max=r_max, closed=True,
-                      name="sphere_with_potential")
+    return WarpedSMMS(n=n, w=w, f=f, r_max=r_max, closed=True)
 
 
 class TestMcRough:
@@ -292,12 +291,12 @@ class TestVolumeComparison:
         rep = check_volume_absolute(s, 0.0, 1.0, n_grid=48)
         assert rep.passed and abs(rep.min_margin) <= 1e-8
 
-    def test_r_zero_dispatch(self):
+    @pytest.mark.parametrize("bound", ["k", "a"])
+    def test_r_zero_fails_the_radius_rule(self, bound):
+        # r = 0 with the drift bound was a second path to VOL_B_ABS.
         s = make_space("linear_drift", n=3, a=1.0, base="euclidean")
-        rep = check_volume_comparison(s, 0.0, 0.0, 1.0, bound="a", n_grid=32)
-        assert rep.theorem_id == "VOL_B_ABS"
-        with pytest.raises(ValueError):
-            check_volume_comparison(s, 0.0, 0.0, 1.0, bound="k")
+        with pytest.raises(ValueError, match=r"^require 0 < r <= R, got r=0\.0, R=1\.0$"):
+            check_volume_comparison(s, 0.0, 0.0, 1.0, bound=bound, n_grid=32)
 
     def test_vol_r1_is_bounded_f_form_at_one(self):
         s = make_space("euclidean", n=4)

@@ -364,6 +364,29 @@ def cases() -> list[tuple[str, list[str]]]:
          "--range", "k=1:50:3"],
     ]
     out += [(f"bad/{i}", argv) for i, argv in enumerate(bad)]
+    # Flags a theorem does not read, which exit 2 naming the flag (they were
+    # dropped without a word), DOUBLING's k and a given together, and r = 0
+    # on the volume ratio, which fails the radius rule (VOL_B ran VOL_B_ABS).
+    out += [
+        ("flag/MYERS/k", ["check", *_SPHERE, "--theorem", "MYERS", "--H", "1", "--k", "5"]),
+        ("flag/MC_DRIFT/R", ["check", "--space", "sphere", "--n", "3", "--theorem",
+                             "MC_DRIFT", "--R", "0.5"]),
+        ("flag/AREA_A/a", ["check", *_FLAT, "--theorem", "AREA_A", "--r", "0.2", "--R", "0.7",
+                           "--a", "9"]),
+        ("flag/DOUBLING/k-a", ["check", *_PSPHERE, "--theorem", "DOUBLING", "--H", "1",
+                               "--alpha", "4", "--R", "0.7", "--k", "0.1", "--a", "0.3"]),
+        ("flag/VOL_B_ABS/r", ["check", *_IDS["VOL_B_ABS"], "--theorem", "VOL_B_ABS",
+                              "--r", "0.3"]),
+        ("flag/CHENG/k-alpha", ["check", *_IDS["CHENG"], "--theorem", "CHENG", "--k", "7",
+                                "--alpha", "3"]),
+        ("flag/EIGEN/a", ["check", *_IDS["EIGEN"], "--theorem", "EIGEN", "--a", "3"]),
+        ("flag/flat/DOUBLING/k-a", ["check", *_IDS["DOUBLING"], "--theorem", "DOUBLING",
+                                    "--k", "0.1", "--a", "0.3"]),
+        ("flag/sweep/MC_DRIFT/k", ["sweep", *_FLAT, "--theorem", "MC_DRIFT",
+                                   "--range", "k=0:0.2:3"]),
+        ("radius/VOL_B/r=0", ["check", *_FLAT, "--theorem", "VOL_B", "--r", "0", "--R", "0.7"]),
+        ("radius/VOL_A/r=0", ["check", *_FLAT, "--theorem", "VOL_A", "--r", "0", "--R", "0.7"]),
+    ]
     # The radius rule's diagnostics: an outer radius R <= 0 on every theorem
     # that takes --R, an inner radius beyond it, r0 outside its range, and
     # the pi/2 range on a space that ends before it starts.
