@@ -28,7 +28,8 @@ from . import __version__
 from . import comparison as cmp
 from . import diameter, eigen
 from .numkit import KernelError, Tolerance
-from .smms import CATALOG, DivergentExcessError, WarpedSMMS, check_space_params, make_space
+from .smms import (CATALOG, RHO_MODES, DivergentExcessError, WarpedSMMS, check_space_params,
+                   make_space)
 
 __all__ = ["SpaceSpec", "main", "run", "CHECK_IDS"]
 
@@ -84,60 +85,47 @@ def _overall(verdicts: list[str]) -> tuple[str, int]:
     return "PASS", 0
 
 
-def _resolve_H(args, spec: SpaceSpec) -> float:
-    if getattr(args, "H", None) is not None:
-        return float(args.H)
-    if "H" in spec.params:
-        return float(spec.params["H"])
-    return 0.0
+def _eigen_tol(tol_abs: float | None, tol_rel: float | None) -> Tolerance:
+    """The eigen bracket tolerance of --tol-abs and --tol-rel (CHENG, EIGEN)."""
+    return Tolerance(abs_tol=1e-8 if tol_abs is None else tol_abs,
+                     rel_tol=max(1e-6 if tol_rel is None else tol_rel, 1e-12))
 
 
-def _eigen_tol(args) -> Tolerance:
-    """The eigen bracket tolerance; --tol-abs/--tol-rel reach CHENG and EIGEN only."""
-    return Tolerance(abs_tol=1e-8 if args.tol_abs is None else args.tol_abs,
-                     rel_tol=max(1e-6 if args.tol_rel is None else args.tol_rel, 1e-12))
+# The flags every comparison check reads besides its own.
+_COMPARISON = ("H", "grid", "mode")
 
-
-# Theorem id -> (flags it requires, other flags it reads, runner(space, H,
-# args) -> report).  A flag given to a theorem that does not read it is
-# refused; --H is read by every id, since it defaults from --param H.
+# Theorem id -> (checker(space, H, **flags) -> report, flags it requires,
+# other flags it reads).  The checker gets the typed flags of its entry under
+# their own names (--grid as n_grid) and owns every default; a flag outside
+# the entry is refused.  H defaults from --param H, else 0.
 _CHECKS = {
-    "MC_ROUGH": ((), ("r0",), lambda s, H, args: cmp.check_mc_rough(
-        s, H, args.r0, mode=args.mode, n_grid=args.grid)),
-    "MC_BOUNDED_F_INNER": ((), ("k",), lambda s, H, args: cmp.check_mc_bounded_f_inner(
-        s, H, args.k, mode=args.mode, n_grid=args.grid)),
-    "MC_BOUNDED_F_PI2": ((), ("k",), lambda s, H, args: cmp.check_mc_bounded_f_pi2(
-        s, H, args.k, mode=args.mode, n_grid=args.grid)),
-    "MC_DRIFT": ((), ("a",), lambda s, H, args: cmp.check_mc_drift(
-        s, H, args.a, mode=args.mode, n_grid=args.grid)),
-    "AREA_A": (("r", "R"), ("k",), lambda s, H, args: cmp.check_area_comparison(
-        s, H, args.r, args.R, bound="k", const=args.k, mode=args.mode,
-        n_grid=args.grid)),
-    "AREA_B": (("r", "R"), ("a",), lambda s, H, args: cmp.check_area_comparison(
-        s, H, args.r, args.R, bound="a", const=args.a, mode=args.mode,
-        n_grid=args.grid)),
-    "VOL_A": (("r", "R"), ("k",), lambda s, H, args: cmp.check_volume_comparison(
-        s, H, args.r, args.R, bound="k", const=args.k, mode=args.mode,
-        n_grid=args.grid)),
-    "VOL_B": (("r", "R"), ("a",), lambda s, H, args: cmp.check_volume_comparison(
-        s, H, args.r, args.R, bound="a", const=args.a, mode=args.mode,
-        n_grid=args.grid)),
-    "VOL_B_ABS": (("R",), ("a",), lambda s, H, args: cmp.check_volume_absolute(
-        s, H, args.R, const=args.a, mode=args.mode, n_grid=args.grid)),
-    "VOL_ABS_NEGH": ((), ("k", "R"), lambda s, H, args: cmp.check_absolute_volume_negH(
-        s, H, k=args.k, R=args.R, mode=args.mode, n_grid=args.grid)),
-    "DOUBLING": (("alpha", "R"), ("epsilon", "k", "a"), lambda s, H, args: cmp.check_doubling(
-        s, H, args.alpha, args.R, epsilon=args.epsilon, k=args.k, a=args.a,
-        mode=args.mode, n_grid=args.grid)),
-    "VOL_R1": (("R",), ("k",), lambda s, H, args: cmp.check_vol_r1(
-        s, H, args.R, const=args.k, mode=args.mode, n_grid=args.grid)),
-    "MYERS": ((), (), lambda s, H, args: diameter.check_myers(s, H, mode=args.mode)),
-    "CHENG": (("R", "delta"), ("a", "tol_abs", "tol_rel"),
-              lambda s, H, args: eigen.check_cheng_estimate(
-                  s, H, args.a, args.R, args.delta, mode=args.mode, tol=_eigen_tol(args))),
-    "EIGEN": (("R",), ("tol_abs", "tol_rel"), lambda s, H, args: eigen.smms_radial_eigenvalue(
-        s, args.R, _eigen_tol(args))),
+    "MC_ROUGH": (cmp.check_mc_rough, (), ("r0", *_COMPARISON)),
+    "MC_BOUNDED_F_INNER": (cmp.check_mc_bounded_f_inner, (), ("k", *_COMPARISON)),
+    "MC_BOUNDED_F_PI2": (cmp.check_mc_bounded_f_pi2, (), ("k", *_COMPARISON)),
+    "MC_DRIFT": (cmp.check_mc_drift, (), ("a", *_COMPARISON)),
+    "AREA_A": (lambda s, H, k=None, **kw: cmp.check_area_comparison(
+        s, H, bound="k", const=k, **kw), ("r", "R"), ("k", *_COMPARISON)),
+    "AREA_B": (lambda s, H, a=None, **kw: cmp.check_area_comparison(
+        s, H, bound="a", const=a, **kw), ("r", "R"), ("a", *_COMPARISON)),
+    "VOL_A": (lambda s, H, k=None, **kw: cmp.check_volume_comparison(
+        s, H, bound="k", const=k, **kw), ("r", "R"), ("k", *_COMPARISON)),
+    "VOL_B": (lambda s, H, a=None, **kw: cmp.check_volume_comparison(
+        s, H, bound="a", const=a, **kw), ("r", "R"), ("a", *_COMPARISON)),
+    "VOL_B_ABS": (cmp.check_volume_absolute, ("R",), ("a", *_COMPARISON)),
+    "VOL_ABS_NEGH": (cmp.check_absolute_volume_negH, (), ("k", "R", *_COMPARISON)),
+    "DOUBLING": (cmp.check_doubling, ("alpha", "R"), ("epsilon", "k", "a", *_COMPARISON)),
+    "VOL_R1": (cmp.check_vol_r1, ("R",), ("k", *_COMPARISON)),
+    "MYERS": (diameter.check_myers, (), ("H", "mode")),
+    "CHENG": (lambda s, H, a=None, tol_abs=None, tol_rel=None, **kw: eigen.check_cheng_estimate(
+        s, H, a, tol=_eigen_tol(tol_abs, tol_rel), **kw),
+        ("R", "delta"), ("H", "a", "mode", "tol_abs", "tol_rel")),
+    "EIGEN": (lambda s, H, R, tol_abs=None, tol_rel=None: eigen.smms_radial_eigenvalue(
+        s, R, _eigen_tol(tol_abs, tol_rel)), ("R",), ("tol_abs", "tol_rel")),
 }
+# Every flag an entry may list.
+_CHECK_FLAGS = (*_THEOREM_FLAGS, "grid", "mode", "tol_abs", "tol_rel")
+# The ids whose reports hold no radii, so nothing for --format csv.
+_NO_CSV = ("MYERS", "CHENG")
 
 CHECK_IDS = tuple(_CHECKS)
 
@@ -158,14 +146,10 @@ def _emit(report: dict, rep, args) -> None:
     """The JSON report to --out or stdout.  With --format csv the grid or
     samples CSV goes to --out, the report then to stdout, or to stdout alone."""
     if args.format == "csv":
-        export = getattr(rep, "grid_csv", None) or getattr(rep, "samples_csv", None)
-        if export is None:
-            raise InputError(f"--format csv: a {rep.theorem_id} report has no grid "
-                             "or samples to export; use --format json")
         if not args.out:
-            _print(export())
+            _print(rep.to_csv())
             return
-        Path(args.out).write_text(export())
+        Path(args.out).write_text(rep.to_csv())
         report["checks"][0]["grid_csv_path"] = str(Path(args.out))
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out and args.format == "json":
@@ -182,28 +166,30 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
     tid = theorem.upper()
     if tid not in _CHECKS:
         raise InputError(f"unknown theorem id {tid!r}; known: {', '.join(CHECK_IDS)}")
-    required, reads, runner = _CHECKS[tid]
-    for name in (*_THEOREM_FLAGS, "tol_abs", "tol_rel"):
-        if getattr(args, name) is not None and name not in (*required, *reads, "H"):
+    checker, required, _ = _CHECKS[tid]
+    typed = {name: getattr(args, name) for name in _CHECK_FLAGS
+             if getattr(args, name) is not None}
+    for name in typed:
+        if name not in _reads(tid):
             raise InputError(f"--{name.replace('_', '-')}: theorem {tid} does not read it")
     for name in _THEOREM_FLAGS:
         _require_finite(f"--{name}", getattr(args, name))
-    if args.grid < cmp.MIN_GRID_POINTS:
+    if typed.get("grid", cmp.MIN_GRID_POINTS) < cmp.MIN_GRID_POINTS:
         raise InputError(f"--grid: a check needs at least {cmp.MIN_GRID_POINTS} grid points,"
                          f" got {args.grid}")
-    H = _resolve_H(args, spec)
+    H = float(typed.pop("H", spec.params.get("H", 0.0)))
     if args.R is not None:
         cmp.require_admissible(tid, H, args.R)
     space = spec.build()
     for name in required:
-        if getattr(args, name) is None:
+        if name not in typed:
             raise InputError(f"theorem {tid} requires --{name}")
 
     t_start = time.perf_counter()
     try:
-        rep = runner(space, H, args)
+        rep = checker(space, H, **{"n_grid" if k == "grid" else k: v for k, v in typed.items()})
     except DivergentExcessError as exc:  # l = +inf: an unmet hypothesis
-        rep = cmp._not_applicable(tid, {"n": space.n, "H": H}, args.mode, str(exc))
+        rep = cmp._not_applicable(tid, {"n": space.n, "H": H}, exc.mode, str(exc))
     wall_ms = (time.perf_counter() - t_start) * 1e3
 
     check = {**rep.to_dict(), "wall_time_ms": wall_ms}
@@ -211,6 +197,12 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
     report = {"tool_version": __version__, "spec": spec.to_dict(),
               "checks": [check], "verdict": verdict}
     return report, code, rep
+
+
+def _reads(tid: str) -> tuple:
+    """Every flag theorem ``tid`` reads, required or not."""
+    _, required, reads = _CHECKS[tid]
+    return (*required, *reads)
 
 
 def _require_finite(field: str, value) -> None:
@@ -292,9 +284,8 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", required=True, help="theorem id to check")
     for name, help_text in _THEOREM_FLAGS.items():
         p.add_argument(f"--{name}", type=float, default=None, help=help_text)
-    p.add_argument("--grid", type=int, default=256, help="grid points")
-    p.add_argument("--mode", choices=["radial", "full"], default="radial",
-                   help="curvature excess mode")
+    p.add_argument("--grid", type=int, default=None, help="grid points of a comparison check")
+    p.add_argument("--mode", choices=RHO_MODES, default=None, help="curvature excess mode")
     p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None,
                    help="eigenvalue bracket abs_tol (CHENG, EIGEN; default 1e-8)")
     p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None,
@@ -319,6 +310,9 @@ def _cmd_list_spaces(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _space_spec_from_args(args)
+    if args.format == "csv" and args.theorem.upper() in _NO_CSV:
+        raise InputError(f"--format csv: a {args.theorem.upper()} report has no grid "
+                         "or samples to export; use --format json")
     report, code, rep = run_spec_check(spec, args.theorem, args)
     _emit(report, rep, args)
     return code
@@ -343,11 +337,13 @@ def _parse_range(text: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
-def _range_target(spec: SpaceSpec, name: str, first: float) -> tuple[bool, str]:
+def _range_target(spec: SpaceSpec, tid: str, name: str, first: float) -> tuple[bool, str]:
     """(True, parameter) for a range that sets a space parameter, checked at
-    the range's ``first`` value, (False, flag) for one that sets a theorem flag."""
+    the range's ``first`` value, (False, flag) for one that sets a ``tid`` flag."""
     key = name.removeprefix(_PARAM_PREFIX)
     to_space = key != name or name not in _THEOREM_FLAGS
+    if not to_space and tid in _CHECKS and name not in _reads(tid):
+        raise InputError(f"--range {name}: theorem {tid} does not read it")
     if to_space and spec.name == "custom":
         raise InputError(f"--range {name}: a --custom space takes no space "
                          "parameters; set them in the spec file")
@@ -370,7 +366,7 @@ def _cmd_sweep(args) -> int:
     spec = _space_spec_from_args(args)
     if spec.name in CATALOG:  # a bad --param fails before any point, whatever the ranges
         check_space_params(spec.name, spec.params)
-    targets = [_range_target(spec, name, vals[0]) for name, vals in ranges]
+    targets = [_range_target(spec, args.theorem.upper(), name, vals[0]) for name, vals in ranges]
     rows = []
     for point in points:
         overrides = {}

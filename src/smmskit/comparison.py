@@ -41,15 +41,15 @@ grids (a point's own and its refinement's radii).  The points of a sweep over
 the excess, which change only l, read the same tables; the arrays are
 read-only.
 
-Each checker owns its defaults, the ones the CLI runs when a flag is not
-given: n_grid 256 (at most 64 radii for doubling), MC_ROUGH's r0 a quarter
-of the interior, doubling's drift form unless k is given.  Hypothesis
-constants are computed from the space itself: k and a from
-``potential_bounds`` unless given, l from ``integral_rho`` up to the outer
-radius of the check, read after the inputs are checked and before any
-costly work.  A space whose excess integral is +inf fails the hypotheses:
-the checks raise ``smms.DivergentExcessError``, which the CLI reports as
-NOT-APPLICABLE; a gated check compares l with its threshold in
+Each checker owns its defaults; the CLI states none and passes only the
+flags typed.  They are n_grid 256 (at most 64 radii for doubling), mode
+radial, MC_ROUGH's r0 a quarter of the interior, doubling's drift form
+unless k is given.  Hypothesis constants come from the space itself: k
+and a from ``potential_bounds`` unless given, l from ``integral_rho`` up
+to the outer radius of the check, read after the inputs are checked and
+before any costly work.  A space whose excess integral is +inf fails the
+hypotheses: the checks raise ``smms.DivergentExcessError``, which the CLI
+reports as NOT-APPLICABLE; a gated check compares l with its threshold in
 ``_excess_gate``.  A NOT-APPLICABLE comparison report has no grid keys.
 """
 
@@ -181,7 +181,7 @@ class ComparisonReport(Report):
         }
         return self._dict(self.params, {"mode": self.mode, "reason": self.reason, **grid})
 
-    def grid_csv(self) -> str:
+    def to_csv(self) -> str:
         lines = ["r,lhs,rhs,margin"]
         for row in self.grid:
             lines.append(",".join(f"{x:.17g}" for x in row))
@@ -652,11 +652,11 @@ def _check_volume(tid: str, s: WarpedSMMS, H: float, r: float, R: float, bound: 
 
 
 def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
-                          const: float | None = None, mode: str = "radial",
+                          a: float | None = None, mode: str = "radial",
                           n_grid: int = 256) -> ComparisonReport:
     """Absolute drift form: V_f(R') <= V^a_H(R') exp{-f(0) + int (e^{lt}-1) A/V}."""
     radii = _radii(s, "VOL_B_ABS", H, n_grid, R=R)
-    mspace, _, bparams = _bound_model(s, H, "a", const)
+    mspace, _, bparams = _bound_model(s, H, "a", a)
     l = integral_rho(s, H, R, mode)
     f0 = float(s.f.eval(0.0))
 
@@ -668,12 +668,12 @@ def check_volume_absolute(s: WarpedSMMS, H: float, R: float,
     return _finalize("VOL_B_ABS", params, mode, radii, eval_on)
 
 
-def check_vol_r1(s: WarpedSMMS, H: float, R: float, const: float | None = None,
+def check_vol_r1(s: WarpedSMMS, H: float, R: float, k: float | None = None,
                  mode: str = "radial", n_grid: int = 256) -> ComparisonReport:
     """The R >= 1 absolute estimate: the bounded-f volume comparison at r = 1."""
     if R < 1.0:
         raise ValueError(f"the R >= 1 estimate requires R >= 1, got {R}")
-    return _check_volume("VOL_R1", s, H, 1.0, R, "k", const, mode, n_grid)
+    return _check_volume("VOL_R1", s, H, 1.0, R, "k", k, mode, n_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ class EigenResult(Report):
             "panels": self.panels,
         })
 
-    def samples_csv(self) -> str:
+    def to_csv(self) -> str:
         lines = ["r,phi"]
         for r, phi in self.samples:
             lines.append(f"{r:.17g},{phi:.17g}")

@@ -344,7 +344,11 @@ class DivergentExcessError(Exception):
     like c/distance^2 at a cone point.
 
     An unmet hypothesis (the theorems need a finite l), not a numerical
-    failure; the CLI reports it as NOT-APPLICABLE."""
+    failure; the CLI reports it as NOT-APPLICABLE in its rho ``mode``."""
+
+    def __init__(self, reason: str, mode: str):
+        super().__init__(reason)
+        self.mode = mode
 
 
 def _check_mode(mode: str) -> None:
@@ -415,7 +419,7 @@ def excess_integrator(s: WarpedSMMS, H: float, lo: float, hi: float,
         return lambda radii: np.zeros(len(radii))
     for pole, in_play in zip(s._poles, (lo == 0.0, hi >= s.r_max)):
         if in_play and mode in pole.divergent:
-            raise DivergentExcessError(pole.divergent[mode])
+            raise DivergentExcessError(pole.divergent[mode], mode)
     breaks = np.asarray(_excess_breakpoints(s, H, lo, hi, mode), dtype=float)
 
     def cumulative(radii) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import smmskit
-from smmskit import comparison, eigen
+from smmskit import cli, comparison, eigen
 from smmskit.cli import CHECK_IDS, main
 from smmskit.numkit import BracketError
 from smmskit.smms import make_space
@@ -44,27 +44,31 @@ CHECK_ARGV = {
     "EIGEN": _FLAT + ["--R", "1"],
 }
 
-# The flags each theorem reads besides --H, which every theorem takes.
+# The flags each theorem reads; every comparison check reads --H, --grid and --mode.
+_COMPARISON = {"H", "grid", "mode"}
 READS = {
-    "MC_ROUGH": {"r0"},
-    "MC_BOUNDED_F_INNER": {"k"},
-    "MC_BOUNDED_F_PI2": {"k"},
-    "MC_DRIFT": {"a"},
-    "AREA_A": {"r", "R", "k"},
-    "AREA_B": {"r", "R", "a"},
-    "VOL_A": {"r", "R", "k"},
-    "VOL_B": {"r", "R", "a"},
-    "VOL_B_ABS": {"R", "a"},
-    "VOL_ABS_NEGH": {"R", "k"},
-    "DOUBLING": {"alpha", "R", "epsilon", "k", "a"},
-    "VOL_R1": {"R", "k"},
-    "MYERS": set(),
-    "CHENG": {"R", "delta", "a", "tol-abs", "tol-rel"},
+    "MC_ROUGH": {"r0"} | _COMPARISON,
+    "MC_BOUNDED_F_INNER": {"k"} | _COMPARISON,
+    "MC_BOUNDED_F_PI2": {"k"} | _COMPARISON,
+    "MC_DRIFT": {"a"} | _COMPARISON,
+    "AREA_A": {"r", "R", "k"} | _COMPARISON,
+    "AREA_B": {"r", "R", "a"} | _COMPARISON,
+    "VOL_A": {"r", "R", "k"} | _COMPARISON,
+    "VOL_B": {"r", "R", "a"} | _COMPARISON,
+    "VOL_B_ABS": {"R", "a"} | _COMPARISON,
+    "VOL_ABS_NEGH": {"R", "k"} | _COMPARISON,
+    "DOUBLING": {"alpha", "R", "epsilon", "k", "a"} | _COMPARISON,
+    "VOL_R1": {"R", "k"} | _COMPARISON,
+    "MYERS": {"H", "mode"},
+    "CHENG": {"H", "R", "delta", "a", "mode", "tol-abs", "tol-rel"},
     "EIGEN": {"R", "tol-abs", "tol-rel"},
 }
 # A value of each flag that every CHECK_ARGV run reading it accepts.
-FLAG_VALUE = {"k": "0.1", "a": "0.1", "delta": "0.2", "alpha": "3", "epsilon": "1",
-              "r": "0.3", "R": "0.5", "r0": "0.5", "tol-abs": "1e-7", "tol-rel": "1e-5"}
+FLAG_VALUE = {"H": "0.2", "k": "0.1", "a": "0.1", "delta": "0.2", "alpha": "3",
+              "epsilon": "1", "r": "0.3", "R": "0.5", "r0": "0.5", "grid": "7",
+              "mode": "full", "tol-abs": "1e-7", "tol-rel": "1e-5"}
+# The checkers' own defaults of --grid and --mode.
+CHECKER_DEFAULT = {"grid": "256", "mode": "radial"}
 
 NOT_APPLICABLE_CHECK = SHARED_CHECK | {"mode", "reason"}
 # A drift f = -a r; in full mode rho ~ a/r at the pole, so l = +inf.
@@ -148,7 +152,7 @@ class TestConformance:
         assert report["verdict"] == "NOT-APPLICABLE"
         check = report["checks"][0]
         assert check["theorem_id"] == theorem and check["min_margin"] is None
-        assert set(check) == NOT_APPLICABLE_CHECK
+        assert set(check) == NOT_APPLICABLE_CHECK and check["mode"] == "full"
         assert "0.5/r near the pole r=0" in check["reason"]
 
     def test_every_pole_excess_check_is_tried_divergent(self):
@@ -292,10 +296,20 @@ class TestCsvExport:
         assert all(len(row) == 4 for row in rows)
         capsys.readouterr()
 
-    @pytest.mark.parametrize("tid", ["MYERS", "CHENG"])
-    def test_report_without_grid_refuses_csv(self, capsys, tmp_path, tid):
+    @pytest.mark.parametrize("tid, argv", [
+        *[pytest.param(tid, CHECK_ARGV[tid], id=tid) for tid in ("MYERS", "CHENG")],
+        *[pytest.param(tid, [*_DIVERGENT, *DIVERGENT_ARGV[tid]], id=f"{tid}-divergent")
+          for tid in ("MYERS", "CHENG")],
+    ])
+    def test_report_without_grid_refuses_csv(self, capsys, tmp_path, monkeypatch, tid, argv):
+        # Refused before the space is built: a divergent l made a header-only
+        # CSV and exit 3, and radial CHENG exited 2 only after both solves.
+        def unbuilt(spec):
+            raise AssertionError("the space was built")
+
+        monkeypatch.setattr(cli.SpaceSpec, "build", unbuilt)
         out = tmp_path / "grid.csv"
-        code = main(["check", "--theorem", tid, *CHECK_ARGV[tid],
+        code = main(["check", "--theorem", tid, *argv,
                      "--format", "csv", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
@@ -837,7 +851,9 @@ class TestEigenReports:
                                            for flag in FLAG_VALUE if flag not in READS[tid]])
     def test_tolerance_flags_rejected_where_nothing_reads_them(self, capsys, flag, tid):
         # Theorem flags too: all but the tolerances were dropped, so MYERS
-        # --k 5 passed on the space's own k = 0 and MC_DRIFT --R 0.5 ran to the cap.
+        # --k 5 passed on the space's own k = 0 and MC_DRIFT --R 0.5 ran to the
+        # cap.  --grid and --mode had defaults and were open to every id, so
+        # EIGEN --mode full ran radial, and EIGEN --H was dropped too.
         code = main(["check", "--theorem", tid, *CHECK_ARGV[tid], flag, FLAG_VALUE[flag[2:]]])
         captured = capsys.readouterr()
         assert code == 2
@@ -855,12 +871,28 @@ class TestEigenReports:
         assert code in (0, 3)
         assert report["checks"][0]["theorem_id"] == tid
 
+    @pytest.mark.parametrize("tid", CHECK_IDS)
+    def test_typed_checker_defaults_change_nothing(self, capsys, tid):
+        # No optional flag, then the checkers' defaults of --grid and --mode
+        # typed where the id reads them: the CLI adds no default of its own.
+        argv = list(CHECK_ARGV[tid])
+        if "--grid" in argv:
+            del argv[argv.index("--grid"):argv.index("--grid") + 2]
+        typed = [arg for flag, value in CHECKER_DEFAULT.items() if flag in READS[tid]
+                 for arg in (f"--{flag}", value)]
+        checks = []
+        for extra in ([], typed):
+            code, report = run_json(["check", "--theorem", tid, *argv, *extra], capsys)
+            del report["checks"][0]["wall_time_ms"]
+            checks.append((code, report))
+        assert checks[0] == checks[1] and checks[0][0] in (0, 3)
+
     def test_sweep_over_a_flag_the_theorem_does_not_read(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--range", "k=0:0.2:3",
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --k: theorem MC_DRIFT does not read it\n"
+        assert captured.err == "error: --range k: theorem MC_DRIFT does not read it\n"
         assert captured.out == "" and not out.exists()
 
     def test_tolerance_flags_accepted_by_eigen_and_cheng(self, capsys):

@@ -992,7 +992,7 @@ class TestReportPlumbing:
     def test_csv_header_and_shape(self):
         s = make_space("euclidean", n=3)
         rep = check_mc_drift(s, 0.0, n_grid=16)
-        csv = rep.grid_csv()
+        csv = rep.to_csv()
         assert csv.splitlines()[0] == "r,lhs,rhs,margin"
         # A model identity (every margin at rounding level) is not refined.
         assert len(csv.splitlines()) == 17

@@ -68,7 +68,7 @@ class TestModelEigenvalue:
 
     def test_samples_csv_header(self):
         res = model_eigenvalue(3, 0.0, 0.0, 1.0)
-        lines = res.samples_csv().splitlines()
+        lines = res.to_csv().splitlines()
         assert lines[0] == "r,phi"
         assert len(lines) == len(res.samples) + 1
 

@@ -240,9 +240,12 @@ def _excess_oracle(s, H, R, mode):
     """scipy.integrate.quad of the clamped [g]_+, g = (n-1)H - Ric_f, split at
     the clamp radii and at breakpoints brentq finds on a 1025-point grid:
     the sign changes of g and, in full mode, of tangential - radial, both
-    scanned from one array read.  Near the poles ``_curvatures``'
-    tangential value is rounding noise of relative size 1e-16/r^2, which
-    scipy may warn about; its share of l is ~1e-11."""
+    scanned from one array read.  A sign change whose two samples both lie
+    within rounding, 1e-12 ((n-1)|H| + 1/w^2), of zero is noise, not a
+    kink, and splits nothing (on hyperbolic space g and the kink are noise
+    everywhere).  Near the poles ``_curvatures``' tangential value is
+    rounding noise of relative size 1e-16/r^2, which scipy may warn about;
+    its share of l is ~1e-11."""
     upper = min(R, s.r_max)
 
     def g(t):
@@ -255,6 +258,8 @@ def _excess_oracle(s, H, R, mode):
 
     x = np.linspace(0.0, upper, 1025)
     radial, tangential = _curvatures(s, x)
+    w = s.w.eval(np.clip(x, s.r_interior_lo, s.r_interior_hi))
+    rounding = 1e-12 * (abs((s.n - 1.0) * H) + 1.0 / w ** 2)
     if mode == "full":
         scans = [(g, (s.n - 1.0) * H - np.minimum(radial, tangential)),
                  (kink, tangential - radial)]
@@ -262,7 +267,8 @@ def _excess_oracle(s, H, R, mode):
         scans = [(g, (s.n - 1.0) * H - radial)]
     points = {s.r_interior_lo, s.r_interior_hi}
     for fn, v in scans:
-        for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
+        signal = np.abs(v) > rounding
+        for i in np.flatnonzero((v[:-1] * v[1:] < 0.0) & (signal[:-1] | signal[1:])):
             points.add(brentq(fn, x[i], x[i + 1], xtol=1e-15, rtol=1e-15))
     edges = [0.0, *sorted(p for p in points if 0.0 < p < upper), upper]
     with warnings.catch_warnings():

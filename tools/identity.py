@@ -111,7 +111,8 @@ def cases() -> list[tuple[str, list[str]]]:
                            ("CHENG", ["--R", R, "--delta", "0.4"]),
                            ("EIGEN", ["--R", R])):
             name = f"{label}/{tid}" + ("/k" if "--k" in extra else "")
-            out.append((name, ["check", *space, "--H", H, "--theorem", tid, *extra]))
+            curvature = [] if tid == "EIGEN" else ["--H", H]  # EIGEN reads no H
+            out.append((name, ["check", *space, *curvature, "--theorem", tid, *extra]))
     out += [
         ("hyp/VOL_ABS_NEGH", ["check", *_HYP, "--H", "-1", "--theorem", "VOL_ABS_NEGH"]),
         ("psphere/MYERS", ["check", *_PSPHERE, "--H", "1", "--theorem", "MYERS"]),
@@ -384,6 +385,22 @@ def cases() -> list[tuple[str, list[str]]]:
                                     "--k", "0.1", "--a", "0.3"]),
         ("flag/sweep/MC_DRIFT/k", ["sweep", *_FLAT, "--theorem", "MC_DRIFT",
                                    "--range", "k=0:0.2:3"]),
+        # --grid, --mode and --H where the theorem reads none of them, and
+        # --format csv on the ids whose reports hold no radii, refused before
+        # the check runs even where l diverges.
+        ("flag/MYERS/grid", ["check", *_IDS["MYERS"], "--theorem", "MYERS", "--grid", "7"]),
+        ("flag/CHENG/grid", ["check", *_IDS["CHENG"], "--theorem", "CHENG", "--grid", "7"]),
+        ("flag/EIGEN/mode", ["check", *_IDS["EIGEN"], "--theorem", "EIGEN", "--mode", "full"]),
+        ("flag/EIGEN/H", ["check", *_PSPHERE, "--H", "1", "--theorem", "EIGEN", "--R", "1.2"]),
+        ("flag/sweep/EIGEN/H", ["sweep", *_IDS["EIGEN"], "--theorem", "EIGEN",
+                                "--range", "H=0:1:2"]),
+        ("flag/drift/CHENG/full/csv", ["check", *_DRIFT, "--param", "a=0.5", "--theorem",
+                                       "CHENG", "--R", "1", "--delta", "0.3", "--mode", "full",
+                                       "--format", "csv"]),
+        ("flag/drift-sphere/MYERS/full/csv", ["check", *_DRIFT, "--param", "a=0.5", "--param",
+                                              "base=sphere", "--param", "H=1", "--H", "1",
+                                              "--theorem", "MYERS", "--mode", "full",
+                                              "--format", "csv"]),
         ("radius/VOL_B/r=0", ["check", *_FLAT, "--theorem", "VOL_B", "--r", "0", "--R", "0.7"]),
         ("radius/VOL_A/r=0", ["check", *_FLAT, "--theorem", "VOL_A", "--r", "0", "--R", "0.7"]),
     ]
