@@ -62,13 +62,17 @@ class SpaceSpec:
     n: int
     params: dict = field(default_factory=dict)
     custom: dict | None = None
+    _space: WarpedSMMS | None = field(default=None, init=False, repr=False, compare=False)
 
     def build(self) -> WarpedSMMS:
-        if self.name == "custom":
-            if not self.custom:
+        """The space, built on the first call and kept: the sweep points
+        that share a spec share its build."""
+        if self._space is None:
+            if self.name == "custom" and not self.custom:
                 raise InputError("custom space requires a 'custom' profile block")
-            return make_space("custom", n=self.n, **self.custom)
-        return make_space(self.name, n=self.n, **self.params)
+            params = self.custom if self.name == "custom" else self.params
+            self._space = make_space(self.name, n=self.n, **params)
+        return self._space
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "n": self.n, "params": dict(self.params)}
@@ -291,7 +295,6 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None,
                    help="eigenvalue bracket rel_tol (CHENG, EIGEN; default 1e-6)")
     p.add_argument("--out", default=None, help="output file")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _cmd_list_spaces(args) -> int:
@@ -367,6 +370,7 @@ def _cmd_sweep(args) -> int:
     if spec.name in CATALOG:  # a bad --param fails before any point, whatever the ranges
         check_space_params(spec.name, spec.params)
     targets = [_range_target(spec, args.theorem.upper(), name, vals[0]) for name, vals in ranges]
+    specs = {}  # one spec, so one build, per distinct point space
     rows = []
     for point in points:
         overrides = {}
@@ -375,9 +379,11 @@ def _cmd_sweep(args) -> int:
                 overrides[key] = float(val)
             else:
                 setattr(args, key, float(val))
-        point_spec = replace(spec, params={**spec.params, **overrides})
+        space_key = tuple(overrides.items())
+        if space_key not in specs:
+            specs[space_key] = replace(spec, params={**spec.params, **overrides})
         try:
-            report, _, _ = run_spec_check(point_spec, args.theorem, args)
+            report, _, _ = run_spec_check(specs[space_key], args.theorem, args)
         except (KernelError, ValueError) as exc:
             # Same kind, so the same exit and prefix, naming the failing point.
             at = ", ".join(f"{name}={val:.17g}" for name, val in zip(names, point))
@@ -423,6 +429,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run one theorem check")
     _add_check_flags(p_check)
+    # A sweep writes one CSV, so only a check takes --format.
+    p_check.add_argument("--format", choices=["json", "csv"], default="json")
 
     p_sweep = sub.add_parser("sweep", help="run a check over a parameter grid")
     _add_check_flags(p_sweep)

@@ -34,12 +34,15 @@ threshold's F(sigma) = E(R) at cl = c sigma, is a dot product on the model's
 Gauss-Jacobi ``ratio_table``; the threshold is certified at epsilon against
 a table with twice the nodes.  All of it but the expm1(cl t) sums depends
 on the model and the grid only, so the pass keeps node tables (V_model at
-the radii, the nodes, A/V at the nodes and the ``ratio_table``, the A/V
-part only for cl > 0), keyed on the ``ModelSpace`` and the float64 bytes
-of the grid after the coarse-grid panel split, in ``lru_cache``s of two
-grids (a point's own and its refinement's radii).  The points of a sweep over
-the excess, which change only l, read the same tables; the arrays are
-read-only.
+the radii, the nodes and A/V at the nodes, the A/V part only for cl > 0),
+keyed on the ``ModelSpace`` and the float64 bytes of the grid after the
+coarse-grid panel split, in ``lru_cache``s of two grids (a point's own and
+its refinement's radii), and beside them the start table (the
+``ratio_table`` on (0, radii[0])), keyed on the model and radii[0] alone.
+The points of a sweep over the excess, which change only l, read the same
+tables; those of a sweep over R at a fixed r, and a check's refinement
+pass, which start at the same radius, read the same start table.  The
+arrays are read-only.
 
 Each checker owns its defaults; the CLI states none and passes only the
 flags typed.  They are n_grid 256 (at most 64 radii for doubling), mode
@@ -366,8 +369,8 @@ def _volume_nodes(mspace: ModelSpace, grid: bytes):
 
 @lru_cache(maxsize=_NODE_TABLES)
 def _ratio_nodes(mspace: ModelSpace, grid: bytes):
-    """(A/V at the nodes of ``_volume_nodes``, the ``ratio_table`` on
-    (0, radii[0])), all read-only.
+    """(A/V at the nodes of ``_volume_nodes``, the start table on
+    (0, radii[0]) from ``_start_table``), all read-only.
 
     V at the nodes is the Jacobi form near the pole, and V at the
     interval's start plus a nested 5-point sum beyond.
@@ -382,10 +385,20 @@ def _ratio_nodes(mspace: ModelSpace, grid: bytes):
                        .reshape(p, len(x)))
     nested = area_model(mspace, lo[p:, None, None] + sub[:, :, None] * x)
     ratio[p:] = a_nodes / (vm[p:-1, None] + sub * (nested @ w))
-    t, W = ratio_table(mspace, radii[0], _TABLE_NODES)
-    for arr in (ratio, t, W):
+    ratio.setflags(write=False)
+    return (ratio, *_start_table(mspace, float(radii[0])))
+
+
+# The start tables, keyed on the model and the first radius: a sweep over R
+# at a fixed r changes the grid but not its start, and a refinement pass
+# starts where its first pass did, so two are kept, as for the grids.
+@lru_cache(maxsize=_NODE_TABLES)
+def _start_table(mspace: ModelSpace, start: float):
+    """The read-only ``ratio_table`` on (0, start) with ``_TABLE_NODES`` nodes."""
+    t, W = ratio_table(mspace, start, _TABLE_NODES)
+    for arr in (t, W):
         arr.setflags(write=False)
-    return ratio, t, W
+    return t, W
 
 
 def _evaluate(theorem_id: str, eval_on, radii: np.ndarray):
@@ -397,7 +410,7 @@ def _evaluate(theorem_id: str, eval_on, radii: np.ndarray):
     with np.errstate(all="ignore"):  # judged below, not warned about
         lhs, rhs = eval_on(radii)
         margin = rhs - lhs
-    if not np.all(np.isfinite(lhs)) or np.any(np.isnan(margin)):
+    if not np.isfinite(lhs).all() or np.isnan(margin).any():
         raise NonFiniteError(f"{theorem_id}: a compared value is not finite on "
                              f"[{radii[0]:.6g}, {radii[-1]:.6g}]")
     return lhs, rhs, margin
@@ -434,7 +447,7 @@ def _refined_cells(margin: np.ndarray, rhs: np.ndarray, anchored: bool) -> np.nd
     first = int(anchored)
     tol = _tolerance(rhs)
     i = first + int(np.argmin(margin[first:]))
-    if not abs(margin[i]) < _NEAR * tol[i] or np.all(np.abs(margin) <= _IDENTITY * tol):
+    if not abs(margin[i]) < _NEAR * tol[i] or (np.abs(margin) <= _IDENTITY * tol).all():
         return np.empty(0, dtype=int)
     near = margin < _NEAR * tol
     near[:first] = False  # an anchor is never near
@@ -856,7 +869,7 @@ def volume_ratio_profile(s: WarpedSMMS, H: float, radii, bound: str = "a",
     differential statement the ratio inequality integrates.
     """
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
+    if (radii <= 0.0).any() or (np.diff(radii) <= 0.0).any():
         raise ValueError("radii must be positive and strictly increasing")
     mspace, c, _ = _bound_model(s, H, bound, const)
     l = integral_rho(s, H, float(radii[-1]), mode)

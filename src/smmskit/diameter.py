@@ -111,7 +111,7 @@ def _chord_caveat(s: WarpedSMMS) -> bool:
     rs = np.linspace(s.r_max / 256, s.r_max * (1 - 1.0 / 256), 256)
     w = np.asarray(s.w.eval(rs))
     route = np.minimum(np.minimum(2 * rs, 2 * (s.r_max - rs)), math.pi * w)
-    return bool(np.any(route > s.r_max + 1e-9))
+    return bool((route > s.r_max + 1e-9).any())
 
 
 def actual_diameter(s: WarpedSMMS) -> float:

@@ -282,7 +282,7 @@ class _Panels:
         pR, qR, s = phi[:, -1], ys[:, 1, -1], scale[:, 0]
         thetas = (np.arctan2(phi[:, 0], x[:, 0]) + turns.sum(axis=1)
                   + np.arctan2(pR * qR * (1.0 / s - 1.0), qR * qR / s + pR * pR))
-        if not np.all(np.isfinite(thetas)):
+        if not np.isfinite(thetas).all():
             raise NonFiniteError(f"a shoot at lambda in {list(lams)} left the doubles")
         return thetas.tolist(), ys.transpose(0, 2, 1), level
 

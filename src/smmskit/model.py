@@ -69,7 +69,7 @@ def sn(H: float, r):
     """Generalized sine: solution of sn'' + H sn = 0, sn(0)=0, sn'(0)=1.
     A float (or a 0-d array) comes back as a float, an array as an array."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         raise ValueError("sn requires r >= 0")
     if H > 0.0:
         s = math.sqrt(H)
@@ -95,7 +95,7 @@ def sn_prime(H: float, r):
 
 
 def _check_inside(H: float, r, what: str) -> None:
-    if H > 0.0 and np.any(np.asarray(r) >= conjugate_radius(H) - _CONJ_PAD):
+    if H > 0.0 and (np.asarray(r) >= conjugate_radius(H) - _CONJ_PAD).any():
         raise ValueError(
             f"{what}: r reaches the conjugate radius pi/sqrt(H)="
             f"{conjugate_radius(H):.12g}"
@@ -109,7 +109,7 @@ def mean_curvature_model(d: float, H: float, r):
     H > 0 the conjugate radius is rejected.  A float comes back as a float.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if (r <= 0.0).any():
         raise ValueError("mean_curvature_model requires r > 0")
     _check_inside(H, r, "mean_curvature_model")
     out = (d - 1.0) * sn_prime(H, r) / sn(H, r)
@@ -119,9 +119,9 @@ def mean_curvature_model(d: float, H: float, r):
 def area_model(m: ModelSpace, r):
     """Weighted area of the geodesic r-sphere: area(S^{d-1}) e^{a r} sn^{d-1}."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         raise ValueError("area_model requires r >= 0")
-    if m.H > 0.0 and np.any(r > conjugate_radius(m.H) + _CONJ_PAD):
+    if m.H > 0.0 and (r > conjugate_radius(m.H) + _CONJ_PAD).any():
         raise ValueError("area_model: r beyond the conjugate radius")
     out = sphere_area(m.dim) * np.exp(m.drift * r) * sn(m.H, r) ** (m.dim - 1.0)
     return out if out.ndim else float(out)
@@ -178,7 +178,7 @@ def ratio_table(m: ModelSpace, R: float, nodes: int) -> tuple[np.ndarray, np.nda
     x, w = gauss_jacobi(nodes, 0.0)
     t = R * x
     W = w / x / jacobi_factor(m, t, 3 * nodes // 4)
-    if not np.all(np.isfinite(W)):
+    if not np.isfinite(W).all():
         raise NonFiniteError(f"area/volume table is not finite on (0, {R}]")
     return t, W
 

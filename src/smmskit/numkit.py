@@ -141,7 +141,7 @@ def _gauss_segments(f, a: np.ndarray, b: np.ndarray, panels: tuple[int, ...]) ->
     rules = [_unit_panels(p) for p in panels]
     blocks = [a[:, None] + (b - a)[:, None] * u for u, _ in rules]
     y = np.asarray(f(np.concatenate([pts.ravel() for pts in blocks])), dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteError("integrand is not finite on the grid")
     sums, start = [], 0
     for p, pts, (_, wp) in zip(panels, blocks, rules):
@@ -171,7 +171,7 @@ def quad_grid(f, edges, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
-    if np.any(np.diff(edges) < 0.0):
+    if (np.diff(edges) < 0.0).any():
         raise ValueError("edges must be nondecreasing")
     a, b = edges[:-1], edges[1:]
     widths = b - a

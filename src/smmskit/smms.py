@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,7 +203,7 @@ class WarpedSMMS:
         poles = [(0.0, w1, w2)]
         interior = np.linspace(scale / 257, scale * (1 - 1 / 257), 257)
         wv = np.asarray(self.w.eval(interior))
-        if np.any(wv <= 0.0):
+        if (wv <= 0.0).any():
             bad = interior[np.argmax(wv <= 0.0)]
             raise ValueError(f"warping must be positive on (0, r_max); w({bad}) <= 0")
         if self.closed:
@@ -242,7 +243,7 @@ class PotentialBounds:
 
 def _check_open_interval(s: WarpedSMMS, r, what: str) -> None:
     r = np.asarray(r)
-    if np.any(r <= 0.0) or np.any(r >= s.r_max):
+    if (r <= 0.0).any() or (r >= s.r_max).any():
         raise ValueError(f"{what} requires 0 < r < r_max={s.r_max}")
 
 
@@ -319,9 +320,9 @@ def mean_curvature_f(s: WarpedSMMS, r):
     float ``r`` comes back as a float."""
     hi = s.r_max if not s.closed else s.r_max * (1.0 - 1e-12)
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if (r <= 0.0).any():
         raise ValueError("mean_curvature_f requires r > 0")
-    if np.any(r > hi):
+    if (r > hi).any():
         raise ValueError(f"mean_curvature_f requires r < r_max={s.r_max}")
     w, w1 = s.w.jet(r, (0, 1))
     return _scalar((s.n - 1.0) * w1 / w - s.f.d1(r))
@@ -387,7 +388,7 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
     x = np.linspace(lo, hi, _EXCESS_SAMPLES)
     _, radial, tangential = _bakry_emery(s, x, mode)  # the one read of the samples
     gx = np.asarray(_excess_of(s, H, radial, tangential), dtype=float)
-    if not np.all(np.isfinite(gx)):
+    if not np.isfinite(gx).all():
         raise NonFiniteError(f"excess integrand is not finite on [{lo:.6g}, {hi:.6g}]")
     tiny = 1e-12 * max(abs((s.n - 1.0) * H), float(np.max(np.abs(gx))))
     tol = Tolerance(abs_tol=_ROOT_TOL * hi, rel_tol=_ROOT_TOL)
@@ -443,10 +444,17 @@ def integral_rho(s: WarpedSMMS, H: float, r: float, mode: str = "radial") -> flo
     return float(excess_integrator(s, H, 0.0, r, mode)([r])[0])
 
 
+# The bounds of the last few spaces.  A space is immutable, and the points
+# of a sweep share theirs (the CLI builds each distinct point space once),
+# so each space's bounds are computed once.
+_BOUNDS_KEPT = 8
+
+
+@lru_cache(maxsize=_BOUNDS_KEPT)
 def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
     """Sup-norms of f and f' over a refinement-controlled grid on [0, r_max]:
     257 points, doubled until k, a and grad change by at most 1e-9 relative,
-    at most six times."""
+    at most six times.  Kept for the last ``_BOUNDS_KEPT`` spaces."""
     n = 257
     max_rounds = 6
     prev = None
@@ -472,7 +480,7 @@ def potential_bounds(s: WarpedSMMS) -> PotentialBounds:
 def weighted_area(s: WarpedSMMS, r):
     """Weighted area of the geodesic r-sphere: area(S^{n-1}) w^{n-1} e^{-f}."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > s.r_max * (1 + 1e-12)):
+    if (r < 0.0).any() or (r > s.r_max * (1 + 1e-12)).any():
         raise ValueError(f"weighted_area requires 0 <= r <= r_max={s.r_max}")
     return _scalar(sphere_area(s.n) * s.w.eval(r) ** (s.n - 1.0) * np.exp(-s.f.eval(r)))
 
@@ -780,7 +788,7 @@ def profile_from_spec(spec: dict, r_max: float) -> RadialProfile:
             xs, ys = nodes[0::2], nodes[1::2]
         if len(xs) < 8:
             raise ValueError(f"table profile requires >= 8 nodes, got {len(xs)}")
-        if np.any(np.diff(xs) <= 0.0):
+        if (np.diff(xs) <= 0.0).any():
             raise ValueError("table nodes must be strictly increasing in r")
         return RadialProfile._of_jet(_SplineProfile(xs, ys).jet, r_max=r_max)
     raise ValueError(f"unknown profile type {kind!r}")

@@ -814,6 +814,90 @@ class TestSweep:
                      "--theorem", "MC_DRIFT"]) == 2
         capsys.readouterr()
 
+    def test_format_is_a_check_flag(self, capsys, tmp_path):
+        # A sweep writes one CSV; it took --format json and printed the CSV.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "16",
+                     "--range", "a=0:1:2", "--format", "json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --format json" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+_PSPHERE = ["--space", "perturbed_sphere", "--n", "3", "--param", "H=1", "--H", "1"]
+
+
+class TestSweepReuse:
+    """A sweep builds each distinct point space once and computes its
+    potential bounds once; every row is still its point's single check."""
+
+    @staticmethod
+    def sweep_counted(monkeypatch, capsys, argv):
+        """(CSV lines, cli.make_space calls, potential-bounds computations)."""
+        counts = {"make_space": 0, "bounds": 0}
+        make, bounds = cli.make_space, smmskit.smms.PotentialBounds
+
+        def counted_make(*args, **kwargs):
+            counts["make_space"] += 1
+            return make(*args, **kwargs)
+
+        def counted_bounds(**kwargs):
+            counts["bounds"] += 1
+            return bounds(**kwargs)
+
+        monkeypatch.setattr(cli, "make_space", counted_make)
+        monkeypatch.setattr(smmskit.smms, "PotentialBounds", counted_bounds)
+        main(["sweep", *argv])
+        lines = capsys.readouterr().out.splitlines()
+        monkeypatch.undo()
+        return lines, counts["make_space"], counts["bounds"]
+
+    @staticmethod
+    def assert_rows_are_checks(capsys, argv, lines):
+        """Each row's min_margin (bit for bit), verdict and epsilon are those
+        of the check at its point; a range name sets --<flag> or --param."""
+        header = lines[0].split(",")
+        names = header[:header.index("min_margin")]
+        for line in lines[1:]:
+            cells = dict(zip(header, line.split(",")))
+            point = []
+            for name in names:
+                point += ([f"--{name}", cells[name]] if name in cli._THEOREM_FLAGS
+                          else ["--param", f"{name}={cells[name]}"])
+            _, report = run_json(["check", *argv, *point], capsys)
+            check = report["checks"][0]
+            margin = check["min_margin"]
+            assert cells["min_margin"] == ("nan" if margin is None else f"{margin:.17g}")
+            assert cells["verdict"] == report["verdict"]
+            if "epsilon" in cells:
+                assert cells["epsilon"] == f"{check['params']['epsilon']:.17g}"
+
+    @pytest.mark.parametrize("argv, rng", [
+        ([*_PSPHERE, "--param", "eps=0.05", "--param", "omega=3", "--theorem", "VOL_B",
+          "--r", "0.3", "--grid", "64"], "R=0.95:1.45:3"),
+        ([*_PSPHERE, "--param", "eps=0.005", "--theorem", "DOUBLING", "--R", "1.2",
+          "--grid", "16"], "alpha=1.5:6:4"),
+        ([*_PSPHERE, "--theorem", "MC_DRIFT", "--grid", "32"], "a=0:1:3"),
+    ], ids=["VOL_B-R", "DOUBLING-alpha", "MC_DRIFT-a"])
+    def test_theorem_flag_sweep_builds_one_space(self, monkeypatch, capsys, argv, rng):
+        # Every point rebuilt the space and recomputed its bounds.
+        lines, built, bounds = self.sweep_counted(monkeypatch, capsys,
+                                                  [*argv, "--range", rng])
+        assert len(lines) > 3
+        assert (built, bounds) == (1, 1)
+        self.assert_rows_are_checks(capsys, argv, lines)
+
+    def test_mesh_builds_one_space_per_distinct_space(self, monkeypatch, capsys):
+        # With eps outer a space's points are consecutive, with R outer they
+        # alternate; either order builds two spaces for six points.
+        argv = [*_PSPHERE, "--theorem", "VOL_B", "--r", "0.3", "--grid", "32"]
+        for ranges in (["eps=0.01:0.05:2", "R=1:1.4:3"], ["R=1:1.4:3", "eps=0.01:0.05:2"]):
+            lines, built, bounds = self.sweep_counted(
+                monkeypatch, capsys, [*argv, *(arg for r in ranges for arg in ("--range", r))])
+            assert len(lines) == 7
+            assert (built, bounds) == (2, 2)
+        self.assert_rows_are_checks(capsys, argv, lines)
+
 
 class TestEigenReports:
     def test_eigen_and_cheng_state_the_tolerances_used(self, capsys):

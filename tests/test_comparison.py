@@ -644,6 +644,7 @@ class TestNodeTables:
     def clear():
         comparison._volume_nodes.cache_clear()
         comparison._ratio_nodes.cache_clear()
+        comparison._start_table.cache_clear()
 
     @pytest.mark.parametrize("radii", [np.linspace(0.3, 1.5, 256),
                                        np.linspace(0.3, 1.5, 1021),
@@ -688,6 +689,26 @@ class TestNodeTables:
         for table in (comparison._volume_nodes, comparison._ratio_nodes):
             info = table.cache_info()
             assert info.maxsize == 2 and info.currsize == 2
+
+    def test_grids_that_start_together_share_the_start_table(self):
+        # The grids of an R-sweep at a fixed r and a refinement's radii: one
+        # start table, and every result bit for bit the cold one.
+        grids = [np.linspace(0.3, R, 64) for R in (1.0, 1.2, 1.5)]
+        grids.append(np.concatenate([[0.3], np.linspace(0.7, 0.8, 5)]))
+        cold = []
+        for radii in grids:
+            self.clear()
+            cold.append(comparison._model_volumes(self.MODEL, 1.0, radii))
+        self.clear()
+        for radii, (vm, E) in zip(grids, cold):
+            vm_warm, E_warm = comparison._model_volumes(self.MODEL, 1.0, radii)
+            assert np.array_equal(vm_warm, vm) and np.array_equal(E_warm, E)
+        assert comparison._ratio_nodes.cache_info().misses == len(grids)
+        assert comparison._start_table.cache_info().misses == 1
+        for start in (0.2, 0.25, 0.35):
+            comparison._model_volumes(self.MODEL, 1.0, np.linspace(start, 1.5, 64))
+        info = comparison._start_table.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
 
 
 class TestDoublingTable:

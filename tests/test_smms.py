@@ -716,6 +716,18 @@ class TestPotentialBounds:
         assert pb.a == 0.0
         assert abs(pb.grad - 1.0) < 1e-12
 
+    def test_kept_per_space(self):
+        # A space's bounds are computed once and kept; a space built again
+        # from the same parameters is another space.
+        s = make_space("perturbed_sphere", n=3, eps=0.05)
+        pb = potential_bounds(s)
+        assert potential_bounds(s) is pb
+        assert potential_bounds.__wrapped__(s) == pb
+        again = make_space("perturbed_sphere", n=3, eps=0.05)
+        assert potential_bounds(again) is not pb and potential_bounds(again) == pb
+        info = potential_bounds.cache_info()
+        assert info.maxsize == smms._BOUNDS_KEPT and info.currsize <= info.maxsize
+
 
 def _volume_f(s, R, n_grid=2):
     """V_f as the checks compute it: {radius: lhs} of a VOL_B_ABS report on

@@ -208,6 +208,22 @@ def cases() -> list[tuple[str, list[str]]]:
                                "--range", "delta=0.1:0.5:3"]),
         ("sweep/MC_DRIFT/a", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT", "--grid", "32",
                               "--range", "a=0:1:3"]),
+        # Sweeps whose points share one space (its build, potential bounds
+        # and, at a fixed r, the model's start table), an eps x R mesh, which
+        # builds one space per eps, and the refused --format of a sweep.
+        ("reuse/VOL_B/R", ["sweep", *_PSPHERE, "--param", "eps=0.05", "--param", "omega=3",
+                           "--H", "1", "--theorem", "VOL_B", "--r", "0.3",
+                           "--range", "R=0.95:1.45:5"]),
+        ("reuse/DOUBLING/alpha", ["sweep", *_PSPHERE, "--param", "eps=0.005", "--H", "1",
+                                  "--theorem", "DOUBLING", "--R", "1.2", "--grid", "16",
+                                  "--range", "alpha=1.5:6:4"]),
+        ("reuse/MC_DRIFT/a", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "MC_DRIFT",
+                              "--grid", "64", "--range", "a=0:1:3"]),
+        ("reuse/VOL_B/eps-R", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "VOL_B",
+                               "--r", "0.3", "--grid", "64", "--range", "eps=0.01:0.05:2",
+                               "--range", "R=1:1.4:3"]),
+        ("flag/sweep/format", ["sweep", *_FLAT, "--theorem", "MC_DRIFT", "--grid", "16",
+                               "--range", "a=0:1:2", "--format", "json"]),
         # Excess-integral traps: g = (n-1)H - Ric_f at rounding level (eps = 0,
         # and hyperbolic with its radial and tangential curvature equal), the
         # closed far pole in full mode (n = 3, and n = 4, where the
@@ -297,6 +313,12 @@ def cases() -> list[tuple[str, list[str]]]:
                                  "--r0", "0.9"]),
         ("psphere/VOL_B_ABS/R1.4", ["check", *_PSPHERE, "--param", "eps=0.05", "--H", "1",
                                     "--theorem", "VOL_B_ABS", "--R", "1.4"]),
+        # The same form at the benchmark's other end; its refinement pass
+        # (259 radii) reads the first pass's start table.
+        ("psphere/VOL_B_ABS/H0.95", ["check", "--space", "perturbed_sphere", "--n", "3",
+                                     "--param", "H=0.95", "--param", "eps=0.04", "--param",
+                                     "omega=2.924", "--H", "0.95", "--theorem", "VOL_B_ABS",
+                                     "--R", "1.45"]),
         ("sphere/MC_DRIFT/a0", ["check", *_SPHERE, "--H", "1", "--theorem", "MC_DRIFT",
                                 "--a", "0"]),
         # A margin near the pole, where MC_DRIFT's rhs ~ 2/r makes the
