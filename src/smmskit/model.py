@@ -68,7 +68,7 @@ def conjugate_radius(H: float) -> float:
 def sn(H: float, r):
     """Generalized sine: solution of sn'' + H sn = 0, sn(0)=0, sn'(0)=1.
     A float (or a 0-d array) comes back as a float, an array as an array."""
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float)[()]
     if (r < 0.0).any():
         raise ValueError("sn requires r >= 0")
     if H > 0.0:
@@ -84,7 +84,7 @@ def sn(H: float, r):
 
 def sn_prime(H: float, r):
     """Derivative of ``sn`` in r, a float or an array as ``sn``."""
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float)[()]
     if H > 0.0:
         out = np.cos(math.sqrt(H) * r)
     elif H < 0.0:
@@ -151,14 +151,23 @@ def jacobi_factor(m: ModelSpace, t, nodes: int = 48) -> np.ndarray:
 
     With psi(x) = e^{a x} (sn(x)/x)^{d-1}, A_m(t) = area(S^{d-1}) t^{d-1}
     psi(t) and V_m(t) = area(S^{d-1}) t^d J(t), J(t) = int_0^1 psi(t v)
-    v^{d-1} dv, taken on the cached ``nodes``-point Gauss-Jacobi rule for
-    v^{d-1} (any real d >= 1), so the pole power is exact.  psi enters only
-    in ratios, in logarithms (``log_psi``), so no factor overflows before
-    sinh does.
+    v^{d-1} dv.  The weight is taken on the cached ``nodes``-point
+    Gauss-Jacobi rule for the integer weight w^b, b = ceil(d - 1): with
+    v = w^q, q = (b + 1)/d, v^{d-1} dv = q w^b dw, so J = q sum_i omega_i
+    psi(t w_i^q), and one rule per (nodes, b) serves every real d in
+    (b, b + 1], hence every bounded-potential dimension n + 4k.  An integer
+    d gives q = 1.0 exactly, where w^1.0 and 1.0 omega are exact: the
+    Gauss rule for v^{d-1} itself, bit for bit.  A real d arises only as
+    n + 4k with no drift, where psi is even and w^{2q}, its one term not
+    smooth in w, sits under the weight w^b, so the rule keeps the accuracy
+    of the one for v^{d-1}.  psi enters only in ratios, in logarithms
+    (``log_psi``), so no factor overflows before sinh does.
     """
-    v, wv = gauss_jacobi(nodes, m.dim - 1.0)
-    rel = np.exp(log_psi(m, np.outer(t, v)) - log_psi(m, t)[:, None])
-    return rel @ wv
+    b = math.ceil(m.dim - 1.0)
+    q = (b + 1.0) / m.dim
+    w, ww = gauss_jacobi(nodes, float(b))
+    rel = np.exp(log_psi(m, np.outer(t, w ** q)) - log_psi(m, t)[:, None])
+    return rel @ (q * ww)
 
 
 def ratio_table(m: ModelSpace, R: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -223,8 +223,10 @@ def gauss_jacobi(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     first eigenvector components are accurate only relative to the largest
     weight, which loses the small weights of large-beta rules.  Nodes come
     sorted, inside (0, 1); weights are positive.  A rule is built once per
-    (m, beta) and cached (the doubling table asks for the same four on every
-    threshold); both arrays are read-only.
+    (m, beta) and cached; both arrays are read-only.  The program asks only
+    for integer beta (a real model dimension d takes the rule for
+    ceil(d - 1), ``model.jacobi_factor``), so a process builds a few rules
+    and serves every check, every k and every threshold from them.
     """
     if m < 1:
         raise ValueError(f"gauss_jacobi requires m >= 1, got {m}")
@@ -268,22 +270,23 @@ def bracket_width(tol: Tolerance, hi: float) -> float:
 
 
 def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
-                        f_lo: float | None = None,
+                        f_lo: float | None = None, f_hi: float | None = None,
                         cap: float | None = None) -> RootBracket:
     """Root of ``f`` above ``lo``, closed to ``bracket_width(tol, hi)``.
 
-    ``f_lo`` may be passed when f(lo) is known; f may rise or fall.  While
-    f(hi) has the sign of f(lo), lo takes hi and hi grows by twice the secant
-    extrapolation, and by at least half of its distance from the first lo,
-    up to ``cap`` (default: no growth), which it tries before it raises
-    ``BracketError``.  Inside the bracket each point is the
-    secant point of the last two, safeguarded as in Brent's method: one
-    within a guard width (a quarter of the closing width) of the last trial
-    is pushed a guard width on, away from it, so that the bracket closes,
-    even where it rounds onto the end the last trial became (not right after
-    a guard step: on rounding noise guard steps from an end would crawl);
-    else it becomes the midpoint when it leaves the bracket or moves more
-    than half the step before last.  It stays a guard width inside the ends.
+    ``f_lo`` and ``f_hi`` may be passed when f(lo) and f(hi) are known; f
+    may rise or fall.  While f(hi) has the sign of f(lo), lo takes hi and hi
+    grows by twice the secant extrapolation, and by at least half of its
+    distance from the first lo, up to ``cap`` (default: no growth), which it
+    tries before it raises ``BracketError``.  Inside the bracket each point
+    is the secant point of the last two, safeguarded as in Brent's method:
+    one within a guard width (a quarter of the closing width) of the last
+    trial is pushed a guard width on, away from it, so that the bracket
+    closes, even where it rounds onto the end the last trial became (not
+    right after a guard step: on rounding noise guard steps from an end
+    would crawl); else it becomes the midpoint when it leaves the bracket or
+    moves more than half the step before last.  It stays a guard width
+    inside the ends.
     An exact zero of f, at lo or at any later trial point x, ends the search
     with the bracket [x, x].
     """
@@ -295,7 +298,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
     if f_lo == 0.0:
         return RootBracket(lo, lo, lo, 0.0, 0.0)
     sign = math.copysign(1.0, f_lo)  # sign * f > 0 on the lo side of the root
-    f_hi = float(f(hi))
+    f_hi = float(f(hi)) if f_hi is None else float(f_hi)
     while sign * f_hi > 0.0:
         if hi >= cap:
             raise BracketError(f"no sign change of f up to {hi:.6g} (cap {cap:.6g})")

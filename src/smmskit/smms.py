@@ -78,14 +78,16 @@ class RadialProfile:
     Its one read is ``jet(r, orders)``: the value (order 0) and derivatives
     at ``orders`` from one call, which computes their shared terms once and
     nothing that no asked order needs; ``eval``, ``d1`` and ``d2`` read one
-    order of it.  Every read is an array read: a float (or a 0-d array) is
-    read as a 0-d array and comes back as floats, an array gives arrays of
-    its shape.  The catalog and spec profiles are built on such a jet.  The
-    callables form ``RadialProfile(fn, d1, d2, r_max=...)`` takes the
-    function and its exact first and second derivatives, each accepting a
-    float array (0-d for a single radius), and its jet calls the ones asked
-    for; a missing derivative is refused here, since every curvature is
-    read from them.
+    order of it.  A float (or a 0-d array) runs the jet on a numpy scalar,
+    whose ufuncs round as they round an array's entries, and comes back as
+    floats; an array gives arrays of its shape.  The catalog and spec
+    profiles are built on such a jet, with each power a ufunc (``np.square``,
+    ``np.power``): ``**`` on a numpy scalar calls C ``pow``, which rounds
+    otherwise.  The callables form ``RadialProfile(fn, d1, d2, r_max=...)``
+    takes the function and its exact first and second derivatives, each
+    accepting a float array (a numpy scalar for a single radius), and its
+    jet calls the ones asked for; a missing derivative is refused here,
+    since every curvature is read from them.
     """
 
     def __init__(self, fn, d1, d2, *, r_max: float):
@@ -98,9 +100,9 @@ class RadialProfile:
 
     @classmethod
     def _of_jet(cls, jet, *, r_max: float) -> "RadialProfile":
-        """A profile read by ``jet(x, orders)``, x a float array (0-d for a
-        single radius), which returns the values at ``orders`` as a list of
-        arrays (or numpy scalars) of x's shape."""
+        """A profile read by ``jet(x, orders)``, x a float array (a numpy
+        scalar for a single radius), which returns the values at ``orders``
+        as a list of arrays (or numpy scalars) of x's shape."""
         p = cls.__new__(cls)
         p._jet, p.r_max = jet, float(r_max)
         return p
@@ -110,7 +112,7 @@ class RadialProfile:
 
     def jet(self, r, orders: tuple = (0, 1, 2)) -> list:
         """The value (order 0) and derivatives at ``orders``, in that order."""
-        x = np.asarray(r, dtype=float)
+        x = np.asarray(r, dtype=float)[()]
         out = self._jet(x, orders)
         return out if x.ndim else [float(v) for v in out]
 
@@ -368,7 +370,8 @@ def _crossings(fn, x: np.ndarray, fx: np.ndarray, tiny: float, tol: Tolerance) -
     pos = fx > 0.0
     cells = np.flatnonzero((pos[:-1] != pos[1:])
                            & (np.maximum(np.abs(fx[:-1]), np.abs(fx[1:])) > tiny))
-    return [find_root_bracketed(fn, x[i], x[i + 1], tol, f_lo=fx[i]).root for i in cells]
+    return [find_root_bracketed(fn, x[i], x[i + 1], tol, f_lo=fx[i], f_hi=fx[i + 1]).root
+            for i in cells]
 
 
 def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
@@ -377,8 +380,9 @@ def _excess_breakpoints(s: WarpedSMMS, H: float, lo: float, hi: float,
 
     g = ``_excess`` (rho before the positive part) is sampled on 257
     points, one curvature read; each sign change is closed by
-    ``find_root_bracketed`` on g to 1e-14 relative, reading g one radius
-    at a time through the same array path, except where both samples are
+    ``find_root_bracketed`` on g to 1e-14 relative from the two samples of
+    its cell, reading g one radius at a time through the same array path
+    (a 0-d read has an array read's bits), except where both samples are
     within rounding, 1e-12 max(|(n-1)H|, max|g|), of zero.  In full mode
     the sign changes of tangential - radial curvature, the kinks of their
     minimum, are closed the same way.  The clamp radii inside (lo, hi) are
@@ -685,8 +689,9 @@ class _SplineProfile:
         u = self.xs[i + 1] - x
         m0, m1 = self.m2[i], self.m2[i + 1]
         lin0, lin1 = self.ys[i] / h - m0 * h / 6, self.ys[i + 1] / h - m1 * h / 6
-        return [(m0 * u ** 3 + m1 * t ** 3) / (6 * h) + lin0 * u + lin1 * t if k == 0
-                else (-m0 * u ** 2 + m1 * t ** 2) / (2 * h) - lin0 + lin1 if k == 1
+        return [(m0 * np.power(u, 3) + m1 * np.power(t, 3)) / (6 * h) + lin0 * u + lin1 * t
+                if k == 0
+                else (-m0 * np.square(u) + m1 * np.square(t)) / (2 * h) - lin0 + lin1 if k == 1
                 else (m0 * u + m1 * t) / h for k in orders]
 
 

@@ -363,6 +363,20 @@ class TestVolumeComparison:
         assert abs(vm[0] - exact[0]) <= 1e-12 * exact[0]
         assert np.all(np.abs(vm - exact) <= 1e-10 * exact)
 
+    def test_one_rule_serves_every_k(self):
+        # Model dimensions 3 + 4k for k in (0, 0.25) share the rule for w^3.
+        from smmskit.numkit import gauss_jacobi
+        s = make_space("custom", n=3, r_max=3.0,
+                       w={"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.002]},
+                       f={"type": "poly", "coeffs": [0.0, 0.0, 0.01]})
+        check = lambda **bound: check_volume_comparison(s, 0.25, 0.3, 1.2, n_grid=32,
+                                                        **bound)
+        check()  # sup|f| = 0.09; VOL_B's model, dimension 3, reads the other rules
+        misses = gauss_jacobi.cache_info().misses
+        for k in np.linspace(0.1, 0.24, 10):
+            check(bound="k", const=float(k))
+        assert gauss_jacobi.cache_info().misses - misses <= 1
+
 
 class TestDoubling:
     def test_threshold_zero_is_zero(self):

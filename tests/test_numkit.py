@@ -258,6 +258,16 @@ class TestFindRootBracketed:
         assert 0.0 not in calls
         assert abs(res.root - 0.3) < 1e-12
 
+    def test_known_f_hi_is_not_evaluated(self):
+        # The same trials as a search that reads f(hi) itself, less that read.
+        for f_hi in (None, 0.7):
+            calls = []
+            res = find_root_bracketed(lambda t: calls.append(t) or t - 0.3, 0.0, 1.0, TIGHT,
+                                      f_lo=-0.3, f_hi=f_hi)
+            if f_hi is None:
+                read, want = calls, res
+        assert read == [1.0] + calls and res == want
+
     def test_growth_to_a_root_far_above_hi(self):
         calls = []
 

@@ -974,7 +974,8 @@ def _fourier_reads(coeffs, r_max):
 
 
 def _table_reads(sp):
-    """The natural spline's three piecewise formulas, each with its own lookup."""
+    """The natural spline's three piecewise formulas, each with its own lookup,
+    with the powers as ufuncs, which round alike on arrays and scalars."""
     def piece(r):
         r = np.asarray(r, dtype=float)
         i = np.clip(np.searchsorted(sp.xs, r, side="right") - 1, 0, len(sp.xs) - 2)
@@ -982,13 +983,13 @@ def _table_reads(sp):
 
     def ev(r):
         i, h, t, u = piece(r)
-        return (sp.m2[i] * u ** 3 + sp.m2[i + 1] * t ** 3) / (6 * h) \
+        return (sp.m2[i] * np.power(u, 3) + sp.m2[i + 1] * np.power(t, 3)) / (6 * h) \
             + (sp.ys[i] / h - sp.m2[i] * h / 6) * u \
             + (sp.ys[i + 1] / h - sp.m2[i + 1] * h / 6) * t
 
     def d1(r):
         i, h, t, u = piece(r)
-        return (-sp.m2[i] * u ** 2 + sp.m2[i + 1] * t ** 2) / (2 * h) \
+        return (-sp.m2[i] * np.square(u) + sp.m2[i + 1] * np.square(t)) / (2 * h) \
             - (sp.ys[i] / h - sp.m2[i] * h / 6) \
             + (sp.ys[i + 1] / h - sp.m2[i + 1] * h / 6)
 
@@ -1173,6 +1174,40 @@ class TestBreakpointRootSearch:
         assert res.lo <= brentq(g, lo, hi, xtol=1e-16) <= res.hi
 
 
+class TestBreakpointSamples:
+    @pytest.mark.parametrize("space, H, mode", [
+        ("table", -0.06, "radial"), ("table", -0.06, "full"),
+        ("perturbed", 1.0, "radial"), ("perturbed", 1.0, "full")])
+    def test_both_samples_start_each_root_search(self, space, H, mode, monkeypatch):
+        # A cell's upper sample is g there, bit for bit, so a search that
+        # starts from it closes the same root with one read fewer.
+        from smmskit import numkit
+        s = (_table_warped() if space == "table" else
+             make_space("perturbed_sphere", n=3, H=1.0, eps=0.05, omega=3.0))
+        runs = {}
+        for drop in (False, True):
+            reads = []
+
+            def search(fn, lo, hi, tol, f_lo=None, f_hi=None, cap=None):
+                n = len(reads)
+                reads.append(0)
+
+                def counted(t):
+                    reads[n] += 1
+                    return fn(t)
+
+                return numkit.find_root_bracketed(counted, lo, hi, tol, f_lo=f_lo,
+                                                  f_hi=None if drop else f_hi, cap=cap)
+
+            monkeypatch.setattr(smms, "find_root_bracketed", search)
+            breaks = smms._excess_breakpoints(s, H, 0.0, s.r_max, mode)
+            l = smms.integral_rho(s, H, 0.99 * s.r_max, mode)
+            runs[drop] = (np.array(breaks), l, reads)
+        (breaks, l, reads), (breaks0, l0, reads0) = runs[False], runs[True]
+        assert len(breaks) > 2 and breaks.tobytes() == breaks0.tobytes() and l == l0
+        assert len(reads) >= 4 and [n + 1 for n in reads] == reads0
+
+
 def _table_warped():
     """w a natural spline through r + 0.02 r^3 at r = 0, 0.1, ..., 3 (the
     identity harness's ``table.json``): w''' and so g' jump at the nodes."""
@@ -1190,6 +1225,32 @@ def _near_tangent():
     s = make_space("custom", n=3, w={"type": "poly", "coeffs": [0.0, 1.0]},
                    f={"type": "fourier", "coeffs": [0.0, 0.0, 0.0, 0.1, 0.0]}, r_max=3.0)
     return s, (0.1 * k * k - eps) / 2.0
+
+
+ZERO_D_SPACES = {**{name: space for name, (space, _) in JET_CASES.items()},
+                 "table_w": _table_warped()}
+
+
+class TestZeroDimReads:
+    """A single radius is read with the bits of an array read: every
+    profile kind's jet (``JET_CASES`` and the spline warping) and the
+    excess in both modes."""
+
+    @pytest.mark.parametrize("name", sorted(ZERO_D_SPACES))
+    def test_zero_d_reads_are_array_reads(self, name):
+        # A spline's u ** 3 on a numpy scalar (C pow) rounded otherwise than
+        # on an array, so a table profile's single-radius reads differed.
+        s = ZERO_D_SPACES[name]
+        rs = np.linspace(1e-3, s.r_max - 1e-3, 2001)
+        for p in (s.w, s.f):
+            arrays = np.array(p.jet(rs))
+            zero_d = np.array([p.jet(np.asarray(r)) for r in rs]).T
+            assert zero_d.tobytes() == arrays.tobytes()
+        for mode in ("radial", "full"):
+            for H in (-1.0, 1.0):
+                array = smms._excess(s, H, rs, mode)
+                zero_d = np.array([smms._excess(s, H, np.asarray(r), mode) for r in rs])
+                assert zero_d.tobytes() == array.tobytes()
 
 
 class TestRoughBreakpoints:

@@ -302,6 +302,18 @@ def cases() -> list[tuple[str, list[str]]]:
         ("bumped/VOL_A/k2.3", ["check", "--custom", "bumped.json", "--H", "0.25",
                                "--theorem", "VOL_A", "--k", "2.3", "--r", "0.02",
                                "--R", "1.2"]),
+        # Model dimensions 3 + 4k off the integers, which share the Jacobi
+        # rule of their integer weight: a VOL_A k-sweep on one space and a
+        # VOL_R1 at k = 0.3 (n + 4k = 4.2).
+        ("bumped/VOL_A/k-sweep", ["sweep", "--custom", "bumped.json", "--H", "0.25",
+                                  "--theorem", "VOL_A", "--r", "0.3", "--R", "1.2",
+                                  "--range", "k=0.1:0.22:4"]),
+        ("bumped/VOL_R1/k0.3", ["check", "--custom", "bumped.json", "--H", "0.25",
+                                "--theorem", "VOL_R1", "--R", "1.45", "--k", "0.3"]),
+        # Three crossings of g and one kink on the spline warping, each
+        # closed from both of its scan samples.
+        ("table/MC_DRIFT/H-0.05/full", ["check", "--custom", "table.json", "--theorem",
+                                        "MC_DRIFT", "--H", "-0.05", "--mode", "full"]),
         ("psphere4/VOL_B_ABS/refined", ["check", "--space", "perturbed_sphere", "--n", "4",
                                         "--param", "H=1", "--param", "eps=0.03", "--H", "1",
                                         "--theorem", "VOL_B_ABS", "--R", "1.2",
