@@ -468,7 +468,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

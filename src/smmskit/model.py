@@ -123,7 +123,7 @@ def area_model(m: ModelSpace, r):
         raise ValueError("area_model requires r >= 0")
     if m.H > 0.0 and (r > conjugate_radius(m.H) + _CONJ_PAD).any():
         raise ValueError("area_model: r beyond the conjugate radius")
-    out = sphere_area(m.dim) * np.exp(m.drift * r) * sn(m.H, r) ** (m.dim - 1.0)
+    out = sphere_area(m.dim) * np.exp(m.drift * r) * np.power(sn(m.H, r), m.dim - 1.0)
     return out if out.ndim else float(out)
 
 

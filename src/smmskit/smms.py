@@ -486,7 +486,7 @@ def weighted_area(s: WarpedSMMS, r):
     r = np.asarray(r, dtype=float)
     if (r < 0.0).any() or (r > s.r_max * (1 + 1e-12)).any():
         raise ValueError(f"weighted_area requires 0 <= r <= r_max={s.r_max}")
-    return _scalar(sphere_area(s.n) * s.w.eval(r) ** (s.n - 1.0) * np.exp(-s.f.eval(r)))
+    return _scalar(sphere_area(s.n) * np.power(s.w.eval(r), s.n - 1.0) * np.exp(-s.f.eval(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -932,6 +932,26 @@ class TestLocalRefinement:
         assert rep.tolerance == max(1e-8, 1e-6 * abs(float(mean_curvature_f(s, r0))))
         assert rep.passed and rep.equality_radii == [r0]
 
+    @pytest.mark.parametrize("n, a, r", [
+        (4, 0.1, 0.13535353535353534), (4, 0.1, 0.2404040404040404),
+        (4, 0.25, 0.11565656565656565), (4, 0.25, 0.13535353535353534),
+        (4, 0.25, 0.4767676767676767), (4, 0.4, 0.13535353535353534),
+        (4, 0.4, 0.2404040404040404), (4, 0.4, 0.4767676767676767),
+        (4, 0.4, 0.5883838383838383), (5, 0.1, 0.1419191919191919),
+        (5, 0.1, 0.24696969696969695), (5, 0.1, 0.3914141414141413), (5, 0.1, 0.7),
+        (5, 0.25, 0.1419191919191919), (5, 0.25, 0.3914141414141413),
+        (5, 0.25, 0.6409090909090909), (5, 0.4, 0.1419191919191919),
+        (5, 0.4, 0.3914141414141413), (7, 0.4, 0.09595959595959595),
+        (7, 0.4, 0.4833333333333332)])
+    def test_an_area_anchor_margin_is_zero(self, n, a, r):
+        # l = 0 on linear_drift, so rhs(r) is base, the ratio of the two
+        # single-radius area reads, and lhs(r) that of the array reads.
+        # These anchors read +-1.1e-16 or +-2.2e-16 while a single-radius
+        # w ** (n - 1) called C pow.
+        rep = check_area_comparison(make_space("linear_drift", n=n, a=a), 0.0, r, 3.0)
+        assert rep.params["l"] == 0.0 and rep.grid[0, 0] == r
+        assert rep.grid[0, 3] == 0.0
+
     @pytest.mark.parametrize("check", [
         lambda: check_mc_drift(make_space("sphere", n=3, H=1.0), 1.0, a=0.0),
         lambda: check_area_comparison(make_space("euclidean", n=3, r_max=6.0), 0.0,

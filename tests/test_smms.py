@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1233,8 +1234,8 @@ ZERO_D_SPACES = {**{name: space for name, (space, _) in JET_CASES.items()},
 
 class TestZeroDimReads:
     """A single radius is read with the bits of an array read: every
-    profile kind's jet (``JET_CASES`` and the spline warping) and the
-    excess in both modes."""
+    profile kind's jet (``JET_CASES`` and the spline warping), the excess
+    in both modes, and the weighted and model areas."""
 
     @pytest.mark.parametrize("name", sorted(ZERO_D_SPACES))
     def test_zero_d_reads_are_array_reads(self, name):
@@ -1251,6 +1252,22 @@ class TestZeroDimReads:
                 array = smms._excess(s, H, rs, mode)
                 zero_d = np.array([smms._excess(s, H, np.asarray(r), mode) for r in rs])
                 assert zero_d.tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("space", [
+        make_space("perturbed_sphere", n=3, H=1.0), make_space("perturbed_sphere", n=4, H=1.0),
+        make_space("hyperbolic", n=5), make_space("euclidean", n=7), ModelSpace(3.4, 1.0),
+    ], ids=["perturbed_sphere_n3", "perturbed_sphere_n4", "hyperbolic_n5", "euclidean_n7",
+            "model_d3.4"])
+    def test_area_reads_are_array_reads(self, space):
+        # w ** (n - 1) on a float (C pow) rounded otherwise than the array
+        # power at 7, 217, 206, 244 and 288 of these radii.
+        if isinstance(space, ModelSpace):
+            read, hi = partial(area_model, space), 3.0
+        else:
+            read, hi = partial(weighted_area, space), 0.999 * space.r_max
+        rs = np.linspace(1e-3, hi, 5001)
+        zero_d = np.array([read(r) for r in rs])
+        assert zero_d.tobytes() == read(rs).tobytes()
 
 
 class TestRoughBreakpoints:

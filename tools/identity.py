@@ -169,6 +169,11 @@ def cases() -> list[tuple[str, list[str]]]:
         ("flat/EIGEN/R1e-9", ["check", *_FLAT, "--theorem", "EIGEN", "--R", "1e-9"]),
         ("drift/EIGEN/a20", ["check", *_DRIFT, "--param", "a=20", "--theorem", "EIGEN",
                              "--R", "4"]),
+        # l = 0, so the anchor's margin compares the single-radius area
+        # reads with the array reads: 1.1e-16 while the first called C pow.
+        ("drift4/AREA_B/anchor", ["check", "--space", "linear_drift", "--n", "4", "--param",
+                                  "a=0.1", "--theorem", "AREA_B", "--H", "0", "--r",
+                                  "0.13535353535353534", "--R", "3", "--format", "csv"]),
         # A steep weight on which the Ritz seed misses, a tight tolerance on
         # a curved space, and a disk (n = 2, whose pole series is the shortest).
         ("hyp9/EIGEN/H-25", ["check", "--space", "hyperbolic", "--n", "9", "--param", "H=-25",
