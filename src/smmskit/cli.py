@@ -90,7 +90,10 @@ def _overall(verdicts: list[str]) -> tuple[str, int]:
 
 
 def _eigen_tol(tol_abs: float | None, tol_rel: float | None) -> Tolerance:
-    """The eigen bracket tolerance of --tol-abs and --tol-rel (CHENG, EIGEN)."""
+    """The eigen bracket tolerance of --tol-abs and --tol-rel (CHENG, EIGEN).
+    A positive --tol-rel below 1e-12 is raised to it; one <= 0 is refused."""
+    if tol_rel is not None and not tol_rel > 0.0:
+        raise InputError(f"--tol-rel: the bracket's rel_tol must be > 0, got {tol_rel!r}")
     return Tolerance(abs_tol=1e-8 if tol_abs is None else tol_abs,
                      rel_tol=max(1e-6 if tol_rel is None else tol_rel, 1e-12))
 
@@ -193,7 +196,7 @@ def run_spec_check(spec: SpaceSpec, theorem: str, args):
     try:
         rep = checker(space, H, **{"n_grid" if k == "grid" else k: v for k, v in typed.items()})
     except DivergentExcessError as exc:  # l = +inf: an unmet hypothesis
-        rep = cmp._not_applicable(tid, {"n": space.n, "H": H}, exc.mode, str(exc))
+        rep = cmp.Report(tid, {"n": space.n, "H": H}, exc.mode, str(exc))
     wall_ms = (time.perf_counter() - t_start) * 1e3
 
     check = {**rep.to_dict(), "wall_time_ms": wall_ms}
@@ -293,7 +296,8 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None,
                    help="eigenvalue bracket abs_tol (CHENG, EIGEN; default 1e-8)")
     p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None,
-                   help="eigenvalue bracket rel_tol (CHENG, EIGEN; default 1e-6)")
+                   help="eigenvalue bracket rel_tol, > 0 (CHENG, EIGEN; default 1e-6;"
+                        " a value below 1e-12 is raised to 1e-12)")
     p.add_argument("--out", default=None, help="output file")
 
 

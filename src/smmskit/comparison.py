@@ -53,7 +53,7 @@ to the outer radius of the check, read after the inputs are checked and
 before any costly work.  A space whose excess integral is +inf fails the
 hypotheses: the checks raise ``smms.DivergentExcessError``, which the CLI
 reports as NOT-APPLICABLE; a gated check compares l with its threshold in
-``_excess_gate``.  A NOT-APPLICABLE comparison report has no grid keys.
+``_excess_gate``.  Either way a comparison's report is a bare ``Report``.
 """
 
 from __future__ import annotations
@@ -121,47 +121,82 @@ _UNITS = {
 }
 
 
-class Report:
-    """Verdict and the keys every check report shares.
+# The tolerance of each id's min_margin.  A comparison id takes
+# max(1e-8, 1e-6 |rhs|) at its minimum margin (``_tolerance``); these judge
+# bound - diameter, 1 + delta - ratio and residual bound - residual.
+_TOLERANCE = {"MYERS": 1e-9, "CHENG": 1e-8, "EIGEN": 0.0}
 
-    A report has ``theorem_id``, ``passed`` and ``min_margin`` (None or NaN
-    when nothing was compared), may set ``not_applicable``, and builds its
-    dict with ``_dict``.
+
+class Report:
+    """One check's ``theorem_id``, ``params``, ``min_margin``, ``tolerance``,
+    ``reason`` and excess ``mode`` (EIGEN reads none), and its verdict:
+    NOT-APPLICABLE when a hypothesis gates it (``not_applicable``), FAIL
+    when ``reason`` names a failed condition, else PASS iff
+    ``min_margin >= -tolerance``.  ``to_dict`` writes the shared keys, a
+    gated report's with a null margin and no tolerance, and each kind's own
+    (``_own``); ``to_csv`` writes ``_rows`` under ``_csv_columns``.  A bare
+    ``Report`` is a gated check that compared nothing: no keys of its own.
     """
 
+    reason = ""
+    mode = None
     not_applicable = False
+    # Keys outside params that carry units.
+    _unit_keys = ()
+    _csv_columns = "r,lhs,rhs,margin"
+    _rows = ()
+
+    def __init__(self, theorem_id: str, params: dict, mode: str, reason: str) -> None:
+        self.theorem_id, self.params = theorem_id, params
+        self.mode, self.reason, self.not_applicable = mode, reason, True
+        self.min_margin = self.tolerance = None
 
     @property
     def verdict(self) -> str:
         if self.not_applicable:
             return "NOT-APPLICABLE"
-        return "PASS" if self.passed else "FAIL"
+        return "PASS" if not self.reason and self.min_margin >= -self.tolerance else "FAIL"
 
-    def _dict(self, params: dict, own: dict, unit_keys: tuple = ()) -> dict:
-        """The shared keys plus ``own``; units cover the params and ``unit_keys``."""
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "PASS"
+
+    def _own(self) -> dict:
+        return {}
+
+    def to_dict(self) -> dict:
         params = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                  for k, v in params.items()}
-        units = {key: _UNITS.get(key, "unknown") for key in [*params, *unit_keys]}
-        margin = self.min_margin
-        return {
+                  for k, v in self.params.items()}
+        out = {
             "theorem_id": self.theorem_id,
             "params": params,
-            "units": units,
-            "pass": bool(self.passed),
+            "units": {key: _UNITS.get(key, "unknown") for key in [*params, *self._unit_keys]},
+            "pass": self.passed,
             "verdict": self.verdict,
-            "min_margin": None if margin is None or math.isnan(margin) else float(margin),
-            **own,
+            "min_margin": None,
+            "reason": self.reason,
         }
+        if not self.not_applicable:
+            margin = float(self.min_margin)
+            out["min_margin"] = None if math.isnan(margin) else margin
+            out["tolerance"] = float(self.tolerance)
+        if self.mode is not None:
+            out["mode"] = self.mode
+        return {**out, **self._own()}
+
+    def to_csv(self) -> str:
+        lines = [self._csv_columns]
+        lines.extend(",".join(f"{x:.17g}" for x in row) for row in self._rows)
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
 class ComparisonReport(Report):
     """Outcome of one inequality check on a radius grid.
 
-    ``grid`` has columns (r, lhs, rhs, margin); ``passed`` is equivalent to
-    ``min_margin >= -tolerance``; ``equality_radii`` flags |margin| within
-    tolerance for rigidity inspection.  A hypothesis-gated check carries
-    ``not_applicable=True`` and an explanatory ``reason``.
+    ``grid`` has columns (r, lhs, rhs, margin), and ``tolerance`` is
+    max(1e-8, 1e-6 |rhs|) at the minimum margin; ``equality_radii`` flags
+    |margin| within tolerance for rigidity inspection.
     """
 
     theorem_id: str
@@ -169,26 +204,19 @@ class ComparisonReport(Report):
     grid: np.ndarray
     min_margin: float
     tolerance: float
-    passed: bool
     mode: str = "radial"
     equality_radii: list = field(default_factory=list)
-    not_applicable: bool = False
-    reason: str = ""
 
-    def to_dict(self) -> dict:
-        grid = {} if self.not_applicable else {  # a NOT-APPLICABLE check compared nothing
-            "tolerance": float(self.tolerance),
+    def _own(self) -> dict:
+        return {
             "n_grid": int(self.grid.shape[0]),
             "n_equality": len(self.equality_radii),
             "equality_radii": [float(x) for x in self.equality_radii[:16]],
         }
-        return self._dict(self.params, {"mode": self.mode, "reason": self.reason, **grid})
 
-    def to_csv(self) -> str:
-        lines = ["r,lhs,rhs,margin"]
-        for row in self.grid:
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
+    @property
+    def _rows(self) -> np.ndarray:
+        return self.grid
 
 
 @dataclass(frozen=True)
@@ -484,18 +512,8 @@ def _finalize(theorem_id: str, params: dict, mode: str, radii: np.ndarray,
         grid=np.column_stack([radii, lhs, rhs, margin]),
         min_margin=float(margin[imin]),
         tolerance=tolv,
-        passed=bool(margin[imin] >= -tolv),
         mode=mode,
         equality_radii=[float(x) for x in eq],
-    )
-
-
-def _not_applicable(theorem_id: str, params: dict, mode: str,
-                    reason: str) -> ComparisonReport:
-    return ComparisonReport(
-        theorem_id=theorem_id, params=params,
-        grid=np.empty((0, 4)), min_margin=math.nan, tolerance=math.nan,
-        passed=False, mode=mode, not_applicable=True, reason=reason,
     )
 
 
@@ -772,14 +790,14 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
 def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
                    epsilon: float | None = None, k: float | None = None,
                    a: float | None = None, mode: str = "radial",
-                   n_grid: int = 256) -> ComparisonReport:
+                   n_grid: int = 256) -> Report:
     """V_f(r2)/V_f(r1) <= alpha V_model(r2)/V_model(r1) for 0 < r1 < r2 <= R.
 
     Given k, the model is the n+4k one; otherwise it is the drifted n-model
     at a, by default the space's drift bound.  epsilon defaults to the
     threshold ``doubling_epsilon`` of that model.  Gated on the excess
-    hypothesis l <= epsilon; a space failing the gate yields a
-    NOT-APPLICABLE report, not a failure.  It takes at most 64 radii, since
+    hypothesis l <= epsilon; a space failing the gate yields a bare
+    NOT-APPLICABLE ``Report``, not a failure.  It takes at most 64 radii, since
     its pair table grows as their square; each grid row keys the outer
     radius r2 and stores the worst pair over r1 < r2.
     """
@@ -799,7 +817,7 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     params = {"n": s.n, "H": H, "R": R, "alpha": alpha, "epsilon": epsilon,
               "l": l, **bparams}
     if reason := _excess_gate(l, epsilon):
-        return _not_applicable("DOUBLING", params, mode, reason)
+        return Report("DOUBLING", params, mode, reason)
 
     # Fixed inner grid of r1 candidates; each report row keys an outer r2
     # and stores the worst genuine pair r1 < r2.  The report radii are the

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import Report
+from .comparison import _TOLERANCE, Report
 from .numkit import Tolerance, quad_adaptive
 from .smms import WarpedSMMS, integral_rho, potential_bounds, ricci_radial
 
@@ -33,46 +33,37 @@ __all__ = [
 ]
 
 
-# Slack on the diameter when it is compared with each bound.
-_SLACK = 1e-9
-
-
 @dataclass(frozen=True)
 class DiameterReport(Report):
     """Diameter bounds next to the actual diameter of a closed space.
 
-    ``reason`` names the bounds the diameter exceeds by more than the slack;
-    it is empty on PASS.
+    ``params`` holds the hypothesis constants k, a, l and H; ``reason``
+    names the bounds the diameter exceeds by more than the tolerance.
     """
 
     bounds: dict
-    actual_diameter: float | None
-    hypothesis: dict
-    passed: bool
+    actual_diameter: float
+    params: dict
     mode: str = "radial"
     verification_scope: str = "pole"
     chord_caveat: bool = False
     reason: str = ""
 
     theorem_id = "MYERS"
+    tolerance = _TOLERANCE[theorem_id]
+    _unit_keys = ("bounds", "actual_diameter")
 
     @property
-    def min_margin(self) -> float | None:
-        if self.actual_diameter is None:
-            return None
+    def min_margin(self) -> float:
         return min(b - self.actual_diameter for b in self.bounds.values())
 
-    def to_dict(self) -> dict:
-        return self._dict(self.hypothesis, {
+    def _own(self) -> dict:
+        return {
             "bounds": {k: float(v) for k, v in self.bounds.items()},
-            "actual_diameter": None if self.actual_diameter is None
-            else float(self.actual_diameter),
-            "mode": self.mode,
+            "actual_diameter": float(self.actual_diameter),
             "verification_scope": self.verification_scope,
             "chord_caveat": bool(self.chord_caveat),
-            "tolerance": _SLACK,
-            "reason": self.reason,
-        }, unit_keys=("bounds", "actual_diameter"))
+        }
 
 
 def _require_positive_H(H: float) -> None:
@@ -161,7 +152,7 @@ def check_myers(s: WarpedSMMS, H: float, mode: str = "radial") -> DiameterReport
     }
     actual = actual_diameter(s)
     failed = [f"{name} = {b:.12g}" for name, b in bounds.items()
-              if not actual <= b + _SLACK]
+              if not b - actual >= -DiameterReport.tolerance]
 
     rs = np.linspace(s.r_max / 128, s.r_max * 127 / 128, 127)
     refl = np.max(np.abs(np.asarray(s.w.eval(rs))
@@ -171,8 +162,7 @@ def check_myers(s: WarpedSMMS, H: float, mode: str = "radial") -> DiameterReport
     return DiameterReport(
         bounds=bounds,
         actual_diameter=actual,
-        hypothesis={"k": pb.k, "a": pb.grad, "l": l, "H": H},
-        passed=not failed,
+        params={"k": pb.k, "a": pb.grad, "l": l, "H": H},
         mode=mode,
         verification_scope=scope,
         chord_caveat=_chord_caveat(s),

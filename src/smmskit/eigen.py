@@ -78,7 +78,8 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .comparison import Report, _excess_gate, _resolve, doubling_epsilon, require_admissible
+from .comparison import (_TOLERANCE, Report, _excess_gate, _resolve, doubling_epsilon,
+                         require_admissible)
 from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
 from .numkit import (NonFiniteError, RootBracket, SubdivisionLimitError, Tolerance,
                      bracket_width, find_root_bracketed, gauss_jacobi, quad_adaptive)
@@ -307,8 +308,9 @@ class EigenResult(Report):
     lambda it carries, so both ends of the seeded bracket, and the Ritz
     value too when that bracket closes at once, take one; the shoot with
     twice the panels is one more), and ``panels`` how many panels ``traj``
-    crossed.  ``traj`` reads the eigenfunction without another shoot.  The
-    search is restricted to radial eigenfunctions (the first eigenfunction
+    crossed.  ``traj`` reads the eigenfunction without another shoot.
+    ``min_margin`` is ``residual_bound`` minus ``residual``.  The search is
+    restricted to radial eigenfunctions (the first eigenfunction
     is radial for radial data).
     """
 
@@ -324,7 +326,9 @@ class EigenResult(Report):
     traj: MagnusShoot = field(repr=False, compare=False)
 
     theorem_id = "EIGEN"
+    tolerance = _TOLERANCE[theorem_id]
     radial_only = True
+    _csv_columns = "r,phi"
 
     @cached_property
     def _eigenfunction(self) -> tuple:
@@ -334,9 +338,19 @@ class EigenResult(Report):
     def samples(self) -> np.ndarray:
         return self._eigenfunction[0]
 
+    _rows = samples
+
     @property
     def r_half(self) -> float:
         return self._eigenfunction[1]
+
+    @property
+    def params(self) -> dict:
+        return {"lambda": self.lam, "r_half": self.r_half}
+
+    @property
+    def min_margin(self) -> float:
+        return self.residual_bound - self.residual
 
     @property
     def reason(self) -> str:
@@ -354,34 +368,19 @@ class EigenResult(Report):
                     f" {self.residual_bound:.6g}")
         return ""
 
-    @property
-    def passed(self) -> bool:
-        return not self.reason
-
-    @property
-    def min_margin(self) -> float:
-        return self.residual
-
-    def to_dict(self) -> dict:
-        return self._dict({"lambda": self.lam, "r_half": self.r_half}, {
+    def _own(self) -> dict:
+        return {
             "residual": float(self.residual),
             "residual_bound": float(self.residual_bound),
             "bracket": [float(self.bracket[0]), float(self.bracket[1])],
             "theta_hi": float(self.theta_hi),
             "radial_only": self.radial_only,
-            "reason": self.reason,
             "tol_abs": self.tol.abs_tol,
             "tol_rel": self.tol.rel_tol,
             "lambda_ritz": self.lam_ritz if math.isfinite(self.lam_ritz) else None,
             "shoots": self.shoots,
             "panels": self.panels,
-        })
-
-    def to_csv(self) -> str:
-        lines = ["r,phi"]
-        for r, phi in self.samples:
-            lines.append(f"{r:.17g},{phi:.17g}")
-        return "\n".join(lines) + "\n"
+        }
 
 
 # Rayleigh-Ritz seed: basis (1 - v) P_k(2v - 1), k < _RITZ_BASIS, on the
@@ -661,42 +660,28 @@ def cheng_constants(n: int, a: float, H: float, R: float, delta: float,
                           epsilon=min(eps_quadratic, eps_doubling))
 
 
-# Slack on the ratio lambda_ball / lambda_model when it is compared with 1 + delta.
-_SLACK = 1e-8
-
-
 @dataclass(frozen=True)
 class ChengReport(Report):
-    """Outcome of the eigenvalue closeness check."""
+    """Outcome of the eigenvalue closeness check; a gated one keeps its
+    ``params`` (the two eigenvalues, delta, epsilon and l) and ratio."""
 
-    lam_ball: float
-    lam_model: float
-    delta: float
-    epsilon: float
-    l: float
+    params: dict
     ratio: float
-    passed: bool
     not_applicable: bool = False
     reason: str = ""
     mode: str = "radial"
     tol: Tolerance = EIGEN_TOL
 
     theorem_id = "CHENG"
+    tolerance = _TOLERANCE[theorem_id]
 
     @property
     def min_margin(self) -> float:
-        return (1.0 + self.delta) - self.ratio
+        return (1.0 + self.params["delta"]) - self.ratio
 
-    def to_dict(self) -> dict:
-        return self._dict({"lambda_ball": self.lam_ball, "lambda_model": self.lam_model,
-                           "delta": self.delta, "epsilon": self.epsilon, "l": self.l}, {
-            "ratio": float(self.ratio),
-            "mode": self.mode,
-            "reason": self.reason,
-            "tol_abs": self.tol.abs_tol,
-            "tol_rel": self.tol.rel_tol,
-            "tolerance": _SLACK,
-        })
+    def _own(self) -> dict:
+        return {"ratio": float(self.ratio), "tol_abs": self.tol.abs_tol,
+                "tol_rel": self.tol.rel_tol}
 
 
 def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
@@ -720,12 +705,12 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
     eps = cheng_constants(s.n, a, H, R, delta, tol).epsilon
     model = model_eigenvalue(s.n, a, H, R, tol)
     ball = smms_radial_eigenvalue(s, R, tol)
-    ratio = ball.lam / model.lam
-    report = partial(ChengReport, lam_ball=ball.lam, lam_model=model.lam, delta=delta,
-                     epsilon=eps, l=l, ratio=ratio, mode=mode, tol=tol)
+    params = {"lambda_ball": ball.lam, "lambda_model": model.lam, "delta": delta,
+              "epsilon": eps, "l": l}
+    report = partial(ChengReport, params=params, ratio=ball.lam / model.lam, mode=mode, tol=tol)
     for name, res in (("model", model), ("ball", ball)):
         if not res.passed:
-            return report(passed=False, reason=f"{name} eigenvalue solve: {res.reason}")
+            return report(reason=f"{name} eigenvalue solve: {res.reason}")
     if reason := _excess_gate(l, eps):
-        return report(passed=False, not_applicable=True, reason=reason)
-    return report(passed=ratio <= 1.0 + delta + _SLACK)
+        return report(not_applicable=True, reason=reason)
+    return report()

@@ -129,6 +129,15 @@ class TestConformance:
         assert code == 2
         assert "R exceeds pi/(4 sqrt(H))" in err
 
+    def test_vol_r1_range_cap(self, capsys):
+        # VOL_R1 holds on (0, pi/(4 sqrt(H))], pi/2 at H = 1/4.
+        argv = ["check", "--space", "sphere", "--n", "3", "--param", "H=0.25",
+                "--theorem", "VOL_R1", "--grid", "16"]
+        assert main([*argv, "--R", "2.0"]) == 2
+        assert "R exceeds pi/(4 sqrt(H))" in capsys.readouterr().err
+        code, report = run_json([*argv, "--R", "1.5"], capsys)
+        assert code == 0 and report["checks"][0]["params"]["R"] == 1.5
+
     def test_gated_check_exits_three(self, capsys):
         code, report = run_json(
             ["check", "--space", "euclidean", "--n", "3", "--theorem",
@@ -237,6 +246,66 @@ class TestReportSchema:
         assert check["theorem_id"] == tid
         assert "unknown" not in check["units"].values()
         assert set(check["params"]) <= set(check["units"])
+        # The keys one writer gives every kind: mode where the id reads one
+        # (EIGEN reads none), and a tolerance wherever a margin was compared.
+        gated = check["verdict"] == "NOT-APPLICABLE"
+        assert ("mode" in check) == (tid != "EIGEN")
+        assert ("tolerance" in check) == (not gated)
+        assert {"reason"} | SHARED_CHECK <= set(check)
+        assert check["pass"] == (check["verdict"] == "PASS")
+        if gated:
+            assert check["min_margin"] is None and code == 3
+        elif not check["reason"]:
+            assert check["pass"] == (check["min_margin"] >= -check["tolerance"])
+        if tid == "CHENG":
+            # H = 2 on the unit sphere: l is far above epsilon, so the gate
+            # fires after both solves.  It has the one NOT-APPLICABLE shape
+            # and keeps the eigenvalues and their ratio.
+            code, report = run_json(["check", *_SPHERE, "--H", "2", "--theorem", "CHENG",
+                                     "--R", "1", "--delta", "0.1"], capsys)
+            [check] = report["checks"]
+            assert code == 3 and check["verdict"] == "NOT-APPLICABLE"
+            assert set(check) == NOT_APPLICABLE_CHECK | {"ratio", "tol_abs", "tol_rel"}
+            assert check["min_margin"] is None and check["pass"] is False
+            p = check["params"]
+            assert check["ratio"] == p["lambda_ball"] / p["lambda_model"]
+
+    @pytest.mark.parametrize("tid", CHECK_IDS)
+    def test_each_id_keeps_its_tolerance_rule(self, capsys, tmp_path, tid):
+        # The rule each id's margin is judged with: comparisons take
+        # max(1e-8, 1e-6 |rhs|) at the minimum margin, MYERS 1e-9, CHENG 1e-8
+        # and EIGEN 0, with min_margin the residual bound minus the residual.
+        # DOUBLING at H = 0, where l = 0: at H = 1 it is gated.
+        flags = _FLAT + ["--alpha", "2", "--R", "0.7"] if tid == "DOUBLING" else CHECK_ARGV[tid]
+        argv = ["check", "--theorem", tid, *flags]
+        if tid in cli._NO_CSV:
+            code, report = run_json(argv, capsys)
+        else:
+            code, report = run_json([*argv, "--format", "csv", "--out",
+                                     str(tmp_path / "rows.csv")], capsys)
+        [check] = report["checks"]
+        assert code == 0
+        if tid == "MYERS":
+            assert check["tolerance"] == 1e-9
+            want = min(check["bounds"].values()) - check["actual_diameter"]
+        elif tid == "CHENG":
+            assert check["tolerance"] == 1e-8
+            want = 1.0 + check["params"]["delta"] - check["ratio"]
+        elif tid == "EIGEN":
+            assert check["tolerance"] == 0.0
+            want = check["residual_bound"] - check["residual"]
+        else:
+            rows = np.loadtxt(tmp_path / "rows.csv", delimiter=",", skiprows=1, ndmin=2)
+            r, lhs, rhs, margin = rows[np.argmin(rows[:, 3])]
+            assert check["tolerance"] == max(1e-8, 1e-6 * abs(rhs))
+            want = margin
+        assert check["min_margin"] == want
+
+    def test_comparison_tolerance_floor(self, capsys):
+        # A small ball's volume is below 1e-2, so the floor 1e-8 holds.
+        code, report = run_json(["check", *_FLAT, "--theorem", "VOL_B_ABS", "--R", "0.1",
+                                 "--grid", "32"], capsys)
+        assert code == 0 and report["checks"][0]["tolerance"] == 1e-8
 
     def test_units_tagged(self, capsys):
         _, report = run_json(
@@ -986,6 +1055,19 @@ class TestEigenReports:
             assert code == 0
             check = report["checks"][0]
             assert (check["tol_abs"], check["tol_rel"]) == (1e-7, 1e-5)
+
+    @pytest.mark.parametrize("tol_rel", ["-1", "0"])
+    def test_tol_rel_not_positive_is_refused(self, capsys, tol_rel):
+        # It was raised to the 1e-12 floor, so the run passed with tol_rel 1e-12.
+        code = main(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1", "--tol-rel", tol_rel])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --tol-rel: ")
+
+    def test_tol_rel_below_the_floor_is_raised_to_it(self, capsys):
+        code, report = run_json(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1",
+                                 "--tol-rel", "1e-14"], capsys)
+        assert code == 0 and report["checks"][0]["tol_rel"] == 1e-12
 
     def test_tol_abs_reaches_the_eigen_bracket(self, capsys):
         widths = []

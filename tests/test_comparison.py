@@ -162,6 +162,19 @@ class TestMcBoundedF:
         for rep in reports:
             assert rep.min_margin >= -1e-9
 
+    def test_pi2_range_and_coefficient_at_H4(self):
+        # At H = 4, sqrt(H) = 2 and H = 4 differ, so the inner radius
+        # pi/(4 sqrt(H)) = pi/8 and the coefficient's sin(2 sqrt(H) r) are
+        # told apart from pi/(4H) and sin(2 H r).  The round sphere has
+        # rho = 0, so rhs is the bound alone.
+        n, H, k = 3, 4.0, 0.1
+        rep = check_mc_bounded_f_pi2(make_space("sphere", n=n, H=H), H, k=k, n_grid=64)
+        assert rep.grid[0, 0] == math.pi / 8
+        r, rhs = rep.grid[:, 0], rep.grid[:, 2]
+        sq = math.sqrt(H)
+        want = (1.0 + 4.0 * k / ((n - 1) * np.sin(2.0 * sq * r))) * (n - 1) * sq / np.tan(sq * r)
+        assert np.max(np.abs(rhs - want) / np.abs(want)) <= 1e-12
+
     def test_pi2_needs_positive_curvature(self):
         s = make_space("euclidean", n=3)
         with pytest.raises(ValueError):

@@ -20,6 +20,13 @@ class TestBoundFormulas:
         assert myers_bound_bounded_f(3, 1.0, 1.0, 0.0) == pytest.approx(math.pi + 2.0, abs=1e-14)
         assert myers_bound_bounded_f(3, 1.0, 0.0, 1.0) == pytest.approx(math.pi + 1.0, abs=1e-14)
 
+    def test_bounded_f_at_H4(self):
+        # pi/sqrt(H) + (4 k sqrt(H) + 2 l)/((n-1) H): at H = 4 the k term
+        # is 4k sqrt(H) = 8k, not 4kH = 16k.
+        k, l = 0.1, 0.3
+        want = math.pi / 2.0 + (8.0 * k + 2.0 * l) / (2.0 * 4.0)
+        assert myers_bound_bounded_f(3, 4.0, k, l) == pytest.approx(want, rel=1e-14)
+
     def test_gradient_arithmetic(self):
         assert myers_bound_gradient(3, 1.0, 0.0, 0.0) == pytest.approx(math.pi, abs=0)
         assert myers_bound_gradient(3, 1.0, 1.0, 0.0) == pytest.approx(math.pi + 1.0, abs=1e-14)
@@ -121,9 +128,9 @@ class TestCheckMyers:
         s = sphere_with_potential(amp=0.1)
         rep = check_myers(s, 1.0)
         assert rep.passed
-        assert abs(rep.hypothesis["k"] - 0.1) < 1e-9
+        assert abs(rep.params["k"] - 0.1) < 1e-9
         # rho = [0.1 cos r]_+ integrates to 0.1 over the hemisphere
-        assert abs(rep.hypothesis["l"] - 0.1) < 1e-8
+        assert abs(rep.params["l"] - 0.1) < 1e-8
         assert all(b > math.pi for b in rep.bounds.values())
 
     def test_perturbed_closed_spaces(self):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
@@ -224,6 +224,25 @@ class TestCheng:
         lhs = 0.1 * math.sqrt(cc.lam_model)
         rhs = cc.C * cc.eps_quadratic * math.sqrt(1.1)
         assert lhs >= rhs - 1e-12
+
+    def test_constants_on_the_flat_ball_closed_forms(self):
+        # The flat 3-ball of radius 1: phi = sin(pi r)/(pi r), lambda = pi^2,
+        # r_half = x/pi with sin(x)/x = 1/2, V(r) ~ r^3, so
+        # C = 4 (V(1)/V(r_half))^(1/2) = 4 (pi/x)^(3/2); A/V = 3/t, so the
+        # alpha = 4 doubling threshold solves 3 int_0^1 (e^(s t) - 1)/t dt = log 4.
+        delta = 0.1
+        cc = cheng_constants(3, 0.0, 0.0, 1.0, delta)
+        x = brentq(lambda x: math.sin(x) / x - 0.5, 1.0, 3.0, xtol=1e-15, rtol=1e-15)
+        lam = math.pi ** 2
+        C = 4.0 * (math.pi / x) ** 1.5
+        eps_q = delta * math.sqrt(lam) / (C * math.sqrt(1.0 + delta))
+        eps_d = brentq(lambda sig: 3.0 * quad(lambda t: math.expm1(sig * t) / t, 0.0, 1.0,
+                                               epsabs=0.0, epsrel=1e-13)[0] - math.log(4.0),
+                       0.01, 5.0, xtol=1e-15, rtol=1e-15)
+        for got, want in ((cc.lam_model, lam), (cc.r_half, x / math.pi), (cc.C, C),
+                          (cc.eps_quadratic, eps_q), (cc.eps_doubling, eps_d),
+                          (cc.epsilon, min(eps_q, eps_d))):
+            assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_epsilon_small_delta_limit(self):
         eps_tiny = cheng_constants(3, 0.0, 0.0, 1.0, 1e-4).epsilon

@@ -211,6 +211,9 @@ def cases() -> list[tuple[str, list[str]]]:
                              "--R", "1.2", "--grid", "32", "--range", "eps=0:0.05:4"]),
         ("sweep/CHENG/delta", ["sweep", *_FLAT, "--theorem", "CHENG", "--R", "1",
                                "--range", "delta=0.1:0.5:3"]),
+        # Gated points (l > epsilon), whose margin cells are nan.
+        ("sweep/CHENG/gated", ["sweep", *_PSPHERE, "--H", "1", "--theorem", "CHENG",
+                               "--R", "1.2", "--range", "delta=0.2:0.4:2"]),
         ("sweep/MC_DRIFT/a", ["sweep", *_DRIFT, "--theorem", "MC_DRIFT", "--grid", "32",
                               "--range", "a=0:1:3"]),
         # Sweeps whose points share one space (its build, potential bounds
@@ -420,6 +423,11 @@ def cases() -> list[tuple[str, list[str]]]:
         ("flag/CHENG/k-alpha", ["check", *_IDS["CHENG"], "--theorem", "CHENG", "--k", "7",
                                 "--alpha", "3"]),
         ("flag/EIGEN/a", ["check", *_IDS["EIGEN"], "--theorem", "EIGEN", "--a", "3"]),
+        # A --tol-rel <= 0 is malformed input (it was raised to 1e-12 and passed).
+        ("flag/EIGEN/tol-rel-1", ["check", *_IDS["EIGEN"], "--theorem", "EIGEN",
+                                  "--tol-rel", "-1"]),
+        ("flag/EIGEN/tol-rel0", ["check", *_IDS["EIGEN"], "--theorem", "EIGEN",
+                                 "--tol-rel", "0"]),
         ("flag/flat/DOUBLING/k-a", ["check", *_IDS["DOUBLING"], "--theorem", "DOUBLING",
                                     "--k", "0.1", "--a", "0.3"]),
         ("flag/sweep/MC_DRIFT/k", ["sweep", *_FLAT, "--theorem", "MC_DRIFT",
