@@ -91,9 +91,11 @@ def _overall(verdicts: list[str]) -> tuple[str, int]:
 
 def _eigen_tol(tol_abs: float | None, tol_rel: float | None) -> Tolerance:
     """The eigen bracket tolerance of --tol-abs and --tol-rel (CHENG, EIGEN).
-    A positive --tol-rel below 1e-12 is raised to it; one <= 0 is refused."""
-    if tol_rel is not None and not tol_rel > 0.0:
-        raise InputError(f"--tol-rel: the bracket's rel_tol must be > 0, got {tol_rel!r}")
+    Either flag outside (0, 1) is refused; a --tol-rel below 1e-12 is raised to it."""
+    for name, value in (("abs", tol_abs), ("rel", tol_rel)):
+        if value is not None and not 0.0 < value < 1.0:
+            raise InputError(f"--tol-{name}: the bracket's {name}_tol must be "
+                             f"{'< 1' if value >= 1.0 else '> 0'}, got {value!r}")
     return Tolerance(abs_tol=1e-8 if tol_abs is None else tol_abs,
                      rel_tol=max(1e-6 if tol_rel is None else tol_rel, 1e-12))
 

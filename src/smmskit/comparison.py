@@ -45,7 +45,7 @@ pass, which start at the same radius, read the same start table.  The
 arrays are read-only.
 
 Each checker owns its defaults; the CLI states none and passes only the
-flags typed.  They are n_grid 256 (at most 64 radii for doubling), mode
+flags typed.  They are n_grid 256 (64 for doubling), mode
 radial, MC_ROUGH's r0 a quarter of the interior, doubling's drift form
 unless k is given.  Hypothesis constants come from the space itself: k
 and a from ``potential_bounds`` unless given, l from ``integral_rho`` up
@@ -790,21 +790,23 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
 def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
                    epsilon: float | None = None, k: float | None = None,
                    a: float | None = None, mode: str = "radial",
-                   n_grid: int = 256) -> Report:
+                   n_grid: int = 64) -> Report:
     """V_f(r2)/V_f(r1) <= alpha V_model(r2)/V_model(r1) for 0 < r1 < r2 <= R.
 
     Given k, the model is the n+4k one; otherwise it is the drifted n-model
     at a, by default the space's drift bound.  epsilon defaults to the
     threshold ``doubling_epsilon`` of that model.  Gated on the excess
     hypothesis l <= epsilon; a space failing the gate yields a bare
-    NOT-APPLICABLE ``Report``, not a failure.  It takes at most 64 radii, since
-    its pair table grows as their square; each grid row keys the outer
-    radius r2 and stores the worst pair over r1 < r2.
+    NOT-APPLICABLE ``Report``, not a failure.  Divided by V_model(r2)/V_model(r1),
+    the inequality reads e^{g(r2) - g(r1)} <= alpha, g = log(V_f/V_model):
+    each row r2 compares lhs = e^{g(r2) - min g}, the minimum (a running one)
+    over the grid's r1 <= r2, with rhs = alpha, so its dimensionless margin is
+    the worst pair's, alpha - 1 on the diagonal where g does not increase.
     """
     if k is not None and a is not None:
         raise ValueError(f"the doubling check takes k or a, not both: got k={k}, a={a}")
     bound, const = ("a", a) if k is None else ("k", k)
-    inner = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, min(n_grid, 64), R=R)
+    radii = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, n_grid, R=R)
     mspace, _, bparams = _bound_model(s, H, bound, const)
     if not 1.0 < alpha < math.inf:  # doubling_epsilon's check; a given epsilon skips it
         raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
@@ -819,21 +821,15 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     if reason := _excess_gate(l, epsilon):
         return Report("DOUBLING", params, mode, reason)
 
-    # Fixed inner grid of r1 candidates; each report row keys an outer r2
-    # and stores the worst genuine pair r1 < r2.  The report radii are the
-    # inner grid less its first radius, so that pass reads the volumes just
-    # integrated; only a refinement pass integrates its own radii.
-    vf1, vm1, _ = _volumes(s, mspace, inner)
-    radii = inner[1:]
-
     def eval_on(rs):
-        vf2, vm2 = (vf1[1:], vm1[1:]) if rs is radii else _volumes(s, mspace, rs)[:2]
-        # Table (r2, r1) of both ratios; pairs with r1 >= r2 never win.
-        ratios_f = vf2[:, None] / vf1
-        ratios_m = alpha * vm2[:, None] / vm1
-        gap = np.where(inner < rs[:, None] - 1e-12 * R, ratios_m - ratios_f, np.inf)
-        rows, i = np.arange(len(rs)), np.argmin(gap, axis=1)
-        return ratios_f[rows, i], ratios_m[rows, i]
+        # A refinement row's r1 candidates include the first pass's radii.
+        # Not np.union1d: numpy's set routines import numpy.ma on first use.
+        grid = np.sort(np.concatenate([radii, rs]))
+        grid = grid[np.diff(grid, prepend=0.0) > 0.0]
+        vf, vm, _ = _volumes(s, mspace, grid)
+        g = np.log(vf / vm)
+        lhs = np.exp(g - np.minimum.accumulate(g))
+        return lhs[np.searchsorted(grid, rs)], np.full(len(rs), alpha)
 
     return _finalize("DOUBLING", params, mode, radii, eval_on)
 

@@ -67,7 +67,7 @@ READS = {
 FLAG_VALUE = {"H": "0.2", "k": "0.1", "a": "0.1", "delta": "0.2", "alpha": "3",
               "epsilon": "1", "r": "0.3", "R": "0.5", "r0": "0.5", "grid": "7",
               "mode": "full", "tol-abs": "1e-7", "tol-rel": "1e-5"}
-# The checkers' own defaults of --grid and --mode.
+# The checkers' own defaults of --grid and --mode; DOUBLING's grid is 64.
 CHECKER_DEFAULT = {"grid": "256", "mode": "radial"}
 
 NOT_APPLICABLE_CHECK = SHARED_CHECK | {"mode", "reason"}
@@ -192,7 +192,8 @@ class TestConformance:
     ], ids=["MC_ROUGH", "DOUBLING", "VOL_ABS_NEGH"])
     def test_library_defaults_run_the_cli_check(self, capsys, tid, argv, call):
         # The CLI chose MC_ROUGH's r0, which the library required, and ran
-        # 64 radii for DOUBLING (48 in the library) and 256 for VOL_ABS_NEGH (64).
+        # grids of its own size; now each checker owns its default (64 radii
+        # for DOUBLING, 256 for VOL_ABS_NEGH), and the CLI states none.
         code, report = run_json(["check", "--theorem", tid, *argv], capsys)
         check = report["checks"][0]
         del check["wall_time_ms"]
@@ -1031,7 +1032,8 @@ class TestEigenReports:
         argv = list(CHECK_ARGV[tid])
         if "--grid" in argv:
             del argv[argv.index("--grid"):argv.index("--grid") + 2]
-        typed = [arg for flag, value in CHECKER_DEFAULT.items() if flag in READS[tid]
+        defaults = {**CHECKER_DEFAULT, **({"grid": "64"} if tid == "DOUBLING" else {})}
+        typed = [arg for flag, value in defaults.items() if flag in READS[tid]
                  for arg in (f"--{flag}", value)]
         checks = []
         for extra in ([], typed):
@@ -1056,13 +1058,18 @@ class TestEigenReports:
             check = report["checks"][0]
             assert (check["tol_abs"], check["tol_rel"]) == (1e-7, 1e-5)
 
-    @pytest.mark.parametrize("tol_rel", ["-1", "0"])
-    def test_tol_rel_not_positive_is_refused(self, capsys, tol_rel):
-        # It was raised to the 1e-12 floor, so the run passed with tol_rel 1e-12.
-        code = main(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1", "--tol-rel", tol_rel])
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-rel", "-1"), ("--tol-rel", "0"), ("--tol-rel", "1"), ("--tol-rel", "2"),
+        ("--tol-abs", "-1"), ("--tol-abs", "0"), ("--tol-abs", "1"),
+    ])
+    def test_tol_rel_not_positive_is_refused(self, capsys, flag, value):
+        # A --tol-rel <= 0 was raised to the 1e-12 floor, so the run passed
+        # with tol_rel 1e-12; the others' diagnostics named no flag
+        # ("abs_tol must be in (0, 1), got -1.0").
+        code = main(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1", flag, value])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: --tol-rel: ")
+        assert captured.err.startswith(f"error: {flag}: ")
 
     def test_tol_rel_below_the_floor_is_raised_to_it(self, capsys):
         code, report = run_json(["check", *_FLAT, "--theorem", "EIGEN", "--R", "1",

@@ -20,10 +20,10 @@ from smmskit.comparison import (DoublingCertificate, check_absolute_volume_negH,
                                 check_volume_comparison, doubling_F, doubling_epsilon,
                                 volume_ratio_profile)
 from smmskit.cli import main
-from smmskit.model import c_const, sn as model_sn, sn_prime as model_sn_prime
+from smmskit.model import area_model, c_const, sn as model_sn, sn_prime as model_sn_prime
 from smmskit.numkit import KernelError, sphere_area
 from smmskit.smms import (RadialProfile, WarpedSMMS, integral_rho, make_space,
-                          mean_curvature_f)
+                          mean_curvature_f, weighted_area)
 
 
 def sphere_with_potential(n=3, H=1.0, amp=0.1):
@@ -440,32 +440,73 @@ class TestDoubling:
         assert rep.not_applicable and rep.verdict == "NOT-APPLICABLE"
         assert "exceeds" in rep.reason
 
-    def test_integrates_each_grid_once(self, monkeypatch):
-        # The report radii are the inner grid less its first radius, so a
-        # check that does not refine reads V_f and V_model there from the
-        # inner grid: one quad_grid call, for V_f (V_model is a fixed-rule
-        # sum).  Its margins agree with volumes integrated on the report
-        # radii directly, to rounding.
-        s = make_space("gaussian_soliton", n=3)
-        H, alpha, R, n_grid = 0.0, 4.0, 1.5, 48
+    @pytest.mark.parametrize("space, H, R, a, n_grid", [
+        *((("gaussian_soliton", {}), 0.0, 1.5, None, n) for n in (16, 64, 512, 1024)),
+        *((("perturbed_sphere", {"n": 2, "H": 1.0, "eps": 0.01, "omega": 3.0}), 1.0, 1.2, 0.15,
+           n) for n in (16, 64, 1024)),
+    ], ids=[*(f"soliton-{n}" for n in (16, 64, 512, 1024)),
+            *(f"psphere2-{n}" for n in (16, 64, 1024))])
+    def test_integrates_each_grid_once(self, monkeypatch, space, H, R, a, n_grid):
+        # A check that does not refine integrates V_f once, on its own
+        # n_grid radii (V_model is a fixed-rule sum), and reports every one
+        # of them: a typed grid runs as typed (it was capped at 64, less the
+        # first radius).  V_f/V_model does not increase on these spaces, so
+        # the worst pair is the diagonal r1 = r2, where the margin is
+        # alpha - 1 at every grid (the 64-radius pair table read 3.09-3.69).
+        name, params = space
+        s = make_space(name, **{"n": 3, **params})
+        alpha = 4.0
         calls = []
         quad_grid = comparison.quad_grid
         monkeypatch.setattr(comparison, "quad_grid",
                             lambda f, edges, **kw: calls.append(len(edges))
                             or quad_grid(f, edges, **kw))
-        rep = check_doubling(s, H, alpha, R, n_grid=n_grid)
-        assert rep.passed and rep.grid.shape[0] == n_grid - 1  # not refined
-        assert calls == [n_grid + 1]
+        rep = check_doubling(s, H, alpha, R, a=a, n_grid=n_grid)
+        assert rep.passed and calls == [n_grid + 1]
+        assert np.array_equal(rep.grid[:, 0], np.linspace(R / n_grid, R, n_grid))
+        assert abs(rep.min_margin - (alpha - 1.0)) <= 1e-12 * (alpha - 1.0)
 
+    @pytest.mark.parametrize("space, H, alpha, R, a, epsilon, n_grid, verdict", [
+        (("perturbed_sphere", {"H": 1.0, "eps": 0.02, "omega": 1.0}), 1.0, 4.0, 1.5, 0.0,
+         None, 512, "PASS"),
+        (("euclidean", {}), 1.0, 1.01, 1.0, None, 10.0, 512, "FAIL"),
+        # The first pass's worst pair (r1 = 0.66, r2 = 1.22) is within ten
+        # tolerances, so its cells refine; their rows find a worse one.
+        (("perturbed_sphere", {"H": 1.0, "eps": -0.02, "omega": 3.0}), 1.0, 1.02163, 1.5,
+         0.0, 10.0, 16, "FAIL"),
+    ], ids=["psphere-pass", "flat-fail", "psphere-refined"])
+    def test_running_minimum_matches_every_pair(self, space, H, alpha, R, a, epsilon, n_grid,
+                                                verdict):
+        # The O(N) running minimum against an O(N^2) search over every pair
+        # r1 < r2 the check reads, each judged in the ratio form
+        # alpha V_m(r2)/V_m(r1) - V_f(r2)/V_f(r1) >= -max(1e-8, 1e-6 |rhs|),
+        # with volumes from scipy.  V_f/V_model increases somewhere on the
+        # perturbed spheres, so their worst pairs are off the diagonal.  A
+        # first-pass row reads the first pass's radii, a refinement row all
+        # of them (the last case's worst r1 is a first-pass radius).
+        name, params = space
+        s = make_space(name, n=3, **params)
+        rep = check_doubling(s, H, alpha, R, epsilon=epsilon, a=a, n_grid=n_grid)
         mspace = comparison.ModelSpace(dim=3.0, H=H, drift=rep.params["a"])
-        inner = np.linspace(R / n_grid, R, n_grid)
-        radii = inner[1:]
-        vf1, vm1, _ = comparison._volumes(s, mspace, inner)
-        vf2, vm2, _ = comparison._volumes(s, mspace, radii)
-        gap = alpha * vm2[:, None] / vm1 - vf2[:, None] / vf1
-        margins = np.where(inner < radii[:, None] - 1e-12 * R, gap, np.inf).min(axis=1)
-        assert np.array_equal(rep.grid[:, 0], radii)
-        assert np.all(np.abs(rep.grid[:, 3] - margins) <= 1e-13 * np.abs(margins))
+        radii = rep.grid[:, 0]
+        first = np.isin(radii, np.linspace(R / n_grid, R, n_grid))
+        assert first.sum() == n_grid and first.all() != (n_grid == 16)  # 16 refines
+        edges = np.concatenate([[0.0], radii])
+
+        def volumes(area):
+            return np.cumsum([quad(area, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                              for lo, hi in zip(edges[:-1], edges[1:])])
+
+        vf = volumes(lambda t: float(weighted_area(s, t)))
+        vm = volumes(lambda t: float(area_model(mspace, t)))
+        ratio_f, ratio_m = vf[:, None] / vf, alpha * vm[:, None] / vm  # (r2, r1)
+        read = np.tril(first | ~first[:, None])
+        pairs = read & ~np.eye(len(radii), dtype=bool)
+        holds = ratio_m - ratio_f >= -np.maximum(1e-8, 1e-6 * ratio_m)
+        assert rep.verdict == verdict == ("PASS" if holds[pairs].all() else "FAIL")
+        worst = np.where(read, alpha * ratio_f / ratio_m, -np.inf).max(axis=1)
+        assert np.allclose(rep.grid[:, 1], worst, rtol=1e-9, atol=0.0)
+        assert np.all(rep.grid[:, 2] == alpha)
 
     def test_perturbed_sphere_end_to_end(self):
         s = make_space("perturbed_sphere", n=3, H=1.0, eps=0.002, omega=1.0)

@@ -139,12 +139,19 @@ def cases() -> list[tuple[str, list[str]]]:
         # The threshold, 5.2e8, lies between the last growth step and the cap.
         ("flat/DOUBLING/k10.75", ["check", *_FLAT, "--theorem", "DOUBLING", "--alpha", "4",
                                   "--R", "1.5", "--k", "10.75", "--grid", "16"]),
-        # Margins within ten tolerances, so a refinement pass integrates its
-        # own radii (n_grid 51: 12 of the 14 cells); the other DOUBLING runs
-        # report the first pass, which reads its volumes from the inner grid.
+        # Margins within ten tolerances, so a refinement pass integrates the
+        # union of its own radii and the first pass's, whose radii below a
+        # refined row are r1 candidates too; the other DOUBLING runs report
+        # the first pass.
         ("psphere/DOUBLING/refined", ["check", *_PSPHERE, "--param", "eps=1e-8", "--H", "1",
                                       "--theorem", "DOUBLING", "--alpha", "1.000005",
                                       "--R", "1.2", "--grid", "16"]),
+        # A typed grid runs as typed (it was capped at 64 radii).
+        ("soliton/DOUBLING/grid512", ["check", *_SOLITON, "--theorem", "DOUBLING",
+                                      "--alpha", "4", "--R", "1.5", "--grid", "512"]),
+        # V_f/V_model grows against the sphere model, past alpha = 1.01.
+        ("flat/DOUBLING/H1-fail", ["check", *_FLAT, "--H", "1", "--theorem", "DOUBLING",
+                                   "--alpha", "1.01", "--R", "1", "--epsilon", "10"]),
         ("flat/CHENG/tight", ["check", *_FLAT, "--theorem", "CHENG", "--R", "2",
                               "--delta", "0.05", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
         ("custom/MC_DRIFT", ["check", *_CUSTOM, "--theorem", "MC_DRIFT", "--grid", "32"]),
