@@ -267,10 +267,14 @@ def admissible_R(theorem_id: str, H: float) -> float:
     return math.pi / (q * math.sqrt(H))
 
 
-def require_admissible(theorem_id: str, H: float, R: float) -> None:
-    cap = admissible_R(theorem_id, H)
+def require_admissible(theorem_id: str, H: float, R: float,
+                       cap_of: str | None = None) -> None:
+    """R within the cap of ``cap_of``, by default ``theorem_id``'s own; the
+    diagnostic names ``theorem_id``, the theorem that borrows the cap."""
+    cap_of = cap_of or theorem_id
+    cap = admissible_R(cap_of, H)
     if R > cap + 1e-12:
-        raise ValueError(f"R exceeds pi/({_RANGE_CAP[theorem_id]} sqrt(H)) = {cap:.12g} "
+        raise ValueError(f"R exceeds pi/({_RANGE_CAP[cap_of]} sqrt(H)) = {cap:.12g} "
                          f"for {theorem_id}")
 
 
@@ -282,22 +286,24 @@ MIN_GRID_POINTS = 2
 
 def _radii(s: WarpedSMMS, theorem_id: str, H: float, n_grid: int,
            lo: float | None = None, R: float | None = None,
-           open_hi: bool = False) -> np.ndarray:
+           open_hi: bool = False, cap_of: str | None = None) -> np.ndarray:
     """The one radius rule: ``n_grid`` evenly spaced radii from ``lo`` to R.
 
     ``n_grid`` is at least ``MIN_GRID_POINTS``.  A given R lies in (0, the
-    theorem's cap] and in the space's interior; by default R is the cap or
-    just short of r_max, whichever is nearer.  ``lo`` defaults to R/n_grid;
-    a given one lies in (0, R], and lo = R repeats R.  With ``open_hi`` the
-    radii are the first ``n_grid`` of ``n_grid + 1`` from ``lo`` to R.
+    theorem's cap] (``cap_of``'s, when the theorem borrows one) and in the
+    space's interior; by default R is the cap or just short of r_max,
+    whichever is nearer.  ``lo`` defaults to R/n_grid; a given one lies in
+    (0, R], and lo = R repeats R.  With ``open_hi`` the radii are the first
+    ``n_grid`` of ``n_grid + 1`` from ``lo`` to R.
     """
     if n_grid < MIN_GRID_POINTS:
         raise ValueError(f"n_grid: a check needs at least {MIN_GRID_POINTS} grid points,"
                          f" got {n_grid}")
     if R is None:
-        R = min(admissible_R(theorem_id, H), s.r_interior_hi, s.r_max * (1.0 - 1e-9))
+        R = min(admissible_R(cap_of or theorem_id, H), s.r_interior_hi,
+                s.r_max * (1.0 - 1e-9))
     else:
-        require_admissible(theorem_id, H, R)
+        require_admissible(theorem_id, H, R, cap_of)
         if not 0.0 < R <= s.r_interior_hi:
             raise ValueError(f"require 0 < R <= {s.r_interior_hi}, got {R}")
     if lo is None:
@@ -773,7 +779,7 @@ def doubling_epsilon(n: int, H: float, R: float, alpha: float,
     """
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 1, got {alpha}")
-    require_admissible("VOL_A" if k is not None else "VOL_B", H, R)
+    require_admissible("DOUBLING", H, R, "VOL_A" if k is not None else "VOL_B")
     target = math.log(alpha)
     table = _doubling_table(n, H, R, k, a)
     epsilon, F_eps = _SIGMA_CAP, _table_F(table, _SIGMA_CAP)
@@ -806,7 +812,7 @@ def check_doubling(s: WarpedSMMS, H: float, alpha: float, R: float,
     if k is not None and a is not None:
         raise ValueError(f"the doubling check takes k or a, not both: got k={k}, a={a}")
     bound, const = ("a", a) if k is None else ("k", k)
-    radii = _radii(s, "VOL_A" if bound == "k" else "VOL_B", H, n_grid, R=R)
+    radii = _radii(s, "DOUBLING", H, n_grid, R=R, cap_of="VOL_A" if bound == "k" else "VOL_B")
     mspace, _, bparams = _bound_model(s, H, bound, const)
     if not 1.0 < alpha < math.inf:  # doubling_epsilon's check; a given epsilon skips it
         raise ValueError(f"alpha must be a finite number > 1, got {alpha}")

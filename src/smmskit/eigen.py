@@ -65,9 +65,13 @@ The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
 model eigenfunction reaches 1/2, and epsilon is the smaller of the largest
 value for which Q <= lambda + C eps sqrt(Q) still forces Q <= (1 + delta)
-lambda, and the doubling threshold at alpha = 4 in drift mode.  The check
-reads l after its inputs and before any solve, and gates it on epsilon
-with ``comparison._excess_gate``.
+lambda, and the doubling threshold at alpha = 4 in drift mode.  The
+threshold and the check read the model ball through ``_cheng_model``: for
+n = 3 and a = 0 the classical closed form phi = sin(pi r/R) / ((pi/R) sn_H(r)),
+lambda = pi^2/R^2 - H (Chavel, Eigenvalues in Riemannian Geometry, 1984),
+so such a check shoots only its ball, and otherwise the model's shoot by
+``model_eigenvalue``.  The check reads l after its inputs and before any
+solve, and gates it on epsilon with ``comparison._excess_gate``.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ import numpy as np
 
 from .comparison import (_TOLERANCE, Report, _excess_gate, _resolve, doubling_epsilon,
                          require_admissible)
-from .model import ModelSpace, log_psi, mean_curvature_model, volume_model
+from .model import ModelSpace, log_psi, mean_curvature_model, sn, volume_model
 from .numkit import (NonFiniteError, RootBracket, SubdivisionLimitError, Tolerance,
                      bracket_width, find_root_bracketed, gauss_jacobi, quad_adaptive)
 from .smms import (WarpedSMMS, integral_rho, mean_curvature_f,
@@ -522,11 +526,12 @@ def _first_eigenvalue(coeff, log_weight, n: int, R: float, tol: Tolerance):
 
 
 # r_half is closed on phi's interpolant at the 16 Chebyshev points of the
-# first kind on (-1, 1); by their discrete orthogonality _HALF_FIT maps the
-# values there to the interpolant's Chebyshev coefficients.
+# first kind on (-1, 1), to _HALF_TOL; by their discrete orthogonality
+# _HALF_FIT maps the values there to the interpolant's Chebyshev coefficients.
 _HALF_X = np.polynomial.chebyshev.chebpts1(16)
 _HALF_FIT = np.polynomial.chebyshev.chebvander(_HALF_X, 15).T / 8.0
 _HALF_FIT[0] /= 2.0
+_HALF_TOL = Tolerance(1e-15, 1e-15)
 
 
 def _sample_result(root: RootBracket, traj: MagnusShoot, phi_fine: float,
@@ -568,7 +573,7 @@ def _sample_eigenfunction(traj: MagnusShoot) -> tuple:
         coef = _HALF_FIT @ (phis[len(rs):] - 0.5)
         r_half = find_root_bracketed(
             lambda r: np.polynomial.chebyshev.chebval((r - mid) / half, coef), lo, hi,
-            Tolerance(1e-15, 1e-15), f_lo=traj.ys[below[0] - 1, 0] - 0.5).root
+            _HALF_TOL, f_lo=traj.ys[below[0] - 1, 0] - 0.5).root
     return np.column_stack([rs, phis[:len(rs)]]), r_half
 
 
@@ -643,18 +648,44 @@ class ChengConstants:
     epsilon: float
 
 
+@lru_cache(maxsize=256)
+def _cheng_model(n: int, a: float, H: float, R: float, tol: Tolerance) -> tuple:
+    """(lambda, r_half, reason) of the model ball B(O, R) that CHENG compares
+    with; ``reason`` says why the model's solve failed, empty when it did not.
+
+    For n = 3 and a = 0 both are read in closed form: phi = u / sn_H turns
+    phi'' + 2 (sn_H'/sn_H) phi' + lambda phi = 0 into u'' + (lambda + H) u = 0,
+    u(0) = u(R) = 0, so phi = sin(pi r/R) / ((pi/R) sn_H(r)) and
+    lambda = pi^2/R^2 - H (Chavel, Eigenvalues in Riemannian Geometry, 1984),
+    and r_half is closed on phi to ``_HALF_TOL``.  Any other (n, a) is shot
+    by ``model_eigenvalue``, after the same input checks.
+    """
+    if R <= 0.0:
+        raise ValueError(f"R must be > 0, got {R}")
+    if a < 0.0:
+        raise ValueError(f"drift a must be >= 0, got {a}")
+    require_admissible("CHENG", H, R, "VOL_B")
+    if not (n == 3 and a == 0.0):
+        res = model_eigenvalue(n, a, H, R, tol)
+        return res.lam, res.r_half, res.reason
+    k = math.pi / R
+    r_half = find_root_bracketed(lambda r: math.sin(k * r) / (k * sn(H, r)) - 0.5, 0.0, R,
+                                 _HALF_TOL, f_lo=0.5, f_hi=-0.5).root
+    return k * k - H, r_half, ""
+
+
 def cheng_constants(n: int, a: float, H: float, R: float, delta: float,
                     tol: Tolerance = EIGEN_TOL) -> ChengConstants:
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    res = model_eigenvalue(n, a, H, R, tol)
+    lam, r_half, _ = _cheng_model(n, a, H, R, tol)
     mspace = ModelSpace(dim=float(n), H=H, drift=a)
     vol_R = volume_model(mspace, R)
-    vol_half = volume_model(mspace, res.r_half)
+    vol_half = volume_model(mspace, r_half)
     C = 4.0 * math.sqrt(vol_R / vol_half)
-    eps_quadratic = delta * math.sqrt(res.lam) / (C * math.sqrt(1.0 + delta))
+    eps_quadratic = delta * math.sqrt(lam) / (C * math.sqrt(1.0 + delta))
     eps_doubling = doubling_epsilon(n, H, R, alpha=4.0, a=a).epsilon
-    return ChengConstants(lam_model=res.lam, r_half=res.r_half, C=C,
+    return ChengConstants(lam_model=lam, r_half=r_half, C=C,
                           eps_quadratic=eps_quadratic,
                           eps_doubling=eps_doubling,
                           epsilon=min(eps_quadratic, eps_doubling))
@@ -689,8 +720,10 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
                          tol: Tolerance = EIGEN_TOL) -> ChengReport:
     """lambda(B(pole, R)) <= (1 + delta) lambda_model, gated on l <= epsilon.
 
-    Fails, gated or not, when either eigenvalue solve fails its own verdict:
-    epsilon is built from the model solve.
+    The model is read through ``_cheng_model``, in closed form for n = 3
+    and a = 0, so only the ball is always shot.  Fails, gated or not, when
+    either eigenvalue solve fails its own verdict: epsilon is built from the
+    model solve.
     """
     a = _resolve(s, "a", a)
     # The solves' own input checks, in their order, so bad input fails before l.
@@ -698,19 +731,20 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
         raise ValueError(f"delta must be > 0, got {delta}")
     if R <= 0.0:
         raise ValueError(f"R must be > 0, got {R}")
-    require_admissible("VOL_B", H, R)
+    require_admissible("CHENG", H, R, "VOL_B")
     if not R < s.r_max:
         raise ValueError(f"require 0 < R < r_max={s.r_max}, got {R}")
     l = integral_rho(s, H, s.r_max, mode)
     eps = cheng_constants(s.n, a, H, R, delta, tol).epsilon
-    model = model_eigenvalue(s.n, a, H, R, tol)
+    lam_model, _, model_reason = _cheng_model(s.n, a, H, R, tol)
     ball = smms_radial_eigenvalue(s, R, tol)
-    params = {"lambda_ball": ball.lam, "lambda_model": model.lam, "delta": delta,
+    params = {"lambda_ball": ball.lam, "lambda_model": lam_model, "delta": delta,
               "epsilon": eps, "l": l}
-    report = partial(ChengReport, params=params, ratio=ball.lam / model.lam, mode=mode, tol=tol)
-    for name, res in (("model", model), ("ball", ball)):
-        if not res.passed:
-            return report(reason=f"{name} eigenvalue solve: {res.reason}")
+    report = partial(ChengReport, params=params, ratio=ball.lam / lam_model, mode=mode, tol=tol)
+    if model_reason:
+        return report(reason=f"model eigenvalue solve: {model_reason}")
+    if not ball.passed:
+        return report(reason=f"ball eigenvalue solve: {ball.reason}")
     if reason := _excess_gate(l, eps):
         return report(not_applicable=True, reason=reason)
     return report()

@@ -37,7 +37,7 @@ CHECK_ARGV = {
     "VOL_B_ABS": _FLAT + ["--R", "0.5", "--grid", "32"],
     "VOL_ABS_NEGH": ["--space", "hyperbolic", "--n", "3", "--param", "H=-1",
                      "--H", "-1", "--grid", "24"],
-    "DOUBLING": _FLAT + ["--H", "1", "--alpha", "2", "--R", "0.7", "--grid", "16"],
+    "DOUBLING": _FLAT + ["--H", "0", "--alpha", "2", "--R", "0.7", "--grid", "16"],
     "VOL_R1": _FLAT + ["--R", "1.5", "--grid", "32"],
     "MYERS": _SPHERE,
     "CHENG": _FLAT + ["--R", "1", "--delta", "0.1"],
@@ -128,6 +128,21 @@ class TestConformance:
         err = capsys.readouterr().err
         assert code == 2
         assert "R exceeds pi/(4 sqrt(H))" in err
+
+    @pytest.mark.parametrize("theorem, flags, q, cap", [
+        ("CHENG", ["--delta", "0.3"], 2, "1.57079632679"),
+        ("DOUBLING", ["--alpha", "2"], 2, "1.57079632679"),
+        ("DOUBLING", ["--alpha", "2", "--k", "0.1"], 4, "0.785398163397"),
+    ], ids=["CHENG", "DOUBLING", "DOUBLING-k"])
+    def test_borrowed_range_cap_names_the_theorem_asked_for(self, capsys, theorem, flags,
+                                                            q, cap):
+        # CHENG and DOUBLING borrow VOL_B's cap, or VOL_A's given k; the
+        # diagnostic named the lender.
+        assert main(["check", *_SPHERE, "--H", "1", "--R", "1.6", "--theorem", theorem,
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: R exceeds pi/({q} sqrt(H)) = {cap} for {theorem}\n"
+        assert captured.out == ""
 
     def test_vol_r1_range_cap(self, capsys):
         # VOL_R1 holds on (0, pi/(4 sqrt(H))], pi/2 at H = 1/4.
@@ -276,9 +291,7 @@ class TestReportSchema:
         # The rule each id's margin is judged with: comparisons take
         # max(1e-8, 1e-6 |rhs|) at the minimum margin, MYERS 1e-9, CHENG 1e-8
         # and EIGEN 0, with min_margin the residual bound minus the residual.
-        # DOUBLING at H = 0, where l = 0: at H = 1 it is gated.
-        flags = _FLAT + ["--alpha", "2", "--R", "0.7"] if tid == "DOUBLING" else CHECK_ARGV[tid]
-        argv = ["check", "--theorem", tid, *flags]
+        argv = ["check", "--theorem", tid, *CHECK_ARGV[tid]]
         if tid in cli._NO_CSV:
             code, report = run_json(argv, capsys)
         else:
@@ -1021,8 +1034,8 @@ class TestEigenReports:
         if f"--{flag}" not in argv:  # a required flag is in the run already
             argv = [*argv, f"--{flag}", FLAG_VALUE[flag]]
         code, report = run_json(["check", "--theorem", tid, *argv], capsys)
-        # DOUBLING's run is NOT-APPLICABLE: l = 1.4 on flat space at H = 1.
-        assert code in (0, 3)
+        # Every run is graded but CHENG's at --H 0.2: l > epsilon on flat space.
+        assert code == (3 if (tid, flag) == ("CHENG", "H") else 0)
         assert report["checks"][0]["theorem_id"] == tid
 
     @pytest.mark.parametrize("tid", CHECK_IDS)

@@ -271,6 +271,64 @@ class TestCheng:
             cheng_constants(3, 0.0, 0.0, 1.0, 0.0)
 
 
+def _radii_to_cap(H):
+    cap = math.pi / (2.0 * math.sqrt(H)) if H > 0.0 else 3.0
+    return [0.05, 0.4 * cap, 0.8 * cap, cap]
+
+
+class TestChengClosedForm:
+    """CHENG reads the undrifted 3-dimensional model in closed form:
+    lambda = pi^2/R^2 - H, phi = sin(pi r/R) / ((pi/R) sn_H(r))."""
+
+    @pytest.mark.parametrize("H", [-1.0, -0.25, 0.0, 0.25, 1.0])
+    def test_agrees_with_the_magnus_solve(self, H):
+        for R in _radii_to_cap(H):
+            lam, r_half, reason = eigen._cheng_model(3, 0.0, H, R, EIGEN_TOL)
+            res = model_eigenvalue(3, 0.0, H, R, EIGEN_TOL)
+            assert lam == (math.pi / R) ** 2 - H and reason == ""
+            assert res.bracket[0] <= lam <= res.bracket[1]
+            assert abs(r_half - res.r_half) <= 1e-9 * res.r_half
+
+    @pytest.mark.parametrize("H", [-1.0, -0.25, 0.0, 0.25, 1.0])
+    def test_r_half_against_brentq(self, H):
+        for R in _radii_to_cap(H):
+            k, sq = math.pi / R, math.sqrt(abs(H))
+            sn = (lambda r: math.sin(sq * r) / sq) if H > 0.0 else \
+                (lambda r: math.sinh(sq * r) / sq) if H < 0.0 else (lambda r: r)
+            want = brentq(lambda r: math.sin(k * r) / (k * sn(r)) - 0.5, 1e-3 * R, R,
+                          xtol=1e-15, rtol=1e-15)
+            r_half = eigen._cheng_model(3, 0.0, H, R, EIGEN_TOL)[1]
+            assert abs(r_half - want) <= 1e-13 * want
+
+    def test_input_checks_match_the_solve(self):
+        for args in ((3, 0.0, 0.0, -1.0), (3, -0.1, 0.0, 1.0), (3, 0.0, 1.0, 1.6)):
+            with pytest.raises(ValueError) as shot:
+                model_eigenvalue(*args, EIGEN_TOL)
+            with pytest.raises(ValueError) as closed:
+                eigen._cheng_model(*args, EIGEN_TOL)
+            assert str(closed.value) == str(shot.value).replace("VOL_B", "CHENG")
+
+    @pytest.mark.parametrize("kind, params, H, a, solves", [
+        ("sphere", {"n": 3, "H": 1.0}, 1.0, 0.0, 1),
+        ("perturbed_sphere", {"n": 3, "H": 1.0, "eps": 0.001, "omega": 2.0}, 1.0, 0.0, 1),
+        ("euclidean", {"n": 2}, 0.0, 0.0, 2),
+        ("sphere", {"n": 3, "H": 1.0}, 1.0, 0.3, 2),
+    ], ids=["sphere", "perturbed", "flat2", "drift"])
+    def test_cheng_shoots_the_model_only_off_the_closed_form(self, monkeypatch, kind, params,
+                                                            H, a, solves):
+        calls = []
+        first = eigen._first_eigenvalue
+        monkeypatch.setattr(eigen, "_first_eigenvalue",
+                            lambda *args: calls.append(args) or first(*args))
+        model_eigenvalue.cache_clear()
+        eigen._cheng_model.cache_clear()
+        R = 1.05
+        rep = check_cheng_estimate(make_space(kind, **params), H, a, R, 0.45, tol=CLI_TOL)
+        assert len(calls) == solves and rep.verdict in ("PASS", "NOT-APPLICABLE")
+        if solves == 1:  # the ball's; the model is exact
+            assert rep.params["lambda_model"] == (math.pi / R) ** 2 - H
+
+
 SHOOT_CASES = [
     ("sphere", {"n": 3, "H": 1.0}, 1.0),
     ("euclidean", {"n": 2}, 1.0),
@@ -636,9 +694,13 @@ class TestEigenVerdict:
             return dataclasses.replace(res, residual=2.0 * res.residual_bound)
 
         monkeypatch.setattr(eigen, name, off_bound)
+        # The model memo would hold (or answer from) the off-bound solve.
+        monkeypatch.setattr(eigen, "_cheng_model", eigen._cheng_model.__wrapped__)
         # H = 2 on the unit sphere: the excess integral is far above epsilon.
+        # The typed drift a = 0.1 keeps the model shot (a = 0 reads it in
+        # closed form, which cannot fail).
         s = make_space("sphere", n=3, H=1.0)
-        rep = check_cheng_estimate(s, 2.0, 0.0, 1.0, 0.1, tol=CLI_TOL)
+        rep = check_cheng_estimate(s, 2.0, 0.1, 1.0, 0.1, tol=CLI_TOL)
         assert rep.verdict == "FAIL" and not rep.not_applicable
         assert rep.reason.startswith(f"{which} eigenvalue solve: residual")
         assert rep.to_dict()["tolerance"] == 1e-8
@@ -699,11 +761,14 @@ class TestLazyEigenfunction:
         assert calls == []
         res.r_half, res.samples, res.r_half
         assert len(calls) == 1
-        # CHENG reads the model's r_half and never the ball's samples.
-        calls.clear()
-        model_eigenvalue.cache_clear()
-        check_cheng_estimate(s, 1.0, 0.0, 1.05, 0.45, tol=CLI_TOL)
-        assert len(calls) == 1
+        # CHENG reads the model's r_half and never the ball's samples; with
+        # a typed drift a = 0.1 the model is shot, at a = 0 read in closed form.
+        for a, model_samples in ((0.1, 1), (0.0, 0)):
+            calls.clear()
+            model_eigenvalue.cache_clear()
+            eigen._cheng_model.cache_clear()
+            check_cheng_estimate(s, 1.0, a, 1.05, 0.45, tol=CLI_TOL)
+            assert len(calls) == model_samples
 
     def test_cli_json_and_csv_read_the_same_values(self, capsys, tmp_path):
         from smmskit.cli import main

@@ -171,6 +171,12 @@ def cases() -> list[tuple[str, list[str]]]:
                                         "MC_DRIFT", "--H", "-0.06", "--mode", "full"]),
         ("bumped/CHENG", ["check", "--custom", "bumped.json", "--theorem", "CHENG",
                           "--R", "1.5", "--delta", "0.4"]),
+        # CHENG reads its model in closed form for n = 3 and a = 0; these two
+        # still shoot it: n = 2, and the drift a = 0.3 in radial mode (l = 0).
+        ("flat2/CHENG", ["check", "--space", "euclidean", "--n", "2", "--theorem", "CHENG",
+                         "--R", "1.1", "--delta", "0.4"]),
+        ("drift/CHENG", ["check", *_DRIFT, "--param", "a=0.3", "--theorem", "CHENG",
+                         "--R", "1", "--delta", "0.4"]),
         ("bumped/EIGEN/tight", ["check", "--custom", "bumped.json", "--theorem", "EIGEN",
                                 "--R", "1.5", "--tol-abs", "1e-10", "--tol-rel", "1e-10"]),
         ("flat/EIGEN/R1e-9", ["check", *_FLAT, "--theorem", "EIGEN", "--R", "1e-9"]),
