@@ -256,6 +256,7 @@ _RANGE_CAP = {
     "AREA_B": 2,
     "VOL_B": 2,
     "VOL_B_ABS": 2,
+    "CHENG": 2,
 }
 
 
@@ -536,13 +537,16 @@ _BOUND_TEXT = {"k": "sup|f|=", "a": "drift bound "}
 
 def _resolve(s: WarpedSMMS, name: str, value) -> float:
     """Constant ``name`` ('k' or 'a'): the space's own bound from
-    ``potential_bounds``, or ``value`` when given and not below it."""
+    ``potential_bounds``, or ``value`` when given, not below it by more
+    than 1e-9 and not below 0."""
     actual = getattr(potential_bounds(s), name)
     if value is None:
         return actual
     if value < actual - 1e-9:
         raise ValueError(f"{name}={value} is below the space's "
                          f"{_BOUND_TEXT[name]}{actual}")
+    if value < 0.0:
+        raise ValueError(f"{name}={value} is below 0")
     return float(value)
 
 

@@ -65,13 +65,13 @@ The Cheng threshold makes the proof constant explicit:
 C = 4 (V^a_H(R)/V^a_H(r_half))^{1/2} with r_half the first radius where the
 model eigenfunction reaches 1/2, and epsilon is the smaller of the largest
 value for which Q <= lambda + C eps sqrt(Q) still forces Q <= (1 + delta)
-lambda, and the doubling threshold at alpha = 4 in drift mode.  The
-threshold and the check read the model ball through ``_cheng_model``: for
-n = 3 and a = 0 the classical closed form phi = sin(pi r/R) / ((pi/R) sn_H(r)),
-lambda = pi^2/R^2 - H (Chavel, Eigenvalues in Riemannian Geometry, 1984),
-so such a check shoots only its ball, and otherwise the model's shoot by
-``model_eigenvalue``.  The check reads l after its inputs and before any
-solve, and gates it on epsilon with ``comparison._excess_gate``.
+lambda, and the doubling threshold at alpha = 4 in drift mode.  The model
+ball is read once, in ``cheng_constants``: for n = 3 and a = 0 the closed
+form phi = sin(pi r/R) / ((pi/R) sn_H(r)), lambda = pi^2/R^2 - H (Chavel,
+Eigenvalues in Riemannian Geometry, 1984), so such a check shoots only its
+ball, and otherwise the model's shoot by ``model_eigenvalue``.  The check
+reads l after its inputs and before any solve, and gates it on epsilon
+with ``comparison._excess_gate``.
 """
 
 from __future__ import annotations
@@ -638,7 +638,8 @@ def rayleigh_quotient_transplant(s: WarpedSMMS, n: int, a: float, H: float,
 
 @dataclass(frozen=True)
 class ChengConstants:
-    """Ingredients of the constructive eigenvalue threshold."""
+    """Ingredients of the constructive eigenvalue threshold; ``reason`` says
+    why the model's solve failed, empty when it did not."""
 
     lam_model: float
     r_half: float
@@ -646,49 +647,48 @@ class ChengConstants:
     eps_quadratic: float
     eps_doubling: float
     epsilon: float
+    reason: str
 
 
-@lru_cache(maxsize=256)
-def _cheng_model(n: int, a: float, H: float, R: float, tol: Tolerance) -> tuple:
-    """(lambda, r_half, reason) of the model ball B(O, R) that CHENG compares
-    with; ``reason`` says why the model's solve failed, empty when it did not.
-
-    For n = 3 and a = 0 both are read in closed form: phi = u / sn_H turns
-    phi'' + 2 (sn_H'/sn_H) phi' + lambda phi = 0 into u'' + (lambda + H) u = 0,
-    u(0) = u(R) = 0, so phi = sin(pi r/R) / ((pi/R) sn_H(r)) and
-    lambda = pi^2/R^2 - H (Chavel, Eigenvalues in Riemannian Geometry, 1984),
-    and r_half is closed on phi to ``_HALF_TOL``.  Any other (n, a) is shot
-    by ``model_eigenvalue``, after the same input checks.
-    """
+def _check_cheng_inputs(a: float, H: float, R: float, delta: float) -> None:
+    """CHENG's input checks, in the order the threshold and the check run them."""
+    if delta <= 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
     if R <= 0.0:
         raise ValueError(f"R must be > 0, got {R}")
     if a < 0.0:
         raise ValueError(f"drift a must be >= 0, got {a}")
-    require_admissible("CHENG", H, R, "VOL_B")
-    if not (n == 3 and a == 0.0):
-        res = model_eigenvalue(n, a, H, R, tol)
-        return res.lam, res.r_half, res.reason
-    k = math.pi / R
-    r_half = find_root_bracketed(lambda r: math.sin(k * r) / (k * sn(H, r)) - 0.5, 0.0, R,
-                                 _HALF_TOL, f_lo=0.5, f_hi=-0.5).root
-    return k * k - H, r_half, ""
+    require_admissible("CHENG", H, R)
 
 
 def cheng_constants(n: int, a: float, H: float, R: float, delta: float,
                     tol: Tolerance = EIGEN_TOL) -> ChengConstants:
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    lam, r_half, _ = _cheng_model(n, a, H, R, tol)
+    """The threshold from the one read of the model ball B(O, R).
+
+    For n = 3 and a = 0 the model is read in closed form: phi = u / sn_H
+    turns phi'' + 2 (sn_H'/sn_H) phi' + lambda phi = 0 into
+    u'' + (lambda + H) u = 0, u(0) = u(R) = 0, so
+    phi = sin(pi r/R) / ((pi/R) sn_H(r)) and lambda = pi^2/R^2 - H (Chavel,
+    Eigenvalues in Riemannian Geometry, 1984), and r_half is closed on phi
+    to ``_HALF_TOL``.  Any other (n, a) is shot by ``model_eigenvalue``,
+    whose ``reason`` the result keeps.
+    """
+    _check_cheng_inputs(a, H, R, delta)
+    if n == 3 and a == 0.0:
+        k = math.pi / R
+        lam, reason = k * k - H, ""
+        r_half = find_root_bracketed(lambda r: math.sin(k * r) / (k * sn(H, r)) - 0.5, 0.0,
+                                     R, _HALF_TOL, f_lo=0.5, f_hi=-0.5).root
+    else:
+        res = model_eigenvalue(n, a, H, R, tol)
+        lam, r_half, reason = res.lam, res.r_half, res.reason
     mspace = ModelSpace(dim=float(n), H=H, drift=a)
-    vol_R = volume_model(mspace, R)
-    vol_half = volume_model(mspace, r_half)
-    C = 4.0 * math.sqrt(vol_R / vol_half)
+    C = 4.0 * math.sqrt(volume_model(mspace, R) / volume_model(mspace, r_half))
     eps_quadratic = delta * math.sqrt(lam) / (C * math.sqrt(1.0 + delta))
     eps_doubling = doubling_epsilon(n, H, R, alpha=4.0, a=a).epsilon
-    return ChengConstants(lam_model=lam, r_half=r_half, C=C,
-                          eps_quadratic=eps_quadratic,
+    return ChengConstants(lam_model=lam, r_half=r_half, C=C, eps_quadratic=eps_quadratic,
                           eps_doubling=eps_doubling,
-                          epsilon=min(eps_quadratic, eps_doubling))
+                          epsilon=min(eps_quadratic, eps_doubling), reason=reason)
 
 
 @dataclass(frozen=True)
@@ -720,31 +720,27 @@ def check_cheng_estimate(s: WarpedSMMS, H: float, a: float | None, R: float,
                          tol: Tolerance = EIGEN_TOL) -> ChengReport:
     """lambda(B(pole, R)) <= (1 + delta) lambda_model, gated on l <= epsilon.
 
-    The model is read through ``_cheng_model``, in closed form for n = 3
-    and a = 0, so only the ball is always shot.  Fails, gated or not, when
-    either eigenvalue solve fails its own verdict: epsilon is built from the
-    model solve.
+    The model is read once, by ``cheng_constants``, in closed form for
+    n = 3 and a = 0, so only the ball is always shot.  Fails, gated or not,
+    when either eigenvalue solve fails its own verdict: epsilon is built
+    from the model solve.
     """
     a = _resolve(s, "a", a)
-    # The solves' own input checks, in their order, so bad input fails before l.
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if R <= 0.0:
-        raise ValueError(f"R must be > 0, got {R}")
-    require_admissible("CHENG", H, R, "VOL_B")
+    # cheng_constants' input checks and the ball's, so bad input fails before l.
+    _check_cheng_inputs(a, H, R, delta)
     if not R < s.r_max:
         raise ValueError(f"require 0 < R < r_max={s.r_max}, got {R}")
     l = integral_rho(s, H, s.r_max, mode)
-    eps = cheng_constants(s.n, a, H, R, delta, tol).epsilon
-    lam_model, _, model_reason = _cheng_model(s.n, a, H, R, tol)
+    model = cheng_constants(s.n, a, H, R, delta, tol)
     ball = smms_radial_eigenvalue(s, R, tol)
-    params = {"lambda_ball": ball.lam, "lambda_model": lam_model, "delta": delta,
-              "epsilon": eps, "l": l}
-    report = partial(ChengReport, params=params, ratio=ball.lam / lam_model, mode=mode, tol=tol)
-    if model_reason:
-        return report(reason=f"model eigenvalue solve: {model_reason}")
+    params = {"lambda_ball": ball.lam, "lambda_model": model.lam_model, "delta": delta,
+              "epsilon": model.epsilon, "l": l}
+    report = partial(ChengReport, params=params, ratio=ball.lam / model.lam_model, mode=mode,
+                     tol=tol)
+    if model.reason:
+        return report(reason=f"model eigenvalue solve: {model.reason}")
     if not ball.passed:
         return report(reason=f"ball eigenvalue solve: {ball.reason}")
-    if reason := _excess_gate(l, eps):
+    if reason := _excess_gate(l, model.epsilon):
         return report(not_applicable=True, reason=reason)
     return report()

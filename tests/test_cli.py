@@ -74,6 +74,9 @@ NOT_APPLICABLE_CHECK = SHARED_CHECK | {"mode", "reason"}
 # A drift f = -a r; in full mode rho ~ a/r at the pole, so l = +inf.
 _DRIFT = ["--space", "linear_drift", "--n", "3", "--param", "a=0.5"]
 _DIVERGENT = [*_DRIFT, "--mode", "full"]
+# That drift on the unit sphere, and CHENG's range cap there.
+_ON_SPHERE = ["--param", "base=sphere", "--param", "H=1"]
+_CHENG_CAP = "R exceeds pi/(2 sqrt(H)) = 1.57079632679 for CHENG"
 # Flags for each theorem that reads l from the pole, on that space.
 DIVERGENT_ARGV = {
     "MC_BOUNDED_F_INNER": ["--H", "0.2"],
@@ -136,8 +139,8 @@ class TestConformance:
     ], ids=["CHENG", "DOUBLING", "DOUBLING-k"])
     def test_borrowed_range_cap_names_the_theorem_asked_for(self, capsys, theorem, flags,
                                                             q, cap):
-        # CHENG and DOUBLING borrow VOL_B's cap, or VOL_A's given k; the
-        # diagnostic named the lender.
+        # DOUBLING borrows VOL_B's cap, or VOL_A's given k, and the
+        # diagnostic named the lender; CHENG has its own, pi/(2 sqrt(H)).
         assert main(["check", *_SPHERE, "--H", "1", "--R", "1.6", "--theorem", theorem,
                      *flags]) == 2
         captured = capsys.readouterr()
@@ -666,13 +669,28 @@ class TestBadInput:
     @pytest.mark.parametrize("flags, err", [
         (["--R", "20", "--delta", "0.1"], "require 0 < R < r_max=10.0, got 20.0"),
         (["--R", "1", "--delta", "0"], "delta must be > 0, got 0.0"),
-    ], ids=["R", "delta"])
+        ([*_ON_SPHERE, "--R", "0", "--delta", "0.1"], "R must be > 0, got 0.0"),
+        ([*_ON_SPHERE, "--H", "1", "--R", "1.6", "--delta", "0.1"], _CHENG_CAP),
+        ([*_ON_SPHERE, "--R", "1.6", "--delta", "0"], _CHENG_CAP),
+    ], ids=["R", "delta", "sphere-R0", "sphere-cap", "sphere-cap-delta0"])
     def test_cheng_checks_its_inputs_before_the_excess(self, capsys, mode, flags, err):
-        # In full mode this space's l = +inf; an R beyond r_max reported
-        # that (exit 3) instead of the malformed R.
+        # In full mode this space's l = +inf (on either base); an R beyond
+        # r_max reported that (exit 3) instead of the malformed R.  The CLI
+        # checks the range cap first, so an R past it and delta = 0 name
+        # the cap (they named delta).
         assert main(["check", *_DRIFT, "--mode", mode, "--theorem", "CHENG", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {err}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("tid, name", [(tid, name) for tid in CHECK_IDS
+                                           for name in ("k", "a") if name in READS[tid]])
+    def test_a_negative_constant_is_malformed(self, capsys, tid, name):
+        # The bound's 1e-9 slack let k or a in [-1e-9, 0) through: MC_DRIFT
+        # passed at a < 0, MC_BOUNDED_F_INNER compared against d < n, and
+        # others exited 2 from the model with a message naming no flag.
+        assert main(["check", *CHECK_ARGV[tid], "--theorem", tid, f"--{name}=-1e-10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name}=-1e-10 is below 0\n" and captured.out == ""
 
     def test_numeric_param_still_needs_a_number(self, capsys):
         assert main(["check", "--space", "linear_drift", "--n", "3", "--param", "base=sphere",

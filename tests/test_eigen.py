@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from conftest import perturbed_euclidean
 from smmskit import eigen
-from smmskit.comparison import doubling_F
+from smmskit.comparison import admissible_R, doubling_F
 from smmskit.eigen import (EIGEN_TOL, cheng_constants,
                            check_cheng_estimate, model_eigenvalue,
                            rayleigh_quotient_transplant, smms_radial_eigenvalue)
@@ -283,11 +283,11 @@ class TestChengClosedForm:
     @pytest.mark.parametrize("H", [-1.0, -0.25, 0.0, 0.25, 1.0])
     def test_agrees_with_the_magnus_solve(self, H):
         for R in _radii_to_cap(H):
-            lam, r_half, reason = eigen._cheng_model(3, 0.0, H, R, EIGEN_TOL)
+            cc = cheng_constants(3, 0.0, H, R, 0.1, EIGEN_TOL)
             res = model_eigenvalue(3, 0.0, H, R, EIGEN_TOL)
-            assert lam == (math.pi / R) ** 2 - H and reason == ""
-            assert res.bracket[0] <= lam <= res.bracket[1]
-            assert abs(r_half - res.r_half) <= 1e-9 * res.r_half
+            assert cc.lam_model == (math.pi / R) ** 2 - H and cc.reason == ""
+            assert res.bracket[0] <= cc.lam_model <= res.bracket[1]
+            assert abs(cc.r_half - res.r_half) <= 1e-9 * res.r_half
 
     @pytest.mark.parametrize("H", [-1.0, -0.25, 0.0, 0.25, 1.0])
     def test_r_half_against_brentq(self, H):
@@ -297,7 +297,7 @@ class TestChengClosedForm:
                 (lambda r: math.sinh(sq * r) / sq) if H < 0.0 else (lambda r: r)
             want = brentq(lambda r: math.sin(k * r) / (k * sn(r)) - 0.5, 1e-3 * R, R,
                           xtol=1e-15, rtol=1e-15)
-            r_half = eigen._cheng_model(3, 0.0, H, R, EIGEN_TOL)[1]
+            r_half = cheng_constants(3, 0.0, H, R, 0.1, EIGEN_TOL).r_half
             assert abs(r_half - want) <= 1e-13 * want
 
     def test_input_checks_match_the_solve(self):
@@ -305,8 +305,13 @@ class TestChengClosedForm:
             with pytest.raises(ValueError) as shot:
                 model_eigenvalue(*args, EIGEN_TOL)
             with pytest.raises(ValueError) as closed:
-                eigen._cheng_model(*args, EIGEN_TOL)
+                cheng_constants(*args, 0.1, EIGEN_TOL)
             assert str(closed.value) == str(shot.value).replace("VOL_B", "CHENG")
+
+    def test_cheng_has_its_own_range_cap(self):
+        # CHENG borrowed VOL_B's cap, so admissible_R("CHENG", H) read inf.
+        assert admissible_R("CHENG", 1.0) == math.pi / 2
+        assert admissible_R("CHENG", 4.0) == math.pi / 4
 
     @pytest.mark.parametrize("kind, params, H, a, solves", [
         ("sphere", {"n": 3, "H": 1.0}, 1.0, 0.0, 1),
@@ -321,7 +326,6 @@ class TestChengClosedForm:
         monkeypatch.setattr(eigen, "_first_eigenvalue",
                             lambda *args: calls.append(args) or first(*args))
         model_eigenvalue.cache_clear()
-        eigen._cheng_model.cache_clear()
         R = 1.05
         rep = check_cheng_estimate(make_space(kind, **params), H, a, R, 0.45, tol=CLI_TOL)
         assert len(calls) == solves and rep.verdict in ("PASS", "NOT-APPLICABLE")
@@ -684,6 +688,24 @@ class TestEigenVerdict:
         bad = dataclasses.replace(res, theta_hi=2.0 * math.pi)
         assert bad.verdict == "FAIL" and "first eigenvalue" in bad.reason
 
+    def test_cheng_constants_carry_a_failed_model_solve(self, monkeypatch):
+        solve = eigen.model_eigenvalue
+
+        def off_bound(*args):
+            res = solve(*args)
+            return dataclasses.replace(res, residual=2.0 * res.residual_bound)
+
+        monkeypatch.setattr(eigen, "model_eigenvalue", off_bound)
+        # A typed drift a = 0.1 keeps the model shot; the closed form at
+        # a = 0 has no solve to fail.
+        cc = cheng_constants(3, 0.1, 1.0, 1.0, 0.1, CLI_TOL)
+        assert cc.reason.startswith("residual")
+        assert cc.reason == off_bound(3, 0.1, 1.0, 1.0, CLI_TOL).reason
+        assert cheng_constants(3, 0.0, 1.0, 1.0, 0.1, CLI_TOL).reason == ""
+        monkeypatch.undo()
+        shot = cheng_constants(3, 0.1, 1.0, 1.0, 0.1, CLI_TOL)
+        assert shot.reason == "" and shot.lam_model == cc.lam_model
+
     @pytest.mark.parametrize("which", ["model", "ball"])
     def test_cheng_fails_on_a_failed_solve_even_when_gated(self, monkeypatch, which):
         name = {"model": "model_eigenvalue", "ball": "smms_radial_eigenvalue"}[which]
@@ -694,8 +716,6 @@ class TestEigenVerdict:
             return dataclasses.replace(res, residual=2.0 * res.residual_bound)
 
         monkeypatch.setattr(eigen, name, off_bound)
-        # The model memo would hold (or answer from) the off-bound solve.
-        monkeypatch.setattr(eigen, "_cheng_model", eigen._cheng_model.__wrapped__)
         # H = 2 on the unit sphere: the excess integral is far above epsilon.
         # The typed drift a = 0.1 keeps the model shot (a = 0 reads it in
         # closed form, which cannot fail).
@@ -766,7 +786,6 @@ class TestLazyEigenfunction:
         for a, model_samples in ((0.1, 1), (0.0, 0)):
             calls.clear()
             model_eigenvalue.cache_clear()
-            eigen._cheng_model.cache_clear()
             check_cheng_estimate(s, 1.0, a, 1.05, 0.45, tol=CLI_TOL)
             assert len(calls) == model_samples
 

@@ -68,7 +68,6 @@ def test_a_divergent_excess_fails_before_the_work(theorem, flags, tmp_path):
     # read and no eigen solve, no threshold search and (MYERS) no potential
     # bounds.  The memoized solves start empty, so a skipped one shows.
     smmskit.eigen.model_eigenvalue.cache_clear()
-    smmskit.eigen._cheng_model.cache_clear()
     smmskit.comparison.doubling_epsilon.cache_clear()
     tracer = _load_tracing().Tracer()
     tracer.install(smmskit)

@@ -445,6 +445,16 @@ def cases() -> list[tuple[str, list[str]]]:
                                     "--k", "0.1", "--a", "0.3"]),
         ("flag/sweep/MC_DRIFT/k", ["sweep", *_FLAT, "--theorem", "MC_DRIFT",
                                    "--range", "k=0:0.2:3"]),
+        # A typed k or a below 0 but within the bound's 1e-9 slack of a
+        # space whose own bound is 0, and an R past CHENG's range cap with
+        # delta = 0, which names the cap.
+        ("flag/MC_DRIFT/a-neg", ["check", *_IDS["MC_DRIFT"], "--theorem", "MC_DRIFT",
+                                 "--a=-1e-10"]),
+        ("flag/MC_BOUNDED_F_INNER/k-neg", ["check", *_IDS["MC_BOUNDED_F_INNER"], "--theorem",
+                                           "MC_BOUNDED_F_INNER", "--k=-1e-10"]),
+        ("flag/VOL_B/a-neg", ["check", *_IDS["VOL_B"], "--theorem", "VOL_B", "--a=-1e-10"]),
+        ("psphere/CHENG/cap-delta0", ["check", *_PSPHERE, "--H", "1", "--theorem", "CHENG",
+                                      "--R", "1.6", "--delta", "0"]),
         # --grid, --mode and --H where the theorem reads none of them, and
         # --format csv on the ids whose reports hold no radii, refused before
         # the check runs even where l diverges.
